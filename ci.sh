@@ -34,15 +34,21 @@
 #      — handler contracts, admission saturation (429 + gauges draining
 #      to zero), coalescer version atomicity, and the graceful-drain
 #      no-acked-write-lost proof (plain and sharded backends) against a
-#      live listener. The load harness itself runs via `walrus-bench
-#      -exp serve` and writes BENCH_serve.json; it is not part of the
-#      CI gate.
+#      live listener, plus the Drain-before-Serve and Drain-racing-Serve
+#      regressions. The load harness itself is `bash bench/run.sh
+#      --workload serve_mixed`; it is not part of the CI gate.
 #   1g. filter tier: runs the prefilter determinism matrix (Parallelism
 #      {1,8} x shards {1,4} must reproduce the no-prefilter oracle both
 #      with accept-all bounds and at the default derived bounds) and the
 #      result-cache protocol suite (hit/miss/bypass, write invalidation,
 #      churn) under the race detector
 #   2. full test suite
+#   2b. benchmark harness tests: `bench/` is its own Go module (it
+#      replaces `walrus` with `../`), so `go test ./...` above never
+#      reaches it; this tier runs its unit tests (manifest vs
+#      BENCHMARK.json, stats, spans, open-loop pacing, corpus). The
+#      benchmark itself (`bash bench/run.sh`, `--selfcheck`) takes
+#      minutes and is host-sensitive, so it stays out of the gate.
 #   3. vulnerability scan (default, non-fatal): govulncheck runs on
 #      every CI pass when available, installing a pinned version into
 #      the local GOPATH when missing; findings and install failures are
@@ -71,6 +77,10 @@ check_gofmt() {
         echo "$unformatted" >&2
         return 1
     fi
+}
+
+bench_tests() {
+    (cd bench && go test ./...)
 }
 
 run_vuln() {
@@ -110,6 +120,7 @@ tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -
 tier "tier 1: filter (prefilter determinism matrix, result-cache protocol)" go test -race -count=1 -run 'TestPrefilter|TestQueryCache' ./...
 
 tier "tier 2: full tests" go test ./...
+tier "tier 2: benchmark harness tests" bench_tests
 
 if [ "${WALRUS_CI_VULN:-1}" = "1" ]; then
     tier "tier 3: govulncheck (non-fatal)" run_vuln

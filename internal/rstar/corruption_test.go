@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -129,5 +130,88 @@ func TestPagedStoreSurvivesUncorruptedReload(t *testing.T) {
 	}
 	if len(got) != 300 {
 		t.Fatalf("full scan found %d of 300", len(got))
+	}
+}
+
+// TestProbeDetectsCorruptNode damages one leaf of a flushed tree and checks
+// the descent trusts nothing on it: Probe stops with the checksum error
+// and none of that leaf's entries was emitted, whether the damage is caught
+// by the pager's page footer (a byte flipped on disk) or only by the node's
+// own CRC (a byte flipped under a valid footer).
+func TestProbeDetectsCorruptNode(t *testing.T) {
+	for _, onDisk := range []bool{true, false} {
+		t.Run(fmt.Sprintf("onDisk=%v", onDisk), func(t *testing.T) {
+			tr, ps, path := pagedBulkTree(t, 1024, 3, 600, 4)
+			// Pick the last leaf in depth-first order, so earlier leaves
+			// emit before the descent reaches the damage.
+			id := tr.root
+			var victim *Node
+			for {
+				n, err := ps.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n.Leaf {
+					victim = n
+					break
+				}
+				id = n.Entries[len(n.Entries)-1].Child
+			}
+			onVictim := make(map[int64]bool)
+			for _, e := range victim.Entries {
+				onVictim[e.Data] = true
+			}
+
+			const entryByte = pagedHeader + pagedRefBytes + 3 // inside the first entry's rectangle
+			if onDisk {
+				// Cycle the 4-frame pool so the victim is not resident.
+				for i := 0; i < 2; i++ {
+					if _, err := tr.SearchAll(everything(3)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				f, err := os.OpenFile(path, os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				off := int64(victim.ID)*int64(ps.pg.PhysicalPageSize()) + entryByte
+				var b [1]byte
+				if _, err := f.ReadAt(b[:], off); err != nil {
+					t.Fatal(err)
+				}
+				b[0] ^= 0xFF
+				if _, err := f.WriteAt(b[:], off); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				f, err := ps.pool.Get(store.PageID(victim.ID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Data[entryByte] ^= 0xFF
+				ps.pool.Unpin(f, true)
+				if err := ps.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			emitted := 0
+			_, err := tr.Probe([]Probe{{Box: everything(3)}, {Box: everything(3)}}, func(_ int, data int64) {
+				emitted++
+				if onVictim[data] {
+					t.Errorf("entry %d emitted from the corrupt page", data)
+				}
+			})
+			if err == nil || !strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("expected a checksum error, got: %v", err)
+			}
+			if !onDisk && !strings.Contains(err.Error(), "rstar:") {
+				t.Fatalf("expected the node CRC to catch it, got: %v", err)
+			}
+			if emitted == 0 {
+				t.Fatal("nothing emitted before the corrupt leaf: the test did not reach it mid-descent")
+			}
+		})
 	}
 }

@@ -24,8 +24,8 @@ func (t *Tree) SetMetrics(reg *obs.Registry) {
 	}
 	t.om.Store(&treeMetrics{
 		reg:        reg,
-		searches:   reg.Counter("walrus_rstar_searches_total", "R*-tree range searches."),
-		nodeVisits: reg.Counter("walrus_rstar_node_visits_total", "Nodes visited by R*-tree searches."),
+		searches:   reg.Counter("walrus_rstar_searches_total", "R*-tree search descents (one answers all the probes of a query)."),
+		nodeVisits: reg.Counter("walrus_rstar_node_visits_total", "Nodes visited by R*-tree search descents."),
 		inserts:    reg.Counter("walrus_rstar_inserts_total", "Entries inserted into the R*-tree."),
 		splits:     reg.Counter("walrus_rstar_splits_total", "R*-tree node splits."),
 	})

@@ -167,38 +167,117 @@ func (s *PagedStore) encode(n *Node, buf []byte) {
 	binary.LittleEndian.PutUint32(buf[4:], sum)
 }
 
-func (s *PagedStore) decode(id NodeID, buf []byte) (*Node, error) {
-	n := &Node{ID: id, Leaf: buf[0]&1 == 1}
-	count := int(binary.LittleEndian.Uint16(buf[1:]))
+// checkPage validates a node page before any entry in it is trusted: the
+// entry count must fit the page and the stored CRC must match the header
+// and the entry area.
+func (s *PagedStore) checkPage(id NodeID, buf []byte) (leaf bool, count int, err error) {
+	count = int(binary.LittleEndian.Uint16(buf[1:]))
 	if count > s.max+1 {
-		return nil, fmt.Errorf("rstar: page %d claims %d entries, max %d", id, count, s.max+1)
+		return false, 0, fmt.Errorf("rstar: page %d claims %d entries, max %d", id, count, s.max+1)
 	}
 	entryBytes := count * (pagedRefBytes + 16*s.dim)
 	sum := crc32.Checksum(buf[:4], pagedCRC)
 	sum = crc32.Update(sum, pagedCRC, buf[pagedHeader:pagedHeader+entryBytes])
 	if stored := binary.LittleEndian.Uint32(buf[4:]); stored != sum {
-		return nil, fmt.Errorf("rstar: page %d checksum mismatch (stored %08x, computed %08x): data corruption", id, stored, sum)
+		return false, 0, fmt.Errorf("rstar: page %d checksum mismatch (stored %08x, computed %08x): data corruption", id, stored, sum)
 	}
-	off := pagedHeader
-	n.Entries = make([]Entry, count)
-	for i := 0; i < count; i++ {
+	return buf[0]&1 == 1, count, nil
+}
+
+func (s *PagedStore) decode(id NodeID, buf []byte) (*Node, error) {
+	leaf, count, err := s.checkPage(id, buf)
+	if err != nil {
+		return nil, err
+	}
+	n := &Node{ID: id, Leaf: leaf, Entries: make([]Entry, count)}
+	stride := pagedRefBytes + 16*s.dim
+	for i, off := 0, pagedHeader; i < count; i, off = i+1, off+stride {
 		ref := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		e := Entry{Rect: Rect{Min: make([]float64, s.dim), Max: make([]float64, s.dim)}}
-		if n.Leaf {
+		e := Entry{Rect: s.decodeRect(buf[off+pagedRefBytes : off+stride])}
+		if leaf {
 			e.Data = int64(ref)
 		} else {
 			e.Child = NodeID(ref)
 		}
-		for j := 0; j < s.dim; j++ {
-			e.Rect.Min[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		for j := 0; j < s.dim; j++ {
-			e.Rect.Max[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
 		n.Entries[i] = e
 	}
 	return n, nil
+}
+
+// decodeRect materialises an entry rectangle from its page form: dim
+// float64 mins followed by dim maxs.
+func (s *PagedStore) decodeRect(box []byte) Rect {
+	r := Rect{Min: make([]float64, s.dim), Max: make([]float64, s.dim)}
+	for j := 0; j < s.dim; j++ {
+		r.Min[j] = rawFloat(box, j)
+		r.Max[j] = rawFloat(box, s.dim+j)
+	}
+	return r
+}
+
+// rawFloat reads the i-th float64 of a page-form rectangle.
+func rawFloat(box []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(box[8*i:]))
+}
+
+// scan runs the descent over node id on its pinned frame's bytes: once
+// checkPage has passed, entries are tested where they lie and no Node,
+// Entry or Rect is built (the Search wrappers' each callback excepted,
+// which needs whole entries for its hits). The frame is unpinned before
+// scan returns, so the descent holds at most one pin at a time; emit and
+// each run under that pin.
+func (s *PagedStore) scan(d *descent, id NodeID, lo, hi int) error {
+	f, err := s.pool.Get(store.PageID(id))
+	if err != nil {
+		return err
+	}
+	err = s.scanPage(d, id, f.Data, lo, hi)
+	s.pool.Unpin(f, false)
+	return err
+}
+
+// scanPage is descent.scanNode over a serialized node.
+func (s *PagedStore) scanPage(d *descent, id NodeID, buf []byte, lo, hi int) error {
+	leaf, count, err := s.checkPage(id, buf)
+	if err != nil {
+		return err
+	}
+	probes, active := d.probes, d.active[lo:hi]
+	dim, stride := s.dim, pagedRefBytes+16*s.dim
+	entries := buf[pagedHeader : pagedHeader+count*stride]
+	if leaf {
+		for ; len(entries) > 0; entries = entries[stride:] {
+			box := entries[pagedRefBytes:stride]
+			for _, pi := range active {
+				p := &probes[pi]
+				if !intersectsRaw(box, dim, p.Box) || (p.Center != nil && !p.withinRaw(box)) {
+					continue
+				}
+				data := int64(binary.LittleEndian.Uint64(entries))
+				if d.each == nil {
+					d.emit(pi, data)
+				} else if !d.each(Entry{Rect: s.decodeRect(box), Data: data}) {
+					d.stopped = true
+					return nil
+				}
+			}
+		}
+		return nil
+	}
+	stack, todo := d.active, d.todo
+	for ; len(entries) > 0; entries = entries[stride:] {
+		box := entries[pagedRefBytes:stride]
+		mark := len(stack)
+		for _, pi := range active {
+			if intersectsRaw(box, dim, probes[pi].Box) {
+				stack = append(stack, pi)
+			}
+		}
+		if len(stack) > mark {
+			child := NodeID(binary.LittleEndian.Uint64(entries))
+			todo = append(todo, pending{id: child, lo: int32(mark), hi: int32(len(stack))})
+		}
+	}
+	d.active, d.todo = stack, todo
+	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"walrus/internal/store"
 )
 
 func benchRects(n, dim int) []Rect {
@@ -72,6 +74,28 @@ func BenchmarkSearch(b *testing.B) {
 		if _, err := tr.SearchAll(q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkProbePaged is the disk-side counterpart of BenchmarkSearch: a
+// three-region query's worth of ball probes answered in one descent over
+// pages scanned in place. allocs/op is the figure to watch — it must not
+// follow the node count.
+func BenchmarkProbePaged(b *testing.B) {
+	const dim = 12
+	tr, _, _ := pagedBulkTree(b, store.DefaultPageSize, dim, 5000, 512)
+	probes := threeProbes(dim, 0.7)
+	hits := 0
+	emit := func(int, int64) { hits++ }
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.Probe(probes, emit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if hits == 0 {
+		b.Fatal("probes matched nothing")
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-
-	"walrus/internal/obs"
 )
 
 // Tree is an R*-tree over a NodeStore. It is not safe for concurrent
@@ -350,81 +348,6 @@ func mbrOf(entries []Entry) Rect {
 		r = r.Union(e.Rect)
 	}
 	return r
-}
-
-// Search invokes fn for every data entry whose rectangle intersects q,
-// stopping early if fn returns false.
-func (t *Tree) Search(q Rect, fn func(Entry) bool) error {
-	if q.Dim() != t.dim {
-		return fmt.Errorf("rstar: query has dim %d, tree has %d", q.Dim(), t.dim)
-	}
-	m := t.om.Load()
-	if m == nil {
-		_, err := searchFrom(t.store.Get, t.root, q, fn, nil)
-		return err
-	}
-	start := obs.Clock()
-	visits := 0
-	_, err := searchFrom(t.store.Get, t.root, q, fn, &visits)
-	m.searches.Inc()
-	m.nodeVisits.Add(uint64(visits))
-	m.reg.RecordSpan("rstar.search", 0, start, obs.Since(start),
-		obs.Attr{Key: "node_visits", Value: int64(visits)})
-	return err
-}
-
-// searchFrom is the range-search recursion over an arbitrary node fetcher,
-// shared by the live tree (store.Get) and epoch-pinned views (getAt).
-func searchFrom(get func(NodeID) (*Node, error), id NodeID, q Rect, fn func(Entry) bool, visits *int) (bool, error) {
-	if visits != nil {
-		*visits++
-	}
-	n, err := get(id)
-	if err != nil {
-		return false, err
-	}
-	for _, e := range n.Entries {
-		if !e.Rect.Intersects(q) {
-			continue
-		}
-		if n.Leaf {
-			if !fn(e) {
-				return false, nil
-			}
-			continue
-		}
-		cont, err := searchFrom(get, e.Child, q, fn, visits)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
-}
-
-// SearchAll collects every data entry intersecting q.
-func (t *Tree) SearchAll(q Rect) ([]Entry, error) {
-	var out []Entry
-	err := t.Search(q, func(e Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out, err
-}
-
-// SearchAllCounting is SearchAll plus the number of nodes the search
-// visited, counted unconditionally — the query-EXPLAIN path needs the
-// visit count per probe even when no metrics registry is attached.
-func (t *Tree) SearchAllCounting(q Rect) ([]Entry, int, error) {
-	if q.Dim() != t.dim {
-		return nil, 0, fmt.Errorf("rstar: query has dim %d, tree has %d", q.Dim(), t.dim)
-	}
-	var out []Entry
-	visits := 0
-	_, err := searchFrom(t.store.Get, t.root, q, func(e Entry) bool {
-		out = append(out, e)
-		return true
-	}, &visits)
-	return out, visits, err
 }
 
 // Delete removes one data entry whose rectangle equals r and whose payload

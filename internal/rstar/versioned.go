@@ -289,18 +289,22 @@ func (v *VersionedStore) reclaimLocked() {
 	}
 }
 
-// getAt resolves a node as of a pinned epoch: the oldest overlay version
-// still covering the epoch, or the base state when the node has not been
-// rewritten since.
-func (v *VersionedStore) getAt(id NodeID, epoch uint64) (*Node, error) {
+// scan scans node id for the descent as of d.epoch: the oldest overlay
+// version still covering the epoch, or the base state when the node has not
+// been rewritten since. The read lock is held for the scan only — it keeps
+// the writer from replacing the version (or reusing its page) underneath —
+// and the descent visits children after it is released, so searches never
+// nest it.
+func (v *VersionedStore) scan(d *descent, id NodeID, lo, hi int) error {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	for _, ver := range v.overlay[id] {
-		if ver.supersededAt > epoch {
-			return ver.node, nil
+		if ver.supersededAt > d.epoch {
+			d.scanNode(ver.node, lo, hi)
+			return nil
 		}
 	}
-	return v.base.Get(id)
+	return scanStore(v.base, d, id, lo, hi)
 }
 
 // metaAt resolves tree metadata as of a pinned epoch.
@@ -419,53 +423,4 @@ func (tv *TreeView) Release() {
 	if tv.released.CompareAndSwap(false, true) {
 		tv.vs.Unpin(tv.epoch)
 	}
-}
-
-// Search invokes fn for every data entry at the pinned epoch whose
-// rectangle intersects q, stopping early if fn returns false.
-func (tv *TreeView) Search(q Rect, fn func(Entry) bool) error {
-	if q.Dim() != tv.dim {
-		return fmt.Errorf("rstar: query has dim %d, tree has %d", q.Dim(), tv.dim)
-	}
-	get := func(id NodeID) (*Node, error) { return tv.vs.getAt(id, tv.epoch) }
-	m := tv.om.Load()
-	if m == nil {
-		_, err := searchFrom(get, tv.root, q, fn, nil)
-		return err
-	}
-	start := obs.Clock()
-	visits := 0
-	_, err := searchFrom(get, tv.root, q, fn, &visits)
-	m.searches.Inc()
-	m.nodeVisits.Add(uint64(visits))
-	m.reg.RecordSpan("rstar.search", 0, start, obs.Since(start),
-		obs.Attr{Key: "node_visits", Value: int64(visits)})
-	return err
-}
-
-// SearchAll collects every data entry at the pinned epoch intersecting q.
-func (tv *TreeView) SearchAll(q Rect) ([]Entry, error) {
-	var out []Entry
-	err := tv.Search(q, func(e Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out, err
-}
-
-// SearchAllCounting is SearchAll plus the number of nodes the search
-// visited at the pinned epoch, counted unconditionally for the
-// query-EXPLAIN path.
-func (tv *TreeView) SearchAllCounting(q Rect) ([]Entry, int, error) {
-	if q.Dim() != tv.dim {
-		return nil, 0, fmt.Errorf("rstar: query has dim %d, tree has %d", q.Dim(), tv.dim)
-	}
-	get := func(id NodeID) (*Node, error) { return tv.vs.getAt(id, tv.epoch) }
-	var out []Entry
-	visits := 0
-	_, err := searchFrom(get, tv.root, q, func(e Entry) bool {
-		out = append(out, e)
-		return true
-	}, &visits)
-	return out, visits, err
 }

@@ -196,12 +196,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Serve accepts connections on ln until Drain. It returns nil after a
-// graceful drain.
+// graceful drain — including one that began before Serve was called, in
+// which case ln is closed without accepting.
 func (s *Server) Serve(ln net.Listener) error {
 	hs := &http.Server{Handler: s}
 	s.mu.Lock()
 	s.hs = hs
+	draining := s.draining.Load()
 	s.mu.Unlock()
+	if draining {
+		// Drain may have looked for hs before it was published and found
+		// nothing to shut down. Drain sets draining before it takes mu, so
+		// a Drain that missed hs is always seen here; closing hs makes the
+		// Serve below close ln and return ErrServerClosed at once.
+		if err := hs.Close(); err != nil {
+			return fmt.Errorf("serve: closing after drain: %w", err)
+		}
+	}
 	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

@@ -521,6 +521,75 @@ func testGracefulDrain(t *testing.T, create, reopen func(t *testing.T, dir strin
 	}
 }
 
+// TestServeDrainBeforeServe is the regression test for a Drain that runs
+// before Serve has published its http.Server: Drain found nothing to shut
+// down and the accept loop then ran forever. Serve must notice the drain
+// and return, closing the listener.
+func TestServeDrainBeforeServe(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listening: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(ln) }()
+	select {
+	case err := <-serveErr:
+		if err != nil {
+			t.Fatalf("serve after drain: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve kept accepting after a Drain that preceded it")
+	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		conn.Close()
+		t.Fatal("listener still accepting after Serve returned")
+	}
+}
+
+// TestServeDrainRacesServe starts Serve and Drain together, many times:
+// whichever side publishes first, Serve must return nil promptly. Run
+// under -race it also checks the hs/draining handshake.
+func TestServeDrainRacesServe(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		db, err := walrus.New(testOptions())
+		if err != nil {
+			t.Fatalf("creating db: %v", err)
+		}
+		s, err := New(Config{Backend: db, CoalesceMaxWait: time.Millisecond})
+		if err != nil {
+			t.Fatalf("creating server: %v", err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listening: %v", err)
+		}
+		serveErr := make(chan error, 1)
+		drainErr := make(chan error, 1)
+		go func() { serveErr <- s.Serve(ln) }()
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			drainErr <- s.Drain(ctx)
+		}()
+		for _, ch := range []chan error{drainErr, serveErr} {
+			select {
+			case err := <-ch:
+				if err != nil {
+					t.Fatalf("round %d: %v", i, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: Serve or Drain hung", i)
+			}
+		}
+	}
+}
+
 // TestServeDeadlinePropagation gives requests a microscopic deadline
 // and shows the pipeline surfaces it as 503 rather than hanging.
 func TestServeDeadlinePropagation(t *testing.T) {

@@ -58,7 +58,15 @@ type BufferPool struct {
 	om     poolMetrics // guarded by mu; zero value = observability off
 	hook   FlushHook
 	ioErr  error // sticky: first failed write-back, surfaced on later calls
+	// spare holds the page buffers of dropped frames for admit to reuse:
+	// a pool running at capacity evicts one frame per miss, and without
+	// this every miss would allocate (and the GC later sweep) a page.
+	spare [][]byte
 }
+
+// maxSpareBuffers bounds BufferPool.spare. Steady-state eviction keeps at
+// most one buffer there; the slack absorbs bursts of Discard.
+const maxSpareBuffers = 16
 
 // NewBufferPool wraps a pager with a cache of at most capacity pages.
 func NewBufferPool(p *Pager, capacity int) (*BufferPool, error) {
@@ -166,7 +174,15 @@ func (bp *BufferPool) admit(id PageID) (*Frame, error) {
 			return nil, fmt.Errorf("store: buffer pool exhausted: all %d frames pinned", bp.cap)
 		}
 	}
-	f := &Frame{ID: id, Data: make([]byte, bp.pager.PageSize()), pins: 1}
+	var data []byte
+	if n := len(bp.spare); n > 0 {
+		// Contents are the evicted page's: Get overwrites the whole buffer
+		// from ReadPage and NewPage zeroes it.
+		data, bp.spare = bp.spare[n-1], bp.spare[:n-1]
+	} else {
+		data = make([]byte, bp.pager.PageSize())
+	}
+	f := &Frame{ID: id, Data: data, pins: 1}
 	f.elem = bp.lru.PushFront(f)
 	bp.frames[id] = f
 	return f, nil
@@ -216,10 +232,17 @@ func (bp *BufferPool) evictOneLocked() bool {
 	return false
 }
 
-// drop removes a frame from the pool. Caller holds bp.mu.
+// drop removes a frame from the pool and keeps its page buffer for the
+// next admit. The frame gives the buffer up — a stale *Frame (use after
+// Unpin was never valid) now fails loudly instead of aliasing whichever
+// page the buffer holds next. Caller holds bp.mu.
 func (bp *BufferPool) drop(f *Frame) {
 	bp.lru.Remove(f.elem)
 	delete(bp.frames, f.ID)
+	if len(bp.spare) < maxSpareBuffers {
+		bp.spare = append(bp.spare, f.Data)
+	}
+	f.Data = nil
 }
 
 // Unpin releases one pin on f; dirty marks the page as modified.

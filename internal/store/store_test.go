@@ -349,6 +349,111 @@ func TestBufferPoolDiscard(t *testing.T) {
 	bp.Unpin(g, false)
 }
 
+// filledPage allocates a page through the pool, fills it with b and
+// unpins it dirty.
+func filledPage(t *testing.T, bp *BufferPool, b byte) PageID {
+	t.Helper()
+	f, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.Data {
+		f.Data[i] = b
+	}
+	bp.Unpin(f, true)
+	return f.ID
+}
+
+// TestBufferPoolRecycledBufferNeverAliases walks a 2-frame pool through
+// evict A, admit C, re-read A: C takes over A's old buffer and A comes
+// back in B's, and each pinned frame must show its own page's bytes in
+// its own memory.
+func TestBufferPoolRecycledBufferNeverAliases(t *testing.T) {
+	p, _ := newTestPager(t, 256)
+	bp, err := NewBufferPool(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := filledPage(t, bp, 0xA1)
+	filledPage(t, bp, 0xB2)
+	c := filledPage(t, bp, 0xC3) // evicts A: its buffer is recycled for C
+	fc, err := bp.Get(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa, err := bp.Get(a) // evicts B, reads A back into B's old buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &fa.Data[0] == &fc.Data[0] {
+		t.Fatal("two resident frames share one buffer")
+	}
+	want := func(f *Frame, b byte) {
+		t.Helper()
+		for i, got := range f.Data {
+			if got != b {
+				t.Fatalf("page %d byte %d = %#x, want %#x", f.ID, i, got, b)
+			}
+		}
+	}
+	want(fa, 0xA1)
+	want(fc, 0xC3)
+	fa.Data[0] = 0 // a write through one frame must not show in the other
+	want(fc, 0xC3)
+	bp.Unpin(fa, false)
+	bp.Unpin(fc, false)
+	if st := bp.Stats(); st.Evictions < 2 {
+		t.Fatalf("expected at least 2 evictions, got %+v", st)
+	}
+}
+
+// TestBufferPoolNewPageZeroesRecycledBuffer: a fresh page must read as
+// zeros even when its frame inherits a buffer full of another page.
+func TestBufferPoolNewPageZeroesRecycledBuffer(t *testing.T) {
+	p, _ := newTestPager(t, 256)
+	bp, err := NewBufferPool(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filledPage(t, bp, 0xFF)
+	f, err := bp.NewPage() // evicts the 0xFF page and takes its buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bp.Unpin(f, false)
+	if bp.Stats().Evictions != 1 {
+		t.Fatalf("expected the first page to be evicted, got %+v", bp.Stats())
+	}
+	for i, b := range f.Data {
+		if b != 0 {
+			t.Fatalf("new page byte %d = %#x, want 0", i, b)
+		}
+	}
+}
+
+// TestBufferPoolSpareListBounded drops far more frames than the spare
+// list may keep and checks it stops growing.
+func TestBufferPoolSpareListBounded(t *testing.T) {
+	p, _ := newTestPager(t, 256)
+	n := 4 * maxSpareBuffers
+	bp, err := NewBufferPool(p, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]PageID, n)
+	for i := range ids {
+		ids[i] = filledPage(t, bp, 1)
+	}
+	for _, id := range ids {
+		if err := bp.Discard(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(bp.spare); got != maxSpareBuffers {
+		t.Fatalf("spare list holds %d buffers after %d drops, want %d", got, n, maxSpareBuffers)
+	}
+}
+
 func TestNewBufferPoolRejectsZeroCapacity(t *testing.T) {
 	p, _ := newTestPager(t, 256)
 	if _, err := NewBufferPool(p, 0); err == nil {

@@ -111,7 +111,7 @@ func runStages(ctx context.Context, stages []queryStage, ex *stageExec, parent *
 }
 
 func runProbe(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	perRegion, err := ex.snap.probeStage(ctx, ex.qRegions, ex.p, ex.workers, ex.tc)
+	perRegion, err := ex.snap.probeStage(ex.qRegions, ex.p, ex.tc)
 	if err != nil {
 		return err
 	}

@@ -58,72 +58,48 @@ func (s *Snapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
 	return qRegions, nil
 }
 
-// probeStage probes the index with every query region's epsilon
-// envelope. The probes only read the pinned view and the snapshot
-// catalog, so they fan across the worker pool; each writes its hits into
-// its own slot and the slots are merged in query-region order by the
-// aggregate stage, which keeps pairsByImage — and therefore scores,
-// stats and rankings — identical to the serial query.
-// A nil tc (the common case) adds nothing to the probe path; an EXPLAIN
-// query passes a collector and each task records its region's slot.
-func (s *Snapshot) probeStage(ctx context.Context, qRegions []region.Region, p QueryParams, workers int, tc *traceCollector) ([][]probeHit, error) {
+// probeStage answers every query region's epsilon envelope in one index
+// descent: nodes (pages, on disk) shared by several regions' envelopes are
+// read once, and for centroid signatures the exact euclidean test runs
+// inside the leaf scan, so only true matches are handed back. Hits land in
+// their region's slot in the index's depth-first entry order — the order
+// each region's own search would yield — which keeps pairsByImage, and
+// therefore scores, stats and rankings, those of a region-by-region probe.
+// A nil tc (the common case) adds nothing to the probe path.
+func (s *Snapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) ([][]probeHit, error) {
+	// Bounding-box signatures match by box overlap, which the envelope
+	// tests exactly. When the prefilter tier is planned the exact distance
+	// check is deferred to it: the coarse Hamming/variance tests run first
+	// and the euclidean distance is computed only for survivors.
+	exact := !s.core.opts.UseBBox && !prefilterEnabled(p, s.core.opts)
+	probes := make([]rstar.Probe, len(qRegions))
+	for qi, qr := range qRegions {
+		probes[qi].Box = signatureRect(s.core.opts.UseBBox, qr).Expand(p.Epsilon)
+		if exact {
+			probes[qi].Center, probes[qi].Eps = qr.Signature, p.Epsilon
+		}
+	}
 	perRegion := make([][]probeHit, len(qRegions))
-	err := parallel.ForErr(len(qRegions), workers, func(qi int) error {
-		// The deadline check rides each parallel task: a query whose
-		// context expires mid-probe stops fanning out more index work.
-		if err := ctx.Err(); err != nil {
-			return err
+	indexHits, kept := 0, 0
+	visits, err := s.view.Probe(probes, func(qi int, payload int64) {
+		indexHits++
+		// Validate the hit against the snapshot catalog. The pinned
+		// R*-tree view never yields out-of-version entries, but the GiST
+		// view probes the live tree: skip refs the snapshot does not know
+		// (inserted later) or has tombstoned (removed later).
+		if payload < 0 || int(payload) >= len(s.core.refs) {
+			return
 		}
-		qr := qRegions[qi]
-		probe := signatureRect(s.core.opts.UseBBox, qr).Expand(p.Epsilon)
-		var entries []rstar.Entry
-		var err error
-		if tc == nil {
-			entries, err = s.view.SearchAll(probe)
-		} else {
-			var visits int
-			entries, visits, err = s.view.SearchAllCounting(probe)
-			tc.indexHits[qi] = len(entries)
-			tc.nodeVisits[qi] = visits
+		ref := s.core.refs[payload]
+		if ref.Local < 0 {
+			return
 		}
-		if err != nil {
-			return err
-		}
-		// When the prefilter tier is planned, the exact distance check is
-		// deferred to it: the coarse Hamming/variance tests run first and
-		// the euclidean distance is computed only for survivors.
-		exact := !prefilterEnabled(p, s.core.opts)
-		hits := make([]probeHit, len(entries))
-		n := 0
-		for _, e := range entries {
-			// Validate the hit against the snapshot catalog. The pinned
-			// R*-tree view never yields out-of-version entries, but the
-			// GiST view probes the live tree: skip refs the snapshot does
-			// not know (inserted later) or has tombstoned (removed later).
-			if e.Data < 0 || int(e.Data) >= len(s.core.refs) {
-				continue
-			}
-			ref := s.core.refs[e.Data]
-			if ref.Local < 0 {
-				continue
-			}
-			target := s.core.images[ref.Image].Regions[ref.Local]
-			// Centroid signatures use euclidean distance (the paper's
-			// metric); the box probe over-approximates the euclidean ball,
-			// so filter. Bounding-box signatures match by box overlap,
-			// which the probe tests exactly.
-			if exact && !s.core.opts.UseBBox && euclid(qr.Signature, target.Signature) > p.Epsilon {
-				continue
-			}
-			hits[n] = probeHit{image: ref.Image, payload: e.Data, pair: match.Pair{Q: qi, T: ref.Local}}
-			n++
-		}
-		perRegion[qi] = hits[:n]
-		if tc != nil {
-			tc.probeOut[qi] = n
-		}
-		return nil
+		perRegion[qi] = append(perRegion[qi], probeHit{image: ref.Image, payload: payload, pair: match.Pair{Q: qi, T: ref.Local}})
+		kept++
 	})
+	if tc != nil {
+		tc.indexHits, tc.nodeVisits, tc.probeOut = indexHits, visits, kept
+	}
 	return perRegion, err
 }
 

@@ -42,11 +42,11 @@ type snapCore struct {
 // an adapter over the (internally locked) live tree — see gistView for
 // the weaker isolation that implies.
 type indexView interface {
-	SearchAll(q rstar.Rect) ([]rstar.Entry, error)
-	// SearchAllCounting is SearchAll plus the number of index nodes
-	// visited answering the probe — the EXPLAIN path's funnel input. The
-	// GiST backend reports 0: it exposes no traversal counter.
-	SearchAllCounting(q rstar.Rect) ([]rstar.Entry, int, error)
+	// Probe answers every probe in one pass, calling emit with the probe's
+	// index and each matching entry's payload, and returns the number of
+	// index nodes visited — the EXPLAIN path's funnel input. emit must not
+	// call back into the index.
+	Probe(probes []rstar.Probe, emit func(probe int, data int64)) (visits int, err error)
 	Release()
 }
 
@@ -59,12 +59,24 @@ type indexView interface {
 // whole-query) isolation.
 type gistView struct{ g *gistIndex }
 
-func (v gistView) SearchAll(q rstar.Rect) ([]rstar.Entry, error) { return v.g.SearchAll(q) }
-func (v gistView) Release()                                      {}
+func (v gistView) Release() {}
 
-func (v gistView) SearchAllCounting(q rstar.Rect) ([]rstar.Entry, int, error) {
-	es, err := v.g.SearchAll(q)
-	return es, 0, err
+// Probe searches the GiST once per probe and applies the probe's leaf
+// test to what comes back. It reports 0 visits: the GiST exposes no
+// traversal counter.
+func (v gistView) Probe(probes []rstar.Probe, emit func(probe int, data int64)) (int, error) {
+	for i := range probes {
+		entries, err := v.g.SearchAll(probes[i].Box)
+		if err != nil {
+			return 0, err
+		}
+		for _, e := range entries {
+			if probes[i].Matches(e.Rect) {
+				emit(i, e.Data)
+			}
+		}
+	}
+	return 0, nil
 }
 
 // Snapshot is a stable, point-in-time view of the database: a published

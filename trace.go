@@ -66,9 +66,12 @@ type ExplainStage struct {
 	In    int    `json:"in"`
 	Out   int    `json:"out"`
 	// IndexHits and NodesVisited are nonzero only for the probe stage:
-	// raw index entries returned before catalog/distance filtering, and
-	// R*-tree nodes visited doing it (0 on the GiST backend, which does
-	// not count visits).
+	// the leaf entries the index handed to the probe stage — after the
+	// in-leaf envelope (and, for centroid signatures without the
+	// prefilter tier, exact distance) test, before catalog validation —
+	// and the R*-tree nodes visited by the one descent that answered all
+	// of the query's regions (0 on the GiST backend, which does not count
+	// visits).
 	IndexHits    int `json:"index_hits"`
 	NodesVisited int `json:"nodes_visited"`
 	// DurationNS is the stage's wall time; on a sharded query it is the
@@ -113,14 +116,14 @@ type QueryTrace struct {
 
 // traceCollector accumulates one shard's share of the funnel while the
 // staged pipeline runs. The per-region slices are slot-indexed so
-// parallel probe/refine tasks record without synchronization, exactly
+// parallel prefilter/refine tasks record without synchronization, exactly
 // like the stages' own result slots; the scalar fields are written by
 // the single goroutine driving that shard's stages.
 type traceCollector struct {
 	version      uint64
-	indexHits    []int // per query region: raw index entries returned
-	nodeVisits   []int // per query region: index nodes visited
-	probeOut     []int // per query region: hits surviving the probe filter
+	indexHits    int   // leaf entries the index's descent handed to the probe stage
+	nodeVisits   int   // index nodes that descent visited
+	probeOut     int   // hits surviving catalog validation
 	prefilterOut []int // per query region: hits surviving the coarse prefilter
 	refineOut    []int // per query region: hits surviving refine
 
@@ -136,9 +139,6 @@ type traceCollector struct {
 func newTraceCollector(nRegions int, version uint64) *traceCollector {
 	return &traceCollector{
 		version:      version,
-		indexHits:    make([]int, nRegions),
-		nodeVisits:   make([]int, nRegions),
-		probeOut:     make([]int, nRegions),
 		prefilterOut: make([]int, nRegions),
 		refineOut:    make([]int, nRegions),
 	}
@@ -216,7 +216,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 	probeIndexHits, probeVisits := 0, 0
 	qt.Shards = make([]ExplainShard, len(tcs))
 	for i, tc := range tcs {
-		shardKept := sumInts(tc.probeOut)
+		shardKept := tc.probeOut
 		probeHits += shardKept
 		if prefiltered {
 			shardKept = sumInts(tc.prefilterOut)
@@ -226,15 +226,13 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 			shardKept = sumInts(tc.refineOut)
 		}
 		refineKept += shardKept
-		shardIndexHits := sumInts(tc.indexHits)
-		shardVisits := sumInts(tc.nodeVisits)
-		probeIndexHits += shardIndexHits
-		probeVisits += shardVisits
+		probeIndexHits += tc.indexHits
+		probeVisits += tc.nodeVisits
 		qt.Shards[i] = ExplainShard{
 			Shard:            i,
 			Version:          tc.version,
-			IndexHits:        shardIndexHits,
-			NodesVisited:     shardVisits,
+			IndexHits:        tc.indexHits,
+			NodesVisited:     tc.nodeVisits,
 			RegionsRetrieved: shardKept,
 			CandidateImages:  tc.candidates,
 			Matches:          tc.matches,

@@ -128,9 +128,10 @@ type QueryParams struct {
 	// per-dimension tolerance of the coarse check.
 	RefineEpsilon float64
 	// Parallelism bounds the worker pool the query fans its per-region
-	// index probes and per-candidate scoring across: 0 uses GOMAXPROCS,
-	// 1 reproduces the serial query exactly. Results and stats are
-	// identical for every setting; only wall-clock time changes.
+	// prefilter and refine passes and its per-candidate scoring across
+	// (the index probe is one serial descent for all regions): 0 uses
+	// GOMAXPROCS, 1 reproduces the serial query exactly. Results and
+	// stats are identical for every setting; only wall-clock time changes.
 	Parallelism int
 	// Prefilter plans the coarse rejection tier between the index probe
 	// and the refine/score stages: candidate hits are screened with a
