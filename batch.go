@@ -84,7 +84,6 @@ func (db *DB) addExtractedLocked(id string, im *imgio.Image, regions []region.Re
 			rids = append(rids, ref.RID)
 		}
 		db.refs = append(db.refs, ref)
-		db.bsigs = append(db.bsigs, makeBinSig(r.Signature))
 		if err := db.tree.Insert(signatureRect(db.opts.UseBBox, r), payload); err != nil {
 			return fmt.Errorf("walrus: indexing region of %q: %w", id, err)
 		}

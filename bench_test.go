@@ -311,32 +311,3 @@ func BenchmarkIndexAdd(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkIndexBackendAblation compares query throughput with the
-// R*-tree vs the GiST rectangle tree as the region index.
-func BenchmarkIndexBackendAblation(b *testing.B) {
-	ds, _ := retrievalFixture(b)
-	query := ds.ByCategory(dataset.Flowers)[0]
-	for _, backend := range []walrus.IndexBackend{walrus.IndexRStar, walrus.IndexGiST} {
-		b.Run(backend.String(), func(b *testing.B) {
-			opts := experiments.PaperWalrusConfig().Options
-			opts.Index = backend
-			db, err := walrus.New(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, it := range ds.Items {
-				if err := db.Add(it.ID, it.Image); err != nil {
-					b.Fatal(err)
-				}
-			}
-			p := walrus.DefaultQueryParams()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := db.Query(query.Image, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -17,9 +17,6 @@ import (
 // is done only once at the beginning"); Add/Remove work normally on the
 // result.
 func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
-	if opts.Index != IndexRStar {
-		return nil, fmt.Errorf("walrus: BuildFrom supports only the %v index backend", IndexRStar)
-	}
 	db, err := prepare(opts)
 	if err != nil {
 		return nil, err
@@ -41,7 +38,6 @@ func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 		for local, r := range extracted[i] {
 			payloads = append(payloads, int64(len(db.refs)))
 			db.refs = append(db.refs, regionRef{Image: imgIdx, Local: local})
-			db.bsigs = append(db.bsigs, makeBinSig(r.Signature))
 			rects = append(rects, signatureRect(opts.UseBBox, r))
 		}
 	}
@@ -72,9 +68,6 @@ func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 // with STR packing. This is the fastest way to run the paper's one-time
 // indexing phase against a directory-resident database.
 func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, error) {
-	if opts.Index != IndexRStar {
-		return nil, fmt.Errorf("walrus: disk-backed databases support only the %v index backend", IndexRStar)
-	}
 	db, err := createDB(dir, opts)
 	if err != nil {
 		return nil, err
@@ -107,7 +100,6 @@ func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, 
 			}
 			payloads = append(payloads, int64(len(db.refs)))
 			db.refs = append(db.refs, regionRef{Image: imgIdx, Local: local, RID: rid.Pack()})
-			db.bsigs = append(db.bsigs, makeBinSig(r.Signature))
 			rects = append(rects, signatureRect(opts.UseBBox, r))
 		}
 	}
@@ -115,7 +107,7 @@ func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, 
 	// Bulk-load through the same versioned store the empty tree was
 	// created on; the database has published no version yet, so the load
 	// retains no pre-images, and the publish below produces version 1.
-	tree, err := rstar.BulkLoad(db.tree.(*rstar.Tree).Versioned(), rects, payloads)
+	tree, err := rstar.BulkLoad(db.tree.Versioned(), rects, payloads)
 	if err != nil {
 		return nil, errors.Join(err, db.Close())
 	}

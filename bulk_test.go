@@ -149,11 +149,3 @@ func TestCreateFromDiskRoundTrip(t *testing.T) {
 		t.Fatalf("Remove: %v %v", ok, err)
 	}
 }
-
-func TestCreateFromRejectsGiST(t *testing.T) {
-	o := testOptions()
-	o.Index = IndexGiST
-	if _, err := CreateFrom(t.TempDir(), o, nil, 0); err == nil {
-		t.Fatal("CreateFrom accepted gist backend")
-	}
-}

@@ -37,11 +37,8 @@
 #      live listener, plus the Drain-before-Serve and Drain-racing-Serve
 #      regressions. The load harness itself is `bash bench/run.sh
 #      --workload serve_mixed`; it is not part of the CI gate.
-#   1g. filter tier: runs the prefilter determinism matrix (Parallelism
-#      {1,8} x shards {1,4} must reproduce the no-prefilter oracle both
-#      with accept-all bounds and at the default derived bounds) and the
-#      result-cache protocol suite (hit/miss/bypass, write invalidation,
-#      churn) under the race detector
+#   1g. cache tier: runs the result-cache protocol suite (hit/miss/
+#      bypass, write invalidation, churn) under the race detector
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -117,7 +114,7 @@ tier "tier 1: snapshot (acquire/release vs publish, leak check)" go test -race -
 tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle)" go test -race -count=1 -run 'TestShard' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
-tier "tier 1: filter (prefilter determinism matrix, result-cache protocol)" go test -race -count=1 -run 'TestPrefilter|TestQueryCache' ./...
+tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

@@ -32,7 +32,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("walrus-bench: ")
 	var (
-		exp         = flag.String("exp", "all", "experiment: fig6a, fig6b, fig7, fig8, table1, regions, matchers, robust, precision, indexing, epsilon, parallel, durability, obs-overhead, explain, filter, snapshot, shard, serve, all")
+		exp         = flag.String("exp", "all", "experiment: fig6a, fig6b, fig7, fig8, table1, regions, matchers, robust, precision, indexing, epsilon, parallel, durability, obs-overhead, explain, snapshot, shard, serve, all")
 		imgSize     = flag.Int("image-size", 256, "image side for Figure 6 (paper: 256)")
 		maxWin      = flag.Int("max-window", 128, "largest window for Figure 6(a) (paper: 128)")
 		maxSig      = flag.Int("max-signature", 32, "largest signature for Figure 6(b) (paper: 32)")
@@ -43,7 +43,6 @@ func main() {
 		par         = flag.Int("parallelism", 0, "worker pool size for the parallel experiment (0 = GOMAXPROCS)")
 		obsOut      = flag.String("obs-json", "BENCH_obs.json", "output file for the obs-overhead measurement")
 		explainOut  = flag.String("explain-json", "BENCH_explain.json", "output file for the explain-overhead measurement")
-		filterOut   = flag.String("filter-json", "BENCH_filter.json", "output file for the prefilter/result-cache measurement")
 		snapOut     = flag.String("snapshot-json", "BENCH_snapshot.json", "output file for the snapshot churn measurement")
 		shardOut    = flag.String("shard-json", "BENCH_shard.json", "output file for the shard write-scaling measurement")
 		shardBase   = flag.Int("shard-base", 100000, "preloaded signatures for the shard experiment")
@@ -123,7 +122,7 @@ func main() {
 		fmt.Fprintf(out, "wrote %s\n\n", *serveOut)
 	}
 
-	needDataset := want("fig7") || want("fig8") || want("table1") || want("regions") || want("matchers") || want("robust") || want("precision") || want("indexing") || want("epsilon") || want("parallel") || want("durability") || want("obs-overhead") || want("explain") || want("filter") || want("snapshot")
+	needDataset := want("fig7") || want("fig8") || want("table1") || want("regions") || want("matchers") || want("robust") || want("precision") || want("indexing") || want("epsilon") || want("parallel") || want("durability") || want("obs-overhead") || want("explain") || want("snapshot")
 	if !needDataset {
 		return
 	}
@@ -253,26 +252,6 @@ func main() {
 		fmt.Fprintf(out, "wrote %s\n\n", *explainOut)
 	}
 
-	if want("filter") {
-		fmt.Fprintln(out, "== Coarse-to-fine tiers: prefilter candidate reduction and warm-cache latency ==")
-		res, err := experiments.FilterBench(ds, cfg.Options, 24, 20, 5)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintFilterBench(out, res)
-		if !res.Identical {
-			log.Fatal("prefiltered ranking diverges from the exact pipeline")
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*filterOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n\n", *filterOut)
-	}
-
 	if want("snapshot") {
 		fmt.Fprintln(out, "== Snapshot isolation: query latency while the catalog churns ==")
 		res, err := experiments.SnapshotChurn(ds, cfg.Options, 24, 60, 4)
@@ -354,7 +333,7 @@ func main() {
 }
 
 func isKnown(e string) bool {
-	for _, k := range strings.Fields("fig6a fig6b fig7 fig8 table1 regions matchers robust precision indexing epsilon parallel durability obs-overhead explain filter snapshot shard serve all") {
+	for _, k := range strings.Fields("fig6a fig6b fig7 fig8 table1 regions matchers robust precision indexing epsilon parallel durability obs-overhead explain snapshot shard serve all") {
 		if e == k {
 			return true
 		}

@@ -42,7 +42,6 @@ func main() {
 		sceneXY = flag.String("scene", "", "query with a sub-rectangle only: x,y,w,h (user-specified scene)")
 		durable = flag.String("durability", "", "override the index's WAL durability policy: always, group or none")
 		explain = flag.Bool("explain", false, "print the stage-by-stage candidate funnel after the results")
-		prefilt = flag.Bool("prefilter", false, "enable the binary-signature prefilter tier between probe and scoring")
 		cacheSz = flag.Int("cache-size", 0, "version-keyed result cache capacity in queries (0 disables)")
 		repeat  = flag.Int("repeat", 1, "run the query N times (with -cache-size, later runs hit the cache)")
 	)
@@ -87,7 +86,6 @@ func main() {
 	params.Epsilon = *eps
 	params.Tau = *tau
 	params.Limit = *k
-	params.Prefilter = *prefilt
 	switch *matcher {
 	case "quick":
 		params.Matcher = match.Quick

@@ -43,7 +43,6 @@ func main() {
 		coalesceBatch = flag.Int("coalesce-batch", 0, "max images per coalesced write flush (0 = 64)")
 		coalesceWait  = flag.Duration("coalesce-wait", 0, "max age of a pending write before a partial flush (0 = 2ms)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests during graceful drain")
-		prefilt       = flag.Bool("prefilter", false, "enable the binary-signature prefilter tier by default (per-request prefilter= overrides)")
 		cacheSz       = flag.Int("cache-size", 0, "version-keyed result cache capacity in queries (0 disables)")
 		obsFlags      = obscli.Register()
 		logFlags      = obscli.RegisterLog()
@@ -115,7 +114,6 @@ func main() {
 		}
 	}
 	defaults := walrus.DefaultQueryParams()
-	defaults.Prefilter = *prefilt
 
 	srv, err := serve.New(serve.Config{
 		Backend:              backend,

@@ -62,14 +62,10 @@ func assertSameAnswer(t *testing.T, label string, ma []Match, sa QueryStats, mb 
 	}
 }
 
-// TestPrefilterDeterminism pins the prefilter tier's correctness claim
-// across the full execution matrix — Parallelism {1,8} x shards {1,4}:
-// with bounds wide enough to accept everything the answer is identical
-// to the no-prefilter oracle by construction, and at the default derived
-// bounds the filter is conservative (it only rejects hits the exact
-// euclidean check would reject anyway), so the answer is still
-// identical — only the per-candidate work changes.
-func TestPrefilterDeterminism(t *testing.T) {
+// TestQueryDeterminismMatrix pins the answer across the execution matrix
+// — shards {1,4} x Parallelism {1,8}, with and without refine — to the
+// serial unsharded run: only wall-clock time may change.
+func TestQueryDeterminismMatrix(t *testing.T) {
 	items := corpus50(t)
 	queries := []*imgio.Image{
 		items[0].Image,
@@ -77,81 +73,33 @@ func TestPrefilterDeterminism(t *testing.T) {
 		scene(green, red, 24, 24, 40),
 		scene(gray, blue, 40, 40, 44),
 	}
+	type answer struct {
+		matches []Match
+		stats   QueryStats
+	}
+	oracle := map[string]answer{}
 	for _, shards := range []int{1, 4} {
 		backend := filterBackend(t, items, shards)
 		for _, par := range []int{1, 8} {
 			for _, refine := range []bool{false, true} {
-				base := DefaultQueryParams()
-				base.Parallelism = par
-				base.Refine = refine
-				variants := map[string]QueryParams{
-					"accept-all": func() QueryParams {
-						p := base
-						p.Prefilter = true
-						p.PrefilterHamming = binSigBits // no Hamming distance exceeds the bit width
-						p.PrefilterBeta = 1e9
-						return p
-					}(),
-					"default-bounds": func() QueryParams {
-						p := base
-						p.Prefilter = true
-						return p
-					}(),
-				}
+				p := DefaultQueryParams()
+				p.Parallelism = par
+				p.Refine = refine
 				for qi, q := range queries {
-					om, os, err := backend.Query(q, base)
+					label := fmt.Sprintf("shards=%d par=%d refine=%v q%d", shards, par, refine, qi)
+					m, st, err := backend.Query(q, p)
 					if err != nil {
-						t.Fatalf("oracle query: %v", err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					for name, p := range variants {
-						label := fmt.Sprintf("shards=%d par=%d refine=%v %s q%d", shards, par, refine, name, qi)
-						pm, pst, err := backend.Query(q, p)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						assertSameAnswer(t, label, om, os, pm, pst)
+					key := fmt.Sprintf("refine=%v q%d", refine, qi)
+					if want, ok := oracle[key]; ok {
+						assertSameAnswer(t, label, want.matches, want.stats, m, st)
+					} else {
+						oracle[key] = answer{m, st}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestPrefilterReducesWork checks the tier actually filters: on the
-// synthetic corpus the default bounds must reject some probe hits
-// before scoring, visible as a smaller retrieved-region count in the
-// EXPLAIN funnel's prefilter row.
-func TestPrefilterReducesWork(t *testing.T) {
-	items := corpus50(t)
-	db, err := New(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddBatch(items, 0); err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultQueryParams()
-	p.Prefilter = true
-	ctx, qt := WithQueryTrace(context.Background())
-	s, err := db.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Release()
-	if _, _, err := s.QueryContext(ctx, items[0].Image, p); err != nil {
-		t.Fatal(err)
-	}
-	var in, out int
-	for _, st := range qt.Stages {
-		if st.Stage == "prefilter" {
-			in, out = st.In, st.Out
-		}
-	}
-	if in == 0 {
-		t.Fatal("explain funnel has no prefilter row")
-	}
-	if out >= in {
-		t.Fatalf("prefilter rejected nothing: in=%d out=%d", in, out)
 	}
 }
 

@@ -61,10 +61,10 @@ func TestExplainSchemaGolden(t *testing.T) {
 			t.Fatalf("ingest img-%d: got %d: %s", i, w.Code, w.Body.String())
 		}
 	}
-	// refine=1 and prefilter=1 force the optional stages, and the cached
+	// refine=1 forces the optional stage, and the cached
 	// backend adds the cache row, so the golden covers every stage an
 	// unsharded query can emit.
-	w := do(s, "POST", "/v1/search?explain=1&refine=1&prefilter=1&k=5", "image/x-portable-pixmap", testPPM(t, 0))
+	w := do(s, "POST", "/v1/search?explain=1&refine=1&k=5", "image/x-portable-pixmap", testPPM(t, 0))
 	if w.Code != http.StatusOK {
 		t.Fatalf("search: got %d: %s", w.Code, w.Body.String())
 	}
@@ -130,7 +130,7 @@ func TestExplainSchemaGolden(t *testing.T) {
 
 	// The identical query repeats against an unchanged database: served
 	// from the result cache, reported in the response header.
-	w2 := do(s, "POST", "/v1/search?explain=1&refine=1&prefilter=1&k=5", "image/x-portable-pixmap", testPPM(t, 0))
+	w2 := do(s, "POST", "/v1/search?explain=1&refine=1&k=5", "image/x-portable-pixmap", testPPM(t, 0))
 	if w2.Code != http.StatusOK {
 		t.Fatalf("repeat search: got %d: %s", w2.Code, w2.Body.String())
 	}

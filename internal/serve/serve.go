@@ -494,14 +494,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			p.Refine = b
 		}
 	}
-	if v := q.Get("prefilter"); v != "" && parseErr == nil {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			parseErr = fmt.Errorf("bad prefilter=%q", v)
-		} else {
-			p.Prefilter = b
-		}
-	}
 	if v := q.Get("nocache"); v != "" && parseErr == nil {
 		b, err := strconv.ParseBool(v)
 		if err != nil {

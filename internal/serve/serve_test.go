@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -195,6 +196,36 @@ func TestServeIngestSearchDelete(t *testing.T) {
 	}
 	if w := do(s, "GET", "/v1/search?id=img-3", "", nil); w.Code != http.StatusNotFound {
 		t.Fatalf("search deleted id: got %d, want 404", w.Code)
+	}
+}
+
+// TestServeIgnoresRetiredParam: prefilter= named a query stage that no
+// longer exists; it is now an unknown parameter and, like any other, is
+// ignored rather than rejected, so old clients get the same answer.
+func TestServeIgnoresRetiredParam(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for i := 0; i < 4; i++ {
+		if w := do(s, "POST", fmt.Sprintf("/v1/images?id=img-%d", i), "", testPPM(t, i)); w.Code != http.StatusCreated {
+			t.Fatalf("ingest img-%d: got %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	search := func(target string) []matchResult {
+		t.Helper()
+		w := do(s, "POST", target, "", testPPM(t, 2))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: got %d: %s", target, w.Code, w.Body.String())
+		}
+		var sr searchResponse
+		decodeBody(t, w, &sr)
+		return sr.Matches
+	}
+	want := search("/v1/search?k=4")
+	if len(want) == 0 {
+		t.Fatal("search returned no matches")
+	}
+	got := search("/v1/search?k=4&prefilter=1")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("prefilter=1 changed the answer: got %+v, want %+v", got, want)
 	}
 }
 

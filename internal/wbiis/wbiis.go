@@ -131,7 +131,7 @@ func (ix *Index) signatureOf(id string, im *imgio.Image) (signature, error) {
 		sig.f4 = append(sig.f4, corner(t4, 16)...)
 		sig.f5 = append(sig.f5, corner(t5, 8)...)
 		if c == 0 {
-			sig.sigma = Stddev(corner(t4, 8))
+			sig.sigma = stddev(corner(t4, 8))
 		}
 	}
 	return sig, nil
@@ -146,11 +146,9 @@ func corner(m wavelet.Matrix, s int) []float64 {
 	return out
 }
 
-// Stddev is the population standard deviation of a feature vector — the
-// σ the WBIIS variance filter compares. Exported because the WALRUS
-// prefilter tier applies the same acceptance test to per-region wavelet
-// signatures.
-func Stddev(v []float64) float64 {
+// stddev is the population standard deviation of a feature vector — the
+// σ the WBIIS variance filter compares.
+func stddev(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
@@ -166,13 +164,12 @@ func Stddev(v []float64) float64 {
 	return math.Sqrt(ss / float64(len(v)))
 }
 
-// Acceptance is the WBIIS paper's variance pre-filter criterion: a
+// acceptance is the WBIIS paper's variance pre-filter criterion: a
 // candidate with std dev sigmaT passes against a query with std dev
 // sigmaQ when |σq − σt| < β·σq, with an escape hatch accepting two
 // near-flat signatures whose σ are both ~0. It is a heuristic, not a
-// bound — callers needing exactness must pair it with a conservative
-// guard (see the WALRUS prefilter stage).
-func Acceptance(sigmaQ, sigmaT, beta float64) bool {
+// bound.
+func acceptance(sigmaQ, sigmaT, beta float64) bool {
 	return math.Abs(sigmaQ-sigmaT) < beta*sigmaQ || (sigmaQ < 1e-9 && sigmaT < 1e-9)
 }
 
@@ -193,7 +190,7 @@ func (ix *Index) Query(im *imgio.Image, k int) ([]Match, error) {
 	var candidates []*signature
 	for i := range ix.sigs {
 		s := &ix.sigs[i]
-		if Acceptance(q.sigma, s.sigma, ix.opts.Beta) {
+		if acceptance(q.sigma, s.sigma, ix.opts.Beta) {
 			candidates = append(candidates, s)
 		}
 	}

@@ -3,7 +3,6 @@ package walrus
 import (
 	"walrus/internal/obs"
 	"walrus/internal/parallel"
-	"walrus/internal/rstar"
 )
 
 // dbMetrics holds the DB's pre-resolved obs handles. One pointer load on
@@ -66,9 +65,7 @@ func (db *DB) SetMetrics(reg *obs.Registry) { db.setMetricsScoped(reg, "") }
 func (db *DB) setMetricsScoped(reg *obs.Registry, scope string) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if t, ok := db.tree.(*rstar.Tree); ok {
-		t.SetMetrics(reg)
-	}
+	db.tree.SetMetrics(reg)
 	if p := db.persist; p != nil {
 		p.pool.SetMetrics(reg)
 		p.pg.SetMetrics(reg)

@@ -130,9 +130,6 @@ func Create(dir string, opts Options) (*DB, error) {
 // can bulk-load before any version exists (pre-publish index writes need
 // no copy-on-write capture) and publish exactly once at the end.
 func createDB(dir string, opts Options) (*DB, error) {
-	if opts.Index != IndexRStar {
-		return nil, fmt.Errorf("walrus: disk-backed databases support only the %v index backend", IndexRStar)
-	}
 	db, err := prepare(opts)
 	if err != nil {
 		return nil, err
@@ -326,18 +323,6 @@ func OpenFS(dir string, fs FileOpener) (*DB, error) {
 			return nil, errors.Join(fmt.Errorf("walrus: catalog region directory is inconsistent"), closeAll())
 		}
 		db.images[ref.Image].Regions[ref.Local] = r
-	}
-
-	// Binary prefilter signatures are derived state, rebuilt from the
-	// regions just attached (catalog refs and WAL-replayed refs alike)
-	// rather than persisted; tombstoned slots stay zero and are never
-	// probed.
-	db.bsigs = make([]binSig, len(db.refs))
-	for i, ref := range db.refs {
-		if ref.Local < 0 {
-			continue
-		}
-		db.bsigs[i] = makeBinSig(db.images[ref.Image].Regions[ref.Local].Signature)
 	}
 
 	db.liveRegions = countLiveRefs(db.refs)

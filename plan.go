@@ -12,7 +12,7 @@ import (
 
 // The composable query plan. A query no longer hand-chains its stages:
 // planPhaseA and planScore assemble an explicit stage list from the
-// query parameters and the snapshot's configuration, and runStages
+// query parameters, and runStages
 // executes it — one runner shared by Snapshot and ShardedSnapshot (and
 // therefore the serve layer), providing the deadline check, the child
 // span, and the funnel timing slot for every stage, so a new tier plugs
@@ -48,24 +48,12 @@ type queryStage struct {
 	run  func(ctx context.Context, ex *stageExec, sp *obs.Span) error
 }
 
-// prefilterEnabled resolves the effective prefilter setting: the coarse
-// tier applies only to centroid-signature databases, whose envelope test
-// is a euclidean bound the binary signatures conservatively approximate.
-// Bounding-box databases match by box overlap, which the probe already
-// tests exactly.
-func prefilterEnabled(p QueryParams, opts Options) bool {
-	return p.Prefilter && !opts.UseBBox
-}
-
 // planPhaseA assembles the probe side of the pipeline — everything up to
 // the per-image pair sets the scorer consumes: probe, then the optional
-// coarse prefilter and refine tiers, then aggregate.
-func planPhaseA(p QueryParams, opts Options) []queryStage {
-	stages := make([]queryStage, 0, 4)
+// refine tier, then aggregate.
+func planPhaseA(p QueryParams) []queryStage {
+	stages := make([]queryStage, 0, 3)
 	stages = append(stages, queryStage{name: "probe", run: runProbe})
-	if prefilterEnabled(p, opts) {
-		stages = append(stages, queryStage{name: "prefilter", run: runPrefilter})
-	}
 	if p.Refine {
 		stages = append(stages, queryStage{name: "refine", run: runRefine})
 	}
@@ -117,10 +105,6 @@ func runProbe(ctx context.Context, ex *stageExec, sp *obs.Span) error {
 	}
 	ex.perRegion = perRegion
 	return nil
-}
-
-func runPrefilter(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	return ex.snap.prefilterStage(ctx, ex.qRegions, ex.perRegion, ex.p, ex.workers, ex.tc)
 }
 
 func runRefine(ctx context.Context, ex *stageExec, sp *obs.Span) error {

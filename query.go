@@ -14,12 +14,11 @@ import (
 	"walrus/internal/parallel"
 	"walrus/internal/region"
 	"walrus/internal/rstar"
-	"walrus/internal/wbiis"
 )
 
 // The query pipeline stages. A query runs as a stage plan over one
-// immutable Snapshot — extract, probe, the optional prefilter and refine
-// tiers, aggregate, score — assembled by planPhaseA/planScore and driven
+// immutable Snapshot — extract, probe, the optional refine tier,
+// aggregate, score — assembled by planPhaseA/planScore and driven
 // by runStages (plan.go). Each stage takes only the snapshot and the
 // previous stage's output, so the whole pipeline is lock-free: the
 // catalog slices and the pinned index view cannot change underneath it,
@@ -39,12 +38,10 @@ func signatureRect(useBBox bool, r region.Region) rstar.Rect {
 }
 
 // probeHit is one index hit: a matching (query region, target region)
-// pair, the image the target region belongs to, and the index payload
-// locating the region's binary signature in the snapshot's bsigs slice.
+// pair and the image the target region belongs to.
 type probeHit struct {
-	image   int
-	payload int64
-	pair    match.Pair
+	image int
+	pair  match.Pair
 }
 
 // extractStage decomposes the query image into regions using the
@@ -68,10 +65,8 @@ func (s *Snapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
 // A nil tc (the common case) adds nothing to the probe path.
 func (s *Snapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) ([][]probeHit, error) {
 	// Bounding-box signatures match by box overlap, which the envelope
-	// tests exactly. When the prefilter tier is planned the exact distance
-	// check is deferred to it: the coarse Hamming/variance tests run first
-	// and the euclidean distance is computed only for survivors.
-	exact := !s.core.opts.UseBBox && !prefilterEnabled(p, s.core.opts)
+	// tests exactly.
+	exact := !s.core.opts.UseBBox
 	probes := make([]rstar.Probe, len(qRegions))
 	for qi, qr := range qRegions {
 		probes[qi].Box = signatureRect(s.core.opts.UseBBox, qr).Expand(p.Epsilon)
@@ -83,10 +78,9 @@ func (s *Snapshot) probeStage(qRegions []region.Region, p QueryParams, tc *trace
 	indexHits, kept := 0, 0
 	visits, err := s.view.Probe(probes, func(qi int, payload int64) {
 		indexHits++
-		// Validate the hit against the snapshot catalog. The pinned
-		// R*-tree view never yields out-of-version entries, but the GiST
-		// view probes the live tree: skip refs the snapshot does not know
-		// (inserted later) or has tombstoned (removed later).
+		// Validate the hit against the snapshot catalog: on disk the
+		// payload is decoded from page bytes, so bound it before indexing
+		// refs, and skip refs the snapshot has tombstoned.
 		if payload < 0 || int(payload) >= len(s.core.refs) {
 			return
 		}
@@ -94,70 +88,13 @@ func (s *Snapshot) probeStage(qRegions []region.Region, p QueryParams, tc *trace
 		if ref.Local < 0 {
 			return
 		}
-		perRegion[qi] = append(perRegion[qi], probeHit{image: ref.Image, payload: payload, pair: match.Pair{Q: qi, T: ref.Local}})
+		perRegion[qi] = append(perRegion[qi], probeHit{image: ref.Image, pair: match.Pair{Q: qi, T: ref.Local}})
 		kept++
 	})
 	if tc != nil {
 		tc.indexHits, tc.nodeVisits, tc.probeOut = indexHits, visits, kept
 	}
 	return perRegion, err
-}
-
-// prefilterStage is the coarse-to-fine rejection tier between probe and
-// refine: each hit is screened by a popcount Hamming test over the
-// precomputed binary signatures (with a bound no true epsilon-match can
-// exceed — see hammingBound), then by the WBIIS variance acceptance test
-// paired with the conservative σ guard (sigmaBound), and only survivors
-// pay the exact euclidean check the probe stage deferred. Both coarse
-// tests are conservative at their default settings, so results match the
-// unfiltered pipeline exactly; PrefilterHamming can trade that guarantee
-// for a harsher cut. Hit lists are filtered in place, fanned and
-// slot-indexed like every other stage.
-func (s *Snapshot) prefilterStage(ctx context.Context, qRegions []region.Region, perRegion [][]probeHit, p QueryParams, workers int, tc *traceCollector) error {
-	dim := s.core.opts.Region.Dim()
-	hBound := p.PrefilterHamming
-	if hBound <= 0 {
-		hBound = hammingBound(dim, p.Epsilon)
-	}
-	beta := p.PrefilterBeta
-	if beta <= 0 {
-		beta = wbiis.DefaultOptions().Beta
-	}
-	sBound := sigmaBound(dim, p.Epsilon)
-	qsigs := make([]binSig, len(qRegions))
-	if tc != nil {
-		tc.prefiltered = true
-	}
-	return parallel.ForErr(len(perRegion), workers, func(qi int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		qr := qRegions[qi]
-		qsigs[qi] = makeBinSig(qr.Signature)
-		qb := &qsigs[qi]
-		hits := perRegion[qi]
-		n := 0
-		for _, h := range hits {
-			tb := &s.core.bsigs[h.payload]
-			if qb.hamming(tb) > hBound {
-				continue
-			}
-			if !wbiis.Acceptance(qb.Sigma, tb.Sigma, beta) && math.Abs(qb.Sigma-tb.Sigma) > sBound {
-				continue
-			}
-			target := s.core.images[h.image].Regions[h.pair.T]
-			if euclid(qr.Signature, target.Signature) > p.Epsilon {
-				continue
-			}
-			hits[n] = h
-			n++
-		}
-		perRegion[qi] = hits[:n]
-		if tc != nil {
-			tc.prefilterOut[qi] = n
-		}
-		return nil
-	})
 }
 
 // refineStage is the refined matching phase of Section 5.5: candidate
@@ -397,7 +334,7 @@ func (s *Snapshot) finishQuery(ctx context.Context, qRegions []region.Region, qA
 		ex.tc = newTraceCollector(len(qRegions), s.core.version)
 	}
 
-	if err := runStages(ctx, planPhaseA(p, s.core.opts), ex, qspan, "query.", -1); err != nil {
+	if err := runStages(ctx, planPhaseA(p), ex, qspan, "query.", -1); err != nil {
 		failSpans(qspan)
 		return nil, stats, err
 	}

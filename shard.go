@@ -565,9 +565,7 @@ func (ss *ShardedSnapshot) finishQuery(ctx context.Context, qRegions []region.Re
 		}
 	}
 
-	// Every shard shares one configuration, so shard 0's options assemble
-	// the plan for all of them.
-	phaseA := planPhaseA(p, ss.snaps[0].core.opts)
+	phaseA := planPhaseA(p)
 	ps := qspan.Child("query.probe")
 	err := parallel.ForErr(len(ss.snaps), workers, func(i int) error {
 		if err := ctx.Err(); err != nil {

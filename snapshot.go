@@ -26,57 +26,11 @@ type snapCore struct {
 	images  []imageRecord
 	refs    []regionRef
 	byID    map[string]int
-	// bsigs is parallel to refs: the binary prefilter summary of each
-	// indexed region, always published at the same length as refs.
-	bsigs []binSig
 
 	liveRegions int
 	indexLen    int
 	height      int
 	diskBacked  bool
-}
-
-// indexView is a read-only view of the spatial index bound to one
-// snapshot. For the R*-tree it is an epoch-pinned rstar.TreeView whose
-// reads bypass the tree's live root entirely; for the GiST backend it is
-// an adapter over the (internally locked) live tree — see gistView for
-// the weaker isolation that implies.
-type indexView interface {
-	// Probe answers every probe in one pass, calling emit with the probe's
-	// index and each matching entry's payload, and returns the number of
-	// index nodes visited — the EXPLAIN path's funnel input. emit must not
-	// call back into the index.
-	Probe(probes []rstar.Probe, emit func(probe int, data int64)) (visits int, err error)
-	Release()
-}
-
-// gistView adapts the live GiST to indexView. The GiST has no versioned
-// store, so probes observe the live tree: an entry inserted or removed
-// after the snapshot was taken can appear in (or vanish from) probe
-// results. The probe stage compensates by validating every hit against
-// the snapshot's catalog — out-of-range or tombstoned refs are skipped —
-// which restores catalog-consistent results at per-probe (rather than
-// whole-query) isolation.
-type gistView struct{ g *gistIndex }
-
-func (v gistView) Release() {}
-
-// Probe searches the GiST once per probe and applies the probe's leaf
-// test to what comes back. It reports 0 visits: the GiST exposes no
-// traversal counter.
-func (v gistView) Probe(probes []rstar.Probe, emit func(probe int, data int64)) (int, error) {
-	for i := range probes {
-		entries, err := v.g.SearchAll(probes[i].Box)
-		if err != nil {
-			return 0, err
-		}
-		for _, e := range entries {
-			if probes[i].Matches(e.Rect) {
-				emit(i, e.Data)
-			}
-		}
-	}
-	return 0, nil
 }
 
 // Snapshot is a stable, point-in-time view of the database: a published
@@ -95,7 +49,7 @@ func (v gistView) Probe(probes []rstar.Probe, emit func(probe int, data int64)) 
 // enforces that its methods stay that way.
 type Snapshot struct {
 	core *snapCore
-	view indexView
+	view *rstar.TreeView
 
 	// met is the metrics handle captured at acquisition; Release must
 	// decrement the same activeSnapshots gauge acquisition incremented
@@ -113,25 +67,16 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 		if core == nil {
 			return nil, fmt.Errorf("walrus: database not initialized")
 		}
-		var view indexView
-		switch t := db.tree.(type) {
-		case *rstar.Tree:
-			tv, err := t.SnapshotView()
-			if err != nil {
-				return nil, err
-			}
-			if tv.Epoch() != core.version {
-				// A writer published between loading the core and pinning
-				// the tree. Retry with the fresher core; each retry
-				// observes a newer version, so the loop cannot cycle.
-				tv.Release()
-				continue
-			}
-			view = tv
-		case *gistIndex:
-			view = gistView{t}
-		default:
-			return nil, fmt.Errorf("walrus: index backend %T supports no snapshots", db.tree)
+		view, err := db.tree.SnapshotView()
+		if err != nil {
+			return nil, err
+		}
+		if view.Epoch() != core.version {
+			// A writer published between loading the core and pinning the
+			// tree. Retry with the fresher core; each retry observes a
+			// newer version, so the loop cannot cycle.
+			view.Release()
+			continue
 		}
 		s := &Snapshot{core: core, view: view, om: &db.om}
 		if m := db.om.Load(); m != nil {
@@ -200,7 +145,7 @@ func (s *Snapshot) Stats() Stats {
 }
 
 // publishLocked commits the catalog state under db.mu as the next
-// version: it advances the index epoch (R*-tree), builds an immutable
+// version: it advances the index epoch, builds an immutable
 // snapCore sharing the catalog slices, and swaps it into db.cur. After
 // the swap the shared slices and map belong to the published version
 // too, so the shared flags force the next in-place mutation to clone.
@@ -211,13 +156,10 @@ func (db *DB) publishLocked() {
 	if m != nil {
 		start = statsClock()
 	}
-	db.version++
-	if t, ok := db.tree.(*rstar.Tree); ok {
-		// The tree's epoch counter and the catalog version advance in
-		// lockstep (both only ever move here), so pinning the epoch that
-		// equals core.version yields the matching index state.
-		db.version = t.PublishEpoch()
-	}
+	// The tree's epoch counter and the catalog version advance in lockstep
+	// (both only ever move here), so pinning the epoch that equals
+	// core.version yields the matching index state.
+	db.version = db.tree.PublishEpoch()
 	core := &snapCore{
 		version:     db.version,
 		opts:        db.opts,
@@ -225,7 +167,6 @@ func (db *DB) publishLocked() {
 		images:      db.images,
 		refs:        db.refs,
 		byID:        db.byID,
-		bsigs:       db.bsigs,
 		liveRegions: db.liveRegions,
 		indexLen:    db.tree.Len(),
 		height:      db.tree.Height(),

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"walrus/internal/obs"
-	"walrus/internal/rstar"
 )
 
 // TestSnapshotPinnedVersion: a snapshot keeps observing the state it was
@@ -101,7 +100,7 @@ func TestSnapshotPinnedVersion(t *testing.T) {
 	// Releasing the last pin drains the retained pre-images.
 	s.Release()
 	s.Release() // idempotent
-	if vs := db.tree.(*rstar.Tree).Versioned(); vs.Retained() != 0 {
+	if vs := db.tree.Versioned(); vs.Retained() != 0 {
 		t.Fatalf("retained pre-images = %d after release, want 0", vs.Retained())
 	}
 }
@@ -109,131 +108,128 @@ func TestSnapshotPinnedVersion(t *testing.T) {
 // TestSnapshotConsistencyUnderWrites is the torn-read oracle: AddBatch
 // publishes image pairs atomically, so every snapshot must observe both
 // halves of a pair or neither — any torn catalog or index view fails the
-// invariants. Runs under -race in the CI snapshot tier.
+// invariants. Runs under -race in the CI snapshot tier. The subtest is
+// named for the R*-tree index the snapshot views.
 func TestSnapshotConsistencyUnderWrites(t *testing.T) {
-	for _, backend := range []IndexBackend{IndexRStar, IndexGiST} {
-		t.Run(backend.String(), func(t *testing.T) {
-			opts := testOptions()
-			opts.Index = backend
-			db, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Add("seed", scene(green, red, 20, 20, 40)); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("rstar", snapshotConsistencyUnderWrites)
+}
 
-			const pairs = 6
-			var wg sync.WaitGroup
-			errs := make(chan error, 16)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
+func snapshotConsistencyUnderWrites(t *testing.T) {
+	db, err := New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Add("seed", scene(green, red, 20, 20, 40)); err != nil {
+		t.Fatal(err)
+	}
+
+	const pairs = 6
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < pairs; i++ {
+			batch := []BatchItem{
+				{ID: fmt.Sprintf("pair-%d-a", i), Image: scene(gray, blue, (i*11)%70, (i*7)%70, 40)},
+				{ID: fmt.Sprintf("pair-%d-b", i), Image: scene(green, yellow, (i*13)%70, (i*5)%70, 40)},
+			}
+			if err := db.AddBatch(batch, 1); err != nil {
+				errs <- err
+				return
+			}
+			if i%2 == 1 {
+				if _, err := db.Remove(fmt.Sprintf("pair-%d-a", i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+
+	q := scene(gray, blue, 30, 30, 40)
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lastVersion := uint64(0)
+			for i := 0; i < 40; i++ {
+				s, err := db.Snapshot()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if v := s.Version(); v < lastVersion {
+					errs <- fmt.Errorf("version went backwards: %d after %d", v, lastVersion)
+					s.Release()
+					return
+				} else {
+					lastVersion = v
+				}
+				ids := s.IDs()
+				// One published version, not a torn mix: counts agree
+				// across every accessor of the same snapshot.
+				if s.Len() != len(ids) || s.Stats().Images != s.Len() {
+					errs <- fmt.Errorf("snapshot v%d: Len %d, IDs %d, Stats.Images %d",
+						s.Version(), s.Len(), len(ids), s.Stats().Images)
+					s.Release()
+					return
+				}
+				if s.NumRegions() != s.Stats().Regions {
+					errs <- fmt.Errorf("snapshot v%d: NumRegions %d != Stats.Regions %d",
+						s.Version(), s.NumRegions(), s.Stats().Regions)
+					s.Release()
+					return
+				}
+				// Pair atomicity: AddBatch is one version, so "-b"
+				// present requires "-a" present unless "-a" was
+				// removed by a later (whole) version — and a removal
+				// version also contains every earlier pair half.
+				present := make(map[string]bool, len(ids))
+				for _, id := range ids {
+					present[id] = true
+				}
 				for i := 0; i < pairs; i++ {
-					batch := []BatchItem{
-						{ID: fmt.Sprintf("pair-%d-a", i), Image: scene(gray, blue, (i*11)%70, (i*7)%70, 40)},
-						{ID: fmt.Sprintf("pair-%d-b", i), Image: scene(green, yellow, (i*13)%70, (i*5)%70, 40)},
-					}
-					if err := db.AddBatch(batch, 1); err != nil {
-						errs <- err
+					a, b := fmt.Sprintf("pair-%d-a", i), fmt.Sprintf("pair-%d-b", i)
+					if present[a] && !present[b] {
+						errs <- fmt.Errorf("snapshot v%d: torn batch: %s present without %s", s.Version(), a, b)
+						s.Release()
 						return
 					}
-					if i%2 == 1 {
-						if _, err := db.Remove(fmt.Sprintf("pair-%d-a", i)); err != nil {
-							errs <- err
-							return
-						}
-					}
 				}
-			}()
-
-			q := scene(gray, blue, 30, 30, 40)
-			for g := 0; g < 3; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					lastVersion := uint64(0)
-					for i := 0; i < 40; i++ {
-						s, err := db.Snapshot()
-						if err != nil {
-							errs <- err
-							return
-						}
-						if v := s.Version(); v < lastVersion {
-							errs <- fmt.Errorf("version went backwards: %d after %d", v, lastVersion)
-							s.Release()
-							return
-						} else {
-							lastVersion = v
-						}
-						ids := s.IDs()
-						// One published version, not a torn mix: counts agree
-						// across every accessor of the same snapshot.
-						if s.Len() != len(ids) || s.Stats().Images != s.Len() {
-							errs <- fmt.Errorf("snapshot v%d: Len %d, IDs %d, Stats.Images %d",
-								s.Version(), s.Len(), len(ids), s.Stats().Images)
-							s.Release()
-							return
-						}
-						if s.NumRegions() != s.Stats().Regions {
-							errs <- fmt.Errorf("snapshot v%d: NumRegions %d != Stats.Regions %d",
-								s.Version(), s.NumRegions(), s.Stats().Regions)
-							s.Release()
-							return
-						}
-						// Pair atomicity: AddBatch is one version, so "-b"
-						// present requires "-a" present unless "-a" was
-						// removed by a later (whole) version — and a removal
-						// version also contains every earlier pair half.
-						present := make(map[string]bool, len(ids))
-						for _, id := range ids {
-							present[id] = true
-						}
-						for i := 0; i < pairs; i++ {
-							a, b := fmt.Sprintf("pair-%d-a", i), fmt.Sprintf("pair-%d-b", i)
-							if present[a] && !present[b] {
-								errs <- fmt.Errorf("snapshot v%d: torn batch: %s present without %s", s.Version(), a, b)
-								s.Release()
-								return
-							}
-						}
-						// Repeated reads of one snapshot are identical.
-						if again := s.IDs(); len(again) != len(ids) {
-							errs <- fmt.Errorf("snapshot v%d: IDs changed between reads: %d then %d", s.Version(), len(ids), len(again))
-							s.Release()
-							return
-						}
-						// Query results name only images the snapshot knows.
-						if i%8 == 0 {
-							matches, _, err := s.Query(q, DefaultQueryParams())
-							if err != nil {
-								errs <- err
-								s.Release()
-								return
-							}
-							for _, m := range matches {
-								if !present[m.ID] {
-									errs <- fmt.Errorf("snapshot v%d: query matched %q, unknown to the snapshot", s.Version(), m.ID)
-									s.Release()
-									return
-								}
-							}
-						}
+				// Repeated reads of one snapshot are identical.
+				if again := s.IDs(); len(again) != len(ids) {
+					errs <- fmt.Errorf("snapshot v%d: IDs changed between reads: %d then %d", s.Version(), len(ids), len(again))
+					s.Release()
+					return
+				}
+				// Query results name only images the snapshot knows.
+				if i%8 == 0 {
+					matches, _, err := s.Query(q, DefaultQueryParams())
+					if err != nil {
+						errs <- err
 						s.Release()
+						return
 					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-			if tr, ok := db.tree.(*rstar.Tree); ok {
-				if r := tr.Versioned().Retained(); r != 0 {
-					t.Fatalf("retained pre-images = %d after all snapshots released, want 0", r)
+					for _, m := range matches {
+						if !present[m.ID] {
+							errs <- fmt.Errorf("snapshot v%d: query matched %q, unknown to the snapshot", s.Version(), m.ID)
+							s.Release()
+							return
+						}
+					}
 				}
+				s.Release()
 			}
-		})
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if r := db.tree.Versioned().Retained(); r != 0 {
+		t.Fatalf("retained pre-images = %d after all snapshots released, want 0", r)
 	}
 }
 
@@ -316,7 +312,7 @@ func TestSnapshotAcquireReleasePublishRace(t *testing.T) {
 	if active := reg.Snapshot().Gauges["walrus_snapshots_active"]; active != 0 {
 		t.Fatalf("walrus_snapshots_active = %d after all releases, want 0", active)
 	}
-	if r := db.tree.(*rstar.Tree).Versioned().Retained(); r != 0 {
+	if r := db.tree.Versioned().Retained(); r != 0 {
 		t.Fatalf("retained pre-images = %d with no pins, want 0", r)
 	}
 	if total := reg.Snapshot().Counters["walrus_snapshots_total"]; total < 4*300 {
@@ -376,7 +372,7 @@ func TestSnapshotDiskBacked(t *testing.T) {
 		t.Fatal("snapshot query lost image a")
 	}
 	s.Release()
-	if r := db.tree.(*rstar.Tree).Versioned().Retained(); r != 0 {
+	if r := db.tree.Versioned().Retained(); r != 0 {
 		t.Fatalf("retained pre-images = %d after release, want 0", r)
 	}
 

@@ -49,12 +49,8 @@ type ExplainParams struct {
 	Tau           float64 `json:"tau"`
 	Limit         int     `json:"limit"`
 	Refine        bool    `json:"refine"`
-	// Prefilter is the effective coarse-tier setting: false when the
-	// request asked for it but the database indexes bounding boxes, where
-	// the tier does not apply.
-	Prefilter   bool   `json:"prefilter"`
-	Matcher     string `json:"matcher"`
-	Parallelism int    `json:"parallelism"`
+	Matcher       string  `json:"matcher"`
+	Parallelism   int     `json:"parallelism"`
 }
 
 // ExplainStage is one pipeline stage of the candidate funnel. In and Out
@@ -67,11 +63,9 @@ type ExplainStage struct {
 	Out   int    `json:"out"`
 	// IndexHits and NodesVisited are nonzero only for the probe stage:
 	// the leaf entries the index handed to the probe stage — after the
-	// in-leaf envelope (and, for centroid signatures without the
-	// prefilter tier, exact distance) test, before catalog validation —
-	// and the R*-tree nodes visited by the one descent that answered all
-	// of the query's regions (0 on the GiST backend, which does not count
-	// visits).
+	// in-leaf envelope (and, for centroid signatures, exact distance)
+	// test, before catalog validation — and the R*-tree nodes visited by
+	// the one descent that answered all of the query's regions.
 	IndexHits    int `json:"index_hits"`
 	NodesVisited int `json:"nodes_visited"`
 	// DurationNS is the stage's wall time; on a sharded query it is the
@@ -116,31 +110,24 @@ type QueryTrace struct {
 
 // traceCollector accumulates one shard's share of the funnel while the
 // staged pipeline runs. The per-region slices are slot-indexed so
-// parallel prefilter/refine tasks record without synchronization, exactly
+// parallel refine tasks record without synchronization, exactly
 // like the stages' own result slots; the scalar fields are written by
 // the single goroutine driving that shard's stages.
 type traceCollector struct {
-	version      uint64
-	indexHits    int   // leaf entries the index's descent handed to the probe stage
-	nodeVisits   int   // index nodes that descent visited
-	probeOut     int   // hits surviving catalog validation
-	prefilterOut []int // per query region: hits surviving the coarse prefilter
-	refineOut    []int // per query region: hits surviving refine
+	version    uint64
+	indexHits  int   // leaf entries the index's descent handed to the probe stage
+	nodeVisits int   // index nodes that descent visited
+	probeOut   int   // hits surviving catalog validation
+	refineOut  []int // per query region: hits surviving refine
 
-	// prefiltered records that the plan ran the coarse tier, so fill
-	// knows to emit its funnel row (the effective setting can differ from
-	// the requested one on bounding-box databases).
-	prefiltered bool
-
-	probeNS, prefilterNS, refineNS, aggregateNS, scoreNS int64
-	candidates, matches                                  int
+	probeNS, refineNS, aggregateNS, scoreNS int64
+	candidates, matches                     int
 }
 
 func newTraceCollector(nRegions int, version uint64) *traceCollector {
 	return &traceCollector{
-		version:      version,
-		prefilterOut: make([]int, nRegions),
-		refineOut:    make([]int, nRegions),
+		version:   version,
+		refineOut: make([]int, nRegions),
 	}
 }
 
@@ -150,8 +137,6 @@ func (tc *traceCollector) recordNS(stage string, ns int64) {
 	switch stage {
 	case "probe":
 		tc.probeNS = ns
-	case "prefilter":
-		tc.prefilterNS = ns
 	case "refine":
 		tc.refineNS = ns
 	case "aggregate":
@@ -187,7 +172,6 @@ func explainParams(p QueryParams) ExplainParams {
 		Tau:           p.Tau,
 		Limit:         p.Limit,
 		Refine:        p.Refine,
-		Prefilter:     p.Prefilter,
 		Matcher:       p.Matcher.String(),
 		Parallelism:   p.Parallelism,
 	}
@@ -209,19 +193,12 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 	qt.Matches = matches
 	qt.ElapsedNS = stats.Elapsed.Nanoseconds()
 
-	prefiltered := len(tcs) > 0 && tcs[0].prefiltered
-	qt.Params.Prefilter = prefiltered
-
-	probeHits, prefilterKept, refineKept := 0, 0, 0
+	probeHits, refineKept := 0, 0
 	probeIndexHits, probeVisits := 0, 0
 	qt.Shards = make([]ExplainShard, len(tcs))
 	for i, tc := range tcs {
 		shardKept := tc.probeOut
 		probeHits += shardKept
-		if prefiltered {
-			shardKept = sumInts(tc.prefilterOut)
-			prefilterKept += shardKept
-		}
 		if p.Refine {
 			shardKept = sumInts(tc.refineOut)
 		}
@@ -236,7 +213,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 			RegionsRetrieved: shardKept,
 			CandidateImages:  tc.candidates,
 			Matches:          tc.matches,
-			ProbeNS:          tc.probeNS + tc.prefilterNS + tc.refineNS + tc.aggregateNS,
+			ProbeNS:          tc.probeNS + tc.refineNS + tc.aggregateNS,
 			ScoreNS:          tc.scoreNS,
 		}
 	}
@@ -252,13 +229,6 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 		DurationNS: maxNS(tcs, func(tc *traceCollector) int64 { return tc.probeNS }),
 	})
 	flow := probeHits
-	if prefiltered {
-		qt.Stages = append(qt.Stages, ExplainStage{
-			Stage: "prefilter", In: flow, Out: prefilterKept,
-			DurationNS: maxNS(tcs, func(tc *traceCollector) int64 { return tc.prefilterNS }),
-		})
-		flow = prefilterKept
-	}
 	if p.Refine {
 		qt.Stages = append(qt.Stages, ExplainStage{
 			Stage: "refine", In: flow, Out: refineKept,

@@ -60,10 +60,6 @@ type Options struct {
 	// (disk-backed databases derive it from the page size). 0 means a
 	// sensible default.
 	NodeCapacity int
-	// Index selects the in-memory index backend: the R*-tree (default) or
-	// the GiST rectangle tree. Disk-backed databases always use the paged
-	// R*-tree.
-	Index IndexBackend
 	// Shards is the shard count of a sharded database (NewSharded,
 	// CreateSharded, BuildFromSharded): the catalog is partitioned by a
 	// hash of the image id into this many independent sub-databases, each
@@ -128,28 +124,11 @@ type QueryParams struct {
 	// per-dimension tolerance of the coarse check.
 	RefineEpsilon float64
 	// Parallelism bounds the worker pool the query fans its per-region
-	// prefilter and refine passes and its per-candidate scoring across
+	// refine pass and its per-candidate scoring across
 	// (the index probe is one serial descent for all regions): 0 uses
 	// GOMAXPROCS, 1 reproduces the serial query exactly. Results and
 	// stats are identical for every setting; only wall-clock time changes.
 	Parallelism int
-	// Prefilter plans the coarse rejection tier between the index probe
-	// and the refine/score stages: candidate hits are screened with a
-	// popcount Hamming test over precomputed binary signatures and the
-	// WBIIS variance acceptance test before the exact distance check runs
-	// on the survivors. At the default bounds both tests are
-	// conservative, so results are identical with the tier on or off;
-	// only the per-candidate work changes. Ignored by bounding-box
-	// databases (Options.UseBBox), whose probe envelope is exact already.
-	Prefilter bool
-	// PrefilterHamming overrides the Hamming acceptance bound (0 derives
-	// the exactness-preserving bound from Epsilon). Lower values reject
-	// harder but may drop true matches.
-	PrefilterHamming int
-	// PrefilterBeta is the WBIIS variance tolerance β (0 means the WBIIS
-	// default, 0.5). The β-test is backed by a conservative σ guard, so β
-	// tuning affects speed, never correctness.
-	PrefilterBeta float64
 	// NoCache makes this query bypass the version-keyed result cache:
 	// it neither reads nor populates it. Meaningful only on a database
 	// with a cache configured (Options.CacheSize / SetCacheSize).
@@ -248,7 +227,7 @@ type DB struct {
 	// tree is set at construction and the pointer never changes after the
 	// DB is published; its contents are mutated only under mu, and
 	// snapshot reads go through epoch-pinned views, not the live root.
-	tree spatialIndex
+	tree *rstar.Tree
 	// defaultWorkers resolves AddBatch-style workers arguments of 0; it
 	// is immutable after prepare.
 	defaultWorkers int
@@ -256,16 +235,11 @@ type DB struct {
 	images []imageRecord  // guarded by mu
 	byID   map[string]int // guarded by mu
 	refs   []regionRef    // guarded by mu
-	// bsigs holds the binary prefilter signature of each indexed region,
-	// parallel to refs (guarded by mu). Append-only: Remove tombstones the
-	// ref and the stale summary is simply never read again, so snapshots
-	// share the backing array without copy-on-write.
-	bsigs []binSig
 	// liveRegions counts refs whose Local >= 0 (guarded by mu); kept
 	// incrementally so publishing a version is O(1) in catalog size.
 	liveRegions int
-	// version is the last published catalog version (guarded by mu). For
-	// the R*-tree backend it tracks the tree's publish epoch exactly.
+	// version is the last published catalog version (guarded by mu); it
+	// tracks the tree's publish epoch exactly.
 	version uint64
 	// The shared flags mark catalog containers whose backing storage is
 	// reachable from a published snapshot (guarded by mu): set on every
@@ -301,26 +275,15 @@ func New(opts Options) (*DB, error) {
 	if capacity == 0 {
 		capacity = 16
 	}
-	switch opts.Index {
-	case IndexRStar:
-		ms, err := rstar.NewMemStore(opts.Region.Dim(), capacity)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := rstar.New(rstar.NewVersioned(ms))
-		if err != nil {
-			return nil, err
-		}
-		db.tree = tree
-	case IndexGiST:
-		gi, err := newGistIndex(opts.Region.Dim(), capacity)
-		if err != nil {
-			return nil, err
-		}
-		db.tree = gi
-	default:
-		return nil, fmt.Errorf("walrus: unknown index backend %v", opts.Index)
+	ms, err := rstar.NewMemStore(opts.Region.Dim(), capacity)
+	if err != nil {
+		return nil, err
 	}
+	tree, err := rstar.New(rstar.NewVersioned(ms))
+	if err != nil {
+		return nil, err
+	}
+	db.tree = tree
 	db.publishLocked()
 	return db, nil
 }
