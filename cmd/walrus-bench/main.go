@@ -7,61 +7,48 @@
 //	walrus-bench -exp fig6a      # one experiment
 //	walrus-bench -per-category 100 -exp table1
 //
-// Experiments: fig6a, fig6b, fig7, fig8, table1, regions, matchers,
-// robust, precision, indexing, epsilon, parallel, durability,
-// obs-overhead, snapshot, shard, serve, all. The shard and serve
-// experiments need no dataset: they synthesize their own images and
-// write BENCH_shard.json / BENCH_serve.json.
+// Run walrus-bench -h for the experiment list.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"walrus/internal/dataset"
 	"walrus/internal/experiments"
-	"walrus/internal/obscli"
 )
+
+// experimentNames lists every -exp value; it drives both the flag's help
+// text and its validation.
+var experimentNames = []string{"fig6a", "fig6b", "fig7", "fig8", "table1", "regions", "matchers", "robust", "precision", "indexing", "epsilon", "all"}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("walrus-bench: ")
 	var (
-		exp         = flag.String("exp", "all", "experiment: fig6a, fig6b, fig7, fig8, table1, regions, matchers, robust, precision, indexing, epsilon, parallel, durability, obs-overhead, explain, snapshot, shard, serve, all")
-		imgSize     = flag.Int("image-size", 256, "image side for Figure 6 (paper: 256)")
-		maxWin      = flag.Int("max-window", 128, "largest window for Figure 6(a) (paper: 128)")
-		maxSig      = flag.Int("max-signature", 32, "largest signature for Figure 6(b) (paper: 32)")
-		perCat      = flag.Int("per-category", 40, "dataset images per category for retrieval experiments")
-		seed        = flag.Int64("seed", 1999, "dataset seed")
-		topK        = flag.Int("k", 14, "result count for Figures 7/8 (paper: 14)")
-		regimgs     = flag.Int("region-images", 6, "images sampled for the §6.6 region-count sweep")
-		par         = flag.Int("parallelism", 0, "worker pool size for the parallel experiment (0 = GOMAXPROCS)")
-		obsOut      = flag.String("obs-json", "BENCH_obs.json", "output file for the obs-overhead measurement")
-		explainOut  = flag.String("explain-json", "BENCH_explain.json", "output file for the explain-overhead measurement")
-		snapOut     = flag.String("snapshot-json", "BENCH_snapshot.json", "output file for the snapshot churn measurement")
-		shardOut    = flag.String("shard-json", "BENCH_shard.json", "output file for the shard write-scaling measurement")
-		shardBase   = flag.Int("shard-base", 100000, "preloaded signatures for the shard experiment")
-		shardWrites = flag.Int("shard-writes", 300, "timed marginal writes per shard count for the shard experiment")
-
-		serveOut       = flag.String("serve-json", "BENCH_serve.json", "output file for the serve load measurement")
-		serveClients   = flag.Int("serve-clients", 1000, "concurrent clients for the serve experiment")
-		serveSeconds   = flag.Int("serve-seconds", 5, "load duration for the serve experiment")
-		serveWriteFrac = flag.Float64("serve-write-frac", 0.2, "fraction of serve-experiment requests that are ingests")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", "))
+		imgSize = flag.Int("image-size", 256, "image side for Figure 6 (paper: 256)")
+		maxWin  = flag.Int("max-window", 128, "largest window for Figure 6(a) (paper: 128)")
+		maxSig  = flag.Int("max-signature", 32, "largest signature for Figure 6(b) (paper: 32)")
+		perCat  = flag.Int("per-category", 40, "dataset images per category for retrieval experiments")
+		seed    = flag.Int64("seed", 1999, "dataset seed")
+		topK    = flag.Int("k", 14, "result count for Figures 7/8 (paper: 14)")
+		regimgs = flag.Int("region-images", 6, "images sampled for the §6.6 region-count sweep")
 	)
-	obsFlags := obscli.Register()
 	flag.Parse()
-	reg, obsStop, err := obsFlags.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer obsStop()
-	if !isKnown(*exp) {
+	if !slices.Contains(experimentNames, *exp) {
 		log.Fatalf("unknown experiment %q", *exp)
+	}
+	if err := checkCounts(*perCat, *topK, *regimgs); err != nil {
+		fmt.Fprintf(os.Stderr, "walrus-bench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 	out := os.Stdout
@@ -85,45 +72,7 @@ func main() {
 		fmt.Fprintln(out)
 	}
 
-	if want("shard") {
-		fmt.Fprintln(out, "== Sharded writes: marginal write throughput vs shard count ==")
-		res, err := experiments.ShardScaling(*shardBase, *shardWrites, []int{1, 2, 4})
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintShardScaling(out, res)
-		if !res.Identical {
-			log.Fatal("sharded query results diverge across shard counts")
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*shardOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n\n", *shardOut)
-	}
-
-	if want("serve") {
-		fmt.Fprintf(out, "== Serving: %d concurrent clients, mixed search/ingest load ==\n", *serveClients)
-		res, err := experiments.ServeBench(*serveClients, *serveSeconds, *serveWriteFrac)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintServeBench(out, res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*serveOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n\n", *serveOut)
-	}
-
-	needDataset := want("fig7") || want("fig8") || want("table1") || want("regions") || want("matchers") || want("robust") || want("precision") || want("indexing") || want("epsilon") || want("parallel") || want("durability") || want("obs-overhead") || want("explain") || want("snapshot")
-	if !needDataset {
+	if *exp == "fig6a" || *exp == "fig6b" {
 		return
 	}
 	fmt.Fprintf(out, "generating dataset: %d categories x %d images (seed %d)...\n",
@@ -202,83 +151,6 @@ func main() {
 		}
 	}
 
-	if want("parallel") {
-		fmt.Fprintln(out, "== Parallel pipeline: ingest speedup and query determinism ==")
-		rows, identical, err := experiments.ParallelSpeedup(ds, cfg.Options, *par)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintParallel(out, rows, identical)
-		if !identical {
-			log.Fatal("parallel and serial query results differ")
-		}
-		fmt.Fprintln(out)
-	}
-
-	if want("obs-overhead") {
-		fmt.Fprintln(out, "== Observability overhead: query hot path with registry detached vs attached ==")
-		res, err := experiments.ObsOverhead(ds, cfg.Options, 24, 20, 5, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintObsOverhead(out, res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*obsOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n\n", *obsOut)
-	}
-
-	if want("explain") {
-		fmt.Fprintln(out, "== EXPLAIN overhead: query hot path with tracing off, live spans, and the funnel accumulator ==")
-		res, err := experiments.ExplainOverhead(ds, cfg.Options, 24, 20, 5)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintExplainOverhead(out, res)
-		if !res.FunnelConsistent {
-			log.Fatal("explain funnel failed its consistency invariants")
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*explainOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n\n", *explainOut)
-	}
-
-	if want("snapshot") {
-		fmt.Fprintln(out, "== Snapshot isolation: query latency while the catalog churns ==")
-		res, err := experiments.SnapshotChurn(ds, cfg.Options, 24, 60, 4)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintSnapshotChurn(out, res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*snapOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %s\n\n", *snapOut)
-	}
-
-	if want("durability") {
-		fmt.Fprintln(out, "== Durability: WAL fsync policy vs ingest throughput ==")
-		rows, err := experiments.DurabilitySweep(ds, cfg.Options)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintDurability(out, rows)
-		fmt.Fprintln(out)
-	}
-
 	if want("indexing") {
 		fmt.Fprintln(out, "== Indexing throughput: sequential vs parallel vs STR bulk load ==")
 		rows, err := experiments.IndexingThroughput(ds, cfg.Options)
@@ -311,19 +183,7 @@ func main() {
 
 	if want("regions") {
 		fmt.Fprintln(out, "== Section 6.6: regions per image vs cluster epsilon (YCC vs RGB) ==")
-		n := *regimgs
-		if n > len(ds.Items) {
-			n = len(ds.Items)
-		}
-		sample := make([]dataset.Item, 0, n)
-		stride := len(ds.Items) / n
-		if stride == 0 {
-			stride = 1
-		}
-		for i := 0; i < len(ds.Items) && len(sample) < n; i += stride {
-			sample = append(sample, ds.Items[i])
-		}
-		rows, err := experiments.RegionsPerImage(sample, cfg.Options.Region, []float64{0.025, 0.05, 0.075, 0.1})
+		rows, err := experiments.RegionsPerImage(sampleEvenly(ds.Items, *regimgs), cfg.Options.Region, []float64{0.025, 0.05, 0.075, 0.1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -332,11 +192,30 @@ func main() {
 	}
 }
 
-func isKnown(e string) bool {
-	for _, k := range strings.Fields("fig6a fig6b fig7 fig8 table1 regions matchers robust precision indexing epsilon parallel durability obs-overhead explain snapshot shard serve all") {
-		if e == k {
-			return true
-		}
+// checkCounts rejects the count flags below 1: each sizes a dataset, a
+// result list or a sample, and none has a meaningful zero.
+func checkCounts(perCategory, k, regionImages int) error {
+	switch {
+	case perCategory < 1:
+		return errors.New("-per-category must be at least 1")
+	case k < 1:
+		return errors.New("-k must be at least 1")
+	case regionImages < 1:
+		return errors.New("-region-images must be at least 1")
 	}
-	return false
+	return nil
+}
+
+// sampleEvenly picks up to n items spread at a fixed stride across items.
+func sampleEvenly(items []dataset.Item, n int) []dataset.Item {
+	n = min(n, len(items))
+	if n < 1 {
+		return nil
+	}
+	stride := len(items) / n
+	sample := make([]dataset.Item, 0, n)
+	for i := 0; len(sample) < n; i += stride {
+		sample = append(sample, items[i])
+	}
+	return sample
 }
