@@ -15,7 +15,8 @@
 #   1b. obs tier: scrapes the live /metrics endpoint while the
 #      Add/Query/Remove stress runs and fails on malformed Prometheus
 #      text or expvar JSON (TestObsScrapeUnderLoad + the exposition
-#      validator's own tests)
+#      validator's own tests); TestObsCountDeterminism runs ten times,
+#      since a worker-pool gauge read too early once made it flaky
 #   1c. snapshot tier: stresses snapshot acquire/release against
 #      concurrent publication under the race detector and fails if the
 #      active-snapshots gauge does not drain to zero (pin leak) or a
@@ -39,6 +40,10 @@
 #      --workload serve_mixed`; it is not part of the CI gate.
 #   1g. cache tier: runs the result-cache protocol suite (hit/miss/
 #      bypass, write invalidation, churn) under the race detector
+#   1h. probe exactness tier: the R*-tree probe tests under the race
+#      detector — ε-ball pruning against brute force on ulp-adjacent
+#      shells, every store kind, box-only visits unchanged, allocation
+#      bounds
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -76,6 +81,11 @@ check_gofmt() {
     fi
 }
 
+obs_tier() {
+    go test -race -count=1 -run 'TestObsScrapeUnderLoad' . &&
+        go test -race -count=10 -run 'TestObsCountDeterminism' .
+}
+
 bench_tests() {
     (cd bench && go test ./...)
 }
@@ -108,13 +118,14 @@ tier "tier 0: go vet" go vet ./...
 tier "tier 0: walrus-lint" go run ./cmd/walrus-lint -v ./...
 
 tier "tier 1: race (short)" go test -race -short ./...
-tier "tier 1: obs scrape during stress" go test -race -count=1 -run 'TestObsScrapeUnderLoad|TestObsCountDeterminism' .
+tier "tier 1: obs scrape during stress" obs_tier
 tier "tier 1: obs exposition validators" go test -count=1 -run 'TestPrometheusOutputValidates|TestValidatePrometheusRejectsMalformed|TestHandlerEndpoints' ./internal/obs
 tier "tier 1: snapshot (acquire/release vs publish, leak check)" go test -race -count=1 -run 'TestSnapshot' .
 tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle)" go test -race -count=1 -run 'TestShard' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
+tier "tier 1: probe exactness (ball pruning vs brute force)" go test -race -count=1 -run 'TestProbe' ./internal/rstar
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

@@ -86,11 +86,14 @@ func For(n, workers int, fn func(i int)) {
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
+			// Deferred calls run last-in first-out: Done is registered first
+			// so it runs after the gauge is decremented, and For never
+			// returns with a worker still counted as active.
+			defer wg.Done()
 			if m != nil {
 				m.activeWorkers.Add(1)
 				defer m.activeWorkers.Add(-1)
 			}
-			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {

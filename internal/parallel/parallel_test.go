@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"walrus/internal/obs"
 )
 
 func TestWorkers(t *testing.T) {
@@ -40,6 +42,22 @@ func TestForSerialRunsInOrder(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial For visited %v, want ascending order", order)
+		}
+	}
+}
+
+// TestForDrainsActiveWorkers pins the order of a worker's exit: it leaves
+// the active-workers gauge before it signals completion, so For never
+// returns while the gauge still counts one of its workers.
+func TestForDrainsActiveWorkers(t *testing.T) {
+	reg := obs.NewRegistry()
+	SetMetrics(reg)
+	defer SetMetrics(nil)
+	active := reg.Gauge("walrus_pool_active_workers", "")
+	for i := 0; i < 1000; i++ {
+		For(4, 4, func(int) {})
+		if v := active.Value(); v != 0 {
+			t.Fatalf("run %d: For returned with %d workers still active", i, v)
 		}
 	}
 }

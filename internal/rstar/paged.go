@@ -242,7 +242,7 @@ func (s *PagedStore) scanPage(d *descent, id NodeID, buf []byte, lo, hi int) err
 	if err != nil {
 		return err
 	}
-	probes, active := d.probes, d.active[lo:hi]
+	probes, bounds, active := d.probes, d.bounds, d.active[lo:hi]
 	dim, stride := s.dim, pagedRefBytes+16*s.dim
 	entries := buf[pagedHeader : pagedHeader+count*stride]
 	if leaf {
@@ -250,7 +250,7 @@ func (s *PagedStore) scanPage(d *descent, id NodeID, buf []byte, lo, hi int) err
 			box := entries[pagedRefBytes:stride]
 			for _, pi := range active {
 				p := &probes[pi]
-				if !intersectsRaw(box, dim, p.Box) || (p.Center != nil && !p.withinRaw(box)) {
+				if (p.Center != nil && p.farPointRaw(box, bounds[pi])) || !intersectsRaw(box, dim, p.Box) {
 					continue
 				}
 				data := int64(binary.LittleEndian.Uint64(entries))
@@ -269,7 +269,8 @@ func (s *PagedStore) scanPage(d *descent, id NodeID, buf []byte, lo, hi int) err
 		box := entries[pagedRefBytes:stride]
 		mark := len(stack)
 		for _, pi := range active {
-			if intersectsRaw(box, dim, probes[pi].Box) {
+			p := &probes[pi]
+			if (p.Center == nil || !p.farBoxRaw(box, dim, bounds[pi])) && intersectsRaw(box, dim, p.Box) {
 				stack = append(stack, pi)
 			}
 		}

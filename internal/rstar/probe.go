@@ -11,40 +11,109 @@ import (
 // Probe is one range query of a multi-probe descent. It matches every data
 // entry whose rectangle intersects Box and — when Center is set — whose
 // point (the rectangle's Min corner; WALRUS indexes centroid signatures as
-// degenerate rectangles) lies within euclidean distance Eps of Center. The
-// ball test runs only in leaves; inner nodes are pruned by Box alone.
+// degenerate rectangles) lies within euclidean distance Eps of Center:
+// math.Sqrt(Σ(c_j − p_j)²) > Eps is false, the query pipeline's euclid
+// with the query as the left operand. With Center set the ball also prunes
+// inner nodes (see farBox); that drops no match as long as no difference
+// c_j − p_j is NaN, which finite signatures never produce. With Center nil
+// the box alone decides at every level.
 type Probe struct {
 	Box    Rect
 	Center []float64
 	Eps    float64
 }
 
-// Matches reports whether a data entry with rectangle r answers the probe.
-func (p *Probe) Matches(r Rect) bool {
-	return r.Intersects(p.Box) && (p.Center == nil || p.within(r.Min))
+// ballBound returns T, the largest sum of squares the ball test keeps, so
+// that for every sum x ≥ 0 (+Inf and NaN included) x > T holds exactly when
+// math.Sqrt(x) > eps does. Comparing the growing sum against T lets a scan
+// reject an entry at its first partial sum that already fails, and spares
+// the square root. NaN and +Inf radii keep every sum; negative ones none.
+func ballBound(eps float64) float64 {
+	switch {
+	case !(eps < math.Inf(1)):
+		return math.Inf(1)
+	case eps < 0:
+		return math.Inf(-1)
+	}
+	// eps² lies within an ulp or two of T: walk down until its root passes
+	// (0 always does), then up while the next float's root still passes.
+	t := eps * eps
+	for t > 0 && math.Sqrt(t) > eps {
+		t = math.Nextafter(t, 0)
+	}
+	for next := math.Nextafter(t, math.Inf(1)); !(math.Sqrt(next) > eps); next = math.Nextafter(t, math.Inf(1)) {
+		t = next
+	}
+	return t
 }
 
-// within is the ball half of the leaf test: math.Sqrt(Σ(c_j − p_j)²) with
-// the query as the left operand, the expression the query pipeline's
-// euclid uses, so moving the test into the index changes no result bit.
-func (p *Probe) within(point []float64) bool {
+// farPoint is the leaf's ball test: it reports whether point lies outside
+// the ball, bound being ballBound(p.Eps). Terms are summed in euclid's
+// order and partial sums of squares only grow, so stopping at the first
+// one above bound decides exactly what the whole sum would.
+func (p *Probe) farPoint(point []float64, bound float64) bool {
 	sum := 0.0
 	for j, c := range p.Center {
 		diff := c - point[j]
-		sum += diff * diff
+		if sum += diff * diff; sum > bound {
+			return true
+		}
 	}
-	return !(math.Sqrt(sum) > p.Eps)
+	return false
 }
 
-// withinRaw is within for a leaf entry still in page form: box holds the
+// farBox is the inner nodes' ball test: it reports whether the rectangle
+// [lo, hi] lies outside the ball, by its MINDIST to Center summed the way
+// farPoint sums. For a point q inside the rectangle each term c − lo_j
+// (when c < lo_j) or c − hi_j (when c > hi_j) is, by monotone rounding, no
+// larger in magnitude than farPoint's c − q_j, and zero otherwise, so every
+// partial sum here is at most farPoint's: a rectangle farBox rejects holds
+// no point farPoint would keep. A NaN center yields NaN sums and prunes
+// nothing, as farPoint keeps everything.
+func (p *Probe) farBox(lo, hi []float64, bound float64) bool {
+	sum := 0.0
+	for j, c := range p.Center {
+		diff := c - lo[j]
+		if diff > 0 {
+			if diff = c - hi[j]; diff < 0 {
+				diff = 0
+			}
+		}
+		if sum += diff * diff; sum > bound {
+			return true
+		}
+	}
+	return false
+}
+
+// farPointRaw is farPoint for an entry still in page form: box holds the
 // entry's dim float64 mins followed by its dim maxs (see paged.go).
-func (p *Probe) withinRaw(box []byte) bool {
+func (p *Probe) farPointRaw(box []byte, bound float64) bool {
 	sum := 0.0
 	for j, c := range p.Center {
 		diff := c - rawFloat(box, j)
-		sum += diff * diff
+		if sum += diff * diff; sum > bound {
+			return true
+		}
 	}
-	return !(math.Sqrt(sum) > p.Eps)
+	return false
+}
+
+// farBoxRaw is farBox for an entry rectangle in page form.
+func (p *Probe) farBoxRaw(box []byte, dim int, bound float64) bool {
+	sum := 0.0
+	for j, c := range p.Center {
+		diff := c - rawFloat(box, j)
+		if diff > 0 {
+			if diff = c - rawFloat(box, dim+j); diff < 0 {
+				diff = 0
+			}
+		}
+		if sum += diff * diff; sum > bound {
+			return true
+		}
+	}
+	return false
 }
 
 // intersectsRaw is Rect.Intersects for an entry rectangle in page form.
@@ -65,9 +134,9 @@ type pending struct {
 }
 
 // descent is the state of one depth-first traversal answering a set of
-// probes together. A node is visited when any probe active for it
-// intersects its entry in the parent; the active set narrows on the way
-// down. Both stacks are allocated once per search, so visiting a node
+// probes together. A node is visited when any probe active for it may
+// match inside its entry in the parent; the active set narrows on the way
+// down. The stacks are allocated once per search, so visiting a node
 // allocates nothing.
 //
 // Exactly one of emit and each is set. each receives whole entries and may
@@ -76,6 +145,7 @@ type descent struct {
 	store  NodeStore
 	epoch  uint64 // version resolved by a VersionedStore; MaxUint64 = newest
 	probes []Probe
+	bounds []float64 // bounds[i] = ballBound(probes[i].Eps)
 	emit   func(probe int, data int64)
 	each   func(Entry) bool
 
@@ -128,16 +198,19 @@ func scanStore(s NodeStore, d *descent, id NodeID, lo, hi int) error {
 
 // scanNode tests an in-memory node's entries where they lie: leaf entries
 // are emitted per matching active probe; a child is pushed for visit with
-// the active probes that intersect its entry, or dropped when none does.
+// the active probes its entry may hold matches for — inside the ball (when
+// Center is set) and intersecting the box — or dropped when none may. The
+// ball test goes first: it rejects far more, and the box test after it
+// keeps the survivors exactly those of the box-and-ball contract.
 func (d *descent) scanNode(n *Node, lo, hi int) {
 	// active stays readable through this header even when pushing children
 	// grows (and so moves) the stack it is a window of.
-	probes, active := d.probes, d.active[lo:hi]
+	probes, bounds, active := d.probes, d.bounds, d.active[lo:hi]
 	if n.Leaf {
 		for _, e := range n.Entries {
 			for _, pi := range active {
 				p := &probes[pi]
-				if !e.Rect.Intersects(p.Box) || (p.Center != nil && !p.within(e.Rect.Min)) {
+				if (p.Center != nil && p.farPoint(e.Rect.Min, bounds[pi])) || !e.Rect.Intersects(p.Box) {
 					continue
 				}
 				if d.each == nil {
@@ -154,7 +227,8 @@ func (d *descent) scanNode(n *Node, lo, hi int) {
 	for _, e := range n.Entries {
 		mark := len(stack)
 		for _, pi := range active {
-			if e.Rect.Intersects(probes[pi].Box) {
+			p := &probes[pi]
+			if (p.Center == nil || !p.farBox(e.Rect.Min, e.Rect.Max, bounds[pi])) && e.Rect.Intersects(p.Box) {
 				stack = append(stack, pi)
 			}
 		}
@@ -193,11 +267,13 @@ func descend(s NodeStore, epoch uint64, m *treeMetrics, root NodeID, dim, height
 	pendingMax := (s.MaxEntries() + 1) * max(height-1, 0)
 	d := descent{
 		store: s, epoch: epoch, probes: probes, emit: emit, each: each,
+		bounds: make([]float64, len(probes)),
 		active: make([]int, len(probes), len(probes)*(1+pendingMax)),
 		todo:   make([]pending, 0, pendingMax),
 	}
 	for i := range probes {
 		d.active[i] = i
+		d.bounds[i] = ballBound(probes[i].Eps)
 	}
 	err := d.visit(root, 0, len(probes))
 	if m != nil {

@@ -24,23 +24,24 @@ type refEntry struct {
 func bruteProbe(entries []refEntry, p Probe) []int64 {
 	var out []int64
 	for _, e := range entries {
-		if !e.rect.Intersects(p.Box) {
+		if !e.rect.Intersects(p.Box) || (p.Center != nil && !ballKeeps(p.Center, e.rect.Min, p.Eps)) {
 			continue
-		}
-		if p.Center != nil {
-			sum := 0.0
-			for j := range p.Center {
-				d := p.Center[j] - e.rect.Min[j]
-				sum += d * d
-			}
-			if math.Sqrt(sum) > p.Eps {
-				continue
-			}
 		}
 		out = append(out, e.data)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// ballKeeps is the ball test written out in full: the whole sum, then the
+// square root, exactly as the query pipeline's euclid computes it.
+func ballKeeps(c, point []float64, eps float64) bool {
+	sum := 0.0
+	for j := range c {
+		d := c[j] - point[j]
+		sum += d * d
+	}
+	return !(math.Sqrt(sum) > eps)
 }
 
 // prober is what the equivalence test drives: the live tree and its views.
@@ -94,26 +95,33 @@ func runProbes(t *testing.T, src prober, probes []Probe) ([][]int64, int) {
 func checkProbes(t *testing.T, what string, src prober, entries []refEntry, rng *rand.Rand, dim int) {
 	t.Helper()
 	for _, k := range []int{0, 1, 3, 40} {
-		probes := randomProbes(rng, dim, k)
-		got, visits := runProbes(t, src, probes)
-		sumSingle, maxSingle := 0, 0
-		for pi, p := range probes {
-			alone, v := runProbes(t, src, []Probe{p})
-			sumSingle += v
-			maxSingle = max(maxSingle, v)
-			if !int64SlicesEqual(got[pi], alone[0]) {
-				t.Fatalf("%s k=%d probe %d: order differs from the probe run alone:\n got  %v\n want %v", what, k, pi, got[pi], alone[0])
-			}
-			sorted := append([]int64(nil), got[pi]...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			if want := bruteProbe(entries, p); !int64SlicesEqual(sorted, want) {
-				t.Fatalf("%s k=%d probe %d: got %v, brute force says %v", what, k, pi, sorted, want)
-			}
+		checkProbeSet(t, fmt.Sprintf("%s k=%d", what, k), src, entries, randomProbes(rng, dim, k))
+	}
+}
+
+// checkProbeSet is checkProbes for one given probe set. It returns the
+// visit count of the joint descent.
+func checkProbeSet(t *testing.T, what string, src prober, entries []refEntry, probes []Probe) int {
+	t.Helper()
+	got, visits := runProbes(t, src, probes)
+	sumSingle, maxSingle := 0, 0
+	for pi, p := range probes {
+		alone, v := runProbes(t, src, []Probe{p})
+		sumSingle += v
+		maxSingle = max(maxSingle, v)
+		if !int64SlicesEqual(got[pi], alone[0]) {
+			t.Fatalf("%s probe %d: order differs from the probe run alone:\n got  %v\n want %v", what, pi, got[pi], alone[0])
 		}
-		if visits > sumSingle || visits < maxSingle {
-			t.Fatalf("%s k=%d: %d visits, single probes sum to %d with max %d", what, k, visits, sumSingle, maxSingle)
+		sorted := append([]int64(nil), got[pi]...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		if want := bruteProbe(entries, p); !int64SlicesEqual(sorted, want) {
+			t.Fatalf("%s probe %d: got %v, brute force says %v", what, pi, sorted, want)
 		}
 	}
+	if visits > sumSingle || visits < maxSingle {
+		t.Fatalf("%s: %d visits, single probes sum to %d with max %d", what, visits, sumSingle, maxSingle)
+	}
+	return visits
 }
 
 // TestProbeMatchesBruteForce is the traversal-equivalence property: point
@@ -247,10 +255,19 @@ func TestProbeValidatesDimensions(t *testing.T) {
 }
 
 // pagedBulkTree bulk-loads n random points into a paged tree of pageSize
-// pages whose pool
-// holds poolPages frames, flushes it, and returns the tree, its store and
-// the page file's path.
+// pages whose pool holds poolPages frames, flushes it, and returns the
+// tree, its store and the page file's path.
 func pagedBulkTree(tb testing.TB, pageSize, dim, n, poolPages int) (*Tree, *PagedStore, string) {
+	rng := rand.New(rand.NewSource(5))
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = randomRect(rng, dim).Min
+	}
+	return pagedPointTree(tb, pageSize, dim, poolPages, pts)
+}
+
+// pagedPointTree is pagedBulkTree over the given points.
+func pagedPointTree(tb testing.TB, pageSize, dim, poolPages int, pts [][]float64) (*Tree, *PagedStore, string) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "tree.db")
 	pg, err := store.Create(path, pageSize)
@@ -266,10 +283,9 @@ func pagedBulkTree(tb testing.TB, pageSize, dim, n, poolPages int) (*Tree, *Page
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	rects, data := make([]Rect, n), make([]int64, n)
-	for i := range rects {
-		rects[i], data[i] = Point(randomRect(rng, dim).Min), int64(i)
+	rects, data := make([]Rect, len(pts)), make([]int64, len(pts))
+	for i, p := range pts {
+		rects[i], data[i] = Point(p), int64(i)
 	}
 	tr, err := BulkLoad(ps, rects, data)
 	if err != nil {
@@ -294,10 +310,20 @@ func threeProbes(dim int, eps float64) []Probe {
 	return probes
 }
 
+// boxOnly strips the centers off probes, leaving the box test alone.
+func boxOnly(probes []Probe) []Probe {
+	out := make([]Probe, len(probes))
+	for i, p := range probes {
+		out[i] = Probe{Box: p.Box}
+	}
+	return out
+}
+
 // TestProbePagedAllocations pins the point of scanning pages in place: a
-// paged search's allocations are the descent's two stacks and a closure or
-// two, however many nodes it visits. The pool holds the whole tree so the
-// count is the traversal's alone (a miss allocates its Frame header).
+// paged search's allocations are the descent's stacks and a closure or
+// two, however many nodes it visits, for box-only and ball probes alike.
+// The pool holds the whole tree so the count is the traversal's alone (a
+// miss allocates its Frame header).
 func TestProbePagedAllocations(t *testing.T) {
 	tr, ps, _ := pagedBulkTree(t, 1024, 3, 4000, 512)
 	if nodes := ps.pg.NumPages() - 1; nodes < 200 {
@@ -315,16 +341,24 @@ func TestProbePagedAllocations(t *testing.T) {
 		})
 		return allocs, visits
 	}
-	narrowAllocs, narrowVisits := perRun(threeProbes(3, 0.01))
-	wideAllocs, wideVisits := perRun(threeProbes(3, 0.4))
-	if wideVisits < 100 || wideVisits < 10*narrowVisits {
-		t.Fatalf("wide probes visited %d nodes, narrow %d: not a useful contrast", wideVisits, narrowVisits)
+	for _, ball := range []bool{false, true} {
+		probes := func(eps float64) []Probe {
+			if ball {
+				return threeProbes(3, eps)
+			}
+			return boxOnly(threeProbes(3, eps))
+		}
+		narrowAllocs, narrowVisits := perRun(probes(0.01))
+		wideAllocs, wideVisits := perRun(probes(0.4))
+		if wideVisits < 100 || wideVisits < 10*narrowVisits {
+			t.Fatalf("ball=%v: wide probes visited %d nodes, narrow %d: not a useful contrast", ball, wideVisits, narrowVisits)
+		}
+		if wideAllocs != narrowAllocs || wideAllocs > 4 {
+			t.Fatalf("ball=%v: allocations grew with the nodes visited or are not small: %v for %d visits, %v for %d",
+				ball, wideAllocs, wideVisits, narrowAllocs, narrowVisits)
+		}
 	}
 	if emitted == 0 {
 		t.Fatal("probes matched nothing")
-	}
-	if wideAllocs != narrowAllocs || wideAllocs > 4 {
-		t.Fatalf("allocations grew with the nodes visited or are not small: %v for %d visits, %v for %d",
-			wideAllocs, wideVisits, narrowAllocs, narrowVisits)
 	}
 }
