@@ -10,12 +10,12 @@ import (
 // BuildFrom constructs a fresh in-memory database from a whole collection
 // at once: region extraction runs on up to workers goroutines (0 = the
 // Parallelism option, itself defaulting to GOMAXPROCS) and the R*-tree is
-// bulk-loaded with Sort-Tile-Recursive
-// packing instead of one insert per region, which is both faster and
-// yields a better-clustered index than incremental insertion. Use this
-// for the initial indexing pass the paper describes ("indexing of images
-// is done only once at the beginning"); Add/Remove work normally on the
-// result.
+// bulk-loaded instead of built by one insert per region: rstar.BulkLoad
+// packs full nodes by recursive variance splits, which is both faster
+// and yields a smaller, better-clustered index than incremental
+// insertion. Use this for the initial indexing pass the paper describes
+// ("indexing of images is done only once at the beginning"); Add/Remove
+// work normally on the result.
 func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 	db, err := prepare(opts)
 	if err != nil {
@@ -65,8 +65,9 @@ func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 // CreateFrom builds a disk-backed database over a whole collection in one
 // pass: region extraction runs on up to workers goroutines, region
 // payloads stream into the heap file, and the paged R*-tree is bulk-loaded
-// with STR packing. This is the fastest way to run the paper's one-time
-// indexing phase against a directory-resident database.
+// by variance-split packing (see BuildFrom), one full page per node but
+// the last two of each level. This is the fastest way to run the paper's
+// one-time indexing phase against a directory-resident database.
 func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, error) {
 	db, err := createDB(dir, opts)
 	if err != nil {

@@ -15,8 +15,11 @@
 #   1b. obs tier: scrapes the live /metrics endpoint while the
 #      Add/Query/Remove stress runs and fails on malformed Prometheus
 #      text or expvar JSON (TestObsScrapeUnderLoad + the exposition
-#      validator's own tests); TestObsCountDeterminism runs ten times,
-#      since a worker-pool gauge read too early once made it flaky
+#      validator's own tests), and races histogram snapshots against
+#      observers (TestHistogramSnapshotConsistent: a torn read once put
+#      the +Inf bucket above _count). These two and
+#      TestObsCountDeterminism run ten times each: all three were flaky
+#      once, one race in tens of runs
 #   1c. snapshot tier: stresses snapshot acquire/release against
 #      concurrent publication under the race detector and fails if the
 #      active-snapshots gauge does not drain to zero (pin leak) or a
@@ -40,10 +43,12 @@
 #      --workload serve_mixed`; it is not part of the CI gate.
 #   1g. cache tier: runs the result-cache protocol suite (hit/miss/
 #      bypass, write invalidation, churn) under the race detector
-#   1h. probe exactness tier: the R*-tree probe tests under the race
-#      detector — ε-ball pruning against brute force on ulp-adjacent
-#      shells, every store kind, box-only visits unchanged, allocation
-#      bounds
+#   1h. probe exactness tier: the R*-tree probe and bulk-load tests under
+#      the race detector — ε-ball pruning against brute force on
+#      ulp-adjacent shells, every store kind, insert-grown and packed
+#      12-d trees, box-only visits unchanged, allocation bounds, and the
+#      packer's shape (ceil(n/M) leaves, at most two non-full nodes per
+#      level, minimum fill) at dims 1–12 and capacities 4–19
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -82,8 +87,8 @@ check_gofmt() {
 }
 
 obs_tier() {
-    go test -race -count=1 -run 'TestObsScrapeUnderLoad' . &&
-        go test -race -count=10 -run 'TestObsCountDeterminism' .
+    go test -race -count=10 -run 'TestObsScrapeUnderLoad|TestObsCountDeterminism' . &&
+        go test -race -count=10 -run 'TestHistogramSnapshotConsistent' ./internal/obs
 }
 
 bench_tests() {
@@ -125,7 +130,7 @@ tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle)" go tes
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
-tier "tier 1: probe exactness (ball pruning vs brute force)" go test -race -count=1 -run 'TestProbe' ./internal/rstar
+tier "tier 1: probe exactness (ball pruning vs brute force, packing shape)" go test -race -count=1 -run 'TestProbe|TestBulkLoad' ./internal/rstar
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

@@ -152,7 +152,7 @@ func main() {
 	}
 
 	if want("indexing") {
-		fmt.Fprintln(out, "== Indexing throughput: sequential vs parallel vs STR bulk load ==")
+		fmt.Fprintln(out, "== Indexing throughput: sequential vs parallel vs packed bulk load ==")
 		rows, err := experiments.IndexingThroughput(ds, cfg.Options)
 		if err != nil {
 			log.Fatal(err)

@@ -3,9 +3,11 @@ package walrus
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"walrus/internal/imgio"
+	"walrus/internal/match"
 )
 
 // corpus50 builds a seeded 50-image corpus of synthetic scenes with varied
@@ -89,8 +91,8 @@ func TestAddBatchParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildFromParallelDeterminism: the STR bulk-load path has the same
-// guarantee.
+// TestBuildFromParallelDeterminism: the packed bulk-load path has the
+// same guarantee.
 func TestBuildFromParallelDeterminism(t *testing.T) {
 	items := corpus50(t)
 	serialOpts := testOptions()
@@ -132,5 +134,41 @@ func TestQueryParallelismDeterminism(t *testing.T) {
 		pp := DefaultQueryParams()
 		pp.Parallelism = par
 		assertSameRanking(t, fmt.Sprintf("Parallelism=%d", par), db, db, q, ps, pp)
+	}
+}
+
+// TestAggregateStageOrderIndependent: the per-image pair sets are a
+// function of the hits each query region retrieved, not of the order the
+// index emitted them in. Another tree shape emits the same hits in another
+// order, and the one-to-one matchers break ties by pair order, so the
+// pairs must reach the scorer in (Q, T) order whatever the emission order.
+func TestAggregateStageOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	perRegion := make([][]probeHit, 4)
+	for qi := range perRegion {
+		for img := 0; img < 5; img++ {
+			for _, local := range rng.Perm(6)[:rng.Intn(4)] {
+				perRegion[qi] = append(perRegion[qi], probeHit{image: img, pair: match.Pair{Q: qi, T: local}})
+			}
+		}
+	}
+	want, wantRetrieved := aggregateStage(perRegion)
+	for img, pairs := range want {
+		for i := 1; i < len(pairs); i++ {
+			if a, b := pairs[i-1], pairs[i]; a.Q > b.Q || (a.Q == b.Q && a.T >= b.T) {
+				t.Fatalf("image %d: pairs %v not in (Q, T) order", img, pairs)
+			}
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		permuted := make([][]probeHit, len(perRegion))
+		for qi, hits := range perRegion {
+			permuted[qi] = append([]probeHit(nil), hits...)
+			rng.Shuffle(len(hits), func(i, j int) { permuted[qi][i], permuted[qi][j] = permuted[qi][j], permuted[qi][i] })
+		}
+		got, retrieved := aggregateStage(permuted)
+		if retrieved != wantRetrieved || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: permuting each region's hits changed the pair sets:\n got  %v\n want %v", trial, got, want)
+		}
 	}
 }

@@ -19,8 +19,8 @@ type IndexingRow struct {
 
 // IndexingThroughput measures the three ways of building a WALRUS
 // database over the same collection: one Add per image, parallel batched
-// extraction (AddBatch), and parallel extraction plus STR bulk loading of
-// the R*-tree (BuildFrom). The paper's indexing phase runs "only once at
+// extraction (AddBatch), and parallel extraction plus packed bulk loading
+// of the R*-tree (BuildFrom). The paper's indexing phase runs "only once at
 // the beginning and when new images are added" — this quantifies that
 // one-time cost and the ablation between incremental and packed index
 // construction.
@@ -58,7 +58,7 @@ func IndexingThroughput(ds *dataset.Dataset, opts walrus.Options) ([]IndexingRow
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, IndexingRow{"BuildFrom (STR bulk load)", bulk.Len(), bulk.NumRegions(), time.Since(start)})
+	rows = append(rows, IndexingRow{"BuildFrom (packed bulk load)", bulk.Len(), bulk.NumRegions(), time.Since(start)})
 	return rows, nil
 }
 

@@ -16,11 +16,12 @@ var DefBuckets = []float64{
 
 // Histogram is a fixed-bucket histogram with atomic per-bucket counts.
 // Observations are float64 values (seconds, for the `_seconds` latency
-// histograms). All methods are no-ops on a nil receiver.
+// histograms). All methods are no-ops on a nil receiver. The total count
+// is not stored: it is the sum of the buckets, so a snapshot taken while
+// observations race it still has its +Inf bucket equal to its count.
 type Histogram struct {
 	bounds []float64 // immutable ascending upper bounds (exclusive of +Inf)
 	counts []atomic.Uint64
-	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, updated by CAS
 }
 
@@ -45,7 +46,6 @@ func (h *Histogram) Observe(v float64) {
 	// last bound the observation lands in the implicit +Inf slot.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -60,7 +60,11 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of all observed values (0 on a nil receiver).
@@ -72,14 +76,17 @@ func (h *Histogram) Sum() float64 {
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {
+	// Count is the sum of the loaded buckets, never a separate load, so
+	// the snapshot is self-consistent. Sum may lag an observation whose
+	// bucket it already counts, which the exposition format allows.
 	s := HistogramSnapshot{
-		Count:  h.count.Load(),
 		Sum:    math.Float64frombits(h.sum.Load()),
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

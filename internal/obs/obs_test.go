@@ -336,6 +336,53 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotConsistent: a snapshot racing observations is
+// self-consistent — its count is exactly the sum of its buckets, so the
+// exposition's +Inf bucket never runs ahead of _count. Run under -race in
+// the obs tier.
+func TestHistogramSnapshotConsistent(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("walrus_op_seconds", "h", []float64{0.001, 0.01})
+	const workers, iters = 4, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				h.Observe(float64(i%3) * 0.005)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := r.Snapshot().Histograms["walrus_op_seconds"]
+			var sum uint64
+			for _, c := range s.Counts {
+				sum += c
+			}
+			if sum != s.Count {
+				t.Errorf("snapshot buckets sum to %d, count says %d", sum, s.Count)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-done
+	if got := h.Count(); got != workers*iters {
+		t.Fatalf("count = %d, want %d", got, workers*iters)
+	}
+}
+
 func TestServe(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("walrus_ops_total", "h").Inc()

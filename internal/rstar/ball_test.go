@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"walrus/internal/store"
@@ -242,7 +241,8 @@ func checkBallPruning(t *testing.T, what string, src prober, entries []refEntry,
 // MemStore, PagedStore behind an 8-frame pool, a VersionedStore view
 // pinned across inserts, deletes and Publish — emits exactly the
 // brute-force set in solo order while visiting no more nodes than the box
-// alone.
+// alone. The same holds on trees BulkLoad packs from clustered 12-d points
+// at node capacities 16 and 19, in memory and paged.
 func TestProbeBallPruningExact(t *testing.T) {
 	const dim = 4
 	rng := rand.New(rand.NewSource(17))
@@ -338,18 +338,7 @@ func TestProbeBallPruningExact(t *testing.T) {
 		t.Run(fmt.Sprintf("paged=%v", paged), func(t *testing.T) {
 			var base NodeStore
 			if paged {
-				pg, err := store.Create(filepath.Join(t.TempDir(), "tree.db"), 1024)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { pg.Close() })
-				pool, err := store.NewBufferPool(pg, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if base, err = NewPagedStore(pg, pool, dim); err != nil {
-					t.Fatal(err)
-				}
+				base = newPagedStore(t, dim, 1024, 8)
 			} else {
 				ms, err := NewMemStore(dim, 4)
 				if err != nil {
@@ -413,6 +402,55 @@ func TestProbeBallPruningExact(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// Packed trees, as BuildFrom and CreateFrom build them: BulkLoad over
+	// clustered 12-d points plus the shells, at the in-memory node
+	// capacity 16 and the 4 KiB page's 19.
+	const packedDim = 12
+	c1, c0, pts = ballPoints(rng, packedDim)
+	centers, clustered := clusteredPoints(rng, packedDim, 40, 2000, 0.05)
+	pts = append(pts, clustered...)
+	probes = ballProbes(rng, c1, c0, pts)
+	for _, c := range centers[:10] {
+		probes = append(probes, Probe{Box: Point(c).Expand(0.085), Center: c, Eps: 0.085})
+	}
+	packed := make([]refEntry, len(pts))
+	rects, data := make([]Rect, len(pts)), make([]int64, len(pts))
+	for i, q := range pts {
+		packed[i] = refEntry{Point(q), int64(i)}
+		rects[i], data[i] = packed[i].rect, packed[i].data
+	}
+	for _, capacity := range []int{16, 19} {
+		for _, paged := range []bool{false, true} {
+			t.Run(fmt.Sprintf("packed/cap=%d/paged=%v", capacity, paged), func(t *testing.T) {
+				var base NodeStore
+				if paged {
+					base = newPagedStore(t, packedDim, store.PageFooterSize+pagedHeader+(capacity+1)*(pagedRefBytes+16*packedDim), 8)
+				} else {
+					ms, err := NewMemStore(packedDim, capacity)
+					if err != nil {
+						t.Fatal(err)
+					}
+					base = ms
+				}
+				if base.MaxEntries() != capacity {
+					t.Fatalf("store capacity %d, want %d", base.MaxEntries(), capacity)
+				}
+				tr, err := BulkLoad(NewVersioned(base), rects, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.PublishEpoch()
+				view, err := tr.SnapshotView()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer view.Release()
+				pruned = checkBallPruning(t, "packed live", tr, packed, probes) || pruned
+				pruned = checkBallPruning(t, "packed view", view, packed, probes) || pruned
+			})
+		}
 	}
 	if !pruned {
 		t.Fatal("the ball never saved a visit the box made: pruning went untested")

@@ -6,12 +6,14 @@ import (
 	"sort"
 )
 
-// BulkLoad builds a tree over the given rectangles and payloads with
-// Sort-Tile-Recursive packing (Leutenegger et al.): entries are sorted and
-// sliced into near-equal tiles along successive dimensions, producing a
-// fully packed tree in O(n log n) — much faster than n individual inserts
-// and with better-clustered leaves. The store must be freshly created;
-// existing metadata is overwritten.
+// BulkLoad builds a tree over the given rectangles and payloads by
+// variance-split packing (see varianceSplit): each level is cut
+// recursively along the axis where the data spreads most, so every node is
+// full but the last two of a level and leaves are shaped by the data
+// rather than by the axis order. The result is ceil(n/M) leaves in
+// O(n log² n) — much faster than n individual inserts and with
+// better-clustered leaves. The store must be freshly created; existing
+// metadata is overwritten.
 func BulkLoad(s NodeStore, rects []Rect, data []int64) (*Tree, error) {
 	if len(rects) != len(data) {
 		return nil, fmt.Errorf("rstar: BulkLoad got %d rects and %d payloads", len(rects), len(data))
@@ -50,7 +52,7 @@ func BulkLoad(s NodeStore, rects []Rect, data []int64) (*Tree, error) {
 			rootID = n.ID
 			break
 		}
-		groups := strSplit(level, t.maxE, 0, t.dim)
+		groups := varianceSplit(nil, level, t.maxE)
 		next := make([]Entry, 0, len(groups))
 		for _, g := range groups {
 			n, err := s.New(leaf)
@@ -79,34 +81,49 @@ func BulkLoad(s NodeStore, rects []Rect, data []int64) (*Tree, error) {
 	return t, nil
 }
 
-// strSplit partitions entries into groups of at most cap entries using the
-// STR tiling: sort by the current axis's center, slice into near-equal
-// slabs, and recurse into the slabs along the next axis. Group sizes stay
-// near cap (never below roughly half of it), so packed nodes respect the
-// minimum-fill invariant.
-func strSplit(entries []Entry, cap, axis, dims int) [][]Entry {
+// varianceSplit appends to out a partition of entries into
+// ceil(len/cap) groups of at most cap entries, the VAMSplit packing of
+// White & Jain ("Similarity Indexing: Algorithms and Performance", SPIE
+// 1996): sort the entries by centre along the axis on which their centres
+// vary most, cut at a multiple of cap, and recurse into both sides. The
+// cut puts the remainder on the high side, so every group is full except
+// the last two, which share the remainder evenly and so hold at least
+// half of cap each — packed nodes respect the minimum-fill invariant.
+func varianceSplit(out [][]Entry, entries []Entry, cap int) [][]Entry {
 	groups := ceilDiv(len(entries), cap)
 	if groups <= 1 {
-		return [][]Entry{entries}
+		return append(out, entries)
 	}
-	sortByCenter(entries, axis)
-	if axis == dims-1 {
-		return evenSplit(entries, groups)
+	k := groups / 2 * cap
+	if groups == 2 {
+		// The last two groups: halve, so neither falls below half of cap.
+		k = len(entries) / 2
 	}
-	// Number of slabs along this axis: the (dims-axis)-th root of the
-	// group count, so the tiling is balanced across remaining dimensions.
-	slabs := int(math.Ceil(math.Pow(float64(groups), 1/float64(dims-axis))))
-	if slabs < 1 {
-		slabs = 1
+	sortByCenter(entries, widestAxis(entries))
+	out = varianceSplit(out, entries[:k:k], cap)
+	return varianceSplit(out, entries[k:], cap)
+}
+
+// widestAxis returns the axis along which the entries' centres have the
+// largest variance, the first such axis on ties.
+func widestAxis(entries []Entry) int {
+	dims := len(entries[0].Rect.Min)
+	sum, sumSq := make([]float64, dims), make([]float64, dims)
+	for _, e := range entries {
+		for axis := range sum {
+			c := e.Rect.Min[axis] + e.Rect.Max[axis]
+			sum[axis] += c
+			sumSq[axis] += c * c
+		}
 	}
-	if slabs > groups {
-		slabs = groups
+	best, bestVar := 0, math.Inf(-1)
+	for axis := range sum {
+		// n times the variance: only the order across axes matters.
+		if v := sumSq[axis] - sum[axis]*sum[axis]/float64(len(entries)); v > bestVar {
+			best, bestVar = axis, v
+		}
 	}
-	var out [][]Entry
-	for _, slab := range evenSplit(entries, slabs) {
-		out = append(out, strSplit(slab, cap, axis+1, dims)...)
-	}
-	return out
+	return best
 }
 
 func sortByCenter(entries []Entry, axis int) {
@@ -115,23 +132,6 @@ func sortByCenter(entries []Entry, axis int) {
 		cj := entries[j].Rect.Min[axis] + entries[j].Rect.Max[axis]
 		return ci < cj
 	})
-}
-
-// evenSplit slices entries into k contiguous groups whose sizes differ by
-// at most one.
-func evenSplit(entries []Entry, k int) [][]Entry {
-	out := make([][]Entry, 0, k)
-	n := len(entries)
-	start := 0
-	for i := 0; i < k; i++ {
-		end := start + n/k
-		if i < n%k {
-			end++
-		}
-		out = append(out, entries[start:end:end])
-		start = end
-	}
-	return out
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

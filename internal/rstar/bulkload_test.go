@@ -204,8 +204,9 @@ func TestBulkLoadPaged(t *testing.T) {
 	}
 }
 
-// TestBulkLoadPackingDensity: STR packing produces far fewer nodes than
-// one-at-a-time insertion.
+// TestBulkLoadPackingDensity: packing never uses more nodes than
+// one-at-a-time insertion, whose splits leave nodes between 40% and 100%
+// full where the packer fills all but two per level.
 func TestBulkLoadPackingDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	const n, cap = 500, 8
@@ -231,5 +232,81 @@ func TestBulkLoadPackingDensity(t *testing.T) {
 	}
 	if bulkStore.NumNodes() > insStore.NumNodes() {
 		t.Fatalf("bulk load used %d nodes, insertion used %d", bulkStore.NumNodes(), insStore.NumNodes())
+	}
+}
+
+// levelSizes returns the entry counts of the tree's nodes level by level,
+// leaves first.
+func levelSizes(t *testing.T, tr *Tree) [][]int {
+	t.Helper()
+	levels := make([][]int, tr.height)
+	var walk func(id NodeID, level int)
+	walk = func(id NodeID, level int) {
+		n, err := tr.store.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels[level] = append(levels[level], len(n.Entries))
+		if n.Leaf {
+			return
+		}
+		for _, e := range n.Entries {
+			walk(e.Child, level-1)
+		}
+	}
+	walk(tr.root, tr.height-1)
+	return levels
+}
+
+// TestBulkLoadPacking pins the variance split's shape at dims 1–12 and
+// capacities 4–19: each level holds ceil(below/M) nodes — ceil(n/M)
+// leaves — of which at most two are not full, and every invariant, the
+// minimum fill included, holds at the sizes where the remainder is
+// hardest to place: n = M, M+1 and 2M+1, a remainder below the minimum
+// fill, and a three-level tree.
+func TestBulkLoadPacking(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for dim := 1; dim <= 12; dim++ {
+		for m := 4; m <= 19; m++ {
+			ms, err := NewMemStore(dim, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			minE := newTree(ms).minE
+			for _, n := range []int{m, m + 1, 2*m + 1, 5*m + minE - 1, m*m + 1} {
+				rects, data := make([]Rect, n), make([]int64, n)
+				for i := range rects {
+					rects[i], data[i] = randomRect(rng, dim), int64(i)
+					if i%2 == 0 {
+						rects[i] = Point(rects[i].Min)
+					}
+				}
+				s, _ := NewMemStore(dim, m)
+				tr, err := BulkLoad(s, rects, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("dim=%d M=%d n=%d: %v", dim, m, n, err)
+				}
+				want := n
+				for level, sizes := range levelSizes(t, tr) {
+					want = ceilDiv(want, m)
+					nonFull := 0
+					for _, size := range sizes {
+						if size < m {
+							nonFull++
+						}
+					}
+					if len(sizes) != want || nonFull > 2 {
+						t.Fatalf("dim=%d M=%d n=%d level %d: %d nodes (want %d), %d not full: %v",
+							dim, m, n, level, len(sizes), want, nonFull, sizes)
+					}
+				}
+				if want != 1 {
+					t.Fatalf("dim=%d M=%d n=%d: tree of height %d ends in %d nodes, not a root", dim, m, n, tr.height, want)
+				}
+			}
+		}
 	}
 }

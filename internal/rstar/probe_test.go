@@ -146,18 +146,7 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 					}
 					var base NodeStore
 					if paged {
-						pg, err := store.Create(filepath.Join(t.TempDir(), "tree.db"), 1024)
-						if err != nil {
-							t.Fatal(err)
-						}
-						t.Cleanup(func() { pg.Close() })
-						pool, err := store.NewBufferPool(pg, 8)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if base, err = NewPagedStore(pg, pool, dim); err != nil {
-							t.Fatal(err)
-						}
+						base = newPagedStore(t, dim, 1024, 8)
 					} else {
 						ms, err := NewMemStore(dim, 8)
 						if err != nil {
@@ -252,6 +241,45 @@ func TestProbeValidatesDimensions(t *testing.T) {
 	if _, err := tr.Probe([]Probe{{Box: Point([]float64{1, 2, 3}), Center: []float64{1}}}, emit); err == nil {
 		t.Error("Probe accepted a center of the wrong dimension")
 	}
+}
+
+// newPagedStore is a PagedStore for dim-dimensional entries on a fresh
+// page file of pageSize pages, behind a pool of frames frames.
+func newPagedStore(tb testing.TB, dim, pageSize, frames int) *PagedStore {
+	tb.Helper()
+	pg, err := store.Create(filepath.Join(tb.TempDir(), "tree.db"), pageSize)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { pg.Close() })
+	pool, err := store.NewBufferPool(pg, frames)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ps, err := NewPagedStore(pg, pool, dim)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ps
+}
+
+// clusteredPoints draws n dim-dimensional points around k random centres,
+// each coordinate spread by a normal of deviation sigma: clustered, as
+// region signatures are (uniform 12-d points give every node a box
+// spanning the cube, and nothing prunes).
+func clusteredPoints(rng *rand.Rand, dim, k, n int, sigma float64) (centers, pts [][]float64) {
+	centers, pts = make([][]float64, k), make([][]float64, n)
+	for i := range centers {
+		centers[i] = randomRect(rng, dim).Min
+	}
+	for i := range pts {
+		c, p := centers[i%k], make([]float64, dim)
+		for j := range p {
+			p[j] = c[j] + sigma*rng.NormFloat64()
+		}
+		pts[i] = p
+	}
+	return centers, pts
 }
 
 // pagedBulkTree bulk-loads n random points into a paged tree of pageSize

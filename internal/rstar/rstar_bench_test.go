@@ -80,25 +80,13 @@ func BenchmarkSearch(b *testing.B) {
 // BenchmarkProbePaged is the disk-side counterpart of BenchmarkSearch: a
 // three-region query's worth of probes answered in one descent over pages
 // scanned in place, through a pool a quarter the tree's size. The points
-// are clustered, as region signatures are (uniform 12-d points give every
-// node a box spanning the cube, and nothing prunes). "box" probes have no
+// are clustered, as region signatures are. "box" probes have no
 // center, so the ε-cube alone prunes; "ball" probes prune by the ε-ball as
 // well. visits/op and pager_reads/op (pool misses) show what the ball
 // saves; allocs/op is the descent's few plus one Frame per miss.
 func BenchmarkProbePaged(b *testing.B) {
 	const dim, clusters, eps = 12, 50, 0.3
-	rng := rand.New(rand.NewSource(4))
-	centers, pts := make([][]float64, clusters), make([][]float64, 5000)
-	for i := range centers {
-		centers[i] = randomRect(rng, dim).Min
-	}
-	for i := range pts {
-		c, p := centers[i%clusters], make([]float64, dim)
-		for j := range p {
-			p[j] = c[j] + 0.05*rng.NormFloat64()
-		}
-		pts[i] = p
-	}
+	centers, pts := clusteredPoints(rand.New(rand.NewSource(4)), dim, clusters, 5000, 0.05)
 	tr, ps, _ := pagedPointTree(b, store.DefaultPageSize, dim, 64, pts)
 	// Query q probes around clusters q, q+1 and q+2, so successive queries
 	// read different pages, as successive queries of a workload do.

@@ -59,10 +59,10 @@ func (s *Snapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
 // descent: nodes (pages, on disk) shared by several regions' envelopes are
 // read once, and for centroid signatures the exact euclidean test runs
 // inside the leaf scan, so only true matches are handed back. Hits land in
-// their region's slot in the index's depth-first entry order — the order
-// each region's own search would yield — which keeps pairsByImage, and
-// therefore scores, stats and rankings, those of a region-by-region probe.
-// A nil tc (the common case) adds nothing to the probe path.
+// their region's slot in the index's depth-first entry order, which
+// follows the tree's shape; aggregateStage orders them, so scores, stats
+// and rankings depend only on the set each region retrieves. A nil tc
+// (the common case) adds nothing to the probe path.
 func (s *Snapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) ([][]probeHit, error) {
 	// Bounding-box signatures match by box overlap, which the envelope
 	// tests exactly.
@@ -147,7 +147,10 @@ func (s *Snapshot) refineStage(ctx context.Context, qRegions []region.Region, pe
 // into the per-image pair sets the scorer consumes, counting the total
 // regions retrieved. The pair sets are carved out of one flat buffer
 // sized by a counting pass — a single allocation however many candidate
-// images the probes surfaced.
+// images the probes surfaced. Each image's pairs come out in (Q, T)
+// order whatever order the index emitted them in: the one-to-one matchers
+// break ties by pair order, and a ranking must not depend on the tree's
+// shape.
 func aggregateStage(perRegion [][]probeHit) (map[int][]match.Pair, int) {
 	counts := make(map[int]int)
 	retrieved := 0
@@ -170,7 +173,14 @@ func aggregateStage(perRegion [][]probeHit) (map[int][]match.Pair, int) {
 				next += c
 				pairsByImage[h.image] = s
 			}
-			s[fill[h.image]] = h.pair
+			// Q never decreases along the fill, so ordering T within the
+			// current query region's run is an insertion step.
+			i := fill[h.image]
+			for i > 0 && s[i-1].Q == h.pair.Q && s[i-1].T > h.pair.T {
+				s[i] = s[i-1]
+				i--
+			}
+			s[i] = h.pair
 			fill[h.image]++
 		}
 	}

@@ -183,9 +183,10 @@ func OpenShardedFS(dir string, fs FileOpener) (*Sharded, error) {
 }
 
 // BuildFromSharded is BuildFrom for a sharded database: the collection
-// is partitioned by id hash and each shard is bulk-loaded with STR
-// packing. The result is identical to NewSharded followed by AddBatch
-// up to index layout.
+// is partitioned by id hash and each shard's R*-tree is bulk-loaded by
+// variance-split packing. The result is identical to NewSharded followed
+// by AddBatch up to index layout, and so are rankings under every
+// matcher.
 func BuildFromSharded(opts Options, items []BatchItem, workers int) (*Sharded, error) {
 	n, err := resolveShardCount(opts.Shards)
 	if err != nil {

@@ -1,11 +1,13 @@
 package walrus
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"walrus/internal/imgio"
+	"walrus/internal/match"
 )
 
 // shardScriptCorpus is the seeded image set the shard tests mutate; a
@@ -97,6 +99,16 @@ func shardFingerprint(t *testing.T, s *Sharded, queries []*imgio.Image, par int)
 	}
 	p := DefaultQueryParams()
 	p.Parallelism = par
+	b.WriteString(shardRankings(t, s, queries, p))
+	return b.String()
+}
+
+// shardRankings renders each query's top 10 under p: the funnel counts,
+// then every match's id, similarity, matching-region count and pair set
+// (empty under the quick matcher, which builds none).
+func shardRankings(t *testing.T, s *Sharded, queries []*imgio.Image, p QueryParams) string {
+	t.Helper()
+	var b strings.Builder
 	p.Limit = 10
 	for qi, q := range queries {
 		matches, qs, err := s.Query(q, p)
@@ -119,7 +131,7 @@ func shardFingerprint(t *testing.T, s *Sharded, queries []*imgio.Image, par int)
 			b.WriteString(strconv.FormatFloat(m.Similarity, 'g', -1, 64))
 			b.WriteString(" ")
 			b.WriteString(strconv.Itoa(m.MatchingRegions))
-			b.WriteString("\n")
+			b.WriteString(fmt.Sprint(" ", m.Pairs, "\n"))
 		}
 	}
 	return b.String()
@@ -206,9 +218,11 @@ func TestShardMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardBulkLoadDeterminism: the STR bulk-load constructors must
+// TestShardBulkLoadDeterminism: the packed bulk-load constructors must
 // produce the same logical state as the incremental script's AddBatch,
-// at every shard count.
+// at every shard count. The two trees differ in shape, so each probe
+// emits its hits in a different order; every matcher must still produce
+// the same similarities and pair sets.
 func TestShardBulkLoadDeterminism(t *testing.T) {
 	items := shardScriptCorpus(t)
 	queries := shardTestQueries()
@@ -232,6 +246,16 @@ func TestShardBulkLoadDeterminism(t *testing.T) {
 		if fpBuilt != fpIncr {
 			t.Errorf("shards=%d: BuildFromSharded diverges from AddBatch\n--- AddBatch ---\n%s--- BuildFrom ---\n%s",
 				shards, fpIncr, fpBuilt)
+		}
+		for _, m := range []match.Algorithm{match.Greedy, match.Exact, match.Assignment} {
+			p := DefaultQueryParams()
+			p.Matcher = m
+			rb, ri := shardRankings(t, built, queries, p), shardRankings(t, incr, queries, p)
+			if rb != ri {
+				t.Errorf("shards=%d matcher=%v: BuildFromSharded diverges from AddBatch\n--- AddBatch ---\n%s--- BuildFrom ---\n%s",
+					shards, m, ri, rb)
+			}
+			fpBuilt += rb
 		}
 		if oracle == "" {
 			oracle = fpBuilt
@@ -290,7 +314,7 @@ func TestShardDiskRoundtrip(t *testing.T) {
 	}
 
 	// CreateFromSharded bulk-loads into a fresh directory; the physical
-	// layout differs (STR packing) but the fingerprint may not.
+	// layout differs (packed tree) but the fingerprint may not.
 	bulkDir := t.TempDir()
 	final := append([]BatchItem(nil), items[:5]...)
 	final = append(final, items[6:16]...)
