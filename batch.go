@@ -59,14 +59,15 @@ func (db *DB) addExtractedLocked(id string, im *imgio.Image, regions []region.Re
 	if m != nil {
 		start = statsClock()
 	}
-	if _, dup := db.byID[id]; dup {
+	if _, dup := db.byID.get(id); dup {
 		return fmt.Errorf("walrus: image %q %w", id, ErrDuplicateID)
 	}
 	imgIdx := len(db.images)
 	// Appends extend the catalog past any published length, which never
-	// moves published elements; only the id map needs copy-on-write.
+	// moves published elements; the id index copies only the chunk it
+	// touches.
 	db.images = append(db.images, imageRecord{ID: id, W: im.W, H: im.H, Regions: regions})
-	db.mutableByIDLocked()[id] = imgIdx
+	db.byID.set(id, imgIdx)
 	var rids []uint64
 	for local, r := range regions {
 		payload := int64(len(db.refs))
@@ -99,7 +100,7 @@ func (db *DB) addExtractedLocked(id string, im *imgio.Image, regions []region.Re
 		m.ingests.Inc()
 		m.ingestRegions.Add(uint64(len(regions)))
 		m.ingestSeconds.Observe(d.Seconds())
-		m.images.Set(int64(len(db.byID)))
+		m.images.Set(int64(db.byID.len()))
 		m.regions.Add(int64(len(regions)))
 		m.reg.RecordSpan("ingest", 0, start, d,
 			obs.Attr{Key: "regions", Value: int64(len(regions))})
@@ -124,7 +125,7 @@ type Stats struct {
 func (db *DB) Stats() Stats {
 	core := db.cur.Load()
 	return Stats{
-		Images:       len(core.byID),
+		Images:       core.byID.len(),
 		Regions:      core.liveRegions,
 		IndexHeight:  core.height,
 		SignatureDim: core.opts.Region.Dim(),

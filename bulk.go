@@ -29,12 +29,12 @@ func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i])
 		}
-		if _, dup := db.byID[it.ID]; dup {
+		if _, dup := db.byID.get(it.ID); dup {
 			return nil, fmt.Errorf("walrus: duplicate image id %q", it.ID)
 		}
 		imgIdx := len(db.images)
 		db.images = append(db.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
-		db.byID[it.ID] = imgIdx
+		db.byID.set(it.ID, imgIdx)
 		for local, r := range extracted[i] {
 			payloads = append(payloads, int64(len(db.refs)))
 			db.refs = append(db.refs, regionRef{Image: imgIdx, Local: local})
@@ -84,12 +84,12 @@ func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, 
 		if errs[i] != nil {
 			return nil, errors.Join(fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i]), db.Close())
 		}
-		if _, dup := db.byID[it.ID]; dup {
+		if _, dup := db.byID.get(it.ID); dup {
 			return nil, errors.Join(fmt.Errorf("walrus: duplicate image id %q", it.ID), db.Close())
 		}
 		imgIdx := len(db.images)
 		db.images = append(db.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
-		db.byID[it.ID] = imgIdx
+		db.byID.set(it.ID, imgIdx)
 		for local, r := range extracted[i] {
 			rec, err := r.MarshalBinary()
 			if err != nil {

@@ -23,7 +23,9 @@
 #   1c. snapshot tier: stresses snapshot acquire/release against
 #      concurrent publication under the race detector and fails if the
 #      active-snapshots gauge does not drain to zero (pin leak) or a
-#      pinned version tears
+#      pinned version tears; also runs the copy-on-write id-index tests
+#      (pinned versions across add/remove/re-add, one writer against
+#      lock-free readers, write bytes flat in the catalog size)
 #   1d. shard tier: runs the shard-count determinism matrix (every shard
 #      count must reproduce the shards=1 oracle byte-for-byte), the
 #      per-shard crash matrix and the cross-shard fan-out oracle under
@@ -43,12 +45,13 @@
 #      --workload serve_mixed`; it is not part of the CI gate.
 #   1g. cache tier: runs the result-cache protocol suite (hit/miss/
 #      bypass, write invalidation, churn) under the race detector
-#   1h. probe exactness tier: the R*-tree probe and bulk-load tests under
-#      the race detector — ε-ball pruning against brute force on
-#      ulp-adjacent shells, every store kind, insert-grown and packed
-#      12-d trees, box-only visits unchanged, allocation bounds, and the
+#   1h. probe exactness tier: the R*-tree probe, bulk-load and insert
+#      tests under the race detector — ε-ball pruning against brute force
+#      on ulp-adjacent shells, every store kind, insert-grown and packed
+#      12-d trees, box-only visits unchanged, allocation bounds, the
 #      packer's shape (ceil(n/M) leaves, at most two non-full nodes per
-#      level, minimum fill) at dims 1–12 and capacities 4–19
+#      level, minimum fill) at dims 1–12 and capacities 4–19, golden
+#      digests of insert-built trees, and allocations per Insert
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -125,12 +128,12 @@ tier "tier 0: walrus-lint" go run ./cmd/walrus-lint -v ./...
 tier "tier 1: race (short)" go test -race -short ./...
 tier "tier 1: obs scrape during stress" obs_tier
 tier "tier 1: obs exposition validators" go test -count=1 -run 'TestPrometheusOutputValidates|TestValidatePrometheusRejectsMalformed|TestHandlerEndpoints' ./internal/obs
-tier "tier 1: snapshot (acquire/release vs publish, leak check)" go test -race -count=1 -run 'TestSnapshot' .
+tier "tier 1: snapshot (acquire/release vs publish, leak check, id index)" go test -race -count=1 -run 'TestSnapshot|TestIDIndex' .
 tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle)" go test -race -count=1 -run 'TestShard' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
-tier "tier 1: probe exactness (ball pruning vs brute force, packing shape)" go test -race -count=1 -run 'TestProbe|TestBulkLoad' ./internal/rstar
+tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations' ./internal/rstar
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

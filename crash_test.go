@@ -346,7 +346,7 @@ func TestDurabilityAlwaysSurvivesImmediateCrash(t *testing.T) {
 	if re.Len() != 1 {
 		t.Fatalf("Len = %d after crash recovery, want 1", re.Len())
 	}
-	if _, ok := re.byID["survivor"]; !ok {
+	if _, ok := re.byID.get("survivor"); !ok {
 		t.Fatal("committed image lost")
 	}
 	stats, _ := re.Recovery()

@@ -56,18 +56,30 @@ func (s Space) Channels() int {
 }
 
 // FromRGB converts a 3-channel RGB image to the target space. The input is
-// not modified. Converting to RGB returns a clone.
+// not modified. Converting to RGB returns a clone. A NaN or infinite
+// sample is an error: it would carry into every signature of the image.
 func FromRGB(im *imgio.Image, to Space) (*imgio.Image, error) {
 	if im.C != 3 {
 		return nil, fmt.Errorf("colorspace: FromRGB requires 3 channels, got %d", im.C)
 	}
+	// poison stays ±0 while every sample is finite: v*0 is ±0 for finite
+	// v and NaN for NaN or ±Inf, and a NaN survives every later addition.
+	// One multiply-add per sample costs a fraction of a branch per sample.
+	poison := 0.0
 	if to == RGB {
+		for _, v := range im.Pix {
+			poison += v * 0
+		}
+		if poison != 0 {
+			return nil, nonFinitePixel(im)
+		}
 		return im.Clone(), nil
 	}
 	out := imgio.New(im.W, im.H, to.Channels())
 	n := im.W * im.H
 	r, g, b := im.Plane(0), im.Plane(1), im.Plane(2)
 	for i := 0; i < n; i++ {
+		poison += r[i]*0 + g[i]*0 + b[i]*0
 		switch to {
 		case Gray:
 			out.Pix[i] = 0.299*r[i] + 0.587*g[i] + 0.114*b[i]
@@ -99,7 +111,23 @@ func FromRGB(im *imgio.Image, to Space) (*imgio.Image, error) {
 			return nil, fmt.Errorf("colorspace: unsupported target %v", to)
 		}
 	}
+	if poison != 0 {
+		return nil, nonFinitePixel(im)
+	}
 	return out, nil
+}
+
+// nonFinitePixel reports the first pixel of im with a NaN or infinite
+// sample.
+func nonFinitePixel(im *imgio.Image) error {
+	n := im.W * im.H
+	for i := 0; i < n; i++ {
+		r, g, b := im.Pix[i], im.Pix[n+i], im.Pix[2*n+i]
+		if r*0 != 0 || g*0 != 0 || b*0 != 0 {
+			return fmt.Errorf("colorspace: pixel (%d,%d) is not finite: rgb(%v, %v, %v)", i%im.W, i/im.W, r, g, b)
+		}
+	}
+	return fmt.Errorf("colorspace: image has a sample that is not finite")
 }
 
 // ToRGB converts an image in the given space back to RGB.

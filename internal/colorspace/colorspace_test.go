@@ -158,6 +158,22 @@ func TestFromRGBErrors(t *testing.T) {
 	}
 }
 
+// TestFromRGBRejectsNonFinite: a NaN or infinite sample in any channel is
+// an error for every target space.
+func TestFromRGBRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for ch := 0; ch < 3; ch++ {
+			for _, sp := range []Space{RGB, Gray, YCC, YIQ, YUV, HSV, XYZ} {
+				im := randomRGB(rand.New(rand.NewSource(1)), 3, 2)
+				im.Pix[ch*6+4] = v
+				if _, err := FromRGB(im, sp); err == nil {
+					t.Errorf("FromRGB(%v) accepted %v in channel %d", sp, v, ch)
+				}
+			}
+		}
+	}
+}
+
 // TestGrayToRGBReplicates: converting gray back to RGB replicates channels.
 func TestGrayToRGBReplicates(t *testing.T) {
 	g := imgio.New(2, 1, 1)

@@ -24,13 +24,23 @@ type Node struct {
 	Entries []Entry
 }
 
-// mbr returns the bounding rectangle of all entries.
+// mbr returns the bounding rectangle of all entries in fresh bounds.
 func (n *Node) mbr() Rect {
 	r := n.Entries[0].Rect.Clone()
 	for _, e := range n.Entries[1:] {
-		r = r.Union(e.Rect)
+		r.extend(e.Rect)
 	}
 	return r
+}
+
+// setMBR overwrites r's bounds with the bounding rectangle of entries,
+// folding them in the order mbr does, without allocating.
+func (r Rect) setMBR(entries []Entry) {
+	copy(r.Min, entries[0].Rect.Min)
+	copy(r.Max, entries[0].Rect.Max)
+	for _, e := range entries[1:] {
+		r.extend(e.Rect)
+	}
 }
 
 // Meta is the tree-level metadata a NodeStore persists so a tree can be

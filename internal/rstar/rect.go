@@ -114,15 +114,29 @@ func (r Rect) Equal(o Rect) bool {
 // Union returns the smallest rectangle containing r and o.
 func (r Rect) Union(o Rect) Rect {
 	out := r.Clone()
-	for i := range out.Min {
-		if o.Min[i] < out.Min[i] {
-			out.Min[i] = o.Min[i]
+	out.extend(o)
+	return out
+}
+
+// extend grows r's bounds in place to cover o. Every union in the package
+// goes through it, so in-place and allocating unions compare alike.
+func (r Rect) extend(o Rect) {
+	for i := range r.Min {
+		if o.Min[i] < r.Min[i] {
+			r.Min[i] = o.Min[i]
 		}
-		if o.Max[i] > out.Max[i] {
-			out.Max[i] = o.Max[i]
+		if o.Max[i] > r.Max[i] {
+			r.Max[i] = o.Max[i]
 		}
 	}
-	return out
+}
+
+// setUnion overwrites r's bounds with a.Union(b) without allocating. r
+// must have the same dimension and share no bounds with a or b.
+func (r Rect) setUnion(a, b Rect) {
+	copy(r.Min, a.Min)
+	copy(r.Max, a.Max)
+	r.extend(b)
 }
 
 // Enlargement returns the area increase needed for r to cover o.

@@ -23,6 +23,14 @@ type Tree struct {
 	height int // 1 = root is a leaf
 	size   int
 
+	// Scratch for the insert heuristics' trial geometry, reused across
+	// calls so ChooseSubtree and the split allocate nothing per candidate:
+	// ua/ub hold a trial union or group MBR, byMin/byMax one axis's two
+	// sort orders. No node entry ever aliases them.
+	ua, ub       Rect
+	byMin, byMax []Entry
+	axisOrder    axisSorter
+
 	om atomic.Pointer[treeMetrics] // nil = observability off
 }
 
@@ -71,7 +79,12 @@ func newTree(s NodeStore) *Tree {
 	if reinsP < 1 {
 		reinsP = 1
 	}
-	return &Tree{store: s, dim: s.Dim(), maxE: maxE, minE: minE, reinsP: reinsP}
+	dim := s.Dim()
+	return &Tree{
+		store: s, dim: dim, maxE: maxE, minE: minE, reinsP: reinsP,
+		ua: Rect{Min: make([]float64, dim), Max: make([]float64, dim)},
+		ub: Rect{Min: make([]float64, dim), Max: make([]float64, dim)},
+	}
 }
 
 // Len returns the number of data entries.
@@ -85,13 +98,24 @@ func (t *Tree) saveMeta() error {
 }
 
 // Insert adds a data entry with the given rectangle (use Point for point
-// data) and payload.
+// data) and payload. A rectangle with a NaN or infinite coordinate, or
+// with Min > Max on some axis, is rejected: it would defeat every area and
+// margin comparison the heuristics make.
 func (t *Tree) Insert(r Rect, data int64) error {
 	if r.Dim() != t.dim {
 		return fmt.Errorf("rstar: rect has dim %d, tree has %d", r.Dim(), t.dim)
 	}
-	reinserted := make(map[int]bool)
-	if err := t.insertEntry(Entry{Rect: r.Clone(), Data: data}, 0, reinserted); err != nil {
+	for i := range r.Min {
+		lo, hi := r.Min[i], r.Max[i]
+		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+			return fmt.Errorf("rstar: rect has non-finite bound on dim %d: [%v, %v]", i, lo, hi)
+		}
+		if lo > hi {
+			return fmt.Errorf("rstar: rect has min %v > max %v on dim %d", lo, hi, i)
+		}
+	}
+	var reinserted levelSet
+	if err := t.insertEntry(Entry{Rect: r.Clone(), Data: data}, 0, &reinserted); err != nil {
 		return err
 	}
 	t.size++
@@ -101,17 +125,26 @@ func (t *Tree) Insert(r Rect, data int64) error {
 	return t.saveMeta()
 }
 
+// levelSet records the tree levels that have had their forced
+// reinsertion during one top-level operation, one bit per level (a tree
+// of fan-out >= 2 cannot reach 64 levels).
+type levelSet uint64
+
+func (s levelSet) has(level int) bool { return s&(1<<uint(level)) != 0 }
+func (s *levelSet) add(level int)     { *s |= 1 << uint(level) }
+
 // insertEntry places e at targetLevel (0 = leaf level), handling overflow
 // by forced reinsertion once per level per top-level insert, then by
 // splitting.
-func (t *Tree) insertEntry(e Entry, targetLevel int, reinserted map[int]bool) error {
+func (t *Tree) insertEntry(e Entry, targetLevel int, reinserted *levelSet) error {
 	// Descend, enlarging entry rectangles on the way so coverage always
 	// holds, and remembering the path for overflow handling.
 	type step struct {
 		id  NodeID
 		idx int
 	}
-	var path []step
+	var pathBuf [16]step
+	path := pathBuf[:0]
 	id := t.root
 	for level := t.height - 1; level > targetLevel; level-- {
 		n, err := t.store.Get(id)
@@ -119,7 +152,11 @@ func (t *Tree) insertEntry(e Entry, targetLevel int, reinserted map[int]bool) er
 			return err
 		}
 		i := t.chooseSubtree(n, e.Rect, level)
-		n.Entries[i].Rect = n.Entries[i].Rect.Union(e.Rect)
+		// Entry rectangles are copy-on-write (pinned versions may share
+		// their bounds), so a growing entry gets fresh ones.
+		if !n.Entries[i].Rect.Contains(e.Rect) {
+			n.Entries[i].Rect = n.Entries[i].Rect.Union(e.Rect)
+		}
 		if err := t.store.Put(n); err != nil {
 			return err
 		}
@@ -146,8 +183,8 @@ func (t *Tree) insertEntry(e Entry, targetLevel int, reinserted map[int]bool) er
 			return nil
 		}
 		rootLevel := t.height - 1
-		if level < rootLevel && !reinserted[level] {
-			reinserted[level] = true
+		if level < rootLevel && !reinserted.has(level) {
+			reinserted.add(level)
 			removed, err := t.forceReinsertPick(n)
 			if err != nil {
 				return err
@@ -199,15 +236,20 @@ func (t *Tree) insertEntry(e Entry, targetLevel int, reinserted map[int]bool) er
 // for rectangle r: for nodes whose children are leaves, minimal overlap
 // enlargement; otherwise minimal area enlargement, with area as the tie
 // breaker (the R* heuristic).
+//
+// Each candidate's union e ∪ r is computed into the scratch rectangle
+// t.ua, which both the overlap test and the enlargement read; the values
+// are those Rect.Union and Rect.Enlargement would produce.
 func (t *Tree) chooseSubtree(n *Node, r Rect, level int) int {
 	best := 0
+	union := t.ua
 	if level == 1 {
 		// Children are leaves: minimize overlap enlargement.
 		bestOverlap := math.Inf(1)
 		bestEnl := math.Inf(1)
 		bestArea := math.Inf(1)
 		for i, e := range n.Entries {
-			union := e.Rect.Union(r)
+			union.setUnion(e.Rect, r)
 			var before, after float64
 			for j, o := range n.Entries {
 				if j == i {
@@ -217,8 +259,8 @@ func (t *Tree) chooseSubtree(n *Node, r Rect, level int) int {
 				after += union.OverlapArea(o.Rect)
 			}
 			dOverlap := after - before
-			enl := e.Rect.Enlargement(r)
 			area := e.Rect.Area()
+			enl := union.Area() - area
 			if dOverlap < bestOverlap ||
 				(dOverlap == bestOverlap && enl < bestEnl) ||
 				(dOverlap == bestOverlap && enl == bestEnl && area < bestArea) {
@@ -230,8 +272,9 @@ func (t *Tree) chooseSubtree(n *Node, r Rect, level int) int {
 	bestEnl := math.Inf(1)
 	bestArea := math.Inf(1)
 	for i, e := range n.Entries {
-		enl := e.Rect.Enlargement(r)
+		union.setUnion(e.Rect, r)
 		area := e.Rect.Area()
+		enl := union.Area() - area
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			bestEnl, bestArea, best = enl, area, i
 		}
@@ -243,7 +286,8 @@ func (t *Tree) chooseSubtree(n *Node, r Rect, level int) int {
 // farthest from the node MBR's center, puts n back, and returns the
 // removed entries ordered closest-first (the R* "close reinsert").
 func (t *Tree) forceReinsertPick(n *Node) ([]Entry, error) {
-	center := n.mbr()
+	center := t.ua
+	center.setMBR(n.Entries)
 	type distEntry struct {
 		d float64
 		e Entry
@@ -272,6 +316,10 @@ func (t *Tree) forceReinsertPick(n *Node) ([]Entry, error) {
 // choose the axis minimizing total margin over all distributions, then the
 // distribution on that axis with minimal overlap (ties: minimal total
 // area). n keeps the first group; the returned new node holds the second.
+//
+// The trial group MBRs go into the scratch rectangles t.ua/t.ub and the
+// per-axis sort orders into t.byMin/t.byMax; the winning axis is sorted
+// again from the same input order, which reproduces its orders exactly.
 func (t *Tree) splitNode(n *Node) (*Node, error) {
 	if om := t.om.Load(); om != nil {
 		om.splits.Inc()
@@ -279,51 +327,40 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 	entries := n.Entries
 	m := t.minE
 	total := len(entries)
+	r1, r2 := t.ua, t.ub
 
-	type distribution struct {
-		sorted []Entry
-		k      int // first group size
-	}
-	var bestAxisMargin = math.Inf(1)
-	var axisDists []distribution
+	bestAxis := 0
+	bestAxisMargin := math.Inf(1)
 	for axis := 0; axis < t.dim; axis++ {
-		byMin := append([]Entry(nil), entries...)
-		a := axis
-		sort.Slice(byMin, func(i, j int) bool {
-			if byMin[i].Rect.Min[a] != byMin[j].Rect.Min[a] {
-				return byMin[i].Rect.Min[a] < byMin[j].Rect.Min[a]
-			}
-			return byMin[i].Rect.Max[a] < byMin[j].Rect.Max[a]
-		})
-		byMax := append([]Entry(nil), entries...)
-		sort.Slice(byMax, func(i, j int) bool { return byMax[i].Rect.Max[a] < byMax[j].Rect.Max[a] })
-
+		t.sortAxis(entries, axis)
 		marginSum := 0.0
-		var dists []distribution
-		for _, sorted := range [][]Entry{byMin, byMax} {
+		for _, sorted := range [2][]Entry{t.byMin, t.byMax} {
 			for k := m; k <= total-m; k++ {
-				r1 := mbrOf(sorted[:k])
-				r2 := mbrOf(sorted[k:])
+				r1.setMBR(sorted[:k])
+				r2.setMBR(sorted[k:])
 				marginSum += r1.Margin() + r2.Margin()
-				dists = append(dists, distribution{sorted, k})
 			}
 		}
 		if marginSum < bestAxisMargin {
 			bestAxisMargin = marginSum
-			axisDists = dists
+			bestAxis = axis
 		}
 	}
 
+	t.sortAxis(entries, bestAxis)
 	bestOverlap := math.Inf(1)
 	bestArea := math.Inf(1)
-	var chosen distribution
-	for _, d := range axisDists {
-		r1 := mbrOf(d.sorted[:d.k])
-		r2 := mbrOf(d.sorted[d.k:])
-		ov := r1.OverlapArea(r2)
-		area := r1.Area() + r2.Area()
-		if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
-			bestOverlap, bestArea, chosen = ov, area, d
+	var chosen []Entry
+	chosenK := 0
+	for _, sorted := range [2][]Entry{t.byMin, t.byMax} {
+		for k := m; k <= total-m; k++ {
+			r1.setMBR(sorted[:k])
+			r2.setMBR(sorted[k:])
+			ov := r1.OverlapArea(r2)
+			area := r1.Area() + r2.Area()
+			if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
+				bestOverlap, bestArea, chosen, chosenK = ov, area, sorted, k
+			}
 		}
 	}
 
@@ -331,8 +368,8 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.Entries = append([]Entry(nil), chosen.sorted[:chosen.k]...)
-	right.Entries = append([]Entry(nil), chosen.sorted[chosen.k:]...)
+	n.Entries = append([]Entry(nil), chosen[:chosenK]...)
+	right.Entries = append([]Entry(nil), chosen[chosenK:]...)
 	if err := t.store.Put(n); err != nil {
 		return nil, err
 	}
@@ -342,12 +379,34 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 	return right, nil
 }
 
-func mbrOf(entries []Entry) Rect {
-	r := entries[0].Rect.Clone()
-	for _, e := range entries[1:] {
-		r = r.Union(e.Rect)
+// sortAxis fills t.byMin with entries ordered by (Min, Max) on axis and
+// t.byMax with entries ordered by Max on axis.
+func (t *Tree) sortAxis(entries []Entry, axis int) {
+	t.byMin = append(t.byMin[:0], entries...)
+	t.byMax = append(t.byMax[:0], entries...)
+	t.axisOrder = axisSorter{entries: t.byMin, axis: axis}
+	sort.Sort(&t.axisOrder)
+	t.axisOrder = axisSorter{entries: t.byMax, axis: axis, byMax: true}
+	sort.Sort(&t.axisOrder)
+}
+
+// axisSorter orders entries on one axis without allocating. sort.Sort
+// runs the same pattern-defeating quicksort as sort.Slice, so entries with
+// equal keys land in the same order either way.
+type axisSorter struct {
+	entries []Entry
+	axis    int
+	byMax   bool
+}
+
+func (s *axisSorter) Len() int      { return len(s.entries) }
+func (s *axisSorter) Swap(i, j int) { s.entries[i], s.entries[j] = s.entries[j], s.entries[i] }
+func (s *axisSorter) Less(i, j int) bool {
+	a, b := s.entries[i].Rect, s.entries[j].Rect
+	if !s.byMax && a.Min[s.axis] != b.Min[s.axis] {
+		return a.Min[s.axis] < b.Min[s.axis]
 	}
-	return r
+	return a.Max[s.axis] < b.Max[s.axis]
 }
 
 // Delete removes one data entry whose rectangle equals r and whose payload
@@ -438,7 +497,7 @@ func (t *Tree) Delete(r Rect, data int64) (bool, error) {
 	t.size--
 
 	// Reinsert orphans at their recorded levels.
-	reinserted := make(map[int]bool)
+	var reinserted levelSet
 	for _, o := range orphans {
 		// Subtree orphans whose level now exceeds the root level are
 		// flattened by reinserting their leaf descendants instead.
@@ -448,7 +507,7 @@ func (t *Tree) Delete(r Rect, data int64) (bool, error) {
 			}
 			continue
 		}
-		if err := t.insertEntry(o.e, o.level, reinserted); err != nil {
+		if err := t.insertEntry(o.e, o.level, &reinserted); err != nil {
 			return true, err
 		}
 	}
@@ -474,7 +533,7 @@ func (t *Tree) Delete(r Rect, data int64) (bool, error) {
 
 // reinsertSubtree dissolves a subtree entry into its data entries and
 // reinserts them all at the leaf level.
-func (t *Tree) reinsertSubtree(e Entry, reinserted *map[int]bool) error {
+func (t *Tree) reinsertSubtree(e Entry, reinserted *levelSet) error {
 	var collect func(id NodeID) error
 	collect = func(id NodeID) error {
 		n, err := t.store.Get(id)
@@ -483,7 +542,7 @@ func (t *Tree) reinsertSubtree(e Entry, reinserted *map[int]bool) error {
 		}
 		for _, ce := range n.Entries {
 			if n.Leaf {
-				if err := t.insertEntry(ce, 0, *reinserted); err != nil {
+				if err := t.insertEntry(ce, 0, reinserted); err != nil {
 					return err
 				}
 				continue

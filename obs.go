@@ -78,7 +78,7 @@ func (db *DB) setMetricsScoped(reg *obs.Registry, scope string) {
 		return
 	}
 	m := newDBMetrics(reg, scope)
-	m.images.Set(int64(len(db.byID)))
+	m.images.Set(int64(db.byID.len()))
 	m.regions.Set(int64(db.liveRegions))
 	if c := db.cur.Load(); c != nil {
 		m.snapshotVersion.Set(int64(c.version))

@@ -204,6 +204,9 @@ func OpenFS(dir string, fs FileOpener) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("walrus: decoding catalog: %w", err)
 	}
+	if !refsInImageOrder(cat.Refs) {
+		return nil, fmt.Errorf("walrus: catalog region directory is not in image order")
+	}
 	db, err := prepare(cat.Opts)
 	if err != nil {
 		return nil, err
@@ -286,7 +289,7 @@ func OpenFS(dir string, fs FileOpener) (*DB, error) {
 			db.images[i].Regions = make([]region.Region, ci.NumRegions)
 		}
 		if ci.ID != "" {
-			db.byID[ci.ID] = i
+			db.byID.set(ci.ID, i)
 		}
 	}
 	db.refs = cat.Refs
@@ -358,21 +361,20 @@ func (db *DB) applyDeltaLocked(d *walDelta) error {
 			rec.Regions = make([]region.Region, len(d.RIDs))
 		}
 		db.images = append(db.images, rec)
-		db.byID[d.ID] = imgIdx
+		db.byID.set(d.ID, imgIdx)
 		for local, rid := range d.RIDs {
 			db.refs = append(db.refs, regionRef{Image: imgIdx, Local: local, RID: rid})
 		}
 	case deltaRemove:
-		imgIdx, ok := db.byID[d.ID]
+		imgIdx, ok := db.byID.get(d.ID)
 		if !ok {
 			return fmt.Errorf("walrus: WAL removes unknown image %q", d.ID)
 		}
-		for i := range db.refs {
-			if db.refs[i].Image == imgIdx && db.refs[i].Local >= 0 {
-				db.refs[i].Local = -1
-			}
+		lo, hi := refRun(db.refs, imgIdx)
+		for i := lo; i < hi; i++ {
+			db.refs[i].Local = -1
 		}
-		delete(db.byID, d.ID)
+		db.byID.delete(d.ID)
 		db.images[imgIdx].Regions = nil
 		db.images[imgIdx].ID = ""
 	default:

@@ -316,7 +316,7 @@ func (s *Snapshot) QueryByID(ctx context.Context, id string, p QueryParams) ([]M
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err
 	}
-	idx, ok := s.core.byID[id]
+	idx, ok := s.core.byID.get(id)
 	if !ok {
 		return nil, QueryStats{}, fmt.Errorf("walrus: query image %q: %w", id, ErrUnknownID)
 	}

@@ -534,7 +534,7 @@ func (ss *ShardedSnapshot) QueryByID(ctx context.Context, id string, p QueryPara
 		return nil, QueryStats{}, err
 	}
 	owner := ss.snaps[shardOf(id, len(ss.snaps))]
-	idx, ok := owner.core.byID[id]
+	idx, ok := owner.core.byID.get(id)
 	if !ok {
 		return nil, QueryStats{}, fmt.Errorf("walrus: query image %q: %w", id, ErrUnknownID)
 	}

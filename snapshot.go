@@ -17,15 +17,17 @@ import (
 //
 // The slices share backing arrays with the live catalog copy-on-write:
 // appending past a published length never moves published elements, and
-// any in-place mutation (Remove's tombstones, byID deletion) first clones
-// the slice or map it touches (see the mutable*Locked helpers).
+// any in-place mutation (Remove's tombstones) first clones the slice it
+// touches (see the mutable*Locked helpers). byID is a chunked
+// copy-on-write index: a write after a publish copies its chunk-pointer
+// header and clones only the chunks it touches (see idIndexWriter).
 type snapCore struct {
 	version uint64
 	opts    Options
 	ext     *region.Extractor
 	images  []imageRecord
 	refs    []regionRef
-	byID    map[string]int
+	byID    idIndex
 
 	liveRegions int
 	indexLen    int
@@ -108,14 +110,14 @@ func (s *Snapshot) Version() uint64 { return s.core.version }
 func (s *Snapshot) Options() Options { return s.core.opts }
 
 // Len returns the number of indexed images in the snapshot.
-func (s *Snapshot) Len() int { return len(s.core.byID) }
+func (s *Snapshot) Len() int { return s.core.byID.len() }
 
 // NumRegions returns the number of live indexed regions in the snapshot.
 func (s *Snapshot) NumRegions() int { return s.core.liveRegions }
 
 // IDs returns the ids of all indexed images in insertion order.
 func (s *Snapshot) IDs() []string {
-	out := make([]string, 0, len(s.core.byID))
+	out := make([]string, 0, s.core.byID.len())
 	for _, rec := range s.core.images {
 		if rec.ID != "" {
 			out = append(out, rec.ID)
@@ -126,7 +128,7 @@ func (s *Snapshot) IDs() []string {
 
 // RegionsOf returns the regions extracted for an indexed image.
 func (s *Snapshot) RegionsOf(id string) ([]region.Region, bool) {
-	idx, ok := s.core.byID[id]
+	idx, ok := s.core.byID.get(id)
 	if !ok {
 		return nil, false
 	}
@@ -136,7 +138,7 @@ func (s *Snapshot) RegionsOf(id string) ([]region.Region, bool) {
 // Stats summarizes the snapshot's state.
 func (s *Snapshot) Stats() Stats {
 	return Stats{
-		Images:       len(s.core.byID),
+		Images:       s.core.byID.len(),
 		Regions:      s.core.liveRegions,
 		IndexHeight:  s.core.height,
 		SignatureDim: s.core.opts.Region.Dim(),
@@ -146,9 +148,10 @@ func (s *Snapshot) Stats() Stats {
 
 // publishLocked commits the catalog state under db.mu as the next
 // version: it advances the index epoch, builds an immutable
-// snapCore sharing the catalog slices, and swaps it into db.cur. After
-// the swap the shared slices and map belong to the published version
-// too, so the shared flags force the next in-place mutation to clone.
+// snapCore sharing the catalog slices and id index, and swaps it into
+// db.cur. After the swap they belong to the published version too, so
+// the shared flags (and the id index's own) force the next in-place
+// mutation to copy.
 // Caller holds db.mu exclusively.
 func (db *DB) publishLocked() {
 	m := db.om.Load()
@@ -166,13 +169,13 @@ func (db *DB) publishLocked() {
 		ext:         db.ext,
 		images:      db.images,
 		refs:        db.refs,
-		byID:        db.byID,
+		byID:        db.byID.publish(),
 		liveRegions: db.liveRegions,
 		indexLen:    db.tree.Len(),
 		height:      db.tree.Height(),
 		diskBacked:  db.persist != nil,
 	}
-	db.imagesShared, db.refsShared, db.byIDShared = true, true, true
+	db.imagesShared, db.refsShared = true, true
 	db.cur.Store(core)
 	if m != nil {
 		m.snapshotVersion.Set(int64(core.version))
@@ -199,20 +202,4 @@ func (db *DB) mutableRefsLocked() []regionRef {
 		db.refsShared = false
 	}
 	return db.refs
-}
-
-// mutableByIDLocked returns db.byID safe for mutation, cloning it first
-// if a published snapshot shares it. Unlike slice appends, map writes
-// are never safe concurrently with readers, so every write path must go
-// through this. Caller holds db.mu exclusively.
-func (db *DB) mutableByIDLocked() map[string]int {
-	if db.byIDShared {
-		clone := make(map[string]int, len(db.byID)+1)
-		for id, idx := range db.byID {
-			clone[id] = idx
-		}
-		db.byID = clone
-		db.byIDShared = false
-	}
-	return db.byID
 }

@@ -22,10 +22,13 @@
 package walrus
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -232,20 +235,24 @@ type DB struct {
 	// is immutable after prepare.
 	defaultWorkers int
 
-	images []imageRecord  // guarded by mu
-	byID   map[string]int // guarded by mu
-	refs   []regionRef    // guarded by mu
+	images []imageRecord // guarded by mu
+	byID   idIndexWriter // guarded by mu
+	// refs is in non-decreasing Image order (appends follow image order,
+	// and Open rejects a catalog that is not), so an image's refs form
+	// one run found by binary search; see refRun. Guarded by mu.
+	refs []regionRef
 	// liveRegions counts refs whose Local >= 0 (guarded by mu); kept
 	// incrementally so publishing a version is O(1) in catalog size.
 	liveRegions int
 	// version is the last published catalog version (guarded by mu); it
 	// tracks the tree's publish epoch exactly.
 	version uint64
-	// The shared flags mark catalog containers whose backing storage is
+	// The shared flags mark catalog slices whose backing storage is
 	// reachable from a published snapshot (guarded by mu): set on every
 	// publish, cleared when a writer clones before an in-place mutation.
-	// Appends past the published length are safe without cloning.
-	imagesShared, refsShared, byIDShared bool
+	// Appends past the published length are safe without cloning. byID
+	// tracks its own sharing, per chunk.
+	imagesShared, refsShared bool
 	// persist is set before the DB is published and nilled only by Close;
 	// its own state is mutated exclusively under mu.
 	persist *persistState // nil for in-memory databases
@@ -298,7 +305,7 @@ func prepare(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{opts: opts, ext: ext, byID: make(map[string]int), defaultWorkers: opts.Parallelism}
+	db := &DB{opts: opts, ext: ext, defaultWorkers: opts.Parallelism}
 	if opts.CacheSize > 0 {
 		db.cache.Store(newQueryCache(opts.CacheSize))
 	}
@@ -341,7 +348,7 @@ func (db *DB) Version() uint64 {
 
 // Len returns the number of indexed images.
 func (db *DB) Len() int {
-	return len(db.cur.Load().byID)
+	return db.cur.Load().byID.len()
 }
 
 // NumRegions returns the number of live indexed regions.
@@ -424,7 +431,7 @@ func (db *DB) cacheMetrics() *cacheMetrics {
 func (db *DB) Remove(id string) (bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	imgIdx, ok := db.byID[id]
+	imgIdx, ok := db.byID.get(id)
 	if !ok {
 		return false, nil
 	}
@@ -434,8 +441,10 @@ func (db *DB) Remove(id string) (bool, error) {
 	refs := db.mutableRefsLocked()
 	images := db.mutableImagesLocked()
 	tombstoned := 0
-	for payload, ref := range refs {
-		if ref.Image != imgIdx || ref.Local < 0 {
+	lo, hi := refRun(refs, imgIdx)
+	for payload := lo; payload < hi; payload++ {
+		ref := refs[payload]
+		if ref.Local < 0 {
 			continue
 		}
 		r := images[imgIdx].Regions[ref.Local]
@@ -454,7 +463,7 @@ func (db *DB) Remove(id string) (bool, error) {
 		refs[payload].Local = -1 // tombstone
 		tombstoned++
 	}
-	delete(db.mutableByIDLocked(), id)
+	db.byID.delete(id)
 	images[imgIdx].Regions = nil
 	images[imgIdx].ID = ""
 	db.liveRegions -= tombstoned
@@ -465,7 +474,7 @@ func (db *DB) Remove(id string) (bool, error) {
 	}
 	if m := db.om.Load(); m != nil {
 		m.removes.Inc()
-		m.images.Set(int64(len(db.byID)))
+		m.images.Set(int64(db.byID.len()))
 		m.regions.Add(-int64(tombstoned))
 	}
 	return true, nil
@@ -474,7 +483,7 @@ func (db *DB) Remove(id string) (bool, error) {
 // IDs returns the ids of all indexed images in insertion order.
 func (db *DB) IDs() []string {
 	core := db.cur.Load()
-	out := make([]string, 0, len(core.byID))
+	out := make([]string, 0, core.byID.len())
 	for _, rec := range core.images {
 		if rec.ID != "" {
 			out = append(out, rec.ID)
@@ -486,11 +495,25 @@ func (db *DB) IDs() []string {
 // RegionsOf returns the regions extracted for an indexed image.
 func (db *DB) RegionsOf(id string) ([]region.Region, bool) {
 	core := db.cur.Load()
-	idx, ok := core.byID[id]
+	idx, ok := core.byID.get(id)
 	if !ok {
 		return nil, false
 	}
 	return core.images[idx].Regions, true
+}
+
+// refRun returns the half-open range [lo, hi) of refs belonging to image
+// imgIdx, by binary search over refs' non-decreasing Image order.
+func refRun(refs []regionRef, imgIdx int) (lo, hi int) {
+	lo = sort.Search(len(refs), func(i int) bool { return refs[i].Image >= imgIdx })
+	hi = lo + sort.Search(len(refs)-lo, func(i int) bool { return refs[lo+i].Image > imgIdx })
+	return lo, hi
+}
+
+// refsInImageOrder reports whether refs is non-decreasing in Image, the
+// order refRun relies on.
+func refsInImageOrder(refs []regionRef) bool {
+	return slices.IsSortedFunc(refs, func(a, b regionRef) int { return cmp.Compare(a.Image, b.Image) })
 }
 
 func euclid(a, b []float64) float64 {
