@@ -23,29 +23,37 @@ func variedScene(i int) *imgio.Image {
 // error on every ingest and query path, and leaves the database intact:
 // 200 further Adds succeed and the index passes its invariant check. A
 // NaN pixel was once indexed silently as an all-NaN signature, and an
-// infinite one made a later Add panic inside the R*-tree split.
+// infinite one made a later Add panic inside the R*-tree split. The
+// rejection does not depend on a window reading the pixel: the last
+// column of a 129-wide image lies outside every window, including the
+// 2×2 base windows of the DP, which convert the pixels they read.
 func TestAddRejectsNonFinitePixels(t *testing.T) {
 	db, err := New(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1)} {
-		bad := variedScene(0)
-		bad.Pix[5*128+9] = v
-		if err := db.Add(fmt.Sprintf("bad-%v", v), bad); err == nil {
-			t.Fatalf("Add accepted a %v pixel", v)
-		}
-		if err := db.AddBatch([]BatchItem{{ID: "ok", Image: variedScene(1)}, {ID: "bad", Image: bad}}, 1); err == nil {
-			t.Fatalf("AddBatch accepted a %v pixel", v)
-		}
-		if ok, err := db.Remove("ok"); err != nil || !ok {
-			t.Fatalf("Remove(ok) = %v, %v", ok, err)
-		}
-		if _, err := BuildFrom(testOptions(), []BatchItem{{ID: "bad", Image: bad}}, 1); err == nil {
-			t.Fatalf("BuildFrom accepted a %v pixel", v)
-		}
-		if _, _, err := db.Query(bad, DefaultQueryParams()); err == nil {
-			t.Fatalf("Query accepted a %v pixel", v)
+		interior := variedScene(0)
+		interior.Pix[5*128+9] = v
+		uncovered := imgio.New(129, 128, 3)
+		uncovered.FillRGB(0.2, 0.5, 0.7)
+		uncovered.Set(1, 128, 64, v)
+		for _, bad := range []*imgio.Image{interior, uncovered} {
+			if err := db.Add(fmt.Sprintf("bad-%v", v), bad); err == nil {
+				t.Fatalf("Add accepted a %v pixel in a %dx%d image", v, bad.W, bad.H)
+			}
+			if err := db.AddBatch([]BatchItem{{ID: "ok", Image: variedScene(1)}, {ID: "bad", Image: bad}}, 1); err == nil {
+				t.Fatalf("AddBatch accepted a %v pixel in a %dx%d image", v, bad.W, bad.H)
+			}
+			if ok, err := db.Remove("ok"); err != nil || !ok {
+				t.Fatalf("Remove(ok) = %v, %v", ok, err)
+			}
+			if _, err := BuildFrom(testOptions(), []BatchItem{{ID: "bad", Image: bad}}, 1); err == nil {
+				t.Fatalf("BuildFrom accepted a %v pixel in a %dx%d image", v, bad.W, bad.H)
+			}
+			if _, _, err := db.Query(bad, DefaultQueryParams()); err == nil {
+				t.Fatalf("Query accepted a %v pixel in a %dx%d image", v, bad.W, bad.H)
+			}
 		}
 	}
 	if db.Len() != 0 {

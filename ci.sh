@@ -52,6 +52,10 @@
 #      packer's shape (ceil(n/M) leaves, at most two non-full nodes per
 #      level, minimum fill) at dims 1–12 and capacities 4–19, golden
 #      digests of insert-built trees, and allocations per Insert
+#   1i. extraction exactness tier: pins every region of a seeded image
+#      set (odd and step-misaligned sizes, several window ranges, a finer
+#      second-tier signature, HSV, serial and parallel) to SHA-256
+#      digests, and bounds the bytes one Extract allocates
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -134,6 +138,8 @@ tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" g
 tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
 tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations' ./internal/rstar
+
+tier "tier 1: extraction exactness (golden regions, allocations)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations' ./internal/region
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

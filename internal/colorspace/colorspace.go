@@ -59,62 +59,92 @@ func (s Space) Channels() int {
 // not modified. Converting to RGB returns a clone. A NaN or infinite
 // sample is an error: it would carry into every signature of the image.
 func FromRGB(im *imgio.Image, to Space) (*imgio.Image, error) {
-	if im.C != 3 {
-		return nil, fmt.Errorf("colorspace: FromRGB requires 3 channels, got %d", im.C)
-	}
-	// poison stays ±0 while every sample is finite: v*0 is ±0 for finite
-	// v and NaN for NaN or ±Inf, and a NaN survives every later addition.
-	// One multiply-add per sample costs a fraction of a branch per sample.
-	poison := 0.0
-	if to == RGB {
-		for _, v := range im.Pix {
-			poison += v * 0
-		}
-		if poison != 0 {
-			return nil, nonFinitePixel(im)
-		}
-		return im.Clone(), nil
+	if err := CheckRGB(im, to); err != nil {
+		return nil, err
 	}
 	out := imgio.New(im.W, im.H, to.Channels())
-	n := im.W * im.H
-	r, g, b := im.Plane(0), im.Plane(1), im.Plane(2)
-	for i := 0; i < n; i++ {
-		poison += r[i]*0 + g[i]*0 + b[i]*0
-		switch to {
-		case Gray:
-			out.Pix[i] = 0.299*r[i] + 0.587*g[i] + 0.114*b[i]
-		case YCC:
-			y, cb, cr := rgbToYCC(r[i], g[i], b[i])
-			out.Pix[i], out.Pix[n+i], out.Pix[2*n+i] = y, cb, cr
-		case YIQ:
-			y := 0.299*r[i] + 0.587*g[i] + 0.114*b[i]
-			iq := 0.595716*r[i] - 0.274453*g[i] - 0.321263*b[i]
-			q := 0.211456*r[i] - 0.522591*g[i] + 0.311135*b[i]
-			// I in [-0.596, 0.596], Q in [-0.523, 0.523]; center on 0.5.
-			out.Pix[i], out.Pix[n+i], out.Pix[2*n+i] = y, iq/1.2+0.5, q/1.1+0.5
-		case YUV:
-			y := 0.299*r[i] + 0.587*g[i] + 0.114*b[i]
-			u := 0.492 * (b[i] - y)
-			v := 0.877 * (r[i] - y)
-			out.Pix[i], out.Pix[n+i], out.Pix[2*n+i] = y, u/0.872+0.5, v/1.23+0.5
-		case HSV:
-			h, s, v := rgbToHSV(r[i], g[i], b[i])
-			out.Pix[i], out.Pix[n+i], out.Pix[2*n+i] = h, s, v
-		case XYZ:
-			// sRGB primaries, linear-light approximation (no gamma), scaled
-			// so white maps near 1.
-			x := 0.4124*r[i] + 0.3576*g[i] + 0.1805*b[i]
-			y := 0.2126*r[i] + 0.7152*g[i] + 0.0722*b[i]
-			z := 0.0193*r[i] + 0.1192*g[i] + 0.9505*b[i]
-			out.Pix[i], out.Pix[n+i], out.Pix[2*n+i] = x/0.9505, y, z/1.089
-		default:
-			return nil, fmt.Errorf("colorspace: unsupported target %v", to)
-		}
-	}
-	if poison != 0 {
-		return nil, nonFinitePixel(im)
+	if to == Gray {
+		ConvertRow(to, out.Pix, nil, nil, im.Plane(0), im.Plane(1), im.Plane(2))
+	} else {
+		ConvertRow(to, out.Plane(0), out.Plane(1), out.Plane(2), im.Plane(0), im.Plane(1), im.Plane(2))
 	}
 	return out, nil
+}
+
+// CheckRGB reports whether im can be converted to space to: it must be a
+// well-formed 3-channel image, to must be a known space, and every sample
+// must be finite, whether or not a later stage reads it.
+func CheckRGB(im *imgio.Image, to Space) error {
+	if im.C != 3 {
+		return fmt.Errorf("colorspace: RGB input needs 3 channels, got %d", im.C)
+	}
+	if err := im.Validate(); err != nil {
+		return err
+	}
+	if _, ok := names[to]; !ok {
+		return fmt.Errorf("colorspace: unsupported target %v", to)
+	}
+	// Each poison sum stays ±0 while every sample is finite: v*0 is ±0
+	// for finite v and NaN for NaN or ±Inf, and a NaN survives every
+	// later addition. Four independent sums keep the adds from waiting
+	// on each other; one multiply-add per sample costs a fraction of a
+	// branch per sample.
+	var p0, p1, p2, p3 float64
+	pix := im.Pix
+	for len(pix) >= 4 {
+		p0 += pix[0] * 0
+		p1 += pix[1] * 0
+		p2 += pix[2] * 0
+		p3 += pix[3] * 0
+		pix = pix[4:]
+	}
+	for _, v := range pix {
+		p0 += v * 0
+	}
+	if p0+p1+p2+p3 != 0 {
+		return nonFinitePixel(im)
+	}
+	return nil
+}
+
+// ConvertRow converts the RGB samples r[i], g[i], b[i] to space to,
+// writing channel k of sample i to dk[i] (for Gray only d0 is written;
+// to must be a known space). It is the one place each space's forward
+// arithmetic is dispatched: FromRGB calls it on whole planes and the
+// sliding-window DP's base level on the pixel rows it reads, so the two
+// agree bit for bit. The space is switched on once per call, so the
+// per-pixel arithmetic inlines into the loop.
+func ConvertRow(to Space, d0, d1, d2, r, g, b []float64) {
+	switch to {
+	case RGB:
+		copy(d0, r)
+		copy(d1, g)
+		copy(d2, b)
+	case Gray:
+		for i := range d0 {
+			d0[i] = luma(r[i], g[i], b[i])
+		}
+	case YCC:
+		for i := range d0 {
+			d0[i], d1[i], d2[i] = rgbToYCC(r[i], g[i], b[i])
+		}
+	case YIQ:
+		for i := range d0 {
+			d0[i], d1[i], d2[i] = rgbToYIQ(r[i], g[i], b[i])
+		}
+	case YUV:
+		for i := range d0 {
+			d0[i], d1[i], d2[i] = rgbToYUV(r[i], g[i], b[i])
+		}
+	case HSV:
+		for i := range d0 {
+			d0[i], d1[i], d2[i] = rgbToHSV(r[i], g[i], b[i])
+		}
+	case XYZ:
+		for i := range d0 {
+			d0[i], d1[i], d2[i] = rgbToXYZ(r[i], g[i], b[i])
+		}
+	}
 }
 
 // nonFinitePixel reports the first pixel of im with a NaN or infinite
@@ -179,12 +209,39 @@ func ToRGB(im *imgio.Image, from Space) (*imgio.Image, error) {
 	return out, nil
 }
 
+// luma is the ITU-R BT.601 luma shared by Gray, YCC, YIQ and YUV.
+func luma(r, g, b float64) float64 { return 0.299*r + 0.587*g + 0.114*b }
+
 // rgbToYCC implements ITU-R BT.601 with chroma centered on 0.5.
 func rgbToYCC(r, g, b float64) (y, cb, cr float64) {
-	y = 0.299*r + 0.587*g + 0.114*b
+	y = luma(r, g, b)
 	cb = 0.5 - 0.168736*r - 0.331264*g + 0.5*b
 	cr = 0.5 + 0.5*r - 0.418688*g - 0.081312*b
 	return
+}
+
+// rgbToYIQ centers I in [-0.596, 0.596] and Q in [-0.523, 0.523] on 0.5.
+func rgbToYIQ(r, g, b float64) (y, i, q float64) {
+	y = luma(r, g, b)
+	i = 0.595716*r - 0.274453*g - 0.321263*b
+	q = 0.211456*r - 0.522591*g + 0.311135*b
+	return y, i/1.2 + 0.5, q/1.1 + 0.5
+}
+
+func rgbToYUV(r, g, b float64) (y, u, v float64) {
+	y = luma(r, g, b)
+	u = 0.492 * (b - y)
+	v = 0.877 * (r - y)
+	return y, u/0.872 + 0.5, v/1.23 + 0.5
+}
+
+// rgbToXYZ uses sRGB primaries, linear-light approximation (no gamma),
+// scaled so white maps near 1.
+func rgbToXYZ(r, g, b float64) (x, y, z float64) {
+	x = 0.4124*r + 0.3576*g + 0.1805*b
+	y = 0.2126*r + 0.7152*g + 0.0722*b
+	z = 0.0193*r + 0.1192*g + 0.9505*b
+	return x / 0.9505, y, z / 1.089
 }
 
 func yccToRGB(y, cb, cr float64) (r, g, b float64) {

@@ -7,7 +7,6 @@ import (
 	"walrus/internal/birch"
 	"walrus/internal/colorspace"
 	"walrus/internal/imgio"
-	"walrus/internal/parallel"
 	"walrus/internal/wavelet"
 )
 
@@ -46,10 +45,10 @@ type Options struct {
 	// removes insertion-order sensitivity at the cost of extra passes.
 	RefineIterations int
 	// Workers bounds the goroutines used inside one extraction: the
-	// per-channel wavelet pyramids run concurrently and each pyramid fans
-	// its DP rows across the same pool. 0 uses GOMAXPROCS, 1 reproduces
-	// the fully serial computation. The extracted regions are identical
-	// for every setting.
+	// wavelet DP fans each level's window rows, every channel of a row
+	// together, across a pool of this size. 0 uses GOMAXPROCS, 1
+	// reproduces the fully serial computation. The extracted regions are
+	// identical for every setting.
 	Workers int
 	// FineSignature, when nonzero, additionally stores a finer
 	// FineSignature×FineSignature low band per channel with every region,
@@ -163,12 +162,7 @@ func (e *Extractor) Extract(im *imgio.Image) ([]Region, error) {
 	if im.W < e.opts.MinWindow || im.H < e.opts.MinWindow {
 		return nil, fmt.Errorf("region: image %dx%d smaller than minimum window %d", im.W, im.H, e.opts.MinWindow)
 	}
-	conv, err := colorspace.FromRGB(im, e.opts.Space)
-	if err != nil {
-		return nil, err
-	}
-
-	points, fines, refs, err := e.windowSignatures(conv)
+	points, fines, refs, err := e.windowSignatures(im)
 	if err != nil {
 		return nil, err
 	}
@@ -186,9 +180,14 @@ func (e *Extractor) Extract(im *imgio.Image) ([]Region, error) {
 		clusters = birch.RefineClusters(points, clusters, e.opts.RefineIterations)
 	}
 
-	regions := make([]Region, 0, len(clusters))
-	for _, c := range clusters {
-		r := Region{
+	regions := make([]Region, len(clusters))
+	var fineFlat []float64
+	if fines != nil {
+		fineFlat = make([]float64, len(clusters)*len(fines[0]))
+	}
+	for i, c := range clusters {
+		r := &regions[i]
+		*r = Region{
 			Signature: c.Centroid,
 			Min:       c.Min,
 			Max:       c.Max,
@@ -200,95 +199,100 @@ func (e *Extractor) Extract(im *imgio.Image) ([]Region, error) {
 			r.Bitmap.CoverWindow(w.x, w.y, w.size, w.size, im.W, im.H)
 		}
 		if fines != nil {
-			r.Fine = make([]float64, len(fines[0]))
+			fd := len(fines[0])
+			r.Fine = fineFlat[i*fd : (i+1)*fd : (i+1)*fd]
 			for _, m := range c.Members {
-				for i, v := range fines[m] {
-					r.Fine[i] += v
+				for j, v := range fines[m] {
+					r.Fine[j] += v
 				}
 			}
-			for i := range r.Fine {
-				r.Fine[i] /= float64(len(c.Members))
+			for j := range r.Fine {
+				r.Fine[j] /= float64(len(c.Members))
 			}
 		}
-		regions = append(regions, r)
 	}
 	return regions, nil
 }
 
 // windowSignatures computes the signature point of every sliding window of
-// every configured size, together with the window geometries. Points are
-// the concatenation of the per-channel s×s low bands; when FineSignature
-// is enabled a parallel slice of finer signature vectors is returned (the
-// coarse point is the top-left corner of the fine one, so a single wavelet
-// pass serves both).
+// every configured size of the RGB image im, together with the window
+// geometries. Points are the concatenation of the per-channel s×s low
+// bands in the configured colour space; when FineSignature is enabled a
+// parallel slice of finer signature vectors is returned (the coarse point
+// is the top-left corner of the fine one, so a single wavelet pass serves
+// both). Every point and fine vector is a slice of one array sized up
+// front.
 func (e *Extractor) windowSignatures(im *imgio.Image) (points, fines [][]float64, refs []windowRef, err error) {
 	maxWin := e.opts.MaxWindow
 	// Clamp ωmax to the image; Validate already ensured MinWindow fits.
 	for maxWin > im.W || maxWin > im.H {
 		maxWin /= 2
 	}
-	computeSig := e.opts.Signature
-	if e.opts.FineSignature > computeSig {
-		computeSig = e.opts.FineSignature
+	s, fs := e.opts.Signature, e.opts.FineSignature
+	params := wavelet.SlidingParams{
+		MaxWindow: maxWin,
+		MinWindow: e.opts.MinWindow,
+		Signature: max(s, fs),
+		Step:      e.opts.Step,
+		Workers:   e.opts.Workers,
 	}
-	params := wavelet.SlidingParams{MaxWindow: maxWin, Signature: computeSig, Step: e.opts.Step, Workers: e.opts.Workers}
-	// The per-channel pyramids are independent; compute them concurrently
-	// (each additionally fans its DP rows across params.Workers).
-	pyramids := make([]*wavelet.Pyramid, im.C)
-	chErrs := make([]error, im.C)
-	parallel.For(im.C, e.opts.Workers, func(c int) {
-		pyramids[c], chErrs[c] = wavelet.ComputeSlidingWindows(im.Plane(c), im.W, im.H, params)
-	})
-	for _, err := range chErrs {
-		if err != nil {
-			return nil, nil, nil, err
-		}
+	pyramids, err := wavelet.ComputeSlidingWindowsRGB(im, e.opts.Space, params)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-
-	s := e.opts.Signature
-	fs := e.opts.FineSignature
-	for win := e.opts.MinWindow; win <= maxWin; win *= 2 {
-		grid := pyramids[0].Level(win)
-		if grid == nil {
-			continue
+	sizes := pyramids[0].Sizes()
+	n := 0
+	for _, win := range sizes {
+		g := pyramids[0].Level(win)
+		n += g.NX * g.NY
+	}
+	nc := len(pyramids)
+	dim, fdim := nc*s*s, nc*fs*fs
+	flat := make([]float64, n*(dim+fdim))
+	pointFlat, fineFlat := flat[:n*dim], flat[n*dim:]
+	points = make([][]float64, n)
+	if fs > 0 {
+		fines = make([][]float64, n)
+	}
+	refs = make([]windowRef, n)
+	grids := make([]*wavelet.Grid, nc)
+	k := 0
+	for _, win := range sizes {
+		for c, pyr := range pyramids {
+			grids[c] = pyr.Level(win)
 		}
-		sig := grid.Sig
-		for iy := 0; iy < grid.NY; iy++ {
-			for ix := 0; ix < grid.NX; ix++ {
-				x, y := grid.PosOf(ix, iy)
-				p := make([]float64, 0, im.C*s*s)
-				var f []float64
-				if fs > 0 {
-					f = make([]float64, 0, im.C*fs*fs)
+		g := grids[0]
+		for iy := 0; iy < g.NY; iy++ {
+			for ix := 0; ix < g.NX; ix++ {
+				p := pointFlat[k*dim : (k+1)*dim : (k+1)*dim]
+				for c, gc := range grids {
+					cornerBlock(p[c*s*s:(c+1)*s*s], gc.SigAt(ix, iy), g.Sig, s)
 				}
-				for c := 0; c < im.C; c++ {
-					blk := pyramids[c].Level(win).SigAt(ix, iy)
-					p = append(p, cornerBlock(blk, sig, s)...)
-					if fs > 0 {
-						f = append(f, cornerBlock(blk, sig, fs)...)
+				points[k] = p
+				if fs > 0 {
+					f := fineFlat[k*fdim : (k+1)*fdim : (k+1)*fdim]
+					for c, gc := range grids {
+						cornerBlock(f[c*fs*fs:(c+1)*fs*fs], gc.SigAt(ix, iy), g.Sig, fs)
 					}
+					fines[k] = f
 				}
-				points = append(points, p)
-				if fs > 0 {
-					fines = append(fines, f)
-				}
-				refs = append(refs, windowRef{x: x, y: y, size: win})
+				x, y := g.PosOf(ix, iy)
+				refs[k] = windowRef{x: x, y: y, size: win}
+				k++
 			}
 		}
 	}
 	return points, fines, refs, nil
 }
 
-// cornerBlock extracts the top-left want×want corner of a stored have×have
-// signature block into a dense want×want vector. When have < want (a
-// window smaller than the signature) the available coefficients land in
-// the top-left and the rest stay zero, so all points share one
-// dimensionality.
-func cornerBlock(blk []float64, have, want int) []float64 {
-	out := make([]float64, want*want)
+// cornerBlock copies the top-left want×want corner of a stored have×have
+// signature block into the dense want×want vector dst, which must be
+// zeroed. When have < want (a window smaller than the signature) the
+// available coefficients land in the top-left and the rest stay zero, so
+// all points share one dimensionality.
+func cornerBlock(dst, blk []float64, have, want int) {
 	n := min(have, want)
 	for r := 0; r < n; r++ {
-		copy(out[r*want:r*want+n], blk[r*have:r*have+n])
+		copy(dst[r*want:r*want+n], blk[r*have:r*have+n])
 	}
-	return out
 }

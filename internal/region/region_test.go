@@ -276,6 +276,27 @@ func TestExtractErrors(t *testing.T) {
 	}
 }
 
+// TestExtractRejectsNonFiniteUncoveredPixel: a NaN or infinite sample is
+// an error even in a pixel no window reads. In a 129-pixel-wide image the
+// last column lies outside every window, including the 2×2 windows of the
+// DP's base level, which convert the pixels they read as they go.
+func TestExtractRejectsNonFiniteUncoveredPixel(t *testing.T) {
+	e, err := NewExtractor(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for ch := 0; ch < 3; ch++ {
+			im := imgio.New(129, 85, 3)
+			im.FillRGB(0.2, 0.5, 0.7)
+			im.Set(ch, 128, 40, v)
+			if _, err := e.Extract(im); err == nil {
+				t.Errorf("Extract accepted %v in channel %d of the uncovered last column", v, ch)
+			}
+		}
+	}
+}
+
 // TestExtractMultiScale: enabling multiple window sizes yields more
 // windows and still accounts for all of them.
 func TestExtractMultiScale(t *testing.T) {

@@ -4,6 +4,8 @@ package wavelet
 import (
 	"fmt"
 
+	"walrus/internal/colorspace"
+	"walrus/internal/imgio"
 	"walrus/internal/parallel"
 )
 
@@ -13,6 +15,13 @@ type SlidingParams struct {
 	// MaxWindow is ωmax, the largest window side. Signatures are produced
 	// for every window size 2, 4, ..., MaxWindow. Must be a power of two.
 	MaxWindow int
+	// MinWindow, when nonzero, is the smallest window side the caller
+	// reads (a power of two <= MaxWindow). Smaller levels are still
+	// computed, since each level is assembled from the one below it, but
+	// they are not returned, and each stores only the coefficients the
+	// level above reads, in two buffers reused level to level. 0 returns
+	// every level.
+	MinWindow int
 	// Signature is s, the side of the retained low-frequency signature
 	// block: each window keeps the top-left min(ω, s) × min(ω, s) corner of
 	// its wavelet transform. Must be a power of two.
@@ -34,6 +43,8 @@ func (p SlidingParams) Validate() error {
 	switch {
 	case !isPow2(p.MaxWindow) || p.MaxWindow < 2:
 		return fmt.Errorf("wavelet: MaxWindow %d must be a power of two >= 2", p.MaxWindow)
+	case p.MinWindow != 0 && (!isPow2(p.MinWindow) || p.MinWindow < 2 || p.MinWindow > p.MaxWindow):
+		return fmt.Errorf("wavelet: MinWindow %d must be 0 or a power of two in [2, MaxWindow]", p.MinWindow)
 	case !isPow2(p.Signature) || p.Signature < 1:
 		return fmt.Errorf("wavelet: Signature %d must be a power of two >= 1", p.Signature)
 	case p.Signature > p.MaxWindow:
@@ -62,6 +73,16 @@ type Grid struct {
 	Data []float64
 }
 
+// gridShape lays out the window-side win grid of an imgW×imgH image
+// whose windows each store a sig×sig block; Data is left nil.
+func gridShape(win, sig, step, imgW, imgH int) Grid {
+	dist := min(win, step)
+	return Grid{Window: win, Sig: sig, Step: dist, NX: (imgW-win)/dist + 1, NY: (imgH-win)/dist + 1}
+}
+
+// size is the length of g's Data.
+func (g *Grid) size() int { return g.NX * g.NY * g.Sig * g.Sig }
+
 // SigAt returns the signature block of the window whose grid position is
 // (ix, iy); its top-left pixel is (ix*Step, iy*Step). The returned slice
 // aliases the grid's backing array.
@@ -75,27 +96,44 @@ func (g *Grid) SigAt(ix, iy int) []float64 {
 func (g *Grid) PosOf(ix, iy int) (x, y int) { return ix * g.Step, iy * g.Step }
 
 // Pyramid is the full output of sliding-window signature computation: one
-// Grid per window size 2, 4, ..., MaxWindow.
+// Grid per window size 2, 4, ..., MaxWindow (from MinWindow up when that
+// is set).
 type Pyramid struct {
 	ImageW, ImageH int
 	Params         SlidingParams
-	levels         map[int]*Grid
+	levels         []*Grid // in increasing window size
 }
 
 // Level returns the grid for window size ω, or nil if that size was not
-// computed (ω out of range or larger than the image).
-func (p *Pyramid) Level(window int) *Grid { return p.levels[window] }
+// computed (ω out of range or larger than the image) or not returned
+// (ω below MinWindow).
+func (p *Pyramid) Level(window int) *Grid {
+	for _, g := range p.levels {
+		if g.Window == window {
+			return g
+		}
+	}
+	return nil
+}
 
 // Sizes returns the window sizes present in the pyramid, in increasing
 // order.
 func (p *Pyramid) Sizes() []int {
-	var out []int
-	for w := 2; w <= p.Params.MaxWindow; w *= 2 {
-		if p.levels[w] != nil {
-			out = append(out, w)
-		}
+	out := make([]int, len(p.levels))
+	for i, g := range p.levels {
+		out[i] = g.Window
 	}
 	return out
+}
+
+// numLevels is the number of window sizes 2, 4, ..., maxWindow that fit in
+// an imgW×imgH image.
+func numLevels(maxWindow, imgW, imgH int) int {
+	n := 0
+	for win := 2; win <= maxWindow && win <= imgW && win <= imgH; win *= 2 {
+		n++
+	}
+	return n
 }
 
 // ComputeSlidingWindows computes signatures for every sliding window with a
@@ -113,59 +151,175 @@ func ComputeSlidingWindows(plane []float64, imgW, imgH int, params SlidingParams
 	if len(plane) != imgW*imgH {
 		return nil, fmt.Errorf("wavelet: plane has %d values, want %d (%dx%d)", len(plane), imgW*imgH, imgW, imgH)
 	}
-	pyr := &Pyramid{ImageW: imgW, ImageH: imgH, Params: params, levels: make(map[int]*Grid)}
-	var prev *Grid
-	for win := 2; win <= params.MaxWindow; win *= 2 {
-		if win > imgW || win > imgH {
-			break
+	pyrs, err := slide(imgW, imgH, 1, params, func(iy int, base []Grid) {
+		g := &base[0]
+		for ix := 0; ix < g.NX; ix++ {
+			// Base level: 1×1 "signatures" are the raw pixels.
+			x, y := g.PosOf(ix, iy)
+			i := y*imgW + x
+			combineBase(plane[i], plane[i+1], plane[i+imgW], plane[i+imgW+1], g.SigAt(ix, iy), g.Sig)
 		}
-		dist := min(win, params.Step)
-		sig := min(win, params.Signature)
-		g := &Grid{
-			Window: win,
-			Sig:    sig,
-			Step:   dist,
-			NX:     (imgW-win)/dist + 1,
-			NY:     (imgH-win)/dist + 1,
-		}
-		g.Data = make([]float64, g.NX*g.NY*sig*sig)
-		half := win / 2
-		src := prev
-		row := func(iy int) {
-			for ix := 0; ix < g.NX; ix++ {
-				x, y := g.PosOf(ix, iy)
-				dst := g.SigAt(ix, iy)
-				if win == 2 {
-					// Base level: 1×1 "signatures" are the raw pixels.
-					a1 := plane[y*imgW+x]
-					a2 := plane[y*imgW+x+1]
-					a3 := plane[(y+1)*imgW+x]
-					a4 := plane[(y+1)*imgW+x+1]
-					combineBase(a1, a2, a3, a4, dst, sig)
-					continue
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pyrs[0], nil
+}
+
+// ComputeSlidingWindowsRGB computes one pyramid per channel of the RGB
+// image im converted to space to. The result is bit for bit what
+// ComputeSlidingWindows returns on each plane of colorspace.FromRGB(im,
+// to), but no converted image is built: the base level reads the RGB
+// planes and converts the pixels its windows cover with
+// colorspace.ConvertRow, the function FromRGB is written on, a short run
+// of the two pixel rows under a row of base windows at a time, into a
+// buffer on the stack. Like FromRGB it rejects an image with a NaN or
+// infinite sample anywhere, read or not.
+func ComputeSlidingWindowsRGB(im *imgio.Image, to colorspace.Space, params SlidingParams) ([]*Pyramid, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if err := colorspace.CheckRGB(im, to); err != nil {
+		return nil, err
+	}
+	w := im.W
+	r, g, b := im.Plane(0), im.Plane(1), im.Plane(2)
+	return slide(im.W, im.H, to.Channels(), params, func(iy int, base []Grid) {
+		// The base windows' step is min(2, t), so a run of baseRun
+		// windows spans at most 2*baseRun pixels of each of its two rows.
+		const baseRun = 32
+		var px [2][3][2 * baseRun]float64 // [row][channel][pixel]
+		g0 := &base[0]
+		for ix0 := 0; ix0 < g0.NX; ix0 += baseRun {
+			n := min(baseRun, g0.NX-ix0)
+			x0, y := g0.PosOf(ix0, iy)
+			cols := (n-1)*g0.Step + 2
+			for k := range px {
+				i := (y+k)*w + x0
+				colorspace.ConvertRow(to, px[k][0][:cols], px[k][1][:cols], px[k][2][:cols], r[i:i+cols], g[i:i+cols], b[i:i+cols])
+			}
+			for j := 0; j < n; j++ {
+				x := j * g0.Step
+				for c := range base {
+					combineBase(px[0][c][x], px[0][c][x+1], px[1][c][x], px[1][c][x+1], base[c].SigAt(ix0+j, iy), base[c].Sig)
 				}
-				w1 := src.SigAt((x)/src.Step, (y)/src.Step)
-				w2 := src.SigAt((x+half)/src.Step, (y)/src.Step)
-				w3 := src.SigAt((x)/src.Step, (y+half)/src.Step)
-				w4 := src.SigAt((x+half)/src.Step, (y+half)/src.Step)
-				assemble(w1, w2, w3, w4, src.Sig, dst, sig, sig)
+			}
+		}
+	})
+}
+
+// slide runs the DP of Figure 5 on the nc channels of an imgW×imgH image.
+// base fills row iy of the window-2 level of every channel; each larger
+// level is assembled from the one below it.
+//
+// A level stores per window the side min(ω, max(s if ω ≥ MinWindow,
+// stored(2ω)/2, 1)), decided from the top level down. assemble builds a
+// q×q block from the q/2×q/2 corners of its children, and the top-left
+// q×q corner of a larger block is computed by exactly the same operations
+// (assemble's recursion), so storing less never changes a stored bit. On
+// every returned level the side is min(ω, s), as without MinWindow; below
+// it, at the paper's s = 2, each window keeps only its mean.
+func slide(imgW, imgH, nc int, params SlidingParams, base func(iy int, lv []Grid)) ([]*Pyramid, error) {
+	n := numLevels(params.MaxWindow, imgW, imgH)
+	first := 0 // index of the smallest returned level
+	for first < n && 2<<first < params.MinWindow {
+		first++
+	}
+	if first == n {
+		return nil, fmt.Errorf("wavelet: image %dx%d too small for any window", imgW, imgH)
+	}
+	// grids[i*nc+c] is channel c's level of window 2<<i.
+	grids := make([]Grid, n*nc)
+	stored, kept, scratch := 0, 0, [2]int{}
+	for i := n - 1; i >= 0; i-- {
+		win := 2 << i
+		side := max(stored/2, 1)
+		if i >= first {
+			side = max(side, params.Signature)
+		}
+		stored = min(win, side)
+		shape := gridShape(win, stored, params.Step, imgW, imgH)
+		if i >= first {
+			kept += nc * shape.size()
+		} else {
+			scratch[i%2] = max(scratch[i%2], nc*shape.size())
+		}
+		for c := 0; c < nc; c++ {
+			grids[i*nc+c] = shape
+		}
+	}
+	// Levels below first alternate between the two halves of buf; each
+	// one reads only the level just below it, and every coefficient is
+	// written before it is read, so neither half needs clearing.
+	buf := make([]float64, scratch[0]+scratch[1])
+	data := make([]float64, kept)
+	for i := range grids {
+		g := &grids[i]
+		sz := g.size()
+		if i/nc >= first {
+			g.Data, data = data[:sz:sz], data[sz:]
+		} else {
+			off := (i % nc) * sz
+			if (i/nc)%2 == 1 {
+				off += scratch[0]
+			}
+			g.Data = buf[off : off+sz : off+sz]
+		}
+	}
+	var prev []Grid
+	for i := 0; i < n; i++ {
+		lv := grids[i*nc : (i+1)*nc]
+		row := func(iy int) { base(iy, lv) }
+		if i > 0 {
+			src := prev
+			row = func(iy int) {
+				for c := range lv {
+					assembleRow(&lv[c], &src[c], iy)
+				}
 			}
 		}
 		// Rows of one level only read the (already complete) previous level
-		// and write disjoint slices of g.Data, so they fan out freely. Tiny
-		// levels stay serial: goroutine dispatch would dominate the work.
+		// and write disjoint slices of its Data, so they fan out freely.
+		// Tiny levels stay serial: goroutine dispatch would dominate the
+		// work.
 		workers := params.Workers
-		if g.NX*g.NY < minParallelWindows {
+		if lv[0].NX*lv[0].NY*nc < minParallelWindows {
 			workers = 1
 		}
-		parallel.For(g.NY, workers, row)
-		pyr.levels[win] = g
-		prev = g
+		parallel.For(lv[0].NY, workers, row)
+		prev = lv
 	}
-	if len(pyr.levels) == 0 {
-		return nil, fmt.Errorf("wavelet: image %dx%d too small for any window", imgW, imgH)
+	// The returned levels share grids' backing array; unlink buf so a
+	// Pyramid the caller keeps does not keep it alive too.
+	for i := 0; i < first*nc; i++ {
+		grids[i].Data = nil
 	}
-	return pyr, nil
+	pyrs := make([]Pyramid, nc)
+	levels := make([]*Grid, nc*(n-first))
+	out := make([]*Pyramid, nc)
+	for c := range pyrs {
+		lv := levels[c*(n-first) : (c+1)*(n-first)]
+		for i := range lv {
+			lv[i] = &grids[(first+i)*nc+c]
+		}
+		pyrs[c] = Pyramid{ImageW: imgW, ImageH: imgH, Params: params, levels: lv}
+		out[c] = &pyrs[c]
+	}
+	return out, nil
+}
+
+// assembleRow fills row iy of g, one window at a time, from the four
+// subwindows of each in the level below, src.
+func assembleRow(g, src *Grid, iy int) {
+	half := g.Window / 2
+	for ix := 0; ix < g.NX; ix++ {
+		x, y := g.PosOf(ix, iy)
+		w1 := src.SigAt(x/src.Step, y/src.Step)
+		w2 := src.SigAt((x+half)/src.Step, y/src.Step)
+		w3 := src.SigAt(x/src.Step, (y+half)/src.Step)
+		w4 := src.SigAt((x+half)/src.Step, (y+half)/src.Step)
+		assemble(w1, w2, w3, w4, src.Sig, g.SigAt(ix, iy), g.Sig, g.Sig)
+	}
 }
 
 // combineBase performs one round of horizontal and vertical averaging and
@@ -241,44 +395,19 @@ func NaiveSlidingWindows(plane []float64, imgW, imgH int, params SlidingParams) 
 	if len(plane) != imgW*imgH {
 		return nil, fmt.Errorf("wavelet: plane has %d values, want %d (%dx%d)", len(plane), imgW*imgH, imgW, imgH)
 	}
-	pyr := &Pyramid{ImageW: imgW, ImageH: imgH, Params: params, levels: make(map[int]*Grid)}
-	for win := 2; win <= params.MaxWindow; win *= 2 {
-		if win > imgW || win > imgH {
-			break
-		}
-		dist := min(win, params.Step)
-		sig := min(win, params.Signature)
-		g := &Grid{
-			Window: win,
-			Sig:    sig,
-			Step:   dist,
-			NX:     (imgW-win)/dist + 1,
-			NY:     (imgH-win)/dist + 1,
-		}
-		g.Data = make([]float64, g.NX*g.NY*sig*sig)
-		scratch := NewMatrix(win, win)
-		for iy := 0; iy < g.NY; iy++ {
-			for ix := 0; ix < g.NX; ix++ {
-				x, y := g.PosOf(ix, iy)
-				for r := 0; r < win; r++ {
-					copy(scratch.Data[r*win:(r+1)*win], plane[(y+r)*imgW+x:(y+r)*imgW+x+win])
-				}
-				coeffs, err := Transform2D(scratch)
-				if err != nil {
-					return nil, err
-				}
-				dst := g.SigAt(ix, iy)
-				for r := 0; r < sig; r++ {
-					copy(dst[r*sig:(r+1)*sig], coeffs.Data[r*win:r*win+sig])
-				}
-			}
-		}
-		pyr.levels[win] = g
-	}
-	if len(pyr.levels) == 0 {
+	n := numLevels(params.MaxWindow, imgW, imgH)
+	if n == 0 {
 		return nil, fmt.Errorf("wavelet: image %dx%d too small for any window", imgW, imgH)
 	}
-	return pyr, nil
+	levels := make([]*Grid, n)
+	for i := range levels {
+		g, err := NaiveWindowSignatures(plane, imgW, imgH, 2<<i, params.Signature, params.Step)
+		if err != nil {
+			return nil, err
+		}
+		levels[i] = g
+	}
+	return &Pyramid{ImageW: imgW, ImageH: imgH, Params: params, levels: levels}, nil
 }
 
 // NaiveWindowSignatures computes signatures for the sliding windows of a
@@ -300,16 +429,9 @@ func NaiveWindowSignatures(plane []float64, imgW, imgH, window, sig, step int) (
 	if len(plane) != imgW*imgH {
 		return nil, fmt.Errorf("wavelet: plane has %d values, want %d (%dx%d)", len(plane), imgW*imgH, imgW, imgH)
 	}
-	dist := min(window, step)
 	s := min(window, sig)
-	g := &Grid{
-		Window: window,
-		Sig:    s,
-		Step:   dist,
-		NX:     (imgW-window)/dist + 1,
-		NY:     (imgH-window)/dist + 1,
-	}
-	g.Data = make([]float64, g.NX*g.NY*s*s)
+	g := gridShape(window, s, step, imgW, imgH)
+	g.Data = make([]float64, g.size())
 	scratch := NewMatrix(window, window)
 	for iy := 0; iy < g.NY; iy++ {
 		for ix := 0; ix < g.NX; ix++ {
@@ -327,7 +449,7 @@ func NaiveWindowSignatures(plane []float64, imgW, imgH, window, sig, step int) (
 			}
 		}
 	}
-	return g, nil
+	return &g, nil
 }
 
 // WindowSignature computes the s×s low-frequency signature of the single

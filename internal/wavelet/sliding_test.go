@@ -1,9 +1,13 @@
 package wavelet
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"walrus/internal/colorspace"
+	"walrus/internal/imgio"
 )
 
 func randomPlane(rng *rand.Rand, w, h int) []float64 {
@@ -22,6 +26,9 @@ func TestSlidingParamsValidate(t *testing.T) {
 		{MaxWindow: 8, Signature: 16, Step: 1},
 		{MaxWindow: 8, Signature: 2, Step: 3},
 		{MaxWindow: 8, Signature: 2, Step: 0},
+		{MaxWindow: 8, MinWindow: 16, Signature: 2, Step: 1},
+		{MaxWindow: 8, MinWindow: 3, Signature: 2, Step: 1},
+		{MaxWindow: 8, MinWindow: 1, Signature: 2, Step: 1},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -242,5 +249,124 @@ func TestPyramidSizes(t *testing.T) {
 	}
 	if pyr.Level(32) != nil {
 		t.Error("Level(32) should be nil for a 24x24 image")
+	}
+}
+
+// sameBits reports whether two grids have the same shape and bit-identical
+// coefficients.
+func sameBits(a, b *Grid) bool {
+	if a.Window != b.Window || a.Sig != b.Sig || a.Step != b.Step || a.NX != b.NX || a.NY != b.NY || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMinWindowKeepsReturnedLevels: with MinWindow set, the DP returns
+// exactly the levels from MinWindow up, each bit-identical to the same
+// level computed with every level stored in full, although the levels
+// below MinWindow keep only the corner the next level reads.
+func TestMinWindowKeepsReturnedLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	cases := []struct {
+		w, h   int
+		params SlidingParams
+	}{
+		{128, 85, SlidingParams{MaxWindow: 64, MinWindow: 64, Signature: 2, Step: 8}},
+		{129, 85, SlidingParams{MaxWindow: 64, MinWindow: 16, Signature: 2, Step: 8}},
+		{100, 77, SlidingParams{MaxWindow: 32, MinWindow: 8, Signature: 4, Step: 8}},
+		{40, 33, SlidingParams{MaxWindow: 32, MinWindow: 32, Signature: 8, Step: 1}},
+		{48, 48, SlidingParams{MaxWindow: 16, MinWindow: 2, Signature: 2, Step: 2}},
+		{37, 45, SlidingParams{MaxWindow: 32, MinWindow: 16, Signature: 1, Step: 4}},
+	}
+	for _, tc := range cases {
+		plane := randomPlane(rng, tc.w, tc.h)
+		full := tc.params
+		full.MinWindow = 0
+		want, err := ComputeSlidingWindows(plane, tc.w, tc.h, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 0} {
+			p := tc.params
+			p.Workers = workers
+			got, err := ComputeSlidingWindows(plane, tc.w, tc.h, p)
+			if err != nil {
+				t.Fatalf("%+v: %v", p, err)
+			}
+			var wantSizes []int
+			for _, win := range want.Sizes() {
+				if win >= p.MinWindow {
+					wantSizes = append(wantSizes, win)
+				}
+			}
+			sizes := got.Sizes()
+			if len(sizes) != len(wantSizes) {
+				t.Fatalf("%+v: sizes %v, want %v", p, sizes, wantSizes)
+			}
+			for i, win := range wantSizes {
+				if sizes[i] != win || !sameBits(got.Level(win), want.Level(win)) {
+					t.Fatalf("%+v: level %d differs from the full DP", p, win)
+				}
+			}
+			if p.MinWindow > 2 && got.Level(p.MinWindow/2) != nil {
+				t.Fatalf("%+v: level %d below MinWindow returned", p, p.MinWindow/2)
+			}
+		}
+	}
+	if _, err := ComputeSlidingWindows(make([]float64, 20*40), 20, 40, SlidingParams{MaxWindow: 32, MinWindow: 32, Signature: 2, Step: 1}); err == nil {
+		t.Error("accepted an image smaller than MinWindow")
+	}
+}
+
+// TestRGBPyramidsMatchConvertedPlanes: the fused DP, which converts the
+// pixels its base level reads, returns for every colour space exactly
+// the pyramids the DP computes on the planes of colorspace.FromRGB.
+func TestRGBPyramidsMatchConvertedPlanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	im := imgio.New(67, 45, 3)
+	for i := range im.Pix {
+		im.Pix[i] = rng.Float64()
+	}
+	for _, params := range []SlidingParams{
+		{MaxWindow: 32, Signature: 4, Step: 1},
+		{MaxWindow: 32, MinWindow: 16, Signature: 2, Step: 8},
+	} {
+		for _, sp := range []colorspace.Space{colorspace.RGB, colorspace.Gray, colorspace.YCC, colorspace.YIQ, colorspace.YUV, colorspace.HSV, colorspace.XYZ} {
+			conv, err := colorspace.FromRGB(im, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pyrs, err := ComputeSlidingWindowsRGB(im, sp, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pyrs) != sp.Channels() {
+				t.Fatalf("%v: %d pyramids, want %d", sp, len(pyrs), sp.Channels())
+			}
+			for c, pyr := range pyrs {
+				want, err := ComputeSlidingWindows(conv.Plane(c), im.W, im.H, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, win := range want.Sizes() {
+					if !sameBits(pyr.Level(win), want.Level(win)) {
+						t.Fatalf("%v %+v channel %d: level %d differs from the converted plane's", sp, params, c, win)
+					}
+				}
+			}
+		}
+	}
+	bad := im.Clone()
+	bad.Pix[len(bad.Pix)-1] = math.NaN()
+	if _, err := ComputeSlidingWindowsRGB(bad, colorspace.YCC, SlidingParams{MaxWindow: 32, Signature: 2, Step: 8}); err == nil {
+		t.Error("accepted a NaN sample")
+	}
+	if _, err := ComputeSlidingWindowsRGB(imgio.New(67, 45, 1), colorspace.YCC, SlidingParams{MaxWindow: 32, Signature: 2, Step: 8}); err == nil {
+		t.Error("accepted a 1-channel image")
 	}
 }
