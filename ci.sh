@@ -56,6 +56,12 @@
 #      set (odd and step-misaligned sizes, several window ranges, a finer
 #      second-tier signature, HSV, serial and parallel) to SHA-256
 #      digests, and bounds the bytes one Extract allocates
+#   1j. query tail exactness tier: the bounded top-k selection against a
+#      full sort (ties, every Limit, τ), the quick scorer against a
+#      map-based reference for pairs in any order, the aggregate stage's
+#      pair runs against permuted hits, sharded rankings at low Limits
+#      against the unsharded ones, the shard-count matrix, and the
+#      allocations per query after extraction
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -140,6 +146,7 @@ tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQu
 tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations' ./internal/rstar
 
 tier "tier 1: extraction exactness (golden regions, allocations)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations' ./internal/region
+tier "tier 1: query tail exactness (top-k, quick scorer, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestTopK|TestAggregateStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

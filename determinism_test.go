@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"walrus/internal/imgio"
@@ -137,25 +138,56 @@ func TestQueryParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestAggregateStageOrderIndependent: the per-image pair sets are a
+// TestAggregateStageOrderIndependent: the per-image pair runs are a
 // function of the hits each query region retrieved, not of the order the
 // index emitted them in. Another tree shape emits the same hits in another
 // order, and the one-to-one matchers break ties by pair order, so the
 // pairs must reach the scorer in (Q, T) order whatever the emission order.
 func TestAggregateStageOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	// Most images are hit by few query regions, so an image's run often
+	// starts at the query region where its neighbour's run ends: the
+	// fill must not order pairs across that boundary.
+	const images = 12
 	perRegion := make([][]probeHit, 4)
 	for qi := range perRegion {
-		for img := 0; img < 5; img++ {
+		for img := 0; img < images; img++ {
+			if rng.Intn(3) != 0 {
+				continue
+			}
 			for _, local := range rng.Perm(6)[:rng.Intn(4)] {
 				perRegion[qi] = append(perRegion[qi], probeHit{image: img, pair: match.Pair{Q: qi, T: local}})
 			}
 		}
 	}
-	want, wantRetrieved := aggregateStage(perRegion)
-	for img, pairs := range want {
-		for i := 1; i < len(pairs); i++ {
-			if a, b := pairs[i-1], pairs[i]; a.Q > b.Q || (a.Q == b.Q && a.T >= b.T) {
+	want, wantRetrieved := aggregateStage(perRegion, images)
+	if !slices.IsSorted(want.images) || len(want.start) != len(want.images)+1 || want.start[len(want.images)] != len(want.pairs) {
+		t.Fatalf("malformed candidate set: images %v, start %v, %d pairs", want.images, want.start, len(want.pairs))
+	}
+	// Reference: every image's hits, sorted by (Q, T).
+	ref := make(map[int][]match.Pair)
+	for _, hits := range perRegion {
+		for _, h := range hits {
+			ref[h.image] = append(ref[h.image], h.pair)
+		}
+	}
+	if len(ref) != len(want.images) {
+		t.Fatalf("%d candidates, want %d", len(want.images), len(ref))
+	}
+	for i, img := range want.images {
+		pairs := want.pairsOf(i)
+		wantPairs := ref[img]
+		slices.SortFunc(wantPairs, func(a, b match.Pair) int {
+			if a.Q != b.Q {
+				return a.Q - b.Q
+			}
+			return a.T - b.T
+		})
+		if !slices.Equal(pairs, wantPairs) {
+			t.Fatalf("image %d: pairs %v, want %v", img, pairs, wantPairs)
+		}
+		for j := 1; j < len(pairs); j++ {
+			if a, b := pairs[j-1], pairs[j]; a.Q > b.Q || (a.Q == b.Q && a.T >= b.T) {
 				t.Fatalf("image %d: pairs %v not in (Q, T) order", img, pairs)
 			}
 		}
@@ -166,7 +198,7 @@ func TestAggregateStageOrderIndependent(t *testing.T) {
 			permuted[qi] = append([]probeHit(nil), hits...)
 			rng.Shuffle(len(hits), func(i, j int) { permuted[qi][i], permuted[qi][j] = permuted[qi][j], permuted[qi][i] })
 		}
-		got, retrieved := aggregateStage(permuted)
+		got, retrieved := aggregateStage(permuted, images)
 		if retrieved != wantRetrieved || !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: permuting each region's hits changed the pair sets:\n got  %v\n want %v", trial, got, want)
 		}

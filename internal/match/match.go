@@ -160,22 +160,41 @@ func normalize(coveredQ, coveredT float64, qArea, tArea int, d Denominator) floa
 	}
 }
 
-// scoreQuick unions every matched region's bitmap per side.
+// quickStackWords is the bitmap (and target set) size scoreQuick keeps
+// on the stack: 256 bits, a 16×16 grid — the default — or 256 target
+// regions. Larger grids and region counts fall back to the heap.
+const quickStackWords = 4
+
+// scoreQuick unions every matched region's bitmap per side. A region
+// matched by several pairs is unioned once where that is cheap to see —
+// a query region repeated by consecutive pairs, a target region already
+// in the seen set — but a union is idempotent, so the result is exact
+// for pairs in any order.
 func scoreQuick(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int) Result {
 	if len(pairs) == 0 {
 		return Result{}
 	}
-	uq := region.NewBitmap(qRegions[pairs[0].Q].Bitmap.K)
-	ut := region.NewBitmap(tRegions[pairs[0].T].Bitmap.K)
-	seenQ := make(map[int]bool)
-	seenT := make(map[int]bool)
+	k := qRegions[pairs[0].Q].Bitmap.K
+	var uqStack, utStack, seenStack [quickStackWords]uint64
+	uq := region.Bitmap{K: k, Words: uqStack[:]}
+	ut := region.Bitmap{K: k, Words: utStack[:]}
+	if words := (k*k + 63) / 64; words > quickStackWords {
+		uq.Words, ut.Words = make([]uint64, words), make([]uint64, words)
+	} else {
+		uq.Words, ut.Words = uq.Words[:words], ut.Words[:words]
+	}
+	seenT := seenStack[:]
+	if words := (len(tRegions) + 63) / 64; words > quickStackWords {
+		seenT = make([]uint64, words)
+	}
+	prevQ := -1
 	for _, p := range pairs {
-		if !seenQ[p.Q] {
-			seenQ[p.Q] = true
+		if p.Q != prevQ {
+			prevQ = p.Q
 			uq.UnionWith(qRegions[p.Q].Bitmap)
 		}
-		if !seenT[p.T] {
-			seenT[p.T] = true
+		if bit := uint64(1) << (p.T % 64); seenT[p.T/64]&bit == 0 {
+			seenT[p.T/64] |= bit
 			ut.UnionWith(tRegions[p.T].Bitmap)
 		}
 	}

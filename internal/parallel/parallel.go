@@ -1,9 +1,10 @@
 // Package parallel provides the bounded worker pools WALRUS's hot paths
 // fan work across: sliding-window DP rows, per-image region extraction in
-// batch ingest, and per-query-region index probes. Every helper takes the
-// same knob: workers <= 0 means one worker per logical CPU (GOMAXPROCS),
-// 1 forces the serial path, and any other value bounds the pool at that
-// size. Work items are claimed dynamically from a shared counter, so
+// batch ingest, the per-query-region refine pass, and the per-shard
+// stages of a sharded database. Every helper takes the same knob:
+// workers <= 0 means one worker per logical CPU (GOMAXPROCS), 1 forces
+// the serial path, and any other value bounds the pool at that size.
+// Work items are claimed dynamically from a shared counter, so
 // uneven item costs still balance across the pool; callers that need
 // deterministic output write results into per-index slots and merge in
 // index order afterwards.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"time"
 
-	"walrus/internal/match"
 	"walrus/internal/obs"
 	"walrus/internal/region"
 )
@@ -33,10 +32,10 @@ type stageExec struct {
 	tc *traceCollector
 
 	// Stage outputs, in pipeline order.
-	perRegion    [][]probeHit
-	pairsByImage map[int][]match.Pair
-	retrieved    int
-	matches      []Match
+	perRegion [][]probeHit
+	cands     candidateSet
+	retrieved int
+	matches   []Match
 }
 
 // queryStage is one composable pipeline stage: a plan name (also the
@@ -112,17 +111,17 @@ func runRefine(ctx context.Context, ex *stageExec, sp *obs.Span) error {
 }
 
 func runAggregate(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	ex.pairsByImage, ex.retrieved = aggregateStage(ex.perRegion)
+	ex.cands, ex.retrieved = aggregateStage(ex.perRegion, len(ex.snap.core.images))
 	if ex.tc != nil {
-		ex.tc.candidates = len(ex.pairsByImage)
+		ex.tc.candidates = len(ex.cands.images)
 	}
 	sp.SetAttr("regions_retrieved", int64(ex.retrieved))
-	sp.SetAttr("candidates", int64(len(ex.pairsByImage)))
+	sp.SetAttr("candidates", int64(len(ex.cands.images)))
 	return nil
 }
 
 func runScore(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	matches, err := ex.snap.scoreStage(ctx, ex.qRegions, ex.qArea, ex.pairsByImage, ex.p, ex.workers)
+	matches, err := ex.snap.scoreStage(ctx, ex.qRegions, ex.qArea, &ex.cands, ex.p)
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,12 @@
-//walrus:lint-hot staged query pipeline: probe/refine/score fan-outs
+//walrus:lint-hot staged query pipeline: probe, refine fan-out, aggregate, inline scoring
 package walrus
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"walrus/internal/imgio"
@@ -22,8 +23,11 @@ import (
 // by runStages (plan.go). Each stage takes only the snapshot and the
 // previous stage's output, so the whole pipeline is lock-free: the
 // catalog slices and the pinned index view cannot change underneath it,
-// and the per-stage fan-out over the worker pool needs no
-// synchronization beyond slot-indexed writes.
+// and the refine fan-out over the worker pool needs no synchronization
+// beyond slot-indexed writes. Aggregation and scoring run on the calling
+// goroutine, with costs that scale with the hits and the returned
+// matches: handing candidates to workers cost more than it saved on the
+// measured traffic (DESIGN.md, "Query tail").
 
 // signatureRect builds the index key for a region: its centroid point,
 // or its signature bounding box when useBBox is set.
@@ -99,9 +103,9 @@ func (s *Snapshot) probeStage(qRegions []region.Region, p QueryParams, tc *trace
 
 // refineStage is the refined matching phase of Section 5.5: candidate
 // pairs are re-verified against the finer signatures when both sides
-// carry one, filtering each region's hit list in place. Like the probe
-// and score stages, every task checks the deadline so an expired
-// context stops the refinement fan-out.
+// carry one, filtering each region's hit list in place. Every task
+// checks the deadline so an expired context stops the refinement
+// fan-out.
 func (s *Snapshot) refineStage(ctx context.Context, qRegions []region.Region, perRegion [][]probeHit, p QueryParams, workers int, tc *traceCollector) error {
 	if !p.Refine {
 		return nil
@@ -143,107 +147,124 @@ func (s *Snapshot) refineStage(ctx context.Context, qRegions []region.Region, pe
 	})
 }
 
-// aggregateStage merges the per-region hit lists in query-region order
-// into the per-image pair sets the scorer consumes, counting the total
-// regions retrieved. The pair sets are carved out of one flat buffer
-// sized by a counting pass — a single allocation however many candidate
-// images the probes surfaced. Each image's pairs come out in (Q, T)
-// order whatever order the index emitted them in: the one-to-one matchers
-// break ties by pair order, and a ranking must not depend on the tree's
-// shape.
-func aggregateStage(perRegion [][]probeHit) (map[int][]match.Pair, int) {
-	counts := make(map[int]int)
-	retrieved := 0
-	for _, hits := range perRegion {
-		for _, h := range hits {
-			counts[h.image]++
-		}
-		retrieved += len(hits)
-	}
-	buf := make([]match.Pair, retrieved)
-	next := 0
-	pairsByImage := make(map[int][]match.Pair, len(counts))
-	fill := make(map[int]int, len(counts))
-	for _, hits := range perRegion {
-		for _, h := range hits {
-			s, ok := pairsByImage[h.image]
-			if !ok {
-				c := counts[h.image]
-				s = buf[next : next+c]
-				next += c
-				pairsByImage[h.image] = s
-			}
-			// Q never decreases along the fill, so ordering T within the
-			// current query region's run is an insertion step.
-			i := fill[h.image]
-			for i > 0 && s[i-1].Q == h.pair.Q && s[i-1].T > h.pair.T {
-				s[i] = s[i-1]
-				i--
-			}
-			s[i] = h.pair
-			fill[h.image]++
-		}
-	}
-	return pairsByImage, retrieved
+// candidateSet is the aggregate stage's output: the candidate images in
+// ascending slot order and their probe pairs in one flat buffer, each
+// candidate's run contiguous and in (Q, T) order — images[i]'s pairs are
+// pairs[start[i]:start[i+1]].
+type candidateSet struct {
+	images []int
+	start  []int
+	pairs  []match.Pair
 }
 
-// scoreStage scores every candidate image, fanning the (independent,
-// read-only) match computations across the worker pool. Candidates are
-// scored into fixed slots ordered by image index, so the result set is
-// schedule-independent. It returns matches with similarity >= p.Tau
-// sorted by decreasing similarity, capped at p.Limit.
-func (s *Snapshot) scoreStage(ctx context.Context, qRegions []region.Region, qArea int, pairsByImage map[int][]match.Pair, p QueryParams, workers int) ([]Match, error) {
-	candidates := make([]int, len(pairsByImage))
+// pairsOf returns candidate i's pairs.
+func (c *candidateSet) pairsOf(i int) []match.Pair {
+	return c.pairs[c.start[i]:c.start[i+1]]
+}
+
+// aggScratch is aggregateStage's per-image working state, pooled across
+// queries so a query touches only the slots of the images it hit.
+type aggScratch struct {
+	// slot holds, per image slot, the image's hit count during the
+	// counting pass and its candidate index during the fill. Every slot
+	// is zero while the scratch sits in the pool.
+	slot []int32
+	// touched lists the images hit in first-hit order, then serves as
+	// the per-candidate fill cursors.
+	touched []int
+}
+
+var aggPool = sync.Pool{New: func() any { return new(aggScratch) }}
+
+// aggregateStage merges the per-region hit lists, in query-region order,
+// into the per-image pair runs the scorer consumes, counting the total
+// regions retrieved. numImages bounds the image slots the hits name.
+// Hits are counted per image in a dense slot-indexed array, the images
+// hit are sorted, and a second pass lays every hit into its image's run
+// of one flat buffer, so the cost is linear in the hits plus a sort of
+// the candidates. Each run comes out in (Q, T) order whatever order the
+// index emitted the hits in: the one-to-one matchers break ties by pair
+// order, and a ranking must not depend on the tree's shape.
+func aggregateStage(perRegion [][]probeHit, numImages int) (candidateSet, int) {
+	retrieved := 0
+	for _, hits := range perRegion {
+		retrieved += len(hits)
+	}
+	sc := aggPool.Get().(*aggScratch)
+	if len(sc.slot) < numImages {
+		sc.slot = make([]int32, numImages)
+	}
+	if need := min(retrieved, numImages); cap(sc.touched) < need {
+		sc.touched = make([]int, need)
+	}
+	slot, touched := sc.slot, sc.touched[:cap(sc.touched)]
 	n := 0
-	for imgIdx := range pairsByImage {
-		candidates[n] = imgIdx
-		n++
+	for _, hits := range perRegion {
+		for _, h := range hits {
+			if slot[h.image] == 0 {
+				touched[n] = h.image
+				n++
+			}
+			slot[h.image]++
+		}
 	}
-	sort.Ints(candidates)
+	c := candidateSet{images: make([]int, n), start: make([]int, n+1), pairs: make([]match.Pair, retrieved)}
+	copy(c.images, touched[:n])
+	slices.Sort(c.images)
+	fill := touched[:n]
+	for i, img := range c.images {
+		fill[i] = c.start[i]
+		c.start[i+1] = c.start[i] + int(slot[img])
+		slot[img] = int32(i)
+	}
+	for _, hits := range perRegion {
+		for _, h := range hits {
+			ci := slot[h.image]
+			// Q never decreases along the fill, so ordering T within the
+			// current query region's run is an insertion step.
+			lo, i := c.start[ci], fill[ci]
+			for i > lo && c.pairs[i-1].Q == h.pair.Q && c.pairs[i-1].T > h.pair.T {
+				c.pairs[i] = c.pairs[i-1]
+				i--
+			}
+			c.pairs[i] = h.pair
+			fill[ci]++
+		}
+	}
+	for _, img := range c.images {
+		slot[img] = 0
+	}
+	aggPool.Put(sc)
+	return c, retrieved
+}
+
+// scoreStage scores every candidate image on the calling goroutine, in
+// ascending slot order, and keeps the matches with similarity >= p.Tau
+// that rank in the top p.Limit (all of them when Limit is 0) by
+// decreasing similarity, ties by id. The returned slice is sized
+// exactly to the kept matches, so it pins no memory of the candidates it
+// dropped. The deadline is checked every few candidates.
+func (s *Snapshot) scoreStage(ctx context.Context, qRegions []region.Region, qArea int, cands *candidateSet, p QueryParams) ([]Match, error) {
 	scoreOpts := match.Options{Algorithm: p.Matcher, Denominator: p.Denominator}
-	scored := make([]match.Result, len(candidates))
-	err := parallel.ForErr(len(candidates), workers, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
+	top := newTopK(p.Limit, len(cands.images))
+	for i, imgIdx := range cands.images {
+		if i%16 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-		imgIdx := candidates[i]
-		rec := s.core.images[imgIdx]
-		res, err := match.Score(qRegions, rec.Regions, pairsByImage[imgIdx], qArea, rec.W*rec.H, scoreOpts)
+		rec := &s.core.images[imgIdx]
+		pairs := cands.pairsOf(i)
+		res, err := match.Score(qRegions, rec.Regions, pairs, qArea, rec.W*rec.H, scoreOpts)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		scored[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	matches := make([]Match, len(candidates))
-	kept := 0
-	for i, imgIdx := range candidates {
-		if scored[i].Similarity < p.Tau {
+		if res.Similarity < p.Tau {
 			continue
 		}
-		rec := s.core.images[imgIdx]
-		matches[kept] = Match{
-			ID:              rec.ID,
-			Similarity:      scored[i].Similarity,
-			Pairs:           scored[i].Pairs,
-			MatchingRegions: len(pairsByImage[imgIdx]),
-		}
-		kept++
+		top.offer(Match{ID: rec.ID, Similarity: res.Similarity, Pairs: res.Pairs, MatchingRegions: len(pairs)})
 	}
-	matches = matches[:kept]
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Similarity != matches[j].Similarity {
-			return matches[i].Similarity > matches[j].Similarity
-		}
-		return matches[i].ID < matches[j].ID
-	})
-	if p.Limit > 0 && len(matches) > p.Limit {
-		matches = matches[:p.Limit]
-	}
-	return matches, nil
+	return top.sorted(), nil
 }
 
 // Query runs the staged query pipeline against the snapshot: the same
@@ -255,10 +276,10 @@ func (s *Snapshot) Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, e
 }
 
 // QueryContext is Query with a deadline: the context is checked between
-// pipeline stages and inside every per-region probe and per-candidate
-// score task, so a request whose deadline expires stops burning worker
-// slots mid-pipeline and returns the context's error. The snapshot is
-// unaffected — cancellation never tears published state.
+// pipeline stages, inside every refine task and every few candidates of
+// the score loop, so a request whose deadline expires stops burning
+// worker slots mid-pipeline and returns the context's error. The
+// snapshot is unaffected — cancellation never tears published state.
 func (s *Snapshot) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
 	start := statsClock()
 	if p.Epsilon < 0 {
@@ -349,7 +370,7 @@ func (s *Snapshot) finishQuery(ctx context.Context, qRegions []region.Region, qA
 		return nil, stats, err
 	}
 	stats.RegionsRetrieved = ex.retrieved
-	stats.CandidateImages = len(ex.pairsByImage)
+	stats.CandidateImages = len(ex.cands.images)
 	stats.ProbeTime = statsSince(probeStart)
 	scoreStart := statsClock()
 

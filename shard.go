@@ -476,8 +476,8 @@ func (ss *ShardedSnapshot) Stats() ShardedStats {
 // probes and scores its own pinned view in parallel, and the per-shard
 // rankings merge into one. Image ids are disjoint across shards and
 // every shard sorts by the same (similarity desc, id asc) key, so the
-// merged ranking is byte-identical to the single-shard one; the Limit
-// applies only after the merge.
+// merged ranking is byte-identical to the single-shard one. Each shard
+// keeps only its own top Limit, which is exact: see finishQuery.
 func (ss *ShardedSnapshot) Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
 	return ss.QueryContext(context.Background(), im, p)
 }
@@ -580,19 +580,18 @@ func (ss *ShardedSnapshot) finishQuery(ctx context.Context, qRegions []region.Re
 	}
 	for _, ex := range execs {
 		stats.RegionsRetrieved += ex.retrieved
-		stats.CandidateImages += len(ex.pairsByImage)
+		stats.CandidateImages += len(ex.cands.images)
 	}
 	stats.ProbeTime = statsSince(probeStart)
 	ps.End()
 	scoreStart := statsClock()
 
 	scorePlan := planScore()
-	// Per-shard scoring runs unlimited; the fleet Limit cuts only the
-	// merged ranking, so a low Limit cannot drop a high-similarity match
-	// that happens to live on a crowded shard.
-	for _, ex := range execs {
-		ex.p.Limit = 0
-	}
+	// Every shard scores with the fleet Limit. The cut is exact: ids are
+	// disjoint across shards and (similarity desc, id asc) is a strict
+	// order, so a match in the fleet's top Limit has at most Limit-1
+	// matches ranked above it on the whole fleet, hence on its own shard,
+	// and is in that shard's top Limit too.
 	sspan := qspan.Child("query.score")
 	err = parallel.ForErr(len(ss.snaps), workers, func(i int) error {
 		if err := ctx.Err(); err != nil {
@@ -648,27 +647,33 @@ func (ss *ShardedSnapshot) QuerySceneContext(ctx context.Context, im *imgio.Imag
 	return ss.QueryContext(ctx, crop, p)
 }
 
-// mergeMatches concatenates per-shard rankings and re-sorts by the
-// shared (similarity desc, id asc) key. Ids are disjoint across shards,
-// so the merge reproduces exactly the ranking a single shard would have
-// produced over the union.
+// mergeMatches merges the per-shard rankings, each already ordered by
+// the shared (similarity desc, id asc) key, into the fleet ranking cut at
+// limit (0 = unlimited), in a slice sized exactly to it. Ids are
+// disjoint across shards, so the merge reproduces exactly the ranking a
+// single shard would have produced over the union.
 func mergeMatches(perShard [][]Match, limit int) []Match {
 	total := 0
 	for _, m := range perShard {
 		total += len(m)
 	}
-	merged := make([]Match, 0, total)
-	for _, m := range perShard {
-		merged = append(merged, m...)
+	if limit > 0 && limit < total {
+		total = limit
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Similarity != merged[j].Similarity {
-			return merged[i].Similarity > merged[j].Similarity
+	merged := make([]Match, total)
+	next := make([]int, len(perShard))
+	for out := range merged {
+		best := -1
+		for i, m := range perShard {
+			if next[i] == len(m) {
+				continue
+			}
+			if best < 0 || compareMatches(m[next[i]], perShard[best][next[best]]) < 0 {
+				best = i
+			}
 		}
-		return merged[i].ID < merged[j].ID
-	})
-	if limit > 0 && len(merged) > limit {
-		merged = merged[:limit]
+		merged[out] = perShard[best][next[best]]
+		next[best]++
 	}
 	return merged
 }

@@ -2,6 +2,7 @@ package walrus
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -170,7 +171,11 @@ func TestShardMatrixDeterminism(t *testing.T) {
 
 // TestShardMatchesUnsharded pins the sharded fan-out to the plain DB
 // pipeline: a 4-shard database must rank every query exactly like an
-// unsharded database over the same corpus.
+// unsharded database over the same corpus — ids, similarities, matching
+// region counts and pair sets — under both the quick and the greedy
+// matcher, with and without a similarity threshold, and at every Limit,
+// including the low ones where each shard's own top-Limit cut decides
+// what reaches the merge.
 func TestShardMatchesUnsharded(t *testing.T) {
 	items := shardScriptCorpus(t)
 	plain, err := New(testOptions())
@@ -193,26 +198,36 @@ func TestShardMatchesUnsharded(t *testing.T) {
 		t.Fatalf("sharded %d/%d images/regions, plain %d/%d",
 			s.Len(), s.NumRegions(), plain.Len(), plain.NumRegions())
 	}
-	for qi, q := range shardTestQueries() {
-		want, ws, err := plain.Query(q, DefaultQueryParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gs, err := s.Query(q, DefaultQueryParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gs.RegionsRetrieved != ws.RegionsRetrieved || gs.CandidateImages != ws.CandidateImages {
-			t.Fatalf("query %d stats differ: retrieved %d/%d candidates %d/%d",
-				qi, gs.RegionsRetrieved, ws.RegionsRetrieved, gs.CandidateImages, ws.CandidateImages)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d matches sharded, %d plain", qi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].ID != want[i].ID || got[i].Similarity != want[i].Similarity ||
-				got[i].MatchingRegions != want[i].MatchingRegions {
-				t.Fatalf("query %d rank %d differs: %+v vs %+v", qi, i, got[i], want[i])
+	// The corpus images themselves join the probe scenes as queries: each
+	// ranks its palette-mates first, so at low Limits the fleet's top
+	// matches often share a shard.
+	queries := shardTestQueries()
+	for _, it := range items {
+		queries = append(queries, it.Image)
+	}
+	for _, matcher := range []match.Algorithm{match.Quick, match.Greedy} {
+		for _, tau := range []float64{0, 0.1} {
+			for _, limit := range []int{0, 1, 2, 3, 10} {
+				p := DefaultQueryParams()
+				p.Matcher, p.Tau, p.Limit = matcher, tau, limit
+				label := fmt.Sprintf("%v tau=%v limit=%d", matcher, tau, limit)
+				for qi, q := range queries {
+					want, ws, err := plain.Query(q, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gs, err := s.Query(q, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gs.RegionsRetrieved != ws.RegionsRetrieved || gs.CandidateImages != ws.CandidateImages {
+						t.Fatalf("%s query %d stats differ: retrieved %d/%d candidates %d/%d",
+							label, qi, gs.RegionsRetrieved, ws.RegionsRetrieved, gs.CandidateImages, ws.CandidateImages)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s query %d: sharded ranking\n%+v\nplain ranking\n%+v", label, qi, got, want)
+					}
+				}
 			}
 		}
 	}

@@ -127,10 +127,11 @@ type QueryParams struct {
 	// per-dimension tolerance of the coarse check.
 	RefineEpsilon float64
 	// Parallelism bounds the worker pool the query fans its per-region
-	// refine pass and its per-candidate scoring across
-	// (the index probe is one serial descent for all regions): 0 uses
-	// GOMAXPROCS, 1 reproduces the serial query exactly. Results and
-	// stats are identical for every setting; only wall-clock time changes.
+	// refine pass across and, on a sharded database, the per-shard
+	// fan-out: 0 uses GOMAXPROCS, 1 reproduces the serial query exactly.
+	// The index probe is one serial descent for all regions, and scoring
+	// runs on the caller's goroutine. Results and stats are identical for
+	// every setting; only wall-clock time changes.
 	Parallelism int
 	// NoCache makes this query bypass the version-keyed result cache:
 	// it neither reads nor populates it. Meaningful only on a database
@@ -380,9 +381,9 @@ func (db *DB) Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, error)
 }
 
 // QueryContext is Query with a deadline: the context is checked between
-// pipeline stages and inside the parallel probe/score tasks, so an
-// expired request stops consuming worker slots and returns the context's
-// error. With a result cache configured, the lookup keys on the pinned
+// pipeline stages, inside the parallel refine tasks and along the score
+// loop, so an expired request stops consuming worker slots and returns
+// the context's error. With a result cache configured, the lookup keys on the pinned
 // snapshot version and a fingerprint of the query pixels — see
 // Options.CacheSize.
 func (db *DB) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
