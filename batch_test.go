@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -36,11 +37,11 @@ func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 	}
 	// Query results must be identical (same regions, same order).
 	q := scene(green, red, 30, 30, 50)
-	ms, _, err := seq.Query(q, DefaultQueryParams())
+	ms, _, err := seq.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, _, err := par.Query(q, DefaultQueryParams())
+	mp, _, err := par.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestQueryScene(t *testing.T) {
 			q.SetRGB(x, y, 0.9, 0.9, 0.2) // clutter the scene query should ignore
 		}
 	}
-	matches, stats, err := db.QueryScene(q, 0, 0, 48, 48, DefaultQueryParams())
+	matches, stats, err := db.QuerySceneContext(context.Background(), q, 0, 0, 48, 48, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +162,11 @@ func TestQueryScene(t *testing.T) {
 		t.Fatalf("scene query matches: %+v", matches)
 	}
 	// Scene smaller than the window is rejected.
-	if _, _, err := db.QueryScene(q, 0, 0, 16, 16, DefaultQueryParams()); err == nil {
+	if _, _, err := db.QuerySceneContext(context.Background(), q, 0, 0, 16, 16, DefaultQueryParams()); err == nil {
 		t.Fatal("accepted scene smaller than window")
 	}
 	// Out-of-bounds rectangle is rejected.
-	if _, _, err := db.QueryScene(q, 100, 100, 48, 48, DefaultQueryParams()); err == nil {
+	if _, _, err := db.QuerySceneContext(context.Background(), q, 100, 100, 48, 48, DefaultQueryParams()); err == nil {
 		t.Fatal("accepted out-of-bounds scene")
 	}
 }

@@ -11,6 +11,7 @@
 package walrus_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -134,7 +135,7 @@ func BenchmarkTable1Query(b *testing.B) {
 			p := walrus.DefaultQueryParams()
 			p.Epsilon = eps
 			for i := 0; i < b.N; i++ {
-				if _, _, err := db.Query(query.Image, p); err != nil {
+				if _, _, err := db.QueryContext(context.Background(), query.Image, p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,7 +151,7 @@ func BenchmarkFig8WalrusQuery(b *testing.B) {
 	p.Limit = 14
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := db.Query(query.Image, p); err != nil {
+		if _, _, err := db.QueryContext(context.Background(), query.Image, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,7 +210,7 @@ func BenchmarkMatcherAblation(b *testing.B) {
 			p := walrus.DefaultQueryParams()
 			p.Matcher = alg
 			for i := 0; i < b.N; i++ {
-				if _, _, err := db.Query(query.Image, p); err != nil {
+				if _, _, err := db.QueryContext(context.Background(), query.Image, p); err != nil {
 					b.Fatal(err)
 				}
 			}

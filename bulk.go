@@ -17,6 +17,12 @@ import (
 // ("indexing of images is done only once at the beginning"); Add/Remove
 // work normally on the result.
 func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
+	return withCache(buildFrom(opts, items, workers))
+}
+
+// buildFrom is BuildFrom without the result cache: the constructor of a
+// shard.
+func buildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 	db, err := prepare(opts)
 	if err != nil {
 		return nil, err
@@ -69,6 +75,12 @@ func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 // the last two of each level. This is the fastest way to run the paper's
 // one-time indexing phase against a directory-resident database.
 func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, error) {
+	return withCache(createFrom(dir, opts, items, workers))
+}
+
+// createFrom is CreateFrom without the result cache: the constructor of a
+// shard.
+func createFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, error) {
 	db, err := createDB(dir, opts)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -40,11 +41,11 @@ func TestBuildFromMatchesIncremental(t *testing.T) {
 			bulk.Len(), bulk.NumRegions(), inc.Len(), inc.NumRegions())
 	}
 	q := scene(green, red, 33, 21, 40)
-	mb, _, err := bulk.Query(q, DefaultQueryParams())
+	mb, _, err := bulk.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mi, _, err := inc.Query(q, DefaultQueryParams())
+	mi, _, err := inc.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestBuildFromThenMutate(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Remove: %v %v", ok, err)
 	}
-	matches, _, err := db.Query(scene(gray, blue, 30, 30, 40), DefaultQueryParams())
+	matches, _, err := db.QueryContext(context.Background(), scene(gray, blue, 30, 30, 40), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestCreateFromDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := scene(green, red, 25, 25, 40)
-	want, _, err := db.Query(q, DefaultQueryParams())
+	want, _, err := db.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestCreateFromDiskRoundTrip(t *testing.T) {
 	if re.Len() != 8 {
 		t.Fatalf("Len = %d", re.Len())
 	}
-	got, _, err := re.Query(q, DefaultQueryParams())
+	got, _, err := re.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"walrus/internal/imgio"
-	"walrus/internal/obs"
 )
 
 // The version-keyed query result cache. A repeated query against an
@@ -17,9 +16,11 @@ import (
 // The versions in the key make invalidation structural: a committed
 // write publishes a new version, every subsequent lookup misses, and the
 // superseded entries age out by LRU — there is no invalidation hook to
-// get wrong. The same queryCache serves DB (keyed on the single version)
-// and Sharded (keyed on a hash of the version vector); scene queries
-// bypass it, since their crop parameters are not part of the key.
+// get wrong. The query front consults it for DB (keyed on the single
+// version) and Sharded (keyed on a hash of the version vector) alike. A
+// scene query reaches it already resolved to its crop, so it shares its
+// entry with a pixels query of the same crop scored by the query-only
+// denominator.
 
 // cacheKey identifies one cacheable query result. QueryParams is
 // comparable, so the key works directly as a map key; canonicalParams
@@ -81,11 +82,15 @@ func hashQueryID(id string) uint64 {
 	return h
 }
 
-// versionKey folds a fleet's version vector into the key's version slot.
-func versionKey(vv []uint64) uint64 {
-	h := fnvMix(uint64(fnvOffset64), uint64(len(vv)))
-	for _, v := range vv {
-		h = fnvMix(h, v)
+// versionKey is the key's version slot: the pinned version of a single
+// store, or a hash of a fleet's version vector.
+func (f queryFront) versionKey() uint64 {
+	if !f.fleet {
+		return f.snaps[0].core.version
+	}
+	h := fnvMix(uint64(fnvOffset64), uint64(len(f.snaps)))
+	for _, sn := range f.snaps {
+		h = fnvMix(h, sn.core.version)
 	}
 	return h
 }
@@ -155,56 +160,44 @@ func (c *queryCache) len() int {
 	return c.ll.Len()
 }
 
-// cacheMetrics is the instrument set of one result cache, embedded in
-// both dbMetrics and shardedMetrics.
-type cacheMetrics struct {
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	entries   *obs.Gauge
-}
-
-// newCacheMetrics resolves the walrus_cache_* handles; n is the owning
-// metric set's name-scoping helper.
-func newCacheMetrics(reg *obs.Registry, n func(string) string) cacheMetrics {
-	return cacheMetrics{
-		hits:      reg.Counter(n("cache_hits_total"), "Queries served from the result cache."),
-		misses:    reg.Counter(n("cache_misses_total"), "Cacheable queries that executed and populated the cache."),
-		evictions: reg.Counter(n("cache_evictions_total"), "Result-cache entries evicted by LRU."),
-		entries:   reg.Gauge(n("cache_entries"), "Result-cache entries currently held."),
-	}
-}
-
-// cachedQuery wraps one query execution in the cache protocol shared by
-// DB and Sharded: bypass on NoCache, serve a copy on hit (with the
-// cached stats, re-stamped with the lookup time and a "hit" marker),
-// otherwise run the query and store a private copy of the result. An
-// EXPLAIN context gets the cache outcome as a first-class funnel row.
-func cachedQuery(ctx context.Context, c *queryCache, cm *cacheMetrics, versions uint64, sharded bool, qhash uint64, p QueryParams, run func() ([]Match, QueryStats, error)) ([]Match, QueryStats, error) {
+// cachedQuery wraps the pipeline for a resolved query (see
+// queryFront.query) in the protocol of the result cache c: bypass on NoCache, serve a
+// copy on hit (with the cached stats, re-stamped with the lookup time and
+// a "hit" marker), otherwise run the query and store a private copy of
+// the result. An EXPLAIN context gets the cache outcome as a first-class
+// funnel row.
+func (f queryFront) cachedQuery(ctx context.Context, c *queryCache, src querySource, rec *imageRecord, p QueryParams) ([]Match, QueryStats, error) {
 	if p.NoCache {
-		matches, stats, err := run()
+		matches, stats, err := f.run(ctx, src.im, rec, p)
 		if err == nil {
 			stats.Cache = "bypass"
 		}
 		return matches, stats, err
 	}
+	var qhash uint64
+	if rec != nil {
+		qhash = hashQueryID(src.id)
+	} else {
+		qhash = hashQueryImage(src.im)
+	}
 	start := statsClock()
-	key := cacheKey{versions: versions, query: qhash, params: canonicalParams(p)}
+	key := cacheKey{versions: f.versionKey(), query: qhash, params: canonicalParams(p)}
+	m := f.qm
 	if cached, stats, ok := c.get(key); ok {
 		out := make([]Match, len(cached))
 		copy(out, cached)
 		stats.Elapsed = statsSince(start)
 		stats.Cache = "hit"
-		if cm != nil {
-			cm.hits.Inc()
+		if m != nil {
+			m.cacheHits.Inc()
 		}
 		if qt := queryTraceFrom(ctx); qt != nil {
-			qt.fillCacheHit(p, sharded, stats, len(out), stats.Elapsed.Nanoseconds())
+			qt.fillCacheHit(p, f.fleet, stats, len(out), stats.Elapsed.Nanoseconds())
 		}
 		return out, stats, nil
 	}
 	lookupNS := statsSince(start).Nanoseconds()
-	matches, stats, err := run()
+	matches, stats, err := f.run(ctx, src.im, rec, p)
 	if err != nil {
 		return matches, stats, err
 	}
@@ -212,12 +205,12 @@ func cachedQuery(ctx context.Context, c *queryCache, cm *cacheMetrics, versions 
 	stored := make([]Match, len(matches))
 	copy(stored, matches)
 	evicted := c.put(key, stored, stats)
-	if cm != nil {
-		cm.misses.Inc()
+	if m != nil {
+		m.cacheMisses.Inc()
 		if evicted > 0 {
-			cm.evictions.Add(uint64(evicted))
+			m.cacheEvictions.Add(uint64(evicted))
 		}
-		cm.entries.Set(int64(c.len()))
+		m.cacheEntries.Set(int64(c.len()))
 	}
 	if qt := queryTraceFrom(ctx); qt != nil {
 		qt.noteCacheMiss(lookupNS)

@@ -2,6 +2,7 @@ package walrus
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -51,7 +52,7 @@ func TestAddRejectsNonFinitePixels(t *testing.T) {
 			if _, err := BuildFrom(testOptions(), []BatchItem{{ID: "bad", Image: bad}}, 1); err == nil {
 				t.Fatalf("BuildFrom accepted a %v pixel in a %dx%d image", v, bad.W, bad.H)
 			}
-			if _, _, err := db.Query(bad, DefaultQueryParams()); err == nil {
+			if _, _, err := db.QueryContext(context.Background(), bad, DefaultQueryParams()); err == nil {
 				t.Fatalf("Query accepted a %v pixel in a %dx%d image", v, bad.W, bad.H)
 			}
 		}

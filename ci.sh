@@ -29,7 +29,12 @@
 #   1d. shard tier: runs the shard-count determinism matrix (every shard
 #      count must reproduce the shards=1 oracle byte-for-byte), the
 #      per-shard crash matrix and the cross-shard fan-out oracle under
-#      the race detector
+#      the race detector, plus the query-front suite: every front
+#      (DB, Snapshot, Sharded, ShardedSnapshot) agrees on answers and
+#      errors for pixels, id and scene queries, exports exactly the
+#      three Query* entry points, and keeps query state at the fleet;
+#      with the cache protocol, trace-completeness and funnel-determinism
+#      tests that the front runs under
 #   1e. explain tier: runs the trace/EXPLAIN suite under the race
 #      detector — the 4-shard trace-completeness storm (single root, no
 #      orphaned spans, funnel counts identical at every Parallelism),
@@ -139,7 +144,7 @@ tier "tier 1: race (short)" go test -race -short ./...
 tier "tier 1: obs scrape during stress" obs_tier
 tier "tier 1: obs exposition validators" go test -count=1 -run 'TestPrometheusOutputValidates|TestValidatePrometheusRejectsMalformed|TestHandlerEndpoints' ./internal/obs
 tier "tier 1: snapshot (acquire/release vs publish, leak check, id index)" go test -race -count=1 -run 'TestSnapshot|TestIDIndex' .
-tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle)" go test -race -count=1 -run 'TestShard' .
+tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, query fronts)" go test -race -count=1 -run 'TestShard|TestQueryFrontsAgree|TestQueryFrontErrors|TestQueryEntryPoints|TestQueryCache|TestTraceCompleteness|TestExplainFunnelDeterminism' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...

@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -29,7 +30,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, _, err := db.Query(q, DefaultQueryParams()); err != nil {
+				if _, _, err := db.QueryContext(context.Background(), q, DefaultQueryParams()); err != nil {
 					errs <- err
 					return
 				}
@@ -63,7 +64,7 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 	// The database is still consistent: a query succeeds and every id is
 	// queryable.
-	matches, _, err := db.Query(q, DefaultQueryParams())
+	matches, _, err := db.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestConcurrentMixedOracle(t *testing.T) {
 				for _, id := range ids {
 					present[id] = true
 				}
-				matches, _, err := s.Query(queries[i%len(queries)], p)
+				matches, _, err := s.QueryContext(context.Background(), queries[i%len(queries)], p)
 				if err != nil {
 					errs <- err
 					s.Release()
@@ -227,12 +228,12 @@ func TestConcurrentMixedOracle(t *testing.T) {
 	// quick matcher's bitmap arithmetic is order-independent.
 	for qi, q := range queries {
 		p := DefaultQueryParams()
-		got, _, err := db.Query(q, p)
+		got, _, err := db.QueryContext(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Parallelism = 1
-		wantMatches, _, err := oracle.Query(q, p)
+		wantMatches, _, err := oracle.QueryContext(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +276,7 @@ func TestConcurrentRemove(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if _, _, err := db.Query(q, DefaultQueryParams()); err != nil {
+			if _, _, err := db.QueryContext(context.Background(), q, DefaultQueryParams()); err != nil {
 				t.Error(err)
 				return
 			}

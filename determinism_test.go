@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -37,11 +38,11 @@ func corpus50(t *testing.T) []BatchItem {
 // same ids, similarities, and matching-region counts in the same order.
 func assertSameRanking(t *testing.T, label string, a, b *DB, q *imgio.Image, pa, pb QueryParams) {
 	t.Helper()
-	ma, sa, err := a.Query(q, pa)
+	ma, sa, err := a.QueryContext(context.Background(), q, pa)
 	if err != nil {
 		t.Fatalf("%s: serial query: %v", label, err)
 	}
-	mb, sb, err := b.Query(q, pb)
+	mb, sb, err := b.QueryContext(context.Background(), q, pb)
 	if err != nil {
 		t.Fatalf("%s: parallel query: %v", label, err)
 	}

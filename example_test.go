@@ -1,6 +1,7 @@
 package walrus_test
 
 import (
+	"context"
 	"fmt"
 
 	"walrus"
@@ -34,7 +35,7 @@ func Example() {
 
 	// Query: the red square moved to the top-left corner.
 	query := exampleScene(0.15, 0.6, 0.2, 0.85, 0.1, 0.1, 8, 8, 50)
-	matches, _, err := db.Query(query, walrus.DefaultQueryParams())
+	matches, _, err := db.QueryContext(context.Background(), query, walrus.DefaultQueryParams())
 	if err != nil {
 		panic(err)
 	}
@@ -42,9 +43,9 @@ func Example() {
 	// Output: best match: red-on-green
 }
 
-// ExampleDB_QueryScene retrieves images containing a user-selected
+// ExampleDB_QuerySceneContext retrieves images containing a user-selected
 // rectangle of the query image — the "user-specified scene".
-func ExampleDB_QueryScene() {
+func ExampleDB_QuerySceneContext() {
 	db, err := walrus.New(walrus.DefaultOptions())
 	if err != nil {
 		panic(err)
@@ -60,7 +61,7 @@ func ExampleDB_QueryScene() {
 			query.SetRGB(x, y, 0.9, 0.9, 0.2)
 		}
 	}
-	matches, _, err := db.QueryScene(query, 0, 0, 64, 64, walrus.DefaultQueryParams())
+	matches, _, err := db.QuerySceneContext(context.Background(), query, 0, 0, 64, 64, walrus.DefaultQueryParams())
 	if err != nil {
 		panic(err)
 	}

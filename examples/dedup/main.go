@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -84,7 +85,7 @@ func main() {
 	params.Tau = threshold
 	best := map[string]string{}
 	for _, c := range collection {
-		matches, _, err := db.Query(c.im, params)
+		matches, _, err := db.QueryContext(context.Background(), c.im, params)
 		if err != nil {
 			log.Fatal(err)
 		}

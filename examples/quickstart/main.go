@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,7 +60,7 @@ func main() {
 	// the indexed image. A whole-image signature would see two quite
 	// different pictures; WALRUS matches the regions.
 	query := scene(0.15, 0.6, 0.2, 0.85, 0.1, 0.1, 8, 8, 50)
-	matches, stats, err := db.Query(query, walrus.DefaultQueryParams())
+	matches, stats, err := db.QueryContext(context.Background(), query, walrus.DefaultQueryParams())
 	if err != nil {
 		log.Fatal(err)
 	}

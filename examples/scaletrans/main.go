@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -82,7 +83,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	wres, _, err := db.Query(query, walrus.DefaultQueryParams())
+	wres, _, err := db.QueryContext(context.Background(), query, walrus.DefaultQueryParams())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"walrus/internal/imgio"
+	"walrus/internal/match"
 	"walrus/internal/obs"
 )
 
 // queryBackend is the query surface shared by DB and Sharded, letting
 // the determinism matrix run the same assertions over both.
 type queryBackend interface {
-	Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, error)
+	QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error)
 }
 
 // filterBackend builds a corpus-loaded backend with the given shard
@@ -87,7 +88,7 @@ func TestQueryDeterminismMatrix(t *testing.T) {
 				p.Refine = refine
 				for qi, q := range queries {
 					label := fmt.Sprintf("shards=%d par=%d refine=%v q%d", shards, par, refine, qi)
-					m, st, err := backend.Query(q, p)
+					m, st, err := backend.QueryContext(context.Background(), q, p)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -106,7 +107,8 @@ func TestQueryDeterminismMatrix(t *testing.T) {
 // TestQueryCache covers the result cache protocol on a single DB: a
 // repeat query hits, the served result is a private copy, a committed
 // write invalidates by construction, NoCache bypasses without
-// populating, and LRU eviction shows up in the metrics.
+// populating, LRU eviction shows up in the metrics, and a scene query
+// goes through the same protocol under its crop's key.
 func TestQueryCache(t *testing.T) {
 	db, err := New(testOptions())
 	if err != nil {
@@ -124,14 +126,14 @@ func TestQueryCache(t *testing.T) {
 	q := scene(green, red, 32, 32, 48)
 	p := DefaultQueryParams()
 
-	m1, s1, err := db.Query(q, p)
+	m1, s1, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.Cache != "miss" {
 		t.Fatalf("first query Cache = %q, want miss", s1.Cache)
 	}
-	m2, s2, err := db.Query(q, p)
+	m2, s2, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestQueryCache(t *testing.T) {
 	// The cached entry is private: clobbering a served slice must not
 	// leak into later hits.
 	m2[0].ID = "clobbered"
-	m3, s3, err := db.Query(q, p)
+	m3, s3, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +158,11 @@ func TestQueryCache(t *testing.T) {
 	pn := p
 	pn.Tau = 0.01
 	pn.NoCache = true
-	if _, sn, err := db.Query(q, pn); err != nil || sn.Cache != "bypass" {
+	if _, sn, err := db.QueryContext(context.Background(), q, pn); err != nil || sn.Cache != "bypass" {
 		t.Fatalf("NoCache query: Cache=%q err=%v, want bypass", sn.Cache, err)
 	}
 	pn.NoCache = false
-	if _, sn, err := db.Query(q, pn); err != nil || sn.Cache != "miss" {
+	if _, sn, err := db.QueryContext(context.Background(), q, pn); err != nil || sn.Cache != "miss" {
 		t.Fatalf("query after bypass: Cache=%q err=%v, want miss (bypass must not populate)", sn.Cache, err)
 	}
 
@@ -169,7 +171,7 @@ func TestQueryCache(t *testing.T) {
 	if err := db.Add("target2", scene(green, red, 32, 32, 48)); err != nil {
 		t.Fatal(err)
 	}
-	m4, s4, err := db.Query(q, p)
+	m4, s4, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +185,11 @@ func TestQueryCache(t *testing.T) {
 	// Capacity is 2: a third distinct key evicts the cold end.
 	pe := p
 	pe.Tau = 0.02
-	if _, _, err := db.Query(q, pe); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), q, pe); err != nil {
 		t.Fatal(err)
 	}
 	pe.Tau = 0.03
-	if _, _, err := db.Query(q, pe); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), q, pe); err != nil {
 		t.Fatal(err)
 	}
 	snap := db.Metrics()
@@ -199,6 +201,47 @@ func TestQueryCache(t *testing.T) {
 	}
 	if snap.Counters["walrus_cache_hits_total"] < 2 {
 		t.Fatalf("cache_hits_total = %d, want >= 2", snap.Counters["walrus_cache_hits_total"])
+	}
+
+	// A scene query is the pixels query of its crop scored by the
+	// query-only denominator, and caches as one: miss, hit, the crop's
+	// own query served from the same entry, NoCache bypassing, and a
+	// write invalidating.
+	ctx := context.Background()
+	ms1, ss1, err := db.QuerySceneContext(ctx, q, 16, 16, 64, 64, p)
+	if err != nil || ss1.Cache != "miss" {
+		t.Fatalf("first scene query: Cache=%q err=%v, want miss", ss1.Cache, err)
+	}
+	ms2, ss2, err := db.QuerySceneContext(ctx, q, 16, 16, 64, 64, p)
+	if err != nil || ss2.Cache != "hit" {
+		t.Fatalf("repeat scene query: Cache=%q err=%v, want hit", ss2.Cache, err)
+	}
+	assertSameAnswer(t, "scene hit vs miss", ms1, ss1, ms2, ss2)
+	crop, err := imgio.Crop(q, 16, 16, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq := p
+	pq.Denominator = match.QueryOnly
+	mc, sc, err := db.QueryContext(ctx, crop, pq)
+	if err != nil || sc.Cache != "hit" {
+		t.Fatalf("crop query: Cache=%q err=%v, want a hit on the scene's entry", sc.Cache, err)
+	}
+	assertSameAnswer(t, "crop vs scene", ms1, ss1, mc, sc)
+	psn := p
+	psn.NoCache = true
+	if _, sn, err := db.QuerySceneContext(ctx, q, 16, 16, 64, 64, psn); err != nil || sn.Cache != "bypass" {
+		t.Fatalf("NoCache scene query: Cache=%q err=%v, want bypass", sn.Cache, err)
+	}
+	if err := db.Add("target3", scene(green, red, 40, 40, 48)); err != nil {
+		t.Fatal(err)
+	}
+	ms3, ss3, err := db.QuerySceneContext(ctx, q, 16, 16, 64, 64, p)
+	if err != nil || ss3.Cache != "miss" {
+		t.Fatalf("scene query after write: Cache=%q err=%v, want miss", ss3.Cache, err)
+	}
+	if len(ms3) != len(ms1)+1 {
+		t.Fatalf("scene query after write returned %d matches, want %d", len(ms3), len(ms1)+1)
 	}
 }
 
@@ -218,14 +261,14 @@ func TestQueryCacheSharded(t *testing.T) {
 	}
 	q := scene(green, red, 32, 32, 48)
 	p := DefaultQueryParams()
-	m1, s1, err := s.Query(q, p)
+	m1, s1, err := s.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.Cache != "miss" {
 		t.Fatalf("first query Cache = %q, want miss", s1.Cache)
 	}
-	m2, s2, err := s.Query(q, p)
+	m2, s2, err := s.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +288,7 @@ func TestQueryCacheSharded(t *testing.T) {
 	if err := s.Add("other", scene(gray, blue, 16, 16, 48)); err != nil {
 		t.Fatal(err)
 	}
-	if _, s3, err := s.Query(q, p); err != nil || s3.Cache != "miss" {
+	if _, s3, err := s.QueryContext(context.Background(), q, p); err != nil || s3.Cache != "miss" {
 		t.Fatalf("query after write Cache = %q err=%v, want miss", s3.Cache, err)
 	}
 }
@@ -287,7 +330,7 @@ func TestQueryCacheChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3*writes; i++ {
-				matches, stats, err := db.Query(q, p)
+				matches, stats, err := db.QueryContext(context.Background(), q, p)
 				if err != nil {
 					t.Errorf("reader: %v", err)
 					return

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -41,7 +42,7 @@ func EpsilonSweep(db *walrus.DB, ds *dataset.Dataset, queriesPerCategory, k int,
 		p.Limit = k + 1
 		row := EpsilonRow{Epsilon: eps}
 		for _, q := range queries {
-			matches, stats, err := db.Query(q.Image, p)
+			matches, stats, err := db.QueryContext(context.Background(), q.Image, p)
 			if err != nil {
 				return nil, err
 			}

@@ -17,6 +17,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -225,7 +226,7 @@ func BuildWalrusDB(ds *dataset.Dataset, opts walrus.Options) (*walrus.DB, error)
 // query, under the paper's parameters.
 func Fig8(db *walrus.DB, query dataset.Item, params walrus.QueryParams, k int) (RetrievalResult, error) {
 	params.Limit = k + 1
-	matches, _, err := db.Query(query.Image, params)
+	matches, _, err := db.QueryContext(context.Background(), query.Image, params)
 	if err != nil {
 		return RetrievalResult{}, err
 	}
@@ -279,7 +280,7 @@ func Table1(db *walrus.DB, query *imgio.Image, base walrus.QueryParams, epsilons
 	for _, eps := range epsilons {
 		p := base
 		p.Epsilon = eps
-		_, stats, err := db.Query(query, p)
+		_, stats, err := db.QueryContext(context.Background(), query, p)
 		if err != nil {
 			return nil, err
 		}
@@ -379,7 +380,7 @@ func MatcherAblation(db *walrus.DB, query *imgio.Image, base walrus.QueryParams)
 		p := base
 		p.Matcher = alg
 		p.Limit = 1
-		matches, stats, err := db.Query(query, p)
+		matches, stats, err := db.QueryContext(context.Background(), query, p)
 		if err != nil {
 			return nil, err
 		}

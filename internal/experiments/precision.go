@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -105,7 +106,7 @@ func MeanPrecision(ds *dataset.Dataset, cfg WalrusConfig, queriesPerCategory, k 
 		p := cfg.Params
 		p.Limit = k + 1
 		ids, err := topIDs(q, func() ([]string, error) {
-			matches, _, err := db.Query(q.Image, p)
+			matches, _, err := db.QueryContext(context.Background(), q.Image, p)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -66,7 +67,7 @@ func Robustness(ds *dataset.Dataset, cfg WalrusConfig, target dataset.Item) ([]R
 		row := RobustnessRow{Transform: v.name}
 		// Skip variants that became too small for the sliding window.
 		if q.W >= cfg.Options.Region.MinWindow && q.H >= cfg.Options.Region.MinWindow {
-			matches, _, err := db.Query(q, cfg.Params)
+			matches, _, err := db.QueryContext(context.Background(), q, cfg.Params)
 			if err != nil {
 				return nil, err
 			}

@@ -5,11 +5,12 @@ import (
 	"walrus/internal/parallel"
 )
 
-// dbMetrics holds the DB's pre-resolved obs handles. One pointer load on
-// the query path decides whether instrumentation runs at all; a nil
-// pointer (observability off) costs a single atomic load and no clock
-// reads beyond the ones QueryStats already pays for.
-type dbMetrics struct {
+// queryMetrics is the query front's instrument set: the walrus_query_*
+// counters and phase histograms and the walrus_cache_* series, plus the
+// registry query spans root in. A standalone DB and a Sharded fleet each
+// own one; the shards of a fleet own none, since fleet queries never run
+// through a shard's own front.
+type queryMetrics struct {
 	reg *obs.Registry
 
 	queries          *obs.Counter
@@ -21,6 +22,40 @@ type dbMetrics struct {
 	extractSeconds *obs.Histogram
 	probeSeconds   *obs.Histogram
 	scoreSeconds   *obs.Histogram
+
+	cacheHits      *obs.Counter
+	cacheMisses    *obs.Counter
+	cacheEvictions *obs.Counter
+	cacheEntries   *obs.Gauge
+}
+
+func newQueryMetrics(reg *obs.Registry) *queryMetrics {
+	return &queryMetrics{
+		reg:              reg,
+		queries:          reg.Counter("walrus_query_total", "Queries served."),
+		queryRegions:     reg.Counter("walrus_query_regions_total", "Regions extracted from query images."),
+		regionsRetrieved: reg.Counter("walrus_query_regions_retrieved_total", "Matching database regions retrieved by index probes."),
+		candidates:       reg.Counter("walrus_query_candidates_total", "Candidate images scored by queries."),
+		querySeconds:     reg.Histogram("walrus_query_seconds", "End-to-end query latency.", nil),
+		extractSeconds:   reg.Histogram("walrus_query_extract_seconds", "Query region-extraction phase latency.", nil),
+		probeSeconds:     reg.Histogram("walrus_query_probe_seconds", "Query index-probe phase latency.", nil),
+		scoreSeconds:     reg.Histogram("walrus_query_score_seconds", "Query candidate-scoring phase latency.", nil),
+		cacheHits:        reg.Counter("walrus_cache_hits_total", "Queries served from the result cache."),
+		cacheMisses:      reg.Counter("walrus_cache_misses_total", "Cacheable queries that executed and populated the cache."),
+		cacheEvictions:   reg.Counter("walrus_cache_evictions_total", "Result-cache entries evicted by LRU."),
+		cacheEntries:     reg.Gauge("walrus_cache_entries", "Result-cache entries currently held."),
+	}
+}
+
+// dbMetrics holds the DB's pre-resolved obs handles. One pointer load on
+// the query path decides whether instrumentation runs at all; a nil
+// pointer (observability off) costs a single atomic load and no clock
+// reads beyond the ones QueryStats already pays for.
+type dbMetrics struct {
+	reg *obs.Registry
+
+	// query is nil on a shard of a Sharded database.
+	query *queryMetrics
 
 	ingests       *obs.Counter
 	ingestRegions *obs.Counter
@@ -36,8 +71,6 @@ type dbMetrics struct {
 	snapshotsTotal  *obs.Counter
 	publishes       *obs.Counter
 	publishSeconds  *obs.Histogram
-
-	cache cacheMetrics
 }
 
 // SetMetrics attaches an observability registry to the database and every
@@ -57,11 +90,13 @@ func (db *DB) SetMetrics(reg *obs.Registry) { db.setMetricsScoped(reg, "") }
 
 // setMetricsScoped is SetMetrics with a metric-name scope. A non-empty
 // scope like "shard3_" is spliced after the walrus_ prefix of every
-// DB-level metric (walrus_shard3_query_total, walrus_shard3_images, ...),
+// DB-level metric (walrus_shard3_images, walrus_shard3_ingest_total, ...),
 // giving each shard of a Sharded database its own series in one shared
-// registry. Subsystem metrics (R*-tree, buffer pool, pager, heap, WAL,
-// worker pool) keep their unscoped names: the registry returns the same
-// handle for a duplicate name, so shards aggregate into one series there.
+// registry. A scoped metric set has no query or cache series: the fleet
+// answers every query and reports it under its own unscoped names.
+// Subsystem metrics (R*-tree, buffer pool, pager, heap, WAL, worker
+// pool) keep their unscoped names: the registry returns the same handle
+// for a duplicate name, so shards aggregate into one series there.
 func (db *DB) setMetricsScoped(reg *obs.Registry, scope string) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -93,30 +128,25 @@ func (db *DB) setMetricsScoped(reg *obs.Registry, scope string) {
 // given name scope ("" for a standalone database, "shardN_" per shard).
 func newDBMetrics(reg *obs.Registry, scope string) *dbMetrics {
 	n := func(base string) string { return "walrus_" + scope + base }
-	return &dbMetrics{
-		reg:              reg,
-		queries:          reg.Counter(n("query_total"), "Queries served."),
-		queryRegions:     reg.Counter(n("query_regions_total"), "Regions extracted from query images."),
-		regionsRetrieved: reg.Counter(n("query_regions_retrieved_total"), "Matching database regions retrieved by index probes."),
-		candidates:       reg.Counter(n("query_candidates_total"), "Candidate images scored by queries."),
-		querySeconds:     reg.Histogram(n("query_seconds"), "End-to-end query latency.", nil),
-		extractSeconds:   reg.Histogram(n("query_extract_seconds"), "Query region-extraction phase latency.", nil),
-		probeSeconds:     reg.Histogram(n("query_probe_seconds"), "Query index-probe phase latency.", nil),
-		scoreSeconds:     reg.Histogram(n("query_score_seconds"), "Query candidate-scoring phase latency.", nil),
-		ingests:          reg.Counter(n("ingest_total"), "Images ingested."),
-		ingestRegions:    reg.Counter(n("ingest_regions_total"), "Regions indexed by ingest."),
-		ingestSeconds:    reg.Histogram(n("ingest_seconds"), "Per-image catalog and index insertion latency (excludes region extraction).", nil),
-		removes:          reg.Counter(n("removes_total"), "Images removed."),
-		checkpoints:      reg.Counter(n("checkpoints_total"), "Checkpoints taken by the disk store."),
-		images:           reg.Gauge(n("images"), "Indexed images."),
-		regions:          reg.Gauge(n("regions"), "Live indexed regions."),
-		snapshotVersion:  reg.Gauge(n("snapshot_version"), "Currently published catalog version."),
-		activeSnapshots:  reg.Gauge(n("snapshots_active"), "Snapshots acquired and not yet released."),
-		snapshotsTotal:   reg.Counter(n("snapshots_total"), "Snapshots acquired."),
-		publishes:        reg.Counter(n("publishes_total"), "Catalog versions published by writers."),
-		publishSeconds:   reg.Histogram(n("publish_seconds"), "Latency of building and publishing one catalog version.", nil),
-		cache:            newCacheMetrics(reg, n),
+	m := &dbMetrics{
+		reg:             reg,
+		ingests:         reg.Counter(n("ingest_total"), "Images ingested."),
+		ingestRegions:   reg.Counter(n("ingest_regions_total"), "Regions indexed by ingest."),
+		ingestSeconds:   reg.Histogram(n("ingest_seconds"), "Per-image catalog and index insertion latency (excludes region extraction).", nil),
+		removes:         reg.Counter(n("removes_total"), "Images removed."),
+		checkpoints:     reg.Counter(n("checkpoints_total"), "Checkpoints taken by the disk store."),
+		images:          reg.Gauge(n("images"), "Indexed images."),
+		regions:         reg.Gauge(n("regions"), "Live indexed regions."),
+		snapshotVersion: reg.Gauge(n("snapshot_version"), "Currently published catalog version."),
+		activeSnapshots: reg.Gauge(n("snapshots_active"), "Snapshots acquired and not yet released."),
+		snapshotsTotal:  reg.Counter(n("snapshots_total"), "Snapshots acquired."),
+		publishes:       reg.Counter(n("publishes_total"), "Catalog versions published by writers."),
+		publishSeconds:  reg.Histogram(n("publish_seconds"), "Latency of building and publishing one catalog version.", nil),
 	}
+	if scope == "" {
+		m.query = newQueryMetrics(reg)
+	}
+	return m
 }
 
 // publishRecovery exposes the crash-recovery stats of the last Open as

@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -30,7 +31,7 @@ func TestQueryStatsMatchRegistry(t *testing.T) {
 	}
 	p := DefaultQueryParams()
 	p.Parallelism = 1
-	_, stats, err := db.Query(scene(green, red, 32, 32, 48), p)
+	_, stats, err := db.QueryContext(context.Background(), scene(green, red, 32, 32, 48), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestObsCountDeterminism(t *testing.T) {
 		p := DefaultQueryParams()
 		p.Parallelism = queryWorkers
 		for i := 0; i < 3; i++ {
-			if _, _, err := db.Query(scene(green, red, 24, 24, 40), p); err != nil {
+			if _, _, err := db.QueryContext(context.Background(), scene(green, red, 24, 24, 40), p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -200,7 +201,7 @@ func TestObsScrapeUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, _, err := db.Query(q, p); err != nil {
+				if _, _, err := db.QueryContext(context.Background(), q, p); err != nil {
 					errs <- err
 					return
 				}
@@ -279,7 +280,7 @@ func TestMetricsNilRegistry(t *testing.T) {
 	if err := db.Add("a", scene(green, red, 32, 32, 48)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Query(scene(green, red, 32, 32, 48), DefaultQueryParams()); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), scene(green, red, 32, 32, 48), DefaultQueryParams()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Remove("a"); err != nil {

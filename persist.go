@@ -117,7 +117,10 @@ type catalogData struct {
 
 // Create creates a disk-backed database in dir (which is created if
 // needed).
-func Create(dir string, opts Options) (*DB, error) {
+func Create(dir string, opts Options) (*DB, error) { return withCache(create(dir, opts)) }
+
+// create is Create without the result cache: the constructor of a shard.
+func create(dir string, opts Options) (*DB, error) {
 	db, err := createDB(dir, opts)
 	if err != nil {
 		return nil, err
@@ -191,7 +194,10 @@ func Open(dir string) (*DB, error) { return OpenFS(dir, nil) }
 
 // OpenFS is Open with an explicit filesystem seam; nil fs uses the real
 // filesystem. Crash-recovery tests pass a fault-injecting opener.
-func OpenFS(dir string, fs FileOpener) (*DB, error) {
+func OpenFS(dir string, fs FileOpener) (*DB, error) { return withCache(openFS(dir, fs)) }
+
+// openFS is OpenFS without the result cache: the constructor of a shard.
+func openFS(dir string, fs FileOpener) (*DB, error) {
 	cf, err := os.Open(filepath.Join(dir, catalogFileName))
 	if err != nil {
 		return nil, fmt.Errorf("walrus: opening catalog: %w", err)

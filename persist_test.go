@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -81,7 +82,7 @@ func TestOpenDetectsCorruptIndexPages(t *testing.T) {
 		return
 	}
 	defer re.Close()
-	if _, _, err := re.Query(scene(green, red, 10, 10, 40), DefaultQueryParams()); err == nil {
+	if _, _, err := re.QueryContext(context.Background(), scene(green, red, 10, 10, 40), DefaultQueryParams()); err == nil {
 		t.Fatal("query succeeded over corrupted index pages")
 	}
 }
@@ -140,7 +141,7 @@ func TestRemoveSurvivesReopen(t *testing.T) {
 	if re.Len() != 1 {
 		t.Fatalf("Len after reopen = %d", re.Len())
 	}
-	matches, _, err := re.Query(scene(gray, blue, 10, 10, 40), DefaultQueryParams())
+	matches, _, err := re.QueryContext(context.Background(), scene(gray, blue, 10, 10, 40), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestDiskRoundTripWithFineSignatures(t *testing.T) {
 	}
 	p := DefaultQueryParams()
 	p.Refine = true
-	matches, _, err := re.Query(scene(green, red, 20, 20, 50), p)
+	matches, _, err := re.QueryContext(context.Background(), scene(green, red, 20, 20, 50), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestDiskAddBatch(t *testing.T) {
 	if re.Len() != 2 {
 		t.Fatalf("Len = %d", re.Len())
 	}
-	matches, _, err := re.Query(scene(gray, blue, 30, 30, 40), DefaultQueryParams())
+	matches, _, err := re.QueryContext(context.Background(), scene(gray, blue, 30, 30, 40), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}

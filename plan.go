@@ -9,18 +9,16 @@ import (
 	"walrus/internal/region"
 )
 
-// The composable query plan. A query no longer hand-chains its stages:
-// planPhaseA and planScore assemble an explicit stage list from the
-// query parameters, and runStages
-// executes it — one runner shared by Snapshot and ShardedSnapshot (and
-// therefore the serve layer), providing the deadline check, the child
-// span, and the funnel timing slot for every stage, so a new tier plugs
-// in by adding one queryStage to the plan instead of rethreading
-// query.go, shard.go and trace.go by hand.
+// The composable query plan. A query does not hand-chain its stages:
+// planPhaseA and scorePlan are explicit stage lists, and runStages
+// executes them — one runner under the one query front (query.go), so
+// every front and the serve layer share the deadline check, the child
+// span, and the funnel timing slot of every stage, and a new tier plugs
+// in by adding one queryStage to a plan.
 
 // stageExec is the state one plan execution threads between stages: the
 // snapshot the stages read, the query inputs, and each stage's output.
-// A sharded query runs one exec per shard over the same plan.
+// A query runs one exec per pinned shard over the same plan.
 type stageExec struct {
 	snap     *Snapshot
 	qRegions []region.Region
@@ -47,23 +45,24 @@ type queryStage struct {
 	run  func(ctx context.Context, ex *stageExec, sp *obs.Span) error
 }
 
-// planPhaseA assembles the probe side of the pipeline — everything up to
+// The plans are fixed lists shared by every query, so assembling one
+// allocates nothing.
+var (
+	phaseAPlain  = []queryStage{{name: "probe", run: runProbe}, {name: "aggregate", run: runAggregate}}
+	phaseARefine = []queryStage{{name: "probe", run: runProbe}, {name: "refine", run: runRefine}, {name: "aggregate", run: runAggregate}}
+	// scorePlan is the scoring side of the pipeline, run per shard after
+	// phase A so a fleet can fan the two phases out independently.
+	scorePlan = []queryStage{{name: "score", run: runScore}}
+)
+
+// planPhaseA selects the probe side of the pipeline — everything up to
 // the per-image pair sets the scorer consumes: probe, then the optional
 // refine tier, then aggregate.
 func planPhaseA(p QueryParams) []queryStage {
-	stages := make([]queryStage, 0, 3)
-	stages = append(stages, queryStage{name: "probe", run: runProbe})
 	if p.Refine {
-		stages = append(stages, queryStage{name: "refine", run: runRefine})
+		return phaseARefine
 	}
-	stages = append(stages, queryStage{name: "aggregate", run: runAggregate})
-	return stages
-}
-
-// planScore is the scoring side of the pipeline, run per shard after
-// phase A so a sharded query can fan the two phases out independently.
-func planScore() []queryStage {
-	return []queryStage{{name: "score", run: runScore}}
+	return phaseAPlain
 }
 
 // runStages executes a plan over one exec. Every stage gets a deadline

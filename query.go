@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"walrus/internal/imgio"
 	"walrus/internal/match"
@@ -17,17 +16,18 @@ import (
 	"walrus/internal/rstar"
 )
 
-// The query pipeline stages. A query runs as a stage plan over one
-// immutable Snapshot — extract, probe, the optional refine tier,
-// aggregate, score — assembled by planPhaseA/planScore and driven
-// by runStages (plan.go). Each stage takes only the snapshot and the
-// previous stage's output, so the whole pipeline is lock-free: the
-// catalog slices and the pinned index view cannot change underneath it,
-// and the refine fan-out over the worker pool needs no synchronization
-// beyond slot-indexed writes. Aggregation and scoring run on the calling
-// goroutine, with costs that scale with the hits and the returned
-// matches: handing candidates to workers cost more than it saved on the
-// measured traffic (DESIGN.md, "Query tail").
+// The query pipeline: the stages and the one query front that runs them.
+// A query runs as a stage plan over immutable Snapshots — extract,
+// probe, the optional refine tier, aggregate, score — chosen by
+// planPhaseA and scorePlan and driven by runStages (plan.go) from
+// queryFront, which every public Query* method calls into. Each stage
+// takes only the snapshot and the previous stage's output, so the whole
+// pipeline is lock-free: the catalog slices and the pinned index view
+// cannot change underneath it, and the refine fan-out over the worker
+// pool needs no synchronization beyond slot-indexed writes. Aggregation
+// and scoring run on the calling goroutine, with costs that scale with
+// the hits and the returned matches: handing candidates to workers cost
+// more than it saved on the measured traffic (DESIGN.md, "Query tail").
 
 // signatureRect builds the index key for a region: its centroid point,
 // or its signature bounding box when useBBox is set.
@@ -267,49 +267,206 @@ func (s *Snapshot) scoreStage(ctx context.Context, qRegions []region.Region, qAr
 	return top.sorted(), nil
 }
 
-// Query runs the staged query pipeline against the snapshot: the same
-// semantics as DB.Query, but over this fixed version, so a caller can
-// issue several queries against one consistent state while writers
-// commit concurrently.
-func (s *Snapshot) Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
-	return s.QueryContext(context.Background(), im, p)
+// querySource is what a query runs on: the pixels of a query image, the
+// stored regions of an indexed image (id, when im is nil), or a scene —
+// a rectangle of a query image, resolved to its crop's pixels before
+// anything else.
+type querySource struct {
+	im         *imgio.Image
+	id         string
+	scene      bool
+	x, y, w, h int
 }
 
-// QueryContext is Query with a deadline: the context is checked between
-// pipeline stages, inside every refine task and every few candidates of
-// the score loop, so a request whose deadline expires stops burning
-// worker slots mid-pipeline and returns the context's error. The
-// snapshot is unaffected — cancellation never tears published state.
-func (s *Snapshot) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
-	start := statsClock()
+// queryFront is the one query front every public Query* method calls
+// into. It runs over a set of pinned shard snapshots: a DB or Snapshot
+// query is the one-shard case, a Sharded or ShardedSnapshot query the
+// fleet case. A fleet keeps its fan-out shape at every shard count —
+// per-shard spans under the probe and score umbrellas, the merge, and a
+// sharded EXPLAIN — so a one-shard fleet still reports itself sharded.
+type queryFront struct {
+	snaps []*Snapshot
+	fleet bool
+	// qm receives the query's metrics and roots its span; nil means
+	// observability is off.
+	qm *queryMetrics
+}
+
+// query validates the request, resolves its source — a scene to a pixels
+// query on its crop, an id to the stored record on its owning shard — and
+// answers it from the result cache c, or from the pipeline when c is nil
+// (caching off, and always on an explicit snapshot).
+func (f queryFront) query(ctx context.Context, c *queryCache, src querySource, p QueryParams) ([]Match, QueryStats, error) {
 	if p.Epsilon < 0 {
 		return nil, QueryStats{}, fmt.Errorf("walrus: negative epsilon %v", p.Epsilon)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err
 	}
-	qspan := s.beginQuerySpan(ctx)
+	if src.scene {
+		minW := f.snaps[0].core.opts.Region.MinWindow
+		if src.w < minW || src.h < minW {
+			return nil, QueryStats{}, fmt.Errorf("walrus: scene %dx%d smaller than the minimum window %d", src.w, src.h, minW)
+		}
+		crop, err := imgio.Crop(src.im, src.x, src.y, src.w, src.h)
+		if err != nil {
+			return nil, QueryStats{}, fmt.Errorf("walrus: cropping scene: %w", err)
+		}
+		// Score by coverage of the scene alone: a target that contains the
+		// whole scene should score near 1 however large the target is.
+		src = querySource{im: crop}
+		p.Denominator = match.QueryOnly
+	}
+	var rec *imageRecord
+	if src.im == nil {
+		owner := f.snaps[shardOf(src.id, len(f.snaps))]
+		idx, ok := owner.core.byID.get(src.id)
+		if !ok {
+			return nil, QueryStats{}, fmt.Errorf("walrus: query image %q: %w", src.id, ErrUnknownID)
+		}
+		rec = &owner.core.images[idx]
+	}
+	if c == nil {
+		return f.run(ctx, src.im, rec, p)
+	}
+	return f.cachedQuery(ctx, c, src, rec, p)
+}
+
+// run executes the staged pipeline for a resolved query: the query
+// regions are extracted from im — once, on shard 0, whose extractor
+// every shard shares — or read from the stored record rec; every pinned
+// shard then runs the probe phase and the score phase through the shared
+// runner, each with its own stageExec, and a fleet merges the per-shard
+// rankings. An EXPLAIN context gets one traceCollector per shard, folded
+// into the funnel at the end.
+func (f queryFront) run(ctx context.Context, im *imgio.Image, rec *imageRecord, p QueryParams) ([]Match, QueryStats, error) {
+	start := statsClock()
+	qspan := f.beginQuerySpan(ctx)
 	es := qspan.Child("query.extract")
-	qRegions, err := s.extractStage(im)
-	if err != nil {
-		failSpans(es, qspan)
-		return nil, QueryStats{}, err
+	var qRegions []region.Region
+	var qArea int
+	if rec != nil {
+		qRegions, qArea = rec.Regions, rec.W*rec.H
+	} else {
+		var err error
+		if qRegions, err = f.snaps[0].extractStage(im); err != nil {
+			failSpans(es, qspan)
+			return nil, QueryStats{}, err
+		}
+		qArea = im.W * im.H
 	}
 	es.End()
 	stats := QueryStats{QueryRegions: len(qRegions), ExtractTime: statsSince(start)}
-	return s.finishQuery(ctx, qRegions, im.W*im.H, p, start, stats, qspan)
+
+	probeStart := statsClock()
+	workers := parallel.Workers(p.Parallelism)
+	qt := queryTraceFrom(ctx)
+	execs := make([]stageExec, len(f.snaps))
+	for i, sn := range f.snaps {
+		execs[i] = stageExec{snap: sn, qRegions: qRegions, qArea: qArea, p: p, workers: workers}
+		if qt != nil {
+			execs[i].tc = newTraceCollector(len(qRegions), sn.core.version)
+		}
+	}
+	if err := f.runPhase(ctx, planPhaseA(p), execs, qspan, "query.probe", workers); err != nil {
+		failSpans(qspan)
+		return nil, stats, err
+	}
+	for i := range execs {
+		stats.RegionsRetrieved += execs[i].retrieved
+		stats.CandidateImages += len(execs[i].cands.images)
+	}
+	stats.ProbeTime = statsSince(probeStart)
+	scoreStart := statsClock()
+
+	// Every shard scores with the fleet Limit. The cut is exact: ids are
+	// disjoint across shards and (similarity desc, id asc) is a strict
+	// order, so a match in the fleet's top Limit has at most Limit-1
+	// matches ranked above it on the whole fleet, hence on its own shard,
+	// and is in that shard's top Limit too.
+	if err := f.runPhase(ctx, scorePlan, execs, qspan, "query.score", workers); err != nil {
+		failSpans(qspan)
+		return nil, stats, err
+	}
+	matches, mergedIn, mergeNS := execs[0].matches, len(execs[0].matches), int64(0)
+	if f.fleet {
+		mergeStart := statsClock()
+		matches, mergedIn = mergeMatches(execs, p.Limit)
+		mergeNS = statsSince(mergeStart).Nanoseconds()
+	}
+	stats.ScoreTime = statsSince(scoreStart)
+	stats.Elapsed = statsSince(start)
+	if qt != nil {
+		qt.fill(qspan, f.fleet, p, len(qRegions), execs, stats, mergedIn, len(matches), mergeNS)
+	}
+	f.observeQuery(qspan, stats)
+	return matches, stats, nil
+}
+
+// runPhase runs one plan phase on every pinned shard. A single store runs
+// it on the caller, its stage spans (query.<stage>) directly under the
+// query span; a fleet fans the shards out under one umbrella span, each
+// stage a query.shard.<stage> span tagged with its shard.
+func (f queryFront) runPhase(ctx context.Context, plan []queryStage, execs []stageExec, qspan *obs.Span, umbrella string, workers int) error {
+	if !f.fleet {
+		return runStages(ctx, plan, &execs[0], qspan, "query.", -1)
+	}
+	sp := qspan.Child(umbrella)
+	err := parallel.ForErr(len(execs), workers, func(i int) error {
+		return runStages(ctx, plan, &execs[i], sp, "query.shard.", i)
+	})
+	if err != nil {
+		failSpans(sp)
+		return err
+	}
+	sp.End()
+	return nil
+}
+
+// mergeMatches merges the per-shard rankings, each already ordered by
+// the shared (similarity desc, id asc) key, into the fleet ranking cut at
+// limit (0 = unlimited), in a slice sized exactly to it, and reports how
+// many per-shard matches entered the merge. Ids are disjoint across
+// shards, so the merge reproduces exactly the ranking a single shard
+// would have produced over the union.
+func mergeMatches(execs []stageExec, limit int) ([]Match, int) {
+	in := 0
+	for i := range execs {
+		in += len(execs[i].matches)
+	}
+	total := in
+	if limit > 0 && limit < total {
+		total = limit
+	}
+	merged := make([]Match, total)
+	next := make([]int, len(execs))
+	for out := range merged {
+		best := -1
+		for i := range execs {
+			m := execs[i].matches
+			if next[i] == len(m) {
+				continue
+			}
+			if best < 0 || compareMatches(m[next[i]], execs[best].matches[next[best]]) < 0 {
+				best = i
+			}
+		}
+		merged[out] = execs[best].matches[next[best]]
+		next[best]++
+	}
+	return merged, in
 }
 
 // beginQuerySpan opens the live "query" span: a child of the request
 // span when the context carries one (the serving layer's root), else a
-// fresh root trace on the attached registry, else nil — tracing off, and
+// fresh root trace on the front's registry, else nil — tracing off, and
 // every downstream span call is a nil no-op.
-func (s *Snapshot) beginQuerySpan(ctx context.Context) *obs.Span {
+func (f queryFront) beginQuerySpan(ctx context.Context) *obs.Span {
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		return parent.Child("query")
 	}
-	if m := s.om.Load(); m != nil {
-		return m.reg.StartSpan("query")
+	if f.qm != nil {
+		return f.qm.reg.StartSpan("query")
 	}
 	return nil
 }
@@ -324,102 +481,21 @@ func failSpans(spans ...*obs.Span) {
 	}
 }
 
-// QueryByID runs the staged pipeline using the stored regions of an
-// already-indexed image as the query, skipping extraction entirely: the
-// network front-end's "more like this" path. The id is resolved against
-// this snapshot's version; ErrUnknownID reports an absent (or removed)
-// id.
-func (s *Snapshot) QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error) {
-	start := statsClock()
-	if p.Epsilon < 0 {
-		return nil, QueryStats{}, fmt.Errorf("walrus: negative epsilon %v", p.Epsilon)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	idx, ok := s.core.byID.get(id)
-	if !ok {
-		return nil, QueryStats{}, fmt.Errorf("walrus: query image %q: %w", id, ErrUnknownID)
-	}
-	qspan := s.beginQuerySpan(ctx)
-	es := qspan.Child("query.extract")
-	rec := s.core.images[idx]
-	es.End()
-	stats := QueryStats{QueryRegions: len(rec.Regions), ExtractTime: statsSince(start)}
-	return s.finishQuery(ctx, rec.Regions, rec.W*rec.H, p, start, stats, qspan)
-}
-
-// finishQuery is the shared tail of the pipeline, entered with the query
-// regions already in hand (extracted from an image, or read back from
-// the catalog for QueryByID). It assembles the stage plan from the
-// parameters and the snapshot's configuration and executes it through
-// the shared runner, which hangs one child span per stage off the live
-// "query" span qspan (nil when tracing is off); an EXPLAIN context
-// additionally routes every stage's counts through a traceCollector into
-// the context's QueryTrace.
-func (s *Snapshot) finishQuery(ctx context.Context, qRegions []region.Region, qArea int, p QueryParams, start time.Time, stats QueryStats, qspan *obs.Span) ([]Match, QueryStats, error) {
-	probeStart := statsClock()
-	qt := queryTraceFrom(ctx)
-	ex := &stageExec{snap: s, qRegions: qRegions, qArea: qArea, p: p, workers: parallel.Workers(p.Parallelism)}
-	if qt != nil {
-		ex.tc = newTraceCollector(len(qRegions), s.core.version)
-	}
-
-	if err := runStages(ctx, planPhaseA(p), ex, qspan, "query.", -1); err != nil {
-		failSpans(qspan)
-		return nil, stats, err
-	}
-	stats.RegionsRetrieved = ex.retrieved
-	stats.CandidateImages = len(ex.cands.images)
-	stats.ProbeTime = statsSince(probeStart)
-	scoreStart := statsClock()
-
-	if err := runStages(ctx, planScore(), ex, qspan, "query.", -1); err != nil {
-		failSpans(qspan)
-		return nil, stats, err
-	}
-	stats.ScoreTime = statsSince(scoreStart)
-	stats.Elapsed = statsSince(start)
-	if qt != nil {
-		qt.fill(qspan, false, p, len(qRegions), []*traceCollector{ex.tc}, stats, len(ex.matches), len(ex.matches), 0)
-	}
-	s.observeQuery(qspan, stats)
-	return ex.matches, stats, nil
-}
-
-// QueryScene is DB.QueryScene over this snapshot.
-func (s *Snapshot) QueryScene(im *imgio.Image, x, y, w, h int, p QueryParams) ([]Match, QueryStats, error) {
-	return s.QuerySceneContext(context.Background(), im, x, y, w, h, p)
-}
-
-// QuerySceneContext is QueryScene with a deadline; see QueryContext.
-func (s *Snapshot) QuerySceneContext(ctx context.Context, im *imgio.Image, x, y, w, h int, p QueryParams) ([]Match, QueryStats, error) {
-	minW := s.core.opts.Region.MinWindow
-	if w < minW || h < minW {
-		return nil, QueryStats{}, fmt.Errorf("walrus: scene %dx%d smaller than the minimum window %d", w, h, minW)
-	}
-	crop, err := imgio.Crop(im, x, y, w, h)
-	if err != nil {
-		return nil, QueryStats{}, fmt.Errorf("walrus: cropping scene: %w", err)
-	}
-	// Score by coverage of the scene alone: a target that contains the
-	// whole scene should score near 1 however large the target is.
-	p.Denominator = match.QueryOnly
-	return s.QueryContext(ctx, crop, p)
-}
-
 // observeQuery finishes one successful query's observability: the live
 // query span gains its funnel attributes and ends (recording into the
-// span ring), and the same quantities Query returns in QueryStats are
+// span ring), and the same quantities the query returns in QueryStats are
 // re-emitted as counters and phase histograms. The span may outlive the
 // registry handle — a request-scoped span keeps recording into the
 // serving layer's registry even if SetMetrics detaches the database's.
-func (s *Snapshot) observeQuery(qspan *obs.Span, stats QueryStats) {
+func (f queryFront) observeQuery(qspan *obs.Span, stats QueryStats) {
 	qspan.SetAttr("query_regions", int64(stats.QueryRegions))
 	qspan.SetAttr("regions_retrieved", int64(stats.RegionsRetrieved))
 	qspan.SetAttr("candidates", int64(stats.CandidateImages))
+	if f.fleet {
+		qspan.SetAttr("shards", int64(len(f.snaps)))
+	}
 	qspan.End()
-	m := s.om.Load()
+	m := f.qm
 	if m == nil {
 		return
 	}
@@ -431,4 +507,36 @@ func (s *Snapshot) observeQuery(qspan *obs.Span, stats QueryStats) {
 	m.extractSeconds.Observe(stats.ExtractTime.Seconds())
 	m.probeSeconds.Observe(stats.ProbeTime.Seconds())
 	m.scoreSeconds.Observe(stats.ScoreTime.Seconds())
+}
+
+// front is the one-shard query front over this snapshot. It reports into
+// the database's query metrics; an explicit snapshot has no cache.
+func (s *Snapshot) front() queryFront {
+	f := queryFront{snaps: []*Snapshot{s}}
+	if m := s.om.Load(); m != nil {
+		f.qm = m.query
+	}
+	return f
+}
+
+// QueryContext runs the staged query pipeline against the snapshot: the
+// same semantics as DB.QueryContext, but over this fixed version, so a
+// caller can issue several queries against one consistent state while
+// writers commit concurrently. Cancellation never tears the snapshot.
+func (s *Snapshot) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
+	return s.front().query(ctx, nil, querySource{im: im}, p)
+}
+
+// QueryByID runs the staged pipeline using the stored regions of an
+// already-indexed image as the query, skipping extraction entirely: the
+// network front-end's "more like this" path. The id is resolved against
+// this snapshot's version; ErrUnknownID reports an absent (or removed)
+// id.
+func (s *Snapshot) QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error) {
+	return s.front().query(ctx, nil, querySource{id: id}, p)
+}
+
+// QuerySceneContext is DB.QuerySceneContext over this snapshot.
+func (s *Snapshot) QuerySceneContext(ctx context.Context, im *imgio.Image, x, y, w, h int, p QueryParams) ([]Match, QueryStats, error) {
+	return s.front().query(ctx, nil, querySource{im: im, scene: true, x: x, y: y, w: w, h: h}, p)
 }

@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"testing"
 
 	"walrus/internal/imgio"
@@ -68,12 +69,12 @@ func TestRefineNeverAddsPairs(t *testing.T) {
 	q := scene(green, red, 30, 30, 50)
 	p := DefaultQueryParams()
 	p.Epsilon = 0.15 // generous, so the coarse probe over-retrieves
-	_, plain, err := db.Query(q, p)
+	_, plain, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Refine = true
-	_, refined, err := db.Query(q, p)
+	_, refined, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRefineKeepsTrueMatch(t *testing.T) {
 	}
 	p := DefaultQueryParams()
 	p.Refine = true
-	matches, _, err := db.Query(im, p)
+	matches, _, err := db.QueryContext(context.Background(), im, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +120,12 @@ func TestRefineIgnoredWithoutFineSignatures(t *testing.T) {
 	}
 	q := scene(green, red, 40, 40, 50)
 	p := DefaultQueryParams()
-	_, plain, err := db.Query(q, p)
+	_, plain, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Refine = true
-	_, refined, err := db.Query(q, p)
+	_, refined, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestRefineCustomEpsilon(t *testing.T) {
 	p.Epsilon = 0.15
 	p.Refine = true
 	p.RefineEpsilon = 1e-9
-	_, stats, err := db.Query(q, p)
+	_, stats, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestMergeRegionsReducesCount(t *testing.T) {
 	if dbB.NumRegions() > dbA.NumRegions() {
 		t.Fatalf("merge increased regions: %d > %d", dbB.NumRegions(), dbA.NumRegions())
 	}
-	matches, _, err := dbB.Query(im, DefaultQueryParams())
+	matches, _, err := dbB.QueryContext(context.Background(), im, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}

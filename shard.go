@@ -5,16 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"walrus/internal/imgio"
-	"walrus/internal/match"
 	"walrus/internal/obs"
 	"walrus/internal/parallel"
 	"walrus/internal/region"
@@ -35,9 +32,12 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 // reduced mod the shard count. The hash is stable across processes and
 // platforms, so a database always routes an id to the same shard.
 func shardOf(id string, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return int(h.Sum64() % uint64(n))
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= fnvPrime64
+	}
+	return int(h % uint64(n))
 }
 
 // resolveShardCount normalizes Options.Shards: 0 means 1.
@@ -84,9 +84,9 @@ type Sharded struct {
 	shards []*DB
 
 	// cache is the fleet-level result cache, keyed on the pinned version
-	// vector; nil means caching is off. Cross-shard queries bypass the
-	// shards' own query paths, so the per-shard caches stay unused and
-	// this is the only cache a sharded database consults.
+	// vector; nil means caching is off. It is the only cache a sharded
+	// database holds: the shards are built without one, since fleet
+	// queries never run through a shard's own query path.
 	cache atomic.Pointer[queryCache]
 
 	// om points at the fleet-level observability handles installed by
@@ -114,7 +114,7 @@ func NewSharded(opts Options) (*Sharded, error) {
 	opts.Shards = n
 	shards := make([]*DB, n)
 	for i := range shards {
-		db, err := New(opts)
+		db, err := newDB(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func CreateSharded(dir string, opts Options) (*Sharded, error) {
 	}
 	shards := make([]*DB, n)
 	for i := range shards {
-		db, err := Create(filepath.Join(dir, shardDirName(i)), opts)
+		db, err := create(filepath.Join(dir, shardDirName(i)), opts)
 		if err != nil {
 			return nil, errors.Join(fmt.Errorf("walrus: creating shard %d: %w", i, err), closeShards(shards))
 		}
@@ -166,7 +166,7 @@ func OpenShardedFS(dir string, fs FileOpener) (*Sharded, error) {
 	}
 	shards := make([]*DB, n)
 	err = parallel.ForErr(n, n, func(i int) error {
-		db, err := OpenFS(filepath.Join(dir, shardDirName(i)), fs)
+		db, err := openFS(filepath.Join(dir, shardDirName(i)), fs)
 		if err != nil {
 			return fmt.Errorf("walrus: opening shard %d: %w", i, err)
 		}
@@ -196,7 +196,7 @@ func BuildFromSharded(opts Options, items []BatchItem, workers int) (*Sharded, e
 	parts := partitionItems(items, n)
 	shards := make([]*DB, n)
 	for i := range shards {
-		db, err := BuildFrom(opts, parts[i], workers)
+		db, err := buildFrom(opts, parts[i], workers)
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +222,7 @@ func CreateFromSharded(dir string, opts Options, items []BatchItem, workers int)
 	parts := partitionItems(items, n)
 	shards := make([]*DB, n)
 	for i := range shards {
-		db, err := CreateFrom(filepath.Join(dir, shardDirName(i)), opts, parts[i], workers)
+		db, err := createFrom(filepath.Join(dir, shardDirName(i)), opts, parts[i], workers)
 		if err != nil {
 			return nil, errors.Join(fmt.Errorf("walrus: creating shard %d: %w", i, err), closeShards(shards))
 		}
@@ -471,279 +471,66 @@ func (ss *ShardedSnapshot) Stats() ShardedStats {
 	return st
 }
 
-// Query runs the staged pipeline across every shard of the pinned
-// version vector: the query image is decomposed once, each shard
-// probes and scores its own pinned view in parallel, and the per-shard
-// rankings merge into one. Image ids are disjoint across shards and
-// every shard sorts by the same (similarity desc, id asc) key, so the
-// merged ranking is byte-identical to the single-shard one. Each shard
-// keeps only its own top Limit, which is exact: see finishQuery.
-func (ss *ShardedSnapshot) Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
-	return ss.QueryContext(context.Background(), im, p)
+// front is the fleet query front over the pinned version vector.
+func (ss *ShardedSnapshot) front() queryFront {
+	f := queryFront{snaps: ss.snaps, fleet: true}
+	if m := ss.om.Load(); m != nil {
+		f.qm = m.query
+	}
+	return f
 }
 
-// QueryContext is Query with a deadline: the context rides into every
-// shard's probe and score stages, so an expired request stops fanning
-// out cross-shard work and returns the context's error.
+// QueryContext runs the staged pipeline across every shard of the pinned
+// version vector: the query image is decomposed once, each shard probes
+// and scores its own pinned view in parallel, and the per-shard rankings
+// merge into one. Image ids are disjoint across shards and every shard
+// sorts by the same (similarity desc, id asc) key, so the merged ranking
+// is byte-identical to the single-shard one. The context rides into
+// every shard's stages, so an expired request stops fanning out
+// cross-shard work and returns the context's error.
 func (ss *ShardedSnapshot) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
-	start := statsClock()
-	if p.Epsilon < 0 {
-		return nil, QueryStats{}, fmt.Errorf("walrus: negative epsilon %v", p.Epsilon)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	qspan := ss.beginQuerySpan(ctx)
-	es := qspan.Child("query.extract")
-	// Every shard carries the same extractor configuration, so shard 0's
-	// snapshot extracts for all of them.
-	qRegions, err := ss.snaps[0].extractStage(im)
-	if err != nil {
-		failSpans(es, qspan)
-		return nil, QueryStats{}, err
-	}
-	es.End()
-	stats := QueryStats{QueryRegions: len(qRegions), ExtractTime: statsSince(start)}
-	return ss.finishQuery(ctx, qRegions, im.W*im.H, p, start, stats, qspan)
-}
-
-// beginQuerySpan opens the live "query" span for a cross-shard query: a
-// child of the request span when the context carries one, else a fresh
-// root trace on the fleet registry, else nil (tracing off).
-func (ss *ShardedSnapshot) beginQuerySpan(ctx context.Context) *obs.Span {
-	if parent := obs.SpanFromContext(ctx); parent != nil {
-		return parent.Child("query")
-	}
-	if ss.om != nil {
-		if m := ss.om.Load(); m != nil {
-			return m.reg.StartSpan("query")
-		}
-	}
-	return nil
+	return ss.front().query(ctx, nil, querySource{im: im}, p)
 }
 
 // QueryByID runs the pipeline using the stored regions of an indexed
 // image, read from its owning shard's pinned snapshot, as the query
 // against every shard; see Snapshot.QueryByID.
 func (ss *ShardedSnapshot) QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error) {
-	start := statsClock()
-	if p.Epsilon < 0 {
-		return nil, QueryStats{}, fmt.Errorf("walrus: negative epsilon %v", p.Epsilon)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	owner := ss.snaps[shardOf(id, len(ss.snaps))]
-	idx, ok := owner.core.byID.get(id)
-	if !ok {
-		return nil, QueryStats{}, fmt.Errorf("walrus: query image %q: %w", id, ErrUnknownID)
-	}
-	qspan := ss.beginQuerySpan(ctx)
-	es := qspan.Child("query.extract")
-	rec := owner.core.images[idx]
-	es.End()
-	stats := QueryStats{QueryRegions: len(rec.Regions), ExtractTime: statsSince(start)}
-	return ss.finishQuery(ctx, rec.Regions, rec.W*rec.H, p, start, stats, qspan)
+	return ss.front().query(ctx, nil, querySource{id: id}, p)
 }
 
-// finishQuery fans the stage plan across every pinned shard and merges
-// the per-shard rankings: every shard executes the same planPhaseA /
-// planScore lists a single-store query runs, through the same runner,
-// with its own stageExec. The runner hangs one "query.shard.<stage>"
-// span per shard stage off the two phase umbrellas — the shard is
-// visible in the trace tree, not reconstructed after the fact — and an
-// EXPLAIN context gets one traceCollector per shard, merged into the
-// fleet funnel after the merge.
-func (ss *ShardedSnapshot) finishQuery(ctx context.Context, qRegions []region.Region, qArea int, p QueryParams, start time.Time, stats QueryStats, qspan *obs.Span) ([]Match, QueryStats, error) {
-	probeStart := statsClock()
-	workers := parallel.Workers(p.Parallelism)
-	qt := queryTraceFrom(ctx)
-	execs := make([]*stageExec, len(ss.snaps))
-	for i, sn := range ss.snaps {
-		execs[i] = &stageExec{snap: sn, qRegions: qRegions, qArea: qArea, p: p, workers: workers}
-		if qt != nil {
-			execs[i].tc = newTraceCollector(len(qRegions), sn.core.version)
-		}
-	}
-
-	phaseA := planPhaseA(p)
-	ps := qspan.Child("query.probe")
-	err := parallel.ForErr(len(ss.snaps), workers, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return runStages(ctx, phaseA, execs[i], ps, "query.shard.", i)
-	})
-	if err != nil {
-		failSpans(ps, qspan)
-		return nil, stats, err
-	}
-	for _, ex := range execs {
-		stats.RegionsRetrieved += ex.retrieved
-		stats.CandidateImages += len(ex.cands.images)
-	}
-	stats.ProbeTime = statsSince(probeStart)
-	ps.End()
-	scoreStart := statsClock()
-
-	scorePlan := planScore()
-	// Every shard scores with the fleet Limit. The cut is exact: ids are
-	// disjoint across shards and (similarity desc, id asc) is a strict
-	// order, so a match in the fleet's top Limit has at most Limit-1
-	// matches ranked above it on the whole fleet, hence on its own shard,
-	// and is in that shard's top Limit too.
-	sspan := qspan.Child("query.score")
-	err = parallel.ForErr(len(ss.snaps), workers, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return runStages(ctx, scorePlan, execs[i], sspan, "query.shard.", i)
-	})
-	if err != nil {
-		failSpans(sspan, qspan)
-		return nil, stats, err
-	}
-	var mergeStart time.Time
-	if qt != nil {
-		mergeStart = statsClock()
-	}
-	perShardMatches := make([][]Match, len(ss.snaps))
-	for i, ex := range execs {
-		perShardMatches[i] = ex.matches
-	}
-	matches := mergeMatches(perShardMatches, p.Limit)
-	sspan.End()
-	stats.ScoreTime = statsSince(scoreStart)
-	stats.Elapsed = statsSince(start)
-	if qt != nil {
-		tcs := make([]*traceCollector, len(execs))
-		mergedIn := 0
-		for i, ex := range execs {
-			tcs[i] = ex.tc
-			mergedIn += len(ex.matches)
-		}
-		qt.fill(qspan, true, p, len(qRegions), tcs, stats, mergedIn, len(matches), statsSince(mergeStart).Nanoseconds())
-	}
-	ss.observeQuery(qspan, stats)
-	return matches, stats, nil
-}
-
-// QueryScene is DB.QueryScene across the sharded snapshot.
-func (ss *ShardedSnapshot) QueryScene(im *imgio.Image, x, y, w, h int, p QueryParams) ([]Match, QueryStats, error) {
-	return ss.QuerySceneContext(context.Background(), im, x, y, w, h, p)
-}
-
-// QuerySceneContext is QueryScene with a deadline; see QueryContext.
+// QuerySceneContext is DB.QuerySceneContext across the sharded snapshot.
 func (ss *ShardedSnapshot) QuerySceneContext(ctx context.Context, im *imgio.Image, x, y, w, h int, p QueryParams) ([]Match, QueryStats, error) {
-	minW := ss.snaps[0].Options().Region.MinWindow
-	if w < minW || h < minW {
-		return nil, QueryStats{}, fmt.Errorf("walrus: scene %dx%d smaller than the minimum window %d", w, h, minW)
-	}
-	crop, err := imgio.Crop(im, x, y, w, h)
-	if err != nil {
-		return nil, QueryStats{}, fmt.Errorf("walrus: cropping scene: %w", err)
-	}
-	p.Denominator = match.QueryOnly
-	return ss.QueryContext(ctx, crop, p)
+	return ss.front().query(ctx, nil, querySource{im: im, scene: true, x: x, y: y, w: w, h: h}, p)
 }
 
-// mergeMatches merges the per-shard rankings, each already ordered by
-// the shared (similarity desc, id asc) key, into the fleet ranking cut at
-// limit (0 = unlimited), in a slice sized exactly to it. Ids are
-// disjoint across shards, so the merge reproduces exactly the ranking a
-// single shard would have produced over the union.
-func mergeMatches(perShard [][]Match, limit int) []Match {
-	total := 0
-	for _, m := range perShard {
-		total += len(m)
-	}
-	if limit > 0 && limit < total {
-		total = limit
-	}
-	merged := make([]Match, total)
-	next := make([]int, len(perShard))
-	for out := range merged {
-		best := -1
-		for i, m := range perShard {
-			if next[i] == len(m) {
-				continue
-			}
-			if best < 0 || compareMatches(m[next[i]], perShard[best][next[best]]) < 0 {
-				best = i
-			}
-		}
-		merged[out] = perShard[best][next[best]]
-		next[best]++
-	}
-	return merged
-}
-
-// observeQuery finishes one successful cross-shard query's
-// observability: the live query span gains the fleet funnel attributes
-// and ends, and the fleet-level counters and histograms advance.
-// Per-shard metrics cover only writes, since fan-out queries bypass the
-// shards' own query paths.
-func (ss *ShardedSnapshot) observeQuery(qspan *obs.Span, stats QueryStats) {
-	qspan.SetAttr("query_regions", int64(stats.QueryRegions))
-	qspan.SetAttr("regions_retrieved", int64(stats.RegionsRetrieved))
-	qspan.SetAttr("candidates", int64(stats.CandidateImages))
-	qspan.SetAttr("shards", int64(len(ss.snaps)))
-	qspan.End()
-	if ss.om == nil {
-		return
-	}
-	m := ss.om.Load()
-	if m == nil {
-		return
-	}
-	m.queries.Inc()
-	m.queryRegions.Add(uint64(stats.QueryRegions))
-	m.regionsRetrieved.Add(uint64(stats.RegionsRetrieved))
-	m.candidates.Add(uint64(stats.CandidateImages))
-	m.querySeconds.Observe(stats.Elapsed.Seconds())
-	m.extractSeconds.Observe(stats.ExtractTime.Seconds())
-	m.probeSeconds.Observe(stats.ProbeTime.Seconds())
-	m.scoreSeconds.Observe(stats.ScoreTime.Seconds())
-}
-
-// Query runs one query against a snapshot of the whole fleet; see
-// ShardedSnapshot.Query.
-func (s *Sharded) Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
-	return s.QueryContext(context.Background(), im, p)
-}
-
-// QueryContext is Query with a deadline; see ShardedSnapshot.QueryContext.
-// With a result cache configured, the lookup keys on the pinned version
-// vector and a fingerprint of the query pixels — see Options.CacheSize.
-func (s *Sharded) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
+// query runs one query against a snapshot of the whole fleet through the
+// fleet result cache, when one is configured: its key is the pinned
+// version vector and a fingerprint of the query — see Options.CacheSize.
+func (s *Sharded) query(ctx context.Context, src querySource, p QueryParams) ([]Match, QueryStats, error) {
 	ss, err := s.Snapshot()
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
 	defer ss.Release()
-	c := s.cache.Load()
-	if c == nil {
-		return ss.QueryContext(ctx, im, p)
-	}
-	return cachedQuery(ctx, c, s.cacheMetrics(), versionKey(ss.VersionVector()), true, hashQueryImage(im), p,
-		func() ([]Match, QueryStats, error) { return ss.QueryContext(ctx, im, p) })
+	return ss.front().query(ctx, s.cache.Load(), src, p)
+}
+
+// QueryContext runs one query against a snapshot of the whole fleet; see
+// ShardedSnapshot.QueryContext.
+func (s *Sharded) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
+	return s.query(ctx, querySource{im: im}, p)
 }
 
 // QueryByID queries by the stored regions of an indexed image; see
-// ShardedSnapshot.QueryByID. Cacheable like QueryContext, keyed on the
-// id instead of pixels.
+// ShardedSnapshot.QueryByID.
 func (s *Sharded) QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error) {
-	ss, err := s.Snapshot()
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	defer ss.Release()
-	c := s.cache.Load()
-	if c == nil {
-		return ss.QueryByID(ctx, id, p)
-	}
-	return cachedQuery(ctx, c, s.cacheMetrics(), versionKey(ss.VersionVector()), true, hashQueryID(id), p,
-		func() ([]Match, QueryStats, error) { return ss.QueryByID(ctx, id, p) })
+	return s.query(ctx, querySource{id: id}, p)
+}
+
+// QuerySceneContext is DB.QuerySceneContext for a sharded database.
+func (s *Sharded) QuerySceneContext(ctx context.Context, im *imgio.Image, x, y, w, h int, p QueryParams) ([]Match, QueryStats, error) {
+	return s.query(ctx, querySource{im: im, scene: true, x: x, y: y, w: w, h: h}, p)
 }
 
 // SetCacheSize resizes the fleet-level query result cache at runtime:
@@ -755,30 +542,6 @@ func (s *Sharded) SetCacheSize(n int) {
 		return
 	}
 	s.cache.Store(newQueryCache(n))
-}
-
-// cacheMetrics returns the fleet cache instrument set, nil when metrics
-// are detached.
-func (s *Sharded) cacheMetrics() *cacheMetrics {
-	if m := s.om.Load(); m != nil {
-		return &m.cache
-	}
-	return nil
-}
-
-// QueryScene is DB.QueryScene for a sharded database.
-func (s *Sharded) QueryScene(im *imgio.Image, x, y, w, h int, p QueryParams) ([]Match, QueryStats, error) {
-	return s.QuerySceneContext(context.Background(), im, x, y, w, h, p)
-}
-
-// QuerySceneContext is QueryScene with a deadline.
-func (s *Sharded) QuerySceneContext(ctx context.Context, im *imgio.Image, x, y, w, h int, p QueryParams) ([]Match, QueryStats, error) {
-	ss, err := s.Snapshot()
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	defer ss.Release()
-	return ss.QuerySceneContext(ctx, im, x, y, w, h, p)
 }
 
 // Len returns the number of indexed images across all shards, read from
@@ -888,29 +651,17 @@ func (s *Sharded) Recovery() ([]RecoveryStats, bool) {
 // individual shards' query paths. One atomic load decides whether
 // instrumentation runs; nil means observability is off.
 type shardedMetrics struct {
-	reg *obs.Registry
-
-	queries          *obs.Counter
-	queryRegions     *obs.Counter
-	regionsRetrieved *obs.Counter
-	candidates       *obs.Counter
-
-	querySeconds   *obs.Histogram
-	extractSeconds *obs.Histogram
-	probeSeconds   *obs.Histogram
-	scoreSeconds   *obs.Histogram
+	query *queryMetrics
 
 	activeSnapshots *obs.Gauge
 	snapshotsTotal  *obs.Counter
-
-	cache cacheMetrics
 }
 
 // SetMetrics attaches an observability registry to the fleet and every
-// shard under it. Shard-level metrics are scoped by shard index
+// shard under it. Shard-level write metrics are scoped by shard index
 // (walrus_shard0_images, walrus_shard1_ingest_total, ...), so per-shard
-// write skew and snapshot leaks stay visible; fleet-level query and
-// snapshot metrics keep the unscoped walrus_* names a standalone
+// write skew and snapshot leaks stay visible; fleet-level query, cache
+// and snapshot metrics keep the unscoped walrus_* names a standalone
 // database would use. Subsystem metrics (WAL, pager, R*-tree, worker
 // pool) are shared: every shard reports into the same series. Passing
 // nil detaches everything.
@@ -923,22 +674,11 @@ func (s *Sharded) SetMetrics(reg *obs.Registry) {
 		return
 	}
 	reg.Gauge("walrus_shards", "Shard count of the sharded database.").Set(int64(len(s.shards)))
-	n := func(base string) string { return "walrus_" + base }
-	m := &shardedMetrics{
-		reg:              reg,
-		queries:          reg.Counter(n("query_total"), "Queries served."),
-		queryRegions:     reg.Counter(n("query_regions_total"), "Regions extracted from query images."),
-		regionsRetrieved: reg.Counter(n("query_regions_retrieved_total"), "Matching database regions retrieved by index probes."),
-		candidates:       reg.Counter(n("query_candidates_total"), "Candidate images scored by queries."),
-		querySeconds:     reg.Histogram(n("query_seconds"), "End-to-end query latency.", nil),
-		extractSeconds:   reg.Histogram(n("query_extract_seconds"), "Query region-extraction phase latency.", nil),
-		probeSeconds:     reg.Histogram(n("query_probe_seconds"), "Query index-probe phase latency.", nil),
-		scoreSeconds:     reg.Histogram(n("query_score_seconds"), "Query candidate-scoring phase latency.", nil),
-		activeSnapshots:  reg.Gauge(n("snapshots_active"), "Cross-shard snapshots acquired and not yet released."),
-		snapshotsTotal:   reg.Counter(n("snapshots_total"), "Cross-shard snapshots acquired."),
-		cache:            newCacheMetrics(reg, n),
-	}
-	s.om.Store(m)
+	s.om.Store(&shardedMetrics{
+		query:           newQueryMetrics(reg),
+		activeSnapshots: reg.Gauge("walrus_snapshots_active", "Cross-shard snapshots acquired and not yet released."),
+		snapshotsTotal:  reg.Counter("walrus_snapshots_total", "Cross-shard snapshots acquired."),
+	})
 }
 
 // Metrics returns a point-in-time snapshot of every metric in the
@@ -946,7 +686,7 @@ func (s *Sharded) SetMetrics(reg *obs.Registry) {
 // returns an empty snapshot with non-nil maps.
 func (s *Sharded) Metrics() obs.Snapshot {
 	if m := s.om.Load(); m != nil {
-		return m.reg.Snapshot()
+		return m.query.reg.Snapshot()
 	}
 	var none *obs.Registry
 	return none.Snapshot()

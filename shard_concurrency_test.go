@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -119,7 +120,7 @@ func TestShardFanoutConsistency(t *testing.T) {
 				for _, id := range ids {
 					present[id] = true
 				}
-				matches, _, err := ss.Query(q, p)
+				matches, _, err := ss.QueryContext(context.Background(), q, p)
 				if err != nil {
 					errs <- err
 					ss.Release()

@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strconv"
@@ -112,7 +113,7 @@ func shardRankings(t *testing.T, s *Sharded, queries []*imgio.Image, p QueryPara
 	var b strings.Builder
 	p.Limit = 10
 	for qi, q := range queries {
-		matches, qs, err := s.Query(q, p)
+		matches, qs, err := s.QueryContext(context.Background(), q, p)
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
@@ -212,11 +213,11 @@ func TestShardMatchesUnsharded(t *testing.T) {
 				p.Matcher, p.Tau, p.Limit = matcher, tau, limit
 				label := fmt.Sprintf("%v tau=%v limit=%d", matcher, tau, limit)
 				for qi, q := range queries {
-					want, ws, err := plain.Query(q, p)
+					want, ws, err := plain.QueryContext(context.Background(), q, p)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, gs, err := s.Query(q, p)
+					got, gs, err := s.QueryContext(context.Background(), q, p)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -43,7 +43,7 @@ type snapCore struct {
 // A Snapshot pins resources (the R*-tree's superseded node pre-images)
 // until released: call Release when done, ideally with defer. Using a
 // snapshot after Release is invalid. Snapshots are acquired with
-// DB.Snapshot; one-shot readers (DB.Query, DB.Len, ...) acquire and
+// DB.Snapshot; one-shot readers (DB.QueryContext, DB.Len, ...) acquire and
 // release internally.
 //
 // Snapshot deliberately holds no *DB: nothing reachable from it can

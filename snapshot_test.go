@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -79,7 +80,7 @@ func TestSnapshotPinnedVersion(t *testing.T) {
 	if s.Options().Durability != DurabilityGroupCommit {
 		t.Fatal("snapshot observed the later durability change")
 	}
-	matches, _, err := s.Query(scene(green, red, 10, 10, 40), DefaultQueryParams())
+	matches, _, err := s.QueryContext(context.Background(), scene(green, red, 10, 10, 40), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func snapshotConsistencyUnderWrites(t *testing.T) {
 				}
 				// Query results name only images the snapshot knows.
 				if i%8 == 0 {
-					matches, _, err := s.Query(q, DefaultQueryParams())
+					matches, _, err := s.QueryContext(context.Background(), q, DefaultQueryParams())
 					if err != nil {
 						errs <- err
 						s.Release()
@@ -355,7 +356,7 @@ func TestSnapshotDiskBacked(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("snapshot Len = %d, want 1", s.Len())
 	}
-	matches, _, err := s.Query(scene(green, red, 10, 10, 40), DefaultQueryParams())
+	matches, _, err := s.QueryContext(context.Background(), scene(green, red, 10, 10, 40), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}

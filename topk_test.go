@@ -2,6 +2,7 @@ package walrus
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -70,7 +71,7 @@ func TestTopKQueryMatchesFullRanking(t *testing.T) {
 	greedy.Matcher = match.Greedy
 	for _, base := range []QueryParams{DefaultQueryParams(), greedy} {
 		for _, q := range []BatchItem{items[3], items[11], items[27]} {
-			full, _, err := db.Query(q.Image, base)
+			full, _, err := db.QueryContext(context.Background(), q.Image, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +88,7 @@ func TestTopKQueryMatchesFullRanking(t *testing.T) {
 				for _, limit := range []int{0, 1, 3, len(full) + 5} {
 					p := base
 					p.Tau, p.Limit = tau, limit
-					got, _, err := db.Query(q.Image, p)
+					got, _, err := db.QueryContext(context.Background(), q.Image, p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -140,10 +141,10 @@ func TestTopKResultsExactlySized(t *testing.T) {
 		query func() ([]Match, QueryStats, error)
 		cache string
 	}{
-		{"db miss", func() ([]Match, QueryStats, error) { return db.Query(q, p) }, "miss"},
-		{"db hit", func() ([]Match, QueryStats, error) { return db.Query(q, p) }, "hit"},
-		{"sharded miss", func() ([]Match, QueryStats, error) { return s.Query(q, p) }, "miss"},
-		{"sharded hit", func() ([]Match, QueryStats, error) { return s.Query(q, p) }, "hit"},
+		{"db miss", func() ([]Match, QueryStats, error) { return db.QueryContext(context.Background(), q, p) }, "miss"},
+		{"db hit", func() ([]Match, QueryStats, error) { return db.QueryContext(context.Background(), q, p) }, "hit"},
+		{"sharded miss", func() ([]Match, QueryStats, error) { return s.QueryContext(context.Background(), q, p) }, "miss"},
+		{"sharded hit", func() ([]Match, QueryStats, error) { return s.QueryContext(context.Background(), q, p) }, "hit"},
 	} {
 		got, stats, err := tc.query()
 		if err != nil {

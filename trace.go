@@ -154,10 +154,10 @@ func sumInts(xs []int) int {
 	return n
 }
 
-func maxNS(tcs []*traceCollector, get func(*traceCollector) int64) int64 {
+func maxNS(execs []stageExec, get func(*traceCollector) int64) int64 {
 	var m int64
-	for _, tc := range tcs {
-		if v := get(tc); v > m {
+	for i := range execs {
+		if v := get(execs[i].tc); v > m {
 			m = v
 		}
 	}
@@ -177,12 +177,12 @@ func explainParams(p QueryParams) ExplainParams {
 	}
 }
 
-// fill assembles the funnel from the per-shard collectors once the
-// pipeline has finished. mergedIn is the total per-shard match count
+// fill assembles the funnel from the per-shard collectors of execs once
+// the pipeline has finished. mergedIn is the total per-shard match count
 // entering the merge (equal to matches for a single-store query);
 // mergeNS is the merge's wall time (0 unsharded).
 func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions int,
-	tcs []*traceCollector, stats QueryStats, mergedIn, matches int, mergeNS int64) {
+	execs []stageExec, stats QueryStats, mergedIn, matches int, mergeNS int64) {
 	qt.TraceID = ""
 	if span != nil {
 		qt.TraceID = obs.FormatTraceID(span.TraceID())
@@ -195,8 +195,9 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 
 	probeHits, refineKept := 0, 0
 	probeIndexHits, probeVisits := 0, 0
-	qt.Shards = make([]ExplainShard, len(tcs))
-	for i, tc := range tcs {
+	qt.Shards = make([]ExplainShard, len(execs))
+	for i := range execs {
+		tc := execs[i].tc
 		shardKept := tc.probeOut
 		probeHits += shardKept
 		if p.Refine {
@@ -224,25 +225,25 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 		DurationNS: stats.ExtractTime.Nanoseconds(),
 	})
 	qt.Stages = append(qt.Stages, ExplainStage{
-		Stage: "probe", In: qRegions * len(tcs), Out: probeHits,
+		Stage: "probe", In: qRegions * len(execs), Out: probeHits,
 		IndexHits: probeIndexHits, NodesVisited: probeVisits,
-		DurationNS: maxNS(tcs, func(tc *traceCollector) int64 { return tc.probeNS }),
+		DurationNS: maxNS(execs, func(tc *traceCollector) int64 { return tc.probeNS }),
 	})
 	flow := probeHits
 	if p.Refine {
 		qt.Stages = append(qt.Stages, ExplainStage{
 			Stage: "refine", In: flow, Out: refineKept,
-			DurationNS: maxNS(tcs, func(tc *traceCollector) int64 { return tc.refineNS }),
+			DurationNS: maxNS(execs, func(tc *traceCollector) int64 { return tc.refineNS }),
 		})
 		flow = refineKept
 	}
 	qt.Stages = append(qt.Stages, ExplainStage{
 		Stage: "aggregate", In: flow, Out: stats.CandidateImages,
-		DurationNS: maxNS(tcs, func(tc *traceCollector) int64 { return tc.aggregateNS }),
+		DurationNS: maxNS(execs, func(tc *traceCollector) int64 { return tc.aggregateNS }),
 	})
 	qt.Stages = append(qt.Stages, ExplainStage{
 		Stage: "score", In: stats.CandidateImages, Out: mergedIn,
-		DurationNS: maxNS(tcs, func(tc *traceCollector) int64 { return tc.scoreNS }),
+		DurationNS: maxNS(execs, func(tc *traceCollector) int64 { return tc.scoreNS }),
 	})
 	if sharded {
 		qt.Stages = append(qt.Stages, ExplainStage{

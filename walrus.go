@@ -16,7 +16,7 @@
 //
 //	db, _ := walrus.New(walrus.DefaultOptions())
 //	_ = db.Add("img1", img1)                    // *imgio.Image, RGB
-//	matches, stats, _ := db.Query(q, walrus.DefaultQueryParams())
+//	matches, stats, _ := db.QueryContext(ctx, q, walrus.DefaultQueryParams())
 //
 // Use Create/Open instead of New for a disk-backed database.
 package walrus
@@ -177,10 +177,9 @@ type QueryStats struct {
 	// image matching/scoring.
 	ExtractTime, ProbeTime, ScoreTime time.Duration
 	// Cache reports how the result cache handled the query: "" (no cache
-	// configured, or a path that bypasses caching, such as scene
-	// queries), "hit", "miss", or "bypass" (NoCache was set). On a hit
-	// every other field echoes the cached execution except Elapsed, which
-	// is the lookup time.
+	// configured, or a query on an explicit snapshot), "hit", "miss", or
+	// "bypass" (NoCache was set). On a hit every other field echoes the
+	// cached execution except Elapsed, which is the lookup time.
 	Cache string `json:",omitempty"`
 }
 
@@ -213,17 +212,18 @@ type regionRef struct {
 // concurrent use.
 //
 // Concurrency contract: the database is read through immutable
-// snapshots. Readers — Query, QueryScene, Len, Stats, IDs, RegionsOf,
-// NumRegions, or an explicit DB.Snapshot — load the current published
-// version with one atomic pointer read and (for queries) pin the
-// matching index epoch; they never acquire db.mu and are never blocked
-// by writers. Writers — Add, AddBatch, Remove, SetDurability — build
-// the next version under the exclusive lock copy-on-write and publish
-// it with an atomic swap; superseded index state is retained until the
-// last snapshot pinning it is released (epoch-based reclamation).
-// AddBatch keeps the expensive region extraction outside the lock and
-// publishes the whole batch as one version. Results never depend on
-// scheduling: the parallelism knobs change wall-clock time only.
+// snapshots. Readers — QueryContext, QueryByID, QuerySceneContext, Len,
+// Stats, IDs, RegionsOf, NumRegions, or an explicit DB.Snapshot — load
+// the current published version with one atomic pointer read and (for
+// queries) pin the matching index epoch; they never acquire db.mu and
+// are never blocked by writers. Writers — Add, AddBatch, Remove,
+// SetDurability — build the next version under the exclusive lock
+// copy-on-write and publish it with an atomic swap; superseded index
+// state is retained until the last snapshot pinning it is released
+// (epoch-based reclamation). AddBatch keeps the expensive region
+// extraction outside the lock and publishes the whole batch as one
+// version. Results never depend on scheduling: the parallelism knobs
+// change wall-clock time only.
 type DB struct {
 	mu   sync.RWMutex
 	opts Options           // guarded by mu (SetDurability rewrites the policy at runtime)
@@ -263,8 +263,8 @@ type DB struct {
 	cur atomic.Pointer[snapCore]
 
 	// cache is the version-keyed query result cache; nil (the default
-	// unless Options.CacheSize is set) means caching is off and the query
-	// wrappers pay one atomic load. Swapped whole by SetCacheSize.
+	// unless Options.CacheSize is set) means caching is off and a query
+	// pays one atomic load. Swapped whole by SetCacheSize.
 	cache atomic.Pointer[queryCache]
 
 	// om points at the pre-resolved observability handles installed by
@@ -274,7 +274,10 @@ type DB struct {
 }
 
 // New creates an in-memory database.
-func New(opts Options) (*DB, error) {
+func New(opts Options) (*DB, error) { return withCache(newDB(opts)) }
+
+// newDB is New without the result cache: the constructor of a shard.
+func newDB(opts Options) (*DB, error) {
 	db, err := prepare(opts)
 	if err != nil {
 		return nil, err
@@ -306,10 +309,18 @@ func prepare(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{opts: opts, ext: ext, defaultWorkers: opts.Parallelism}
-	if opts.CacheSize > 0 {
-		db.cache.Store(newQueryCache(opts.CacheSize))
+	return &DB{opts: opts, ext: ext, defaultWorkers: opts.Parallelism}, nil
+}
+
+// withCache finishes a standalone database's constructor by installing
+// the result cache Options.CacheSize asks for. The shards of a Sharded
+// database are built without it: the fleet holds the only cache, and a
+// shard's catalog still records CacheSize for OpenSharded to restore it.
+func withCache(db *DB, err error) (*DB, error) {
+	if err != nil {
+		return nil, err
 	}
+	db.SetCacheSize(db.opts.CacheSize)
 	return db, nil
 }
 
@@ -371,59 +382,52 @@ func (db *DB) Add(id string, im *imgio.Image) error {
 	return db.addExtractedLocked(id, im, regions)
 }
 
-// Query decomposes an RGB image into regions, probes the index with each
-// region's epsilon envelope, scores every candidate image, and returns
-// matches with similarity >= p.Tau sorted by decreasing similarity. The
-// whole query — extraction included — runs against one snapshot of the
-// database, unaffected by concurrent writers.
-func (db *DB) Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
-	return db.QueryContext(context.Background(), im, p)
-}
-
-// QueryContext is Query with a deadline: the context is checked between
-// pipeline stages, inside the parallel refine tasks and along the score
-// loop, so an expired request stops consuming worker slots and returns
-// the context's error. With a result cache configured, the lookup keys on the pinned
-// snapshot version and a fingerprint of the query pixels — see
-// Options.CacheSize.
+// QueryContext decomposes an RGB image into regions, probes the index
+// with each region's epsilon envelope, scores every candidate image, and
+// returns matches with similarity >= p.Tau sorted by decreasing
+// similarity. The whole query — extraction included — runs against one
+// snapshot of the database, unaffected by concurrent writers. The
+// context is checked between pipeline stages, inside the parallel refine
+// tasks and along the score loop, so an expired request stops consuming
+// worker slots and returns the context's error. With a result cache
+// configured, the lookup keys on the pinned snapshot version and a
+// fingerprint of the query pixels — see Options.CacheSize.
 func (db *DB) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
-	s, err := db.Snapshot()
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	defer s.Release()
-	c := db.cache.Load()
-	if c == nil {
-		return s.QueryContext(ctx, im, p)
-	}
-	return cachedQuery(ctx, c, db.cacheMetrics(), s.core.version, false, hashQueryImage(im), p,
-		func() ([]Match, QueryStats, error) { return s.QueryContext(ctx, im, p) })
+	return db.query(ctx, querySource{im: im}, p)
 }
 
 // QueryByID runs a query using the stored regions of an already-indexed
 // image, skipping extraction; see Snapshot.QueryByID. Cacheable like
 // QueryContext, keyed on the id instead of pixels.
 func (db *DB) QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error) {
+	return db.query(ctx, querySource{id: id}, p)
+}
+
+// QuerySceneContext runs a similarity query using only a user-specified
+// rectangular scene of the query image — the "user-specified scenes" of
+// the system's name. The rectangle is cropped out, regions are extracted
+// from it alone, and candidate images are scored on how much of the
+// *scene* (not the whole query image) their matching regions cover, using
+// the query-only similarity variant of Section 4. This finds images that
+// contain the selected object anywhere, at any size, regardless of what
+// else the query image shows. It is exactly a QueryContext of the crop
+// with Denominator match.QueryOnly, and caches as one.
+//
+// The rectangle must be at least Options.Region.MinWindow pixels in each
+// dimension.
+func (db *DB) QuerySceneContext(ctx context.Context, im *imgio.Image, x, y, w, h int, p QueryParams) ([]Match, QueryStats, error) {
+	return db.query(ctx, querySource{im: im, scene: true, x: x, y: y, w: w, h: h}, p)
+}
+
+// query runs one query against a snapshot of the current version through
+// the result cache, when one is configured.
+func (db *DB) query(ctx context.Context, src querySource, p QueryParams) ([]Match, QueryStats, error) {
 	s, err := db.Snapshot()
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
 	defer s.Release()
-	c := db.cache.Load()
-	if c == nil {
-		return s.QueryByID(ctx, id, p)
-	}
-	return cachedQuery(ctx, c, db.cacheMetrics(), s.core.version, false, hashQueryID(id), p,
-		func() ([]Match, QueryStats, error) { return s.QueryByID(ctx, id, p) })
-}
-
-// cacheMetrics returns the cache instrument set, nil when metrics are
-// detached.
-func (db *DB) cacheMetrics() *cacheMetrics {
-	if m := db.om.Load(); m != nil {
-		return &m.cache
-	}
-	return nil
+	return s.front().query(ctx, db.cache.Load(), src, p)
 }
 
 // Remove deletes an image and its regions from the database. It reports

@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestAddAndQueryBasic(t *testing.T) {
 	if db.NumRegions() == 0 {
 		t.Fatal("no regions indexed")
 	}
-	matches, stats, err := db.Query(scene(green, red, 32, 32, 48), DefaultQueryParams())
+	matches, stats, err := db.QueryContext(context.Background(), scene(green, red, 32, 32, 48), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestTranslationRobustness(t *testing.T) {
 	if err := db.Add("unrelated", scene(gray, blue, 16, 64, 40)); err != nil {
 		t.Fatal(err)
 	}
-	matches, _, err := db.Query(scene(green, red, 8, 8, 48), DefaultQueryParams())
+	matches, _, err := db.QueryContext(context.Background(), scene(green, red, 8, 8, 48), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestScalingRobustness(t *testing.T) {
 	if err := db.Add("unrelated", scene(gray, yellow, 40, 40, 40)); err != nil {
 		t.Fatal(err)
 	}
-	matches, _, err := db.Query(scene(green, red, 40, 40, 40), DefaultQueryParams())
+	matches, _, err := db.QueryContext(context.Background(), scene(green, red, 40, 40, 40), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestQueryTauFiltersAndLimit(t *testing.T) {
 	q := scene(green, red, 10, 10, 50)
 	p := DefaultQueryParams()
 	p.Tau = 0.99
-	matches, _, err := db.Query(q, p)
+	matches, _, err := db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +173,14 @@ func TestQueryTauFiltersAndLimit(t *testing.T) {
 	}
 	p.Tau = 0
 	p.Limit = 1
-	matches, _, err = db.Query(q, p)
+	matches, _, err = db.QueryContext(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(matches) != 1 {
 		t.Fatalf("limit violated: %d matches", len(matches))
 	}
-	if _, _, err := db.Query(q, QueryParams{Epsilon: -1}); err == nil {
+	if _, _, err := db.QueryContext(context.Background(), q, QueryParams{Epsilon: -1}); err == nil {
 		t.Fatal("negative epsilon accepted")
 	}
 }
@@ -206,7 +207,7 @@ func TestEpsilonMonotone(t *testing.T) {
 	for _, eps := range []float64{0.02, 0.05, 0.1, 0.3} {
 		p := DefaultQueryParams()
 		p.Epsilon = eps
-		_, stats, err := db.Query(q, p)
+		_, stats, err := db.QueryContext(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +231,7 @@ func TestMatcherVariants(t *testing.T) {
 	for _, alg := range []match.Algorithm{match.Quick, match.Greedy, match.Exact} {
 		p := DefaultQueryParams()
 		p.Matcher = alg
-		matches, _, err := db.Query(q, p)
+		matches, _, err := db.QueryContext(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func TestUseBBoxMode(t *testing.T) {
 	if err := db.Add("target", scene(green, red, 20, 20, 60)); err != nil {
 		t.Fatal(err)
 	}
-	matches, _, err := db.Query(scene(green, red, 40, 40, 60), DefaultQueryParams())
+	matches, _, err := db.QueryContext(context.Background(), scene(green, red, 40, 40, 60), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestRemove(t *testing.T) {
 		t.Fatalf("second Remove = %v, %v", ok, err)
 	}
 	// The removed image never matches again.
-	matches, _, err := db.Query(scene(gray, blue, 10, 10, 40), DefaultQueryParams())
+	matches, _, err := db.QueryContext(context.Background(), scene(gray, blue, 10, 10, 40), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestDiskRoundTrip(t *testing.T) {
 		}
 	}
 	q := scene(green, red, 40, 30, 50)
-	wantMatches, _, err := db.Query(q, DefaultQueryParams())
+	wantMatches, _, err := db.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	if re.Len() != 3 {
 		t.Fatalf("reopened Len = %d", re.Len())
 	}
-	gotMatches, _, err := re.Query(q, DefaultQueryParams())
+	gotMatches, _, err := re.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +416,7 @@ func TestQueryStatsBreakdown(t *testing.T) {
 	if err := db.Add("a", scene(green, red, 20, 20, 50)); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := db.Query(scene(green, red, 30, 30, 50), DefaultQueryParams())
+	_, stats, err := db.QueryContext(context.Background(), scene(green, red, 30, 30, 50), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
