@@ -1,6 +1,7 @@
 package walrus
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -20,20 +21,37 @@ type BatchItem struct {
 // up to workers goroutines (0 = the database's Parallelism option, itself
 // defaulting to GOMAXPROCS) while keeping index insertion ordered and
 // serialized — the resulting database is identical for every worker
-// count. The whole batch is published as a single catalog version, so
-// concurrent readers observe either none or all of its images (unless it
-// fails partway: it stops at the first error, and items before the
-// failing one remain indexed).
+// count. The batch is partitioned by owning shard, and each shard
+// publishes its part as a single catalog version, so concurrent readers
+// observe either none or all of a shard's part (unless it fails partway:
+// a shard stops at its first error, and its items before the failing one
+// remain indexed). There is no cross-shard atomicity: a reader can
+// observe one shard's part before another's commits. Every shard attempts
+// its part even when one fails; the lowest-numbered shard's error is
+// returned.
 func (db *DB) AddBatch(items []BatchItem, workers int) error {
-	regions, errs := db.extractAll(items, workers)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	defer db.publishLocked()
+	parts := partitionItems(items, len(db.shards))
+	return cmp.Or(db.fanOut(db.shards[0].ingestWorkers(workers), func(i int) error {
+		if len(parts[i]) == 0 {
+			return nil
+		}
+		return db.shards[i].addBatch(parts[i], workers)
+	})...)
+}
+
+// addBatch is AddBatch on one shard: extraction on the worker pool, then
+// insertion in item order under the writer lock, published as one
+// version.
+func (sh *shard) addBatch(items []BatchItem, workers int) error {
+	regions, errs := sh.extractAll(items, workers)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	defer sh.publishLocked()
 	for i, it := range items {
 		if errs[i] != nil {
 			return fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i])
 		}
-		if err := db.addExtractedLocked(it.ID, it.Image, regions[i]); err != nil {
+		if err := sh.addExtractedLocked(it.ID, it.Image, regions[i]); err != nil {
 			return err
 		}
 	}
@@ -42,56 +60,56 @@ func (db *DB) AddBatch(items []BatchItem, workers int) error {
 
 // extractAll runs region extraction for every item on the resolved worker
 // pool and returns the per-item region sets and errors in item order.
-func (db *DB) extractAll(items []BatchItem, workers int) ([][]region.Region, []error) {
+func (sh *shard) extractAll(items []BatchItem, workers int) ([][]region.Region, []error) {
 	extracted := make([][]region.Region, len(items))
 	errs := make([]error, len(items))
-	parallel.For(len(items), db.ingestWorkers(workers), func(i int) {
-		extracted[i], errs[i] = db.ext.Extract(items[i].Image)
+	parallel.For(len(items), sh.ingestWorkers(workers), func(i int) {
+		extracted[i], errs[i] = sh.ext.Extract(items[i].Image)
 	})
 	return extracted, errs
 }
 
-// addExtractedLocked is Add's insertion half, reused by AddBatch. Caller
-// holds db.mu exclusively and publishes after the last insertion.
-func (db *DB) addExtractedLocked(id string, im *imgio.Image, regions []region.Region) error {
-	m := db.om.Load()
+// addExtractedLocked is add's insertion half, reused by addBatch. Caller
+// holds sh.mu exclusively and publishes after the last insertion.
+func (sh *shard) addExtractedLocked(id string, im *imgio.Image, regions []region.Region) error {
+	m := sh.om.Load()
 	var start time.Time
 	if m != nil {
 		start = statsClock()
 	}
-	if _, dup := db.byID.get(id); dup {
+	if _, dup := sh.byID.get(id); dup {
 		return fmt.Errorf("walrus: image %q %w", id, ErrDuplicateID)
 	}
-	imgIdx := len(db.images)
+	imgIdx := len(sh.images)
 	// Appends extend the catalog past any published length, which never
 	// moves published elements; the id index copies only the chunk it
 	// touches.
-	db.images = append(db.images, imageRecord{ID: id, W: im.W, H: im.H, Regions: regions})
-	db.byID.set(id, imgIdx)
+	sh.images = append(sh.images, imageRecord{ID: id, W: im.W, H: im.H, Regions: regions})
+	sh.byID.set(id, imgIdx)
 	var rids []uint64
 	for local, r := range regions {
-		payload := int64(len(db.refs))
+		payload := int64(len(sh.refs))
 		ref := regionRef{Image: imgIdx, Local: local}
-		if db.persist != nil {
+		if sh.persist != nil {
 			rec, err := r.MarshalBinary()
 			if err != nil {
 				return fmt.Errorf("walrus: encoding region of %q: %w", id, err)
 			}
-			rid, err := db.persist.heap.Insert(rec)
+			rid, err := sh.persist.heap.Insert(rec)
 			if err != nil {
 				return fmt.Errorf("walrus: storing region of %q: %w", id, err)
 			}
 			ref.RID = rid.Pack()
 			rids = append(rids, ref.RID)
 		}
-		db.refs = append(db.refs, ref)
-		if err := db.tree.Insert(signatureRect(db.opts.UseBBox, r), payload); err != nil {
+		sh.refs = append(sh.refs, ref)
+		if err := sh.tree.Insert(signatureRect(sh.opts.UseBBox, r), payload); err != nil {
 			return fmt.Errorf("walrus: indexing region of %q: %w", id, err)
 		}
 	}
-	db.liveRegions += len(regions)
-	if db.persist != nil {
-		if err := db.commitLocked(&walDelta{Op: deltaAdd, ID: id, W: im.W, H: im.H, RIDs: rids}); err != nil {
+	sh.liveRegions += len(regions)
+	if sh.persist != nil {
+		if err := sh.commitLocked(&walDelta{Op: deltaAdd, ID: id, W: im.W, H: im.H, RIDs: rids}); err != nil {
 			return err
 		}
 	}
@@ -100,7 +118,7 @@ func (db *DB) addExtractedLocked(id string, im *imgio.Image, regions []region.Re
 		m.ingests.Inc()
 		m.ingestRegions.Add(uint64(len(regions)))
 		m.ingestSeconds.Observe(d.Seconds())
-		m.images.Set(int64(db.byID.len()))
+		m.images.Set(int64(sh.byID.len()))
 		m.regions.Add(int64(len(regions)))
 		m.reg.RecordSpan("ingest", 0, start, d,
 			obs.Attr{Key: "regions", Value: int64(len(regions))})
@@ -108,7 +126,9 @@ func (db *DB) addExtractedLocked(id string, im *imgio.Image, regions []region.Re
 	return nil
 }
 
-// Stats summarizes database state.
+// Stats summarizes database state. Images, Regions, SignatureDim and
+// DiskBacked are logical: the same corpus yields the same values at
+// every shard count.
 type Stats struct {
 	// Images is the number of indexed images; Regions the number of live
 	// regions.
@@ -119,16 +139,10 @@ type Stats struct {
 	SignatureDim int
 	// DiskBacked reports whether the database persists to a directory.
 	DiskBacked bool
-}
-
-// Stats returns a snapshot of database statistics.
-func (db *DB) Stats() Stats {
-	core := db.cur.Load()
-	return Stats{
-		Images:       core.byID.len(),
-		Regions:      core.liveRegions,
-		IndexHeight:  core.height,
-		SignatureDim: core.opts.Region.Dim(),
-		DiskBacked:   core.diskBacked,
-	}
+	// Shards is the shard count. On more than one shard the fields above
+	// are totals (IndexHeight the tallest shard's), and PerShard holds
+	// each shard's own row, indexed by shard; on one shard PerShard is
+	// nil.
+	Shards   int
+	PerShard []Stats
 }

@@ -15,19 +15,23 @@ import (
 // and yields a smaller, better-clustered index than incremental
 // insertion. Use this for the initial indexing pass the paper describes
 // ("indexing of images is done only once at the beginning"); Add/Remove
-// work normally on the result.
+// work normally on the result. With opts.Shards above 1 the collection is
+// partitioned by id hash and each shard is bulk-loaded from its part; the
+// result equals New followed by AddBatch up to index layout, and so do
+// rankings under every matcher.
 func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
-	return withCache(buildFrom(opts, items, workers))
+	return buildShards(opts, items, func(_ int, opts Options, part []BatchItem) (*shard, error) {
+		return buildShard(opts, part, workers)
+	})
 }
 
-// buildFrom is BuildFrom without the result cache: the constructor of a
-// shard.
-func buildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
-	db, err := prepare(opts)
+// buildShard bulk-loads one in-memory shard.
+func buildShard(opts Options, items []BatchItem, workers int) (*shard, error) {
+	sh, err := prepare(opts)
 	if err != nil {
 		return nil, err
 	}
-	extracted, errs := db.extractAll(items, workers)
+	extracted, errs := sh.extractAll(items, workers)
 
 	var rects []rstar.Rect
 	var payloads []int64
@@ -35,15 +39,15 @@ func buildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i])
 		}
-		if _, dup := db.byID.get(it.ID); dup {
+		if _, dup := sh.byID.get(it.ID); dup {
 			return nil, fmt.Errorf("walrus: duplicate image id %q", it.ID)
 		}
-		imgIdx := len(db.images)
-		db.images = append(db.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
-		db.byID.set(it.ID, imgIdx)
+		imgIdx := len(sh.images)
+		sh.images = append(sh.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
+		sh.byID.set(it.ID, imgIdx)
 		for local, r := range extracted[i] {
-			payloads = append(payloads, int64(len(db.refs)))
-			db.refs = append(db.refs, regionRef{Image: imgIdx, Local: local})
+			payloads = append(payloads, int64(len(sh.refs)))
+			sh.refs = append(sh.refs, regionRef{Image: imgIdx, Local: local})
 			rects = append(rects, signatureRect(opts.UseBBox, r))
 		}
 	}
@@ -62,10 +66,10 @@ func buildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.tree = tree
-	db.liveRegions = len(db.refs)
-	db.publishLocked()
-	return db, nil
+	sh.tree = tree
+	sh.liveRegions = len(sh.refs)
+	sh.publishLocked()
+	return sh, nil
 }
 
 // CreateFrom builds a disk-backed database over a whole collection in one
@@ -73,46 +77,49 @@ func buildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 // payloads stream into the heap file, and the paged R*-tree is bulk-loaded
 // by variance-split packing (see BuildFrom), one full page per node but
 // the last two of each level. This is the fastest way to run the paper's
-// one-time indexing phase against a directory-resident database.
+// one-time indexing phase against a directory-resident database. The
+// layout is Create's: with opts.Shards above 1, one unlogged bulk load per
+// shard directory.
 func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, error) {
-	return withCache(createFrom(dir, opts, items, workers))
+	return createLayout(dir, opts, items, func(dir string, opts Options, part []BatchItem) (*shard, error) {
+		return createShardFrom(dir, opts, part, workers)
+	})
 }
 
-// createFrom is CreateFrom without the result cache: the constructor of a
-// shard.
-func createFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, error) {
-	db, err := createDB(dir, opts)
+// createShardFrom bulk-loads one disk-backed shard in dir.
+func createShardFrom(dir string, opts Options, items []BatchItem, workers int) (*shard, error) {
+	sh, err := createShardFiles(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.beginBulkLoad(); err != nil {
-		return nil, errors.Join(err, db.Close())
+	if err := sh.beginBulkLoad(); err != nil {
+		return nil, errors.Join(err, sh.close())
 	}
-	extracted, errs := db.extractAll(items, workers)
+	extracted, errs := sh.extractAll(items, workers)
 
 	var rects []rstar.Rect
 	var payloads []int64
 	for i, it := range items {
 		if errs[i] != nil {
-			return nil, errors.Join(fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i]), db.Close())
+			return nil, errors.Join(fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i]), sh.close())
 		}
-		if _, dup := db.byID.get(it.ID); dup {
-			return nil, errors.Join(fmt.Errorf("walrus: duplicate image id %q", it.ID), db.Close())
+		if _, dup := sh.byID.get(it.ID); dup {
+			return nil, errors.Join(fmt.Errorf("walrus: duplicate image id %q", it.ID), sh.close())
 		}
-		imgIdx := len(db.images)
-		db.images = append(db.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
-		db.byID.set(it.ID, imgIdx)
+		imgIdx := len(sh.images)
+		sh.images = append(sh.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
+		sh.byID.set(it.ID, imgIdx)
 		for local, r := range extracted[i] {
 			rec, err := r.MarshalBinary()
 			if err != nil {
-				return nil, errors.Join(fmt.Errorf("walrus: encoding region of %q: %w", it.ID, err), db.Close())
+				return nil, errors.Join(fmt.Errorf("walrus: encoding region of %q: %w", it.ID, err), sh.close())
 			}
-			rid, err := db.persist.heap.Insert(rec)
+			rid, err := sh.persist.heap.Insert(rec)
 			if err != nil {
-				return nil, errors.Join(fmt.Errorf("walrus: storing region of %q: %w", it.ID, err), db.Close())
+				return nil, errors.Join(fmt.Errorf("walrus: storing region of %q: %w", it.ID, err), sh.close())
 			}
-			payloads = append(payloads, int64(len(db.refs)))
-			db.refs = append(db.refs, regionRef{Image: imgIdx, Local: local, RID: rid.Pack()})
+			payloads = append(payloads, int64(len(sh.refs)))
+			sh.refs = append(sh.refs, regionRef{Image: imgIdx, Local: local, RID: rid.Pack()})
 			rects = append(rects, signatureRect(opts.UseBBox, r))
 		}
 	}
@@ -120,17 +127,17 @@ func createFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, 
 	// Bulk-load through the same versioned store the empty tree was
 	// created on; the database has published no version yet, so the load
 	// retains no pre-images, and the publish below produces version 1.
-	tree, err := rstar.BulkLoad(db.tree.Versioned(), rects, payloads)
+	tree, err := rstar.BulkLoad(sh.tree.Versioned(), rects, payloads)
 	if err != nil {
-		return nil, errors.Join(err, db.Close())
+		return nil, errors.Join(err, sh.close())
 	}
-	db.tree = tree
-	db.liveRegions = len(db.refs)
-	if err := db.endBulkLoad(); err != nil {
-		return nil, errors.Join(err, db.Close())
+	sh.tree = tree
+	sh.liveRegions = len(sh.refs)
+	if err := sh.endBulkLoad(); err != nil {
+		return nil, errors.Join(err, sh.close())
 	}
-	db.publishLocked()
-	return db, nil
+	sh.publishLocked()
+	return sh, nil
 }
 
 // beginBulkLoad suspends write-ahead logging for a bulk rebuild: logging
@@ -140,10 +147,10 @@ func createFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, 
 // endBulkLoad leaves the marker in the log, and Open refuses the
 // directory with a "rebuild interrupted" error instead of presenting a
 // half-built database.
-func (db *DB) beginBulkLoad() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	p := db.persist
+func (sh *shard) beginBulkLoad() error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	p := sh.persist
 	if p == nil {
 		return nil
 	}
@@ -160,14 +167,14 @@ func (db *DB) beginBulkLoad() error {
 // endBulkLoad resumes logging and checkpoints, which flushes the built
 // database, snapshots the catalog, and truncates the log — retiring the
 // rebuild marker written by beginBulkLoad.
-func (db *DB) endBulkLoad() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	p := db.persist
+func (sh *shard) endBulkLoad() error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	p := sh.persist
 	if p == nil {
 		return nil
 	}
 	p.unlogged = false
 	p.pool.SetFlushHook(p.flushHook)
-	return db.checkpointLocked(false)
+	return sh.checkpointLocked(false)
 }

@@ -16,9 +16,9 @@ import (
 // The versions in the key make invalidation structural: a committed
 // write publishes a new version, every subsequent lookup misses, and the
 // superseded entries age out by LRU — there is no invalidation hook to
-// get wrong. The query front consults it for DB (keyed on the single
-// version) and Sharded (keyed on a hash of the version vector) alike. A
-// scene query reaches it already resolved to its crop, so it shares its
+// get wrong. The query front keys it on the pinned version of a
+// one-shard database and on a hash of the version vector on more
+// shards. A scene query reaches it already resolved to its crop, so it shares its
 // entry with a pixels query of the same crop scored by the query-only
 // denominator.
 
@@ -82,10 +82,10 @@ func hashQueryID(id string) uint64 {
 	return h
 }
 
-// versionKey is the key's version slot: the pinned version of a single
-// store, or a hash of a fleet's version vector.
+// versionKey is the key's version slot: the pinned version of a
+// one-shard front, or a hash of the version vector on more shards.
 func (f queryFront) versionKey() uint64 {
-	if !f.fleet {
+	if !f.fleet() {
 		return f.snaps[0].core.version
 	}
 	h := fnvMix(uint64(fnvOffset64), uint64(len(f.snaps)))
@@ -192,7 +192,7 @@ func (f queryFront) cachedQuery(ctx context.Context, c *queryCache, src querySou
 			m.cacheHits.Inc()
 		}
 		if qt := queryTraceFrom(ctx); qt != nil {
-			qt.fillCacheHit(p, f.fleet, stats, len(out), stats.Elapsed.Nanoseconds())
+			qt.fillCacheHit(p, f.fleet(), stats, len(out), stats.Elapsed.Nanoseconds())
 		}
 		return out, stats, nil
 	}

@@ -65,9 +65,10 @@ func TestAddRejectsNonFinitePixels(t *testing.T) {
 			t.Fatalf("Add %d: %v", i, err)
 		}
 	}
-	db.mu.RLock()
-	err = db.tree.CheckInvariants()
-	db.mu.RUnlock()
+	sh := soleShard(t, db)
+	sh.mu.RLock()
+	err = sh.tree.CheckInvariants()
+	sh.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,22 +82,23 @@ func TestAddRejectsNonFinitePixels(t *testing.T) {
 // searched run holds exactly its regions.
 func checkRefOrder(t *testing.T, db *DB, when string) {
 	t.Helper()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if !refsInImageOrder(db.refs) {
+	sh := soleShard(t, db)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if !refsInImageOrder(sh.refs) {
 		t.Fatalf("%s: refs out of image order", when)
 	}
-	for idx, rec := range db.images {
+	for idx, rec := range sh.images {
 		if rec.ID == "" {
 			continue
 		}
-		lo, hi := refRun(db.refs, idx)
+		lo, hi := refRun(sh.refs, idx)
 		if hi-lo != len(rec.Regions) {
 			t.Fatalf("%s: image %q has a run of %d refs, %d regions", when, rec.ID, hi-lo, len(rec.Regions))
 		}
 		for i := lo; i < hi; i++ {
-			if db.refs[i].Image != idx || db.refs[i].Local != i-lo {
-				t.Fatalf("%s: ref %d = %+v in the run of image %d", when, i, db.refs[i], idx)
+			if sh.refs[i].Image != idx || sh.refs[i].Local != i-lo {
+				t.Fatalf("%s: ref %d = %+v in the run of image %d", when, i, sh.refs[i], idx)
 			}
 		}
 	}
@@ -194,7 +196,7 @@ func TestRefsStayInImageOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer re.Close()
-		if stats, _ := re.Recovery(); !stats.Replayed {
+		if stats, _ := re.Recovery(); !stats[0].Replayed {
 			t.Fatal("reopen did not replay the log")
 		}
 		checkRefOrder(t, re, "replay")

@@ -25,14 +25,20 @@
 #      active-snapshots gauge does not drain to zero (pin leak) or a
 #      pinned version tears; also runs the copy-on-write id-index tests
 #      (pinned versions across add/remove/re-add, one writer against
-#      lock-free readers, write bytes flat in the catalog size)
+#      lock-free readers, write bytes flat in the catalog size) and the
+#      metrics golden (a fixed add/batch/remove/query/snapshot/flush
+#      sequence reports the same series and values at one and two shards
+#      as the two database types did before they merged)
 #   1d. shard tier: runs the shard-count determinism matrix (every shard
 #      count must reproduce the shards=1 oracle byte-for-byte), the
-#      per-shard crash matrix and the cross-shard fan-out oracle under
-#      the race detector, plus the query-front suite: every front
-#      (DB, Snapshot, Sharded, ShardedSnapshot) agrees on answers and
-#      errors for pixels, id and scene queries, exports exactly the
-#      three Query* entry points, and keeps query state at the fleet;
+#      per-shard crash matrix, the cross-shard fan-out oracle, the
+#      on-disk layouts (plain, multi-shard and the old one-shard
+#      manifest layout open and answer alike; a failed multi-shard create
+#      leaves no manifest) under the race detector, plus the query-front
+#      suite: every front (DB and Snapshot at one and three shards)
+#      agrees on answers and errors for pixels, id and scene queries,
+#      exports exactly the three Query* entry points, and keeps query
+#      state at the database;
 #      with the cache protocol, trace-completeness and funnel-determinism
 #      tests that the front runs under
 #   1e. explain tier: runs the trace/EXPLAIN suite under the race
@@ -143,8 +149,8 @@ tier "tier 0: walrus-lint" go run ./cmd/walrus-lint -v ./...
 tier "tier 1: race (short)" go test -race -short ./...
 tier "tier 1: obs scrape during stress" obs_tier
 tier "tier 1: obs exposition validators" go test -count=1 -run 'TestPrometheusOutputValidates|TestValidatePrometheusRejectsMalformed|TestHandlerEndpoints' ./internal/obs
-tier "tier 1: snapshot (acquire/release vs publish, leak check, id index)" go test -race -count=1 -run 'TestSnapshot|TestIDIndex' .
-tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, query fronts)" go test -race -count=1 -run 'TestShard|TestQueryFrontsAgree|TestQueryFrontErrors|TestQueryEntryPoints|TestQueryCache|TestTraceCompleteness|TestExplainFunnelDeterminism' .
+tier "tier 1: snapshot (acquire/release vs publish, leak check, id index, metrics golden)" go test -race -count=1 -run 'TestSnapshot|TestIDIndex|TestMetricsGolden' .
+tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts, query fronts)" go test -race -count=1 -run 'TestShard|TestLayoutCompat|TestQueryFrontsAgree|TestQueryFrontErrors|TestQueryEntryPoints|TestQueryCache|TestTraceCompleteness|TestExplainFunnelDeterminism' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...

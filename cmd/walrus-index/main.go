@@ -18,7 +18,6 @@ import (
 	"walrus"
 	"walrus/internal/colorspace"
 	"walrus/internal/dataset"
-	"walrus/internal/obs"
 	"walrus/internal/obscli"
 )
 
@@ -77,13 +76,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var db ingestDB
-	if *shards > 1 {
-		opts.Shards = *shards
-		db, err = walrus.CreateSharded(*index, opts)
-	} else {
-		db, err = walrus.Create(*index, opts)
-	}
+	opts.Shards = *shards
+	db, err := walrus.Create(*index, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,21 +103,10 @@ func main() {
 		len(ds.Items), dbRegions(*index), *index, time.Since(start).Round(time.Millisecond))
 }
 
-// ingestDB is the slice of the database API the indexer drives; both a
-// plain DB and a Sharded fleet satisfy it.
-type ingestDB interface {
-	AddBatch(items []walrus.BatchItem, workers int) error
-	SetMetrics(reg *obs.Registry)
-	Close() error
-}
-
 // dbRegions reopens the index briefly to report the region count. A
 // dirty reopen (crash during a previous run) also reports what recovery
-// replayed. Sharded indexes are auto-detected by their manifest.
+// replayed — per shard, since each shard replays its own WAL.
 func dbRegions(dir string) int {
-	if walrus.IsSharded(dir) {
-		return shardedRegions(dir)
-	}
 	db, err := walrus.Open(dir)
 	if err != nil {
 		return 0
@@ -135,35 +118,18 @@ func dbRegions(dir string) int {
 			fmt.Fprintf(os.Stderr, "  closing reopened index: %v\n", cerr)
 		}
 	}()
-	if stats, ok := db.Recovery(); ok && stats.Replayed {
+	reports, _ := db.Recovery()
+	for i, stats := range reports {
+		if !stats.Replayed {
+			continue
+		}
+		what := "index"
+		if len(reports) > 1 {
+			what = fmt.Sprintf("shard %d", i)
+		}
 		fmt.Fprintf(os.Stderr,
-			"  recovered index: %d records scanned, %d pages reapplied, %d catalog deltas, %d torn tail bytes discarded\n",
-			stats.RecordsScanned, stats.PagesApplied, stats.AppRecords, stats.TornBytes)
+			"  recovered %s: %d records scanned, %d pages reapplied, %d catalog deltas, %d torn tail bytes discarded\n",
+			what, stats.RecordsScanned, stats.PagesApplied, stats.AppRecords, stats.TornBytes)
 	}
 	return db.NumRegions()
-}
-
-// shardedRegions is dbRegions for a sharded index: each shard replays
-// its own WAL on reopen, so recovery is reported per shard.
-func shardedRegions(dir string) int {
-	s, err := walrus.OpenSharded(dir)
-	if err != nil {
-		return 0
-	}
-	defer func() {
-		if cerr := s.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "  closing reopened index: %v\n", cerr)
-		}
-	}()
-	if reports, ok := s.Recovery(); ok {
-		for i, stats := range reports {
-			if !stats.Replayed {
-				continue
-			}
-			fmt.Fprintf(os.Stderr,
-				"  recovered shard %d: %d records scanned, %d pages reapplied, %d catalog deltas, %d torn tail bytes discarded\n",
-				i, stats.RecordsScanned, stats.PagesApplied, stats.AppRecords, stats.TornBytes)
-		}
-	}
-	return s.NumRegions()
 }

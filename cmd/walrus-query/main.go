@@ -179,44 +179,25 @@ func printExplain(qt *walrus.QueryTrace) {
 	}
 }
 
-// queryDB is the slice of the database API the query tool drives; both a
-// plain DB and a Sharded fleet satisfy it.
-type queryDB interface {
-	QueryContext(ctx context.Context, im *imgio.Image, p walrus.QueryParams) ([]walrus.Match, walrus.QueryStats, error)
-	QuerySceneContext(ctx context.Context, im *imgio.Image, x, y, w, h int, p walrus.QueryParams) ([]walrus.Match, walrus.QueryStats, error)
-	SetMetrics(reg *obs.Registry)
-	SetDurability(p walrus.DurabilityPolicy)
-	SetCacheSize(n int)
-	Close() error
-}
-
-// openIndex opens a plain or sharded index directory, auto-detected by
-// the shard manifest, and reports any WAL replay the reopen performed.
-func openIndex(dir string, reg *obs.Registry) (queryDB, error) {
-	if walrus.IsSharded(dir) {
-		s, err := walrus.OpenSharded(dir)
-		if err != nil {
-			return nil, err
-		}
-		s.SetMetrics(reg)
-		if reports, ok := s.Recovery(); ok {
-			for i, stats := range reports {
-				if stats.Replayed {
-					fmt.Fprintf(os.Stderr, "recovered shard %d: %d records replayed, %d torn tail bytes discarded\n",
-						i, stats.RecordsScanned, stats.TornBytes)
-				}
-			}
-		}
-		return s, nil
-	}
+// openIndex opens an index directory of any shard count and reports any
+// WAL replay the reopen performed, per shard on a multi-shard index.
+func openIndex(dir string, reg *obs.Registry) (*walrus.DB, error) {
 	db, err := walrus.Open(dir)
 	if err != nil {
 		return nil, err
 	}
 	db.SetMetrics(reg)
-	if stats, ok := db.Recovery(); ok && stats.Replayed {
-		fmt.Fprintf(os.Stderr, "recovered index: %d records replayed, %d torn tail bytes discarded\n",
-			stats.RecordsScanned, stats.TornBytes)
+	reports, _ := db.Recovery()
+	for i, stats := range reports {
+		if !stats.Replayed {
+			continue
+		}
+		what := "index"
+		if len(reports) > 1 {
+			what = fmt.Sprintf("shard %d", i)
+		}
+		fmt.Fprintf(os.Stderr, "recovered %s: %d records replayed, %d torn tail bytes discarded\n",
+			what, stats.RecordsScanned, stats.TornBytes)
 	}
 	return db, nil
 }

@@ -3,9 +3,8 @@
 // per-request deadlines, write coalescing, and graceful drain on
 // SIGTERM/SIGINT.
 //
-// Point it at a database directory — sharded or single-store layouts are
-// auto-detected — or run it with -mem to serve a synthetic in-memory
-// dataset:
+// Point it at a database directory of any shard count, or run it with
+// -mem to serve a synthetic in-memory dataset:
 //
 //	walrus-serve -db /data/walrus -addr :8080
 //	walrus-serve -mem -per-category 25 -addr :8080
@@ -34,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		dir           = flag.String("db", "", "database directory (sharded or single-store, auto-detected)")
+		dir           = flag.String("db", "", "database directory (any shard count)")
 		mem           = flag.Bool("mem", false, "serve an in-memory database preloaded with the synthetic dataset")
 		perCat        = flag.Int("per-category", 10, "with -mem: dataset images per category")
 		concurrency   = flag.Int("concurrency", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
@@ -63,7 +62,7 @@ func main() {
 	}
 	defer obsStop()
 
-	var backend serve.Backend
+	var backend *walrus.DB
 	if *mem {
 		opts := dataset.DefaultOptions()
 		opts.PerCategory = *perCat
@@ -85,33 +84,17 @@ func main() {
 		}
 		backend = db
 	} else {
-		backend, err = serve.Open(*dir)
+		backend, err = walrus.Open(*dir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		layout := "single-store"
-		if walrus.IsSharded(*dir) {
-			layout = "sharded"
-		}
-		log.Printf("opened %s database at %s (%d images)", layout, *dir, backend.Len())
+		log.Printf("opened %d-shard database at %s (%d images)", backend.Shards(), *dir, backend.Len())
 	}
 	if reg != nil {
-		switch b := backend.(type) {
-		case *walrus.DB:
-			b.SetMetrics(reg)
-		case *walrus.Sharded:
-			b.SetMetrics(reg)
-		}
+		backend.SetMetrics(reg)
 	}
 	if *cacheSz > 0 {
-		switch b := backend.(type) {
-		case *walrus.DB:
-			b.SetCacheSize(*cacheSz)
-		case *walrus.Sharded:
-			b.SetCacheSize(*cacheSz)
-		default:
-			log.Fatal("walrus-serve: -cache-size requires a walrus.DB or walrus.Sharded backend")
-		}
+		backend.SetCacheSize(*cacheSz)
 	}
 	defaults := walrus.DefaultQueryParams()
 

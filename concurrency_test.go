@@ -151,7 +151,7 @@ func TestConcurrentMixedOracle(t *testing.T) {
 					errs <- err
 					return
 				}
-				if v := s.Version(); v < lastVersion {
+				if v := s.VersionVector()[0]; v < lastVersion {
 					errs <- fmt.Errorf("snapshot version went backwards: %d after %d", v, lastVersion)
 					s.Release()
 					return
@@ -161,7 +161,7 @@ func TestConcurrentMixedOracle(t *testing.T) {
 				ids := s.IDs()
 				if s.Len() != len(ids) || s.Stats().Images != s.Len() {
 					errs <- fmt.Errorf("torn snapshot v%d: Len %d, IDs %d, Stats.Images %d",
-						s.Version(), s.Len(), len(ids), s.Stats().Images)
+						s.VersionVector()[0], s.Len(), len(ids), s.Stats().Images)
 					s.Release()
 					return
 				}
@@ -177,7 +177,7 @@ func TestConcurrentMixedOracle(t *testing.T) {
 				}
 				for _, m := range matches {
 					if !present[m.ID] {
-						errs <- fmt.Errorf("snapshot v%d: query matched %q outside its version", s.Version(), m.ID)
+						errs <- fmt.Errorf("snapshot v%d: query matched %q outside its version", s.VersionVector()[0], m.ID)
 						s.Release()
 						return
 					}

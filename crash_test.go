@@ -34,10 +34,11 @@ func crashWorkload(t *testing.T, o Options) []crashOp {
 			t.Fatal(err)
 		}
 		return crashOp{"add " + id, func(db *DB) error {
-			db.mu.Lock()
-			defer db.mu.Unlock()
-			defer db.publishLocked()
-			return db.addExtractedLocked(id, im, regions)
+			sh := soleShard(t, db)
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			defer sh.publishLocked()
+			return sh.addExtractedLocked(id, im, regions)
 		}}
 	}
 	rm := func(id string) crashOp {
@@ -61,12 +62,12 @@ func crashWorkload(t *testing.T, o Options) []crashOp {
 // image catalog, the payload directory, every region payload, and the
 // set of live index entries. Two databases with equal snapshots hold the
 // same committed operations.
-func crashSnapshot(t *testing.T, db *DB) string {
+func crashSnapshot(t *testing.T, sh *shard) string {
 	t.Helper()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	var b strings.Builder
-	for i, im := range db.images {
+	for i, im := range sh.images {
 		fmt.Fprintf(&b, "img %d %q %dx%d %d\n", i, im.ID, im.W, im.H, len(im.Regions))
 		for j, r := range im.Regions {
 			enc, err := r.MarshalBinary()
@@ -76,11 +77,11 @@ func crashSnapshot(t *testing.T, db *DB) string {
 			fmt.Fprintf(&b, "  region %d %x\n", j, sha256.Sum256(enc))
 		}
 	}
-	for i, ref := range db.refs {
+	for i, ref := range sh.refs {
 		fmt.Fprintf(&b, "ref %d image=%d local=%d rid=%d\n", i, ref.Image, ref.Local, ref.RID)
 	}
 	// Probe the whole index: the live entry set must match the live refs.
-	dim := db.opts.Region.Dim()
+	dim := sh.opts.Region.Dim()
 	mins := make([]float64, dim)
 	maxs := make([]float64, dim)
 	for i := range mins {
@@ -90,7 +91,7 @@ func crashSnapshot(t *testing.T, db *DB) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := db.tree.SearchAll(world)
+	entries, err := sh.tree.SearchAll(world)
 	if err != nil {
 		t.Fatalf("index probe during snapshot: %v", err)
 	}
@@ -113,12 +114,12 @@ func runOracle(t *testing.T, o Options, ops []crashOp) []string {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	snaps := []string{crashSnapshot(t, db)}
+	snaps := []string{crashSnapshot(t, soleShard(t, db))}
 	for _, op := range ops {
 		if err := op.run(db); err != nil {
 			t.Fatalf("oracle %s: %v", op.name, err)
 		}
-		snaps = append(snaps, crashSnapshot(t, db))
+		snaps = append(snaps, crashSnapshot(t, soleShard(t, db)))
 	}
 	return snaps
 }
@@ -203,7 +204,7 @@ func TestCrashMatrixAlwaysDurable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill=%d tear=%d after %d ops: recovery failed: %v", kill, tear, completed, err)
 		}
-		got := crashSnapshot(t, re)
+		got := crashSnapshot(t, soleShard(t, re))
 		re.Close()
 		if got != oracle[completed] && (completed+1 >= len(oracle) || got != oracle[completed+1]) {
 			t.Fatalf("kill=%d tear=%d: recovered state matches neither oracle[%d] nor oracle[%d]",
@@ -256,7 +257,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill=%d after %d ops: recovery failed: %v", kill, completed, err)
 		}
-		got := crashSnapshot(t, re)
+		got := crashSnapshot(t, soleShard(t, re))
 		re.Close()
 		found := false
 		for i := 0; i <= completed+1 && i < len(oracle); i++ {
@@ -295,10 +296,11 @@ func TestRecoveryReportsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	stats, ok := re.Recovery()
+	reports, ok := re.Recovery()
 	if !ok {
 		t.Fatal("Recovery() not available on a disk-backed database")
 	}
+	stats := reports[0]
 	if !stats.Replayed {
 		t.Fatal("Replayed = false after a mid-workload crash")
 	}
@@ -313,7 +315,7 @@ func TestRecoveryReportsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re2.Close()
-	if s2, _ := re2.Recovery(); s2.Replayed {
+	if s2, _ := re2.Recovery(); s2[0].Replayed {
 		t.Fatalf("Replayed = true after clean close: %+v", s2)
 	}
 }
@@ -346,11 +348,11 @@ func TestDurabilityAlwaysSurvivesImmediateCrash(t *testing.T) {
 	if re.Len() != 1 {
 		t.Fatalf("Len = %d after crash recovery, want 1", re.Len())
 	}
-	if _, ok := re.byID.get("survivor"); !ok {
+	if _, ok := soleShard(t, re).byID.get("survivor"); !ok {
 		t.Fatal("committed image lost")
 	}
 	stats, _ := re.Recovery()
-	if !stats.Replayed {
+	if !stats[0].Replayed {
 		t.Fatal("recovery did not replay the committed operation")
 	}
 }

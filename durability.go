@@ -76,29 +76,27 @@ func resolveFS(fs FileOpener) FileOpener {
 // wal.RecoveryStats for field documentation.
 type RecoveryStats = wal.RecoveryStats
 
-// Recovery returns the crash-recovery report from Open. ok is false for
-// in-memory databases; Replayed is false when the database had been
-// closed cleanly.
-func (db *DB) Recovery() (RecoveryStats, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.persist == nil {
+// recovery returns the shard's crash-recovery report from Open. ok is
+// false for in-memory shards.
+func (sh *shard) recovery() (RecoveryStats, bool) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if sh.persist == nil {
 		return RecoveryStats{}, false
 	}
-	return db.persist.recovery, true
+	return sh.persist.recovery, true
 }
 
-// SetDurability changes the durability policy of a disk-backed database
-// at runtime (the persisted option still reflects creation time until
-// the next flush). It is a no-op for in-memory databases.
-func (db *DB) SetDurability(p DurabilityPolicy) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.opts.Durability = p
-	if db.persist != nil {
-		db.persist.policy = p
+// setDurability changes the shard's durability policy; a no-op for the
+// log of an in-memory shard.
+func (sh *shard) setDurability(p DurabilityPolicy) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.opts.Durability = p
+	if sh.persist != nil {
+		sh.persist.policy = p
 	}
 	// The changed option is part of the published state (Options reads
-	// the current snapshot), so commit it as a new version.
-	db.publishLocked()
+	// the current version), so commit it as a new version.
+	sh.publishLocked()
 }

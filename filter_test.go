@@ -33,7 +33,7 @@ func filterBackend(t *testing.T, items []BatchItem, shards int) queryBackend {
 	}
 	opts := testOptions()
 	opts.Shards = shards
-	s, err := NewSharded(opts)
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestQueryCacheSharded(t *testing.T) {
 	opts := testOptions()
 	opts.Shards = 4
 	opts.CacheSize = 8
-	s, err := NewSharded(opts)
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 	"walrus/internal/obs"
 )
 
-// queryFrontAPI is the query surface every front exports: DB, Snapshot,
-// Sharded and ShardedSnapshot.
+// queryFrontAPI is the query surface both fronts export: DB and
+// Snapshot.
 type queryFrontAPI interface {
 	QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error)
 	QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error)
@@ -37,10 +37,11 @@ func frontCorpus(t *testing.T) []BatchItem {
 	return corpus50(t)[:24]
 }
 
-// buildFronts indexes items into every kind of front: a DB and a DB
-// snapshot, Sharded at 1 and 3 shards, and a 3-shard ShardedSnapshot,
-// with the DB and the fleets also built with a result cache. The first
-// front is the uncached DB, the reference answer.
+// buildFronts indexes items into every kind of front: one-shard DBs
+// built by the default options and by an explicit Shards of 1, a
+// one-shard snapshot, a 3-shard DB and a 3-shard snapshot, with the DBs
+// also built with a result cache. The first front is the uncached DB,
+// the reference answer.
 func buildFronts(t *testing.T, items []BatchItem) []namedFront {
 	t.Helper()
 	newDB := func(cache int) *DB {
@@ -55,11 +56,11 @@ func buildFronts(t *testing.T, items []BatchItem) []namedFront {
 		}
 		return db
 	}
-	newSharded := func(shards, cache int) *Sharded {
+	newSharded := func(shards, cache int) *DB {
 		opts := testOptions()
 		opts.Shards = shards
 		opts.CacheSize = cache
-		s, err := NewSharded(opts)
+		s, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,15 +247,13 @@ func TestQueryFrontErrors(t *testing.T) {
 	}
 }
 
-// TestQueryEntryPoints pins the query API: each of the four query types
+// TestQueryEntryPoints pins the query API: each of the two query types
 // exports exactly the three context-taking Query* methods.
 func TestQueryEntryPoints(t *testing.T) {
 	want := []string{"QueryByID", "QueryContext", "QuerySceneContext"}
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf((*DB)(nil)),
 		reflect.TypeOf((*Snapshot)(nil)),
-		reflect.TypeOf((*Sharded)(nil)),
-		reflect.TypeOf((*ShardedSnapshot)(nil)),
 	} {
 		var got []string
 		for i := 0; i < typ.NumMethod(); i++ {
@@ -269,44 +268,41 @@ func TestQueryEntryPoints(t *testing.T) {
 }
 
 // TestShardQueryStateAtFleet checks that query-side state lives only at
-// the fleet: fleet queries report under the unscoped walrus_query_*
-// series, the shards register no query or cache series of their own
-// (their write series stay), and no shard holds a result cache — neither
-// when built nor after OpenSharded, which still restores the fleet cache
-// from the size the shard catalogs persist.
+// the database: queries report under the unscoped walrus_query_* series,
+// the shards register no query or cache series of their own (their write
+// series stay), and the database holds the result cache — both when
+// built and after Open, which restores it from the size the shard
+// catalogs persist.
 func TestShardQueryStateAtFleet(t *testing.T) {
 	const shards, cacheSize = 3, 16
 	opts := testOptions()
 	opts.Shards = shards
 	opts.CacheSize = cacheSize
 	dir := filepath.Join(t.TempDir(), "fleet")
-	disk, err := CreateSharded(dir, opts)
+	disk, err := Create(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := NewSharded(opts)
+	mem, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	items := frontCorpus(t)[:6]
-	checkCaches := func(label string, s *Sharded) {
+	checkCaches := func(label string, s *DB) {
 		t.Helper()
 		c := s.cache.Load()
 		if c == nil || c.max != cacheSize {
 			t.Fatalf("%s: fleet cache %+v, want capacity %d", label, c, cacheSize)
 		}
 		for i, sh := range s.shards {
-			if sh.cache.Load() != nil {
-				t.Fatalf("%s: shard %d holds a result cache", label, i)
-			}
-			if got := sh.Options().CacheSize; got != cacheSize {
+			if got := sh.cur.Load().opts.CacheSize; got != cacheSize {
 				t.Fatalf("%s: shard %d records CacheSize %d, want %d", label, i, got, cacheSize)
 			}
 		}
 	}
 	for _, tc := range []struct {
 		name string
-		s    *Sharded
+		s    *DB
 	}{{"mem", mem}, {"disk", disk}} {
 		checkCaches(tc.name, tc.s)
 		reg := obs.NewRegistry()
@@ -353,7 +349,7 @@ func TestShardQueryStateAtFleet(t *testing.T) {
 	if err := disk.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenSharded(dir)
+	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

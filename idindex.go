@@ -63,7 +63,7 @@ func (x idIndex) len() int { return x.n }
 // idIndexWriter is the writer's copy-on-write handle on the live idIndex.
 // After a publish the header and every chunk are shared with the
 // published version; the first write copies the header, and the first
-// write to each chunk clones that chunk. Guarded by the owning DB's mu.
+// write to each chunk clones that chunk. Guarded by the owning shard's mu.
 type idIndexWriter struct {
 	idIndex
 	shared bool                  // header reachable from a published version

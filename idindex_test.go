@@ -62,14 +62,6 @@ func TestIDIndexMatchesMap(t *testing.T) {
 	}
 }
 
-// idReader is the read surface shared by Snapshot and ShardedSnapshot.
-type idReader interface {
-	Len() int
-	IDs() []string
-	RegionsOf(id string) ([]region.Region, bool)
-	QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error)
-}
-
 // sameChunkID returns an id other than id in id's index chunk and, for
 // shards > 1, in its shard too, so removing it rewrites the chunk a
 // pinned snapshot reads id from.
@@ -111,43 +103,25 @@ func idIndexPinnedVersions(t *testing.T, shards int) {
 		{"add", "d", "d"}, {"remove", "a", ""}, {"add", "a", "a2"}, {"remove", mate, ""},
 	}
 
-	var add func(id string, im *imgio.Image) error
-	var remove func(id string) (bool, error)
-	var snapshot func() (idReader, func())
-	if shards == 1 {
-		db, err := New(testOptions())
+	o := testOptions()
+	o.Shards = shards
+	db, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add, remove := db.Add, db.Remove
+	snapshot := func() (*Snapshot, func()) {
+		s, err := db.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		add, remove = db.Add, db.Remove
-		snapshot = func() (idReader, func()) {
-			s, err := db.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s, s.Release
-		}
-	} else {
-		o := testOptions()
-		o.Shards = shards
-		s, err := NewSharded(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		add, remove = s.Add, s.Remove
-		snapshot = func() (idReader, func()) {
-			ss, err := s.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ss, ss.Release
-		}
+		return s, s.Release
 	}
 
 	// Expected state per pinned snapshot: live ids in insertion order,
 	// each with the image it was added from.
 	type pinned struct {
-		r     idReader
+		r     *Snapshot
 		ids   []string
 		imgOf map[string]string
 	}
@@ -258,7 +232,7 @@ func TestIDIndexConcurrentReaders(t *testing.T) {
 		ids[i] = fmt.Sprintf("img-%02d", i)
 	}
 	var states sync.Map // version -> map[string]bool
-	states.Store(db.Version(), map[string]bool{})
+	states.Store(db.VersionVector()[0], map[string]bool{})
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -274,11 +248,11 @@ func TestIDIndexConcurrentReaders(t *testing.T) {
 					errs <- err
 					return
 				}
-				want, ok := states.Load(s.Version())
+				want, ok := states.Load(s.VersionVector()[0])
 				for !ok && !done.Load() {
 					// The writer records a version just after publishing it.
 					runtime.Gosched()
-					want, ok = states.Load(s.Version())
+					want, ok = states.Load(s.VersionVector()[0])
 				}
 				if !ok {
 					s.Release()
@@ -286,11 +260,11 @@ func TestIDIndexConcurrentReaders(t *testing.T) {
 				}
 				live := want.(map[string]bool)
 				if s.Len() != len(live) {
-					errs <- fmt.Errorf("version %d: Len %d, want %d", s.Version(), s.Len(), len(live))
+					errs <- fmt.Errorf("version %d: Len %d, want %d", s.VersionVector()[0], s.Len(), len(live))
 				}
 				for _, id := range ids {
 					if _, got := s.RegionsOf(id); got != live[id] {
-						errs <- fmt.Errorf("version %d: RegionsOf(%q) ok = %v, want %v", s.Version(), id, got, live[id])
+						errs <- fmt.Errorf("version %d: RegionsOf(%q) ok = %v, want %v", s.VersionVector()[0], id, got, live[id])
 					}
 				}
 				s.Release()
@@ -312,7 +286,7 @@ func TestIDIndexConcurrentReaders(t *testing.T) {
 			}
 			live[id] = true
 		}
-		states.Store(db.Version(), maps.Clone(live))
+		states.Store(db.VersionVector()[0], maps.Clone(live))
 	}
 	done.Store(true)
 	wg.Wait()

@@ -16,13 +16,14 @@ var ctxFlowScope = map[string]bool{
 	"internal/parallel": true,
 }
 
-// ctxFanOutReceivers are the root package's snapshot types: their methods
-// ARE the staged query pipeline, so any of them that fans out over the
-// worker pool must carry the request context — otherwise QueryContext's
-// deadline dies at that stage's doorstep.
+// ctxFanOutReceivers are the root package's snapshot types — the public
+// Snapshot and the per-shard shardSnapshot the query stages run on: their
+// methods ARE the staged query pipeline, so any of them that fans out
+// over the worker pool must carry the request context — otherwise
+// QueryContext's deadline dies at that stage's doorstep.
 var ctxFanOutReceivers = map[string]bool{
-	"Snapshot":        true,
-	"ShardedSnapshot": true,
+	"Snapshot":      true,
+	"shardSnapshot": true,
 }
 
 // CtxFlow machine-checks the context plumbing of the request path, added
@@ -30,9 +31,9 @@ var ctxFanOutReceivers = map[string]bool{
 //
 //  1. Inside a function with a context.Context in scope, calls to
 //     context.Background() or context.TODO() discard the caller's
-//     deadline and are flagged. Context-free convenience wrappers
-//     (Query calling QueryContext(context.Background(), ...)) have no
-//     ctx in scope and stay legal.
+//     deadline and are flagged. A function with no ctx in scope — a
+//     CLI's main calling QueryContext(context.Background(), ...) — has
+//     no deadline to lose and stays legal.
 //  2. An exported function or method that takes a context.Context must
 //     consult it — a ctx parameter the body never reads (or a blank _
 //     parameter) advertises deadline support it does not deliver.
@@ -40,7 +41,7 @@ var ctxFanOutReceivers = map[string]bool{
 //     function with a ctx in scope must consult the ctx inside the
 //     submitted closure, so an expired deadline stops the fan-out
 //     per task instead of burning every worker slot.
-//  4. A Snapshot/ShardedSnapshot method that fans out over the worker
+//  4. A Snapshot or shardSnapshot method that fans out over the worker
 //     pool must take a context parameter at all: the staged pipeline is
 //     exactly the code QueryContext promises to cancel.
 var CtxFlow = &Analyzer{

@@ -15,11 +15,11 @@ import (
 // "Locked" are exempt by convention — their contract is "caller holds
 // mu".
 //
-// Methods of guarded types are additionally forbidden from acquiring
-// another guarded object's mu directly (fleet code reaching into a
-// shard's db.mu, say): each mutex is private to its owner, and bypassing
-// the owner's methods silently skips whatever invariants those methods
-// maintain. Route the access through a method of the owning object.
+// Every method is additionally forbidden from acquiring another guarded
+// object's mu directly (database code reaching into a shard's mu, say):
+// each mutex is private to its owner, and bypassing the owner's methods
+// silently skips whatever invariants those methods maintain. Route the
+// access through a method of the owning object.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
 	Doc:  "flag guarded-field access without the documented mutex and RLock-to-Lock upgrades",
@@ -55,7 +55,10 @@ func runLockDiscipline(pass *Pass) {
 			}
 			gt, ok := guarded[typeName]
 			if !ok {
-				continue
+				// An unguarded receiver has no lock state of its own, but
+				// may hold guarded objects — the DB holds its shards — whose
+				// mutexes it must not take.
+				gt = &guardedType{}
 			}
 			checkMethodLocking(pass, fd, recvObj, typeName, gt, guarded)
 		}
@@ -238,9 +241,9 @@ func recvSelector2(info *types.Info, recv types.Object, e ast.Expr) (field, meth
 
 // foreignMuOp matches <owner>.mu.<Lock/RLock/...> where owner is NOT the
 // receiver and owner's (pointer-unwrapped) type is a guarded type of this
-// package: a cross-object mutex acquisition. With sharding, fleet-level
-// code holds references to per-shard guarded objects; this is the shape
-// that would let it bypass a shard's own locking discipline.
+// package: a cross-object mutex acquisition. The DB holds references to
+// its per-shard guarded objects; this is the shape that would let it
+// bypass a shard's own locking discipline.
 func foreignMuOp(info *types.Info, recv types.Object, guarded map[string]*guardedType, e ast.Expr) (owner ast.Expr, ownerType, method string, ok bool) {
 	outer, okSel := ast.Unparen(e).(*ast.SelectorExpr)
 	if !okSel || !mutexOpNames[outer.Sel.Name] {

@@ -16,18 +16,18 @@ var snapshotSafeScope = map[string]bool{
 // Methods of the snapshotMethodTypes are checked; expressions of any of
 // these types are treated as immutable snapshot state.
 var snapshotTypeNames = map[string]bool{
-	"Snapshot":        true,
-	"snapCore":        true,
-	"ShardedSnapshot": true,
+	"Snapshot":      true,
+	"shardSnapshot": true,
+	"snapCore":      true,
 }
 
 // snapshotMethodTypes are the receiver types whose methods must honor
-// the snapshot contract. ShardedSnapshot pins one epoch-matched Snapshot
-// per shard, so the cross-shard view is held to the same rules as each
-// per-shard one.
+// the snapshot contract. The public Snapshot pins one epoch-matched
+// shardSnapshot per shard, so the cross-shard view is held to the same
+// rules as each per-shard one the query stages run on.
 var snapshotMethodTypes = map[string]bool{
-	"Snapshot":        true,
-	"ShardedSnapshot": true,
+	"Snapshot":      true,
+	"shardSnapshot": true,
 }
 
 // mutexOpNames are the sync.Mutex/RWMutex methods a snapshot method may
@@ -39,13 +39,13 @@ var mutexOpNames = map[string]bool{
 }
 
 // SnapshotSafe machine-checks the snapshot-isolation contract of the
-// root package: methods with a Snapshot or ShardedSnapshot receiver must
-// not acquire (or release) any mutex — in particular db.mu or a shard's
-// mu — and must not mutate snapshot state, i.e. assign, increment or
-// delete through any expression of type Snapshot, snapCore or
-// ShardedSnapshot. Published snapshots are immutable and read lock-free;
-// a method that breaks either property reintroduces exactly the
-// reader/writer races the snapshot layer removed.
+// root package: methods with a Snapshot or shardSnapshot receiver must
+// not acquire (or release) any mutex — in particular a shard's mu — and
+// must not mutate snapshot state, i.e. assign, increment or delete
+// through any expression of type Snapshot, shardSnapshot or snapCore.
+// Published snapshots are immutable and read lock-free; a method that
+// breaks either property reintroduces exactly the reader/writer races
+// the snapshot layer removed.
 var SnapshotSafe = &Analyzer{
 	Name: "snapshotsafe",
 	Doc:  "forbid mutex use and snapshot-state mutation inside Snapshot methods",
@@ -105,8 +105,8 @@ func checkSnapshotMethod(pass *Pass, fd *ast.FuncDecl, typeName string) {
 }
 
 // snapshotStateExpr reports whether writing through expr mutates
-// snapshot state: some strict prefix of the selector/index chain has
-// type Snapshot or snapCore (possibly behind pointers). The check is
+// snapshot state: some strict prefix of the selector/index chain has one
+// of the snapshot types (possibly behind pointers). The check is
 // type- rather than name-based, so aliases like `core := s.core` are
 // still caught.
 func snapshotStateExpr(info *types.Info, expr ast.Expr) bool {

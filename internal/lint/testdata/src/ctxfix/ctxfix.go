@@ -92,4 +92,14 @@ func (s *Snapshot) scoreCtx(ctx context.Context) {
 	})
 }
 
+// shardSnapshot mimics the per-shard view the root pipeline's stages run
+// on: held to rule 4 like Snapshot.
+type shardSnapshot struct{ vals []int }
+
+func (s *shardSnapshot) refineAll() {
+	parallel.For(len(s.vals), 4, func(i int) { // want `shardSnapshot\.refineAll fans out over the worker pool but takes no context; thread the request ctx through the stage`
+		s.vals[i]++
+	})
+}
+
 var _ = ignores

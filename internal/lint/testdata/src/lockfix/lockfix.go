@@ -59,8 +59,8 @@ func (c *counter) bumpLocked() {
 	c.n++
 }
 
-// fleet mirrors the root package's Sharded type: a guarded object
-// holding references to other guarded objects (its shards).
+// fleet is a guarded object holding references to other guarded
+// objects (its shards).
 type fleet struct {
 	mu     sync.Mutex
 	policy int // guarded by mu
@@ -92,4 +92,23 @@ func (f *fleet) BadCrossAlias() int {
 	n := c.n
 	c.mu.RUnlock() // want `c.mu.RUnlock\(\) inside fleet.BadCrossAlias acquires another counter's private mutex; call a counter method instead`
 	return n
+}
+
+// db mirrors the root package's DB: it holds guarded shards but no mutex
+// of its own, and its methods are held to the cross-object rule all the
+// same.
+type db struct {
+	parts []*counter
+}
+
+// Good: shards are reached through their methods.
+func (d *db) GoodFanout(v int) {
+	for _, c := range d.parts {
+		c.GoodWrite(v)
+	}
+}
+
+func (d *db) BadCross() {
+	d.parts[0].mu.Lock()   // want `d.parts\[0\].mu.Lock\(\) inside db.BadCross acquires another counter's private mutex; call a counter method instead`
+	d.parts[0].mu.Unlock() // want `d.parts\[0\].mu.Unlock\(\) inside db.BadCross acquires another counter's private mutex; call a counter method instead`
 }

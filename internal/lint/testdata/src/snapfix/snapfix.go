@@ -1,6 +1,8 @@
 // Fixture for the snapshotsafe analyzer: a miniature of the root
-// package's snapshot layer, with methods that respect and violate the
-// two contract halves (lock-free reads, immutable published state).
+// package's snapshot layer — the per-shard shardSnapshot over a snapCore
+// and the public Snapshot pinning one per shard — with methods that
+// respect and violate the two contract halves (lock-free reads,
+// immutable published state).
 package snapfix
 
 //walrus:lint-scope snapshotsafe
@@ -19,55 +21,62 @@ type DB struct {
 	core *snapCore
 }
 
-type Snapshot struct {
+// shardSnapshot mirrors the root package's per-shard pinned view.
+type shardSnapshot struct {
 	core *snapCore
 	db   *DB
 }
 
 // Good: reads only.
-func (s *Snapshot) Len() int { return len(s.core.ids) }
+func (s *shardSnapshot) Len() int { return len(s.core.ids) }
 
-func (s *Snapshot) Lookup(id string) (int, bool) {
+func (s *shardSnapshot) Lookup(id string) (int, bool) {
 	idx, ok := s.core.byID[id]
 	return idx, ok
 }
 
 // Good: writes to locals and parameters are not snapshot mutations.
-func (s *Snapshot) Collect(out []string) []string {
+func (s *shardSnapshot) Collect(out []string) []string {
 	for _, id := range s.core.ids {
 		out = append(out, id)
 	}
 	return out
 }
 
-func (s *Snapshot) BadLock() int {
-	s.db.mu.RLock() // want `snapshot methods are lock-free by contract: s.db.mu.RLock must not acquire a mutex inside Snapshot.BadLock`
+func (s *shardSnapshot) BadLock() int {
+	s.db.mu.RLock() // want `snapshot methods are lock-free by contract: s.db.mu.RLock must not acquire a mutex inside shardSnapshot.BadLock`
 	n := len(s.core.ids)
-	s.db.mu.RUnlock() // want `snapshot methods are lock-free by contract: s.db.mu.RUnlock must not acquire a mutex inside Snapshot.BadLock`
+	s.db.mu.RUnlock() // want `snapshot methods are lock-free by contract: s.db.mu.RUnlock must not acquire a mutex inside shardSnapshot.BadLock`
 	return n
 }
 
-func (s *Snapshot) BadWriteField() {
-	s.core.version = 99 // want `snapshot state is immutable: s.core.version is written inside Snapshot.BadWriteField`
+func (s *shardSnapshot) BadWriteField() {
+	s.core.version = 99 // want `snapshot state is immutable: s.core.version is written inside shardSnapshot.BadWriteField`
 }
 
-func (s *Snapshot) BadWriteSlice(i int) {
-	s.core.ids[i] = "" // want `snapshot state is immutable: s.core.ids\[i\] is written inside Snapshot.BadWriteSlice`
+func (s *shardSnapshot) BadWriteSlice(i int) {
+	s.core.ids[i] = "" // want `snapshot state is immutable: s.core.ids\[i\] is written inside shardSnapshot.BadWriteSlice`
 }
 
-func (s *Snapshot) BadIncDec() {
-	s.core.counts[0]++ // want `snapshot state is immutable: s.core.counts\[0\] is written inside Snapshot.BadIncDec`
+func (s *shardSnapshot) BadIncDec() {
+	s.core.counts[0]++ // want `snapshot state is immutable: s.core.counts\[0\] is written inside shardSnapshot.BadIncDec`
 }
 
-func (s *Snapshot) BadDelete(id string) {
-	delete(s.core.byID, id) // want `snapshot state is immutable: delete from s.core.byID mutates published snapshot state in Snapshot.BadDelete`
+func (s *shardSnapshot) BadDelete(id string) {
+	delete(s.core.byID, id) // want `snapshot state is immutable: delete from s.core.byID mutates published snapshot state in shardSnapshot.BadDelete`
 }
 
 // BadAlias mutates through a local alias of the core: the check is
 // type-based, so renaming the path does not evade it.
-func (s *Snapshot) BadAlias() {
+func (s *shardSnapshot) BadAlias() {
 	core := s.core
-	core.version = 1 // want `snapshot state is immutable: core.version is written inside Snapshot.BadAlias`
+	core.version = 1 // want `snapshot state is immutable: core.version is written inside shardSnapshot.BadAlias`
+}
+
+// BadWriteOwn writes the per-shard view's own field: shardSnapshot is
+// snapshot state in its own right, not only through its core.
+func (s *shardSnapshot) BadWriteOwn(c *snapCore) {
+	s.core = c // want `snapshot state is immutable: s.core is written inside shardSnapshot.BadWriteOwn`
 }
 
 // mutate exists so unrelated methods of other receivers stay unchecked.
@@ -77,35 +86,35 @@ func (db *DB) mutate() {
 	db.mu.Unlock()
 }
 
-// ShardedSnapshot mirrors the root package's cross-shard view: one
-// pinned Snapshot per shard. Its methods are held to the same contract.
-type ShardedSnapshot struct {
-	snaps []*Snapshot
+// Snapshot mirrors the root package's public view: one pinned
+// shardSnapshot per shard. Its methods are held to the same contract.
+type Snapshot struct {
+	snaps []shardSnapshot
 	db    *DB
 }
 
 // Good: pure fan-out reads.
-func (ss *ShardedSnapshot) Len() int {
+func (ss *Snapshot) Len() int {
 	n := 0
-	for _, sn := range ss.snaps {
-		n += sn.Len()
+	for i := range ss.snaps {
+		n += ss.snaps[i].Len()
 	}
 	return n
 }
 
-func (ss *ShardedSnapshot) BadLock() int {
-	ss.db.mu.RLock() // want `snapshot methods are lock-free by contract: ss.db.mu.RLock must not acquire a mutex inside ShardedSnapshot.BadLock`
+func (ss *Snapshot) BadLock() int {
+	ss.db.mu.RLock() // want `snapshot methods are lock-free by contract: ss.db.mu.RLock must not acquire a mutex inside Snapshot.BadLock`
 	n := len(ss.snaps)
-	ss.db.mu.RUnlock() // want `snapshot methods are lock-free by contract: ss.db.mu.RUnlock must not acquire a mutex inside ShardedSnapshot.BadLock`
+	ss.db.mu.RUnlock() // want `snapshot methods are lock-free by contract: ss.db.mu.RUnlock must not acquire a mutex inside Snapshot.BadLock`
 	return n
 }
 
-func (ss *ShardedSnapshot) BadWriteOwn(i int) {
-	ss.snaps[i] = nil // want `snapshot state is immutable: ss.snaps\[i\] is written inside ShardedSnapshot.BadWriteOwn`
+func (ss *Snapshot) BadWriteOwn(i int) {
+	ss.snaps[i] = shardSnapshot{} // want `snapshot state is immutable: ss.snaps\[i\] is written inside Snapshot.BadWriteOwn`
 }
 
 // BadWriteThrough mutates one shard's pinned snapshot state: the chain
-// crosses both ShardedSnapshot and snapCore, either of which convicts.
-func (ss *ShardedSnapshot) BadWriteThrough() {
-	ss.snaps[0].core.version = 9 // want `snapshot state is immutable: ss.snaps\[0\].core.version is written inside ShardedSnapshot.BadWriteThrough`
+// crosses Snapshot, shardSnapshot and snapCore, any of which convicts.
+func (ss *Snapshot) BadWriteThrough() {
+	ss.snaps[0].core.version = 9 // want `snapshot state is immutable: ss.snaps\[0\].core.version is written inside Snapshot.BadWriteThrough`
 }

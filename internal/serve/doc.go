@@ -1,6 +1,6 @@
 // Package serve is the production HTTP front-end of the WALRUS engine:
-// a stdlib-only net/http service over a *walrus.DB or *walrus.Sharded
-// backend with the behaviors a network edge needs beyond routing.
+// a stdlib-only net/http service over a *walrus.DB backend, at any
+// shard count, with the behaviors a network edge needs beyond routing.
 //
 //   - Admission control: a fixed pool of request slots fronted by a
 //     bounded wait queue. When every slot is busy and the queue is full,
@@ -13,7 +13,7 @@
 //   - Write coalescing: concurrent ingests are batched into one
 //     AddBatch per flush — bounded by batch size and by the age of the
 //     oldest pending write — so each flush publishes exactly one catalog
-//     version per database (per shard for sharded backends) and the
+//     version per shard it touches and the
 //     copy-on-write publish cost is amortized across writers.
 //   - Graceful drain: Drain stops accepting work, waits for in-flight
 //     requests (queries finish against their pinned snapshots), flushes

@@ -22,9 +22,8 @@ import (
 	"walrus/internal/region"
 )
 
-// Backend is the engine surface the server drives. Both *walrus.DB and
-// *walrus.Sharded satisfy it, so one server fronts either layout; Open
-// picks the right one from the on-disk format.
+// Backend is the engine surface the server drives; *walrus.DB, at any
+// shard count, satisfies it.
 type Backend interface {
 	AddBatch(items []walrus.BatchItem, workers int) error
 	Remove(id string) (bool, error)
@@ -34,23 +33,12 @@ type Backend interface {
 	RegionsOf(id string) ([]region.Region, bool)
 	Len() int
 	NumRegions() int
+	VersionVector() []uint64
 	Flush() error
 	Close() error
 }
 
-var (
-	_ Backend = (*walrus.DB)(nil)
-	_ Backend = (*walrus.Sharded)(nil)
-)
-
-// Open opens the database at dir, auto-detecting whether it is a
-// sharded or single-store layout.
-func Open(dir string) (Backend, error) {
-	if walrus.IsSharded(dir) {
-		return walrus.OpenSharded(dir)
-	}
-	return walrus.Open(dir)
-}
+var _ Backend = (*walrus.DB)(nil)
 
 // Config configures a Server. The zero value of every field except
 // Backend has a usable default.
@@ -637,13 +625,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		QueuedRequests: s.adm.depth(),
 		Draining:       s.draining.Load(),
 	}
-	switch b := s.backend.(type) {
-	case *walrus.DB:
-		resp.Version = b.Version()
-	case *walrus.Sharded:
+	if vv := s.backend.VersionVector(); len(vv) == 1 {
+		resp.Version = vv[0]
+	} else {
 		resp.Sharded = true
-		resp.Shards = b.Shards()
-		resp.VersionVector = b.VersionVector()
+		resp.Shards = len(vv)
+		resp.VersionVector = vv
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -261,7 +261,7 @@ func TestServeStatsAndHealth(t *testing.T) {
 func TestServeShardedBackend(t *testing.T) {
 	opts := testOptions()
 	opts.Shards = 4
-	sh, err := walrus.NewSharded(opts)
+	sh, err := walrus.New(opts)
 	if err != nil {
 		t.Fatalf("creating sharded db: %v", err)
 	}
@@ -375,7 +375,7 @@ func TestServeCoalescerVersionAtomicity(t *testing.T) {
 	for i := range bodies {
 		bodies[i] = testPPM(t, i)
 	}
-	v0 := db.Version()
+	v0 := db.VersionVector()[0]
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -391,7 +391,7 @@ func TestServeCoalescerVersionAtomicity(t *testing.T) {
 	if got := db.Len(); got != n {
 		t.Fatalf("indexed %d images, want %d", got, n)
 	}
-	versions := db.Version() - v0
+	versions := db.VersionVector()[0] - v0
 	if versions == 0 || versions > n/4 {
 		t.Fatalf("%d concurrent POSTs published %d versions, want 1..%d (coalescing broken)", n, versions, n/4)
 	}
@@ -434,14 +434,14 @@ func TestServeGracefulDrainSharded(t *testing.T) {
 	}
 	testGracefulDrain(t,
 		func(t *testing.T, dir string) Backend {
-			db, err := walrus.CreateSharded(dir, shardedOptions())
+			db, err := walrus.Create(dir, shardedOptions())
 			if err != nil {
 				t.Fatalf("creating sharded db: %v", err)
 			}
 			return db
 		},
 		func(t *testing.T, dir string) Backend {
-			db, err := walrus.OpenSharded(dir)
+			db, err := walrus.Open(dir)
 			if err != nil {
 				t.Fatalf("reopening sharded db after drain: %v", err)
 			}

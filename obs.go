@@ -1,15 +1,17 @@
 package walrus
 
 import (
+	"fmt"
+
 	"walrus/internal/obs"
 	"walrus/internal/parallel"
 )
 
 // queryMetrics is the query front's instrument set: the walrus_query_*
 // counters and phase histograms and the walrus_cache_* series, plus the
-// registry query spans root in. A standalone DB and a Sharded fleet each
-// own one; the shards of a fleet own none, since fleet queries never run
-// through a shard's own front.
+// registry query spans root in. The DB owns the one set, unscoped at
+// every shard count: every query runs through its front, never through
+// a shard.
 type queryMetrics struct {
 	reg *obs.Registry
 
@@ -47,15 +49,23 @@ func newQueryMetrics(reg *obs.Registry) *queryMetrics {
 	}
 }
 
-// dbMetrics holds the DB's pre-resolved obs handles. One pointer load on
+// dbMetrics holds the database-level obs handles. One pointer load on
 // the query path decides whether instrumentation runs at all; a nil
 // pointer (observability off) costs a single atomic load and no clock
 // reads beyond the ones QueryStats already pays for.
 type dbMetrics struct {
-	reg *obs.Registry
-
-	// query is nil on a shard of a Sharded database.
 	query *queryMetrics
+
+	// The cross-shard snapshot series; nil on a one-shard database, whose
+	// shard owns the unscoped walrus_snapshots_* series itself.
+	activeSnapshots *obs.Gauge
+	snapshotsTotal  *obs.Counter
+}
+
+// shardMetrics holds one shard's pre-resolved write and snapshot
+// handles.
+type shardMetrics struct {
+	reg *obs.Registry
 
 	ingests       *obs.Counter
 	ingestRegions *obs.Counter
@@ -79,6 +89,15 @@ type dbMetrics struct {
 // namespace. Passing nil detaches everything (the default state: with no
 // registry the instrumentation is a nil fast path).
 //
+// A one-shard database reports every series under its unscoped walrus_*
+// name. On more shards the per-shard write, snapshot and recovery series
+// are scoped by shard index (walrus_shard0_images,
+// walrus_shard1_ingest_total, ...), so per-shard write skew and snapshot
+// leaks stay visible, and walrus_shards, the cross-shard
+// walrus_snapshots_* series and every query and cache series keep their
+// unscoped names. Subsystem metrics (WAL, pager, R*-tree, worker pool)
+// are shared: every shard reports into the same series.
+//
 // The registry is attached at runtime rather than through Options because
 // Options is gob-encoded into the on-disk catalog. Call SetMetrics after
 // New, Create or Open; it is safe to call while readers run, but metrics
@@ -86,22 +105,40 @@ type dbMetrics struct {
 //
 // The worker-pool gauges are process-global: when several databases share
 // a process, the last SetMetrics call wins for walrus_pool_*.
-func (db *DB) SetMetrics(reg *obs.Registry) { db.setMetricsScoped(reg, "") }
+func (db *DB) SetMetrics(reg *obs.Registry) {
+	sharded := len(db.shards) > 1
+	for i, sh := range db.shards {
+		scope := ""
+		if sharded {
+			scope = fmt.Sprintf("shard%d_", i)
+		}
+		sh.setMetrics(reg, scope)
+	}
+	if reg == nil {
+		db.om.Store(nil)
+		return
+	}
+	m := &dbMetrics{query: newQueryMetrics(reg)}
+	if sharded {
+		reg.Gauge("walrus_shards", "Shard count of the sharded database.").Set(int64(len(db.shards)))
+		m.activeSnapshots = reg.Gauge("walrus_snapshots_active", "Cross-shard snapshots acquired and not yet released.")
+		m.snapshotsTotal = reg.Counter("walrus_snapshots_total", "Cross-shard snapshots acquired.")
+	}
+	db.om.Store(m)
+}
 
-// setMetricsScoped is SetMetrics with a metric-name scope. A non-empty
+// setMetrics attaches reg to the shard and its subsystems. A non-empty
 // scope like "shard3_" is spliced after the walrus_ prefix of every
-// DB-level metric (walrus_shard3_images, walrus_shard3_ingest_total, ...),
-// giving each shard of a Sharded database its own series in one shared
-// registry. A scoped metric set has no query or cache series: the fleet
-// answers every query and reports it under its own unscoped names.
+// shard-level metric (walrus_shard3_images, walrus_shard3_ingest_total,
+// ...), giving each shard its own series in one shared registry.
 // Subsystem metrics (R*-tree, buffer pool, pager, heap, WAL, worker
 // pool) keep their unscoped names: the registry returns the same handle
 // for a duplicate name, so shards aggregate into one series there.
-func (db *DB) setMetricsScoped(reg *obs.Registry, scope string) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.tree.SetMetrics(reg)
-	if p := db.persist; p != nil {
+func (sh *shard) setMetrics(reg *obs.Registry, scope string) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	sh.tree.SetMetrics(reg)
+	if p := sh.persist; p != nil {
 		p.pool.SetMetrics(reg)
 		p.pg.SetMetrics(reg)
 		p.heap.SetMetrics(reg)
@@ -109,26 +146,27 @@ func (db *DB) setMetricsScoped(reg *obs.Registry, scope string) {
 	}
 	parallel.SetMetrics(reg)
 	if reg == nil {
-		db.om.Store(nil)
+		sh.om.Store(nil)
 		return
 	}
-	m := newDBMetrics(reg, scope)
-	m.images.Set(int64(db.byID.len()))
-	m.regions.Set(int64(db.liveRegions))
-	if c := db.cur.Load(); c != nil {
+	m := newShardMetrics(reg, scope)
+	m.images.Set(int64(sh.byID.len()))
+	m.regions.Set(int64(sh.liveRegions))
+	if c := sh.cur.Load(); c != nil {
 		m.snapshotVersion.Set(int64(c.version))
 	}
-	if p := db.persist; p != nil {
+	if p := sh.persist; p != nil {
 		publishRecovery(reg, scope, p.recovery)
 	}
-	db.om.Store(m)
+	sh.om.Store(m)
 }
 
-// newDBMetrics resolves every DB-level handle in the registry under the
-// given name scope ("" for a standalone database, "shardN_" per shard).
-func newDBMetrics(reg *obs.Registry, scope string) *dbMetrics {
+// newShardMetrics resolves every shard-level handle in the registry
+// under the given name scope ("" on a one-shard database, "shardN_" per
+// shard on more).
+func newShardMetrics(reg *obs.Registry, scope string) *shardMetrics {
 	n := func(base string) string { return "walrus_" + scope + base }
-	m := &dbMetrics{
+	return &shardMetrics{
 		reg:             reg,
 		ingests:         reg.Counter(n("ingest_total"), "Images ingested."),
 		ingestRegions:   reg.Counter(n("ingest_regions_total"), "Regions indexed by ingest."),
@@ -143,10 +181,6 @@ func newDBMetrics(reg *obs.Registry, scope string) *dbMetrics {
 		publishes:       reg.Counter(n("publishes_total"), "Catalog versions published by writers."),
 		publishSeconds:  reg.Histogram(n("publish_seconds"), "Latency of building and publishing one catalog version.", nil),
 	}
-	if scope == "" {
-		m.query = newQueryMetrics(reg)
-	}
-	return m
 }
 
 // publishRecovery exposes the crash-recovery stats of the last Open as
@@ -171,7 +205,7 @@ func publishRecovery(reg *obs.Registry, scope string, rs RecoveryStats) {
 // snapshot with non-nil maps.
 func (db *DB) Metrics() obs.Snapshot {
 	if m := db.om.Load(); m != nil {
-		return m.reg.Snapshot()
+		return m.query.reg.Snapshot()
 	}
 	var none *obs.Registry
 	return none.Snapshot()

@@ -3,11 +3,15 @@ package walrus
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
 
+	"walrus/internal/parallel"
 	"walrus/internal/region"
 	"walrus/internal/rstar"
 	"walrus/internal/store"
@@ -69,7 +73,7 @@ type walDelta struct {
 	RIDs []uint64
 }
 
-// persistState holds the disk machinery of a disk-backed DB. The page
+// persistState holds the disk machinery of a disk-backed shard. The page
 // file carries both the R*-tree nodes and a slotted-page heap with every
 // region's serialized payload (signature, bounding box, bitmap) — the
 // paper stores these "in the index along with the signature of each
@@ -105,7 +109,7 @@ type catalogImage struct {
 	NumRegions int
 }
 
-// catalogData is the gob-serialized portion of a DB.
+// catalogData is the gob-serialized portion of a shard.
 type catalogData struct {
 	Opts   Options
 	Images []catalogImage
@@ -116,24 +120,60 @@ type catalogData struct {
 }
 
 // Create creates a disk-backed database in dir (which is created if
-// needed).
-func Create(dir string, opts Options) (*DB, error) { return withCache(create(dir, opts)) }
+// needed) with opts.Shards shards (0 means 1). One shard lives in dir
+// itself; more shards each get a self-contained shard-NNNN
+// subdirectory — its own index, WAL and catalog — and a shards.json
+// manifest recording the count, written last, so a create that fails
+// part-way leaves no manifest naming shards that do not exist.
+func Create(dir string, opts Options) (*DB, error) {
+	return createLayout(dir, opts, nil, func(dir string, opts Options, _ []BatchItem) (*shard, error) {
+		return createShard(dir, opts)
+	})
+}
 
-// create is Create without the result cache: the constructor of a shard.
-func create(dir string, opts Options) (*DB, error) {
-	db, err := createDB(dir, opts)
-	if err != nil {
-		return nil, err
+// createLayout lays out a disk-backed database in dir, building each
+// shard's directory from its part of items with mk. Any manifest already
+// in dir is removed first and the new one, when there is more than one
+// shard, is written only once every shard exists.
+func createLayout(dir string, opts Options, items []BatchItem, mk func(dir string, opts Options, items []BatchItem) (*shard, error)) (*DB, error) {
+	if err := os.Remove(filepath.Join(dir, shardManifestName)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		return nil, fmt.Errorf("walrus: removing stale shard manifest: %w", err)
 	}
-	db.publishLocked()
+	db, err := buildShards(opts, items, func(i int, opts Options, part []BatchItem) (*shard, error) {
+		if opts.Shards == 1 {
+			return mk(dir, opts, part)
+		}
+		sh, err := mk(filepath.Join(dir, shardDirName(i)), opts, part)
+		if err != nil {
+			return nil, fmt.Errorf("walrus: creating shard %d: %w", i, err)
+		}
+		return sh, nil
+	})
+	if err != nil || len(db.shards) == 1 {
+		return db, err
+	}
+	if err := writeShardManifest(dir, len(db.shards)); err != nil {
+		return nil, errors.Join(err, db.Close())
+	}
 	return db, nil
 }
 
-// createDB is Create without the final version-1 publish, so CreateFrom
-// can bulk-load before any version exists (pre-publish index writes need
-// no copy-on-write capture) and publish exactly once at the end.
-func createDB(dir string, opts Options) (*DB, error) {
-	db, err := prepare(opts)
+// createShard creates one shard's files in dir and publishes version 1.
+func createShard(dir string, opts Options) (*shard, error) {
+	sh, err := createShardFiles(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	sh.publishLocked()
+	return sh, nil
+}
+
+// createShardFiles is createShard without the final version-1 publish, so
+// CreateFrom can bulk-load before any version exists (pre-publish index
+// writes need no copy-on-write capture) and publish exactly once at the
+// end.
+func createShardFiles(dir string, opts Options) (*shard, error) {
+	sh, err := prepare(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -179,25 +219,53 @@ func createDB(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, errors.Join(err, closeAll())
 	}
-	db.tree = tree
-	db.persist = p
-	if err := db.Flush(); err != nil {
+	sh.tree = tree
+	sh.persist = p
+	if err := sh.flush(); err != nil {
 		return nil, errors.Join(err, closeAll())
 	}
-	return db, nil
+	return sh, nil
 }
 
-// Open reopens a disk-backed database created by Create, running crash
-// recovery if the database was not closed cleanly (see DB.Recovery) and
-// rebuilding the in-memory region cache from the heap file.
+// Open reopens a disk-backed database created by Create or CreateFrom,
+// running crash recovery if it was not closed cleanly (see DB.Recovery)
+// and rebuilding the in-memory region cache from the heap files. A
+// directory with a shards.json manifest opens as that many shards, in
+// parallel — recovery time scales with the largest shard's log, not the
+// sum; a directory without one opens as one shard.
 func Open(dir string) (*DB, error) { return OpenFS(dir, nil) }
 
 // OpenFS is Open with an explicit filesystem seam; nil fs uses the real
 // filesystem. Crash-recovery tests pass a fault-injecting opener.
-func OpenFS(dir string, fs FileOpener) (*DB, error) { return withCache(openFS(dir, fs)) }
+func OpenFS(dir string, fs FileOpener) (*DB, error) {
+	n, err := readShardManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		sh, err := openShard(dir, fs)
+		if err != nil {
+			return nil, err
+		}
+		return newDB([]*shard{sh}), nil
+	}
+	shards := make([]*shard, n)
+	err = parallel.ForErr(n, n, func(i int) error {
+		sh, err := openShard(filepath.Join(dir, shardDirName(i)), fs)
+		if err != nil {
+			return fmt.Errorf("walrus: opening shard %d: %w", i, err)
+		}
+		shards[i] = sh
+		return nil
+	})
+	if err != nil {
+		return nil, errors.Join(err, closeShards(shards))
+	}
+	return newDB(shards), nil
+}
 
-// openFS is OpenFS without the result cache: the constructor of a shard.
-func openFS(dir string, fs FileOpener) (*DB, error) {
+// openShard opens the shard whose files are in dir.
+func openShard(dir string, fs FileOpener) (*shard, error) {
 	cf, err := os.Open(filepath.Join(dir, catalogFileName))
 	if err != nil {
 		return nil, fmt.Errorf("walrus: opening catalog: %w", err)
@@ -213,11 +281,11 @@ func openFS(dir string, fs FileOpener) (*DB, error) {
 	if !refsInImageOrder(cat.Refs) {
 		return nil, fmt.Errorf("walrus: catalog region directory is not in image order")
 	}
-	db, err := prepare(cat.Opts)
+	sh, err := prepare(cat.Opts)
 	if err != nil {
 		return nil, err
 	}
-	db.opts.FS = fs
+	sh.opts.FS = fs
 	opener := resolveFS(fs)
 	f, err := opener(filepath.Join(dir, indexFileName), os.O_RDWR)
 	if err != nil {
@@ -288,17 +356,17 @@ func openFS(dir string, fs FileOpener) (*DB, error) {
 		return nil, errors.Join(err, closeAll())
 	}
 
-	db.images = make([]imageRecord, len(cat.Images))
+	sh.images = make([]imageRecord, len(cat.Images))
 	for i, ci := range cat.Images {
-		db.images[i] = imageRecord{ID: ci.ID, W: ci.W, H: ci.H}
+		sh.images[i] = imageRecord{ID: ci.ID, W: ci.W, H: ci.H}
 		if ci.NumRegions > 0 {
-			db.images[i].Regions = make([]region.Region, ci.NumRegions)
+			sh.images[i].Regions = make([]region.Region, ci.NumRegions)
 		}
 		if ci.ID != "" {
-			db.byID.set(ci.ID, i)
+			sh.byID.set(ci.ID, i)
 		}
 	}
-	db.refs = cat.Refs
+	sh.refs = cat.Refs
 
 	// Reapply committed catalog deltas past the catalog snapshot (the
 	// page images carrying the same operations' index and heap changes
@@ -311,12 +379,12 @@ func openFS(dir string, fs FileOpener) (*DB, error) {
 		if err := gob.NewDecoder(bytes.NewReader(a.payload)).Decode(&d); err != nil {
 			return nil, errors.Join(fmt.Errorf("walrus: decoding WAL delta: %w", err), closeAll())
 		}
-		if err := db.applyDeltaLocked(&d); err != nil {
+		if err := sh.applyDeltaLocked(&d); err != nil {
 			return nil, errors.Join(err, closeAll())
 		}
 	}
 
-	for _, ref := range db.refs {
+	for _, ref := range sh.refs {
 		if ref.Local < 0 {
 			continue
 		}
@@ -328,17 +396,17 @@ func openFS(dir string, fs FileOpener) (*DB, error) {
 		if err := r.UnmarshalBinary(rec); err != nil {
 			return nil, errors.Join(fmt.Errorf("walrus: decoding region payload: %w", err), closeAll())
 		}
-		if ref.Image >= len(db.images) || ref.Local >= len(db.images[ref.Image].Regions) {
+		if ref.Image >= len(sh.images) || ref.Local >= len(sh.images[ref.Image].Regions) {
 			return nil, errors.Join(fmt.Errorf("walrus: catalog region directory is inconsistent"), closeAll())
 		}
-		db.images[ref.Image].Regions[ref.Local] = r
+		sh.images[ref.Image].Regions[ref.Local] = r
 	}
 
-	db.liveRegions = countLiveRefs(db.refs)
-	db.tree = tree
-	db.persist = p
-	db.publishLocked()
-	return db, nil
+	sh.liveRegions = countLiveRefs(sh.refs)
+	sh.tree = tree
+	sh.persist = p
+	sh.publishLocked()
+	return sh, nil
 }
 
 // countLiveRefs counts refs that are not tombstoned; constructors call
@@ -354,35 +422,35 @@ func countLiveRefs(refs []regionRef) int {
 }
 
 // applyDeltaLocked replays one committed catalog delta onto the in-memory
-// catalog, mirroring exactly what addExtractedLocked and Remove do to it. The
-// Locked suffix here means "caller owns the catalog exclusively": it runs
-// only during OpenFS recovery, before the DB is published to any other
-// goroutine.
-func (db *DB) applyDeltaLocked(d *walDelta) error {
+// catalog, mirroring exactly what addExtractedLocked and remove do to it.
+// The Locked suffix here means "caller owns the catalog exclusively": it
+// runs only during openShard's recovery, before the shard is published to
+// any other goroutine.
+func (sh *shard) applyDeltaLocked(d *walDelta) error {
 	switch d.Op {
 	case deltaAdd:
-		imgIdx := len(db.images)
+		imgIdx := len(sh.images)
 		rec := imageRecord{ID: d.ID, W: d.W, H: d.H}
 		if len(d.RIDs) > 0 {
 			rec.Regions = make([]region.Region, len(d.RIDs))
 		}
-		db.images = append(db.images, rec)
-		db.byID.set(d.ID, imgIdx)
+		sh.images = append(sh.images, rec)
+		sh.byID.set(d.ID, imgIdx)
 		for local, rid := range d.RIDs {
-			db.refs = append(db.refs, regionRef{Image: imgIdx, Local: local, RID: rid})
+			sh.refs = append(sh.refs, regionRef{Image: imgIdx, Local: local, RID: rid})
 		}
 	case deltaRemove:
-		imgIdx, ok := db.byID.get(d.ID)
+		imgIdx, ok := sh.byID.get(d.ID)
 		if !ok {
 			return fmt.Errorf("walrus: WAL removes unknown image %q", d.ID)
 		}
-		lo, hi := refRun(db.refs, imgIdx)
+		lo, hi := refRun(sh.refs, imgIdx)
 		for i := lo; i < hi; i++ {
-			db.refs[i].Local = -1
+			sh.refs[i].Local = -1
 		}
-		db.byID.delete(d.ID)
-		db.images[imgIdx].Regions = nil
-		db.images[imgIdx].ID = ""
+		sh.byID.delete(d.ID)
+		sh.images[imgIdx].Regions = nil
+		sh.images[imgIdx].ID = ""
 	default:
 		return fmt.Errorf("walrus: unknown WAL delta op %d", d.Op)
 	}
@@ -391,9 +459,9 @@ func (db *DB) applyDeltaLocked(d *walDelta) error {
 
 // logPendingLocked captures redo images of every page changed since its
 // last logging, plus the pager meta page if allocation state moved, into
-// the WAL. Caller holds db.mu.
-func (db *DB) logPendingLocked() error {
-	p := db.persist
+// the WAL. Caller holds sh.mu.
+func (sh *shard) logPendingLocked() error {
+	p := sh.persist
 	if err := p.pool.LogDirty(func(id store.PageID, data []byte) (uint64, error) {
 		return uint64(p.wal.AppendPage(uint32(id), data)), nil
 	}); err != nil {
@@ -412,13 +480,13 @@ func (db *DB) logPendingLocked() error {
 // then applies the durability policy and (occasionally) checkpoints.
 // Together with the buffer pool's no-steal policy this makes the
 // operation atomic across crashes: recovery either replays it fully or
-// discards it wholesale. Caller holds db.mu.
-func (db *DB) commitLocked(delta *walDelta) error {
-	p := db.persist
+// discards it wholesale. Caller holds sh.mu.
+func (sh *shard) commitLocked(delta *walDelta) error {
+	p := sh.persist
 	if p == nil || p.unlogged {
 		return nil
 	}
-	if err := db.logPendingLocked(); err != nil {
+	if err := sh.logPendingLocked(); err != nil {
 		return err
 	}
 	if delta != nil {
@@ -442,7 +510,7 @@ func (db *DB) commitLocked(delta *walDelta) error {
 		return err
 	}
 	if p.pool.DirtyCount() >= poolCapacity*3/4 || p.wal.Size() >= walSoftLimit {
-		return db.checkpointLocked(false)
+		return sh.checkpointLocked(false)
 	}
 	return nil
 }
@@ -464,11 +532,11 @@ func (db *DB) commitLocked(delta *walDelta) error {
 //
 // A crash before step 5 recovers from the old log generation; between 5
 // and 6, from the checkpoint with delta replay; after 6 the catalog is
-// current and replay finds nothing to do. Caller holds db.mu.
-func (db *DB) checkpointLocked(logPending bool) error {
-	p := db.persist
+// current and replay finds nothing to do. Caller holds sh.mu.
+func (sh *shard) checkpointLocked(logPending bool) error {
+	p := sh.persist
 	if logPending {
-		if err := db.logPendingLocked(); err != nil {
+		if err := sh.logPendingLocked(); err != nil {
 			return err
 		}
 	}
@@ -484,36 +552,49 @@ func (db *DB) checkpointLocked(logPending bool) error {
 	if err != nil {
 		return err
 	}
-	if err := db.writeCatalogLocked(uint64(ckLSN)); err != nil {
+	if err := sh.writeCatalogLocked(uint64(ckLSN)); err != nil {
 		return err
 	}
 	if err := p.wal.Reset(newBase); err != nil {
 		return err
 	}
 	p.metaVer = p.pg.MetaVersion()
-	if m := db.om.Load(); m != nil {
+	if m := sh.om.Load(); m != nil {
 		m.checkpoints.Inc()
 	}
 	return nil
 }
 
-// writeCatalogLocked atomically replaces the catalog file: encode to a
-// temp file, fsync it, rename over the old catalog, fsync the directory.
-// Caller holds db.mu.
-func (db *DB) writeCatalogLocked(lastLSN uint64) error {
-	p := db.persist
-	cat := catalogData{Opts: db.opts, Refs: db.refs, LastLSN: lastLSN}
-	cat.Images = make([]catalogImage, len(db.images))
-	for i, rec := range db.images {
+// writeCatalogLocked atomically replaces the catalog file (see
+// replaceFile). Caller holds sh.mu.
+func (sh *shard) writeCatalogLocked(lastLSN uint64) error {
+	p := sh.persist
+	cat := catalogData{Opts: sh.opts, Refs: sh.refs, LastLSN: lastLSN}
+	cat.Images = make([]catalogImage, len(sh.images))
+	for i, rec := range sh.images {
 		cat.Images[i] = catalogImage{ID: rec.ID, W: rec.W, H: rec.H, NumRegions: len(rec.Regions)}
 	}
-	tmp := filepath.Join(p.dir, catalogFileName+".tmp")
-	f, err := p.fs(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
+	err := replaceFile(p.fs, p.dir, catalogFileName, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(&cat)
+	})
 	if err != nil {
 		return fmt.Errorf("walrus: writing catalog: %w", err)
 	}
-	if err := gob.NewEncoder(&fileWriter{f: f}).Encode(&cat); err != nil {
-		err = errors.Join(fmt.Errorf("walrus: encoding catalog: %w", err), f.Close())
+	p.lastLSN = lastLSN
+	return nil
+}
+
+// replaceFile atomically replaces dir/name with what write produces:
+// write to a temp file, fsync it, rename it over name, fsync the
+// directory. A crash leaves either the old file or the new one.
+func replaceFile(fs FileOpener, dir, name string, write func(io.Writer) error) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := fs(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
+	if err != nil {
+		return err
+	}
+	if err := write(&fileWriter{f: f}); err != nil {
+		err = errors.Join(err, f.Close())
 		os.Remove(tmp)
 		return err
 	}
@@ -526,12 +607,60 @@ func (db *DB) writeCatalogLocked(lastLSN uint64) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(p.dir, catalogFileName)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		return err
 	}
-	syncDir(p.dir)
-	p.lastLSN = lastLSN
+	syncDir(dir)
 	return nil
+}
+
+// shardManifestName is the file marking a directory as a multi-shard
+// database and recording its shard count. A directory without one is a
+// one-shard database whose files sit in the directory itself.
+const shardManifestName = "shards.json"
+
+type shardManifest struct {
+	Shards int `json:"shards"`
+}
+
+// shardDirName is the subdirectory holding shard i's files.
+func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
+
+// writeShardManifest durably records the shard count of dir (see
+// replaceFile).
+func writeShardManifest(dir string, n int) error {
+	data, err := json.MarshalIndent(shardManifest{Shards: n}, "", "  ")
+	if err != nil {
+		return fmt.Errorf("walrus: encoding shard manifest: %w", err)
+	}
+	err = replaceFile(resolveFS(nil), dir, shardManifestName, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("walrus: writing shard manifest: %w", err)
+	}
+	return nil
+}
+
+// readShardManifest returns the shard count dir's manifest records, or 0
+// when dir has none.
+func readShardManifest(dir string) (int, error) {
+	data, err := os.ReadFile(filepath.Join(dir, shardManifestName))
+	if errors.Is(err, iofs.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("walrus: reading shard manifest: %w", err)
+	}
+	var m shardManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return 0, fmt.Errorf("walrus: decoding shard manifest: %w", err)
+	}
+	if m.Shards < 1 {
+		return 0, fmt.Errorf("walrus: shard manifest declares %d shards", m.Shards)
+	}
+	return m.Shards, nil
 }
 
 // fileWriter adapts a store.File to io.Writer for the catalog encoder.
@@ -560,18 +689,18 @@ func syncDir(dir string) {
 	_ = d.Close()
 }
 
-// Flush checkpoints a disk-backed database: all dirty pages reach the
-// page file, the catalog is rewritten, and the write-ahead log is
-// truncated. It is a no-op for in-memory databases. Flush takes the
-// write lock: concurrent flushes would race on the catalog temp file.
-func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.flushLocked()
+// flush checkpoints a disk-backed shard: all dirty pages reach the page
+// file, the catalog is rewritten, and the write-ahead log is truncated.
+// It is a no-op for in-memory shards. flush takes the write lock:
+// concurrent flushes would race on the catalog temp file.
+func (sh *shard) flush() error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.flushLocked()
 }
 
-func (db *DB) flushLocked() error {
-	p := db.persist
+func (sh *shard) flushLocked() error {
+	p := sh.persist
 	if p == nil {
 		return nil
 	}
@@ -581,27 +710,26 @@ func (db *DB) flushLocked() error {
 		if err := p.pool.FlushAll(); err != nil {
 			return err
 		}
-		return db.writeCatalogLocked(p.lastLSN)
+		return sh.writeCatalogLocked(p.lastLSN)
 	}
-	return db.checkpointLocked(true)
+	return sh.checkpointLocked(true)
 }
 
-// Close flushes and releases a disk-backed database. In-memory databases
-// need no Close, but calling it is harmless.
-func (db *DB) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.persist == nil {
+// close flushes and releases a disk-backed shard; a no-op in memory.
+func (sh *shard) close() error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.persist == nil {
 		return nil
 	}
-	p := db.persist
-	err := db.flushLocked()
+	p := sh.persist
+	err := sh.flushLocked()
 	if werr := p.wal.Close(); err == nil {
 		err = werr
 	}
 	if perr := p.pg.Close(); err == nil {
 		err = perr
 	}
-	db.persist = nil
+	sh.persist = nil
 	return err
 }

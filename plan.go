@@ -20,7 +20,7 @@ import (
 // snapshot the stages read, the query inputs, and each stage's output.
 // A query runs one exec per pinned shard over the same plan.
 type stageExec struct {
-	snap     *Snapshot
+	snap     *shardSnapshot
 	qRegions []region.Region
 	qArea    int
 	p        QueryParams

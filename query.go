@@ -17,7 +17,7 @@ import (
 )
 
 // The query pipeline: the stages and the one query front that runs them.
-// A query runs as a stage plan over immutable Snapshots — extract,
+// A query runs as a stage plan over immutable shard snapshots — extract,
 // probe, the optional refine tier, aggregate, score — chosen by
 // planPhaseA and scorePlan and driven by runStages (plan.go) from
 // queryFront, which every public Query* method calls into. Each stage
@@ -51,7 +51,7 @@ type probeHit struct {
 // extractStage decomposes the query image into regions using the
 // snapshot's extractor, so extraction and index probes are bound to the
 // same version of the configuration.
-func (s *Snapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
+func (s *shardSnapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
 	qRegions, err := s.core.ext.Extract(im)
 	if err != nil {
 		return nil, fmt.Errorf("walrus: extracting query regions: %w", err)
@@ -67,7 +67,7 @@ func (s *Snapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
 // follows the tree's shape; aggregateStage orders them, so scores, stats
 // and rankings depend only on the set each region retrieves. A nil tc
 // (the common case) adds nothing to the probe path.
-func (s *Snapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) ([][]probeHit, error) {
+func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) ([][]probeHit, error) {
 	// Bounding-box signatures match by box overlap, which the envelope
 	// tests exactly.
 	exact := !s.core.opts.UseBBox
@@ -106,7 +106,7 @@ func (s *Snapshot) probeStage(qRegions []region.Region, p QueryParams, tc *trace
 // carry one, filtering each region's hit list in place. Every task
 // checks the deadline so an expired context stops the refinement
 // fan-out.
-func (s *Snapshot) refineStage(ctx context.Context, qRegions []region.Region, perRegion [][]probeHit, p QueryParams, workers int, tc *traceCollector) error {
+func (s *shardSnapshot) refineStage(ctx context.Context, qRegions []region.Region, perRegion [][]probeHit, p QueryParams, workers int, tc *traceCollector) error {
 	if !p.Refine {
 		return nil
 	}
@@ -244,7 +244,7 @@ func aggregateStage(perRegion [][]probeHit, numImages int) (candidateSet, int) {
 // decreasing similarity, ties by id. The returned slice is sized
 // exactly to the kept matches, so it pins no memory of the candidates it
 // dropped. The deadline is checked every few candidates.
-func (s *Snapshot) scoreStage(ctx context.Context, qRegions []region.Region, qArea int, cands *candidateSet, p QueryParams) ([]Match, error) {
+func (s *shardSnapshot) scoreStage(ctx context.Context, qRegions []region.Region, qArea int, cands *candidateSet, p QueryParams) ([]Match, error) {
 	scoreOpts := match.Options{Algorithm: p.Matcher, Denominator: p.Denominator}
 	top := newTopK(p.Limit, len(cands.images))
 	for i, imgIdx := range cands.images {
@@ -279,18 +279,20 @@ type querySource struct {
 }
 
 // queryFront is the one query front every public Query* method calls
-// into. It runs over a set of pinned shard snapshots: a DB or Snapshot
-// query is the one-shard case, a Sharded or ShardedSnapshot query the
-// fleet case. A fleet keeps its fan-out shape at every shard count —
-// per-shard spans under the probe and score umbrellas, the merge, and a
-// sharded EXPLAIN — so a one-shard fleet still reports itself sharded.
+// into. It runs over one pinned snapshot per shard. A one-shard front is
+// a single store: its stages run on the caller with query.<stage> spans
+// directly under the query span, and its EXPLAIN has no merge row. On
+// more shards the front fans out — per-shard spans under the probe and
+// score umbrellas, the merge, and a sharded EXPLAIN.
 type queryFront struct {
-	snaps []*Snapshot
-	fleet bool
+	snaps []shardSnapshot
 	// qm receives the query's metrics and roots its span; nil means
 	// observability is off.
 	qm *queryMetrics
 }
+
+// fleet reports whether the front fans out across more than one shard.
+func (f queryFront) fleet() bool { return len(f.snaps) > 1 }
 
 // query validates the request, resolves its source — a scene to a pixels
 // query on its crop, an id to the stored record on its owning shard — and
@@ -362,7 +364,8 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, rec *imageRecord, 
 	workers := parallel.Workers(p.Parallelism)
 	qt := queryTraceFrom(ctx)
 	execs := make([]stageExec, len(f.snaps))
-	for i, sn := range f.snaps {
+	for i := range f.snaps {
+		sn := &f.snaps[i]
 		execs[i] = stageExec{snap: sn, qRegions: qRegions, qArea: qArea, p: p, workers: workers}
 		if qt != nil {
 			execs[i].tc = newTraceCollector(len(qRegions), sn.core.version)
@@ -389,7 +392,7 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, rec *imageRecord, 
 		return nil, stats, err
 	}
 	matches, mergedIn, mergeNS := execs[0].matches, len(execs[0].matches), int64(0)
-	if f.fleet {
+	if f.fleet() {
 		mergeStart := statsClock()
 		matches, mergedIn = mergeMatches(execs, p.Limit)
 		mergeNS = statsSince(mergeStart).Nanoseconds()
@@ -397,7 +400,7 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, rec *imageRecord, 
 	stats.ScoreTime = statsSince(scoreStart)
 	stats.Elapsed = statsSince(start)
 	if qt != nil {
-		qt.fill(qspan, f.fleet, p, len(qRegions), execs, stats, mergedIn, len(matches), mergeNS)
+		qt.fill(qspan, f.fleet(), p, len(qRegions), execs, stats, mergedIn, len(matches), mergeNS)
 	}
 	f.observeQuery(qspan, stats)
 	return matches, stats, nil
@@ -408,7 +411,7 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, rec *imageRecord, 
 // query span; a fleet fans the shards out under one umbrella span, each
 // stage a query.shard.<stage> span tagged with its shard.
 func (f queryFront) runPhase(ctx context.Context, plan []queryStage, execs []stageExec, qspan *obs.Span, umbrella string, workers int) error {
-	if !f.fleet {
+	if !f.fleet() {
 		return runStages(ctx, plan, &execs[0], qspan, "query.", -1)
 	}
 	sp := qspan.Child(umbrella)
@@ -491,7 +494,7 @@ func (f queryFront) observeQuery(qspan *obs.Span, stats QueryStats) {
 	qspan.SetAttr("query_regions", int64(stats.QueryRegions))
 	qspan.SetAttr("regions_retrieved", int64(stats.RegionsRetrieved))
 	qspan.SetAttr("candidates", int64(stats.CandidateImages))
-	if f.fleet {
+	if f.fleet() {
 		qspan.SetAttr("shards", int64(len(f.snaps)))
 	}
 	qspan.End()
@@ -509,10 +512,9 @@ func (f queryFront) observeQuery(qspan *obs.Span, stats QueryStats) {
 	m.scoreSeconds.Observe(stats.ScoreTime.Seconds())
 }
 
-// front is the one-shard query front over this snapshot. It reports into
-// the database's query metrics; an explicit snapshot has no cache.
+// front is the query front over the snapshot's pinned version vector.
 func (s *Snapshot) front() queryFront {
-	f := queryFront{snaps: []*Snapshot{s}}
+	f := queryFront{snaps: s.snaps}
 	if m := s.om.Load(); m != nil {
 		f.qm = m.query
 	}
@@ -520,18 +522,19 @@ func (s *Snapshot) front() queryFront {
 }
 
 // QueryContext runs the staged query pipeline against the snapshot: the
-// same semantics as DB.QueryContext, but over this fixed version, so a
-// caller can issue several queries against one consistent state while
-// writers commit concurrently. Cancellation never tears the snapshot.
+// same semantics as DB.QueryContext, but over this fixed version vector,
+// so a caller can issue several queries against one consistent state
+// while writers commit concurrently. Cancellation never tears the
+// snapshot. An explicit snapshot has no result cache.
 func (s *Snapshot) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
 	return s.front().query(ctx, nil, querySource{im: im}, p)
 }
 
 // QueryByID runs the staged pipeline using the stored regions of an
-// already-indexed image as the query, skipping extraction entirely: the
-// network front-end's "more like this" path. The id is resolved against
-// this snapshot's version; ErrUnknownID reports an absent (or removed)
-// id.
+// already-indexed image as the query, read from its owning shard's
+// pinned version, skipping extraction entirely: the network front-end's
+// "more like this" path. ErrUnknownID reports an id absent from (or
+// removed before) this snapshot.
 func (s *Snapshot) QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error) {
 	return s.front().query(ctx, nil, querySource{id: id}, p)
 }

@@ -79,7 +79,7 @@ func TestQueryAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.pixels {
-				allocs -= testing.AllocsPerRun(5, func() { _, err = tc.db.ext.Extract(q.Image) })
+				allocs -= testing.AllocsPerRun(5, func() { _, err = tc.db.shards[0].ext.Extract(q.Image) })
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -21,7 +21,7 @@ func TestShardFanoutConsistency(t *testing.T) {
 	opts := testOptions()
 	opts.Shards = shards
 	opts.Parallelism = 2
-	s, err := NewSharded(opts)
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestShardFanoutConsistency(t *testing.T) {
 func TestShardStatsPinnedAggregation(t *testing.T) {
 	opts := testOptions()
 	opts.Shards = 4
-	s, err := NewSharded(opts)
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestShardStatsPinnedAggregation(t *testing.T) {
 func TestShardSetDurabilityCoherence(t *testing.T) {
 	opts := testOptions()
 	opts.Shards = 3
-	s, err := CreateSharded(t.TempDir(), opts)
+	s, err := Create(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

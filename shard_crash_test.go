@@ -49,7 +49,7 @@ type shardCrashOp struct {
 	// victim marks ops whose commit touches the victim shard; ops
 	// without it must keep succeeding after the victim is killed.
 	victim bool
-	run    func(s *Sharded) error
+	run    func(s *DB) error
 }
 
 // shardCrashScript builds the workload: single-shard adds and removes
@@ -62,7 +62,7 @@ func shardCrashScript(t *testing.T, nShards, victim int) []shardCrashOp {
 	im := func(i int) *imgio.Image { return scene(green, red, (i*9)%70, (i*13)%70, 40) }
 	add := func(id string, i int, victimTouch bool) shardCrashOp {
 		image := im(i)
-		return shardCrashOp{"add " + id, victimTouch, func(s *Sharded) error {
+		return shardCrashOp{"add " + id, victimTouch, func(s *DB) error {
 			return s.Add(id, image)
 		}}
 	}
@@ -75,14 +75,14 @@ func shardCrashScript(t *testing.T, nShards, victim int) []shardCrashOp {
 		add(v[0], 0, true),
 		add(h0[0], 1, false),
 		add(h2[0], 2, false),
-		{"cross-shard batch", true, func(s *Sharded) error { return s.AddBatch(batch, 0) }},
-		{"remove " + v[0], true, func(s *Sharded) error {
+		{"cross-shard batch", true, func(s *DB) error { return s.AddBatch(batch, 0) }},
+		{"remove " + v[0], true, func(s *DB) error {
 			_, err := s.Remove(v[0])
 			return err
 		}},
 		add(v[2], 3, true),
 		add(h0[2], 4, false),
-		{"flush", true, func(s *Sharded) error { return s.Flush() }},
+		{"flush", true, func(s *DB) error { return s.Flush() }},
 		add(v[3], 5, true),
 		add(h2[2], 6, false),
 	}
@@ -93,7 +93,7 @@ func shardCrashScript(t *testing.T, nShards, victim int) []shardCrashOp {
 // first opCount operations.
 func shardCrashOracle(t *testing.T, o Options, ops []shardCrashOp) [][]string {
 	t.Helper()
-	s, err := CreateSharded(t.TempDir(), o)
+	s, err := Create(t.TempDir(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func shardCrashOracle(t *testing.T, o Options, ops []shardCrashOp) [][]string {
 // TestShardCrashVictimWAL is the sharded crash matrix: kill points are
 // enumerated over one shard's WAL and page file while the rest of the
 // fleet keeps committing. After each kill the whole directory is
-// reopened with OpenShardedFS (per-shard replay) and the matrix asserts:
+// reopened with OpenFS (per-shard replay) and the matrix asserts:
 //
 //   - every healthy shard holds exactly its full workload — ops routed
 //     to healthy shards must keep succeeding after the victim dies,
@@ -155,7 +155,7 @@ func TestShardCrashVictimWAL(t *testing.T) {
 	// ops committed before the kill (an op that returns nil committed
 	// durably under DurabilityAlways even if the kill hit its post-commit
 	// work).
-	runScript := func(s *Sharded, in *crashfs.Injector) int {
+	runScript := func(s *DB, in *crashfs.Injector) int {
 		t.Helper()
 		victimDone := 0
 		for _, op := range ops {
@@ -183,7 +183,7 @@ func TestShardCrashVictimWAL(t *testing.T) {
 	{
 		po := o
 		po.FS = routedOpener(probe, victim)
-		s, err := CreateSharded(t.TempDir(), po)
+		s, err := Create(t.TempDir(), po)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,9 +216,9 @@ func TestShardCrashVictimWAL(t *testing.T) {
 		dir := t.TempDir()
 		ko := o
 		ko.FS = routedOpener(in, victim)
-		s, err := CreateSharded(dir, ko)
+		s, err := Create(dir, ko)
 		if err != nil {
-			t.Fatalf("kill=%d: CreateSharded before arming: %v", kill, err)
+			t.Fatalf("kill=%d: Create before arming: %v", kill, err)
 		}
 		in.Arm(kill, tear)
 		victimDone := runScript(s, in)
@@ -229,7 +229,7 @@ func TestShardCrashVictimWAL(t *testing.T) {
 		killed++
 		in.Arm(0, -1) // disarm: recovery sees the crashed disk image
 
-		re, err := OpenShardedFS(dir, ko.FS)
+		re, err := OpenFS(dir, ko.FS)
 		if err != nil {
 			t.Fatalf("kill=%d tear=%d after %d victim ops: recovery failed: %v", kill, tear, victimDone, err)
 		}

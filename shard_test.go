@@ -3,7 +3,10 @@ package walrus
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,14 +26,14 @@ func shardScriptCorpus(t *testing.T) []BatchItem {
 // AddBatch/Add/Remove/re-add script at the given shard count and
 // parallelism. Every (shards, parallelism) combination must leave the
 // database in a logically identical state.
-func runShardScript(t *testing.T, shards, par int) *Sharded {
+func runShardScript(t *testing.T, shards, par int) *DB {
 	t.Helper()
 	opts := testOptions()
 	opts.Shards = shards
 	opts.Parallelism = par
-	s, err := NewSharded(opts)
+	s, err := New(opts)
 	if err != nil {
-		t.Fatalf("shards=%d: NewSharded: %v", shards, err)
+		t.Fatalf("shards=%d: New: %v", shards, err)
 	}
 	items := shardScriptCorpus(t)
 	if err := s.AddBatch(items[:14], par); err != nil {
@@ -61,14 +64,17 @@ func runShardScript(t *testing.T, shards, par int) *Sharded {
 }
 
 // shardFingerprint renders everything the determinism matrix compares
-// byte-for-byte: the canonical id listing, the logical (layout-independent)
-// Stats fields, per-id region counts, and full query rankings with exact
-// similarities. Physical layout — per-shard image counts, index heights —
-// is deliberately excluded: it varies with the shard count by design.
-func shardFingerprint(t *testing.T, s *Sharded, queries []*imgio.Image, par int) string {
+// byte-for-byte: the canonical (sorted) id listing, the logical
+// (layout-independent) Stats fields, per-id region counts, and full query
+// rankings with exact similarities. Physical layout — per-shard image
+// counts, index heights, and IDs' order, which is insertion order on one
+// shard — is deliberately excluded: it varies with the shard count by
+// design.
+func shardFingerprint(t *testing.T, s *DB, queries []*imgio.Image, par int) string {
 	t.Helper()
 	var b strings.Builder
 	ids := s.IDs()
+	slices.Sort(ids)
 	b.WriteString("ids=")
 	b.WriteString(strings.Join(ids, ","))
 	b.WriteString("\n")
@@ -108,7 +114,7 @@ func shardFingerprint(t *testing.T, s *Sharded, queries []*imgio.Image, par int)
 // shardRankings renders each query's top 10 under p: the funnel counts,
 // then every match's id, similarity, matching-region count and pair set
 // (empty under the quick matcher, which builds none).
-func shardRankings(t *testing.T, s *Sharded, queries []*imgio.Image, p QueryParams) string {
+func shardRankings(t *testing.T, s *DB, queries []*imgio.Image, p QueryParams) string {
 	t.Helper()
 	var b strings.Builder
 	p.Limit = 10
@@ -188,7 +194,7 @@ func TestShardMatchesUnsharded(t *testing.T) {
 	}
 	opts := testOptions()
 	opts.Shards = 4
-	s, err := NewSharded(opts)
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +252,11 @@ func TestShardBulkLoadDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		opts := testOptions()
 		opts.Shards = shards
-		built, err := BuildFromSharded(opts, items, 0)
+		built, err := BuildFrom(opts, items, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		incr, err := NewSharded(opts)
+		incr, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +266,7 @@ func TestShardBulkLoadDeterminism(t *testing.T) {
 		fpBuilt := shardFingerprint(t, built, queries, 0)
 		fpIncr := shardFingerprint(t, incr, queries, 0)
 		if fpBuilt != fpIncr {
-			t.Errorf("shards=%d: BuildFromSharded diverges from AddBatch\n--- AddBatch ---\n%s--- BuildFrom ---\n%s",
+			t.Errorf("shards=%d: BuildFrom diverges from AddBatch\n--- AddBatch ---\n%s--- BuildFrom ---\n%s",
 				shards, fpIncr, fpBuilt)
 		}
 		for _, m := range []match.Algorithm{match.Greedy, match.Exact, match.Assignment} {
@@ -268,7 +274,7 @@ func TestShardBulkLoadDeterminism(t *testing.T) {
 			p.Matcher = m
 			rb, ri := shardRankings(t, built, queries, p), shardRankings(t, incr, queries, p)
 			if rb != ri {
-				t.Errorf("shards=%d matcher=%v: BuildFromSharded diverges from AddBatch\n--- AddBatch ---\n%s--- BuildFrom ---\n%s",
+				t.Errorf("shards=%d matcher=%v: BuildFrom diverges from AddBatch\n--- AddBatch ---\n%s--- BuildFrom ---\n%s",
 					shards, m, ri, rb)
 			}
 			fpBuilt += rb
@@ -276,19 +282,19 @@ func TestShardBulkLoadDeterminism(t *testing.T) {
 		if oracle == "" {
 			oracle = fpBuilt
 		} else if fpBuilt != oracle {
-			t.Errorf("shards=%d: BuildFromSharded diverges from shards=1 oracle", shards)
+			t.Errorf("shards=%d: BuildFrom diverges from shards=1 oracle", shards)
 		}
 	}
 }
 
-// TestShardDiskRoundtrip: CreateSharded → mutate → Close → OpenSharded
+// TestShardDiskRoundtrip: Create → mutate → Close → Open
 // preserves the fingerprint, reports per-shard recovery stats, and the
-// manifest makes the directory auto-detectable.
+// manifest makes Open find every shard.
 func TestShardDiskRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOptions()
 	opts.Shards = 3
-	s, err := CreateSharded(dir, opts)
+	s, err := Create(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +310,10 @@ func TestShardDiskRoundtrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !IsSharded(dir) {
-		t.Fatalf("IsSharded(%s) = false after CreateSharded", dir)
+	if _, err := os.Stat(filepath.Join(dir, shardManifestName)); err != nil {
+		t.Fatalf("no shard manifest after Create: %v", err)
 	}
-	reopened, err := OpenSharded(dir)
+	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,20 +332,20 @@ func TestShardDiskRoundtrip(t *testing.T) {
 	}
 	after := shardFingerprint(t, reopened, queries, 0)
 	if after != before {
-		t.Errorf("fingerprint changed across Close/OpenSharded\n--- before ---\n%s--- after ---\n%s", before, after)
+		t.Errorf("fingerprint changed across Close/Open\n--- before ---\n%s--- after ---\n%s", before, after)
 	}
 
-	// CreateFromSharded bulk-loads into a fresh directory; the physical
+	// CreateFrom bulk-loads into a fresh directory; the physical
 	// layout differs (packed tree) but the fingerprint may not.
 	bulkDir := t.TempDir()
 	final := append([]BatchItem(nil), items[:5]...)
 	final = append(final, items[6:16]...)
-	bulk, err := CreateFromSharded(bulkDir, opts, final, 0)
+	bulk, err := CreateFrom(bulkDir, opts, final, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bulk.Close()
 	if got := shardFingerprint(t, bulk, queries, 0); got != before {
-		t.Errorf("CreateFromSharded fingerprint diverges\n--- incremental ---\n%s--- bulk ---\n%s", before, got)
+		t.Errorf("CreateFrom fingerprint diverges\n--- incremental ---\n%s--- bulk ---\n%s", before, got)
 	}
 }

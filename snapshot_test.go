@@ -17,7 +17,7 @@ func TestSnapshotPinnedVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Version(); got != 1 {
+	if got := db.VersionVector()[0]; got != 1 {
 		t.Fatalf("fresh database at version %d, want 1", got)
 	}
 	if err := db.Add("a", scene(green, red, 10, 10, 40)); err != nil {
@@ -32,8 +32,8 @@ func TestSnapshotPinnedVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Release()
-	if s.Version() != db.Version() {
-		t.Fatalf("snapshot version %d != db version %d", s.Version(), db.Version())
+	if s.VersionVector()[0] != db.VersionVector()[0] {
+		t.Fatalf("snapshot version %d != db version %d", s.VersionVector()[0], db.VersionVector()[0])
 	}
 	wantRegions := s.NumRegions()
 
@@ -46,11 +46,11 @@ func TestSnapshotPinnedVersion(t *testing.T) {
 		{ID: "d", Image: scene(blue, red, 20, 20, 40)},
 		{ID: "e", Image: scene(gray, yellow, 60, 60, 40)},
 	}
-	vBefore := db.Version()
+	vBefore := db.VersionVector()[0]
 	if err := db.AddBatch(batch, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Version(); got != vBefore+1 {
+	if got := db.VersionVector()[0]; got != vBefore+1 {
 		t.Fatalf("AddBatch advanced version %d -> %d, want one step", vBefore, got)
 	}
 	if removed, err := db.Remove("a"); err != nil || !removed {
@@ -101,7 +101,7 @@ func TestSnapshotPinnedVersion(t *testing.T) {
 	// Releasing the last pin drains the retained pre-images.
 	s.Release()
 	s.Release() // idempotent
-	if vs := db.tree.Versioned(); vs.Retained() != 0 {
+	if vs := soleShard(t, db).tree.Versioned(); vs.Retained() != 0 {
 		t.Fatalf("retained pre-images = %d after release, want 0", vs.Retained())
 	}
 }
@@ -160,7 +160,7 @@ func snapshotConsistencyUnderWrites(t *testing.T) {
 					errs <- err
 					return
 				}
-				if v := s.Version(); v < lastVersion {
+				if v := s.VersionVector()[0]; v < lastVersion {
 					errs <- fmt.Errorf("version went backwards: %d after %d", v, lastVersion)
 					s.Release()
 					return
@@ -172,13 +172,13 @@ func snapshotConsistencyUnderWrites(t *testing.T) {
 				// across every accessor of the same snapshot.
 				if s.Len() != len(ids) || s.Stats().Images != s.Len() {
 					errs <- fmt.Errorf("snapshot v%d: Len %d, IDs %d, Stats.Images %d",
-						s.Version(), s.Len(), len(ids), s.Stats().Images)
+						s.VersionVector()[0], s.Len(), len(ids), s.Stats().Images)
 					s.Release()
 					return
 				}
 				if s.NumRegions() != s.Stats().Regions {
 					errs <- fmt.Errorf("snapshot v%d: NumRegions %d != Stats.Regions %d",
-						s.Version(), s.NumRegions(), s.Stats().Regions)
+						s.VersionVector()[0], s.NumRegions(), s.Stats().Regions)
 					s.Release()
 					return
 				}
@@ -193,14 +193,14 @@ func snapshotConsistencyUnderWrites(t *testing.T) {
 				for i := 0; i < pairs; i++ {
 					a, b := fmt.Sprintf("pair-%d-a", i), fmt.Sprintf("pair-%d-b", i)
 					if present[a] && !present[b] {
-						errs <- fmt.Errorf("snapshot v%d: torn batch: %s present without %s", s.Version(), a, b)
+						errs <- fmt.Errorf("snapshot v%d: torn batch: %s present without %s", s.VersionVector()[0], a, b)
 						s.Release()
 						return
 					}
 				}
 				// Repeated reads of one snapshot are identical.
 				if again := s.IDs(); len(again) != len(ids) {
-					errs <- fmt.Errorf("snapshot v%d: IDs changed between reads: %d then %d", s.Version(), len(ids), len(again))
+					errs <- fmt.Errorf("snapshot v%d: IDs changed between reads: %d then %d", s.VersionVector()[0], len(ids), len(again))
 					s.Release()
 					return
 				}
@@ -214,7 +214,7 @@ func snapshotConsistencyUnderWrites(t *testing.T) {
 					}
 					for _, m := range matches {
 						if !present[m.ID] {
-							errs <- fmt.Errorf("snapshot v%d: query matched %q, unknown to the snapshot", s.Version(), m.ID)
+							errs <- fmt.Errorf("snapshot v%d: query matched %q, unknown to the snapshot", s.VersionVector()[0], m.ID)
 							s.Release()
 							return
 						}
@@ -229,7 +229,7 @@ func snapshotConsistencyUnderWrites(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if r := db.tree.Versioned().Retained(); r != 0 {
+	if r := soleShard(t, db).tree.Versioned().Retained(); r != 0 {
 		t.Fatalf("retained pre-images = %d after all snapshots released, want 0", r)
 	}
 }
@@ -250,7 +250,8 @@ func TestSnapshotAcquireReleasePublishRace(t *testing.T) {
 	if err := db.Add("seed", im); err != nil {
 		t.Fatal(err)
 	}
-	regions, err := db.ext.Extract(im)
+	sh := soleShard(t, db)
+	regions, err := sh.ext.Extract(im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +270,10 @@ func TestSnapshotAcquireReleasePublishRace(t *testing.T) {
 			default:
 			}
 			id := fmt.Sprintf("churn-%d", i)
-			db.mu.Lock()
-			err := db.addExtractedLocked(id, im, regions)
-			db.publishLocked()
-			db.mu.Unlock()
+			sh.mu.Lock()
+			err := sh.addExtractedLocked(id, im, regions)
+			sh.publishLocked()
+			sh.mu.Unlock()
 			if err != nil {
 				t.Errorf("add %s: %v", id, err)
 				return
@@ -298,7 +299,7 @@ func TestSnapshotAcquireReleasePublishRace(t *testing.T) {
 					return
 				}
 				if s.Len() != len(s.IDs()) {
-					t.Errorf("snapshot v%d: Len %d != len(IDs) %d", s.Version(), s.Len(), len(s.IDs()))
+					t.Errorf("snapshot v%d: Len %d != len(IDs) %d", s.VersionVector()[0], s.Len(), len(s.IDs()))
 					s.Release()
 					return
 				}
@@ -313,7 +314,7 @@ func TestSnapshotAcquireReleasePublishRace(t *testing.T) {
 	if active := reg.Snapshot().Gauges["walrus_snapshots_active"]; active != 0 {
 		t.Fatalf("walrus_snapshots_active = %d after all releases, want 0", active)
 	}
-	if r := db.tree.Versioned().Retained(); r != 0 {
+	if r := soleShard(t, db).tree.Versioned().Retained(); r != 0 {
 		t.Fatalf("retained pre-images = %d with no pins, want 0", r)
 	}
 	if total := reg.Snapshot().Counters["walrus_snapshots_total"]; total < 4*300 {
@@ -331,7 +332,7 @@ func TestSnapshotDiskBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if got := db.Version(); got != 1 {
+	if got := db.VersionVector()[0]; got != 1 {
 		t.Fatalf("fresh disk database at version %d, want 1", got)
 	}
 	if err := db.Add("a", scene(green, red, 10, 10, 40)); err != nil {
@@ -373,7 +374,7 @@ func TestSnapshotDiskBacked(t *testing.T) {
 		t.Fatal("snapshot query lost image a")
 	}
 	s.Release()
-	if r := db.tree.Versioned().Retained(); r != 0 {
+	if r := soleShard(t, db).tree.Versioned().Retained(); r != 0 {
 		t.Fatalf("retained pre-images = %d after release, want 0", r)
 	}
 
@@ -386,7 +387,7 @@ func TestSnapshotDiskBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.Version(); got != 1 {
+	if got := re.VersionVector()[0]; got != 1 {
 		t.Fatalf("reopened database at version %d, want 1", got)
 	}
 	if re.Len() != 1 {

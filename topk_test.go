@@ -126,7 +126,7 @@ func TestTopKResultsExactlySized(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Shards = 3
-	s, err := NewSharded(opts)
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ type ExplainStage struct {
 	DurationNS int64 `json:"duration_ns"`
 }
 
-// ExplainShard is one shard's slice of the funnel. A single-store query
+// ExplainShard is one shard's slice of the funnel. A one-shard query
 // reports exactly one row with Shard 0.
 type ExplainShard struct {
 	Shard            int    `json:"shard"`
@@ -179,7 +179,7 @@ func explainParams(p QueryParams) ExplainParams {
 
 // fill assembles the funnel from the per-shard collectors of execs once
 // the pipeline has finished. mergedIn is the total per-shard match count
-// entering the merge (equal to matches for a single-store query);
+// entering the merge (equal to matches for a one-shard query);
 // mergeNS is the merge's wall time (0 unsharded).
 func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions int,
 	execs []stageExec, stats QueryStats, mergedIn, matches int, mergeNS int64) {

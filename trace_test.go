@@ -38,7 +38,7 @@ func normalizeTrace(t *testing.T, qt *QueryTrace) string {
 
 // explainedQuery runs one query with a fresh funnel accumulator and
 // returns the filled trace.
-func explainedQuery(t *testing.T, s *Sharded, par int) (*QueryTrace, QueryStats, int) {
+func explainedQuery(t *testing.T, s *DB, par int) (*QueryTrace, QueryStats, int) {
 	t.Helper()
 	p := DefaultQueryParams()
 	p.Parallelism = par
@@ -52,14 +52,14 @@ func explainedQuery(t *testing.T, s *Sharded, par int) (*QueryTrace, QueryStats,
 }
 
 // buildTraceSharded seeds a sharded database with a deterministic corpus.
-func buildTraceSharded(t *testing.T, shards int) *Sharded {
+func buildTraceSharded(t *testing.T, shards int) *DB {
 	t.Helper()
 	opts := testOptions()
 	opts.Shards = shards
 	opts.Parallelism = 4
-	s, err := NewSharded(opts)
+	s, err := New(opts)
 	if err != nil {
-		t.Fatalf("NewSharded(%d): %v", shards, err)
+		t.Fatalf("New(%d): %v", shards, err)
 	}
 	if err := s.AddBatch(corpus50(t)[:20], 4); err != nil {
 		t.Fatalf("AddBatch: %v", err)

@@ -12,6 +12,11 @@
 // robust to translation and scaling of individual objects, not just of
 // whole images.
 //
+// A DB is a set of shards: the catalog is partitioned by a hash of the
+// image id into Options.Shards independent stores (one by default), and
+// a query fans out across them and merges their rankings. Results are
+// identical at every shard count.
+//
 // Basic usage:
 //
 //	db, _ := walrus.New(walrus.DefaultOptions())
@@ -22,14 +27,8 @@
 package walrus
 
 import (
-	"cmp"
 	"context"
 	"errors"
-	"fmt"
-	"math"
-	"slices"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,8 +36,6 @@ import (
 	"walrus/internal/match"
 	"walrus/internal/parallel"
 	"walrus/internal/region"
-	"walrus/internal/rstar"
-	"walrus/internal/store"
 )
 
 // ErrDuplicateID reports an Add (or AddBatch item) whose id is already
@@ -63,12 +60,12 @@ type Options struct {
 	// (disk-backed databases derive it from the page size). 0 means a
 	// sensible default.
 	NodeCapacity int
-	// Shards is the shard count of a sharded database (NewSharded,
-	// CreateSharded, BuildFromSharded): the catalog is partitioned by a
-	// hash of the image id into this many independent sub-databases, each
-	// with its own catalog, index, WAL and snapshot chain, so writers on
-	// different shards never share a lock. 0 means 1. Ignored by the
-	// single-database constructors (New, Create, BuildFrom).
+	// Shards is the shard count: the catalog is partitioned by a hash of
+	// the image id into this many independent stores, each with its own
+	// catalog, index, WAL and snapshot chain, so writers on different
+	// shards never share a lock. 0 means 1. New, Create, BuildFrom and
+	// CreateFrom read it; Open takes the count from the directory's
+	// layout instead. Rankings are identical at every shard count.
 	Shards int
 	// Parallelism is the default worker count for ingest: it resolves the
 	// workers argument of AddBatch, BuildFrom and CreateFrom when that
@@ -80,9 +77,9 @@ type Options struct {
 	// CacheSize is the capacity, in cached queries, of the version-keyed
 	// result cache serving repeated queries without touching the index.
 	// 0 (the default) disables caching. Entries are keyed on the pinned
-	// snapshot version (or the fleet's version vector), a fingerprint of
-	// the query, and the resolved parameters, so any committed write
-	// invalidates by construction; stale entries age out by LRU.
+	// version vector, a fingerprint of the query, and the resolved
+	// parameters, so any committed write invalidates by construction;
+	// stale entries age out by LRU.
 	// SetCacheSize resizes at runtime.
 	CacheSize int
 	// Durability selects how aggressively a disk-backed database fsyncs
@@ -127,7 +124,7 @@ type QueryParams struct {
 	// per-dimension tolerance of the coarse check.
 	RefineEpsilon float64
 	// Parallelism bounds the worker pool the query fans its per-region
-	// refine pass across and, on a sharded database, the per-shard
+	// refine pass across and, on a multi-shard database, the per-shard
 	// fan-out: 0 uses GOMAXPROCS, 1 reproduces the serial query exactly.
 	// The index probe is one serial descent for all regions, and scoring
 	// runs on the caller's goroutine. Results and stats are identical for
@@ -191,76 +188,30 @@ func (s QueryStats) AvgRegionsPerQueryRegion() float64 {
 	return float64(s.RegionsRetrieved) / float64(s.QueryRegions)
 }
 
-// imageRecord is the per-image catalog entry.
-type imageRecord struct {
-	ID      string
-	W, H    int
-	Regions []region.Region
-}
-
-// regionRef locates one indexed region: which image, and which region
-// within that image. The R*-tree payload is an index into DB.refs. For
-// disk-backed databases RID is the packed heap-file record id of the
-// region's serialized payload.
-type regionRef struct {
-	Image int
-	Local int
-	RID   uint64
-}
-
-// DB is a WALRUS image database. All exported methods are safe for
-// concurrent use.
+// DB is a WALRUS image database: a set of hash-partitioned shards, one
+// unless Options.Shards asks for more. Every image id belongs to one
+// shard, chosen by a hash of the id, and each shard is a complete store
+// with its own catalog, R*-tree, write-ahead log and snapshot chain, so
+// writers touching different shards never share a lock and crash
+// recovery replays the per-shard logs in parallel. Query results are
+// identical at every shard count and every parallelism setting; only
+// wall-clock time changes. All exported methods are safe for concurrent
+// use.
 //
 // Concurrency contract: the database is read through immutable
 // snapshots. Readers — QueryContext, QueryByID, QuerySceneContext, Len,
 // Stats, IDs, RegionsOf, NumRegions, or an explicit DB.Snapshot — load
-// the current published version with one atomic pointer read and (for
-// queries) pin the matching index epoch; they never acquire db.mu and
-// are never blocked by writers. Writers — Add, AddBatch, Remove,
-// SetDurability — build the next version under the exclusive lock
+// each shard's published version with one atomic pointer read and (for
+// queries) pin the matching index epoch; they never take a writer's lock
+// and are never blocked by writers. Writers — Add, AddBatch, Remove,
+// SetDurability — build a shard's next version under that shard's lock
 // copy-on-write and publish it with an atomic swap; superseded index
 // state is retained until the last snapshot pinning it is released
-// (epoch-based reclamation). AddBatch keeps the expensive region
-// extraction outside the lock and publishes the whole batch as one
-// version. Results never depend on scheduling: the parallelism knobs
-// change wall-clock time only.
+// (epoch-based reclamation).
 type DB struct {
-	mu   sync.RWMutex
-	opts Options           // guarded by mu (SetDurability rewrites the policy at runtime)
-	ext  *region.Extractor // immutable after prepare
-	// tree is set at construction and the pointer never changes after the
-	// DB is published; its contents are mutated only under mu, and
-	// snapshot reads go through epoch-pinned views, not the live root.
-	tree *rstar.Tree
-	// defaultWorkers resolves AddBatch-style workers arguments of 0; it
-	// is immutable after prepare.
-	defaultWorkers int
-
-	images []imageRecord // guarded by mu
-	byID   idIndexWriter // guarded by mu
-	// refs is in non-decreasing Image order (appends follow image order,
-	// and Open rejects a catalog that is not), so an image's refs form
-	// one run found by binary search; see refRun. Guarded by mu.
-	refs []regionRef
-	// liveRegions counts refs whose Local >= 0 (guarded by mu); kept
-	// incrementally so publishing a version is O(1) in catalog size.
-	liveRegions int
-	// version is the last published catalog version (guarded by mu); it
-	// tracks the tree's publish epoch exactly.
-	version uint64
-	// The shared flags mark catalog slices whose backing storage is
-	// reachable from a published snapshot (guarded by mu): set on every
-	// publish, cleared when a writer clones before an in-place mutation.
-	// Appends past the published length are safe without cloning. byID
-	// tracks its own sharing, per chunk.
-	imagesShared, refsShared bool
-	// persist is set before the DB is published and nilled only by Close;
-	// its own state is mutated exclusively under mu.
-	persist *persistState // nil for in-memory databases
-
-	// cur is the currently published catalog version; readers load it
-	// lock-free. Never nil once a constructor returns.
-	cur atomic.Pointer[snapCore]
+	// shards is immutable after construction; shardOf routes ids to
+	// elements.
+	shards []*shard
 
 	// cache is the version-keyed query result cache; nil (the default
 	// unless Options.CacheSize is set) means caching is off and a query
@@ -268,60 +219,81 @@ type DB struct {
 	cache atomic.Pointer[queryCache]
 
 	// om points at the pre-resolved observability handles installed by
-	// SetMetrics; nil (the default) means observability is off and the
-	// instrumented paths reduce to one atomic load.
+	// SetMetrics; nil (the default) means observability is off.
 	om atomic.Pointer[dbMetrics]
 }
 
-// New creates an in-memory database.
-func New(opts Options) (*DB, error) { return withCache(newDB(opts)) }
+// Sharded is the database type's former name for a multi-shard layout.
+//
+// Deprecated: use DB, which is a set of shards at every shard count.
+type Sharded = DB
 
-// newDB is New without the result cache: the constructor of a shard.
-func newDB(opts Options) (*DB, error) {
-	db, err := prepare(opts)
-	if err != nil {
-		return nil, err
-	}
-	capacity := opts.NodeCapacity
-	if capacity == 0 {
-		capacity = 16
-	}
-	ms, err := rstar.NewMemStore(opts.Region.Dim(), capacity)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := rstar.New(rstar.NewVersioned(ms))
-	if err != nil {
-		return nil, err
-	}
-	db.tree = tree
-	db.publishLocked()
-	return db, nil
+// NewSharded is New.
+//
+// Deprecated: use New, which reads Options.Shards.
+func NewSharded(opts Options) (*DB, error) { return New(opts) }
+
+// New creates an in-memory database with opts.Shards shards (0 means 1).
+func New(opts Options) (*DB, error) {
+	return buildShards(opts, nil, func(_ int, opts Options, _ []BatchItem) (*shard, error) {
+		return newShard(opts)
+	})
 }
 
-func prepare(opts Options) (*DB, error) {
-	ropts := opts.Region
-	if ropts.Workers == 0 && opts.Parallelism > 0 {
-		// Region.Workers inherits the database-wide parallelism default.
-		ropts.Workers = opts.Parallelism
-	}
-	ext, err := region.NewExtractor(ropts)
+// buildShards resolves opts.Shards, partitions items across that many
+// shards and builds shard i from its part with mk, closing the shards
+// already built if one fails. The result cache Options.CacheSize asks
+// for is installed on the database, never on a shard.
+func buildShards(opts Options, items []BatchItem, mk func(i int, opts Options, items []BatchItem) (*shard, error)) (*DB, error) {
+	n, err := resolveShardCount(opts.Shards)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{opts: opts, ext: ext, defaultWorkers: opts.Parallelism}, nil
+	opts.Shards = n
+	parts := partitionItems(items, n)
+	shards := make([]*shard, n)
+	for i := range shards {
+		sh, err := mk(i, opts, parts[i])
+		if err != nil {
+			return nil, errors.Join(err, closeShards(shards))
+		}
+		shards[i] = sh
+	}
+	return newDB(shards), nil
 }
 
-// withCache finishes a standalone database's constructor by installing
-// the result cache Options.CacheSize asks for. The shards of a Sharded
-// database are built without it: the fleet holds the only cache, and a
-// shard's catalog still records CacheSize for OpenSharded to restore it.
-func withCache(db *DB, err error) (*DB, error) {
-	if err != nil {
-		return nil, err
+// newDB wraps constructed shards in a DB, installing the result cache
+// their options ask for.
+func newDB(shards []*shard) *DB {
+	db := &DB{shards: shards}
+	db.SetCacheSize(db.Options().CacheSize)
+	return db
+}
+
+// owner returns the shard id belongs to.
+func (db *DB) owner(id string) *shard { return db.shards[shardOf(id, len(db.shards))] }
+
+// fanOut runs fn for every shard and returns the per-shard errors: on
+// the caller's goroutine for a one-shard database, which so adds no
+// worker-pool task to what its one store does, else across up to workers
+// pool goroutines.
+func (db *DB) fanOut(workers int, fn func(i int) error) []error {
+	errs := make([]error, len(db.shards))
+	if len(db.shards) == 1 {
+		errs[0] = fn(0)
+		return errs
 	}
-	db.SetCacheSize(db.opts.CacheSize)
-	return db, nil
+	parallel.For(len(db.shards), workers, func(i int) { errs[i] = fn(i) })
+	return errs
+}
+
+// cores loads every shard's current published version.
+func (db *DB) cores() coreSet {
+	cs := make(coreSet, len(db.shards))
+	for i, sh := range db.shards {
+		cs[i] = sh.cur.Load()
+	}
+	return cs
 }
 
 // SetCacheSize resizes the version-keyed query result cache at runtime:
@@ -336,61 +308,63 @@ func (db *DB) SetCacheSize(n int) {
 	db.cache.Store(newQueryCache(n))
 }
 
-// ingestWorkers resolves a caller-supplied worker count against the
-// database's Parallelism default: workers > 0 wins, otherwise
-// Options.Parallelism applies (itself defaulting to GOMAXPROCS).
-func (db *DB) ingestWorkers(workers int) int {
-	if workers <= 0 {
-		workers = db.defaultWorkers
-	}
-	return parallel.Workers(workers)
-}
+// Options returns the database configuration; Shards is the shard count.
+func (db *DB) Options() Options { return db.cores().options() }
 
-// Options returns the database configuration.
-func (db *DB) Options() Options {
-	return db.cur.Load().opts
-}
+// Shards returns the shard count.
+func (db *DB) Shards() int { return len(db.shards) }
 
-// Version returns the current published catalog version. Versions start
-// at 1 (a freshly constructed database) and advance by one per committed
-// write operation (an AddBatch counts as one).
-func (db *DB) Version() uint64 {
-	return db.cur.Load().version
-}
+// VersionVector returns the current published catalog version of every
+// shard, indexed by shard. Versions start at 1 (a freshly constructed
+// shard) and advance by one per committed write operation on that shard
+// (a shard's part of an AddBatch counts as one). Unlike
+// Snapshot.VersionVector it pins nothing.
+func (db *DB) VersionVector() []uint64 { return db.cores().versions() }
 
 // Len returns the number of indexed images.
-func (db *DB) Len() int {
-	return db.cur.Load().byID.len()
-}
+func (db *DB) Len() int { return db.cores().len() }
 
 // NumRegions returns the number of live indexed regions.
-func (db *DB) NumRegions() int {
-	return db.cur.Load().liveRegions
+func (db *DB) NumRegions() int { return db.cores().numRegions() }
+
+// IDs returns the ids of all indexed images: in insertion order on a
+// one-shard database, in lexicographic order on more shards, where
+// insertion order interleaves differently at different shard counts.
+func (db *DB) IDs() []string { return db.cores().ids() }
+
+// RegionsOf returns the regions extracted for an indexed image.
+func (db *DB) RegionsOf(id string) ([]region.Region, bool) {
+	return db.owner(id).cur.Load().regionsOf(id)
 }
 
-// Add extracts regions from an RGB image and indexes them under id,
-// publishing the image as the next catalog version. Adding an id twice
-// is an error; use Remove first to replace an image.
-func (db *DB) Add(id string, im *imgio.Image) error {
-	regions, err := db.ext.Extract(im)
-	if err != nil {
-		return fmt.Errorf("walrus: extracting regions of %q: %w", id, err)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	defer db.publishLocked()
-	return db.addExtractedLocked(id, im, regions)
-}
+// Stats returns database statistics, every field read from one
+// published version per shard.
+func (db *DB) Stats() Stats { return db.cores().stats() }
+
+// Add extracts regions from an RGB image and indexes them under id on
+// its owning shard, publishing the image as that shard's next catalog
+// version. Only the owning shard's writer lock is held, so adds to
+// different shards run in parallel. Adding an id twice is an error; use
+// Remove first to replace an image.
+func (db *DB) Add(id string, im *imgio.Image) error { return db.owner(id).add(id, im) }
+
+// Remove deletes an image and its regions from its owning shard. It
+// reports whether the id was present. The image's slot in the shard's
+// catalog is retired, not compacted.
+func (db *DB) Remove(id string) (bool, error) { return db.owner(id).remove(id) }
 
 // QueryContext decomposes an RGB image into regions, probes the index
 // with each region's epsilon envelope, scores every candidate image, and
 // returns matches with similarity >= p.Tau sorted by decreasing
-// similarity. The whole query — extraction included — runs against one
-// snapshot of the database, unaffected by concurrent writers. The
-// context is checked between pipeline stages, inside the parallel refine
-// tasks and along the score loop, so an expired request stops consuming
+// similarity, ties by id. The whole query — extraction included — runs
+// against one snapshot of the database, unaffected by concurrent
+// writers: the image is decomposed once, each pinned shard probes and
+// scores its own view, and the per-shard rankings merge into one that is
+// byte-identical to the one-shard ranking. The context is checked
+// between pipeline stages, inside the parallel refine and shard tasks
+// and along the score loop, so an expired request stops consuming
 // worker slots and returns the context's error. With a result cache
-// configured, the lookup keys on the pinned snapshot version and a
+// configured, the lookup keys on the pinned version vector and a
 // fingerprint of the query pixels — see Options.CacheSize.
 func (db *DB) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
 	return db.query(ctx, querySource{im: im}, p)
@@ -419,8 +393,8 @@ func (db *DB) QuerySceneContext(ctx context.Context, im *imgio.Image, x, y, w, h
 	return db.query(ctx, querySource{im: im, scene: true, x: x, y: y, w: w, h: h}, p)
 }
 
-// query runs one query against a snapshot of the current version through
-// the result cache, when one is configured.
+// query runs one query against a snapshot of the current version vector
+// through the result cache, when one is configured.
 func (db *DB) query(ctx context.Context, src querySource, p QueryParams) ([]Match, QueryStats, error) {
 	s, err := db.Snapshot()
 	if err != nil {
@@ -430,102 +404,41 @@ func (db *DB) query(ctx context.Context, src querySource, p QueryParams) ([]Matc
 	return s.front().query(ctx, db.cache.Load(), src, p)
 }
 
-// Remove deletes an image and its regions from the database. It reports
-// whether the id was present. The image's slot in the internal catalog is
-// retired, not compacted.
-func (db *DB) Remove(id string) (bool, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	imgIdx, ok := db.byID.get(id)
-	if !ok {
-		return false, nil
-	}
-	defer db.publishLocked()
-	// Tombstoning mutates published catalog entries in place, so work on
-	// private copies of the containers a snapshot may share.
-	refs := db.mutableRefsLocked()
-	images := db.mutableImagesLocked()
-	tombstoned := 0
-	lo, hi := refRun(refs, imgIdx)
-	for payload := lo; payload < hi; payload++ {
-		ref := refs[payload]
-		if ref.Local < 0 {
-			continue
-		}
-		r := images[imgIdx].Regions[ref.Local]
-		removed, err := db.tree.Delete(signatureRect(db.opts.UseBBox, r), int64(payload))
-		if err != nil {
-			return false, err
-		}
-		if !removed {
-			return false, fmt.Errorf("walrus: region of %q missing from index", id)
-		}
-		if db.persist != nil {
-			if err := db.persist.heap.Delete(store.UnpackRID(refs[payload].RID)); err != nil {
-				return false, err
-			}
-		}
-		refs[payload].Local = -1 // tombstone
-		tombstoned++
-	}
-	db.byID.delete(id)
-	images[imgIdx].Regions = nil
-	images[imgIdx].ID = ""
-	db.liveRegions -= tombstoned
-	if db.persist != nil {
-		if err := db.commitLocked(&walDelta{Op: deltaRemove, ID: id}); err != nil {
-			return true, err
-		}
-	}
-	if m := db.om.Load(); m != nil {
-		m.removes.Inc()
-		m.images.Set(int64(db.byID.len()))
-		m.regions.Add(-int64(tombstoned))
-	}
-	return true, nil
+// Flush checkpoints every shard of a disk-backed database: all dirty
+// pages reach the page file, the catalog is rewritten, and the
+// write-ahead log is truncated. It is a no-op for in-memory databases.
+func (db *DB) Flush() error {
+	return errors.Join(db.fanOut(len(db.shards), func(i int) error { return db.shards[i].flush() })...)
 }
 
-// IDs returns the ids of all indexed images in insertion order.
-func (db *DB) IDs() []string {
-	core := db.cur.Load()
-	out := make([]string, 0, core.byID.len())
-	for _, rec := range core.images {
-		if rec.ID != "" {
-			out = append(out, rec.ID)
-		}
+// Close flushes and releases every shard of a disk-backed database.
+// In-memory databases need no Close, but calling it is harmless.
+func (db *DB) Close() error {
+	return errors.Join(db.fanOut(len(db.shards), func(i int) error { return db.shards[i].close() })...)
+}
+
+// SetDurability changes the durability policy of every shard of a
+// disk-backed database at runtime (the persisted option still reflects
+// creation time until the next flush). The shards switch one at a time:
+// a concurrent writer may commit under the old policy on one shard and
+// the new on another, but each shard's commit path always sees one
+// coherent policy.
+func (db *DB) SetDurability(p DurabilityPolicy) {
+	for _, sh := range db.shards {
+		sh.setDurability(p)
 	}
-	return out
 }
 
-// RegionsOf returns the regions extracted for an indexed image.
-func (db *DB) RegionsOf(id string) ([]region.Region, bool) {
-	core := db.cur.Load()
-	idx, ok := core.byID.get(id)
-	if !ok {
-		return nil, false
+// Recovery returns the crash-recovery report of every shard from Open,
+// indexed by shard. ok is false for in-memory databases; a report's
+// Replayed is false when its shard had been closed cleanly.
+func (db *DB) Recovery() ([]RecoveryStats, bool) {
+	out := make([]RecoveryStats, len(db.shards))
+	ok := false
+	for i, sh := range db.shards {
+		rs, shardOK := sh.recovery()
+		out[i] = rs
+		ok = ok || shardOK
 	}
-	return core.images[idx].Regions, true
-}
-
-// refRun returns the half-open range [lo, hi) of refs belonging to image
-// imgIdx, by binary search over refs' non-decreasing Image order.
-func refRun(refs []regionRef, imgIdx int) (lo, hi int) {
-	lo = sort.Search(len(refs), func(i int) bool { return refs[i].Image >= imgIdx })
-	hi = lo + sort.Search(len(refs)-lo, func(i int) bool { return refs[lo+i].Image > imgIdx })
-	return lo, hi
-}
-
-// refsInImageOrder reports whether refs is non-decreasing in Image, the
-// order refRun relies on.
-func refsInImageOrder(refs []regionRef) bool {
-	return slices.IsSortedFunc(refs, func(a, b regionRef) int { return cmp.Compare(a.Image, b.Image) })
-}
-
-func euclid(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		diff := a[i] - b[i]
-		d += diff * diff
-	}
-	return math.Sqrt(d)
+	return out, ok
 }

@@ -18,6 +18,22 @@ func testOptions() Options {
 	return o
 }
 
+// soleShard returns the one shard of a one-shard database, for tests
+// that inspect the store's internals.
+func soleShard(t *testing.T, db *DB) *shard {
+	t.Helper()
+	if len(db.shards) != 1 {
+		t.Fatalf("database has %d shards, want 1", len(db.shards))
+	}
+	return db.shards[0]
+}
+
+// version returns the published version of a one-shard database.
+func version(t *testing.T, db *DB) uint64 {
+	t.Helper()
+	return soleShard(t, db).cur.Load().version
+}
+
 // scene paints a base color with one square object of another color.
 func scene(base, obj [3]float64, x, y, side int) *imgio.Image {
 	im := imgio.New(128, 128, 3)
