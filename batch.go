@@ -46,6 +46,9 @@ func (sh *shard) addBatch(items []BatchItem, workers int) error {
 	regions, errs := sh.extractAll(items, workers)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.closed {
+		return ErrClosed
+	}
 	defer sh.publishLocked()
 	for i, it := range items {
 		if errs[i] != nil {

@@ -34,8 +34,9 @@
 #      per-shard crash matrix, the cross-shard fan-out oracle, the
 #      on-disk layouts (plain, multi-shard and the old one-shard
 #      manifest layout open and answer alike; a failed multi-shard create
-#      leaves no manifest) under the race detector, plus the query-front
-#      suite: every front (DB and Snapshot at one and three shards)
+#      leaves no manifest), writes after Close (ErrClosed, nothing
+#      changed in memory or on reopen) under the race detector, plus the
+#      query-front suite: every front (DB and Snapshot at one and three shards)
 #      agrees on answers and errors for pixels, id and scene queries,
 #      exports exactly the three Query* entry points, and keeps query
 #      state at the database;
@@ -49,10 +50,12 @@
 #      /v1/search?explain=1 JSON schema
 #   1f. serve tier: exercises the HTTP front-end under the race detector
 #      — handler contracts, admission saturation (429 + gauges draining
-#      to zero), coalescer version atomicity, and the graceful-drain
-#      no-acked-write-lost proof (plain and sharded backends) against a
-#      live listener, plus the Drain-before-Serve and Drain-racing-Serve
-#      regressions. The load harness itself is `bash bench/run.sh
+#      to zero), write atomicity (N concurrent POSTs publish exactly N
+#      versions; a batch with a stored or repeated id is refused whole
+#      and publishes nothing), and the graceful-drain no-acked-write-lost
+#      proof (plain and sharded backends against a live listener, and a
+#      mounted handler, where post-drain writes must be 503), plus the
+#      Drain-before-Serve and Drain-racing-Serve regressions. The load harness itself is `bash bench/run.sh
 #      --workload serve_mixed`; it is not part of the CI gate.
 #   1g. cache tier: runs the result-cache protocol suite (hit/miss/
 #      bypass, write invalidation, churn) under the race detector
@@ -150,9 +153,9 @@ tier "tier 1: race (short)" go test -race -short ./...
 tier "tier 1: obs scrape during stress" obs_tier
 tier "tier 1: obs exposition validators" go test -count=1 -run 'TestPrometheusOutputValidates|TestValidatePrometheusRejectsMalformed|TestHandlerEndpoints' ./internal/obs
 tier "tier 1: snapshot (acquire/release vs publish, leak check, id index, metrics golden)" go test -race -count=1 -run 'TestSnapshot|TestIDIndex|TestMetricsGolden' .
-tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts, query fronts)" go test -race -count=1 -run 'TestShard|TestLayoutCompat|TestQueryFrontsAgree|TestQueryFrontErrors|TestQueryEntryPoints|TestQueryCache|TestTraceCompleteness|TestExplainFunnelDeterminism' .
+tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts, write after close, query fronts)" go test -race -count=1 -run 'TestShard|TestLayoutCompat|TestWriteAfterClose|TestQueryFrontsAgree|TestQueryFrontErrors|TestQueryEntryPoints|TestQueryCache|TestTraceCompleteness|TestExplainFunnelDeterminism' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
-tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
+tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
 tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations' ./internal/rstar
 

@@ -1,7 +1,7 @@
 // walrus-serve serves a WALRUS database over HTTP with the production
 // front-end of internal/serve: admission control with bounded queueing,
-// per-request deadlines, write coalescing, and graceful drain on
-// SIGTERM/SIGINT.
+// per-request deadlines, one atomic commit per ingest request, and
+// graceful drain on SIGTERM/SIGINT.
 //
 // Point it at a database directory of any shard count, or run it with
 // -mem to serve a synthetic in-memory dataset:
@@ -32,19 +32,17 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		addr          = flag.String("addr", ":8080", "listen address")
-		dir           = flag.String("db", "", "database directory (any shard count)")
-		mem           = flag.Bool("mem", false, "serve an in-memory database preloaded with the synthetic dataset")
-		perCat        = flag.Int("per-category", 10, "with -mem: dataset images per category")
-		concurrency   = flag.Int("concurrency", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
-		queue         = flag.Int("queue", 0, "admission wait-queue bound before 429 (0 = 4x concurrency)")
-		timeout       = flag.Duration("timeout", 0, "per-request deadline (0 = 30s, negative = none)")
-		coalesceBatch = flag.Int("coalesce-batch", 0, "max images per coalesced write flush (0 = 64)")
-		coalesceWait  = flag.Duration("coalesce-wait", 0, "max age of a pending write before a partial flush (0 = 2ms)")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests during graceful drain")
-		cacheSz       = flag.Int("cache-size", 0, "version-keyed result cache capacity in queries (0 disables)")
-		obsFlags      = obscli.Register()
-		logFlags      = obscli.RegisterLog()
+		addr         = flag.String("addr", ":8080", "listen address")
+		dir          = flag.String("db", "", "database directory (any shard count)")
+		mem          = flag.Bool("mem", false, "serve an in-memory database preloaded with the synthetic dataset")
+		perCat       = flag.Int("per-category", 10, "with -mem: dataset images per category")
+		concurrency  = flag.Int("concurrency", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
+		queue        = flag.Int("queue", 0, "admission wait-queue bound before 429 (0 = 4x concurrency)")
+		timeout      = flag.Duration("timeout", 0, "per-request deadline (0 = 30s, negative = none)")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests during graceful drain")
+		cacheSz      = flag.Int("cache-size", 0, "version-keyed result cache capacity in queries (0 disables)")
+		obsFlags     = obscli.Register()
+		logFlags     = obscli.RegisterLog()
 	)
 	flag.Parse()
 
@@ -104,10 +102,7 @@ func main() {
 		MaxConcurrentQueries: *concurrency,
 		QueueLimit:           *queue,
 		RequestTimeout:       *timeout,
-		CoalesceMaxBatch:     *coalesceBatch,
-		CoalesceMaxWait:      *coalesceWait,
 		Metrics:              reg,
-		Logf:                 log.Printf,
 		Log:                  logger,
 		SlowQueryThreshold:   logFlags.SlowQueryThreshold(),
 	})

@@ -1,7 +1,7 @@
 // Webservice: a small HTTP image-search service over a WALRUS database,
 // now a thin wrapper over the production front-end in internal/serve —
 // the example only assembles a dataset and delegates routing, admission
-// control, write coalescing and graceful shutdown to the serve package.
+// control, atomic ingest commits and graceful shutdown to the serve package.
 //
 //	GET  /v1/stats                  — database + serving statistics (JSON)
 //	GET  /v1/search?id=<id>&k=5     — query by an indexed image's id
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -64,7 +65,8 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Backend:       db,
 		DefaultParams: params,
-		Logf:          log.Printf,
+		// Warnings and errors only: no per-request access records.
+		Log: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -22,8 +22,9 @@ import (
 //     closes (`case <-quit:` worker loops joined by `close(quit)`).
 //
 // For `go m.run()` statements the callee's body is inlined one level
-// when it is declared in the same package, so the coalescer and worker
-// pool idioms prove themselves. Anything else needs
+// when it is declared in the same package, so a worker loop started as a
+// method proves itself: run's `defer m.wg.Done()` matches the package's
+// `m.wg.Wait()` (the gorofix fixture's pool). Anything else needs
 // //walrus:lint-ignore goroleak <reason> — an undocumented goroutine is
 // exactly how a drain path rots into a leak.
 var GoroLeak = &Analyzer{

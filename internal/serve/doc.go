@@ -10,15 +10,16 @@
 //   - Deadlines: every admitted request carries a context deadline that
 //     propagates into the staged query pipeline (probe and score tasks
 //     check it), so an expired request stops consuming workers.
-//   - Write coalescing: concurrent ingests are batched into one
-//     AddBatch per flush — bounded by batch size and by the age of the
-//     oldest pending write — so each flush publishes exactly one catalog
-//     version per shard it touches and the
-//     copy-on-write publish cost is amortized across writers.
+//   - Writes: an ingest request is one AddBatch, run under a write
+//     mutex that makes the process one writer. An exact duplicate
+//     prescreen under the same mutex refuses a request whole (409) when
+//     any id is already stored or repeats within it, so a request
+//     commits all of its items or none, publishing one catalog version
+//     per shard it touches.
 //   - Graceful drain: Drain stops accepting work, waits for in-flight
-//     requests (queries finish against their pinned snapshots), flushes
-//     the coalescer, then flushes and closes the backend. A write is
-//     acknowledged only after its flush commits, so an acknowledged
+//     requests (queries finish against their pinned snapshots), then
+//     flushes and closes the backend under the write mutex. A write is
+//     acknowledged only after its AddBatch commits, so an acknowledged
 //     write is never lost across a drain.
 //
 // Endpoints:

@@ -20,20 +20,11 @@ type metrics struct {
 	admissionWait *obs.Histogram
 	deadlineDrops *obs.Counter
 
-	coalesceFlushes  *obs.Counter
-	coalesceRejects  *obs.Counter
-	coalescedWrites  *obs.Counter
-	coalesceBatch    *obs.Histogram
-	coalesceFlushSec *obs.Histogram
-
 	slowQueries *obs.Counter
 
 	draining *obs.Gauge
 	drains   *obs.Counter
 }
-
-// coalesceBatchBuckets are batch-size bucket bounds (writes per flush).
-var coalesceBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
@@ -49,12 +40,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		active:        reg.Gauge("walrus_serve_active_requests", "Requests currently holding an admission slot."),
 		admissionWait: reg.Histogram("walrus_serve_admission_wait_seconds", "Time queued requests waited for an admission slot.", nil),
 		deadlineDrops: reg.Counter("walrus_serve_deadline_drops_total", "Queued requests abandoned because their deadline expired before a slot freed."),
-
-		coalesceFlushes:  reg.Counter("walrus_serve_coalesce_flushes_total", "Write-coalescer flushes (one AddBatch publish each)."),
-		coalesceRejects:  reg.Counter("walrus_serve_coalesce_rejects_total", "Writes rejected by the coalescer before the flush (duplicate ids)."),
-		coalescedWrites:  reg.Counter("walrus_serve_coalesced_writes_total", "Images committed through coalesced flushes."),
-		coalesceBatch:    reg.Histogram("walrus_serve_coalesce_batch_size", "Images per coalescer flush.", coalesceBatchBuckets),
-		coalesceFlushSec: reg.Histogram("walrus_serve_coalesce_flush_seconds", "Latency of one coalescer flush (AddBatch commit).", nil),
 
 		slowQueries: reg.Counter("walrus_serve_slow_queries_total", "Searches whose engine time met Config.SlowQueryThreshold."),
 

@@ -60,16 +60,6 @@ type Config struct {
 	// MaxBodyBytes caps request body size. 0 uses 16 MiB.
 	MaxBodyBytes int64
 
-	// CoalesceMaxBatch is the most images one coalescer flush commits.
-	// 0 uses 64.
-	CoalesceMaxBatch int
-	// CoalesceMaxWait bounds how long the oldest pending write waits
-	// before a partial batch is flushed. 0 uses 2ms.
-	CoalesceMaxWait time.Duration
-	// IngestWorkers is the worker count passed to AddBatch for region
-	// extraction. 0 uses the backend's Parallelism option.
-	IngestWorkers int
-
 	// DefaultParams are the query parameters requests start from before
 	// applying their own overrides. Zero value uses DefaultQueryParams.
 	DefaultParams walrus.QueryParams
@@ -80,12 +70,10 @@ type Config struct {
 	// request runs under a root span whose trace id is returned in the
 	// X-Walrus-Trace response header and fetchable at /v1/trace/{id}.
 	Metrics *obs.Registry
-	// Logf, when non-nil, receives server-side error logs (e.g. response
-	// encode failures after the status line was sent).
-	Logf func(format string, args ...any)
 
 	// Log, when non-nil, receives structured logs: one access record per
-	// admitted request at info level, and slow-query records at warn.
+	// admitted request at info level, slow-query records at warn, and
+	// response-encode failures (after the status line was sent) at error.
 	Log *slog.Logger
 	// SlowQueryThreshold, when positive, logs every search whose engine
 	// elapsed time meets it through Log — trace id, effective parameters
@@ -110,12 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
 	}
-	if c.CoalesceMaxBatch <= 0 {
-		c.CoalesceMaxBatch = 64
-	}
-	if c.CoalesceMaxWait <= 0 {
-		c.CoalesceMaxWait = 2 * time.Millisecond
-	}
 	if c.DefaultParams == (walrus.QueryParams{}) {
 		c.DefaultParams = walrus.DefaultQueryParams()
 	}
@@ -129,15 +111,23 @@ type Server struct {
 	cfg     Config
 	backend Backend
 	adm     *admission
-	coal    *coalescer
 	mux     *http.ServeMux
 	m       *metrics
 
 	draining atomic.Bool
 
+	// writeMu makes the process one writer: it is held around each
+	// ingest's duplicate prescreen and AddBatch (see commit), and around
+	// Drain's final Flush and Close.
+	writeMu sync.Mutex
+
 	mu sync.Mutex
 	hs *http.Server // the Serve/ListenAndServe server, for Drain's Shutdown
 }
+
+// errDraining reports a request refused because the server is shutting
+// down. Handlers map it to 503.
+var errDraining = errors.New("serve: draining, no longer accepting writes")
 
 // New builds a Server over cfg.Backend. The caller owns nothing after
 // this: Drain flushes and closes the backend.
@@ -151,7 +141,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		backend: cfg.Backend,
 		adm:     newAdmission(cfg.MaxConcurrentQueries, cfg.QueueLimit, m),
-		coal:    newCoalescer(cfg.Backend, cfg.CoalesceMaxBatch, cfg.CoalesceMaxWait, cfg.IngestWorkers, m),
 		mux:     http.NewServeMux(),
 		m:       m,
 	}
@@ -218,12 +207,16 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Drain gracefully stops the server: new requests are refused (readyz
 // flips to 503, handlers answer 503), in-flight requests run to
-// completion — queries finish against their pinned snapshots, pending
-// writes are flushed and acknowledged — then the backend is flushed and
-// closed. An acknowledged write is therefore never lost: its AddBatch
-// committed before its 2xx, and the backend flush happens strictly
-// after the coalescer stops. ctx bounds the wait for in-flight
-// requests. Drain is idempotent; only the first call does the work.
+// completion — queries finish against their pinned snapshots, writes
+// commit and are acknowledged — then the backend is flushed and closed.
+// An acknowledged write is therefore never lost: its AddBatch committed
+// before its 2xx, and Flush and Close run under the write lock, after
+// any commit in progress. A write that reaches the backend after Close
+// (possible when the server is mounted as a plain handler, where there
+// is no http.Server to wait on) fails with walrus.ErrClosed, which
+// handlers answer 503, and commits nothing. ctx bounds the wait for
+// in-flight requests. Drain is idempotent; only the first call does the
+// work.
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil
@@ -239,7 +232,8 @@ func (s *Server) Drain(ctx context.Context) error {
 			firstErr = fmt.Errorf("serve: shutdown: %w", err)
 		}
 	}
-	s.coal.close()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if err := s.backend.Flush(); err != nil && firstErr == nil {
 		firstErr = fmt.Errorf("serve: flushing backend: %w", err)
 	}
@@ -401,7 +395,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		items = []walrus.BatchItem{{ID: id, Image: im}}
 	}
-	if err := s.coal.add(coalesceReq{items: items, done: make(chan error, 1)}); err != nil {
+	if err := s.commit(items); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -410,6 +404,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		ids[i] = it.ID
 	}
 	s.writeJSON(w, http.StatusCreated, map[string]any{"added": len(ids), "ids": ids})
+}
+
+// commit indexes one ingest request's items with a single AddBatch.
+// writeMu makes this the process's only writer, so the duplicate
+// prescreen is exact: a request is refused whole (409) when any of its
+// ids is already stored or repeats within it, AddBatch then cannot fail
+// on a duplicate, and a request whose ids span shards commits all of its
+// items or none. Each shard the request touches publishes one version.
+func (s *Server) commit(items []walrus.BatchItem) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	seen := make(map[string]bool, len(items))
+	for _, it := range items {
+		if _, dup := s.backend.RegionsOf(it.ID); dup || seen[it.ID] {
+			return fmt.Errorf("serve: image %q %w", it.ID, walrus.ErrDuplicateID)
+		}
+		seen[it.ID] = true
+	}
+	return s.backend.AddBatch(items, 0)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -644,7 +657,7 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, errSaturated):
 		return http.StatusTooManyRequests
-	case errors.Is(err, errDraining):
+	case errors.Is(err, errDraining), errors.Is(err, walrus.ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
@@ -671,13 +684,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	// The status line is already on the wire: an encode failure here can
 	// only be logged, not turned into a different response.
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.logf("serve: encoding response: %v", err)
-	}
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+	if err := json.NewEncoder(w).Encode(v); err != nil && s.cfg.Log != nil {
+		s.cfg.Log.Error("encoding response", "err", err)
 	}
 }

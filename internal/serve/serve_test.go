@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,9 +62,6 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 			t.Fatalf("creating db: %v", err)
 		}
 		cfg.Backend = db
-	}
-	if cfg.CoalesceMaxWait == 0 {
-		cfg.CoalesceMaxWait = time.Millisecond
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -290,19 +288,39 @@ func TestServeShardedBackend(t *testing.T) {
 	}
 }
 
+// blockingBackend parks every AddBatch until release is closed, so a
+// test can hold ingests inside the engine for as long as it needs.
+type blockingBackend struct {
+	Backend
+	release chan struct{}
+}
+
+func (b *blockingBackend) AddBatch(items []walrus.BatchItem, workers int) error {
+	<-b.release
+	return b.Backend.AddBatch(items, workers)
+}
+
 // TestServeAdmissionSaturation fills the one admission slot and the
-// one-deep wait queue with ingests parked in a slow coalescer window,
-// then shows the next request is shed with 429 + Retry-After and that
-// the queue and active gauges drain back to zero afterwards.
+// one-deep wait queue with ingests parked in a blocking backend, then
+// shows the next request is shed with 429 + Retry-After and that the
+// queue and active gauges drain back to zero afterwards.
 func TestServeAdmissionSaturation(t *testing.T) {
+	db, err := walrus.New(testOptions())
+	if err != nil {
+		t.Fatalf("creating db: %v", err)
+	}
+	backend := &blockingBackend{Backend: db, release: make(chan struct{})}
 	reg := obs.NewRegistry()
 	s := newTestServer(t, Config{
+		Backend:              backend,
 		Metrics:              reg,
 		MaxConcurrentQueries: 1,
 		QueueLimit:           1,
-		CoalesceMaxBatch:     64,
-		CoalesceMaxWait:      300 * time.Millisecond, // parks ingests long enough to observe saturation
 	})
+	// Registered after newTestServer, so it runs before the drain even
+	// when an assertion below fails with ingests still parked.
+	unblock := sync.OnceFunc(func() { close(backend.release) })
+	t.Cleanup(unblock)
 
 	var wg sync.WaitGroup
 	codes := make([]int, 2)
@@ -334,6 +352,7 @@ func TestServeAdmissionSaturation(t *testing.T) {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
 
+	unblock()
 	wg.Wait()
 	for i, code := range codes {
 		if code != http.StatusCreated {
@@ -351,31 +370,40 @@ func TestServeAdmissionSaturation(t *testing.T) {
 	}
 }
 
+// sum adds up a version vector.
+func sum(vv []uint64) uint64 {
+	var n uint64
+	for _, v := range vv {
+		n += v
+	}
+	return n
+}
+
 // TestServeCoalescerVersionAtomicity fires N concurrent single-image
-// POSTs and asserts they land in far fewer published catalog versions
-// than N: the coalescer batches them into whole AddBatch flushes.
+// POSTs at a 4-shard backend and asserts the summed version vector
+// advances by exactly N: each request is one AddBatch, which publishes
+// one version on the one shard its image lands on. (The name is
+// historical: the test once checked a write coalescer's batching.)
 func TestServeCoalescerVersionAtomicity(t *testing.T) {
-	db, err := walrus.New(testOptions())
+	opts := testOptions()
+	opts.Shards = 4
+	db, err := walrus.New(opts)
 	if err != nil {
 		t.Fatalf("creating db: %v", err)
 	}
 	const n = 32
 	s := newTestServer(t, Config{
-		Backend: db,
-		Metrics: obs.NewRegistry(),
-		// Admit every writer at once so all n POSTs can park in the same
-		// coalescing window.
+		Backend:              db,
+		Metrics:              obs.NewRegistry(),
 		MaxConcurrentQueries: n,
 		QueueLimit:           n,
-		CoalesceMaxBatch:     2 * n,
-		CoalesceMaxWait:      200 * time.Millisecond,
 	})
 
 	bodies := make([][]byte, n)
 	for i := range bodies {
 		bodies[i] = testPPM(t, i)
 	}
-	v0 := db.VersionVector()[0]
+	v0 := sum(db.VersionVector())
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -391,12 +419,82 @@ func TestServeCoalescerVersionAtomicity(t *testing.T) {
 	if got := db.Len(); got != n {
 		t.Fatalf("indexed %d images, want %d", got, n)
 	}
-	versions := db.VersionVector()[0] - v0
-	if versions == 0 || versions > n/4 {
-		t.Fatalf("%d concurrent POSTs published %d versions, want 1..%d (coalescing broken)", n, versions, n/4)
+	if versions := sum(db.VersionVector()) - v0; versions != n {
+		t.Fatalf("%d concurrent POSTs advanced the summed version vector by %d, want %d", n, versions, n)
 	}
-	if flushes := s.m.coalesceFlushes.Value(); flushes != versions {
-		t.Fatalf("flushes=%d but versions advanced by %d: a flush must publish exactly one version", flushes, versions)
+}
+
+// TestServeIngestBatchAtomic sends a JSON batch whose ids span shards
+// twice — once with an id the backend already holds, once with an id
+// repeated inside the batch — and shows each is refused whole: 409, none
+// of its ids visible, no version published. The same batch without the
+// duplicate then commits one version on every shard it touches.
+func TestServeIngestBatchAtomic(t *testing.T) {
+	opts := testOptions()
+	opts.Shards = 4
+	db, err := walrus.New(opts)
+	if err != nil {
+		t.Fatalf("creating db: %v", err)
+	}
+	s := newTestServer(t, Config{Backend: db})
+	if w := do(s, "POST", "/v1/images?id=held", "", testPPM(t, 0)); w.Code != http.StatusCreated {
+		t.Fatalf("ingest held: got %d: %s", w.Code, w.Body.String())
+	}
+
+	fresh := []string{"b0", "b1", "b2", "b3", "b4", "b5"}
+	batch := func(ids ...string) []byte {
+		t.Helper()
+		var payload ingestPayload
+		for i, id := range ids {
+			payload.Images = append(payload.Images, struct {
+				ID  string `json:"id"`
+				PPM []byte `json:"ppm"`
+			}{ID: id, PPM: testPPM(t, i+1)})
+		}
+		body, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatalf("marshaling batch: %v", err)
+		}
+		return body
+	}
+	// The duplicate sits mid-batch, after items bound for other shards.
+	for name, ids := range map[string][]string{
+		"already stored":  {"b0", "b1", "b2", "held", "b3", "b4", "b5"},
+		"repeated within": {"b0", "b1", "b2", "b3", "b0", "b4", "b5"},
+	} {
+		v0 := db.VersionVector()
+		if w := do(s, "POST", "/v1/images", "application/json", batch(ids...)); w.Code != http.StatusConflict {
+			t.Fatalf("%s: got %d, want 409: %s", name, w.Code, w.Body.String())
+		}
+		for _, id := range fresh {
+			if _, ok := db.RegionsOf(id); ok {
+				t.Fatalf("%s: refused batch left %q visible", name, id)
+			}
+		}
+		if got := db.VersionVector(); !reflect.DeepEqual(got, v0) {
+			t.Fatalf("%s: refused batch moved the version vector from %v to %v", name, v0, got)
+		}
+	}
+
+	v0 := db.VersionVector()
+	if w := do(s, "POST", "/v1/images", "application/json", batch(fresh...)); w.Code != http.StatusCreated {
+		t.Fatalf("clean batch: got %d, want 201: %s", w.Code, w.Body.String())
+	}
+	touched := 0
+	for i, v := range db.VersionVector() {
+		switch v - v0[i] {
+		case 0:
+		case 1:
+			touched++
+		default:
+			t.Fatalf("clean batch published %d versions on shard %d, want at most 1", v-v0[i], i)
+		}
+	}
+	if touched < 2 {
+		t.Fatalf("batch ids landed on %d shard(s); the test needs ids spanning at least 2", touched)
+	}
+	if got := db.Len(); got != 1+len(fresh) {
+		t.Fatalf("Len = %d after the clean batch, want %d", got, 1+len(fresh))
 	}
 }
 
@@ -423,9 +521,9 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestServeGracefulDrainSharded runs the same acked-write-survives-drain
-// proof over the sharded backend: coalesced batches fan out across
-// shards, and the drain must still flush every shard's WAL before the
-// server reports drained.
+// proof over the sharded backend: writes land on different shards, and
+// the drain must still flush every shard's WAL before the server reports
+// drained.
 func TestServeGracefulDrainSharded(t *testing.T) {
 	shardedOptions := func() walrus.Options {
 		o := testOptions()
@@ -455,10 +553,7 @@ func TestServeGracefulDrainSharded(t *testing.T) {
 func testGracefulDrain(t *testing.T, create, reopen func(t *testing.T, dir string) Backend) {
 	t.Helper()
 	dir := t.TempDir()
-	s, err := New(Config{
-		Backend:         create(t, dir),
-		CoalesceMaxWait: time.Millisecond,
-	})
+	s, err := New(Config{Backend: create(t, dir)})
 	if err != nil {
 		t.Fatalf("creating server: %v", err)
 	}
@@ -552,6 +647,105 @@ func testGracefulDrain(t *testing.T, create, reopen func(t *testing.T, dir strin
 	}
 }
 
+// TestServeGracefulDrainMounted drains a server mounted as a plain
+// handler (httptest.NewServer(s)), where Drain has no http.Server to
+// wait on, under concurrent writers to a disk database. Every write
+// acknowledged with 201 survives the reopen; every response is 201 or
+// 503, never 500; and every write sent after Drain returned is 503.
+func TestServeGracefulDrainMounted(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions()
+	opts.Shards = 4
+	db, err := walrus.Create(dir, opts)
+	if err != nil {
+		t.Fatalf("creating db: %v", err)
+	}
+	const writers = 8
+	s, err := New(Config{Backend: db, MaxConcurrentQueries: writers, QueueLimit: writers})
+	if err != nil {
+		t.Fatalf("creating server: %v", err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	var (
+		mu      sync.Mutex
+		acked   []string
+		drained atomic.Bool
+	)
+	var wg sync.WaitGroup
+	for wi := 0; wi < writers; wi++ {
+		body := testPPM(t, wi)
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			for seq := 0; ; seq++ {
+				id := fmt.Sprintf("w%d-%d", wi, seq)
+				after := drained.Load()
+				resp, err := ts.Client().Post(ts.URL+"/v1/images?id="+id, "image/x-portable-pixmap",
+					bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("writer %d: %v", wi, err)
+					return
+				}
+				_, copyErr := io.Copy(io.Discard, resp.Body)
+				closeErr := resp.Body.Close()
+				if copyErr != nil || closeErr != nil {
+					t.Errorf("writer %d: draining response: copy=%v close=%v", wi, copyErr, closeErr)
+					return
+				}
+				switch {
+				case resp.StatusCode == http.StatusCreated && !after:
+					mu.Lock()
+					acked = append(acked, id)
+					mu.Unlock()
+				case resp.StatusCode == http.StatusServiceUnavailable:
+					if after {
+						return
+					}
+				default:
+					t.Errorf("writer %d: %s sent (after drain: %v) answered %d", wi, id, after, resp.StatusCode)
+					return
+				}
+			}
+		}(wi)
+	}
+
+	for {
+		mu.Lock()
+		n := len(acked)
+		mu.Unlock()
+		if n >= 20 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	drained.Store(true)
+	wg.Wait()
+
+	reopened, err := walrus.Open(dir)
+	if err != nil {
+		t.Fatalf("reopening after drain: %v", err)
+	}
+	defer func() {
+		if err := reopened.Close(); err != nil {
+			t.Errorf("closing reopened db: %v", err)
+		}
+	}()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range acked {
+		if _, ok := reopened.RegionsOf(id); !ok {
+			t.Fatalf("acknowledged write %q lost across drain (%d acked total)", id, len(acked))
+		}
+	}
+}
+
 // TestServeDrainBeforeServe is the regression test for a Drain that runs
 // before Serve has published its http.Server: Drain found nothing to shut
 // down and the accept loop then ran forever. Serve must notice the drain
@@ -592,7 +786,7 @@ func TestServeDrainRacesServe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("creating db: %v", err)
 		}
-		s, err := New(Config{Backend: db, CoalesceMaxWait: time.Millisecond})
+		s, err := New(Config{Backend: db})
 		if err != nil {
 			t.Fatalf("creating server: %v", err)
 		}

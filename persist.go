@@ -715,10 +715,12 @@ func (sh *shard) flushLocked() error {
 	return sh.checkpointLocked(true)
 }
 
-// close flushes and releases a disk-backed shard; a no-op in memory.
+// close flushes and releases a disk-backed shard and marks any shard
+// closed, so later writes fail with ErrClosed.
 func (sh *shard) close() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.closed = true
 	if sh.persist == nil {
 		return nil
 	}

@@ -2,8 +2,11 @@ package walrus
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -225,5 +228,83 @@ func TestDiskAddBatch(t *testing.T) {
 	}
 	if len(matches) == 0 || matches[0].ID != "y" {
 		t.Fatalf("batch-indexed query after reopen: %+v", matches)
+	}
+}
+
+// TestWriteAfterClose: once a database is closed, Add, AddBatch and
+// Remove return ErrClosed and change nothing — not the published
+// catalog, not the version vector, and not the store a reopen reads.
+func TestWriteAfterClose(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for _, disk := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/disk=%v", shards, disk), func(t *testing.T) {
+				opts := testOptions()
+				opts.Shards = shards
+				dir := t.TempDir()
+				var db *DB
+				var err error
+				if disk {
+					db, err = Create(dir, opts)
+				} else {
+					db, err = New(opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Add("a", scene(green, red, 10, 10, 40)); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				versions := db.VersionVector()
+
+				if err := db.Add("b", scene(red, green, 20, 20, 40)); !errors.Is(err, ErrClosed) {
+					t.Fatalf("Add after Close: got %v, want ErrClosed", err)
+				}
+				batch := []BatchItem{
+					{ID: "c", Image: scene(green, red, 0, 0, 40)},
+					{ID: "d", Image: scene(red, green, 30, 30, 40)},
+				}
+				if err := db.AddBatch(batch, 0); !errors.Is(err, ErrClosed) {
+					t.Fatalf("AddBatch after Close: got %v, want ErrClosed", err)
+				}
+				if ok, err := db.Remove("a"); ok || !errors.Is(err, ErrClosed) {
+					t.Fatalf("Remove after Close: got (%v, %v), want (false, ErrClosed)", ok, err)
+				}
+				if n := db.Len(); n != 1 {
+					t.Fatalf("Len after rejected writes = %d, want 1", n)
+				}
+				if ids := db.IDs(); !reflect.DeepEqual(ids, []string{"a"}) {
+					t.Fatalf("IDs after rejected writes = %v, want [a]", ids)
+				}
+				if got := db.VersionVector(); !reflect.DeepEqual(got, versions) {
+					t.Fatalf("version vector moved from %v to %v on rejected writes", versions, got)
+				}
+				if !disk {
+					return
+				}
+
+				re, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				if ids := re.IDs(); !reflect.DeepEqual(ids, []string{"a"}) {
+					t.Fatalf("reopened IDs = %v, want [a]", ids)
+				}
+				// The reopened index is intact: the survivor can be removed
+				// and a rejected id added for real.
+				if ok, err := re.Remove("a"); !ok || err != nil {
+					t.Fatalf("Remove on reopened store: got (%v, %v)", ok, err)
+				}
+				if err := re.Add("b", scene(red, green, 20, 20, 40)); err != nil {
+					t.Fatalf("Add on reopened store: %v", err)
+				}
+				if ids := re.IDs(); !reflect.DeepEqual(ids, []string{"b"}) {
+					t.Fatalf("reopened IDs after remove+add = %v, want [b]", ids)
+				}
+			})
+		}
 	}
 }

@@ -82,6 +82,9 @@ type shard struct {
 	// Appends past the published length are safe without cloning. byID
 	// tracks its own sharing, per chunk.
 	imagesShared, refsShared bool
+	// closed is set by close (guarded by mu); writers check it under the
+	// lock and return ErrClosed before touching anything.
+	closed bool
 	// persist is set before the shard is published and nilled only by
 	// close; its own state is mutated exclusively under mu.
 	persist *persistState // nil for in-memory shards
@@ -151,6 +154,9 @@ func (sh *shard) add(id string, im *imgio.Image) error {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.closed {
+		return ErrClosed
+	}
 	defer sh.publishLocked()
 	return sh.addExtractedLocked(id, im, regions)
 }
@@ -161,6 +167,9 @@ func (sh *shard) add(id string, im *imgio.Image) error {
 func (sh *shard) remove(id string) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.closed {
+		return false, ErrClosed
+	}
 	imgIdx, ok := sh.byID.get(id)
 	if !ok {
 		return false, nil

@@ -47,6 +47,11 @@ var ErrDuplicateID = errors.New("already indexed")
 // does not contain. The HTTP front-end maps it to 404 Not Found.
 var ErrUnknownID = errors.New("unknown image id")
 
+// ErrClosed reports an Add, AddBatch or Remove on a database that has
+// been closed. The write changes nothing. The HTTP front-end maps it to
+// 503 Service Unavailable.
+var ErrClosed = errors.New("walrus: database is closed")
+
 // Options configures a DB at creation time.
 type Options struct {
 	// Region configures region extraction (window sizes, signature size,
@@ -412,7 +417,8 @@ func (db *DB) Flush() error {
 }
 
 // Close flushes and releases every shard of a disk-backed database.
-// In-memory databases need no Close, but calling it is harmless.
+// In-memory databases need no Close. After Close, on either kind, every
+// Add, AddBatch and Remove returns ErrClosed and changes nothing.
 func (db *DB) Close() error {
 	return errors.Join(db.fanOut(len(db.shards), func(i int) error { return db.shards[i].close() })...)
 }
