@@ -20,5 +20,5 @@ func newBenchPager(b *testing.B) (rstar.NodeStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rstar.NewPagedStore(pg, pool, 12)
+	return rstar.NewPagedStore(pg, pool, 12, rstar.BoxLeaves)
 }

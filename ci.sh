@@ -65,7 +65,13 @@
 #      12-d trees, box-only visits unchanged, allocation bounds, the
 #      packer's shape (ceil(n/M) leaves, at most two non-full nodes per
 #      level, minimum fill) at dims 1–12 and capacities 4–19, golden
-#      digests of insert-built trees, and allocations per Insert
+#      digests of insert-built trees, and allocations per Insert; the
+#      paged store's own tests (TestPagedStore*: point leaves with their
+#      two capacities, insert/delete/condense, leaf-kind recording, Put
+#      refusing boxes, decode allocations, corruption); and the DB-level
+#      leaf layout tests (TestLeafLayout*: a pre-point-leaf centroid store
+#      reopens and answers identically, UseBBox keeps box leaves, a
+#      box-leaf reader refuses a point-leaf store) at 1 and 3 shards
 #   1i. extraction exactness tier: pins every region of a seeded image
 #      set (odd and step-misaligned sizes, several window ranges, a finer
 #      second-tier signature, HSV, serial and parallel) to SHA-256
@@ -157,7 +163,7 @@ tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
-tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations' ./internal/rstar
+tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestPagedStore|TestLeafLayout' . ./internal/rstar
 
 tier "tier 1: extraction exactness (golden regions, allocations)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations' ./internal/region
 tier "tier 1: query tail exactness (top-k, quick scorer, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestTopK|TestAggregateStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match

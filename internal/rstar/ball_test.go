@@ -242,7 +242,9 @@ func checkBallPruning(t *testing.T, what string, src prober, entries []refEntry,
 // pinned across inserts, deletes and Publish — emits exactly the
 // brute-force set in solo order while visiting no more nodes than the box
 // alone. The same holds on trees BulkLoad packs from clustered 12-d points
-// at node capacities 16 and 19, in memory and paged.
+// at node capacities 16 and 19, in memory and paged, and on the 4 KiB
+// point-leaf store's 19 and 38. Paged stores run with box and with point
+// leaves.
 func TestProbeBallPruningExact(t *testing.T) {
 	const dim = 4
 	rng := rand.New(rand.NewSource(17))
@@ -334,11 +336,12 @@ func TestProbeBallPruningExact(t *testing.T) {
 	rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 	initial := 2 * len(entries) / 3
 	pruned := false
-	for _, paged := range []bool{false, true} {
-		t.Run(fmt.Sprintf("paged=%v", paged), func(t *testing.T) {
+	for _, kind := range storeKinds {
+		paged := kind.paged
+		t.Run("paged="+kind.name, func(t *testing.T) {
 			var base NodeStore
 			if paged {
-				base = newPagedStore(t, dim, 1024, 8)
+				base = newPagedStore(t, dim, 1024, 8, kind.leaves)
 			} else {
 				ms, err := NewMemStore(dim, 4)
 				if err != nil {
@@ -426,7 +429,7 @@ func TestProbeBallPruningExact(t *testing.T) {
 			t.Run(fmt.Sprintf("packed/cap=%d/paged=%v", capacity, paged), func(t *testing.T) {
 				var base NodeStore
 				if paged {
-					base = newPagedStore(t, packedDim, store.PageFooterSize+pagedHeader+(capacity+1)*(pagedRefBytes+16*packedDim), 8)
+					base = newPagedStore(t, packedDim, store.PageFooterSize+pagedHeader+(capacity+1)*(pagedRefBytes+16*packedDim), 8, BoxLeaves)
 				} else {
 					ms, err := NewMemStore(packedDim, capacity)
 					if err != nil {
@@ -434,8 +437,8 @@ func TestProbeBallPruningExact(t *testing.T) {
 					}
 					base = ms
 				}
-				if base.MaxEntries() != capacity {
-					t.Fatalf("store capacity %d, want %d", base.MaxEntries(), capacity)
+				if base.MaxEntries(true) != capacity || base.MaxEntries(false) != capacity {
+					t.Fatalf("store capacities %d (leaf), %d (inner), want %d", base.MaxEntries(true), base.MaxEntries(false), capacity)
 				}
 				tr, err := BulkLoad(NewVersioned(base), rects, data)
 				if err != nil {
@@ -452,6 +455,29 @@ func TestProbeBallPruningExact(t *testing.T) {
 			})
 		}
 	}
+	// The same points packed into a 4 KiB point-leaf store: 19 entries
+	// per inner page, 38 per leaf.
+	t.Run("packed/cap=19+38/paged=points", func(t *testing.T) {
+		base := newPagedStore(t, packedDim, store.DefaultPageSize, 8, PointLeaves)
+		if base.MaxEntries(false) != 19 || base.MaxEntries(true) != 38 {
+			t.Fatalf("store capacities %d (leaf), %d (inner), want 38 and 19", base.MaxEntries(true), base.MaxEntries(false))
+		}
+		tr, err := BulkLoad(NewVersioned(base), rects, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.PublishEpoch()
+		view, err := tr.SnapshotView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer view.Release()
+		pruned = checkBallPruning(t, "packed point-leaf live", tr, packed, probes) || pruned
+		pruned = checkBallPruning(t, "packed point-leaf view", view, packed, probes) || pruned
+		if st := base.pool.Stats(); st.Evictions == 0 {
+			t.Fatal("pool never evicted: the tree fits the pool")
+		}
+	})
 	if !pruned {
 		t.Fatal("the ball never saved a visit the box made: pruning went untested")
 	}

@@ -10,7 +10,8 @@ import (
 // variance-split packing (see varianceSplit): each level is cut
 // recursively along the axis where the data spreads most, so every node is
 // full but the last two of a level and leaves are shaped by the data
-// rather than by the axis order. The result is ceil(n/M) leaves in
+// rather than by the axis order. The result is ceil(n/M) leaves, M the
+// leaf capacity (inner levels pack at the inner capacity), in
 // O(n log² n) — much faster than n individual inserts and with
 // better-clustered leaves. The store must be freshly created; existing
 // metadata is overwritten.
@@ -52,7 +53,7 @@ func BulkLoad(s NodeStore, rects []Rect, data []int64) (*Tree, error) {
 			rootID = n.ID
 			break
 		}
-		groups := varianceSplit(nil, level, t.maxE)
+		groups := varianceSplit(nil, level, t.maxEntries(leaf))
 		next := make([]Entry, 0, len(groups))
 		for _, g := range groups {
 			n, err := s.New(leaf)

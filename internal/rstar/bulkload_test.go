@@ -156,7 +156,7 @@ func TestBulkLoadPaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, _ := store.NewBufferPool(pg, 16)
-	ps, err := NewPagedStore(pg, pool, 4)
+	ps, err := NewPagedStore(pg, pool, 4, BoxLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestBulkLoadPaged(t *testing.T) {
 	}
 	defer pg2.Close()
 	pool2, _ := store.NewBufferPool(pg2, 16)
-	ps2, err := NewPagedStore(pg2, pool2, 4)
+	ps2, err := NewPagedStore(pg2, pool2, 4, BoxLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestBulkLoadPacking(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			minE := newTree(ms).minE
+			minE := newTree(ms).minEntries(true)
 			for _, n := range []int{m, m + 1, 2*m + 1, 5*m + minE - 1, m*m + 1} {
 				rects, data := make([]Rect, n), make([]int64, n)
 				for i := range rects {

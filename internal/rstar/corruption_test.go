@@ -21,7 +21,7 @@ func TestPagedStoreDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, _ := store.NewBufferPool(pg, 16)
-	ps, err := NewPagedStore(pg, pool, 3)
+	ps, err := NewPagedStore(pg, pool, 3, BoxLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestPagedStoreDetectsCorruption(t *testing.T) {
 	}
 	defer pg2.Close()
 	pool2, _ := store.NewBufferPool(pg2, 16)
-	ps2, err := NewPagedStore(pg2, pool2, 3)
+	ps2, err := NewPagedStore(pg2, pool2, 3, BoxLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestPagedStoreSurvivesUncorruptedReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, _ := store.NewBufferPool(pg, 4) // tiny pool: forces evictions and re-reads
-	ps, err := NewPagedStore(pg, pool, 3)
+	ps, err := NewPagedStore(pg, pool, 3, BoxLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPagedStoreSurvivesUncorruptedReload(t *testing.T) {
 	}
 	defer pg2.Close()
 	pool2, _ := store.NewBufferPool(pg2, 4)
-	ps2, err := NewPagedStore(pg2, pool2, 3)
+	ps2, err := NewPagedStore(pg2, pool2, 3, BoxLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,19 @@ func TestPagedStoreSurvivesUncorruptedReload(t *testing.T) {
 // the descent trusts nothing on it: Probe stops with the checksum error
 // and none of that leaf's entries was emitted, whether the damage is caught
 // by the pager's page footer (a byte flipped on disk) or only by the node's
-// own CRC (a byte flipped under a valid footer).
+// own CRC (a byte flipped under a valid footer). Point leaves, whose CRC
+// covers their own entry size, are damaged the same way.
 func TestProbeDetectsCorruptNode(t *testing.T) {
-	for _, onDisk := range []bool{true, false} {
-		t.Run(fmt.Sprintf("onDisk=%v", onDisk), func(t *testing.T) {
-			tr, ps, path := pagedBulkTree(t, 1024, 3, 600, 4)
+	for _, c := range []struct {
+		leaves LeafKind
+		onDisk bool
+	}{{BoxLeaves, true}, {BoxLeaves, false}, {PointLeaves, true}, {PointLeaves, false}} {
+		onDisk, name := c.onDisk, fmt.Sprintf("onDisk=%v", c.onDisk)
+		if c.leaves == PointLeaves {
+			name = "points/" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			tr, ps, path := pagedBulkTree(t, 1024, 3, 600, 4, c.leaves)
 			// Pick the last leaf in depth-first order, so earlier leaves
 			// emit before the descent reaches the damage.
 			id := tr.root

@@ -53,16 +53,18 @@ type Meta struct {
 }
 
 // NodeStore abstracts node persistence. Implementations must support at
-// least MaxEntries() entries per node; the tree never stores more than
-// that. Get may return a shared or fresh copy; the tree always calls Put
-// after mutating a node, and never mutates a node object again after
-// Put without re-fetching it — VersionedStore's zero-copy pre-image
-// capture relies on stored node objects staying stable.
+// least MaxEntries(leaf) entries per node of each kind; the tree never
+// stores more than that. Get may return a shared or fresh copy; the tree
+// always calls Put after mutating a node, and never mutates a node object
+// again after Put without re-fetching it — VersionedStore's zero-copy
+// pre-image capture relies on stored node objects staying stable.
 type NodeStore interface {
 	// Dim is the dimensionality of all rectangles in the store.
 	Dim() int
-	// MaxEntries is M, the node capacity.
-	MaxEntries() int
+	// MaxEntries is M, the capacity of a leaf (leaf true) or an inner
+	// node. A store whose leaf entries are smaller than its inner ones
+	// (PagedStore's point leaves) packs more of them per node.
+	MaxEntries(leaf bool) int
 	// New allocates an empty node.
 	New(leaf bool) (*Node, error)
 	// Get fetches a node by id.
@@ -101,8 +103,8 @@ func NewMemStore(dim, maxEntries int) (*MemStore, error) {
 // Dim implements NodeStore.
 func (s *MemStore) Dim() int { return s.dim }
 
-// MaxEntries implements NodeStore.
-func (s *MemStore) MaxEntries() int { return s.max }
+// MaxEntries implements NodeStore: one capacity for both node kinds.
+func (s *MemStore) MaxEntries(bool) int { return s.max }
 
 // New implements NodeStore.
 func (s *MemStore) New(leaf bool) (*Node, error) {

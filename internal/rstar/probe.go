@@ -86,8 +86,9 @@ func (p *Probe) farBox(lo, hi []float64, bound float64) bool {
 	return false
 }
 
-// farPointRaw is farPoint for an entry still in page form: box holds the
-// entry's dim float64 mins followed by its dim maxs (see paged.go).
+// farPointRaw is farPoint for an entry still in page form: box starts with
+// the entry's dim float64 mins (a point leaf's entry is its point alone,
+// a box entry's mins are followed by its maxs; see paged.go).
 func (p *Probe) farPointRaw(box []byte, bound float64) bool {
 	sum := 0.0
 	for j, c := range p.Center {
@@ -116,10 +117,12 @@ func (p *Probe) farBoxRaw(box []byte, dim int, bound float64) bool {
 	return false
 }
 
-// intersectsRaw is Rect.Intersects for an entry rectangle in page form.
-func intersectsRaw(box []byte, dim int, q Rect) bool {
-	for j := 0; j < dim; j++ {
-		if rawFloat(box, j) > q.Max[j] || q.Min[j] > rawFloat(box, dim+j) {
+// intersectsRaw is Rect.Intersects for an entry rectangle in page form
+// whose maxs start at float hi: hi = dim for a box, 0 for a point, whose
+// maxs are its mins.
+func intersectsRaw(box []byte, hi int, q Rect) bool {
+	for j := range q.Min {
+		if rawFloat(box, j) > q.Max[j] || q.Min[j] > rawFloat(box, hi+j) {
 			return false
 		}
 	}
@@ -260,11 +263,11 @@ func descend(s NodeStore, epoch uint64, m *treeMetrics, root NodeID, dim, height
 	if m != nil {
 		start = obs.Clock()
 	}
-	// Only inner nodes push, each at most MaxEntries+1 children (the
-	// transient overflow slot included) with at most len(probes) active
-	// probes apiece, and one run per level is live at a time: sized to that
-	// bound, the stacks never grow during the descent.
-	pendingMax := (s.MaxEntries() + 1) * max(height-1, 0)
+	// Only inner nodes push, each at most MaxEntries(false)+1 children
+	// (the transient overflow slot included) with at most len(probes)
+	// active probes apiece, and one run per level is live at a time: sized
+	// to that bound, the stacks never grow during the descent.
+	pendingMax := (s.MaxEntries(false) + 1) * max(height-1, 0)
 	d := descent{
 		store: s, epoch: epoch, probes: probes, emit: emit, each: each,
 		bounds: make([]float64, len(probes)),

@@ -124,17 +124,31 @@ func checkProbeSet(t *testing.T, what string, src prober, entries []refEntry, pr
 	return visits
 }
 
+// storeKinds are the stores the exactness tests run on, each named by its
+// paged= subtest suffix: in memory, paged with box leaves, and paged with
+// point leaves (which hold point entries only).
+var storeKinds = []struct {
+	name   string
+	paged  bool
+	leaves LeafKind
+}{{"false", false, BoxLeaves}, {"true", true, BoxLeaves}, {"points", true, PointLeaves}}
+
 // TestProbeMatchesBruteForce is the traversal-equivalence property: point
 // and box trees, grown by inserts or bulk loaded, in memory or paged behind
-// a pool far smaller than the tree, probed live, through a current view,
-// and through a view pinned before further inserts and deletes were
-// published — which makes the descent scan overlay pre-images.
+// a pool far smaller than the tree (with box leaves, and for point trees
+// with point leaves too), probed live, through a current view, and through
+// a view pinned before further inserts and deletes were published — which
+// makes the descent scan overlay pre-images.
 func TestProbeMatchesBruteForce(t *testing.T) {
 	const dim, initial, added, removed = 3, 400, 150, 100
 	for _, points := range []bool{true, false} {
 		for _, bulk := range []bool{false, true} {
-			for _, paged := range []bool{false, true} {
-				name := fmt.Sprintf("points=%v/bulk=%v/paged=%v", points, bulk, paged)
+			for _, kind := range storeKinds {
+				if kind.leaves == PointLeaves && !points {
+					continue // a point-leaf store holds points only
+				}
+				paged := kind.paged
+				name := fmt.Sprintf("points=%v/bulk=%v/paged=%s", points, bulk, kind.name)
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(91))
 					draw := func(data int64) refEntry {
@@ -146,7 +160,7 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 					}
 					var base NodeStore
 					if paged {
-						base = newPagedStore(t, dim, 1024, 8)
+						base = newPagedStore(t, dim, 1024, 8, kind.leaves)
 					} else {
 						ms, err := NewMemStore(dim, 8)
 						if err != nil {
@@ -243,9 +257,10 @@ func TestProbeValidatesDimensions(t *testing.T) {
 	}
 }
 
-// newPagedStore is a PagedStore for dim-dimensional entries on a fresh
-// page file of pageSize pages, behind a pool of frames frames.
-func newPagedStore(tb testing.TB, dim, pageSize, frames int) *PagedStore {
+// newPagedStore is a PagedStore with the given leaf kind for
+// dim-dimensional entries on a fresh page file of pageSize pages, behind a
+// pool of frames frames.
+func newPagedStore(tb testing.TB, dim, pageSize, frames int, leaves LeafKind) *PagedStore {
 	tb.Helper()
 	pg, err := store.Create(filepath.Join(tb.TempDir(), "tree.db"), pageSize)
 	if err != nil {
@@ -256,7 +271,7 @@ func newPagedStore(tb testing.TB, dim, pageSize, frames int) *PagedStore {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ps, err := NewPagedStore(pg, pool, dim)
+	ps, err := NewPagedStore(pg, pool, dim, leaves)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -283,19 +298,19 @@ func clusteredPoints(rng *rand.Rand, dim, k, n int, sigma float64) (centers, pts
 }
 
 // pagedBulkTree bulk-loads n random points into a paged tree of pageSize
-// pages whose pool holds poolPages frames, flushes it, and returns the
-// tree, its store and the page file's path.
-func pagedBulkTree(tb testing.TB, pageSize, dim, n, poolPages int) (*Tree, *PagedStore, string) {
+// pages with the given leaf kind whose pool holds poolPages frames,
+// flushes it, and returns the tree, its store and the page file's path.
+func pagedBulkTree(tb testing.TB, pageSize, dim, n, poolPages int, leaves LeafKind) (*Tree, *PagedStore, string) {
 	rng := rand.New(rand.NewSource(5))
 	pts := make([][]float64, n)
 	for i := range pts {
 		pts[i] = randomRect(rng, dim).Min
 	}
-	return pagedPointTree(tb, pageSize, dim, poolPages, pts)
+	return pagedPointTree(tb, pageSize, dim, poolPages, pts, leaves)
 }
 
 // pagedPointTree is pagedBulkTree over the given points.
-func pagedPointTree(tb testing.TB, pageSize, dim, poolPages int, pts [][]float64) (*Tree, *PagedStore, string) {
+func pagedPointTree(tb testing.TB, pageSize, dim, poolPages int, pts [][]float64, leaves LeafKind) (*Tree, *PagedStore, string) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "tree.db")
 	pg, err := store.Create(path, pageSize)
@@ -307,7 +322,7 @@ func pagedPointTree(tb testing.TB, pageSize, dim, poolPages int, pts [][]float64
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ps, err := NewPagedStore(pg, pool, dim)
+	ps, err := NewPagedStore(pg, pool, dim, leaves)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -349,13 +364,25 @@ func boxOnly(probes []Probe) []Probe {
 
 // TestProbePagedAllocations pins the point of scanning pages in place: a
 // paged search's allocations are the descent's stacks and a closure or
-// two, however many nodes it visits, for box-only and ball probes alike.
-// The pool holds the whole tree so the count is the traversal's alone (a
-// miss allocates its Frame header).
+// two, however many nodes it visits, for box-only and ball probes alike,
+// over box leaves and over point leaves (which get more points, to make
+// as many nodes). The pool holds the whole tree so the count is the
+// traversal's alone (a miss allocates its Frame header).
 func TestProbePagedAllocations(t *testing.T) {
-	tr, ps, _ := pagedBulkTree(t, 1024, 3, 4000, 512)
+	for _, leaves := range []LeafKind{BoxLeaves, PointLeaves} {
+		n := 4000
+		if leaves == PointLeaves {
+			n = 7000
+		}
+		tr, ps, _ := pagedBulkTree(t, 1024, 3, n, 512, leaves)
+		checkPagedAllocations(t, tr, ps)
+	}
+}
+
+func checkPagedAllocations(t *testing.T, tr *Tree, ps *PagedStore) {
+	t.Helper()
 	if nodes := ps.pg.NumPages() - 1; nodes < 200 {
-		t.Fatalf("tree has %d nodes, want >= 200", nodes)
+		t.Fatalf("points=%v: tree has %d nodes, want >= 200", ps.points, nodes)
 	}
 	emitted := 0
 	emit := func(int, int64) { emitted++ }
@@ -379,11 +406,11 @@ func TestProbePagedAllocations(t *testing.T) {
 		narrowAllocs, narrowVisits := perRun(probes(0.01))
 		wideAllocs, wideVisits := perRun(probes(0.4))
 		if wideVisits < 100 || wideVisits < 10*narrowVisits {
-			t.Fatalf("ball=%v: wide probes visited %d nodes, narrow %d: not a useful contrast", ball, wideVisits, narrowVisits)
+			t.Fatalf("points=%v ball=%v: wide probes visited %d nodes, narrow %d: not a useful contrast", ps.points, ball, wideVisits, narrowVisits)
 		}
 		if wideAllocs != narrowAllocs || wideAllocs > 4 {
-			t.Fatalf("ball=%v: allocations grew with the nodes visited or are not small: %v for %d visits, %v for %d",
-				ball, wideAllocs, wideVisits, narrowAllocs, narrowVisits)
+			t.Fatalf("points=%v ball=%v: allocations grew with the nodes visited or are not small: %v for %d visits, %v for %d",
+				ps.points, ball, wideAllocs, wideVisits, narrowAllocs, narrowVisits)
 		}
 	}
 	if emitted == 0 {

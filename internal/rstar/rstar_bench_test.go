@@ -83,11 +83,12 @@ func BenchmarkSearch(b *testing.B) {
 // are clustered, as region signatures are. "box" probes have no
 // center, so the ε-cube alone prunes; "ball" probes prune by the ε-ball as
 // well. visits/op and pager_reads/op (pool misses) show what the ball
-// saves; allocs/op is the descent's few plus one Frame per miss.
+// saves; allocs/op is the descent's few plus one Frame per miss. The
+// "points/" sub-benchmarks run the same queries over a point-leaf store,
+// whose leaves hold twice the entries, with a pool of the same size.
 func BenchmarkProbePaged(b *testing.B) {
 	const dim, clusters, eps = 12, 50, 0.3
 	centers, pts := clusteredPoints(rand.New(rand.NewSource(4)), dim, clusters, 5000, 0.05)
-	tr, ps, _ := pagedPointTree(b, store.DefaultPageSize, dim, 64, pts)
 	// Query q probes around clusters q, q+1 and q+2, so successive queries
 	// read different pages, as successive queries of a workload do.
 	ball, box := make([][]Probe, clusters), make([][]Probe, clusters)
@@ -99,18 +100,29 @@ func BenchmarkProbePaged(b *testing.B) {
 		}
 		box[q] = boxOnly(ball[q])
 	}
+	for _, leaves := range []LeafKind{BoxLeaves, PointLeaves} {
+		prefix := ""
+		if leaves == PointLeaves {
+			prefix = "points/"
+		}
+		tr, ps, _ := pagedPointTree(b, store.DefaultPageSize, dim, 64, pts, leaves)
+		benchProbePaged(b, prefix, tr, ps, box, ball)
+	}
+}
+
+func benchProbePaged(b *testing.B, prefix string, tr *Tree, ps *PagedStore, box, ball [][]Probe) {
 	for _, bc := range []struct {
 		name    string
 		queries [][]Probe
 	}{{"box", box}, {"ball", ball}} {
-		b.Run(bc.name, func(b *testing.B) {
+		b.Run(prefix+bc.name, func(b *testing.B) {
 			hits, visits := 0, 0
 			emit := func(int, int64) { hits++ }
 			misses := ps.pool.Stats().Misses
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				v, err := tr.Probe(bc.queries[i%clusters], emit)
+				v, err := tr.Probe(bc.queries[i%len(bc.queries)], emit)
 				if err != nil {
 					b.Fatal(err)
 				}

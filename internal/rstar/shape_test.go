@@ -151,8 +151,10 @@ func treeDigest(t *testing.T, tr *Tree) string {
 // TestInsertShapeGolden pins the shape of insert-built trees: the R*
 // heuristics (ChooseSubtree, the margin-driven split, forced reinsertion,
 // condense on delete) must make the same decisions bit for bit whatever
-// scratch storage they compute in. The digests were recorded before the
-// heuristics stopped allocating their trial rectangles.
+// scratch storage they compute in. The first four digests were recorded
+// before the heuristics stopped allocating their trial rectangles; the
+// point-leaf one, whose leaves and inner nodes differ in capacity, when
+// point leaves were added.
 func TestInsertShapeGolden(t *testing.T) {
 	const dim = 12
 	cases := []struct {
@@ -183,11 +185,15 @@ func TestInsertShapeGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ps, err := NewPagedStore(pg, pool, dim)
+				ps, err := NewPagedStore(pg, pool, dim, BoxLeaves)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return ps
+			}},
+		{name: "pagedpoints8frames", n: 3000, del: 4, want: "edf1860f54af19b6ffe98f3abbc66c58db27d8484c116868a59875ec987508fe",
+			store: func(t *testing.T) NodeStore {
+				return newPagedStore(t, dim, store.DefaultPageSize, 8, PointLeaves)
 			}},
 		{name: "versioned16", n: 2000, pub: 5, want: "40721710da744bf86b3d6f671cba5c11333948f5dba93a2e4188907ac2950e19",
 			store: func(t *testing.T) NodeStore {

@@ -13,11 +13,17 @@ import (
 // concurrently with mutation, back the tree with a VersionedStore and
 // search through epoch-pinned SnapshotView views instead.
 type Tree struct {
-	store  NodeStore
-	dim    int
-	maxE   int // M
-	minE   int // m = 40% of M
-	reinsP int // entries removed by forced reinsertion (30% of M)
+	store NodeStore
+	dim   int
+	// M and m = 40% of M, per node kind: a store may fit more entries in
+	// a leaf than in an inner node (see NodeStore.MaxEntries).
+	leafMax, leafMin   int
+	innerMax, innerMin int
+	// reinsP is the number of entries forced reinsertion removes: 30% of
+	// the inner M, at either level. 30% of a larger leaf M reinserts more
+	// entries per overflow, each a descent that dirties pages, and made
+	// disk writes measurably slower (DESIGN "Point leaves").
+	reinsP int
 
 	root   NodeID
 	height int // 1 = root is a leaf
@@ -70,21 +76,35 @@ func Load(s NodeStore) (*Tree, error) {
 }
 
 func newTree(s NodeStore) *Tree {
-	maxE := s.MaxEntries()
-	minE := maxE * 2 / 5 // 40%
-	if minE < 2 {
-		minE = 2
+	minFill := func(maxE int) int {
+		return max(maxE*2/5, 2) // 40%
 	}
-	reinsP := maxE * 3 / 10 // 30%
-	if reinsP < 1 {
-		reinsP = 1
-	}
+	leafMax, innerMax := s.MaxEntries(true), s.MaxEntries(false)
 	dim := s.Dim()
 	return &Tree{
-		store: s, dim: dim, maxE: maxE, minE: minE, reinsP: reinsP,
-		ua: Rect{Min: make([]float64, dim), Max: make([]float64, dim)},
-		ub: Rect{Min: make([]float64, dim), Max: make([]float64, dim)},
+		store: s, dim: dim,
+		leafMax: leafMax, leafMin: minFill(leafMax),
+		innerMax: innerMax, innerMin: minFill(innerMax),
+		reinsP: max(innerMax*3/10, 1), // 30%
+		ua:     Rect{Min: make([]float64, dim), Max: make([]float64, dim)},
+		ub:     Rect{Min: make([]float64, dim), Max: make([]float64, dim)},
 	}
+}
+
+// maxEntries is M for a node of the given kind.
+func (t *Tree) maxEntries(leaf bool) int {
+	if leaf {
+		return t.leafMax
+	}
+	return t.innerMax
+}
+
+// minEntries is m, the minimum fill of a non-root node of the given kind.
+func (t *Tree) minEntries(leaf bool) int {
+	if leaf {
+		return t.leafMin
+	}
+	return t.innerMin
 }
 
 // Len returns the number of data entries.
@@ -179,7 +199,7 @@ func (t *Tree) insertEntry(e Entry, targetLevel int, reinserted *levelSet) error
 		if err != nil {
 			return err
 		}
-		if len(n.Entries) <= t.maxE {
+		if len(n.Entries) <= t.maxEntries(n.Leaf) {
 			return nil
 		}
 		rootLevel := t.height - 1
@@ -325,7 +345,7 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 		om.splits.Inc()
 	}
 	entries := n.Entries
-	m := t.minE
+	m := t.minEntries(n.Leaf)
 	total := len(entries)
 	r1, r2 := t.ua, t.ub
 
@@ -436,7 +456,7 @@ func (t *Tree) Delete(r Rect, data int64) (bool, error) {
 			if err != nil {
 				return err
 			}
-			if len(n.Entries) < t.minE {
+			if len(n.Entries) < t.minEntries(n.Leaf) {
 				// Dissolve n: remove from parent, orphan its entries.
 				for _, e := range n.Entries {
 					orphans = append(orphans, orphan{e, level})
@@ -619,7 +639,7 @@ func (t *Tree) NN(p []float64, k int) ([]NNEntry, error) {
 // CheckInvariants verifies structural invariants; tests call it after
 // mutation sequences. It checks (1) entry rectangles of internal nodes
 // contain their subtrees, (2) all leaves are at the same depth, (3)
-// non-root nodes respect the minimum fill after deletions, and (4) the
+// non-root nodes respect their kind's minimum fill after deletions, and (4) the
 // data entry count matches Len().
 func (t *Tree) CheckInvariants() error {
 	count := 0
@@ -629,11 +649,11 @@ func (t *Tree) CheckInvariants() error {
 		if err != nil {
 			return Rect{}, err
 		}
-		if len(n.Entries) > t.maxE {
-			return Rect{}, fmt.Errorf("rstar: node %d has %d entries, max %d", id, len(n.Entries), t.maxE)
+		if maxE := t.maxEntries(n.Leaf); len(n.Entries) > maxE {
+			return Rect{}, fmt.Errorf("rstar: node %d has %d entries, max %d", id, len(n.Entries), maxE)
 		}
-		if id != t.root && len(n.Entries) < t.minE {
-			return Rect{}, fmt.Errorf("rstar: node %d has %d entries, min %d", id, len(n.Entries), t.minE)
+		if minE := t.minEntries(n.Leaf); id != t.root && len(n.Entries) < minE {
+			return Rect{}, fmt.Errorf("rstar: node %d has %d entries, min %d", id, len(n.Entries), minE)
 		}
 		if n.Leaf {
 			if level != 0 {

@@ -355,7 +355,7 @@ func TestPagedStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewPagedStore(pg, pool, 4)
+	ps, err := NewPagedStore(pg, pool, 4, BoxLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestPagedStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps2, err := NewPagedStore(pg2, pool2, 4)
+	ps2, err := NewPagedStore(pg2, pool2, 4, BoxLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,14 +427,14 @@ func TestPagedStoreDimensionGuard(t *testing.T) {
 	}
 	defer pg.Close()
 	pool, _ := store.NewBufferPool(pg, 4)
-	if _, err := NewPagedStore(pg, pool, 3); err != nil {
+	if _, err := NewPagedStore(pg, pool, 3, BoxLeaves); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPagedStore(pg, pool, 5); err == nil {
+	if _, err := NewPagedStore(pg, pool, 5, BoxLeaves); err == nil {
 		t.Error("PagedStore accepted changed dimension")
 	}
 	// A page must hold at least 4 entries: dim 60 entries are 968 bytes.
-	if _, err := NewPagedStore(pg, pool, 60); err == nil {
+	if _, err := NewPagedStore(pg, pool, 60, BoxLeaves); err == nil {
 		t.Error("PagedStore accepted oversize dimension")
 	}
 }

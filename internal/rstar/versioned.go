@@ -82,7 +82,7 @@ func (v *VersionedStore) Base() NodeStore { return v.base }
 func (v *VersionedStore) Dim() int { return v.base.Dim() }
 
 // MaxEntries implements NodeStore.
-func (v *VersionedStore) MaxEntries() int { return v.base.MaxEntries() }
+func (v *VersionedStore) MaxEntries(leaf bool) int { return v.base.MaxEntries(leaf) }
 
 // New implements NodeStore (writer side).
 func (v *VersionedStore) New(leaf bool) (*Node, error) {

@@ -37,7 +37,7 @@ func newVersionedPagedTree(t *testing.T, dim int) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewPagedStore(pg, pool, dim)
+	ps, err := NewPagedStore(pg, pool, dim, BoxLeaves)
 	if err != nil {
 		t.Fatal(err)
 	}

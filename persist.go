@@ -207,7 +207,7 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 		return nil, errors.Join(err, closeAll())
 	}
 	p.pool.SetFlushHook(p.flushHook)
-	p.ps, err = rstar.NewPagedStore(pg, p.pool, opts.Region.Dim())
+	p.ps, err = rstar.NewPagedStore(pg, p.pool, opts.Region.Dim(), leafKind(opts))
 	if err != nil {
 		return nil, errors.Join(err, closeAll())
 	}
@@ -225,6 +225,18 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 		return nil, errors.Join(err, closeAll())
 	}
 	return sh, nil
+}
+
+// leafKind is the leaf layout of a disk shard's index: a centroid
+// database indexes points, so its leaves store each signature once; a
+// UseBBox database indexes boxes. An existing index keeps the layout it
+// was written with (see rstar.NewPagedStore): centroid indexes written
+// before point leaves existed open with box leaves.
+func leafKind(opts Options) rstar.LeafKind {
+	if opts.UseBBox {
+		return rstar.BoxLeaves
+	}
+	return rstar.PointLeaves
 }
 
 // Open reopens a disk-backed database created by Create or CreateFrom,
@@ -343,7 +355,7 @@ func openShard(dir string, fs FileOpener) (*shard, error) {
 		return nil, errors.Join(err, closeAll())
 	}
 	p.pool.SetFlushHook(p.flushHook)
-	p.ps, err = rstar.NewPagedStore(pg, p.pool, cat.Opts.Region.Dim())
+	p.ps, err = rstar.NewPagedStore(pg, p.pool, cat.Opts.Region.Dim(), leafKind(cat.Opts))
 	if err != nil {
 		return nil, errors.Join(err, closeAll())
 	}
