@@ -60,7 +60,9 @@
 #   1g. cache tier: runs the result-cache protocol suite (hit/miss/
 #      bypass, write invalidation, churn) under the race detector
 #   1h. probe exactness tier: the R*-tree probe, bulk-load and insert
-#      tests under the race detector — ε-ball pruning against brute force
+#      tests under the race detector — the insert heuristics
+#      (ChooseSubtree, the split) against their O(M²) reference on
+#      tie-heavy nodes, ε-ball pruning against brute force
 #      on ulp-adjacent shells, every store kind, insert-grown and packed
 #      12-d trees, box-only visits unchanged, allocation bounds, the
 #      packer's shape (ceil(n/M) leaves, at most two non-full nodes per
@@ -163,7 +165,7 @@ tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
-tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestPagedStore|TestLeafLayout' . ./internal/rstar
+tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestLeafLayout' . ./internal/rstar
 
 tier "tier 1: extraction exactness (golden regions, allocations)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations' ./internal/region
 tier "tier 1: query tail exactness (top-k, quick scorer, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestTopK|TestAggregateStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match

@@ -11,10 +11,7 @@
 // index genuinely disk-based as in the paper.
 package rstar
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Rect is a d-dimensional axis-aligned rectangle. A point is a rectangle
 // with Min == Max.
@@ -139,17 +136,20 @@ func (r Rect) setUnion(a, b Rect) {
 	r.extend(b)
 }
 
-// Enlargement returns the area increase needed for r to cover o.
-func (r Rect) Enlargement(o Rect) float64 {
-	return r.Union(o).Area() - r.Area()
-}
-
-// OverlapArea returns the volume of the intersection of r and o.
+// OverlapArea returns the volume of the intersection of r and o. Plain
+// comparisons stand in for math.Max and math.Min: on finite bounds they
+// differ only in which zero an intersection edge at ±0 keeps, and no
+// width changes with that sign.
 func (r Rect) OverlapArea(o Rect) float64 {
 	a := 1.0
 	for i := range r.Min {
-		lo := math.Max(r.Min[i], o.Min[i])
-		hi := math.Min(r.Max[i], o.Max[i])
+		lo, hi := r.Min[i], r.Max[i]
+		if o.Min[i] > lo {
+			lo = o.Min[i]
+		}
+		if o.Max[i] < hi {
+			hi = o.Max[i]
+		}
 		if hi <= lo {
 			return 0
 		}
@@ -167,15 +167,6 @@ func (r Rect) Expand(eps float64) Rect {
 		out.Max[i] += eps
 	}
 	return out
-}
-
-// Center returns the rectangle's center point.
-func (r Rect) Center() []float64 {
-	c := make([]float64, len(r.Min))
-	for i := range c {
-		c[i] = (r.Min[i] + r.Max[i]) / 2
-	}
-	return c
 }
 
 // centerDist2 returns the squared euclidean distance between centers.

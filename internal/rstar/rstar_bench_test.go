@@ -17,7 +17,33 @@ func benchRects(n, dim int) []Rect {
 	return out
 }
 
+// BenchmarkInsert's dim=N sub-benchmarks build a 2000-entry tree of
+// uniform boxes per op. "clustered/dim=12" times a single Insert per op
+// into a tree of clustered 12-d points at M = 16 grown from empty to 10k
+// entries and then started afresh: the tree an in-memory DB.Add grows.
 func BenchmarkInsert(b *testing.B) {
+	b.Run("clustered/dim=12", func(b *testing.B) {
+		const dim, grown = 12, 10000
+		_, pts := clusteredPoints(rand.New(rand.NewSource(7)), dim, 50, grown, 0.05)
+		rects := make([]Rect, grown)
+		for i, p := range pts {
+			rects[i] = Point(p)
+		}
+		var tr *Tree
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % grown
+			if j == 0 {
+				b.StopTimer()
+				s, _ := NewMemStore(dim, 16)
+				tr, _ = New(s)
+				b.StartTimer()
+			}
+			if err := tr.Insert(rects[j], int64(j)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, dim := range []int{2, 12} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
 			rects := benchRects(2000, dim)

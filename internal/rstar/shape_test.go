@@ -37,12 +37,42 @@ func shapeRect(rng *rand.Rand, dim int, boxes bool, prev []Rect) Rect {
 	return r
 }
 
+// tiesRect draws a tie-heavy fixture rectangle: every bound on a quarter
+// grid in [-1, 1], a zero bound signed - or + at random, most axes of zero
+// width (so most boxes have zero area and many candidates enlarge alike),
+// and every 5th a repeat of an earlier rectangle.
+func tiesRect(rng *rand.Rand, dim int, _ bool, prev []Rect) Rect {
+	if len(prev) > 0 && rng.Intn(5) == 0 {
+		return prev[rng.Intn(len(prev))]
+	}
+	signedZero := func(v float64) float64 {
+		if v == 0 && rng.Intn(2) == 0 {
+			return math.Copysign(0, -1)
+		}
+		return v
+	}
+	lo := make([]float64, dim)
+	hi := make([]float64, dim)
+	for d := range lo {
+		lo[d] = signedZero(float64(rng.Intn(9)-4) / 4)
+		hi[d] = lo[d]
+		if rng.Intn(3) == 0 {
+			hi[d] = signedZero(lo[d] + float64(1+rng.Intn(2))/4)
+		}
+	}
+	r, err := NewRect(lo, hi)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // shapeFixture grows a tree by n inserts from a fixed seed. deleteEvery > 0
 // deletes a random earlier live entry after every deleteEvery-th insert (the
 // condense/reinsert path); publishEvery > 0 publishes the versioned store
 // that often and keeps one view pinned across publishes, failing if the
 // view's answer ever changes (a node pointing at scratch state would).
-func shapeFixture(t *testing.T, s NodeStore, n, dim int, boxes bool, deleteEvery, publishEvery int) *Tree {
+func shapeFixture(t *testing.T, s NodeStore, gen func(*rand.Rand, int, bool, []Rect) Rect, n, dim int, boxes bool, deleteEvery, publishEvery int) *Tree {
 	t.Helper()
 	tr, err := New(s)
 	if err != nil {
@@ -60,7 +90,7 @@ func shapeFixture(t *testing.T, s NodeStore, n, dim int, boxes bool, deleteEvery
 		}
 	}()
 	for i := 0; i < n; i++ {
-		r := shapeRect(rng, dim, boxes, rects)
+		r := gen(rng, dim, boxes, rects)
 		rects = append(rects, r)
 		live = append(live, i)
 		if err := tr.Insert(r, int64(i)); err != nil {
@@ -160,6 +190,7 @@ func TestInsertShapeGolden(t *testing.T) {
 	cases := []struct {
 		name  string
 		store func(t *testing.T) NodeStore
+		gen   func(*rand.Rand, int, bool, []Rect) Rect // nil = shapeRect
 		n     int
 		boxes bool
 		del   int // delete after every del-th insert (0 = never)
@@ -211,10 +242,22 @@ func TestInsertShapeGolden(t *testing.T) {
 				}
 				return NewVersioned(ms)
 			}},
+		{name: "ties16", n: 3000, gen: tiesRect, del: 5, want: "d0583a8fcf3daebfbc12f9c6134ef775d62e0ce8da0d0b8c9f0949fb3e1a9ba6",
+			store: func(t *testing.T) NodeStore {
+				ms, err := NewMemStore(dim, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ms
+			}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tr := shapeFixture(t, c.store(t), c.n, dim, c.boxes, c.del, c.pub)
+			gen := c.gen
+			if gen == nil {
+				gen = shapeRect
+			}
+			tr := shapeFixture(t, c.store(t), gen, c.n, dim, c.boxes, c.del, c.pub)
 			if got := treeDigest(t, tr); got != c.want {
 				t.Fatalf("tree digest %s, want %s", got, c.want)
 			}

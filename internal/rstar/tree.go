@@ -1,8 +1,10 @@
 package rstar
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -31,9 +33,12 @@ type Tree struct {
 
 	// Scratch for the insert heuristics' trial geometry, reused across
 	// calls so ChooseSubtree and the split allocate nothing per candidate:
-	// ua/ub hold a trial union or group MBR, byMin/byMax one axis's two
-	// sort orders. No node entry ever aliases them.
-	ua, ub       Rect
+	// ua holds a trial union or prefix MBR, suffix the split's suffix
+	// MBRs, cands ChooseSubtree's candidate keys, byMin/byMax one axis's
+	// two sort orders. No node entry ever aliases them.
+	ua           Rect
+	suffix       []float64
+	cands        []candidate
 	byMin, byMax []Entry
 	axisOrder    axisSorter
 
@@ -87,7 +92,6 @@ func newTree(s NodeStore) *Tree {
 		innerMax: innerMax, innerMin: minFill(innerMax),
 		reinsP: max(innerMax*3/10, 1), // 30%
 		ua:     Rect{Min: make([]float64, dim), Max: make([]float64, dim)},
-		ub:     Rect{Min: make([]float64, dim), Max: make([]float64, dim)},
 	}
 }
 
@@ -255,40 +259,40 @@ func (t *Tree) insertEntry(e Entry, targetLevel int, reinserted *levelSet) error
 // chooseSubtree picks the child of n (at the given level) to descend into
 // for rectangle r: for nodes whose children are leaves, minimal overlap
 // enlargement; otherwise minimal area enlargement, with area as the tie
-// breaker (the R* heuristic).
+// breaker (the R* heuristic). Ties on every key go to the lowest index.
 //
 // Each candidate's union e ∪ r is computed into the scratch rectangle
-// t.ua, which both the overlap test and the enlargement read; the values
-// are those Rect.Union and Rect.Enlargement would produce.
+// t.ua, bit for bit the rectangle Rect.Union would return.
+//
+// Above the leaves, the candidates are visited in (enlargement, area,
+// index) order and the first whose overlap enlargement is exactly 0 wins:
+// overlap enlargement is never negative (DESIGN "Insert"), so no later
+// candidate can beat it. The choice is the one an evaluation of every
+// candidate in index order makes.
 func (t *Tree) chooseSubtree(n *Node, r Rect, level int) int {
-	best := 0
 	union := t.ua
 	if level == 1 {
-		// Children are leaves: minimize overlap enlargement.
-		bestOverlap := math.Inf(1)
-		bestEnl := math.Inf(1)
-		bestArea := math.Inf(1)
+		t.cands = t.cands[:0]
 		for i, e := range n.Entries {
 			union.setUnion(e.Rect, r)
-			var before, after float64
-			for j, o := range n.Entries {
-				if j == i {
-					continue
-				}
-				before += e.Rect.OverlapArea(o.Rect)
-				after += union.OverlapArea(o.Rect)
-			}
-			dOverlap := after - before
 			area := e.Rect.Area()
-			enl := union.Area() - area
-			if dOverlap < bestOverlap ||
-				(dOverlap == bestOverlap && enl < bestEnl) ||
-				(dOverlap == bestOverlap && enl == bestEnl && area < bestArea) {
-				bestOverlap, bestEnl, bestArea, best = dOverlap, enl, area, i
+			t.cands = append(t.cands, candidate{enl: union.Area() - area, area: area, i: i})
+		}
+		slices.SortFunc(t.cands, compareCandidates)
+		best, bestOverlap := t.cands[0].i, math.Inf(1)
+		for _, c := range t.cands {
+			union.setUnion(n.Entries[c.i].Rect, r)
+			dOverlap := overlapEnlargement(n.Entries, c.i, union)
+			if dOverlap == 0 {
+				return c.i
+			}
+			if dOverlap < bestOverlap {
+				best, bestOverlap = c.i, dOverlap
 			}
 		}
 		return best
 	}
+	best := 0
 	bestEnl := math.Inf(1)
 	bestArea := math.Inf(1)
 	for i, e := range n.Entries {
@@ -300,6 +304,44 @@ func (t *Tree) chooseSubtree(n *Node, r Rect, level int) int {
 		}
 	}
 	return best
+}
+
+// candidate is one child's ChooseSubtree keys short of its overlap
+// enlargement.
+type candidate struct {
+	enl, area float64
+	i         int
+}
+
+// compareCandidates orders candidates by (enlargement, area, index).
+func compareCandidates(a, b candidate) int {
+	if c := cmp.Compare(a.enl, b.enl); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.area, b.area); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.i, b.i)
+}
+
+// overlapEnlargement is how much the summed overlap of entries[i] with
+// its siblings grows when entries[i] becomes union. A sibling with no
+// overlap with union has none with entries[i] ⊆ union either: both its
+// terms are +0, so skipping them changes neither sum.
+func overlapEnlargement(entries []Entry, i int, union Rect) float64 {
+	var before, after float64
+	for j, o := range entries {
+		if j == i {
+			continue
+		}
+		a := union.OverlapArea(o.Rect)
+		if a == 0 {
+			continue
+		}
+		after += a
+		before += entries[i].Rect.OverlapArea(o.Rect)
+	}
+	return after - before
 }
 
 // forceReinsertPick removes the reinsP entries of n whose centers are
@@ -337,17 +379,16 @@ func (t *Tree) forceReinsertPick(n *Node) ([]Entry, error) {
 // distribution on that axis with minimal overlap (ties: minimal total
 // area). n keeps the first group; the returned new node holds the second.
 //
-// The trial group MBRs go into the scratch rectangles t.ua/t.ub and the
-// per-axis sort orders into t.byMin/t.byMax; the winning axis is sorted
-// again from the same input order, which reproduces its orders exactly.
+// The per-axis sort orders go into t.byMin/t.byMax, and eachDistribution
+// folds the group MBRs from prefixes and suffixes; the winning axis is
+// sorted again from the same input order, which reproduces its orders
+// exactly.
 func (t *Tree) splitNode(n *Node) (*Node, error) {
 	if om := t.om.Load(); om != nil {
 		om.splits.Inc()
 	}
 	entries := n.Entries
 	m := t.minEntries(n.Leaf)
-	total := len(entries)
-	r1, r2 := t.ua, t.ub
 
 	bestAxis := 0
 	bestAxisMargin := math.Inf(1)
@@ -355,11 +396,9 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 		t.sortAxis(entries, axis)
 		marginSum := 0.0
 		for _, sorted := range [2][]Entry{t.byMin, t.byMax} {
-			for k := m; k <= total-m; k++ {
-				r1.setMBR(sorted[:k])
-				r2.setMBR(sorted[k:])
+			t.eachDistribution(sorted, m, func(_ int, r1, r2 Rect) {
 				marginSum += r1.Margin() + r2.Margin()
-			}
+			})
 		}
 		if marginSum < bestAxisMargin {
 			bestAxisMargin = marginSum
@@ -373,15 +412,13 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 	var chosen []Entry
 	chosenK := 0
 	for _, sorted := range [2][]Entry{t.byMin, t.byMax} {
-		for k := m; k <= total-m; k++ {
-			r1.setMBR(sorted[:k])
-			r2.setMBR(sorted[k:])
+		t.eachDistribution(sorted, m, func(k int, r1, r2 Rect) {
 			ov := r1.OverlapArea(r2)
 			area := r1.Area() + r2.Area()
 			if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
 				bestOverlap, bestArea, chosen, chosenK = ov, area, sorted, k
 			}
-		}
+		})
 	}
 
 	right, err := t.store.New(n.Leaf)
@@ -397,6 +434,38 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 		return nil, err
 	}
 	return right, nil
+}
+
+// eachDistribution calls f, for k from m to len(sorted)-m in order, with
+// the MBRs of sorted[:k] and sorted[k:]: O(M·d) per call instead of
+// folding every group afresh. The prefix grows in t.ua by one extend per
+// k; the suffixes are folded from the back into t.suffix first. setUnion
+// keeps its first operand's bound unless the second lies strictly
+// outside it, so each suffix holds the same bits as setMBR(sorted[k:])
+// folded from the front (the first entry to reach an extreme supplies it).
+func (t *Tree) eachDistribution(sorted []Entry, m int, f func(k int, r1, r2 Rect)) {
+	total, w := len(sorted), 2*t.dim
+	if len(t.suffix) < total*w {
+		t.suffix = make([]float64, total*w)
+	}
+	suffix := func(k int) Rect {
+		b := t.suffix[k*w : (k+1)*w]
+		return Rect{Min: b[:t.dim], Max: b[t.dim:]}
+	}
+	last := suffix(total - 1)
+	copy(last.Min, sorted[total-1].Rect.Min)
+	copy(last.Max, sorted[total-1].Rect.Max)
+	for k := total - 2; k >= m; k-- {
+		suffix(k).setUnion(sorted[k].Rect, suffix(k+1))
+	}
+	prefix := t.ua
+	prefix.setMBR(sorted[:m])
+	for k := m; k <= total-m; k++ {
+		if k > m {
+			prefix.extend(sorted[k-1].Rect)
+		}
+		f(k, prefix, suffix(k))
+	}
 }
 
 // sortAxis fills t.byMin with entries ordered by (Min, Max) on axis and
