@@ -56,7 +56,7 @@ func buildShard(opts Options, items []BatchItem, workers int) (*shard, error) {
 	if capacity == 0 {
 		capacity = 16
 	}
-	ms, err := rstar.NewMemStore(opts.Region.Dim(), capacity)
+	ms, err := rstar.NewMemStore(opts.Region.Dim(), capacity, leafKind(opts))
 	if err != nil {
 		return nil, err
 	}

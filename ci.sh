@@ -8,8 +8,7 @@
 #      repo's own analyzers: ctxflow, determinism, errsink, goroleak,
 #      hotalloc, lockdiscipline, obs, parallelconv, snapshotsafe; see
 #      DESIGN.md "Static analysis"). walrus-lint runs with its
-#      per-package result cache and subtracts the checked-in
-#      .walrus-lint-baseline, so only new findings fail
+#      per-package result cache
 #   1. race tier: go test -race -short — runs the concurrency stress
 #      tests (mixed Add/Query/Remove) under the race detector on every PR
 #   1b. obs tier: scrapes the live /metrics endpoint while the
@@ -70,10 +69,14 @@
 #      digests of insert-built trees, and allocations per Insert; the
 #      paged store's own tests (TestPagedStore*: point leaves with their
 #      two capacities, insert/delete/condense, leaf-kind recording, Put
-#      refusing boxes, decode allocations, corruption); and the DB-level
-#      leaf layout tests (TestLeafLayout*: a pre-point-leaf centroid store
-#      reopens and answers identically, UseBBox keeps box leaves, a
-#      box-leaf reader refuses a point-leaf store) at 1 and 3 shards
+#      refusing boxes, decode allocations, corruption); the in-memory
+#      store's (TestMemStore*: in-memory and overlay nodes are pages in
+#      the paged layout, scanned by the same kernel, so point leaves
+#      refuse boxes there too and encode/decode round-trips bit for bit);
+#      and the DB-level leaf layout tests (TestLeafLayout*: a
+#      pre-point-leaf centroid store reopens and answers identically,
+#      UseBBox keeps box leaves, a box-leaf reader refuses a point-leaf
+#      store) at 1 and 3 shards
 #   1i. extraction exactness tier: pins every region of a seeded image
 #      set (odd and step-misaligned sizes, several window ranges, a finer
 #      second-tier signature, HSV, serial and parallel) to SHA-256
@@ -165,7 +168,7 @@ tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
-tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestLeafLayout' . ./internal/rstar
+tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout' . ./internal/rstar
 
 tier "tier 1: extraction exactness (golden regions, allocations)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations' ./internal/region
 tier "tier 1: query tail exactness (top-k, quick scorer, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestTopK|TestAggregateStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match

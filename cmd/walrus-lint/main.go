@@ -10,12 +10,8 @@
 // parallel, and results are cached per package in .walrus-lint-cache at
 // the module root (keyed by source and dependency content hashes) so a
 // warm run skips type-checking unchanged packages; -no-cache disables
-// the cache and -cache-path moves it. Findings listed in the baseline
-// file (-baseline, default .walrus-lint-baseline at the module root if
-// present) are tracked but not fatal; -write-baseline regenerates it
-// from the current findings. Exit status is 0 when the tree is clean
-// (after baseline subtraction), 1 when diagnostics were reported, and 2
-// on usage or load errors.
+// the cache and -cache-path moves it. Exit status is 0 when the tree is
+// clean, 1 when diagnostics were reported, and 2 on usage or load errors.
 package main
 
 import (
@@ -43,8 +39,6 @@ func run() int {
 	jobs := flags.Int("jobs", 0, "packages analyzed in parallel (0 = GOMAXPROCS)")
 	noCache := flags.Bool("no-cache", false, "disable the per-package result cache")
 	cachePath := flags.String("cache-path", "", "result cache file (default: .walrus-lint-cache at the module root)")
-	baselinePath := flags.String("baseline", "", "baseline file of tracked-but-not-fatal findings (default: .walrus-lint-baseline at the module root, if present)")
-	writeBaseline := flags.Bool("write-baseline", false, "write the current findings to the baseline file and exit")
 	if err := flags.Parse(os.Args[1:]); err != nil {
 		return 2
 	}
@@ -111,37 +105,6 @@ func run() int {
 		for _, name := range names {
 			fmt.Fprintf(os.Stderr, "walrus-lint:   %-16s %v\n", name, stats.Analyzers[name].Round(1e3))
 		}
-	}
-
-	blPath := *baselinePath
-	if blPath == "" {
-		blPath = filepath.Join(loader.ModRoot, ".walrus-lint-baseline")
-	}
-	if *writeBaseline {
-		f, err := os.Create(blPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "walrus-lint: %v\n", err)
-			return 2
-		}
-		werr := lint.WriteBaseline(f, loader.ModRoot, diags)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "walrus-lint: %v\n", werr)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "walrus-lint: wrote %d findings to %s\n", len(diags), blPath)
-		return 0
-	}
-	baseline, err := lint.LoadBaseline(blPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "walrus-lint: %v\n", err)
-		return 2
-	}
-	diags, absorbed := baseline.Apply(loader.ModRoot, diags)
-	if *verbose && absorbed > 0 {
-		fmt.Fprintf(os.Stderr, "walrus-lint: %d findings absorbed by baseline %s\n", absorbed, blPath)
 	}
 
 	switch {

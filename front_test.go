@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -184,7 +185,7 @@ func TestQueryFrontsAgree(t *testing.T) {
 }
 
 // TestQueryFrontErrors requires every front to reject the same bad
-// requests with the same error: a negative epsilon and an already
+// requests with the same error: a negative or NaN epsilon and an already
 // cancelled context on every source, an unknown id, a scene smaller than
 // the minimum window and a scene rectangle outside the image.
 func TestQueryFrontErrors(t *testing.T) {
@@ -196,6 +197,8 @@ func TestQueryFrontErrors(t *testing.T) {
 	im := items[0].Image
 	neg := DefaultQueryParams()
 	neg.Epsilon = -0.1
+	nan := DefaultQueryParams()
+	nan.Epsilon = math.NaN()
 	ok := DefaultQueryParams()
 	cases := []struct {
 		name  string
@@ -206,6 +209,12 @@ func TestQueryFrontErrors(t *testing.T) {
 		{"negative-epsilon/id", func(f queryFrontAPI) error { _, _, err := f.QueryByID(bg, items[1].ID, neg); return err }, nil},
 		{"negative-epsilon/scene", func(f queryFrontAPI) error {
 			_, _, err := f.QuerySceneContext(bg, im, 0, 0, 64, 64, neg)
+			return err
+		}, nil},
+		{"nan-epsilon/pixels", func(f queryFrontAPI) error { _, _, err := f.QueryContext(bg, im, nan); return err }, nil},
+		{"nan-epsilon/id", func(f queryFrontAPI) error { _, _, err := f.QueryByID(bg, items[1].ID, nan); return err }, nil},
+		{"nan-epsilon/scene", func(f queryFrontAPI) error {
+			_, _, err := f.QuerySceneContext(bg, im, 0, 0, 64, 64, nan)
 			return err
 		}, nil},
 		{"cancelled/pixels", func(f queryFrontAPI) error { _, _, err := f.QueryContext(cancelled, im, ok); return err },

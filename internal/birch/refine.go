@@ -16,10 +16,18 @@ func RefineClusters(points [][]float64, clusters []Cluster, iterations int) []Cl
 	if len(clusters) <= 1 || iterations < 1 || len(points) == 0 {
 		return clusters
 	}
-	dim := len(points[0])
-	centroids := make([][]float64, len(clusters))
+	// Every buffer is allocated once, before any loop: the per-cluster
+	// centroids, sums, members and bounds are capacity-limited windows of
+	// one array each.
+	dim, k := len(points[0]), len(clusters)
+	window := func(buf []float64, i int) []float64 { return buf[i*dim : (i+1)*dim : (i+1)*dim] }
+	cbuf := make([]float64, k*dim)
+	centroids := make([][]float64, k)
 	for i, c := range clusters {
-		centroids[i] = append([]float64(nil), c.Centroid...)
+		if len(c.Centroid) > 0 {
+			centroids[i] = window(cbuf, i)
+			copy(centroids[i], c.Centroid)
+		}
 	}
 	assign := make([]int, len(points))
 	// Initial assignment from the cluster membership.
@@ -30,6 +38,8 @@ func RefineClusters(points [][]float64, clusters []Cluster, iterations int) []Cl
 			}
 		}
 	}
+	counts := make([]int, k)
+	sums := make([]float64, k*dim)
 	for iter := 0; iter < iterations; iter++ {
 		moved := 0
 		for pi, p := range points {
@@ -55,16 +65,14 @@ func RefineClusters(points [][]float64, clusters []Cluster, iterations int) []Cl
 			}
 		}
 		// Recompute centroids.
-		counts := make([]int, len(centroids))
-		sums := make([][]float64, len(centroids))
-		for i := range sums {
-			sums[i] = make([]float64, dim)
-		}
+		clear(counts)
+		clear(sums)
 		for pi, p := range points {
 			ci := assign[pi]
 			counts[ci]++
+			sum := window(sums, ci)
 			for j := range p {
-				sums[ci][j] += p[j]
+				sum[j] += p[j]
 			}
 		}
 		for ci := range centroids {
@@ -73,10 +81,10 @@ func RefineClusters(points [][]float64, clusters []Cluster, iterations int) []Cl
 				continue
 			}
 			if centroids[ci] == nil {
-				centroids[ci] = make([]float64, dim)
+				centroids[ci] = window(cbuf, ci)
 			}
 			for j := 0; j < dim; j++ {
-				centroids[ci][j] = sums[ci][j] / float64(counts[ci])
+				centroids[ci][j] = sums[ci*dim+j] / float64(counts[ci])
 			}
 		}
 		if moved == 0 {
@@ -84,45 +92,58 @@ func RefineClusters(points [][]float64, clusters []Cluster, iterations int) []Cl
 		}
 	}
 
-	// Rebuild clusters from the final assignment.
-	rebuilt := make([]Cluster, 0, len(clusters))
-	for ci := range centroids {
-		if centroids[ci] == nil {
+	// Rebuild clusters from the final assignment, dropping the empty ones.
+	clear(counts)
+	for _, ci := range assign {
+		counts[ci]++
+	}
+	live := 0
+	for ci, c := range centroids {
+		if c != nil && counts[ci] > 0 {
+			live++
+		}
+	}
+	rebuilt := make([]Cluster, live)
+	members := make([]int, len(points))
+	bounds := make([]float64, 2*live*dim)
+	n, off := 0, 0
+	for ci, c := range centroids {
+		size := counts[ci]
+		if c == nil || size == 0 {
 			continue
 		}
 		cf := NewCF(dim)
-		var members []int
-		var min, max []float64
+		mine := members[off : off+size : off+size]
+		lo, hi := window(bounds, 2*n), window(bounds, 2*n+1)
+		i := 0
 		for pi, p := range points {
 			if assign[pi] != ci {
 				continue
 			}
 			cf.Add(p)
-			members = append(members, pi)
-			if min == nil {
-				min = append([]float64(nil), p...)
-				max = append([]float64(nil), p...)
+			mine[i] = pi
+			if i++; i == 1 {
+				copy(lo, p)
+				copy(hi, p)
 				continue
 			}
 			for j := range p {
-				if p[j] < min[j] {
-					min[j] = p[j]
+				if p[j] < lo[j] {
+					lo[j] = p[j]
 				}
-				if p[j] > max[j] {
-					max[j] = p[j]
+				if p[j] > hi[j] {
+					hi[j] = p[j]
 				}
 			}
 		}
-		if len(members) == 0 {
-			continue
-		}
-		rebuilt = append(rebuilt, Cluster{
+		rebuilt[n] = Cluster{
 			CF:       cf,
-			Members:  members,
+			Members:  mine,
 			Centroid: cf.Centroid(),
-			Min:      min,
-			Max:      max,
-		})
+			Min:      lo,
+			Max:      hi,
+		}
+		n, off = n+1, off+size
 	}
 	return rebuilt
 }

@@ -19,9 +19,8 @@ import (
 //   - interface boxing: passing a concrete value to an interface
 //     parameter, which escapes the value to the heap.
 //
-// Findings use position-free messages so the baseline file
-// (.walrus-lint-baseline) can track existing debt across unrelated
-// edits: a finding is only fatal once it is not in the baseline.
+// Every finding is fatal; a loop that must allocate says why in a
+// lint-ignore directive.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "flag per-iteration allocation and interface boxing in //walrus:lint-hot files",
@@ -109,8 +108,7 @@ func fanOutClosure(info *types.Info, call *ast.CallExpr) (*ast.FuncLit, bool) {
 }
 
 // checkCall flags make, append, and interface-boxing arguments inside a
-// hot loop. Messages carry names and types but no positions, so the
-// baseline file keys stay stable under unrelated edits.
+// hot loop. Messages carry names and types but no positions.
 func (v *hotVisitor) checkCall(call *ast.CallExpr) {
 	info := v.pass.Pkg.Info
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {

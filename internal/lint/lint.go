@@ -20,8 +20,7 @@
 //     channel the package closes, or a documented lint-ignore.
 //   - hotalloc: files annotated //walrus:lint-hot must not allocate per
 //     loop iteration (make, growing append, slice/map literals,
-//     interface boxing); existing findings live in the baseline file
-//     until the raw-speed pass burns them down.
+//     interface boxing).
 //   - lockdiscipline: methods of mutex-carrying structs must hold the
 //     documented lock before touching "guarded by mu" fields, and must
 //     not upgrade RLock to Lock.

@@ -1,17 +1,13 @@
 package lint
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestModuleIsLintClean lints the real module with every analyzer — the
-// same run ci.sh gates on — and asserts zero diagnostics beyond the
-// checked-in baseline. A failure here means a context-propagation,
-// determinism, durability, goroutine-lifecycle, locking, or
-// parallel-convention regression slipped into the tree (or an ignore
-// directive lost its reason). Baselined hotalloc findings are the
-// tracked allocation debt of the hot files; growing that set fails too.
+// same run ci.sh gates on — and asserts zero diagnostics. A failure here
+// means a context-propagation, determinism, durability,
+// goroutine-lifecycle, locking, parallel-convention or hot-loop
+// allocation regression slipped into the tree (or an ignore directive
+// lost its reason).
 func TestModuleIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module; skipped in -short")
@@ -24,13 +20,7 @@ func TestModuleIsLintClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("loaded zero packages")
 	}
-	baseline, err := LoadBaseline(filepath.Join(l.ModRoot, ".walrus-lint-baseline"))
-	if err != nil {
-		t.Fatalf("loading baseline: %v", err)
-	}
-	diags, absorbed := baseline.Apply(l.ModRoot, Run(pkgs, All()))
-	t.Logf("baseline absorbed %d tracked findings", absorbed)
-	if len(diags) != 0 {
-		t.Errorf("module is not lint-clean (%d diagnostics beyond the baseline):\n%s", len(diags), fmtDiags(diags))
+	if diags := Run(pkgs, All()); len(diags) != 0 {
+		t.Errorf("module is not lint-clean (%d diagnostics):\n%s", len(diags), fmtDiags(diags))
 	}
 }

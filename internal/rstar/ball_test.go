@@ -164,7 +164,7 @@ func nodeAt(t *testing.T, s NodeStore, epoch uint64, id NodeID) *Node {
 	if vs, ok := s.(*VersionedStore); ok {
 		for _, ver := range vs.overlay[id] {
 			if ver.supersededAt > epoch {
-				return ver.node
+				return vs.lay.decode(id, ver.page)
 			}
 		}
 		s = vs.base
@@ -243,8 +243,9 @@ func checkBallPruning(t *testing.T, what string, src prober, entries []refEntry,
 // brute-force set in solo order while visiting no more nodes than the box
 // alone. The same holds on trees BulkLoad packs from clustered 12-d points
 // at node capacities 16 and 19, in memory and paged, and on the 4 KiB
-// point-leaf store's 19 and 38. Paged stores run with box and with point
-// leaves.
+// point-leaf store's 19 and 38. Paged and in-memory stores run with box
+// and with point leaves. The raw ball tests are checked against the
+// square-root oracle alone: they are the only ones.
 func TestProbeBallPruningExact(t *testing.T) {
 	const dim = 4
 	rng := rand.New(rand.NewSource(17))
@@ -280,8 +281,7 @@ func TestProbeBallPruningExact(t *testing.T) {
 				p := &probes[pi]
 				bound := ballBound(p.Eps)
 				far := !ballKeeps(p.Center, q, p.Eps)
-				if p.farPoint(q, bound) != far || p.farPointRaw(raw, bound) != far ||
-					p.farBox(q, q, bound) != far || p.farBoxRaw(raw, dim, bound) != far {
+				if p.farPointRaw(raw, bound) != far || p.farBoxRaw(raw, dim, bound) != far {
 					t.Fatalf("probe %d (eps %v) point %v: early-exit tests disagree with the full test (far=%v)", pi, p.Eps, q, far)
 				}
 			}
@@ -308,12 +308,7 @@ func TestProbeBallPruningExact(t *testing.T) {
 			raw := rawRect(lo, hi)
 			for pi := range probes {
 				p := &probes[pi]
-				bound := ballBound(p.Eps)
-				far := p.farBox(lo, hi, bound)
-				if p.farBoxRaw(raw, dim, bound) != far {
-					t.Fatalf("probe %d: farBoxRaw disagrees with farBox on [%v, %v]", pi, lo, hi)
-				}
-				if !far {
+				if !p.farBoxRaw(raw, dim, ballBound(p.Eps)) {
 					continue
 				}
 				rejected++
@@ -343,7 +338,7 @@ func TestProbeBallPruningExact(t *testing.T) {
 			if paged {
 				base = newPagedStore(t, dim, 1024, 8, kind.leaves)
 			} else {
-				ms, err := NewMemStore(dim, 4)
+				ms, err := NewMemStore(dim, 4, kind.leaves)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -425,13 +420,16 @@ func TestProbeBallPruningExact(t *testing.T) {
 		rects[i], data[i] = packed[i].rect, packed[i].data
 	}
 	for _, capacity := range []int{16, 19} {
-		for _, paged := range []bool{false, true} {
-			t.Run(fmt.Sprintf("packed/cap=%d/paged=%v", capacity, paged), func(t *testing.T) {
+		for _, kind := range storeKinds {
+			if kind.paged && kind.leaves == PointLeaves {
+				continue // a 4 KiB page's capacities, below
+			}
+			t.Run(fmt.Sprintf("packed/cap=%d/paged=%s", capacity, kind.name), func(t *testing.T) {
 				var base NodeStore
-				if paged {
+				if kind.paged {
 					base = newPagedStore(t, packedDim, store.PageFooterSize+pagedHeader+(capacity+1)*(pagedRefBytes+16*packedDim), 8, BoxLeaves)
 				} else {
-					ms, err := NewMemStore(packedDim, capacity)
+					ms, err := NewMemStore(packedDim, capacity, kind.leaves)
 					if err != nil {
 						t.Fatal(err)
 					}

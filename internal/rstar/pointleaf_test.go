@@ -222,7 +222,11 @@ func TestPagedStoreLeafKind(t *testing.T) {
 // of a zero — rather than silently dropping the maxs. Inner entries are
 // boxes and are stored whole.
 func TestPagedStorePointLeafRejectsBox(t *testing.T) {
-	ps := newPagedStore(t, 3, 1024, 4, PointLeaves)
+	checkPointLeafRejectsBox(t, newPagedStore(t, 3, 1024, 4, PointLeaves))
+}
+
+func checkPointLeafRejectsBox(t *testing.T, ps NodeStore) {
+	t.Helper()
 	leaf, err := ps.New(true)
 	if err != nil {
 		t.Fatal(err)
@@ -284,9 +288,8 @@ func TestPagedStoreDecodeAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			got, err := ps.decode(n.ID, f.Data)
-			if err != nil || len(got.Entries) != len(n.Entries) {
-				t.Fatalf("decode: %d entries, %v", len(got.Entries), err)
+			if got := ps.decode(n.ID, f.Data); len(got.Entries) != len(n.Entries) {
+				t.Fatalf("decode: %d entries, want %d", len(got.Entries), len(n.Entries))
 			}
 		})
 		ps.pool.Unpin(f, false)

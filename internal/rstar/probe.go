@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -14,7 +15,7 @@ import (
 // degenerate rectangles) lies within euclidean distance Eps of Center:
 // math.Sqrt(Σ(c_j − p_j)²) > Eps is false, the query pipeline's euclid
 // with the query as the left operand. With Center set the ball also prunes
-// inner nodes (see farBox); that drops no match as long as no difference
+// inner nodes (see farBoxRaw); that drops no match as long as no difference
 // c_j − p_j is NaN, which finite signatures never produce. With Center nil
 // the box alone decides at every level.
 type Probe struct {
@@ -47,48 +48,13 @@ func ballBound(eps float64) float64 {
 	return t
 }
 
-// farPoint is the leaf's ball test: it reports whether point lies outside
-// the ball, bound being ballBound(p.Eps). Terms are summed in euclid's
-// order and partial sums of squares only grow, so stopping at the first
-// one above bound decides exactly what the whole sum would.
-func (p *Probe) farPoint(point []float64, bound float64) bool {
-	sum := 0.0
-	for j, c := range p.Center {
-		diff := c - point[j]
-		if sum += diff * diff; sum > bound {
-			return true
-		}
-	}
-	return false
-}
-
-// farBox is the inner nodes' ball test: it reports whether the rectangle
-// [lo, hi] lies outside the ball, by its MINDIST to Center summed the way
-// farPoint sums. For a point q inside the rectangle each term c − lo_j
-// (when c < lo_j) or c − hi_j (when c > hi_j) is, by monotone rounding, no
-// larger in magnitude than farPoint's c − q_j, and zero otherwise, so every
-// partial sum here is at most farPoint's: a rectangle farBox rejects holds
-// no point farPoint would keep. A NaN center yields NaN sums and prunes
-// nothing, as farPoint keeps everything.
-func (p *Probe) farBox(lo, hi []float64, bound float64) bool {
-	sum := 0.0
-	for j, c := range p.Center {
-		diff := c - lo[j]
-		if diff > 0 {
-			if diff = c - hi[j]; diff < 0 {
-				diff = 0
-			}
-		}
-		if sum += diff * diff; sum > bound {
-			return true
-		}
-	}
-	return false
-}
-
-// farPointRaw is farPoint for an entry still in page form: box starts with
-// the entry's dim float64 mins (a point leaf's entry is its point alone,
-// a box entry's mins are followed by its maxs; see paged.go).
+// farPointRaw is the leaf's ball test on an entry in page form: box
+// starts with the entry's dim float64 coordinates (a point leaf's entry is
+// its point alone, a box entry's mins are followed by its maxs; see
+// page.go). It reports whether that point lies outside the ball, bound
+// being ballBound(p.Eps). Terms are summed in euclid's order and partial
+// sums of squares only grow, so stopping at the first one above bound
+// decides exactly what the whole sum would.
 func (p *Probe) farPointRaw(box []byte, bound float64) bool {
 	sum := 0.0
 	for j, c := range p.Center {
@@ -100,7 +66,16 @@ func (p *Probe) farPointRaw(box []byte, bound float64) bool {
 	return false
 }
 
-// farBoxRaw is farBox for an entry rectangle in page form.
+// farBoxRaw is the inner nodes' ball test on an entry rectangle in page
+// form, mins then maxs from float dim on: it reports whether the
+// rectangle [lo, hi] lies outside the ball, by its MINDIST to Center
+// summed the way farPointRaw sums. For a point q inside the rectangle each
+// term c − lo_j (when c < lo_j) or c − hi_j (when c > hi_j) is, by
+// monotone rounding, no larger in magnitude than farPointRaw's c − q_j,
+// and zero otherwise, so every partial sum here is at most farPointRaw's:
+// a rectangle farBoxRaw rejects holds no point farPointRaw would keep. A
+// NaN center yields NaN sums and prunes nothing, as farPointRaw keeps
+// everything.
 func (p *Probe) farBoxRaw(box []byte, dim int, bound float64) bool {
 	sum := 0.0
 	for j, c := range p.Center {
@@ -179,46 +154,61 @@ func (d *descent) visit(id NodeID, lo, hi int) error {
 	return nil
 }
 
-// scanStore scans node id of s for the descent: in place where the store
-// can (PagedStore on the pinned page's bytes, VersionedStore on its overlay
-// or base), else over the node the store hands out. A switch on the two
-// concrete types rather than an optional interface: a dynamic call would
-// make the descent escape to the heap.
+// scanStore scans node id of s for the descent on the node's page, where
+// it lies: a MemStore's own slice, a PagedStore's pinned frame, or a
+// VersionedStore's overlay copy or base. A switch on the concrete types
+// rather than an interface: a dynamic call would make the descent escape
+// to the heap.
 func scanStore(s NodeStore, d *descent, id NodeID, lo, hi int) error {
 	switch s := s.(type) {
+	case *MemStore:
+		page, err := s.page(id)
+		if err != nil {
+			return err
+		}
+		s.scanPage(d, page, lo, hi)
+		return nil
 	case *PagedStore:
 		return s.scan(d, id, lo, hi)
 	case *VersionedStore:
 		return s.scan(d, id, lo, hi)
 	}
-	n, err := s.Get(id)
-	if err != nil {
-		return err
-	}
-	d.scanNode(n, lo, hi)
-	return nil
+	return fmt.Errorf("rstar: %T keeps no node pages to scan", s)
 }
 
-// scanNode tests an in-memory node's entries where they lie: leaf entries
-// are emitted per matching active probe; a child is pushed for visit with
-// the active probes its entry may hold matches for — inside the ball (when
-// Center is set) and intersecting the box — or dropped when none may. The
-// ball test goes first: it rejects far more, and the box test after it
-// keeps the survivors exactly those of the box-and-ball contract.
-func (d *descent) scanNode(n *Node, lo, hi int) {
+// scanPage is the scan kernel every store runs, over a page trimmed to its
+// header and entries, which it trusts: a PagedStore checks its frames
+// first, while MemStore pages and overlay pre-images never left the
+// process. It tests the entries where they lie and builds no Node, Entry
+// or Rect (the Search wrappers' each callback excepted, which needs whole
+// entries for its hits). Leaf entries are emitted per matching active
+// probe; a child is pushed for visit with the active probes its entry may
+// hold matches for — inside the ball (when Center is set) and intersecting
+// the box — or dropped when none may. The ball test goes first: it rejects
+// far more, and the box test after it keeps the survivors exactly those of
+// the box-and-ball contract.
+func (l layout) scanPage(d *descent, page []byte, lo, hi int) {
 	// active stays readable through this header even when pushing children
 	// grows (and so moves) the stack it is a window of.
 	probes, bounds, active := d.probes, d.bounds, d.active[lo:hi]
-	if n.Leaf {
-		for _, e := range n.Entries {
+	leaf, _ := pageHeader(page)
+	dim, stride, entries := l.dim, l.stride(leaf), page[pagedHeader:]
+	if leaf {
+		// A point leaf's entry is its coordinates alone: the ball test
+		// reads them as a point, and the box test reads them as both
+		// corners, which is Intersects on a point.
+		hi := l.hiOffset(true)
+		for ; len(entries) > 0; entries = entries[stride:] {
+			box := entries[pagedRefBytes:stride]
 			for _, pi := range active {
 				p := &probes[pi]
-				if (p.Center != nil && p.farPoint(e.Rect.Min, bounds[pi])) || !e.Rect.Intersects(p.Box) {
+				if (p.Center != nil && p.farPointRaw(box, bounds[pi])) || !intersectsRaw(box, hi, p.Box) {
 					continue
 				}
+				data := int64(binary.LittleEndian.Uint64(entries))
 				if d.each == nil {
-					d.emit(pi, e.Data)
-				} else if !d.each(e) {
+					d.emit(pi, data)
+				} else if !d.each(Entry{Rect: l.decodeRect(box, hi), Data: data}) {
 					d.stopped = true
 					return
 				}
@@ -227,16 +217,18 @@ func (d *descent) scanNode(n *Node, lo, hi int) {
 		return
 	}
 	stack, todo := d.active, d.todo
-	for _, e := range n.Entries {
+	for ; len(entries) > 0; entries = entries[stride:] {
+		box := entries[pagedRefBytes:stride]
 		mark := len(stack)
 		for _, pi := range active {
 			p := &probes[pi]
-			if (p.Center == nil || !p.farBox(e.Rect.Min, e.Rect.Max, bounds[pi])) && e.Rect.Intersects(p.Box) {
+			if (p.Center == nil || !p.farBoxRaw(box, dim, bounds[pi])) && intersectsRaw(box, dim, p.Box) {
 				stack = append(stack, pi)
 			}
 		}
 		if len(stack) > mark {
-			todo = append(todo, pending{id: e.Child, lo: int32(mark), hi: int32(len(stack))})
+			child := NodeID(binary.LittleEndian.Uint64(entries))
+			todo = append(todo, pending{id: child, lo: int32(mark), hi: int32(len(stack))})
 		}
 	}
 	d.active, d.todo = stack, todo

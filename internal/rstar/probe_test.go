@@ -125,18 +125,19 @@ func checkProbeSet(t *testing.T, what string, src prober, entries []refEntry, pr
 }
 
 // storeKinds are the stores the exactness tests run on, each named by its
-// paged= subtest suffix: in memory, paged with box leaves, and paged with
-// point leaves (which hold point entries only).
+// paged= subtest suffix: in memory, paged with box leaves, paged with point
+// leaves, and in memory with point leaves (point leaves hold point entries
+// only).
 var storeKinds = []struct {
 	name   string
 	paged  bool
 	leaves LeafKind
-}{{"false", false, BoxLeaves}, {"true", true, BoxLeaves}, {"points", true, PointLeaves}}
+}{{"false", false, BoxLeaves}, {"true", true, BoxLeaves}, {"points", true, PointLeaves}, {"mempoints", false, PointLeaves}}
 
 // TestProbeMatchesBruteForce is the traversal-equivalence property: point
 // and box trees, grown by inserts or bulk loaded, in memory or paged behind
 // a pool far smaller than the tree (with box leaves, and for point trees
-// with point leaves too), probed live, through a current view, and through
+// with point leaves too, in memory and paged), probed live, through a current view, and through
 // a view pinned before further inserts and deletes were published — which
 // makes the descent scan overlay pre-images.
 func TestProbeMatchesBruteForce(t *testing.T) {
@@ -162,7 +163,7 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 					if paged {
 						base = newPagedStore(t, dim, 1024, 8, kind.leaves)
 					} else {
-						ms, err := NewMemStore(dim, 8)
+						ms, err := NewMemStore(dim, 8, kind.leaves)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -363,11 +364,14 @@ func boxOnly(probes []Probe) []Probe {
 }
 
 // TestProbePagedAllocations pins the point of scanning pages in place: a
-// paged search's allocations are the descent's stacks and a closure or
-// two, however many nodes it visits, for box-only and ball probes alike,
-// over box leaves and over point leaves (which get more points, to make
-// as many nodes). The pool holds the whole tree so the count is the
-// traversal's alone (a miss allocates its Frame header).
+// search's allocations are the descent's stacks and a closure or two,
+// however many nodes it visits, for box-only and ball probes alike, on
+// every store kind. Paged trees run over box leaves and over point leaves
+// (which get more points, to make as many nodes), behind a pool that holds
+// the whole tree so the count is the traversal's alone (a miss allocates
+// its Frame header). In-memory trees run bare, with each leaf kind, and
+// through a view of a versioned store pinned across inserts, deletes and
+// Publish, whose descent scans overlay pre-images.
 func TestProbePagedAllocations(t *testing.T) {
 	for _, leaves := range []LeafKind{BoxLeaves, PointLeaves} {
 		n := 4000
@@ -375,20 +379,65 @@ func TestProbePagedAllocations(t *testing.T) {
 			n = 7000
 		}
 		tr, ps, _ := pagedBulkTree(t, 1024, 3, n, 512, leaves)
-		checkPagedAllocations(t, tr, ps)
+		checkProbeAllocations(t, fmt.Sprintf("paged/points=%v", ps.points), tr, ps.pg.NumPages()-1)
 	}
+	rng := rand.New(rand.NewSource(5))
+	rects, data := make([]Rect, 3000), make([]int64, 3000)
+	for i := range rects {
+		rects[i], data[i] = Point(randomRect(rng, 3).Min), int64(i)
+	}
+	for _, leaves := range []LeafKind{BoxLeaves, PointLeaves} {
+		ms, err := NewMemStore(3, 8, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := BulkLoad(ms, rects, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkProbeAllocations(t, fmt.Sprintf("mem/points=%v", ms.points), tr, ms.NumNodes())
+	}
+
+	ms, err := NewMemStore(3, 8, PointLeaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := NewVersioned(ms)
+	tr, err := BulkLoad(vs, rects, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.PublishEpoch()
+	view, err := tr.SnapshotView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer view.Release()
+	for i := 0; i < 500; i++ {
+		if err := tr.Insert(Point(randomRect(rng, 3).Min), int64(len(rects)+i)); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := tr.Delete(rects[i], data[i]); err != nil || !ok {
+			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	tr.PublishEpoch()
+	if vs.Retained() < 100 {
+		t.Fatalf("%d pre-images retained: the pinned view would barely read the overlay", vs.Retained())
+	}
+	checkProbeAllocations(t, "pinned view", view, ms.NumNodes())
 }
 
-func checkPagedAllocations(t *testing.T, tr *Tree, ps *PagedStore) {
+func checkProbeAllocations(t *testing.T, what string, src prober, nodes int) {
 	t.Helper()
-	if nodes := ps.pg.NumPages() - 1; nodes < 200 {
-		t.Fatalf("points=%v: tree has %d nodes, want >= 200", ps.points, nodes)
+	if nodes < 200 {
+		t.Fatalf("%s: tree has %d nodes, want >= 200", what, nodes)
 	}
 	emitted := 0
 	emit := func(int, int64) { emitted++ }
 	perRun := func(probes []Probe) (allocs float64, visits int) {
 		allocs = testing.AllocsPerRun(20, func() {
-			v, err := tr.Probe(probes, emit)
+			v, err := src.Probe(probes, emit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,14 +455,14 @@ func checkPagedAllocations(t *testing.T, tr *Tree, ps *PagedStore) {
 		narrowAllocs, narrowVisits := perRun(probes(0.01))
 		wideAllocs, wideVisits := perRun(probes(0.4))
 		if wideVisits < 100 || wideVisits < 10*narrowVisits {
-			t.Fatalf("points=%v ball=%v: wide probes visited %d nodes, narrow %d: not a useful contrast", ps.points, ball, wideVisits, narrowVisits)
+			t.Fatalf("%s ball=%v: wide probes visited %d nodes, narrow %d: not a useful contrast", what, ball, wideVisits, narrowVisits)
 		}
 		if wideAllocs != narrowAllocs || wideAllocs > 4 {
-			t.Fatalf("points=%v ball=%v: allocations grew with the nodes visited or are not small: %v for %d visits, %v for %d",
-				ps.points, ball, wideAllocs, wideVisits, narrowAllocs, narrowVisits)
+			t.Fatalf("%s ball=%v: allocations grew with the nodes visited or are not small: %v for %d visits, %v for %d",
+				what, ball, wideAllocs, wideVisits, narrowAllocs, narrowVisits)
 		}
 	}
 	if emitted == 0 {
-		t.Fatal("probes matched nothing")
+		t.Fatalf("%s: probes matched nothing", what)
 	}
 }

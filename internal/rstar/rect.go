@@ -8,7 +8,8 @@
 //
 // Nodes live behind the NodeStore interface, with an in-memory
 // implementation and a disk-backed one built on package store, making the
-// index genuinely disk-based as in the paper.
+// index genuinely disk-based as in the paper. Both keep every node as a
+// page in one layout (page.go), and one kernel scans them in place.
 package rstar
 
 import "fmt"

@@ -24,8 +24,8 @@ import (
 // Publish no reader exists, so construction-time writes (New, Create,
 // BulkLoad top-ups) skip pre-image capture entirely.
 type VersionedStore struct {
-	base   NodeStore
-	shares bool // base.Get returns shared node pointers (MemStore)
+	base pageStore
+	lay  layout // base's, to scan overlay pages
 
 	mu        sync.RWMutex
 	published uint64 // epoch visible to new pins; 0 = never published
@@ -48,9 +48,21 @@ type VersionedStore struct {
 	pinsG     *obs.Gauge
 }
 
+// nodeVersion is one superseded node as page bytes: a MemStore's replaced
+// slice, or a checked copy of a PagedStore frame.
 type nodeVersion struct {
-	node         *Node
+	page         []byte
 	supersededAt uint64
+}
+
+// pageStore is a NodeStore whose nodes are pages a VersionedStore can
+// keep as pre-images: MemStore and PagedStore.
+type pageStore interface {
+	NodeStore
+	Leaves() LeafKind
+	// page returns node id's header and entries as bytes the store never
+	// writes again.
+	page(id NodeID) ([]byte, error)
 }
 
 type metaVersion struct {
@@ -62,21 +74,18 @@ type metaVersion struct {
 // all access to base from then on: mutators must go through the returned
 // store, never through base directly (construction-time bulk loading
 // against base before the wrapper's first Publish is the one sanctioned
-// exception — see Load in bulk-build callers).
+// exception — see Load in bulk-build callers). base must be a MemStore or
+// a PagedStore.
 func NewVersioned(base NodeStore) *VersionedStore {
-	_, mem := base.(*MemStore)
+	ps := base.(pageStore)
 	return &VersionedStore{
-		base:    base,
-		shares:  mem,
+		base:    ps,
+		lay:     layout{dim: ps.Dim(), points: ps.Leaves() == PointLeaves},
 		pins:    make(map[uint64]int),
 		overlay: make(map[NodeID][]nodeVersion),
 		fresh:   make(map[NodeID]bool),
 	}
 }
-
-// Base returns the wrapped store (used by tests and by bulk loaders that
-// build into the base before the first Publish).
-func (v *VersionedStore) Base() NodeStore { return v.base }
 
 // Dim implements NodeStore.
 func (v *VersionedStore) Dim() int { return v.base.Dim() }
@@ -99,20 +108,10 @@ func (v *VersionedStore) New(leaf bool) (*Node, error) {
 }
 
 // Get implements NodeStore (writer side): it returns the newest version.
-// When the base shares node pointers the caller receives a private clone,
-// so the stored object stays immutable once a pre-image capture may point
-// at it.
 func (v *VersionedStore) Get(id NodeID) (*Node, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	n, err := v.base.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if v.shares {
-		n = cloneNode(n)
-	}
-	return n, nil
+	return v.base.Get(id)
 }
 
 // Put implements NodeStore: the node's prior state is captured as a
@@ -181,15 +180,13 @@ func (v *VersionedStore) captureLocked(id NodeID) error {
 	if len(chain) > 0 && chain[len(chain)-1].supersededAt == write {
 		return nil
 	}
-	old, err := v.base.Get(id)
+	// A MemStore hands out its own page, which Put replaces rather than
+	// rewrites; a PagedStore copies the frame after checking it.
+	old, err := v.base.page(id)
 	if err != nil {
 		return err
 	}
-	// For a sharing base the stored pointer is stable: the tree mutates
-	// only private clones handed out by Get and replaces the stored node
-	// wholesale on Put. For a decoding base (PagedStore) Get already
-	// returned a fresh copy. Either way no deep copy is needed here.
-	v.overlay[id] = append(chain, nodeVersion{node: old, supersededAt: write})
+	v.overlay[id] = append(chain, nodeVersion{page: old, supersededAt: write})
 	v.retained++
 	if v.retainedG != nil {
 		v.retainedG.Set(int64(v.retained))
@@ -300,7 +297,7 @@ func (v *VersionedStore) scan(d *descent, id NodeID, lo, hi int) error {
 	defer v.mu.RUnlock()
 	for _, ver := range v.overlay[id] {
 		if ver.supersededAt > d.epoch {
-			d.scanNode(ver.node, lo, hi)
+			v.lay.scanPage(d, ver.page, lo, hi)
 			return nil
 		}
 	}
@@ -346,17 +343,6 @@ func (v *VersionedStore) setMetrics(reg *obs.Registry) {
 	v.pinsG = reg.Gauge("walrus_rstar_pinned_epochs", "Distinct R*-tree epochs currently pinned by snapshots.")
 	v.retainedG.Set(int64(v.retained))
 	v.pinsG.Set(int64(len(v.pinned)))
-}
-
-// cloneNode deep-copies the entry slice (entry rectangles are themselves
-// copy-on-write: every Rect mutation in the tree allocates fresh bounds,
-// so sharing the float arrays is safe).
-func cloneNode(n *Node) *Node {
-	out := &Node{ID: n.ID, Leaf: n.Leaf}
-	if len(n.Entries) > 0 {
-		out.Entries = append(make([]Entry, 0, len(n.Entries)), n.Entries...)
-	}
-	return out
 }
 
 // TreeView is an epoch-pinned, immutable read view of a Tree backed by a

@@ -467,7 +467,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	getFloat := func(key string, dst *float64) {
 		if v := q.Get(key); v != "" && parseErr == nil {
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			if err != nil || !(f >= 0) { // negative or NaN
 				parseErr = fmt.Errorf("bad %s=%q", key, v)
 				return
 			}

@@ -227,6 +227,26 @@ func TestServeIgnoresRetiredParam(t *testing.T) {
 	}
 }
 
+// TestServeRejectsNaNParams: a NaN epsilon would match every region and
+// a NaN tau would admit every candidate, so both are 400s like a negative
+// value; an infinite epsilon stays legal.
+func TestServeRejectsNaNParams(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for i := 0; i < 2; i++ {
+		if w := do(s, "POST", fmt.Sprintf("/v1/images?id=img-%d", i), "", testPPM(t, i)); w.Code != http.StatusCreated {
+			t.Fatalf("ingest img-%d: got %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	for _, q := range []string{"epsilon=NaN", "epsilon=nan", "tau=NaN", "threshold=NaN"} {
+		if w := do(s, "GET", "/v1/search?id=img-1&"+q, "", nil); w.Code != http.StatusBadRequest {
+			t.Fatalf("search %s: got %d, want 400: %s", q, w.Code, w.Body.String())
+		}
+	}
+	if w := do(s, "GET", "/v1/search?id=img-1&epsilon=Inf", "", nil); w.Code != http.StatusOK {
+		t.Fatalf("search epsilon=Inf: got %d, want 200: %s", w.Code, w.Body.String())
+	}
+}
+
 func TestServeStatsAndHealth(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newTestServer(t, Config{Metrics: reg})

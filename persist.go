@@ -227,11 +227,11 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 	return sh, nil
 }
 
-// leafKind is the leaf layout of a disk shard's index: a centroid
-// database indexes points, so its leaves store each signature once; a
-// UseBBox database indexes boxes. An existing index keeps the layout it
-// was written with (see rstar.NewPagedStore): centroid indexes written
-// before point leaves existed open with box leaves.
+// leafKind is the leaf layout of a shard's index, in memory or on disk: a
+// centroid database indexes points, so its leaves store each signature
+// once; a UseBBox database indexes boxes. An existing disk index keeps the
+// layout it was written with (see rstar.NewPagedStore): centroid indexes
+// written before point leaves existed open with box leaves.
 func leafKind(opts Options) rstar.LeafKind {
 	if opts.UseBBox {
 		return rstar.BoxLeaves

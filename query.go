@@ -299,8 +299,10 @@ func (f queryFront) fleet() bool { return len(f.snaps) > 1 }
 // answers it from the result cache c, or from the pipeline when c is nil
 // (caching off, and always on an explicit snapshot).
 func (f queryFront) query(ctx context.Context, c *queryCache, src querySource, p QueryParams) ([]Match, QueryStats, error) {
-	if p.Epsilon < 0 {
-		return nil, QueryStats{}, fmt.Errorf("walrus: negative epsilon %v", p.Epsilon)
+	if !(p.Epsilon >= 0) {
+		// A NaN radius would keep every region: its ball bound and its box
+		// both match everything.
+		return nil, QueryStats{}, fmt.Errorf("walrus: epsilon %v is negative or NaN", p.Epsilon)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err

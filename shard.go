@@ -109,7 +109,7 @@ func newShard(opts Options) (*shard, error) {
 	if capacity == 0 {
 		capacity = 16
 	}
-	ms, err := rstar.NewMemStore(opts.Region.Dim(), capacity)
+	ms, err := rstar.NewMemStore(opts.Region.Dim(), capacity, leafKind(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -61,11 +61,14 @@ type Options struct {
 	// signatures instead of by centroid (the alternative signature of
 	// Section 4 of the paper).
 	UseBBox bool
-	// NodeCapacity is the index node capacity for in-memory databases. 0
-	// means a sensible default. Disk-backed databases derive two
-	// capacities from the page size instead: one for inner nodes and one
-	// for leaves, which hold about twice as many entries when the index
-	// stores centroids (points) rather than boxes.
+	// NodeCapacity is the index node capacity, M, of in-memory databases:
+	// one value for leaves and inner nodes. 0 means a sensible default.
+	// In-memory nodes use the disk page layout, with point leaves unless
+	// UseBBox is set, but each is sized to its entries, so the capacity
+	// is free. Disk-backed databases derive two capacities from the page
+	// size instead: one for inner nodes and one for leaves, which hold
+	// about twice as many entries when the index stores centroids (points)
+	// rather than boxes.
 	NodeCapacity int
 	// Shards is the shard count: the catalog is partitioned by a hash of
 	// the image id into this many independent stores, each with its own
