@@ -76,7 +76,13 @@
 #      and the DB-level leaf layout tests (TestLeafLayout*: a
 #      pre-point-leaf centroid store reopens and answers identically,
 #      UseBBox keeps box leaves, a box-leaf reader refuses a point-leaf
-#      store) at 1 and 3 shards
+#      store) at 1 and 3 shards; ball-only probes against euclid on 12-d
+#      trees of every store kind, with points one ulp outside the ε-cube's
+#      rounded edge (TestProbeBallMatchesEuclid); and the node CRC's trust
+#      boundary — once per pool residence, re-armed by a dirty write, the
+#      entry-count bound on every scan (TestPagedStoreChecksOncePerResidence,
+#      and the buffer pool's TestFrameChecked*: clean and dirty unpins,
+#      eviction, concurrent scanners marking one frame)
 #   1i. extraction exactness tier: pins every region of a seeded image
 #      set (odd and step-misaligned sizes, several window ranges, a finer
 #      second-tier signature, HSV, serial and parallel) to SHA-256
@@ -87,6 +93,12 @@
 #      pair runs against permuted hits, sharded rankings at low Limits
 #      against the unsharded ones, the shard-count matrix, and the
 #      allocations per query after extraction
+#   1k. no fused multiply-add in the R*-tree kernels: Go may fuse x*y + z
+#      on arm64 (never on amd64), which would make the ε-ball test round
+#      differently from euclid; an arm64 build of walrus-query, read back
+#      with go tool objdump, must hold no FMADD/FMSUB/FNMADD/FNMSUB in a
+#      walrus/internal/rstar symbol (offline: cross-compiling needs no
+#      network)
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -129,6 +141,21 @@ obs_tier() {
         go test -race -count=10 -run 'TestHistogramSnapshotConsistent' ./internal/obs
 }
 
+check_no_fma() {
+    _out="$(mktemp -d)"
+    if ! GOARCH=arm64 go build -o "$_out/walrus-query" ./cmd/walrus-query; then
+        rm -rf "$_out"
+        return 1
+    fi
+    _fused=$(go tool objdump -s '^walrus/internal/rstar\.' "$_out/walrus-query" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
+    rm -rf "$_out"
+    if [ -n "$_fused" ]; then
+        echo "fused multiply-add in walrus/internal/rstar on arm64:" >&2
+        echo "$_fused" >&2
+        return 1
+    fi
+}
+
 bench_tests() {
     (cd bench && go test ./...)
 }
@@ -168,10 +195,12 @@ tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
-tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout' . ./internal/rstar
+tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout|TestFrameChecked' . ./internal/rstar ./internal/store
 
 tier "tier 1: extraction exactness (golden regions, allocations)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations' ./internal/region
 tier "tier 1: query tail exactness (top-k, quick scorer, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestTopK|TestAggregateStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match
+
+tier "tier 1: no fused multiply-add in the R*-tree kernels (arm64 objdump)" check_no_fma
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

@@ -175,12 +175,14 @@ func (l layout) decode(id NodeID, buf []byte) *Node {
 func (l layout) decodeRect(box []byte, hi int) Rect {
 	b := make([]float64, hi+l.dim)
 	for j := range b {
-		b[j] = rawFloat(box, j)
+		b[j], box = leFloat(box), box[8:]
 	}
 	return Rect{Min: b[:l.dim:l.dim], Max: b[hi:]}
 }
 
-// rawFloat reads the i-th float64 of a page-form rectangle.
-func rawFloat(box []byte, i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(box[8*i:]))
+// leFloat reads the float64 at the start of b, in page byte order. The
+// kernels walk an entry by reslicing past each float they read, which
+// leaves one bounds check per float.
+func leFloat(b []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }

@@ -100,7 +100,7 @@ func (s *PagedStore) Get(id NodeID) (*Node, error) {
 		return nil, err
 	}
 	defer s.pool.Unpin(f, false)
-	page, err := s.checkPage(id, f.Data)
+	page, err := s.checkPage(id, f)
 	if err != nil {
 		return nil, err
 	}
@@ -156,35 +156,43 @@ func (s *PagedStore) SetMeta(m Meta) error {
 // Flush writes all dirty pages and metadata to disk.
 func (s *PagedStore) Flush() error { return s.pool.FlushAll() }
 
-// checkPage validates a node page before any entry in it is trusted, and
-// returns it trimmed to its header and entries: the entry count must fit
-// a page of the node's kind and the stored CRC must match the header and
-// the entry area.
-func (s *PagedStore) checkPage(id NodeID, buf []byte) ([]byte, error) {
+// checkPage validates node id's page on a pinned frame before any entry
+// in it is trusted, and returns it trimmed to its header and entries. The
+// entry count must fit a page of the node's kind, checked on every call.
+// The stored CRC must match the header and the entry area, checked once
+// per pool residence: on a frame the pool has not marked Checked, which it
+// marks on success. The pool clears the mark when it reads the page from
+// disk and when a writer unpins the frame dirty, so every byte a scan
+// trusts has passed the CRC since it last changed.
+func (s *PagedStore) checkPage(id NodeID, f *store.Frame) ([]byte, error) {
+	buf := f.Data
 	leaf, count := pageHeader(buf)
 	if holds := s.MaxEntries(leaf) + 1; count > holds {
 		return nil, fmt.Errorf("rstar: page %d claims %d entries, max %d", id, count, holds)
 	}
 	buf = buf[:pagedHeader+count*s.stride(leaf)]
+	if f.Checked() {
+		return buf, nil
+	}
 	sum := crc32.Update(crc32.Checksum(buf[:4], pagedCRC), pagedCRC, buf[pagedHeader:])
 	if stored := binary.LittleEndian.Uint32(buf[4:]); stored != sum {
 		return nil, fmt.Errorf("rstar: page %d checksum mismatch (stored %08x, computed %08x): data corruption", id, stored, sum)
 	}
+	f.MarkChecked()
 	return buf, nil
 }
 
 // scan runs the scan kernel over node id on its pinned frame's bytes,
-// once checkPage has passed: every scan checks the page, since its bytes
-// came from disk. The frame is unpinned before scan returns, so the
-// descent holds at most one pin at a time; emit and each run under that
-// pin.
+// once checkPage has passed. The frame is unpinned before scan returns,
+// so the descent holds at most one pin at a time; emit and each run under
+// that pin.
 func (s *PagedStore) scan(d *descent, id NodeID, lo, hi int) error {
 	f, err := s.pool.Get(store.PageID(id))
 	if err != nil {
 		return err
 	}
 	defer s.pool.Unpin(f, false)
-	page, err := s.checkPage(id, f.Data)
+	page, err := s.checkPage(id, f)
 	if err != nil {
 		return err
 	}
@@ -200,6 +208,6 @@ func (s *PagedStore) page(id NodeID) ([]byte, error) {
 		return nil, err
 	}
 	defer s.pool.Unpin(f, false)
-	page, err := s.checkPage(id, f.Data)
+	page, err := s.checkPage(id, f)
 	return append([]byte(nil), page...), err
 }

@@ -9,15 +9,20 @@ import (
 	"walrus/internal/obs"
 )
 
-// Probe is one range query of a multi-probe descent. It matches every data
-// entry whose rectangle intersects Box and — when Center is set — whose
-// point (the rectangle's Min corner; WALRUS indexes centroid signatures as
-// degenerate rectangles) lies within euclidean distance Eps of Center:
-// math.Sqrt(Σ(c_j − p_j)²) > Eps is false, the query pipeline's euclid
-// with the query as the left operand. With Center set the ball also prunes
-// inner nodes (see farBoxRaw); that drops no match as long as no difference
-// c_j − p_j is NaN, which finite signatures never produce. With Center nil
-// the box alone decides at every level.
+// Probe is one range query of a multi-probe descent. A probe is a box, a
+// ball or both, and matches every data entry that passes each test it
+// has. The box test keeps entries whose rectangle intersects Box; a probe
+// has a box when Box.Min is non-nil. The ball test, present when Center
+// is set, keeps entries whose point (the rectangle's Min corner; WALRUS
+// indexes centroid signatures as degenerate rectangles) lies within
+// euclidean distance Eps of Center: math.Sqrt(Σ(c_j − p_j)²) > Eps is
+// false, the query pipeline's euclid with the query as the left operand.
+// A ball prunes inner nodes by MINDIST (see farBoxRaw); that drops no
+// match as long as no difference c_j − p_j is NaN, which finite
+// signatures never produce. A ball alone is exactly the euclid rule; an
+// ε-cube box beside it is not a harmless filter, since the cube's
+// rounded edges can fall inside the ball (DESIGN.md, "Pruning by the
+// ball").
 type Probe struct {
 	Box    Rect
 	Center []float64
@@ -54,14 +59,17 @@ func ballBound(eps float64) float64 {
 // page.go). It reports whether that point lies outside the ball, bound
 // being ballBound(p.Eps). Terms are summed in euclid's order and partial
 // sums of squares only grow, so stopping at the first one above bound
-// decides exactly what the whole sum would.
+// decides exactly what the whole sum would. The float64 conversion
+// rounds each square before it is added, as euclid's does, on every
+// architecture: Go may otherwise fuse x*y + z into one instruction.
 func (p *Probe) farPointRaw(box []byte, bound float64) bool {
 	sum := 0.0
-	for j, c := range p.Center {
-		diff := c - rawFloat(box, j)
-		if sum += diff * diff; sum > bound {
+	for _, c := range p.Center {
+		diff := c - leFloat(box)
+		if sum += float64(diff * diff); sum > bound {
 			return true
 		}
+		box = box[8:]
 	}
 	return false
 }
@@ -77,17 +85,19 @@ func (p *Probe) farPointRaw(box []byte, bound float64) bool {
 // NaN center yields NaN sums and prunes nothing, as farPointRaw keeps
 // everything.
 func (p *Probe) farBoxRaw(box []byte, dim int, bound float64) bool {
+	lo, hi := box, box[8*dim:]
 	sum := 0.0
-	for j, c := range p.Center {
-		diff := c - rawFloat(box, j)
+	for _, c := range p.Center {
+		diff := c - leFloat(lo)
 		if diff > 0 {
-			if diff = c - rawFloat(box, dim+j); diff < 0 {
+			if diff = c - leFloat(hi); diff < 0 {
 				diff = 0
 			}
 		}
-		if sum += diff * diff; sum > bound {
+		if sum += float64(diff * diff); sum > bound {
 			return true
 		}
+		lo, hi = lo[8:], hi[8:]
 	}
 	return false
 }
@@ -96,10 +106,12 @@ func (p *Probe) farBoxRaw(box []byte, dim int, bound float64) bool {
 // whose maxs start at float hi: hi = dim for a box, 0 for a point, whose
 // maxs are its mins.
 func intersectsRaw(box []byte, hi int, q Rect) bool {
-	for j := range q.Min {
-		if rawFloat(box, j) > q.Max[j] || q.Min[j] > rawFloat(box, hi+j) {
+	lo, up := box, box[8*hi:]
+	for j, qlo := range q.Min {
+		if leFloat(lo) > q.Max[j] || qlo > leFloat(up) {
 			return false
 		}
+		lo, up = lo[8:], up[8:]
 	}
 	return true
 }
@@ -177,16 +189,15 @@ func scanStore(s NodeStore, d *descent, id NodeID, lo, hi int) error {
 }
 
 // scanPage is the scan kernel every store runs, over a page trimmed to its
-// header and entries, which it trusts: a PagedStore checks its frames
-// first, while MemStore pages and overlay pre-images never left the
-// process. It tests the entries where they lie and builds no Node, Entry
-// or Rect (the Search wrappers' each callback excepted, which needs whole
-// entries for its hits). Leaf entries are emitted per matching active
-// probe; a child is pushed for visit with the active probes its entry may
-// hold matches for — inside the ball (when Center is set) and intersecting
-// the box — or dropped when none may. The ball test goes first: it rejects
-// far more, and the box test after it keeps the survivors exactly those of
-// the box-and-ball contract.
+// header and entries, which it trusts: a PagedStore checks a frame's bytes
+// once per pool residence, while MemStore pages and overlay pre-images
+// never left the process. It tests the entries where they lie and builds
+// no Node, Entry or Rect (the Search wrappers' each callback excepted,
+// which needs whole entries for its hits). Leaf entries are emitted per
+// matching active probe; a child is pushed for visit with the active
+// probes its entry may hold matches for — inside the ball (when the probe
+// has one) and intersecting the box (when it has one) — or dropped when
+// none may. The ball test goes first: it rejects far more.
 func (l layout) scanPage(d *descent, page []byte, lo, hi int) {
 	// active stays readable through this header even when pushing children
 	// grows (and so moves) the stack it is a window of.
@@ -202,7 +213,7 @@ func (l layout) scanPage(d *descent, page []byte, lo, hi int) {
 			box := entries[pagedRefBytes:stride]
 			for _, pi := range active {
 				p := &probes[pi]
-				if (p.Center != nil && p.farPointRaw(box, bounds[pi])) || !intersectsRaw(box, hi, p.Box) {
+				if (p.Center != nil && p.farPointRaw(box, bounds[pi])) || (p.Box.Min != nil && !intersectsRaw(box, hi, p.Box)) {
 					continue
 				}
 				data := int64(binary.LittleEndian.Uint64(entries))
@@ -222,7 +233,7 @@ func (l layout) scanPage(d *descent, page []byte, lo, hi int) {
 		mark := len(stack)
 		for _, pi := range active {
 			p := &probes[pi]
-			if (p.Center == nil || !p.farBoxRaw(box, dim, bounds[pi])) && intersectsRaw(box, dim, p.Box) {
+			if (p.Center == nil || !p.farBoxRaw(box, dim, bounds[pi])) && (p.Box.Min == nil || intersectsRaw(box, dim, p.Box)) {
 				stack = append(stack, pi)
 			}
 		}
@@ -241,7 +252,10 @@ func descend(s NodeStore, epoch uint64, m *treeMetrics, root NodeID, dim, height
 	probes []Probe, emit func(int, int64), each func(Entry) bool) (int, error) {
 	for i := range probes {
 		p := &probes[i]
-		if p.Box.Dim() != dim {
+		if p.Box.Min == nil && p.Center == nil {
+			return 0, fmt.Errorf("rstar: probe %d has neither a box nor a ball", i)
+		}
+		if p.Box.Min != nil && p.Box.Dim() != dim {
 			return 0, fmt.Errorf("rstar: query has dim %d, tree has %d", p.Box.Dim(), dim)
 		}
 		if p.Center != nil && len(p.Center) != dim {

@@ -256,6 +256,12 @@ func TestProbeValidatesDimensions(t *testing.T) {
 	if _, err := tr.Probe([]Probe{{Box: Point([]float64{1, 2, 3}), Center: []float64{1}}}, emit); err == nil {
 		t.Error("Probe accepted a center of the wrong dimension")
 	}
+	if _, err := tr.Probe([]Probe{{Center: []float64{1}, Eps: 1}}, emit); err == nil {
+		t.Error("Probe accepted a ball-only probe of the wrong dimension")
+	}
+	if _, err := tr.Probe([]Probe{{Eps: 1}}, emit); err == nil {
+		t.Error("Probe accepted a probe with neither a box nor a ball")
+	}
 }
 
 // newPagedStore is a PagedStore with the given leaf kind for

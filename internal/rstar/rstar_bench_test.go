@@ -111,36 +111,42 @@ func BenchmarkSearch(b *testing.B) {
 // well. visits/op and pager_reads/op (pool misses) show what the ball
 // saves; allocs/op is the descent's few plus one Frame per miss. The
 // "points/" sub-benchmarks run the same queries over a point-leaf store,
-// whose leaves hold twice the entries, with a pool of the same size.
+// whose leaves hold twice the entries, with a pool of the same size;
+// "points/ballonly" is the query pipeline's probe, the ε-ball with no
+// box.
 func BenchmarkProbePaged(b *testing.B) {
 	const dim, clusters, eps = 12, 50, 0.3
 	centers, pts := clusteredPoints(rand.New(rand.NewSource(4)), dim, clusters, 5000, 0.05)
 	// Query q probes around clusters q, q+1 and q+2, so successive queries
 	// read different pages, as successive queries of a workload do.
-	ball, box := make([][]Probe, clusters), make([][]Probe, clusters)
+	ball, box, ballOnly := make([][]Probe, clusters), make([][]Probe, clusters), make([][]Probe, clusters)
 	for q := range ball {
-		ball[q] = make([]Probe, 3)
+		ball[q], ballOnly[q] = make([]Probe, 3), make([]Probe, 3)
 		for i := range ball[q] {
 			c := centers[(q+i)%clusters]
 			ball[q][i] = Probe{Box: Point(c).Expand(eps), Center: c, Eps: eps}
+			ballOnly[q][i] = Probe{Center: c, Eps: eps}
 		}
 		box[q] = boxOnly(ball[q])
 	}
 	for _, leaves := range []LeafKind{BoxLeaves, PointLeaves} {
-		prefix := ""
+		prefix, sets := "", []probeSet{{"box", box}, {"ball", ball}}
 		if leaves == PointLeaves {
-			prefix = "points/"
+			prefix, sets = "points/", append(sets, probeSet{"ballonly", ballOnly})
 		}
 		tr, ps, _ := pagedPointTree(b, store.DefaultPageSize, dim, 64, pts, leaves)
-		benchProbePaged(b, prefix, tr, ps, box, ball)
+		benchProbePaged(b, prefix, tr, ps, sets)
 	}
 }
 
-func benchProbePaged(b *testing.B, prefix string, tr *Tree, ps *PagedStore, box, ball [][]Probe) {
-	for _, bc := range []struct {
-		name    string
-		queries [][]Probe
-	}{{"box", box}, {"ball", ball}} {
+// probeSet is one named sub-benchmark's queries.
+type probeSet struct {
+	name    string
+	queries [][]Probe
+}
+
+func benchProbePaged(b *testing.B, prefix string, tr *Tree, ps *PagedStore, sets []probeSet) {
+	for _, bc := range sets {
 		b.Run(prefix+bc.name, func(b *testing.B) {
 			hits, visits := 0, 0
 			emit := func(int, int64) { hits++ }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"walrus/internal/obs"
@@ -26,7 +27,24 @@ type Frame struct {
 	dirty  bool
 	logged bool // current contents captured in the WAL (see LogDirty)
 	elem   *list.Element
+
+	// checked is the "contents checked" mark (see Checked). An atomic,
+	// because readers sharing a pin set it without the pool's lock.
+	checked atomic.Bool
 }
+
+// Checked reports whether the frame's current contents were marked by
+// MarkChecked. The pool clears the mark whenever the bytes may change: a
+// freshly admitted frame starts unmarked, and Unpin with dirty set clears
+// it. An owner that validates its pages (a checksum over bytes read from
+// disk) can so run the check once per residence instead of on every
+// access: check an unmarked frame, then mark it.
+func (f *Frame) Checked() bool { return f.checked.Load() }
+
+// MarkChecked marks the frame's current contents as checked. The caller
+// holds a pin and has verified Data since it was admitted or last
+// modified.
+func (f *Frame) MarkChecked() { f.checked.Store(true) }
 
 // PoolStats counts buffer pool activity.
 type PoolStats struct {
@@ -245,7 +263,8 @@ func (bp *BufferPool) drop(f *Frame) {
 	f.Data = nil
 }
 
-// Unpin releases one pin on f; dirty marks the page as modified.
+// Unpin releases one pin on f; dirty marks the page as modified, which
+// also clears its Checked mark.
 func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -256,6 +275,7 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	if dirty {
 		f.dirty = true
 		f.logged = false
+		f.checked.Store(false)
 	}
 }
 

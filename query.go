@@ -59,27 +59,30 @@ func (s *shardSnapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
 	return qRegions, nil
 }
 
-// probeStage answers every query region's epsilon envelope in one index
-// descent: nodes (pages, on disk) shared by several regions' envelopes are
-// read once, and for centroid signatures the exact euclidean test runs
-// inside the leaf scan, so only true matches are handed back. Hits land in
-// their region's slot in the index's depth-first entry order, which
-// follows the tree's shape; aggregateStage orders them, so scores, stats
-// and rankings depend only on the set each region retrieves. A nil tc
-// (the common case) adds nothing to the probe path.
+// probeStage answers every query region's probe in one index descent:
+// nodes (pages, on disk) shared by several regions' probes are read once.
+// A centroid signature probes with the ε-ball alone — the exact euclid
+// test, which prunes inner nodes by MINDIST and decides at the leaves, so
+// only true matches are handed back; an ε-cube beside it would add
+// nothing but a rounding error at its edges (DESIGN.md, "Pruning by the
+// ball"). A bounding-box signature probes with its ε-envelope, since
+// bounding boxes match by box overlap. Each region's hits come back in
+// the index's depth-first entry order, which follows the tree's shape;
+// aggregateStage orders them, so scores, stats and rankings depend only
+// on the set each region retrieves. A nil tc (the common case) adds
+// nothing to the probe path.
 func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) ([][]probeHit, error) {
-	// Bounding-box signatures match by box overlap, which the envelope
-	// tests exactly.
-	exact := !s.core.opts.UseBBox
 	probes := make([]rstar.Probe, len(qRegions))
 	for qi, qr := range qRegions {
-		probes[qi].Box = signatureRect(s.core.opts.UseBBox, qr).Expand(p.Epsilon)
-		if exact {
+		if s.core.opts.UseBBox {
+			probes[qi].Box = signatureRect(true, qr).Expand(p.Epsilon)
+		} else {
 			probes[qi].Center, probes[qi].Eps = qr.Signature, p.Epsilon
 		}
 	}
-	perRegion := make([][]probeHit, len(qRegions))
-	indexHits, kept := 0, 0
+	hb := hitPool.Get().(*hitBufs)
+	hits := hb.hits[:0]
+	indexHits := 0
 	visits, err := s.view.Probe(probes, func(qi int, payload int64) {
 		indexHits++
 		// Validate the hit against the snapshot catalog: on disk the
@@ -92,13 +95,57 @@ func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *
 		if ref.Local < 0 {
 			return
 		}
-		perRegion[qi] = append(perRegion[qi], probeHit{image: ref.Image, pair: match.Pair{Q: qi, T: ref.Local}})
-		kept++
+		hits = append(hits, probeHit{image: ref.Image, pair: match.Pair{Q: qi, T: ref.Local}})
 	})
+	perRegion := hb.byRegion(hits, len(qRegions))
 	if tc != nil {
-		tc.indexHits, tc.nodeVisits, tc.probeOut = indexHits, visits, kept
+		tc.indexHits, tc.nodeVisits, tc.probeOut = indexHits, visits, len(hits)
 	}
+	hb.hits = hits
+	hitPool.Put(hb)
 	return perRegion, err
+}
+
+// hitBufs is probeStage's working state, pooled across queries: the
+// flat buffer every hit of a descent is appended to, and the per-region
+// counts of the pass that files them. Both hold no pointers, so pooled
+// buffers keep nothing of a query alive.
+type hitBufs struct {
+	hits  []probeHit
+	count []int
+}
+
+var hitPool = sync.Pool{New: func() any { return new(hitBufs) }}
+
+// byRegion files hits, in emission order, into one run per query region
+// of one exact-size array: a stable counting pass by query region, so each
+// run keeps the order the index emitted. Regions without hits get nil.
+func (hb *hitBufs) byRegion(hits []probeHit, regions int) [][]probeHit {
+	perRegion := make([][]probeHit, regions)
+	if len(hits) == 0 {
+		return perRegion
+	}
+	if cap(hb.count) < regions {
+		hb.count = make([]int, regions)
+	}
+	count := hb.count[:regions]
+	clear(count)
+	for _, h := range hits {
+		count[h.pair.Q]++
+	}
+	// count[qi] turns from the region's hit count into its fill cursor.
+	all, at := make([]probeHit, len(hits)), 0
+	for qi, n := range count {
+		if n > 0 {
+			perRegion[qi] = all[at : at+n : at+n]
+		}
+		count[qi], at = at, at+n
+	}
+	for _, h := range hits {
+		all[count[h.pair.Q]] = h
+		count[h.pair.Q]++
+	}
+	return perRegion
 }
 
 // refineStage is the refined matching phase of Section 5.5: candidate

@@ -282,11 +282,15 @@ func refsInImageOrder(refs []regionRef) bool {
 	return slices.IsSortedFunc(refs, func(a, b regionRef) int { return cmp.Compare(a.Image, b.Image) })
 }
 
+// euclid is the euclidean distance the matching rule of §5 compares
+// with ε. The explicit float64 conversion rounds each square on its own,
+// so no architecture fuses it into the sum (the Go spec allows fusing
+// x*y + z otherwise): the index's ball test sums the same way.
 func euclid(a, b []float64) float64 {
 	d := 0.0
 	for i := range a {
 		diff := a[i] - b[i]
-		d += diff * diff
+		d += float64(diff * diff)
 	}
 	return math.Sqrt(d)
 }
