@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"walrus/internal/imgio"
+	"walrus/internal/match"
 	"walrus/internal/obs"
 	"walrus/internal/parallel"
 	"walrus/internal/region"
@@ -80,6 +81,9 @@ func (sh *shard) addExtractedLocked(id string, im *imgio.Image, regions []region
 	if m != nil {
 		start = statsClock()
 	}
+	if err := checkGrid(sh.opts.Region.BitmapGrid, regions); err != nil {
+		return fmt.Errorf("walrus: image %q: %w", id, err)
+	}
 	if _, dup := sh.byID.get(id); dup {
 		return fmt.Errorf("walrus: image %q %w", id, ErrDuplicateID)
 	}
@@ -94,16 +98,12 @@ func (sh *shard) addExtractedLocked(id string, im *imgio.Image, regions []region
 		payload := int64(len(sh.refs))
 		ref := regionRef{Image: imgIdx, Local: local}
 		if sh.persist != nil {
-			rec, err := r.MarshalBinary()
+			rid, err := sh.storeRegion(id, r)
 			if err != nil {
-				return fmt.Errorf("walrus: encoding region of %q: %w", id, err)
+				return err
 			}
-			rid, err := sh.persist.heap.Insert(rec)
-			if err != nil {
-				return fmt.Errorf("walrus: storing region of %q: %w", id, err)
-			}
-			ref.RID = rid.Pack()
-			rids = append(rids, ref.RID)
+			ref.RID = rid
+			rids = append(rids, rid)
 		}
 		sh.refs = append(sh.refs, ref)
 		if err := sh.tree.Insert(signatureRect(sh.opts.UseBBox, r), payload); err != nil {
@@ -127,6 +127,43 @@ func (sh *shard) addExtractedLocked(id string, im *imgio.Image, regions []region
 			obs.Attr{Key: "regions", Value: int64(len(regions))})
 	}
 	return nil
+}
+
+// storeRegion writes a region of image id to a disk shard's heap and
+// returns its packed record id.
+func (sh *shard) storeRegion(id string, r region.Region) (uint64, error) {
+	rec, err := r.MarshalBinary()
+	if err != nil {
+		return 0, fmt.Errorf("walrus: encoding region of %q: %w", id, err)
+	}
+	rid, err := sh.persist.heap.Insert(rec)
+	if err != nil {
+		return 0, fmt.Errorf("walrus: storing region of %q: %w", id, err)
+	}
+	return rid.Pack(), nil
+}
+
+// checkGrid checks that every region's bitmap is on the k×k grid the
+// database's options fix. Regions enter a catalog only past it — Add,
+// AddBatch, the bulk loads, and Open's region load, which WAL replay
+// feeds too — so the scorer trusts every catalog bitmap
+// (match.ScoreTrusted).
+func checkGrid(k int, regions []region.Region) error {
+	for i := range regions {
+		if err := checkBitmap(k, i, regions[i].Bitmap); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkBitmap is checkGrid's test of region local's bitmap b.
+func checkBitmap(k, local int, b region.Bitmap) error {
+	if match.OnGrid(b, k) {
+		return nil
+	}
+	return fmt.Errorf("walrus: region %d has a bitmap of grid %d with %d words, the database's grid is %d",
+		local, b.K, len(b.Words), k)
 }
 
 // Stats summarizes database state. Images, Regions, SignatureDim and

@@ -31,25 +31,9 @@ func buildShard(opts Options, items []BatchItem, workers int) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	extracted, errs := sh.extractAll(items, workers)
-
-	var rects []rstar.Rect
-	var payloads []int64
-	for i, it := range items {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i])
-		}
-		if _, dup := sh.byID.get(it.ID); dup {
-			return nil, fmt.Errorf("walrus: duplicate image id %q", it.ID)
-		}
-		imgIdx := len(sh.images)
-		sh.images = append(sh.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
-		sh.byID.set(it.ID, imgIdx)
-		for local, r := range extracted[i] {
-			payloads = append(payloads, int64(len(sh.refs)))
-			sh.refs = append(sh.refs, regionRef{Image: imgIdx, Local: local})
-			rects = append(rects, signatureRect(opts.UseBBox, r))
-		}
+	rects, payloads, err := sh.catalogBulkLocked(items, workers)
+	if err != nil {
+		return nil, err
 	}
 
 	capacity := opts.NodeCapacity
@@ -95,33 +79,9 @@ func createShardFrom(dir string, opts Options, items []BatchItem, workers int) (
 	if err := sh.beginBulkLoad(); err != nil {
 		return nil, errors.Join(err, sh.close())
 	}
-	extracted, errs := sh.extractAll(items, workers)
-
-	var rects []rstar.Rect
-	var payloads []int64
-	for i, it := range items {
-		if errs[i] != nil {
-			return nil, errors.Join(fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i]), sh.close())
-		}
-		if _, dup := sh.byID.get(it.ID); dup {
-			return nil, errors.Join(fmt.Errorf("walrus: duplicate image id %q", it.ID), sh.close())
-		}
-		imgIdx := len(sh.images)
-		sh.images = append(sh.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
-		sh.byID.set(it.ID, imgIdx)
-		for local, r := range extracted[i] {
-			rec, err := r.MarshalBinary()
-			if err != nil {
-				return nil, errors.Join(fmt.Errorf("walrus: encoding region of %q: %w", it.ID, err), sh.close())
-			}
-			rid, err := sh.persist.heap.Insert(rec)
-			if err != nil {
-				return nil, errors.Join(fmt.Errorf("walrus: storing region of %q: %w", it.ID, err), sh.close())
-			}
-			payloads = append(payloads, int64(len(sh.refs)))
-			sh.refs = append(sh.refs, regionRef{Image: imgIdx, Local: local, RID: rid.Pack()})
-			rects = append(rects, signatureRect(opts.UseBBox, r))
-		}
+	rects, payloads, err := sh.catalogBulkLocked(items, workers)
+	if err != nil {
+		return nil, errors.Join(err, sh.close())
 	}
 
 	// Bulk-load through the same versioned store the empty tree was
@@ -138,6 +98,46 @@ func createShardFrom(dir string, opts Options, items []BatchItem, workers int) (
 	}
 	sh.publishLocked()
 	return sh, nil
+}
+
+// catalogBulkLocked is the catalog half of a bulk load into a shard that
+// has published nothing yet, so its caller owns the catalog exclusively.
+// It extracts every item's regions on the worker pool, enters the images
+// and their regions into the catalog in item order — on a disk shard
+// storing each region in the heap — and returns the index keys and
+// payloads the bulk load packs.
+func (sh *shard) catalogBulkLocked(items []BatchItem, workers int) ([]rstar.Rect, []int64, error) {
+	extracted, errs := sh.extractAll(items, workers)
+	var rects []rstar.Rect
+	var payloads []int64
+	for i, it := range items {
+		if errs[i] != nil {
+			return nil, nil, fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i])
+		}
+		if err := checkGrid(sh.opts.Region.BitmapGrid, extracted[i]); err != nil {
+			return nil, nil, fmt.Errorf("walrus: image %q: %w", it.ID, err)
+		}
+		if _, dup := sh.byID.get(it.ID); dup {
+			return nil, nil, fmt.Errorf("walrus: duplicate image id %q", it.ID)
+		}
+		imgIdx := len(sh.images)
+		sh.images = append(sh.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
+		sh.byID.set(it.ID, imgIdx)
+		for local, r := range extracted[i] {
+			ref := regionRef{Image: imgIdx, Local: local}
+			if sh.persist != nil {
+				rid, err := sh.storeRegion(it.ID, r)
+				if err != nil {
+					return nil, nil, err
+				}
+				ref.RID = rid
+			}
+			payloads = append(payloads, int64(len(sh.refs)))
+			sh.refs = append(sh.refs, ref)
+			rects = append(rects, signatureRect(sh.opts.UseBBox, r))
+		}
+	}
+	return rects, payloads, nil
 }
 
 // beginBulkLoad suspends write-ahead logging for a bulk rebuild: logging

@@ -82,23 +82,31 @@
 #      boundary — once per pool residence, re-armed by a dirty write, the
 #      entry-count bound on every scan (TestPagedStoreChecksOncePerResidence,
 #      and the buffer pool's TestFrameChecked*: clean and dirty unpins,
-#      eviction, concurrent scanners marking one frame)
+#      eviction, concurrent scanners marking one frame); and the blocked
+#      ball kernels against their per-coordinate references at d = 1–5,
+#      12 and 13, with points on the sphere, bounds at every prefix sum
+#      and NaN/±Inf at every position of a block
+#      (TestBallKernelMatchesReference)
 #   1i. extraction exactness tier: pins every region of a seeded image
 #      set (odd and step-misaligned sizes, several window ranges, a finer
 #      second-tier signature, HSV, serial and parallel) to SHA-256
 #      digests, and bounds the bytes one Extract allocates
 #   1j. query tail exactness tier: the bounded top-k selection against a
-#      full sort (ties, every Limit, τ), the quick scorer against a
-#      map-based reference for pairs in any order, the aggregate stage's
-#      pair runs against permuted hits, sharded rankings at low Limits
-#      against the unsharded ones, the shard-count matrix, and the
-#      allocations per query after extraction
-#   1k. no fused multiply-add in the R*-tree kernels: Go may fuse x*y + z
-#      on arm64 (never on amd64), which would make the ε-ball test round
-#      differently from euclid; an arm64 build of walrus-query, read back
-#      with go tool objdump, must hold no FMADD/FMSUB/FNMADD/FNMSUB in a
-#      walrus/internal/rstar symbol (offline: cross-compiling needs no
-#      network)
+#      full sort (ties, every Limit, τ), the quick scorer (checked and
+#      trusted entries) against a map-based reference for pairs in any
+#      order, the scorer's input checks, the bitmap grid check on every
+#      path into a catalog and on the query, the aggregate stage's pair
+#      runs against the flat hit list shuffled across regions, the
+#      chunked in-place refine filter against a serial one, sharded
+#      rankings at low Limits against the unsharded ones, the shard-count
+#      matrix, and the allocations per query after extraction
+#   1k. no fused multiply-add in the kernels whose output is pinned: Go may
+#      fuse x*y + z on arm64 (never on amd64), which would make the ε-ball
+#      test round differently from euclid and the scorers' covered areas
+#      differ by GOARCH; an arm64 build of walrus-query, read back with go
+#      tool objdump, must hold no FMADD/FMSUB/FNMADD/FNMSUB in a
+#      walrus/internal/rstar, walrus/internal/match or root walrus symbol
+#      (offline: cross-compiling needs no network)
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -147,10 +155,10 @@ check_no_fma() {
         rm -rf "$_out"
         return 1
     fi
-    _fused=$(go tool objdump -s '^walrus/internal/rstar\.' "$_out/walrus-query" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
+    _fused=$(go tool objdump -s '^walrus(/internal/(rstar|match))?\.' "$_out/walrus-query" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
     rm -rf "$_out"
     if [ -n "$_fused" ]; then
-        echo "fused multiply-add in walrus/internal/rstar on arm64:" >&2
+        echo "fused multiply-add in walrus, walrus/internal/rstar or walrus/internal/match on arm64:" >&2
         echo "$_fused" >&2
         return 1
     fi
@@ -195,12 +203,12 @@ tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
-tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout|TestFrameChecked' . ./internal/rstar ./internal/store
+tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout|TestFrameChecked|TestBallKernel' . ./internal/rstar ./internal/store
 
 tier "tier 1: extraction exactness (golden regions, allocations)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations' ./internal/region
-tier "tier 1: query tail exactness (top-k, quick scorer, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestTopK|TestAggregateStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match
+tier "tier 1: query tail exactness (top-k, quick scorer, grid check, aggregate, refine, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestScoreValidation|TestGridCheck|TestTopK|TestAggregateStage|TestRefineStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match
 
-tier "tier 1: no fused multiply-add in the R*-tree kernels (arm64 objdump)" check_no_fma
+tier "tier 1: no fused multiply-add in the index, scoring and query kernels (arm64 objdump)" check_no_fma
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

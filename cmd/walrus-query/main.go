@@ -158,15 +158,16 @@ func printExplain(qt *walrus.QueryTrace) {
 	if qt.TraceID != "" {
 		fmt.Printf(", trace %s", qt.TraceID)
 	}
-	fmt.Printf("\n%-10s %8s %8s %11s %7s %12s\n", "stage", "in", "out", "index_hits", "nodes", "time")
+	fmt.Printf("\n%-10s %8s %8s %11s %7s %11s %12s\n", "stage", "in", "out", "index_hits", "nodes", "entry_tests", "time")
 	for _, st := range qt.Stages {
-		hits, nodes := "-", "-"
+		hits, nodes, tests := "-", "-", "-"
 		if st.Stage == "probe" {
 			hits = fmt.Sprintf("%d", st.IndexHits)
 			nodes = fmt.Sprintf("%d", st.NodesVisited)
+			tests = fmt.Sprintf("%d", st.EntryTests)
 		}
-		fmt.Printf("%-10s %8d %8d %11s %7s %12s\n",
-			st.Stage, st.In, st.Out, hits, nodes, time.Duration(st.DurationNS))
+		fmt.Printf("%-10s %8d %8d %11s %7s %11s %12s\n",
+			st.Stage, st.In, st.Out, hits, nodes, tests, time.Duration(st.DurationNS))
 	}
 	if qt.Sharded {
 		fmt.Printf("\n%-6s %8s %11s %7s %10s %11s %8s %12s %12s\n",

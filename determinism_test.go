@@ -140,68 +140,104 @@ func TestQueryParallelismDeterminism(t *testing.T) {
 }
 
 // TestAggregateStageOrderIndependent: the per-image pair runs are a
-// function of the hits each query region retrieved, not of the order the
+// function of the set of hits the probe returned, not of the order the
 // index emitted them in. Another tree shape emits the same hits in another
-// order, and the one-to-one matchers break ties by pair order, so the
-// pairs must reach the scorer in (Q, T) order whatever the emission order.
-func TestAggregateStageOrderIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	// Most images are hit by few query regions, so an image's run often
-	// starts at the query region where its neighbour's run ends: the
-	// fill must not order pairs across that boundary.
-	const images = 12
-	perRegion := make([][]probeHit, 4)
-	for qi := range perRegion {
-		for img := 0; img < images; img++ {
-			if rng.Intn(3) != 0 {
-				continue
-			}
-			for _, local := range rng.Perm(6)[:rng.Intn(4)] {
-				perRegion[qi] = append(perRegion[qi], probeHit{image: img, pair: match.Pair{Q: qi, T: local}})
-			}
+// order, with the hits of different query regions interleaved, and the
+// one-to-one matchers break ties by pair order, so the pairs must reach
+// the scorer in (Q, T) order whatever the emission order. Catalogs of 12
+// and 150 images put the hit slots in one and in several bitset words.
+// TestAggregateStageSpan checks that aggregation reads and clears only
+// the bitset words its hit slots span: hits in one band of a large
+// catalog, then none, then another band must each yield exactly their
+// own images, so no bit of an earlier query survives in the pooled
+// bitset.
+func TestAggregateStageSpan(t *testing.T) {
+	band := func(lo, hi int) []probeHit {
+		var hits []probeHit
+		for img := lo; img < hi; img += 7 {
+			hits = append(hits, probeHit{image: img, pair: match.Pair{Q: img % 3, T: 1}})
+		}
+		return hits
+	}
+	for _, tc := range []struct {
+		hits      []probeHit
+		numImages int
+	}{
+		{nil, 0},
+		{band(5000, 5300), 10000},
+		{nil, 10000},
+		{band(60, 200), 10000},
+		{band(5003, 5400), 10000},
+		{band(9930, 10000), 10000},
+		{band(0, 64), 64},
+	} {
+		var want []int
+		for _, h := range tc.hits {
+			want = append(want, h.image)
+		}
+		if got := aggregateStage(tc.hits, tc.numImages).images; !slices.Equal(got, want) {
+			t.Fatalf("%d hits over %d images: candidates %v, want %v", len(tc.hits), tc.numImages, got, want)
 		}
 	}
-	want, wantRetrieved := aggregateStage(perRegion, images)
-	if !slices.IsSorted(want.images) || len(want.start) != len(want.images)+1 || want.start[len(want.images)] != len(want.pairs) {
-		t.Fatalf("malformed candidate set: images %v, start %v, %d pairs", want.images, want.start, len(want.pairs))
-	}
-	// Reference: every image's hits, sorted by (Q, T).
-	ref := make(map[int][]match.Pair)
-	for _, hits := range perRegion {
+}
+
+func TestAggregateStageOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, images := range []int{12, 150} {
+		// Most images are hit by few query regions, so an image's run
+		// often starts at the query region where its neighbour's run ends:
+		// the fill must not order pairs across that boundary.
+		var hits []probeHit
+		for qi := 0; qi < 4; qi++ {
+			for img := 0; img < images; img++ {
+				if rng.Intn(3) != 0 {
+					continue
+				}
+				for _, local := range rng.Perm(6)[:rng.Intn(4)] {
+					hits = append(hits, probeHit{image: img, pair: match.Pair{Q: qi, T: local}})
+				}
+			}
+		}
+		want := aggregateStage(hits, images)
+		if !slices.IsSorted(want.images) || len(want.start) != len(want.images)+1 || want.start[len(want.images)] != len(want.pairs) || len(want.pairs) != len(hits) {
+			t.Fatalf("images=%d: malformed candidate set: images %v, start %v, %d pairs for %d hits",
+				images, want.images, want.start, len(want.pairs), len(hits))
+		}
+		// Reference: every image's hits, sorted by (Q, T).
+		ref := make(map[int][]match.Pair)
 		for _, h := range hits {
 			ref[h.image] = append(ref[h.image], h.pair)
 		}
-	}
-	if len(ref) != len(want.images) {
-		t.Fatalf("%d candidates, want %d", len(want.images), len(ref))
-	}
-	for i, img := range want.images {
-		pairs := want.pairsOf(i)
-		wantPairs := ref[img]
-		slices.SortFunc(wantPairs, func(a, b match.Pair) int {
-			if a.Q != b.Q {
-				return a.Q - b.Q
+		if len(ref) != len(want.images) {
+			t.Fatalf("images=%d: %d candidates, want %d", images, len(want.images), len(ref))
+		}
+		for i, img := range want.images {
+			pairs := want.pairsOf(i)
+			wantPairs := ref[img]
+			slices.SortFunc(wantPairs, func(a, b match.Pair) int {
+				if a.Q != b.Q {
+					return a.Q - b.Q
+				}
+				return a.T - b.T
+			})
+			if !slices.Equal(pairs, wantPairs) {
+				t.Fatalf("images=%d image %d: pairs %v, want %v", images, img, pairs, wantPairs)
 			}
-			return a.T - b.T
-		})
-		if !slices.Equal(pairs, wantPairs) {
-			t.Fatalf("image %d: pairs %v, want %v", img, pairs, wantPairs)
-		}
-		for j := 1; j < len(pairs); j++ {
-			if a, b := pairs[j-1], pairs[j]; a.Q > b.Q || (a.Q == b.Q && a.T >= b.T) {
-				t.Fatalf("image %d: pairs %v not in (Q, T) order", img, pairs)
+			for j := 1; j < len(pairs); j++ {
+				if a, b := pairs[j-1], pairs[j]; a.Q > b.Q || (a.Q == b.Q && a.T >= b.T) {
+					t.Fatalf("images=%d image %d: pairs %v not in (Q, T) order", images, img, pairs)
+				}
 			}
 		}
-	}
-	for trial := 0; trial < 20; trial++ {
-		permuted := make([][]probeHit, len(perRegion))
-		for qi, hits := range perRegion {
-			permuted[qi] = append([]probeHit(nil), hits...)
-			rng.Shuffle(len(hits), func(i, j int) { permuted[qi][i], permuted[qi][j] = permuted[qi][j], permuted[qi][i] })
-		}
-		got, retrieved := aggregateStage(permuted, images)
-		if retrieved != wantRetrieved || !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: permuting each region's hits changed the pair sets:\n got  %v\n want %v", trial, got, want)
+		for trial := 0; trial < 20; trial++ {
+			// Shuffle the whole list: every region's hits interleave with
+			// the others', and the bitset and slot arrays come back from
+			// the pool of the previous trial.
+			permuted := append([]probeHit(nil), hits...)
+			rng.Shuffle(len(permuted), func(i, j int) { permuted[i], permuted[j] = permuted[j], permuted[i] })
+			if got := aggregateStage(permuted, images); !reflect.DeepEqual(got, want) {
+				t.Fatalf("images=%d trial %d: permuting the hits changed the pair sets:\n got  %v\n want %v", images, trial, got, want)
+			}
 		}
 	}
 }

@@ -41,8 +41,8 @@ func scoreAssignment(qRegions, tRegions []region.Region, pairs []Pair, qArea, tA
 	weight := func(r, c int) float64 { return 0 }
 	pairSet := make(map[[2]int]float64, len(pairs))
 	for _, p := range pairs {
-		w := qRegions[p.Q].Bitmap.Fraction()*float64(qArea) +
-			tRegions[p.T].Bitmap.Fraction()*float64(tArea)
+		w := float64(qRegions[p.Q].Bitmap.Fraction()*float64(qArea)) +
+			float64(tRegions[p.T].Bitmap.Fraction()*float64(tArea))
 		pairSet[[2]int{qIdx[p.Q], tIdx[p.T]}] = w
 	}
 	if transposed {

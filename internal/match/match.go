@@ -99,7 +99,9 @@ type Result struct {
 
 // Score computes the similarity between a query and a target image from
 // their regions and the list of matching region pairs. qArea and tArea are
-// the images' pixel areas.
+// the images' pixel areas. It checks its input — positive areas, every
+// pair in range, every paired region's bitmap on one grid with that
+// grid's word count — and then scores as ScoreTrusted does.
 func Score(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int, opts Options) (Result, error) {
 	if qArea <= 0 || tArea <= 0 {
 		return Result{}, fmt.Errorf("match: non-positive image areas %d, %d", qArea, tArea)
@@ -117,7 +119,7 @@ func Score(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int, o
 		if k == -1 {
 			k = qRegions[p.Q].Bitmap.K
 		}
-		if qRegions[p.Q].Bitmap.K != k || tRegions[p.T].Bitmap.K != k {
+		if !OnGrid(qRegions[p.Q].Bitmap, k) || !OnGrid(tRegions[p.T].Bitmap, k) {
 			bad = i
 			break
 		}
@@ -128,13 +130,34 @@ func Score(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int, o
 			return Result{}, fmt.Errorf("match: pair (%d,%d) out of range (%d query, %d target regions)",
 				p.Q, p.T, len(qRegions), len(tRegions))
 		}
-		return Result{}, fmt.Errorf("match: bitmap grids differ across regions (%d vs %d/%d)",
-			k, qRegions[p.Q].Bitmap.K, tRegions[p.T].Bitmap.K)
+		qb, tb := qRegions[p.Q].Bitmap, tRegions[p.T].Bitmap
+		return Result{}, fmt.Errorf("match: bitmap grids differ across regions (grid %d; query K %d with %d words, target K %d with %d words)",
+			k, qb.K, len(qb.Words), tb.K, len(tb.Words))
 	}
+	return ScoreTrusted(qRegions, tRegions, pairs, qArea, tArea, opts)
+}
+
+// OnGrid reports whether b is a bitmap of the k×k grid: its K is k and it
+// has the grid's word count.
+func OnGrid(b region.Bitmap, k int) bool {
+	return b.K == k && len(b.Words) == (k*k+63)/64
+}
+
+// ScoreTrusted is Score without its checks, for a caller whose inputs
+// already hold them: positive areas, every pair in range, and every
+// paired region's bitmap on one grid (OnGrid). A database checks its
+// regions' grid once, where they enter its catalog, and its pairs are in
+// range by construction. Inputs that break the contract may panic or
+// score wrongly.
+func ScoreTrusted(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int, opts Options) (Result, error) {
 	var res Result
 	switch opts.Algorithm {
 	case Quick:
-		res = scoreQuick(qRegions, tRegions, pairs, qArea, tArea)
+		if len(pairs) > 0 {
+			k := qRegions[pairs[0].Q].Bitmap.K
+			cq, ct := quickCover(qRegions, tRegions, pairs, (k*k+63)/64)
+			res.CoveredQ, res.CoveredT = covered(cq, k, qArea), covered(ct, k, tArea)
+		}
 	case Greedy:
 		res = scoreGreedy(qRegions, tRegions, pairs, qArea, tArea)
 	case Exact:
@@ -160,47 +183,53 @@ func normalize(coveredQ, coveredT float64, qArea, tArea int, d Denominator) floa
 	}
 }
 
-// quickStackWords is the bitmap (and target set) size scoreQuick keeps
-// on the stack: 256 bits, a 16×16 grid — the default — or 256 target
-// regions. Larger grids and region counts fall back to the heap.
+// covered is the pixel area of an image of the given area that count
+// cells of its k×k grid cover: Bitmap.Fraction times the area, rounded
+// before any sum it enters (Go may otherwise fuse x*y + z).
+func covered(count, k, area int) float64 {
+	if k == 0 {
+		return 0
+	}
+	return float64(float64(count) / float64(k*k) * float64(area))
+}
+
+// quickStackWords is the bitmap size quickCover keeps on the stack: 256
+// cells, a 16×16 grid — the default. Larger grids fall back to the heap.
 const quickStackWords = 4
 
-// scoreQuick unions every matched region's bitmap per side. A region
-// matched by several pairs is unioned once where that is cheap to see —
-// a query region repeated by consecutive pairs, a target region already
-// in the seen set — but a union is idempotent, so the result is exact
-// for pairs in any order.
-func scoreQuick(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int) Result {
-	if len(pairs) == 0 {
-		return Result{}
+// quickCover is the quick matcher's core: it unions the bitmap words of
+// every matched region per side, words per bitmap, and returns the number
+// of cells each union covers. A query region repeated by consecutive pairs
+// is unioned once; every other pair unions both of its regions, since a
+// union is idempotent and checking for repeats costs more than the
+// union. The result is exact for pairs in any order.
+func quickCover(qRegions, tRegions []region.Region, pairs []Pair, words int) (countQ, countT int) {
+	var uqStack, utStack [quickStackWords]uint64
+	uq, ut := uqStack[:], utStack[:]
+	if words > quickStackWords {
+		uq, ut = make([]uint64, words), make([]uint64, words)
 	}
-	k := qRegions[pairs[0].Q].Bitmap.K
-	var uqStack, utStack, seenStack [quickStackWords]uint64
-	uq := region.Bitmap{K: k, Words: uqStack[:]}
-	ut := region.Bitmap{K: k, Words: utStack[:]}
-	if words := (k*k + 63) / 64; words > quickStackWords {
-		uq.Words, ut.Words = make([]uint64, words), make([]uint64, words)
-	} else {
-		uq.Words, ut.Words = uq.Words[:words], ut.Words[:words]
-	}
-	seenT := seenStack[:]
-	if words := (len(tRegions) + 63) / 64; words > quickStackWords {
-		seenT = make([]uint64, words)
-	}
+	uq, ut = uq[:words], ut[:words]
 	prevQ := -1
 	for _, p := range pairs {
 		if p.Q != prevQ {
 			prevQ = p.Q
-			uq.UnionWith(qRegions[p.Q].Bitmap)
+			orWords(uq, qRegions[p.Q].Bitmap.Words)
 		}
-		if bit := uint64(1) << (p.T % 64); seenT[p.T/64]&bit == 0 {
-			seenT[p.T/64] |= bit
-			ut.UnionWith(tRegions[p.T].Bitmap)
-		}
+		orWords(ut, tRegions[p.T].Bitmap.Words)
 	}
-	return Result{
-		CoveredQ: uq.Fraction() * float64(qArea),
-		CoveredT: ut.Fraction() * float64(tArea),
+	for i := range uq {
+		countQ += bits.OnesCount64(uq[i])
+		countT += bits.OnesCount64(ut[i])
+	}
+	return countQ, countT
+}
+
+// orWords ORs src into dst, which is no longer than src.
+func orWords(dst, src []uint64) {
+	src = src[:len(dst)]
+	for i, w := range src {
+		dst[i] |= w
 	}
 }
 
@@ -260,13 +289,14 @@ func scoreGreedy(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea 
 	}
 }
 
-// marginalGain returns the pixel area that ORing bm into u would add.
+// marginalGain returns the pixel area that ORing bm into u would add,
+// rounded before any sum it enters (Go may otherwise fuse x*y + z).
 func marginalGain(u *region.Bitmap, bm region.Bitmap, imgArea int) float64 {
 	added := 0
 	for i, w := range bm.Words {
 		added += bits.OnesCount64(w &^ u.Words[i])
 	}
-	return float64(added) / float64(u.K*u.K) * float64(imgArea)
+	return covered(added, u.K, imgArea)
 }
 
 // ExactPairLimit bounds the branch-and-bound search space of the Exact
@@ -295,8 +325,8 @@ func scoreExact(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea i
 	sp := make([]scoredPair, len(pairs))
 	for i, p := range pairs {
 		sp[i] = scoredPair{p,
-			qRegions[p.Q].Bitmap.Fraction()*float64(qArea) +
-				tRegions[p.T].Bitmap.Fraction()*float64(tArea)}
+			float64(qRegions[p.Q].Bitmap.Fraction()*float64(qArea)) +
+				float64(tRegions[p.T].Bitmap.Fraction()*float64(tArea))}
 	}
 	sort.Slice(sp, func(i, j int) bool { return sp[i].solo > sp[j].solo })
 	if len(sp) > ExactPairLimit {

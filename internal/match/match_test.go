@@ -48,6 +48,18 @@ func TestScoreValidation(t *testing.T) {
 	if _, err := Score(q, tr, nil, 100, 100, Options{Algorithm: Algorithm(9)}); err == nil {
 		t.Error("accepted unknown algorithm")
 	}
+	// A target on another grid, and one on the same K with the wrong word
+	// count, are refused for every matcher rather than scored.
+	other := []region.Region{makeRegion(8, []float64{0}, block(0, 0, 2, 2))}
+	short := []region.Region{makeRegion(4, []float64{0}, block(0, 0, 2, 2))}
+	short[0].Bitmap.Words = append(short[0].Bitmap.Words, 0)
+	for _, alg := range []Algorithm{Quick, Greedy, Exact, Assignment} {
+		for name, target := range map[string][]region.Region{"other grid": other, "word count": short} {
+			if _, err := Score(q, target, []Pair{{0, 0}}, 100, 100, Options{Algorithm: alg}); err == nil {
+				t.Errorf("%v: accepted a target bitmap with a wrong %s", alg, name)
+			}
+		}
+	}
 }
 
 func TestAlgorithmString(t *testing.T) {

@@ -45,20 +45,25 @@ func randomRegions(rng *rand.Rand, n, k int) []region.Region {
 	return out
 }
 
-// TestScoreQuickAnyPairOrder: the quick scorer skips only unions that
-// cannot change its bitmaps, so its covered areas must match the
-// map-based reference bit for bit whatever the pair order — shuffled,
-// with duplicates, with query regions revisited out of order — on the
-// stack-sized grid and target set and on the heap fallbacks beyond them
-// (more than 64 and 256 target regions, K > 16).
+// TestScoreQuickAnyPairOrder: the quick core skips only unions that
+// cannot change its bitmaps, so the covered areas of ScoreTrusted (the
+// database's entry) and of Score must match the map-based reference bit
+// for bit whatever the pair order — shuffled, with duplicates, with pairs
+// repeated back to back, with query regions revisited out of order — on
+// grids of 1, 3, 8, 16, 17 and 32 cells a side (one stack word, the
+// 16×16 grid's four, and the heap beyond) and with more than 64 and more
+// than 256 target regions.
 func TestScoreQuickAnyPairOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, tc := range []struct{ k, nq, nt int }{
+		{1, 3, 5},
 		{16, 6, 20},
 		{16, 9, 70},
+		{16, 4, 300},
 		{8, 5, 300},
 		{17, 7, 40},
 		{32, 12, 90},
+		{32, 3, 270},
 		{3, 2, 3},
 	} {
 		qRegions := randomRegions(rng, tc.nq, tc.k)
@@ -68,16 +73,30 @@ func TestScoreQuickAnyPairOrder(t *testing.T) {
 			for i := range pairs {
 				pairs[i] = Pair{Q: rng.Intn(tc.nq), T: rng.Intn(tc.nt)}
 			}
-			// Duplicate a stretch of pairs out of place.
+			// Duplicate a stretch of pairs out of place, and repeat some
+			// back to back.
 			for i := 0; i < len(pairs)/4; i++ {
 				pairs[rng.Intn(len(pairs))] = pairs[rng.Intn(len(pairs))]
 			}
+			for i := 1; i < len(pairs); i += 5 {
+				pairs[i] = pairs[i-1]
+			}
 			want := quickReference(qRegions, tRegions, pairs, 1200, 900)
+			wantSim := normalize(want.CoveredQ, want.CoveredT, 1200, 900, SumAreas)
 			for shuffle := 0; shuffle < 3; shuffle++ {
-				got := scoreQuick(qRegions, tRegions, pairs, 1200, 900)
-				if got.CoveredQ != want.CoveredQ || got.CoveredT != want.CoveredT || got.Pairs != nil {
-					t.Fatalf("K=%d %d/%d regions, trial %d: got covered %v/%v, reference %v/%v",
-						tc.k, tc.nq, tc.nt, trial, got.CoveredQ, got.CoveredT, want.CoveredQ, want.CoveredT)
+				trusted, err := ScoreTrusted(qRegions, tRegions, pairs, 1200, 900, Options{Algorithm: Quick})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checked, err := Score(qRegions, tRegions, pairs, 1200, 900, Options{Algorithm: Quick})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, got := range []Result{trusted, checked} {
+					if got.CoveredQ != want.CoveredQ || got.CoveredT != want.CoveredT || got.Similarity != wantSim || got.Pairs != nil {
+						t.Fatalf("K=%d %d/%d regions, trial %d: got covered %v/%v similarity %v, reference %v/%v %v",
+							tc.k, tc.nq, tc.nt, trial, got.CoveredQ, got.CoveredT, got.Similarity, want.CoveredQ, want.CoveredT, wantSim)
+					}
 				}
 				rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 			}
@@ -85,22 +104,41 @@ func TestScoreQuickAnyPairOrder(t *testing.T) {
 	}
 }
 
-// TestScoreQuickAllocations: on the default 16×16 grid with at most 256
-// target regions the quick scorer works entirely on the stack.
+// TestScoreQuickAllocations: on the default 16×16 grid the quick scorer
+// works entirely on the stack, however many target regions it unions.
 func TestScoreQuickAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	qRegions := randomRegions(rng, 8, 16)
-	tRegions := randomRegions(rng, 200, 16)
+	tRegions := randomRegions(rng, 400, 16)
 	pairs := make([]Pair, 60)
 	for i := range pairs {
-		pairs[i] = Pair{Q: rng.Intn(8), T: rng.Intn(200)}
+		pairs[i] = Pair{Q: rng.Intn(8), T: rng.Intn(400)}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Score(qRegions, tRegions, pairs, 1000, 1000, Options{Algorithm: Quick}); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := ScoreTrusted(qRegions, tRegions, pairs, 1000, 1000, Options{Algorithm: Quick}); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("quick Score allocates %v times, want 0", allocs)
+	}
+}
+
+func BenchmarkQuickCover(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	qRegions := randomRegions(rng, 8, 16)
+	tRegions := randomRegions(rng, 12, 16)
+	pairs := make([]Pair, 10)
+	for i := range pairs {
+		pairs[i] = Pair{Q: i * 8 / len(pairs), T: rng.Intn(12)}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ScoreTrusted(qRegions, tRegions, pairs, 1000, 1000, Options{Algorithm: Quick}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

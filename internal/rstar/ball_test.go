@@ -223,8 +223,9 @@ func checkBallPruning(t *testing.T, what string, src prober, entries []refEntry,
 	}
 	saved := visits < boxVisits
 	for pi, p := range probes {
-		_, ball := runProbes(t, src, []Probe{p})
-		_, alone := runProbes(t, src, box[pi:pi+1])
+		_, ballCounts := runProbes(t, src, []Probe{p})
+		_, boxCounts := runProbes(t, src, box[pi:pi+1])
+		ball, alone := ballCounts.Visits, boxCounts.Visits
 		if ball > alone {
 			t.Fatalf("%s probe %d (eps %v): ball visited %d nodes, box-only %d", what, pi, p.Eps, ball, alone)
 		}

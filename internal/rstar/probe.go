@@ -53,19 +53,45 @@ func ballBound(eps float64) float64 {
 	return t
 }
 
+// ballBlock is the number of coordinates the ball tests sum between two
+// comparisons with the bound.
+const ballBlock = 4
+
 // farPointRaw is the leaf's ball test on an entry in page form: box
 // starts with the entry's dim float64 coordinates (a point leaf's entry is
 // its point alone, a box entry's mins are followed by its maxs; see
 // page.go). It reports whether that point lies outside the ball, bound
-// being ballBound(p.Eps). Terms are summed in euclid's order and partial
-// sums of squares only grow, so stopping at the first one above bound
-// decides exactly what the whole sum would. The float64 conversion
-// rounds each square before it is added, as euclid's does, on every
-// architecture: Go may otherwise fuse x*y + z into one instruction.
+// being ballBound(p.Eps). Terms are summed in euclid's order; the float64
+// conversion rounds each square before it is added, as euclid's does, on
+// every architecture: Go may otherwise fuse x*y + z into one instruction.
+//
+// The sum is compared with the bound once per block of ballBlock terms,
+// and then once per term for the rest. Partial sums of non-negative terms
+// only grow, so a block sum above bound means some prefix passed it, and
+// one at or below bound means none in the block did: the blocked test
+// decides exactly what a test after every term would. The one exception
+// is a NaN block sum (a NaN coordinate, or an infinity less the same
+// infinity), which hides whether a prefix before the NaN passed the
+// bound; farBlockNaN re-walks that block term by term.
 func (p *Probe) farPointRaw(box []byte, bound float64) bool {
-	sum := 0.0
-	for _, c := range p.Center {
-		diff := c - leFloat(box)
+	c, sum := p.Center, 0.0
+	for ; len(c) >= ballBlock && len(box) >= 8*ballBlock; c, box = c[ballBlock:], box[8*ballBlock:] {
+		d0, d1 := c[0]-leFloat(box), c[1]-leFloat(box[8:])
+		d2, d3 := c[2]-leFloat(box[16:]), c[3]-leFloat(box[24:])
+		s := sum + float64(d0*d0)
+		s += float64(d1 * d1)
+		s += float64(d2 * d2)
+		s += float64(d3 * d3)
+		if s > bound {
+			return true
+		}
+		if s != s {
+			return farBlockNaN(sum, bound, d0, d1, d2, d3)
+		}
+		sum = s
+	}
+	for _, cj := range c {
+		diff := cj - leFloat(box)
 		if sum += float64(diff * diff); sum > bound {
 			return true
 		}
@@ -74,32 +100,69 @@ func (p *Probe) farPointRaw(box []byte, bound float64) bool {
 	return false
 }
 
+// farBlockNaN is the cold path of a block whose sum is NaN: it adds the
+// block's differences d to sum, the sum before the block, one square at a
+// time, and reports whether a partial sum passes bound before the first
+// NaN. Past that NaN every sum is NaN and passes nothing, so when none
+// does the entry is kept, as the test after every term would keep it.
+func farBlockNaN(sum, bound float64, d ...float64) bool {
+	for _, diff := range d {
+		if sum += float64(diff * diff); sum > bound {
+			return true
+		}
+	}
+	return false
+}
+
 // farBoxRaw is the inner nodes' ball test on an entry rectangle in page
 // form, mins then maxs from float dim on: it reports whether the
 // rectangle [lo, hi] lies outside the ball, by its MINDIST to Center
-// summed the way farPointRaw sums. For a point q inside the rectangle each
-// term c − lo_j (when c < lo_j) or c − hi_j (when c > hi_j) is, by
-// monotone rounding, no larger in magnitude than farPointRaw's c − q_j,
-// and zero otherwise, so every partial sum here is at most farPointRaw's:
-// a rectangle farBoxRaw rejects holds no point farPointRaw would keep. A
-// NaN center yields NaN sums and prunes nothing, as farPointRaw keeps
-// everything.
+// summed the way farPointRaw sums, blocks included. For a point q inside
+// the rectangle each term c − lo_j (when c < lo_j) or c − hi_j (when
+// c > hi_j) is, by monotone rounding, no larger in magnitude than
+// farPointRaw's c − q_j, and zero otherwise, so every partial sum here is
+// at most farPointRaw's: a rectangle farBoxRaw rejects holds no point
+// farPointRaw would keep. A NaN center yields NaN sums and prunes nothing,
+// as farPointRaw keeps everything.
 func (p *Probe) farBoxRaw(box []byte, dim int, bound float64) bool {
 	lo, hi := box, box[8*dim:]
-	sum := 0.0
-	for _, c := range p.Center {
-		diff := c - leFloat(lo)
-		if diff > 0 {
-			if diff = c - leFloat(hi); diff < 0 {
-				diff = 0
-			}
+	c, sum := p.Center, 0.0
+	for ; len(c) >= ballBlock && len(lo) >= 8*ballBlock && len(hi) >= 8*ballBlock; c, lo, hi = c[ballBlock:], lo[8*ballBlock:], hi[8*ballBlock:] {
+		d0, d1 := minDiff(c[0], lo, hi), minDiff(c[1], lo[8:], hi[8:])
+		d2, d3 := minDiff(c[2], lo[16:], hi[16:]), minDiff(c[3], lo[24:], hi[24:])
+		s := sum + float64(d0*d0)
+		s += float64(d1 * d1)
+		s += float64(d2 * d2)
+		s += float64(d3 * d3)
+		if s > bound {
+			return true
 		}
+		if s != s {
+			return farBlockNaN(sum, bound, d0, d1, d2, d3)
+		}
+		sum = s
+	}
+	for _, cj := range c {
+		diff := minDiff(cj, lo, hi)
 		if sum += float64(diff * diff); sum > bound {
 			return true
 		}
 		lo, hi = lo[8:], hi[8:]
 	}
 	return false
+}
+
+// minDiff is one coordinate's MINDIST difference between c and the
+// interval whose bounds start lo and hi in page form: c − lo when c is
+// below the interval (negative), c − hi when above, 0 inside.
+func minDiff(c float64, lo, hi []byte) float64 {
+	diff := c - leFloat(lo)
+	if diff > 0 {
+		if diff = c - leFloat(hi); diff < 0 {
+			diff = 0
+		}
+	}
+	return diff
 }
 
 // intersectsRaw is Rect.Intersects for an entry rectangle in page form
@@ -141,8 +204,16 @@ type descent struct {
 
 	active  []int     // probe indices; every node's active set is a range of it
 	todo    []pending // children found by the scans in progress, one run per level
-	visits  int
+	counts  ProbeCounts
 	stopped bool
+}
+
+// ProbeCounts is what one descent did: the nodes it visited, each once
+// however many probes reached it, and its leaf entry tests — for every
+// leaf scanned, its entries times the probes active there.
+type ProbeCounts struct {
+	Visits     int
+	EntryTests int
 }
 
 // visit scans node id for the probes active[lo:hi] and then descends into
@@ -151,7 +222,7 @@ type descent struct {
 // versioned store's read lock) and has released it before the first child
 // is visited, so a search never holds more than one.
 func (d *descent) visit(id NodeID, lo, hi int) error {
-	d.visits++
+	d.counts.Visits++
 	first, mark := len(d.todo), len(d.active)
 	if err := scanStore(d.store, d, id, lo, hi); err != nil {
 		return err
@@ -202,9 +273,10 @@ func (l layout) scanPage(d *descent, page []byte, lo, hi int) {
 	// active stays readable through this header even when pushing children
 	// grows (and so moves) the stack it is a window of.
 	probes, bounds, active := d.probes, d.bounds, d.active[lo:hi]
-	leaf, _ := pageHeader(page)
+	leaf, count := pageHeader(page)
 	dim, stride, entries := l.dim, l.stride(leaf), page[pagedHeader:]
 	if leaf {
+		d.counts.EntryTests += count * len(active)
 		// A point leaf's entry is its coordinates alone: the ball test
 		// reads them as a point, and the box test reads them as both
 		// corners, which is Intersects on a point.
@@ -245,25 +317,25 @@ func (l layout) scanPage(d *descent, page []byte, lo, hi int) {
 	d.active, d.todo = stack, todo
 }
 
-// descend runs one traversal from root for all probes and returns the
-// number of nodes visited. With a registry attached it counts one search
+// descend runs one traversal from root for all probes and returns what it
+// did. With a registry attached it counts one search
 // per descent and records the rstar.search span.
 func descend(s NodeStore, epoch uint64, m *treeMetrics, root NodeID, dim, height int,
-	probes []Probe, emit func(int, int64), each func(Entry) bool) (int, error) {
+	probes []Probe, emit func(int, int64), each func(Entry) bool) (ProbeCounts, error) {
 	for i := range probes {
 		p := &probes[i]
 		if p.Box.Min == nil && p.Center == nil {
-			return 0, fmt.Errorf("rstar: probe %d has neither a box nor a ball", i)
+			return ProbeCounts{}, fmt.Errorf("rstar: probe %d has neither a box nor a ball", i)
 		}
 		if p.Box.Min != nil && p.Box.Dim() != dim {
-			return 0, fmt.Errorf("rstar: query has dim %d, tree has %d", p.Box.Dim(), dim)
+			return ProbeCounts{}, fmt.Errorf("rstar: query has dim %d, tree has %d", p.Box.Dim(), dim)
 		}
 		if p.Center != nil && len(p.Center) != dim {
-			return 0, fmt.Errorf("rstar: probe center has dim %d, tree has %d", len(p.Center), dim)
+			return ProbeCounts{}, fmt.Errorf("rstar: probe center has dim %d, tree has %d", len(p.Center), dim)
 		}
 	}
 	if len(probes) == 0 {
-		return 0, nil
+		return ProbeCounts{}, nil
 	}
 	var start time.Time
 	if m != nil {
@@ -287,27 +359,27 @@ func descend(s NodeStore, epoch uint64, m *treeMetrics, root NodeID, dim, height
 	err := d.visit(root, 0, len(probes))
 	if m != nil {
 		m.searches.Inc()
-		m.nodeVisits.Add(uint64(d.visits))
+		m.nodeVisits.Add(uint64(d.counts.Visits))
 		m.reg.RecordSpan("rstar.search", 0, start, obs.Since(start),
-			obs.Attr{Key: "node_visits", Value: int64(d.visits)})
+			obs.Attr{Key: "node_visits", Value: int64(d.counts.Visits)})
 	}
-	return d.visits, err
+	return d.counts, err
 }
 
 // Probe answers every probe in one depth-first descent: emit is called
 // with the probe's index and the payload of each data entry matching it.
 // Per probe, entries arrive in the order that probe would find them
 // searching alone; entries of different probes interleave. It returns the
-// number of nodes visited — each node once however many probes reach it.
+// descent's counts: nodes visited and leaf entry tests.
 //
 // emit runs while the node being scanned is pinned (and, on a versioned
 // store, under the store's read lock): it must not call back into the tree
 // or its store.
-func (t *Tree) Probe(probes []Probe, emit func(probe int, data int64)) (visits int, err error) {
+func (t *Tree) Probe(probes []Probe, emit func(probe int, data int64)) (ProbeCounts, error) {
 	return t.descend(probes, emit, nil)
 }
 
-func (t *Tree) descend(probes []Probe, emit func(int, int64), each func(Entry) bool) (int, error) {
+func (t *Tree) descend(probes []Probe, emit func(int, int64), each func(Entry) bool) (ProbeCounts, error) {
 	return descend(t.store, math.MaxUint64, t.om.Load(), t.root, t.dim, t.height, probes, emit, each)
 }
 
@@ -329,8 +401,8 @@ func (t *Tree) SearchAll(q Rect) ([]Entry, error) {
 // visited.
 func (t *Tree) SearchAllCounting(q Rect) ([]Entry, int, error) {
 	var out []Entry
-	visits, err := t.descend([]Probe{{Box: q}}, nil, collectInto(&out))
-	return out, visits, err
+	counts, err := t.descend([]Probe{{Box: q}}, nil, collectInto(&out))
+	return out, counts.Visits, err
 }
 
 func collectInto(out *[]Entry) func(Entry) bool {
@@ -342,11 +414,11 @@ func collectInto(out *[]Entry) func(Entry) bool {
 
 // Probe is Tree.Probe at the pinned epoch; the same contract for emit
 // applies.
-func (tv *TreeView) Probe(probes []Probe, emit func(probe int, data int64)) (visits int, err error) {
+func (tv *TreeView) Probe(probes []Probe, emit func(probe int, data int64)) (ProbeCounts, error) {
 	return tv.descend(probes, emit, nil)
 }
 
-func (tv *TreeView) descend(probes []Probe, emit func(int, int64), each func(Entry) bool) (int, error) {
+func (tv *TreeView) descend(probes []Probe, emit func(int, int64), each func(Entry) bool) (ProbeCounts, error) {
 	return descend(tv.vs, tv.epoch, tv.om.Load(), tv.root, tv.dim, tv.height, probes, emit, each)
 }
 
@@ -367,6 +439,6 @@ func (tv *TreeView) SearchAll(q Rect) ([]Entry, error) {
 // visited at the pinned epoch.
 func (tv *TreeView) SearchAllCounting(q Rect) ([]Entry, int, error) {
 	var out []Entry
-	visits, err := tv.descend([]Probe{{Box: q}}, nil, collectInto(&out))
-	return out, visits, err
+	counts, err := tv.descend([]Probe{{Box: q}}, nil, collectInto(&out))
+	return out, counts.Visits, err
 }

@@ -46,7 +46,7 @@ func ballKeeps(c, point []float64, eps float64) bool {
 
 // prober is what the equivalence test drives: the live tree and its views.
 type prober interface {
-	Probe(probes []Probe, emit func(probe int, data int64)) (int, error)
+	Probe(probes []Probe, emit func(probe int, data int64)) (ProbeCounts, error)
 }
 
 // randomProbes draws k probes around the data's [0,1) range: boxes and
@@ -78,14 +78,14 @@ func randomProbes(rng *rand.Rand, dim, k int) []Probe {
 }
 
 // runProbes collects what src emits per probe, in emission order.
-func runProbes(t *testing.T, src prober, probes []Probe) ([][]int64, int) {
+func runProbes(t *testing.T, src prober, probes []Probe) ([][]int64, ProbeCounts) {
 	t.Helper()
 	got := make([][]int64, len(probes))
-	visits, err := src.Probe(probes, func(pi int, data int64) { got[pi] = append(got[pi], data) })
+	counts, err := src.Probe(probes, func(pi int, data int64) { got[pi] = append(got[pi], data) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, visits
+	return got, counts
 }
 
 // checkProbes asserts the descent's contract on one tree or view: per
@@ -100,15 +100,24 @@ func checkProbes(t *testing.T, what string, src prober, entries []refEntry, rng 
 }
 
 // checkProbeSet is checkProbes for one given probe set. It returns the
-// visit count of the joint descent.
+// visit count of the joint descent. A probe is active at a leaf exactly
+// when its descent alone reaches that leaf, so the joint descent's entry
+// tests are the single probes' summed, and each probe tests at least the
+// entries it returns.
 func checkProbeSet(t *testing.T, what string, src prober, entries []refEntry, probes []Probe) int {
 	t.Helper()
-	got, visits := runProbes(t, src, probes)
-	sumSingle, maxSingle := 0, 0
+	got, counts := runProbes(t, src, probes)
+	visits := counts.Visits
+	sumSingle, maxSingle, sumTests := 0, 0, 0
 	for pi, p := range probes {
-		alone, v := runProbes(t, src, []Probe{p})
+		alone, c := runProbes(t, src, []Probe{p})
+		v := c.Visits
 		sumSingle += v
 		maxSingle = max(maxSingle, v)
+		sumTests += c.EntryTests
+		if c.EntryTests < len(alone[0]) {
+			t.Fatalf("%s probe %d: %d entry tests for %d hits", what, pi, c.EntryTests, len(alone[0]))
+		}
 		if !int64SlicesEqual(got[pi], alone[0]) {
 			t.Fatalf("%s probe %d: order differs from the probe run alone:\n got  %v\n want %v", what, pi, got[pi], alone[0])
 		}
@@ -120,6 +129,9 @@ func checkProbeSet(t *testing.T, what string, src prober, entries []refEntry, pr
 	}
 	if visits > sumSingle || visits < maxSingle {
 		t.Fatalf("%s: %d visits, single probes sum to %d with max %d", what, visits, sumSingle, maxSingle)
+	}
+	if counts.EntryTests != sumTests {
+		t.Fatalf("%s: %d entry tests, single probes sum to %d", what, counts.EntryTests, sumTests)
 	}
 	return visits
 }
@@ -443,11 +455,11 @@ func checkProbeAllocations(t *testing.T, what string, src prober, nodes int) {
 	emit := func(int, int64) { emitted++ }
 	perRun := func(probes []Probe) (allocs float64, visits int) {
 		allocs = testing.AllocsPerRun(20, func() {
-			v, err := src.Probe(probes, emit)
+			c, err := src.Probe(probes, emit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			visits = v
+			visits = c.Visits
 		})
 		return allocs, visits
 	}

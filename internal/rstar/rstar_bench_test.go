@@ -148,19 +148,21 @@ type probeSet struct {
 func benchProbePaged(b *testing.B, prefix string, tr *Tree, ps *PagedStore, sets []probeSet) {
 	for _, bc := range sets {
 		b.Run(prefix+bc.name, func(b *testing.B) {
-			hits, visits := 0, 0
+			hits, visits, tests := 0, 0, 0
 			emit := func(int, int64) { hits++ }
 			misses := ps.pool.Stats().Misses
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				v, err := tr.Probe(bc.queries[i%len(bc.queries)], emit)
+				c, err := tr.Probe(bc.queries[i%len(bc.queries)], emit)
 				if err != nil {
 					b.Fatal(err)
 				}
-				visits += v
+				visits += c.Visits
+				tests += c.EntryTests
 			}
 			b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
+			b.ReportMetric(float64(tests)/float64(b.N), "entry_tests/op")
 			b.ReportMetric(float64(ps.pool.Stats().Misses-misses)/float64(b.N), "pager_reads/op")
 			if hits == 0 {
 				b.Fatal("probes matched nothing")

@@ -408,6 +408,9 @@ func openShard(dir string, fs FileOpener) (*shard, error) {
 		if err := r.UnmarshalBinary(rec); err != nil {
 			return nil, errors.Join(fmt.Errorf("walrus: decoding region payload: %w", err), closeAll())
 		}
+		if err := checkBitmap(cat.Opts.Region.BitmapGrid, ref.Local, r.Bitmap); err != nil {
+			return nil, errors.Join(fmt.Errorf("walrus: image slot %d: %w", ref.Image, err), closeAll())
+		}
 		if ref.Image >= len(sh.images) || ref.Local >= len(sh.images[ref.Image].Regions) {
 			return nil, errors.Join(fmt.Errorf("walrus: catalog region directory is inconsistent"), closeAll())
 		}

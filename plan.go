@@ -29,8 +29,10 @@ type stageExec struct {
 	// explained); the runner files each stage's wall time into it.
 	tc *traceCollector
 
-	// Stage outputs, in pipeline order.
-	perRegion [][]probeHit
+	// Stage outputs, in pipeline order. hits is the probe's pooled flat
+	// hit list, which refine filters in place and aggregate consumes and
+	// returns to its pool.
+	hits      *hitBuf
 	cands     candidateSet
 	retrieved int
 	matches   []Match
@@ -97,20 +99,24 @@ func runStages(ctx context.Context, stages []queryStage, ex *stageExec, parent *
 }
 
 func runProbe(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	perRegion, err := ex.snap.probeStage(ex.qRegions, ex.p, ex.tc)
+	hb, err := ex.snap.probeStage(ex.qRegions, ex.p, ex.tc)
 	if err != nil {
 		return err
 	}
-	ex.perRegion = perRegion
+	ex.hits = hb
 	return nil
 }
 
 func runRefine(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	return ex.snap.refineStage(ctx, ex.qRegions, ex.perRegion, ex.p, ex.workers, ex.tc)
+	hits, err := ex.snap.refineStage(ctx, ex.qRegions, ex.hits.hits, ex.p, ex.workers, ex.tc)
+	ex.hits.hits = hits
+	return err
 }
 
 func runAggregate(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	ex.cands, ex.retrieved = aggregateStage(ex.perRegion, len(ex.snap.core.images))
+	ex.cands, ex.retrieved = aggregateStage(ex.hits.hits, len(ex.snap.core.images)), len(ex.hits.hits)
+	hitPool.Put(ex.hits)
+	ex.hits = nil
 	if ex.tc != nil {
 		ex.tc.candidates = len(ex.cands.images)
 	}

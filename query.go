@@ -5,7 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"walrus/internal/imgio"
@@ -66,12 +66,13 @@ func (s *shardSnapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
 // only true matches are handed back; an ε-cube beside it would add
 // nothing but a rounding error at its edges (DESIGN.md, "Pruning by the
 // ball"). A bounding-box signature probes with its ε-envelope, since
-// bounding boxes match by box overlap. Each region's hits come back in
-// the index's depth-first entry order, which follows the tree's shape;
-// aggregateStage orders them, so scores, stats and rankings depend only
-// on the set each region retrieves. A nil tc (the common case) adds
-// nothing to the probe path.
-func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) ([][]probeHit, error) {
+// bounding boxes match by box overlap. The hits of every region come back
+// in one flat list, in the index's depth-first emission order, which
+// follows the tree's shape; aggregateStage orders them, so scores, stats
+// and rankings depend only on the set each region retrieves. The list is
+// a pooled buffer that aggregateStage's caller returns. A nil tc (the
+// common case) adds nothing to the probe path.
+func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) (*hitBuf, error) {
 	probes := make([]rstar.Probe, len(qRegions))
 	for qi, qr := range qRegions {
 		if s.core.opts.UseBBox {
@@ -80,10 +81,10 @@ func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *
 			probes[qi].Center, probes[qi].Eps = qr.Signature, p.Epsilon
 		}
 	}
-	hb := hitPool.Get().(*hitBufs)
+	hb := hitPool.Get().(*hitBuf)
 	hits := hb.hits[:0]
 	indexHits := 0
-	visits, err := s.view.Probe(probes, func(qi int, payload int64) {
+	counts, err := s.view.Probe(probes, func(qi int, payload int64) {
 		indexHits++
 		// Validate the hit against the snapshot catalog: on disk the
 		// payload is decoded from page bytes, so bound it before indexing
@@ -97,101 +98,83 @@ func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *
 		}
 		hits = append(hits, probeHit{image: ref.Image, pair: match.Pair{Q: qi, T: ref.Local}})
 	})
-	perRegion := hb.byRegion(hits, len(qRegions))
-	if tc != nil {
-		tc.indexHits, tc.nodeVisits, tc.probeOut = indexHits, visits, len(hits)
-	}
 	hb.hits = hits
-	hitPool.Put(hb)
-	return perRegion, err
+	if tc != nil {
+		tc.indexHits, tc.nodeVisits, tc.entryTests, tc.probeOut = indexHits, counts.Visits, counts.EntryTests, len(hits)
+	}
+	return hb, err
 }
 
-// hitBufs is probeStage's working state, pooled across queries: the
-// flat buffer every hit of a descent is appended to, and the per-region
-// counts of the pass that files them. Both hold no pointers, so pooled
-// buffers keep nothing of a query alive.
-type hitBufs struct {
-	hits  []probeHit
-	count []int
+// hitBuf is the flat hit list of one query's probe, pooled across
+// queries. It holds no pointers, so a pooled buffer keeps nothing of a
+// query alive.
+type hitBuf struct {
+	hits []probeHit
 }
 
-var hitPool = sync.Pool{New: func() any { return new(hitBufs) }}
+var hitPool = sync.Pool{New: func() any { return new(hitBuf) }}
 
-// byRegion files hits, in emission order, into one run per query region
-// of one exact-size array: a stable counting pass by query region, so each
-// run keeps the order the index emitted. Regions without hits get nil.
-func (hb *hitBufs) byRegion(hits []probeHit, regions int) [][]probeHit {
-	perRegion := make([][]probeHit, regions)
-	if len(hits) == 0 {
-		return perRegion
-	}
-	if cap(hb.count) < regions {
-		hb.count = make([]int, regions)
-	}
-	count := hb.count[:regions]
-	clear(count)
-	for _, h := range hits {
-		count[h.pair.Q]++
-	}
-	// count[qi] turns from the region's hit count into its fill cursor.
-	all, at := make([]probeHit, len(hits)), 0
-	for qi, n := range count {
-		if n > 0 {
-			perRegion[qi] = all[at : at+n : at+n]
-		}
-		count[qi], at = at, at+n
-	}
-	for _, h := range hits {
-		all[count[h.pair.Q]] = h
-		count[h.pair.Q]++
-	}
-	return perRegion
-}
+// refineChunk is the fewest hits one refine task filters.
+const refineChunk = 256
 
 // refineStage is the refined matching phase of Section 5.5: candidate
 // pairs are re-verified against the finer signatures when both sides
-// carry one, filtering each region's hit list in place. Every task
-// checks the deadline so an expired context stops the refinement
-// fan-out.
-func (s *shardSnapshot) refineStage(ctx context.Context, qRegions []region.Region, perRegion [][]probeHit, p QueryParams, workers int, tc *traceCollector) error {
+// carry one, each against its own query region's bound. It filters the
+// flat hit list in place, keeping the survivors' order, and returns the
+// survivors. The list is cut into contiguous chunks filtered on the
+// worker pool, each compacted within itself and then moved down behind
+// the previous one. Every task checks the deadline so an expired context
+// stops the refinement fan-out.
+func (s *shardSnapshot) refineStage(ctx context.Context, qRegions []region.Region, hits []probeHit, p QueryParams, workers int, tc *traceCollector) ([]probeHit, error) {
 	if !p.Refine {
-		return nil
+		return hits, nil
 	}
-	return parallel.ForErr(len(perRegion), workers, func(qi int) error {
+	// bounds[qi] is region qi's fine bound; NaN (no fine signature) keeps
+	// every hit of the region, as no comparison with it passes.
+	bounds := make([]float64, len(qRegions))
+	for qi, qr := range qRegions {
+		switch {
+		case qr.Fine == nil:
+			bounds[qi] = math.NaN()
+		case p.RefineEpsilon != 0:
+			bounds[qi] = p.RefineEpsilon
+		default:
+			// Scale epsilon by sqrt(fineDim/coarseDim), keeping the
+			// per-dimension tolerance of the coarse check.
+			bounds[qi] = p.Epsilon * math.Sqrt(float64(len(qr.Fine))/float64(len(qr.Signature)))
+		}
+	}
+	chunks := max(1, min(workers, (len(hits)+refineChunk-1)/refineChunk))
+	kept := make([]int, chunks)
+	err := parallel.ForErr(chunks, workers, func(c int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if tc != nil {
-			// Record the pass-through count up front so regions without a
-			// fine signature (refined nowhere below) still fill their slot.
-			tc.refineOut[qi] = len(perRegion[qi])
-		}
-		qr := qRegions[qi]
-		if qr.Fine == nil {
-			return nil
-		}
-		bound := p.RefineEpsilon
-		if bound == 0 {
-			// Scale epsilon by sqrt(fineDim/coarseDim), keeping the
-			// per-dimension tolerance of the coarse check.
-			bound = p.Epsilon * math.Sqrt(float64(len(qr.Fine))/float64(len(qr.Signature)))
-		}
-		hits := perRegion[qi]
+		chunk := hits[c*len(hits)/chunks : (c+1)*len(hits)/chunks]
 		n := 0
-		for _, h := range hits {
+		for _, h := range chunk {
 			target := s.core.images[h.image].Regions[h.pair.T]
-			if target.Fine != nil && euclid(qr.Fine, target.Fine) > bound {
+			if target.Fine != nil && euclid(qRegions[h.pair.Q].Fine, target.Fine) > bounds[h.pair.Q] {
 				continue
 			}
-			hits[n] = h
+			chunk[n] = h
 			n++
 		}
-		perRegion[qi] = hits[:n]
-		if tc != nil {
-			tc.refineOut[qi] = n
-		}
+		kept[c] = n
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for c, k := range kept {
+		lo := c * len(hits) / chunks
+		n += copy(hits[n:], hits[lo:lo+k])
+	}
+	if tc != nil {
+		tc.refineOut = n
+	}
+	return hits[:n], nil
 }
 
 // candidateSet is the aggregate stage's output: the candidate images in
@@ -216,73 +199,80 @@ type aggScratch struct {
 	// counting pass and its candidate index during the fill. Every slot
 	// is zero while the scratch sits in the pool.
 	slot []int32
-	// touched lists the images hit in first-hit order, then serves as
-	// the per-candidate fill cursors.
-	touched []int
+	// hit is a bitset of the slots hit, read out in slot order; it too is
+	// zero in the pool.
+	hit []uint64
+	// fill holds the per-candidate fill cursors.
+	fill []int
 }
 
 var aggPool = sync.Pool{New: func() any { return new(aggScratch) }}
 
-// aggregateStage merges the per-region hit lists, in query-region order,
-// into the per-image pair runs the scorer consumes, counting the total
-// regions retrieved. numImages bounds the image slots the hits name.
-// Hits are counted per image in a dense slot-indexed array, the images
-// hit are sorted, and a second pass lays every hit into its image's run
-// of one flat buffer, so the cost is linear in the hits plus a sort of
-// the candidates. Each run comes out in (Q, T) order whatever order the
-// index emitted the hits in: the one-to-one matchers break ties by pair
+// aggregateStage groups the flat hit list into the per-image pair runs
+// the scorer consumes. numImages bounds the image slots the hits name.
+// Hits are counted per image in a dense slot-indexed array, which also
+// marks each image hit in a bitset; the bitset's words from the lowest
+// to the highest slot hit, read in order, yield the candidates in
+// ascending slot order with no sort. A second pass lays every hit into
+// its image's run of one flat buffer, so the cost is linear in the hits
+// plus the words the hit slots span. Each run comes out in
+// (Q, T) order whatever order the index emitted the hits in, by an
+// insertion step per hit: the one-to-one matchers break ties by pair
 // order, and a ranking must not depend on the tree's shape.
-func aggregateStage(perRegion [][]probeHit, numImages int) (candidateSet, int) {
-	retrieved := 0
-	for _, hits := range perRegion {
-		retrieved += len(hits)
-	}
+func aggregateStage(hits []probeHit, numImages int) candidateSet {
 	sc := aggPool.Get().(*aggScratch)
 	if len(sc.slot) < numImages {
 		sc.slot = make([]int32, numImages)
+		sc.hit = make([]uint64, (numImages+63)/64)
 	}
-	if need := min(retrieved, numImages); cap(sc.touched) < need {
-		sc.touched = make([]int, need)
-	}
-	slot, touched := sc.slot, sc.touched[:cap(sc.touched)]
-	n := 0
-	for _, hits := range perRegion {
-		for _, h := range hits {
-			if slot[h.image] == 0 {
-				touched[n] = h.image
-				n++
-			}
-			slot[h.image]++
+	slot, hit := sc.slot, sc.hit
+	// first and last bound the bitset words the hits set.
+	n, first, last := 0, len(hit), -1
+	for _, h := range hits {
+		if slot[h.image] == 0 {
+			w := h.image / 64
+			hit[w] |= 1 << (h.image % 64)
+			n++
+			first, last = min(first, w), max(last, w)
 		}
+		slot[h.image]++
 	}
-	c := candidateSet{images: make([]int, n), start: make([]int, n+1), pairs: make([]match.Pair, retrieved)}
-	copy(c.images, touched[:n])
-	slices.Sort(c.images)
-	fill := touched[:n]
-	for i, img := range c.images {
-		fill[i] = c.start[i]
-		c.start[i+1] = c.start[i] + int(slot[img])
-		slot[img] = int32(i)
+	c := candidateSet{images: make([]int, n), start: make([]int, n+1), pairs: make([]match.Pair, len(hits))}
+	if cap(sc.fill) < n {
+		sc.fill = make([]int, n)
 	}
-	for _, hits := range perRegion {
-		for _, h := range hits {
-			ci := slot[h.image]
-			// Q never decreases along the fill, so ordering T within the
-			// current query region's run is an insertion step.
-			lo, i := c.start[ci], fill[ci]
-			for i > lo && c.pairs[i-1].Q == h.pair.Q && c.pairs[i-1].T > h.pair.T {
-				c.pairs[i] = c.pairs[i-1]
-				i--
-			}
-			c.pairs[i] = h.pair
-			fill[ci]++
+	fill := sc.fill[:n]
+	i := 0
+	for w := first; w <= last; w++ {
+		for word := hit[w]; word != 0; word &= word - 1 {
+			img := 64*w + bits.TrailingZeros64(word)
+			c.images[i], fill[i] = img, c.start[i]
+			c.start[i+1] = c.start[i] + int(slot[img])
+			slot[img] = int32(i)
+			i++
 		}
+		hit[w] = 0
+	}
+	for _, h := range hits {
+		ci := slot[h.image]
+		lo, at := c.start[ci], fill[ci]
+		for at > lo && pairLess(h.pair, c.pairs[at-1]) {
+			c.pairs[at] = c.pairs[at-1]
+			at--
+		}
+		c.pairs[at] = h.pair
+		fill[ci]++
 	}
 	for _, img := range c.images {
 		slot[img] = 0
 	}
 	aggPool.Put(sc)
-	return c, retrieved
+	return c
+}
+
+// pairLess orders pairs by query region, then target region.
+func pairLess(a, b match.Pair) bool {
+	return a.Q < b.Q || (a.Q == b.Q && a.T < b.T)
 }
 
 // scoreStage scores every candidate image on the calling goroutine, in
@@ -292,6 +282,11 @@ func aggregateStage(perRegion [][]probeHit, numImages int) (candidateSet, int) {
 // exactly to the kept matches, so it pins no memory of the candidates it
 // dropped. The deadline is checked every few candidates.
 func (s *shardSnapshot) scoreStage(ctx context.Context, qRegions []region.Region, qArea int, cands *candidateSet, p QueryParams) ([]Match, error) {
+	// The catalog's bitmaps were checked on entry; the query's are checked
+	// here, once, so every candidate is scored unchecked.
+	if err := checkGrid(s.core.opts.Region.BitmapGrid, qRegions); err != nil {
+		return nil, fmt.Errorf("walrus: query: %w", err)
+	}
 	scoreOpts := match.Options{Algorithm: p.Matcher, Denominator: p.Denominator}
 	top := newTopK(p.Limit, len(cands.images))
 	for i, imgIdx := range cands.images {
@@ -302,7 +297,7 @@ func (s *shardSnapshot) scoreStage(ctx context.Context, qRegions []region.Region
 		}
 		rec := &s.core.images[imgIdx]
 		pairs := cands.pairsOf(i)
-		res, err := match.Score(qRegions, rec.Regions, pairs, qArea, rec.W*rec.H, scoreOpts)
+		res, err := match.ScoreTrusted(qRegions, rec.Regions, pairs, qArea, rec.W*rec.H, scoreOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -417,7 +412,7 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, rec *imageRecord, 
 		sn := &f.snaps[i]
 		execs[i] = stageExec{snap: sn, qRegions: qRegions, qArea: qArea, p: p, workers: workers}
 		if qt != nil {
-			execs[i].tc = newTraceCollector(len(qRegions), sn.core.version)
+			execs[i].tc = newTraceCollector(sn.core.version)
 		}
 	}
 	if err := f.runPhase(ctx, planPhaseA(p), execs, qspan, "query.probe", workers); err != nil {

@@ -2,9 +2,14 @@ package walrus
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"walrus/internal/imgio"
+	"walrus/internal/match"
+	"walrus/internal/region"
 )
 
 // fineOptions enables two-tier signatures.
@@ -207,5 +212,123 @@ func TestFineSignatureValidation(t *testing.T) {
 	o.Region.FineSignature = 64 // > MinWindow (32 in testOptions)
 	if _, err := New(o); err == nil {
 		t.Error("accepted FineSignature > MinWindow")
+	}
+}
+
+// TestRefineStageChunks: refine filters the flat hit list in place in
+// chunks on the worker pool, and must keep exactly the hits, in exactly
+// the order, that one serial pass with each hit's own region's bound
+// keeps — at every worker count, at list lengths around the chunk size,
+// with query regions that have no fine signature (all their hits kept),
+// targets without one (kept), and a fixed RefineEpsilon.
+func TestRefineStageChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	fine := func(dim int) []float64 {
+		v := make([]float64, dim)
+		for j := range v {
+			v[j] = rng.Float64()
+		}
+		return v
+	}
+	qRegions := make([]region.Region, 5)
+	for qi := range qRegions {
+		qRegions[qi].Signature = fine(4)
+		if qi != 2 {
+			qRegions[qi].Fine = fine(16)
+		}
+	}
+	core := &snapCore{images: make([]imageRecord, 40)}
+	for i := range core.images {
+		core.images[i].Regions = make([]region.Region, 6)
+		for j := range core.images[i].Regions {
+			if (i+j)%7 != 0 {
+				core.images[i].Regions[j].Fine = fine(16)
+			}
+		}
+	}
+	snap := &shardSnapshot{core: core}
+	for _, refineEps := range []float64{0, 1.15} {
+		p := QueryParams{Epsilon: 0.5, Refine: true, RefineEpsilon: refineEps}
+		for _, n := range []int{0, 1, 255, 256, 257, 700, 3000} {
+			hits := make([]probeHit, n)
+			for i := range hits {
+				hits[i] = probeHit{image: rng.Intn(40), pair: match.Pair{Q: rng.Intn(5), T: rng.Intn(6)}}
+			}
+			var want []probeHit
+			for _, h := range hits {
+				qr, target := qRegions[h.pair.Q], core.images[h.image].Regions[h.pair.T]
+				bound := p.RefineEpsilon
+				if bound == 0 {
+					bound = p.Epsilon * 2 // sqrt(16/4)
+				}
+				if qr.Fine != nil && target.Fine != nil && euclid(qr.Fine, target.Fine) > bound {
+					continue
+				}
+				want = append(want, h)
+			}
+			if n >= 256 && (len(want) == n || len(want) == 0) {
+				t.Fatalf("fixture: %d of %d hits kept, the filter went untested", len(want), n)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				what := fmt.Sprintf("RefineEpsilon=%v hits=%d workers=%d", refineEps, n, workers)
+				tc := newTraceCollector(0)
+				got, err := snap.refineStage(context.Background(), qRegions, slices.Clone(hits), p, workers, tc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: refine kept %d hits, the serial filter %d, or in another order", what, len(got), len(want))
+				}
+				if tc.refineOut != len(want) {
+					t.Fatalf("%s: refineOut %d, want %d", what, tc.refineOut, len(want))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRefineStage times refine's chunked filter on 192-dimensional
+// fine signatures (FineSignature 8) at one and two workers. A list
+// shorter than two chunks is filtered by one task whatever the worker
+// count.
+func BenchmarkRefineStage(b *testing.B) {
+	rng := rand.New(rand.NewSource(43))
+	fine := func(dim int) []float64 {
+		v := make([]float64, dim)
+		for j := range v {
+			v[j] = rng.Float64()
+		}
+		return v
+	}
+	qRegions := make([]region.Region, 8)
+	for qi := range qRegions {
+		qRegions[qi].Signature = fine(12)
+		qRegions[qi].Fine = fine(192)
+	}
+	core := &snapCore{images: make([]imageRecord, 300)}
+	for i := range core.images {
+		core.images[i].Regions = make([]region.Region, 6)
+		for j := range core.images[i].Regions {
+			core.images[i].Regions[j].Fine = fine(192)
+		}
+	}
+	snap := &shardSnapshot{core: core}
+	p := QueryParams{Epsilon: 0.5, Refine: true, RefineEpsilon: 5.6}
+	for _, n := range []int{256, 512, 4096} {
+		hits := make([]probeHit, n)
+		for i := range hits {
+			hits[i] = probeHit{image: rng.Intn(300), pair: match.Pair{Q: rng.Intn(8), T: rng.Intn(6)}}
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("hits=%d/workers=%d", n, workers), func(b *testing.B) {
+				buf := make([]probeHit, n)
+				for i := 0; i < b.N; i++ {
+					copy(buf, hits)
+					if _, err := snap.refineStage(context.Background(), qRegions, buf, p, workers, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 //	matches, _, err := db.QueryContext(ctx, img, params)
 //	// qt now holds the stage-by-stage funnel
 //
-// The accumulator piggybacks the existing stats plumbing: stages write
-// per-region counts into preallocated slots (no locks, deterministic at
-// every parallelism), and a query that carries no QueryTrace pays only a
+// The accumulator piggybacks the existing stats plumbing: each shard's
+// stages write their counts into that shard's collector (no locks,
+// deterministic at every parallelism), and a query that carries no QueryTrace pays only a
 // context lookup at entry — the stages themselves never branch on it in
 // their inner loops. Funnel counts are schedule-independent; only the
 // *_ns timing fields vary run to run.
@@ -61,13 +61,17 @@ type ExplainStage struct {
 	Stage string `json:"stage"`
 	In    int    `json:"in"`
 	Out   int    `json:"out"`
-	// IndexHits and NodesVisited are nonzero only for the probe stage:
-	// the leaf entries the index handed to the probe stage — after the
-	// in-leaf envelope (and, for centroid signatures, exact distance)
-	// test, before catalog validation — and the R*-tree nodes visited by
-	// the one descent that answered all of the query's regions.
+	// IndexHits, NodesVisited and EntryTests are nonzero only for the
+	// probe stage: the leaf entries the index handed to the probe stage —
+	// after the in-leaf envelope (and, for centroid signatures, exact
+	// distance) test, before catalog validation — the R*-tree nodes
+	// visited by the one descent that answered all of the query's
+	// regions, and that descent's leaf entry tests: over the leaves it
+	// scanned, each leaf's entries times the query regions whose probes
+	// reached it.
 	IndexHits    int `json:"index_hits"`
 	NodesVisited int `json:"nodes_visited"`
+	EntryTests   int `json:"entry_tests"`
 	// DurationNS is the stage's wall time; on a sharded query it is the
 	// slowest shard's time for that stage (the critical path), since
 	// shards run the stage concurrently.
@@ -81,6 +85,7 @@ type ExplainShard struct {
 	Version          uint64 `json:"version"`
 	IndexHits        int    `json:"index_hits"`
 	NodesVisited     int    `json:"nodes_visited"`
+	EntryTests       int    `json:"entry_tests"`
 	RegionsRetrieved int    `json:"regions_retrieved"`
 	CandidateImages  int    `json:"candidate_images"`
 	Matches          int    `json:"matches"`
@@ -109,26 +114,22 @@ type QueryTrace struct {
 }
 
 // traceCollector accumulates one shard's share of the funnel while the
-// staged pipeline runs. The per-region slices are slot-indexed so
-// parallel refine tasks record without synchronization, exactly
-// like the stages' own result slots; the scalar fields are written by
-// the single goroutine driving that shard's stages.
+// staged pipeline runs. Its fields are written by the single goroutine
+// driving that shard's stages, after any fan-out within a stage.
 type traceCollector struct {
 	version    uint64
-	indexHits  int   // leaf entries the index's descent handed to the probe stage
-	nodeVisits int   // index nodes that descent visited
-	probeOut   int   // hits surviving catalog validation
-	refineOut  []int // per query region: hits surviving refine
+	indexHits  int // leaf entries the index's descent handed to the probe stage
+	nodeVisits int // index nodes that descent visited
+	entryTests int // leaf entry tests of that descent: entries × active probes per leaf
+	probeOut   int // hits surviving catalog validation
+	refineOut  int // hits surviving refine
 
 	probeNS, refineNS, aggregateNS, scoreNS int64
 	candidates, matches                     int
 }
 
-func newTraceCollector(nRegions int, version uint64) *traceCollector {
-	return &traceCollector{
-		version:   version,
-		refineOut: make([]int, nRegions),
-	}
+func newTraceCollector(version uint64) *traceCollector {
+	return &traceCollector{version: version}
 }
 
 // recordNS files one stage's wall time into the collector slot matching
@@ -144,14 +145,6 @@ func (tc *traceCollector) recordNS(stage string, ns int64) {
 	case "score":
 		tc.scoreNS = ns
 	}
-}
-
-func sumInts(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
-	}
-	return n
 }
 
 func maxNS(execs []stageExec, get func(*traceCollector) int64) int64 {
@@ -194,23 +187,25 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 	qt.ElapsedNS = stats.Elapsed.Nanoseconds()
 
 	probeHits, refineKept := 0, 0
-	probeIndexHits, probeVisits := 0, 0
+	probeIndexHits, probeVisits, probeTests := 0, 0, 0
 	qt.Shards = make([]ExplainShard, len(execs))
 	for i := range execs {
 		tc := execs[i].tc
 		shardKept := tc.probeOut
 		probeHits += shardKept
 		if p.Refine {
-			shardKept = sumInts(tc.refineOut)
+			shardKept = tc.refineOut
 		}
 		refineKept += shardKept
 		probeIndexHits += tc.indexHits
 		probeVisits += tc.nodeVisits
+		probeTests += tc.entryTests
 		qt.Shards[i] = ExplainShard{
 			Shard:            i,
 			Version:          tc.version,
 			IndexHits:        tc.indexHits,
 			NodesVisited:     tc.nodeVisits,
+			EntryTests:       tc.entryTests,
 			RegionsRetrieved: shardKept,
 			CandidateImages:  tc.candidates,
 			Matches:          tc.matches,
@@ -226,7 +221,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 	})
 	qt.Stages = append(qt.Stages, ExplainStage{
 		Stage: "probe", In: qRegions * len(execs), Out: probeHits,
-		IndexHits: probeIndexHits, NodesVisited: probeVisits,
+		IndexHits: probeIndexHits, NodesVisited: probeVisits, EntryTests: probeTests,
 		DurationNS: maxNS(execs, func(tc *traceCollector) int64 { return tc.probeNS }),
 	})
 	flow := probeHits

@@ -133,9 +133,9 @@ type QueryParams struct {
 	// 0 means Epsilon scaled by sqrt(fineDim/coarseDim), which keeps the
 	// per-dimension tolerance of the coarse check.
 	RefineEpsilon float64
-	// Parallelism bounds the worker pool the query fans its per-region
-	// refine pass across and, on a multi-shard database, the per-shard
-	// fan-out: 0 uses GOMAXPROCS, 1 reproduces the serial query exactly.
+	// Parallelism bounds the worker pool the query fans its refine pass
+	// (chunks of the hit list) across and, on a multi-shard database, the
+	// per-shard fan-out: 0 uses GOMAXPROCS, 1 reproduces the serial query exactly.
 	// The index probe is one serial descent for all regions, and scoring
 	// runs on the caller's goroutine. Results and stats are identical for
 	// every setting; only wall-clock time changes.
