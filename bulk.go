@@ -165,7 +165,7 @@ func (sh *shard) beginBulkLoad() error {
 }
 
 // endBulkLoad resumes logging and checkpoints, which flushes the built
-// database, snapshots the catalog, and truncates the log — retiring the
+// database, snapshots the catalog, and resets the log — retiring the
 // rebuild marker written by beginBulkLoad.
 func (sh *shard) endBulkLoad() error {
 	sh.mu.Lock()

@@ -100,13 +100,21 @@
 #      chunked in-place refine filter against a serial one, sharded
 #      rankings at low Limits against the unsharded ones, the shard-count
 #      matrix, and the allocations per query after extraction
-#   1k. no fused multiply-add in the kernels whose output is pinned: Go may
-#      fuse x*y + z on arm64 (never on amd64), which would make the ε-ball
-#      test round differently from euclid and the scorers' covered areas
-#      differ by GOARCH; an arm64 build of walrus-query, read back with go
-#      tool objdump, must hold no FMADD/FMSUB/FNMADD/FNMSUB in a
-#      walrus/internal/rstar, walrus/internal/match or root walrus symbol
-#      (offline: cross-compiling needs no network)
+#   1k. no fused multiply-add anywhere in walrus: Go may fuse x*y + z on
+#      arm64, ppc64le and riscv64 (never on amd64), which would make
+#      extraction (colour conversion, BIRCH), the ε-ball test and the
+#      scorers' covered areas round differently by GOARCH; an arm64, a
+#      ppc64le and a riscv64 build of walrus-query, read back with go tool
+#      objdump, must hold no FMADD/FMSUB/FNMADD/FNMSUB (or their D/S
+#      forms) in any walrus symbol (offline: cross-compiling needs no
+#      network)
+#   1l. durability tier: the crash matrices (every kill point of a
+#      scripted workload, plus kills whole and torn inside each zero
+#      extension and in-place header rewrite of the write-ahead log), the
+#      per-shard crash matrix, recovery stats, reopen and the log's own
+#      suite (torn tail at every offset of the written log, stale
+#      generations never replayed, version 1 logs, a reused file that
+#      neither truncates nor grows) under the race detector
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -151,17 +159,20 @@ obs_tier() {
 
 check_no_fma() {
     _out="$(mktemp -d)"
-    if ! GOARCH=arm64 go build -o "$_out/walrus-query" ./cmd/walrus-query; then
-        rm -rf "$_out"
-        return 1
-    fi
-    _fused=$(go tool objdump -s '^walrus(/internal/(rstar|match))?\.' "$_out/walrus-query" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
+    for _arch in arm64 ppc64le riscv64; do
+        if ! GOARCH=$_arch go build -o "$_out/walrus-query-$_arch" ./cmd/walrus-query; then
+            rm -rf "$_out"
+            return 1
+        fi
+        _fused=$(go tool objdump -s '^walrus' "$_out/walrus-query-$_arch" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
+        if [ -n "$_fused" ]; then
+            rm -rf "$_out"
+            echo "fused multiply-add in a walrus symbol on $_arch:" >&2
+            echo "$_fused" >&2
+            return 1
+        fi
+    done
     rm -rf "$_out"
-    if [ -n "$_fused" ]; then
-        echo "fused multiply-add in walrus, walrus/internal/rstar or walrus/internal/match on arm64:" >&2
-        echo "$_fused" >&2
-        return 1
-    fi
 }
 
 bench_tests() {
@@ -208,7 +219,8 @@ tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert s
 tier "tier 1: extraction exactness (golden regions, allocations)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations' ./internal/region
 tier "tier 1: query tail exactness (top-k, quick scorer, grid check, aggregate, refine, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestScoreValidation|TestGridCheck|TestTopK|TestAggregateStage|TestRefineStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match
 
-tier "tier 1: no fused multiply-add in the index, scoring and query kernels (arm64 objdump)" check_no_fma
+tier "tier 1: no fused multiply-add in any walrus symbol (arm64, ppc64le, riscv64 objdump)" check_no_fma
+tier "tier 1: durability (crash matrices, recovery, log reuse)" go test -race -count=1 -run 'TestCrash|TestShardCrash|TestDurability|TestRecover|TestLog|TestOpen|TestRemoveSurvivesReopen' . ./internal/wal
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

@@ -4,11 +4,13 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"walrus/internal/crashfs"
+	"walrus/internal/imgio"
 	"walrus/internal/region"
 	"walrus/internal/rstar"
 )
@@ -28,18 +30,7 @@ func crashWorkload(t *testing.T, o Options) []crashOp {
 		t.Fatal(err)
 	}
 	mk := func(id string, base, obj [3]float64, x, y, side int) crashOp {
-		im := scene(base, obj, x, y, side)
-		regions, err := ext.Extract(im)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return crashOp{"add " + id, func(db *DB) error {
-			sh := soleShard(t, db)
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			defer sh.publishLocked()
-			return sh.addExtractedLocked(id, im, regions)
-		}}
+		return crashAdd(t, ext, id, scene(base, obj, x, y, side))
 	}
 	rm := func(id string) crashOp {
 		return crashOp{"remove " + id, func(db *DB) error {
@@ -56,6 +47,52 @@ func crashWorkload(t *testing.T, o Options) []crashOp {
 		mk("d", blue, red, 20, 20, 50),
 		rm("b"),
 	}
+}
+
+// crashAdd is the workload step that adds im under id, its regions
+// extracted up front.
+func crashAdd(t *testing.T, ext *region.Extractor, id string, im *imgio.Image) crashOp {
+	t.Helper()
+	regions, err := ext.Extract(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return crashOp{"add " + id, func(db *DB) error {
+		sh := soleShard(t, db)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		defer sh.publishLocked()
+		return sh.addExtractedLocked(id, im, regions)
+	}}
+}
+
+// crashGrowWorkload adds 48 images, removing one in five, then
+// checkpoints. That is enough log for the write-ahead log to pass its
+// first extension chunk (TestCrashMatrixLogExtension checks it does), so
+// the log's zero extension and its in-place header rewrite fall inside
+// the armed part of a run: Create's own checkpoint already extended the
+// log once, before any kill point.
+func crashGrowWorkload(t *testing.T, o Options) []crashOp {
+	t.Helper()
+	ext, err := region.NewExtractor(o.Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	palette := [][3]float64{green, red, blue, yellow, gray}
+	var ops []crashOp
+	for i := 0; i < 48; i++ {
+		id := fmt.Sprintf("g%02d", i)
+		base, obj := palette[i%5], palette[(i/5+i+1)%5]
+		ops = append(ops, crashAdd(t, ext, id, scene(base, obj, 4+(i*7)%60, 4+(i*11)%60, 24+i%5*8)))
+		if i%5 == 4 {
+			victim := fmt.Sprintf("g%02d", i-2)
+			ops = append(ops, crashOp{"remove " + victim, func(db *DB) error {
+				_, err := db.Remove(victim)
+				return err
+			}})
+		}
+	}
+	return append(ops, crashOp{"flush", func(db *DB) error { return db.Flush() }})
 }
 
 // crashSnapshot fingerprints the full logical state of a database: the
@@ -190,31 +227,109 @@ func TestCrashMatrixAlwaysDurable(t *testing.T) {
 		if kill%2 == 0 {
 			tear = 8
 		}
-		in := crashfs.New()
-		dir := t.TempDir()
-		completed := runToKill(t, o, ops, in, dir, kill, tear)
-		if !in.Killed() {
-			// The workload finished before reaching this kill point
-			// (op counts can shrink slightly with torn-write timing).
-			continue
-		}
-		killed++
-		in.Arm(0, -1) // disarm: recovery sees the crashed disk image
-		re, err := OpenFS(dir, in.Open)
-		if err != nil {
-			t.Fatalf("kill=%d tear=%d after %d ops: recovery failed: %v", kill, tear, completed, err)
-		}
-		got := crashSnapshot(t, soleShard(t, re))
-		re.Close()
-		if got != oracle[completed] && (completed+1 >= len(oracle) || got != oracle[completed+1]) {
-			t.Fatalf("kill=%d tear=%d: recovered state matches neither oracle[%d] nor oracle[%d]",
-				kill, tear, completed, completed+1)
+		if crashAndRecover(t, o, ops, oracle, kill, tear) {
+			killed++
 		}
 	}
 	if killed < 2 {
 		t.Fatalf("crash matrix exercised only %d kill points (total ops %d)", killed, total)
 	}
+	killed += crashLogWrites(t, o, ops, oracle, probe.Trace())
 	t.Logf("crash matrix: %d kill points over %d ops, stride %d", killed, total, stride)
+}
+
+// TestCrashMatrixLogExtension kills a workload that outgrows the log's
+// first chunk at and around every zero extension and header rewrite of
+// the write-ahead log, whole and torn, and requires recovery to land on
+// the serial oracle as TestCrashMatrixAlwaysDurable does.
+func TestCrashMatrixLogExtension(t *testing.T) {
+	o := testOptions()
+	o.Durability = DurabilityAlways
+	ops := crashGrowWorkload(t, o)
+	oracle := runOracle(t, o, ops)
+	probe := crashfs.New()
+	if got := runToKill(t, o, ops, probe, t.TempDir(), 0, -1); got != len(ops) {
+		t.Fatalf("dry run completed %d/%d ops", got, len(ops))
+	}
+	trace := probe.Trace()
+	extensions := 0
+	for _, op := range trace {
+		if isLogExtension(op) {
+			extensions++
+		}
+	}
+	if extensions == 0 {
+		t.Fatal("the workload never extends the write-ahead log")
+	}
+	killed := crashLogWrites(t, o, ops, oracle, trace)
+	t.Logf("%d kill points around %d log extensions over %d ops", killed, extensions, len(trace))
+}
+
+// isLogExtension reports whether op is a zero extension of the
+// write-ahead log; isLogHeaderRewrite, whether it rewrites the log's
+// header in place (a reset).
+func isLogExtension(op crashfs.Op) bool {
+	return filepath.Base(op.Path) == walFileName && op.Kind == crashfs.OpWrite && op.Zero && op.Len > 0
+}
+
+func isLogHeaderRewrite(op crashfs.Op) bool {
+	return filepath.Base(op.Path) == walFileName && op.Kind == crashfs.OpWrite && op.Off == 0
+}
+
+// crashLogWrites kills the workload at every zero extension and header
+// rewrite of the write-ahead log in trace (a dry run's), and at the
+// operations on either side of them; the writes themselves are killed
+// whole and torn at several points inside. It returns the number of kill
+// points that triggered.
+func crashLogWrites(t *testing.T, o Options, ops []crashOp, oracle []string, trace []crashfs.Op) int {
+	t.Helper()
+	killed := 0
+	for i, op := range trace {
+		if !isLogExtension(op) && !isLogHeaderRewrite(op) {
+			continue
+		}
+		kill := int64(i + 1)
+		for _, tear := range []int{-1, 1, 8, 20, op.Len / 2, op.Len - 1} {
+			if crashAndRecover(t, o, ops, oracle, kill, tear) {
+				killed++
+			}
+		}
+		for _, near := range []int64{kill - 1, kill + 1} {
+			if near >= 1 && near <= int64(len(trace)) && crashAndRecover(t, o, ops, oracle, near, -1) {
+				killed++
+			}
+		}
+	}
+	return killed
+}
+
+// crashAndRecover runs the workload to the kill point, recovers the
+// crashed directory, and requires the state of the serial oracle after
+// exactly `completed` operations, or after one more (an operation can
+// commit durably and then fail in its post-commit checkpoint work). It
+// reports whether the kill point triggered.
+func crashAndRecover(t *testing.T, o Options, ops []crashOp, oracle []string, kill int64, tear int) bool {
+	t.Helper()
+	in := crashfs.New()
+	dir := t.TempDir()
+	completed := runToKill(t, o, ops, in, dir, kill, tear)
+	if !in.Killed() {
+		// The workload finished before reaching this kill point (op
+		// counts can shrink slightly with torn-write timing).
+		return false
+	}
+	in.Arm(0, -1) // disarm: recovery sees the crashed disk image
+	re, err := OpenFS(dir, in.Open)
+	if err != nil {
+		t.Fatalf("kill=%d tear=%d after %d ops: recovery failed: %v", kill, tear, completed, err)
+	}
+	got := crashSnapshot(t, soleShard(t, re))
+	re.Close()
+	if got != oracle[completed] && (completed+1 >= len(oracle) || got != oracle[completed+1]) {
+		t.Fatalf("kill=%d tear=%d: recovered state matches neither oracle[%d] nor oracle[%d]",
+			kill, tear, completed, completed+1)
+	}
+	return true
 }
 
 // TestCrashMatrixGroupCommit: under the default group-commit policy a

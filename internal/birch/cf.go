@@ -37,7 +37,7 @@ func (cf *CF) Add(p []float64) {
 	cf.N++
 	for i, v := range p {
 		cf.LS[i] += v
-		cf.SS += v * v
+		cf.SS += float64(v * v)
 	}
 }
 
@@ -79,7 +79,7 @@ func (cf *CF) Radius() float64 {
 	var c2 float64
 	for _, v := range cf.LS {
 		m := v / n
-		c2 += m * m
+		c2 += float64(m * m)
 	}
 	r2 := cf.SS/n - c2
 	if r2 < 0 { // numeric noise
@@ -98,7 +98,7 @@ func mergedRadius(a, b *CF) float64 {
 	var c2 float64
 	for i := range a.LS {
 		m := (a.LS[i] + b.LS[i]) / n
-		c2 += m * m
+		c2 += float64(m * m)
 	}
 	r2 := (a.SS+b.SS)/n - c2
 	if r2 < 0 {
@@ -117,7 +117,7 @@ func centroidDist2(a, b *CF) float64 {
 	var d2 float64
 	for i := range a.LS {
 		d := a.LS[i]/na - b.LS[i]/nb
-		d2 += d * d
+		d2 += float64(d * d)
 	}
 	return d2
 }

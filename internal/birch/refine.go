@@ -52,7 +52,7 @@ func RefineClusters(points [][]float64, clusters []Cluster, iterations int) []Cl
 				d := 0.0
 				for j := range p {
 					diff := p[j] - c[j]
-					d += diff * diff
+					d += float64(diff * diff)
 				}
 				if d < bestD {
 					bestD = d

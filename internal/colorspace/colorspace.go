@@ -92,14 +92,14 @@ func CheckRGB(im *imgio.Image, to Space) error {
 	var p0, p1, p2, p3 float64
 	pix := im.Pix
 	for len(pix) >= 4 {
-		p0 += pix[0] * 0
-		p1 += pix[1] * 0
-		p2 += pix[2] * 0
-		p3 += pix[3] * 0
+		p0 += float64(pix[0] * 0)
+		p1 += float64(pix[1] * 0)
+		p2 += float64(pix[2] * 0)
+		p3 += float64(pix[3] * 0)
 		pix = pix[4:]
 	}
 	for _, v := range pix {
-		p0 += v * 0
+		p0 += float64(v * 0)
 	}
 	if p0+p1+p2+p3 != 0 {
 		return nonFinitePixel(im)
@@ -182,25 +182,25 @@ func ToRGB(im *imgio.Image, from Space) (*imgio.Image, error) {
 			y := im.Pix[i]
 			iq := (im.Pix[n+i] - 0.5) * 1.2
 			q := (im.Pix[2*n+i] - 0.5) * 1.1
-			r = y + 0.9563*iq + 0.6210*q
-			g = y - 0.2721*iq - 0.6474*q
-			b = y - 1.1070*iq + 1.7046*q
+			r = y + float64(0.9563*iq) + float64(0.6210*q)
+			g = y - float64(0.2721*iq) - float64(0.6474*q)
+			b = y - float64(1.1070*iq) + float64(1.7046*q)
 		case YUV:
 			y := im.Pix[i]
 			u := (im.Pix[n+i] - 0.5) * 0.872
 			v := (im.Pix[2*n+i] - 0.5) * 1.23
 			r = y + v/0.877
 			b = y + u/0.492
-			g = (y - 0.299*r - 0.114*b) / 0.587
+			g = (y - float64(0.299*r) - float64(0.114*b)) / 0.587
 		case HSV:
 			r, g, b = hsvToRGB(im.Pix[i], im.Pix[n+i], im.Pix[2*n+i])
 		case XYZ:
 			x := im.Pix[i] * 0.9505
 			y := im.Pix[n+i]
 			z := im.Pix[2*n+i] * 1.089
-			r = 3.2406*x - 1.5372*y - 0.4986*z
-			g = -0.9689*x + 1.8758*y + 0.0415*z
-			b = 0.0557*x - 0.2040*y + 1.0570*z
+			r = float64(3.2406*x) - float64(1.5372*y) - float64(0.4986*z)
+			g = float64(-0.9689*x) + float64(1.8758*y) + float64(0.0415*z)
+			b = float64(0.0557*x) - float64(0.2040*y) + float64(1.0570*z)
 		default:
 			return nil, fmt.Errorf("colorspace: unsupported source %v", from)
 		}
@@ -210,21 +210,23 @@ func ToRGB(im *imgio.Image, from Space) (*imgio.Image, error) {
 }
 
 // luma is the ITU-R BT.601 luma shared by Gray, YCC, YIQ and YUV.
-func luma(r, g, b float64) float64 { return 0.299*r + 0.587*g + 0.114*b }
+func luma(r, g, b float64) float64 {
+	return float64(0.299*r) + float64(0.587*g) + float64(0.114*b)
+}
 
 // rgbToYCC implements ITU-R BT.601 with chroma centered on 0.5.
 func rgbToYCC(r, g, b float64) (y, cb, cr float64) {
 	y = luma(r, g, b)
-	cb = 0.5 - 0.168736*r - 0.331264*g + 0.5*b
-	cr = 0.5 + 0.5*r - 0.418688*g - 0.081312*b
+	cb = 0.5 - float64(0.168736*r) - float64(0.331264*g) + float64(0.5*b)
+	cr = 0.5 + float64(0.5*r) - float64(0.418688*g) - float64(0.081312*b)
 	return
 }
 
 // rgbToYIQ centers I in [-0.596, 0.596] and Q in [-0.523, 0.523] on 0.5.
 func rgbToYIQ(r, g, b float64) (y, i, q float64) {
 	y = luma(r, g, b)
-	i = 0.595716*r - 0.274453*g - 0.321263*b
-	q = 0.211456*r - 0.522591*g + 0.311135*b
+	i = float64(0.595716*r) - float64(0.274453*g) - float64(0.321263*b)
+	q = float64(0.211456*r) - float64(0.522591*g) + float64(0.311135*b)
 	return y, i/1.2 + 0.5, q/1.1 + 0.5
 }
 
@@ -238,16 +240,16 @@ func rgbToYUV(r, g, b float64) (y, u, v float64) {
 // rgbToXYZ uses sRGB primaries, linear-light approximation (no gamma),
 // scaled so white maps near 1.
 func rgbToXYZ(r, g, b float64) (x, y, z float64) {
-	x = 0.4124*r + 0.3576*g + 0.1805*b
-	y = 0.2126*r + 0.7152*g + 0.0722*b
-	z = 0.0193*r + 0.1192*g + 0.9505*b
+	x = float64(0.4124*r) + float64(0.3576*g) + float64(0.1805*b)
+	y = float64(0.2126*r) + float64(0.7152*g) + float64(0.0722*b)
+	z = float64(0.0193*r) + float64(0.1192*g) + float64(0.9505*b)
 	return x / 0.9505, y, z / 1.089
 }
 
 func yccToRGB(y, cb, cr float64) (r, g, b float64) {
-	r = y + 1.402*(cr-0.5)
-	g = y - 0.344136*(cb-0.5) - 0.714136*(cr-0.5)
-	b = y + 1.772*(cb-0.5)
+	r = y + float64(1.402*(cr-0.5))
+	g = y - float64(0.344136*(cb-0.5)) - float64(0.714136*(cr-0.5))
+	b = y + float64(1.772*(cb-0.5))
 	return
 }
 
@@ -281,15 +283,15 @@ func hsvToRGB(h, s, v float64) (r, g, b float64) {
 	if s == 0 {
 		return v, v, v
 	}
-	h = h * 6
+	h = float64(h * 6)
 	if h >= 6 {
 		h -= 6
 	}
 	i := int(h)
 	f := h - float64(i)
 	p := v * (1 - s)
-	q := v * (1 - s*f)
-	t := v * (1 - s*(1-f))
+	q := v * (1 - float64(s*f))
+	t := v * (1 - float64(s*(1-f)))
 	switch i {
 	case 0:
 		return v, t, p

@@ -13,6 +13,7 @@ package crashfs
 import (
 	"errors"
 	"os"
+	"slices"
 	"sync"
 
 	"walrus/internal/store"
@@ -31,6 +32,27 @@ type Injector struct {
 	killAt int64 // kill when ops reaches this value; 0 = never
 	tear   int   // on a write-triggered kill, persist this many bytes (-1 = none)
 	killed bool
+	trace  []Op // the operations counted since Arm, in order
+}
+
+// OpKind is the kind of a mutating file operation.
+type OpKind int
+
+// The mutating operations an Injector counts.
+const (
+	OpWrite OpKind = iota
+	OpSync
+	OpTruncate
+)
+
+// Op describes one counted operation; Trace lists them, so a test can
+// aim a kill point (Trace()[i] is kill point i+1) at a particular write.
+type Op struct {
+	Path string // the file, as opened
+	Kind OpKind
+	Off  int64 // write offset, or the size truncated to
+	Len  int   // bytes written
+	Zero bool  // a write of zero bytes only
 }
 
 // New returns an injector with no faults armed.
@@ -47,6 +69,15 @@ func (in *Injector) Arm(killAt int64, tearBytes int) {
 	in.killAt = killAt
 	in.tear = tearBytes
 	in.killed = false
+	in.trace = in.trace[:0]
+}
+
+// Trace returns the operations counted since Arm (or creation), oldest
+// first, including the one that triggered the kill.
+func (in *Injector) Trace() []Op {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return append([]Op(nil), in.trace...)
 }
 
 // Ops returns the number of mutating operations observed since Arm (or
@@ -67,13 +98,14 @@ func (in *Injector) Killed() bool {
 // step accounts one mutating operation. It returns (tearBytes, error):
 // error is ErrKilled when the operation must fail, and tearBytes >= 0
 // tells a write how many bytes to persist before failing.
-func (in *Injector) step() (int, error) {
+func (in *Injector) step(op Op) (int, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.killed {
 		return -1, ErrKilled
 	}
 	in.ops++
+	in.trace = append(in.trace, op)
 	if in.killAt > 0 && in.ops >= in.killAt {
 		in.killed = true
 		return in.tear, ErrKilled
@@ -99,13 +131,14 @@ func (in *Injector) Open(path string, flag int) (store.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{f: f, in: in}, nil
+	return &File{f: f, in: in, path: path}, nil
 }
 
 // File wraps an *os.File with fault injection. It implements store.File.
 type File struct {
-	f  *os.File
-	in *Injector
+	f    *os.File
+	in   *Injector
+	path string
 }
 
 // ReadAt passes through unless the process is already "dead".
@@ -119,7 +152,8 @@ func (c *File) ReadAt(p []byte, off int64) (int, error) {
 // WriteAt counts one operation; at the kill point it persists only the
 // configured prefix (a torn write) and fails.
 func (c *File) WriteAt(p []byte, off int64) (int, error) {
-	tear, err := c.in.step()
+	zero := !slices.ContainsFunc(p, func(b byte) bool { return b != 0 })
+	tear, err := c.in.step(Op{Path: c.path, Kind: OpWrite, Off: off, Len: len(p), Zero: zero})
 	if err != nil {
 		if tear > 0 {
 			if tear > len(p) {
@@ -137,7 +171,7 @@ func (c *File) WriteAt(p []byte, off int64) (int, error) {
 
 // Sync counts one operation; at the kill point it fails without syncing.
 func (c *File) Sync() error {
-	if _, err := c.in.step(); err != nil {
+	if _, err := c.in.step(Op{Path: c.path, Kind: OpSync}); err != nil {
 		return err
 	}
 	return c.f.Sync()
@@ -146,7 +180,7 @@ func (c *File) Sync() error {
 // Truncate counts one operation; at the kill point it fails without
 // truncating.
 func (c *File) Truncate(size int64) error {
-	if _, err := c.in.step(); err != nil {
+	if _, err := c.in.step(Op{Path: c.path, Kind: OpTruncate, Off: size}); err != nil {
 		return err
 	}
 	return c.f.Truncate(size)

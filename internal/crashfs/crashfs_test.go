@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -101,5 +102,45 @@ func TestInjectorDisarmAndOps(t *testing.T) {
 	}
 	if in.Killed() {
 		t.Fatal("Killed with killAt=0")
+	}
+}
+
+// TestInjectorTrace: Trace lists every counted operation since Arm, in
+// order, up to and including the one that triggered the kill.
+func TestInjectorTrace(t *testing.T) {
+	in := New()
+	path := filepath.Join(t.TempDir(), "f")
+	f, err := in.Open(path, os.O_RDWR|os.O_CREATE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte("before arm"), 0); err != nil {
+		t.Fatal(err)
+	}
+	in.Arm(4, -1)
+	if _, err := f.WriteAt([]byte("data"), 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 16), 12); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(3); !errors.Is(err, ErrKilled) {
+		t.Fatalf("Truncate at the kill point: %v", err)
+	}
+	if err := f.Sync(); !errors.Is(err, ErrKilled) { // after the kill: fails, not counted
+		t.Fatalf("Sync after the kill: %v", err)
+	}
+	want := []Op{
+		{Path: path, Kind: OpWrite, Off: 8, Len: 4},
+		{Path: path, Kind: OpWrite, Off: 12, Len: 16, Zero: true},
+		{Path: path, Kind: OpSync},
+		{Path: path, Kind: OpTruncate, Off: 3},
+	}
+	if got := in.Trace(); !slices.Equal(got, want) {
+		t.Fatalf("Trace = %+v, want %+v", got, want)
 	}
 }

@@ -76,6 +76,7 @@ type BufferPool struct {
 	om     poolMetrics // guarded by mu; zero value = observability off
 	hook   FlushHook
 	ioErr  error // sticky: first failed write-back, surfaced on later calls
+	dirty  int   // resident frames with dirty set, kept by setDirty and drop
 	// spare holds the page buffers of dropped frames for admit to reuse:
 	// a pool running at capacity evicts one frame per miss, and without
 	// this every miss would allocate (and the GC later sweep) a page.
@@ -173,7 +174,7 @@ func (bp *BufferPool) NewPage() (*Frame, error) {
 	for i := range f.Data {
 		f.Data[i] = 0
 	}
-	f.dirty = true
+	bp.setDirty(f, true)
 	f.logged = false
 	return f, nil
 }
@@ -255,6 +256,7 @@ func (bp *BufferPool) evictOneLocked() bool {
 // Unpin was never valid) now fails loudly instead of aliasing whichever
 // page the buffer holds next. Caller holds bp.mu.
 func (bp *BufferPool) drop(f *Frame) {
+	bp.setDirty(f, false)
 	bp.lru.Remove(f.elem)
 	delete(bp.frames, f.ID)
 	if len(bp.spare) < maxSpareBuffers {
@@ -273,24 +275,33 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	}
 	f.pins--
 	if dirty {
-		f.dirty = true
+		bp.setDirty(f, true)
 		f.logged = false
 		f.checked.Store(false)
 	}
 }
 
+// setDirty sets f's dirty flag and keeps the pool's count of dirty frames.
+// Caller holds bp.mu.
+func (bp *BufferPool) setDirty(f *Frame, dirty bool) {
+	if f.dirty == dirty {
+		return
+	}
+	f.dirty = dirty
+	if dirty {
+		bp.dirty++
+	} else {
+		bp.dirty--
+	}
+}
+
 // DirtyCount returns the number of dirty frames resident in the pool.
-// The WAL commit path uses it to decide when to checkpoint.
+// The WAL commit path uses it, on every commit, to decide when to
+// checkpoint; it is a counter read, not a scan.
 func (bp *BufferPool) DirtyCount() int {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	n := 0
-	for _, f := range bp.frames {
-		if f.dirty {
-			n++
-		}
-	}
-	return n
+	return bp.dirty
 }
 
 // LogDirty passes every frame whose contents changed since its last
@@ -344,7 +355,7 @@ func (bp *BufferPool) FlushAll() error {
 			bp.mu.Unlock()
 			return err
 		}
-		f.dirty = false
+		bp.setDirty(f, false)
 		bp.stats.Flushes++
 		// mu is still held here; the linear lock scan mistakes the
 		// error-branch Unlocks above for a release.

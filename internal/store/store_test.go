@@ -682,3 +682,71 @@ func TestPagerStats(t *testing.T) {
 		t.Fatalf("stats after realloc: %+v", s)
 	}
 }
+
+// TestBufferPoolDirtyCountMatchesRecount drives a small pool through a
+// random mix of every dirty↔clean transition — NewPage, Get, Unpin
+// clean and dirty, FlushAll, Discard, LogDirty, and evictions with and
+// without the no-steal hook — and checks after each step that the O(1)
+// DirtyCount equals a recount of the resident frames.
+func TestBufferPoolDirtyCountMatchesRecount(t *testing.T) {
+	for _, noSteal := range []bool{false, true} {
+		p, _ := newTestPager(t, 256)
+		bp, err := NewBufferPool(p, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if noSteal {
+			bp.SetFlushHook(func(PageID, uint64) error { return nil })
+		}
+		recount := func() int {
+			bp.mu.Lock()
+			defer bp.mu.Unlock()
+			n := 0
+			for _, f := range bp.frames {
+				if f.dirty {
+					n++
+				}
+			}
+			return n
+		}
+		rng := rand.New(rand.NewSource(45))
+		var pages []PageID
+		var pinned []*Frame
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 2:
+				if f, err := bp.NewPage(); err == nil {
+					pages = append(pages, f.ID)
+					pinned = append(pinned, f)
+				}
+			case op < 5 && len(pages) > 0:
+				if f, err := bp.Get(pages[rng.Intn(len(pages))]); err == nil {
+					pinned = append(pinned, f)
+				}
+			case op < 8 && len(pinned) > 0:
+				i := rng.Intn(len(pinned))
+				bp.Unpin(pinned[i], rng.Intn(2) == 0)
+				pinned = append(pinned[:i], pinned[i+1:]...)
+			case op == 8:
+				if rng.Intn(2) == 0 {
+					if err := bp.FlushAll(); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := bp.LogDirty(func(PageID, []byte) (uint64, error) { return uint64(step + 1), nil }); err != nil {
+					t.Fatal(err)
+				}
+			case op == 9 && len(pages) > 0:
+				i := rng.Intn(len(pages))
+				if err := bp.Discard(pages[i]); err == nil {
+					pages = append(pages[:i], pages[i+1:]...)
+				}
+			}
+			if got, want := bp.DirtyCount(), recount(); got != want {
+				t.Fatalf("noSteal=%v step %d: DirtyCount %d, recount %d", noSteal, step, got, want)
+			}
+		}
+		if bp.Stats().Evictions == 0 {
+			t.Fatalf("noSteal=%v: the run never evicted", noSteal)
+		}
+	}
+}

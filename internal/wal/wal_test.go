@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -169,9 +170,13 @@ func TestLogAppRecordsDeliveredInOrder(t *testing.T) {
 	}
 }
 
-// TestLogTornTailEveryOffset chops the log at every byte length and
-// verifies recovery always succeeds, never replays uncommitted state, and
-// reports the discarded bytes.
+// TestLogTornTailEveryOffset chops the written log at every byte offset
+// and verifies recovery always succeeds, never replays uncommitted state,
+// reports the discarded bytes, and positions the log at the committed
+// end. Each cut is recovered twice: as a file that ends at the cut (the
+// data write extended the file but its zero extension never ran), and
+// as the preallocated file, its bytes past the cut zero (a crash while
+// writing into the extension).
 func TestLogTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
@@ -180,62 +185,114 @@ func TestLogTornTailEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.AppendPage(1, pageImage(0x33))
-	l.AppendApp(1, []byte("delta-one"))
-	l.AppendCommit()
-	l.AppendPage(2, pageImage(0x44))
-	l.AppendCommit()
-	l.Sync()
-	size, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
+	// ends[i] is the file offset where record i ends.
+	var ends []int64
+	for _, app := range []func(){
+		func() { l.AppendPage(1, pageImage(0x33)) },
+		func() { l.AppendApp(1, []byte("delta-one")) },
+		func() { l.AppendCommit() },
+		func() { l.AppendPage(2, pageImage(0x44)) },
+		func() { l.AppendCommit() },
+	} {
+		app()
+		ends = append(ends, headerSize+l.Size())
 	}
+	firstEnd := ends[2]
+	l.Sync()
+	written := int(ends[len(ends)-1])
 	l.Close()
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(full)) != size.Size() {
-		t.Fatal("short read of full log")
+	if len(full) != extendChunk || written > len(full) {
+		t.Fatalf("log file is %d bytes with %d written, want one %d-byte chunk", len(full), written, extendChunk)
+	}
+	if !bytes.Equal(full[written:], make([]byte, len(full)-written)) {
+		t.Fatal("the extension past the written log is not zero")
 	}
 
-	for cut := 0; cut <= len(full); cut++ {
-		sub := t.TempDir()
-		cutLog := filepath.Join(sub, "wal.log")
-		cutDB := filepath.Join(sub, "pages.db")
-		if err := os.WriteFile(cutLog, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		df := openFile(t, cutDB)
-		df.Truncate(3 * testPageSize)
-		df.Close()
-
-		lf := openFile(t, cutLog)
-		df = openFile(t, cutDB)
-		apps := 0
-		l2, stats, err := Recover(lf, df, testPageSize, 1, func(LSN, byte, []byte) error {
-			apps++
-			return nil
-		})
-		df.Close()
-		if err != nil {
-			t.Fatalf("cut %d: Recover failed: %v", cut, err)
-		}
-		// Appending after recovery must work: the log is positioned at
-		// the committed end.
-		l2.AppendCommit()
-		if err := l2.Sync(); err != nil {
-			t.Fatalf("cut %d: append after recovery: %v", cut, err)
-		}
-		l2.Close()
-		// Committed prefix grows monotonically with the cut: either
-		// nothing, the first transaction, or both.
-		switch {
-		case stats.PagesApplied == 0 && apps == 0:
-		case stats.PagesApplied == 1 && apps == 1:
-		case stats.PagesApplied == 2 && apps == 1 && cut == len(full):
-		default:
-			t.Fatalf("cut %d: impossible recovery state %+v apps=%d", cut, stats, apps)
+	sub := t.TempDir()
+	cutLog := filepath.Join(sub, "wal.log")
+	cutDB := filepath.Join(sub, "pages.db")
+	image := make([]byte, len(full))
+	for cut := 0; cut <= written; cut++ {
+		for _, padded := range []bool{false, true} {
+			file := full[:cut]
+			if padded {
+				copy(image, full[:cut])
+				clear(image[cut:])
+				file = image
+			}
+			if err := os.WriteFile(cutLog, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(cutDB, make([]byte, 3*testPageSize), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			lf := openFile(t, cutLog)
+			df := openFile(t, cutDB)
+			apps := 0
+			l2, stats, err := Recover(lf, df, testPageSize, 1, func(LSN, byte, []byte) error {
+				apps++
+				return nil
+			})
+			df.Close()
+			if err != nil {
+				t.Fatalf("cut %d padded=%v: Recover failed: %v", cut, padded, err)
+			}
+			// The committed prefix is the longest transaction boundary
+			// whose bytes the file holds intact (in the preallocated file
+			// the zeros past the cut can complete a record whose last
+			// bytes are zero): nothing, the first transaction, or both.
+			intact := func(end int) bool { return len(file) >= end && bytes.Equal(file[:end], full[:end]) }
+			committed := int64(headerSize)
+			wantPages, wantApps := 0, 0
+			switch {
+			case intact(written):
+				committed, wantPages, wantApps = int64(written), 2, 1
+			case intact(int(firstEnd)):
+				committed, wantPages, wantApps = firstEnd, 1, 1
+			}
+			if stats.PagesApplied != wantPages || apps != wantApps {
+				t.Fatalf("cut %d padded=%v: recovery state %+v apps=%d, want %d pages and %d app records",
+					cut, padded, stats, apps, wantPages, wantApps)
+			}
+			// A file that ends at the cut reports every byte past the
+			// committed end discarded. In the preallocated file the record
+			// the cut falls in counts whole once its header is written
+			// (the zeros after the cut are its claimed bytes), and not at
+			// all while its LSN field is still zero; the complete
+			// records before it always count.
+			if cut >= headerSize {
+				lo, hi := max(int64(cut)-committed, 0), max(int64(cut)-committed, 0)
+				if padded && int64(cut) > committed {
+					start := int64(headerSize)
+					for _, e := range ends {
+						if e > int64(cut) {
+							lo, hi = start-committed, e-committed
+							if int64(cut) >= start+RecordOverhead {
+								lo = hi
+							}
+							break
+						}
+						start = e
+					}
+				}
+				if stats.TornBytes < lo || stats.TornBytes > hi {
+					t.Fatalf("cut %d padded=%v: TornBytes = %d, want [%d, %d]", cut, padded, stats.TornBytes, lo, hi)
+				}
+			}
+			// Appending after recovery must work: the log is positioned
+			// at the committed end.
+			if cut >= headerSize && l2.EndLSN() != 1+LSN(committed-headerSize) {
+				t.Fatalf("cut %d padded=%v: EndLSN %d, want %d", cut, padded, l2.EndLSN(), 1+committed-headerSize)
+			}
+			l2.AppendCommit()
+			if err := l2.Sync(); err != nil {
+				t.Fatalf("cut %d padded=%v: append after recovery: %v", cut, padded, err)
+			}
+			l2.Close()
 		}
 	}
 }

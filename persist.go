@@ -36,7 +36,7 @@ const (
 	// groupCommitBytes is the fsync threshold of DurabilityGroupCommit:
 	// the log is forced once this many unsynced bytes accumulate.
 	groupCommitBytes = 256 << 10
-	// walSoftLimit triggers an automatic checkpoint (which truncates the
+	// walSoftLimit triggers an automatic checkpoint (which resets the
 	// log) once the log outgrows it.
 	walSoftLimit = 4 << 20
 	// initialLSN starts the LSN stream at 1 because LSN 0 means "never
@@ -310,8 +310,8 @@ func openShard(dir string, fs FileOpener) (*shard, error) {
 
 	// Replay the log below the pager. The fallbacks are only consulted
 	// when the log header itself is torn, which can happen solely during
-	// a log truncation — and the base was synced into the page file's
-	// meta immediately before every truncation.
+	// a log reset's header rewrite — and the base was synced into the page
+	// file's meta immediately before every reset.
 	fallbackSize, fallbackBase, ok := store.PeekMeta(f)
 	if !ok {
 		fallbackSize, fallbackBase = store.DefaultPageSize, uint64(initialLSN)
@@ -531,7 +531,7 @@ func (sh *shard) commitLocked(delta *walDelta) error {
 }
 
 // checkpointLocked flushes all dirty state to the page file, snapshots
-// the catalog, and truncates the log. The ordering makes every crash
+// the catalog, and resets the log. The ordering makes every crash
 // window recoverable:
 //
 //  1. log still-unlogged dirty pages (logPending; they become committed
@@ -543,7 +543,8 @@ func (sh *shard) commitLocked(delta *walDelta) error {
 //  4. write back every dirty page and sync the page file,
 //  5. append + sync the checkpoint record — recovery now starts here,
 //  6. atomically replace the catalog, stamped with the checkpoint LSN,
-//  7. truncate the log, starting the next generation.
+//  7. reset the log: rewrite its header in place with the new base,
+//     starting the next generation over the old one's blocks.
 //
 // A crash before step 5 recovers from the old log generation; between 5
 // and 6, from the checkpoint with delta replay; after 6 the catalog is
@@ -558,7 +559,7 @@ func (sh *shard) checkpointLocked(logPending bool) error {
 	if err := p.wal.Sync(); err != nil {
 		return err
 	}
-	newBase := p.wal.EndLSN() + wal.RecordOverhead
+	newBase := p.wal.NextBase()
 	p.pg.SetWALBase(uint64(newBase))
 	if err := p.pool.FlushAll(); err != nil {
 		return err
@@ -705,7 +706,7 @@ func syncDir(dir string) {
 }
 
 // flush checkpoints a disk-backed shard: all dirty pages reach the page
-// file, the catalog is rewritten, and the write-ahead log is truncated.
+// file, the catalog is rewritten, and the write-ahead log is reset.
 // It is a no-op for in-memory shards. flush takes the write lock:
 // concurrent flushes would race on the catalog temp file.
 func (sh *shard) flush() error {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"walrus/internal/store"
 )
 
 // TestOpenRejectsCorruptCatalog: garbage in the catalog file fails cleanly.
@@ -306,5 +308,80 @@ func TestWriteAfterClose(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// truncCountingFile is an *os.File that counts Truncate calls.
+type truncCountingFile struct {
+	*os.File
+	truncates *int
+}
+
+func (f truncCountingFile) Truncate(size int64) error {
+	*f.truncates++
+	return f.File.Truncate(size)
+}
+
+// TestDurabilityLogKeepsItsBlocks: once the write-ahead log has its
+// first chunk (Create's own checkpoint writes it), durable commits,
+// flushes, a close and a reopen neither truncate the log nor change its
+// size.
+func TestDurabilityLogKeepsItsBlocks(t *testing.T) {
+	dir := t.TempDir()
+	truncates := 0
+	o := testOptions()
+	o.Durability = DurabilityAlways
+	o.FS = func(path string, flag int) (store.File, error) {
+		f, err := os.OpenFile(path, flag, 0o644)
+		if err != nil || filepath.Base(path) != walFileName {
+			return f, err
+		}
+		return truncCountingFile{File: f, truncates: &truncates}, nil
+	}
+	db, err := Create(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, walFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	high, created := walSize(), truncates
+	if high == 0 {
+		t.Fatal("Create left an empty log")
+	}
+	for i := 0; i < 12; i++ {
+		if err := db.Add(fmt.Sprintf("img%d", i), scene(green, red, 4*i, 4*i, 40)); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 3 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := walSize(); got != high || truncates != created {
+			t.Fatalf("after op %d: log size %d (want %d), %d truncates since Create", i, got, high, truncates-created)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFS(dir, o.FS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 12 {
+		t.Fatalf("Len = %d after reopen, want 12", re.Len())
+	}
+	if err := re.Add("after-reopen", scene(gray, blue, 8, 8, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if got := walSize(); got != high || truncates != created {
+		t.Fatalf("after reopen: log size %d (want %d), %d truncates since Create", got, high, truncates-created)
 	}
 }

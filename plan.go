@@ -31,9 +31,10 @@ type stageExec struct {
 
 	// Stage outputs, in pipeline order. hits is the probe's pooled flat
 	// hit list, which refine filters in place and aggregate consumes and
-	// returns to its pool.
+	// returns to its pool; cands is aggregate's pooled candidate set,
+	// which score consumes and returns to its pool.
 	hits      *hitBuf
-	cands     candidateSet
+	cands     *candidateSet
 	retrieved int
 	matches   []Match
 }
@@ -126,7 +127,9 @@ func runAggregate(ctx context.Context, ex *stageExec, sp *obs.Span) error {
 }
 
 func runScore(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	matches, err := ex.snap.scoreStage(ctx, ex.qRegions, ex.qArea, &ex.cands, ex.p)
+	matches, err := ex.snap.scoreStage(ctx, ex.qRegions, ex.qArea, ex.cands, ex.p)
+	candPool.Put(ex.cands)
+	ex.cands = nil
 	if err != nil {
 		return err
 	}

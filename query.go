@@ -180,11 +180,34 @@ func (s *shardSnapshot) refineStage(ctx context.Context, qRegions []region.Regio
 // candidateSet is the aggregate stage's output: the candidate images in
 // ascending slot order and their probe pairs in one flat buffer, each
 // candidate's run contiguous and in (Q, T) order — images[i]'s pairs are
-// pairs[start[i]:start[i+1]].
+// pairs[start[i]:start[i+1]]. Sets are pooled across queries: the score
+// stage hands its set back to candPool once the ranking is built,
+// which keeps no pair of it (the quick matcher returns none and the
+// one-to-one matchers copy theirs).
 type candidateSet struct {
 	images []int
 	start  []int
 	pairs  []match.Pair
+}
+
+var candPool = sync.Pool{New: func() any { return new(candidateSet) }}
+
+// getCandidates returns a pooled set sized for n candidates and m pairs.
+// Its contents are stale: aggregateStage writes every element it reads.
+func getCandidates(n, m int) *candidateSet {
+	c := candPool.Get().(*candidateSet)
+	c.images = resize(c.images, n)
+	c.start = resize(c.start, n+1)
+	c.pairs = resize(c.pairs, m)
+	return c
+}
+
+// resize returns s with length n, reusing its array when it is big enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // pairsOf returns candidate i's pairs.
@@ -219,7 +242,7 @@ var aggPool = sync.Pool{New: func() any { return new(aggScratch) }}
 // (Q, T) order whatever order the index emitted the hits in, by an
 // insertion step per hit: the one-to-one matchers break ties by pair
 // order, and a ranking must not depend on the tree's shape.
-func aggregateStage(hits []probeHit, numImages int) candidateSet {
+func aggregateStage(hits []probeHit, numImages int) *candidateSet {
 	sc := aggPool.Get().(*aggScratch)
 	if len(sc.slot) < numImages {
 		sc.slot = make([]int32, numImages)
@@ -237,11 +260,10 @@ func aggregateStage(hits []probeHit, numImages int) candidateSet {
 		}
 		slot[h.image]++
 	}
-	c := candidateSet{images: make([]int, n), start: make([]int, n+1), pairs: make([]match.Pair, len(hits))}
-	if cap(sc.fill) < n {
-		sc.fill = make([]int, n)
-	}
-	fill := sc.fill[:n]
+	c := getCandidates(n, len(hits))
+	c.start[0] = 0
+	sc.fill = resize(sc.fill, n)
+	fill := sc.fill
 	i := 0
 	for w := first; w <= last; w++ {
 		for word := hit[w]; word != 0; word &= word - 1 {
