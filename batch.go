@@ -26,7 +26,9 @@ type BatchItem struct {
 // publishes its part as a single catalog version, so concurrent readers
 // observe either none or all of a shard's part (unless it fails partway:
 // a shard stops at its first error, and its items before the failing one
-// remain indexed). There is no cross-shard atomicity: a reader can
+// remain indexed). A shard whose part holds an image its disk catalog
+// cannot record (ErrRecordTooLarge) refuses the whole part and publishes
+// nothing. There is no cross-shard atomicity: a reader can
 // observe one shard's part before another's commits. Every shard attempts
 // its part even when one fails; the lowest-numbered shard's error is
 // returned.
@@ -49,6 +51,9 @@ func (sh *shard) addBatch(items []BatchItem, workers int) error {
 	defer sh.mu.Unlock()
 	if sh.closed {
 		return ErrClosed
+	}
+	if err := sh.checkRecordsFit(items, regions); err != nil {
+		return err
 	}
 	defer sh.publishLocked()
 	for i, it := range items {
@@ -81,40 +86,18 @@ func (sh *shard) addExtractedLocked(id string, im *imgio.Image, regions []region
 	if m != nil {
 		start = statsClock()
 	}
-	if err := checkGrid(sh.opts.Region.BitmapGrid, regions); err != nil {
-		return fmt.Errorf("walrus: image %q: %w", id, err)
+	first, err := sh.enterImageLocked(id, im, regions)
+	if err != nil {
+		return err
 	}
-	if _, dup := sh.byID.get(id); dup {
-		return fmt.Errorf("walrus: image %q %w", id, ErrDuplicateID)
-	}
-	imgIdx := len(sh.images)
-	// Appends extend the catalog past any published length, which never
-	// moves published elements; the id index copies only the chunk it
-	// touches.
-	sh.images = append(sh.images, imageRecord{ID: id, W: im.W, H: im.H, Regions: regions})
-	sh.byID.set(id, imgIdx)
-	var rids []uint64
 	for local, r := range regions {
-		payload := int64(len(sh.refs))
-		ref := regionRef{Image: imgIdx, Local: local}
-		if sh.persist != nil {
-			rid, err := sh.storeRegion(id, r)
-			if err != nil {
-				return err
-			}
-			ref.RID = rid
-			rids = append(rids, rid)
-		}
-		sh.refs = append(sh.refs, ref)
-		if err := sh.tree.Insert(signatureRect(sh.opts.UseBBox, r), payload); err != nil {
+		if err := sh.tree.Insert(signatureRect(sh.opts.UseBBox, r), int64(first+local)); err != nil {
 			return fmt.Errorf("walrus: indexing region of %q: %w", id, err)
 		}
 	}
 	sh.liveRegions += len(regions)
-	if sh.persist != nil {
-		if err := sh.commitLocked(&walDelta{Op: deltaAdd, ID: id, W: im.W, H: im.H, RIDs: rids}); err != nil {
-			return err
-		}
+	if err := sh.commitLocked(); err != nil {
+		return err
 	}
 	if m != nil {
 		d := statsSince(start)
@@ -129,18 +112,66 @@ func (sh *shard) addExtractedLocked(id string, im *imgio.Image, regions []region
 	return nil
 }
 
-// storeRegion writes a region of image id to a disk shard's heap and
-// returns its packed record id.
-func (sh *shard) storeRegion(id string, r region.Region) (uint64, error) {
-	rec, err := r.MarshalBinary()
-	if err != nil {
-		return 0, fmt.Errorf("walrus: encoding region of %q: %w", id, err)
+// enterImageLocked enters image id with its extracted regions into the
+// catalog, the one path of Add, AddBatch and the bulk loads: the image
+// takes the next slot and its regions the next payload numbers, which it
+// returns the first of; the caller indexes the regions. On a disk shard it
+// first writes each region to the heap, then the image record naming
+// them (see imageEntry). Caller owns the catalog exclusively and has
+// checked that the record fits (checkRecordsFit).
+func (sh *shard) enterImageLocked(id string, im *imgio.Image, regions []region.Region) (int, error) {
+	if err := checkGrid(sh.opts.Region.BitmapGrid, regions); err != nil {
+		return 0, fmt.Errorf("walrus: image %q: %w", id, err)
 	}
-	rid, err := sh.persist.heap.Insert(rec)
-	if err != nil {
-		return 0, fmt.Errorf("walrus: storing region of %q: %w", id, err)
+	if _, dup := sh.byID.get(id); dup {
+		return 0, fmt.Errorf("walrus: image %q %w", id, ErrDuplicateID)
 	}
-	return rid.Pack(), nil
+	slot, first := len(sh.images), len(sh.refs)
+	rids := make([]uint64, len(regions)) // RID 0 in memory
+	if p := sh.persist; p != nil {
+		for local, r := range regions {
+			rec, err := r.MarshalBinary()
+			if err != nil {
+				return 0, fmt.Errorf("walrus: encoding region of %q: %w", id, err)
+			}
+			rid, err := p.heap.Insert(rec)
+			if err != nil {
+				return 0, fmt.Errorf("walrus: storing region of %q: %w", id, err)
+			}
+			rids[local] = rid.Pack()
+		}
+		e := imageEntry{slot: uint64(slot), first: uint64(first), count: len(regions), live: true, id: id, w: im.W, h: im.H, rids: rids}
+		rid, err := p.heap.Insert(e.encode())
+		if err != nil {
+			return 0, fmt.Errorf("walrus: storing the record of image %q: %w", id, err)
+		}
+		p.recs = append(p.recs, rid)
+	}
+	// Appends extend the catalog past any published length, which never
+	// moves published elements; the id index copies only the chunk it
+	// touches.
+	sh.images = append(sh.images, imageRecord{ID: id, W: im.W, H: im.H, Regions: regions})
+	sh.byID.set(id, slot)
+	for local, rid := range rids {
+		sh.refs = append(sh.refs, regionRef{Image: slot, Local: local, RID: rid})
+	}
+	return first, nil
+}
+
+// checkRecordsFit refuses, with ErrRecordTooLarge, a disk shard's batch
+// holding an image whose record would not fit one heap page, so that
+// nothing of the batch is written. regions holds each item's extracted
+// regions.
+func (sh *shard) checkRecordsFit(items []BatchItem, regions [][]region.Region) error {
+	if sh.persist == nil {
+		return nil
+	}
+	for i, it := range items {
+		if n := len(regions[i]); imageRecordSize(it.ID, n) > sh.persist.heap.MaxRecord() {
+			return fmt.Errorf("walrus: image %q with %d regions: %w", it.ID, n, ErrRecordTooLarge)
+		}
+	}
+	return nil
 }
 
 // checkGrid checks that every region's bitmap is on the k×k grid the

@@ -103,37 +103,25 @@ func createShardFrom(dir string, opts Options, items []BatchItem, workers int) (
 // catalogBulkLocked is the catalog half of a bulk load into a shard that
 // has published nothing yet, so its caller owns the catalog exclusively.
 // It extracts every item's regions on the worker pool, enters the images
-// and their regions into the catalog in item order — on a disk shard
-// storing each region in the heap — and returns the index keys and
-// payloads the bulk load packs.
+// and their regions into the catalog in item order (enterImageLocked) and
+// returns the index keys and payloads the bulk load packs.
 func (sh *shard) catalogBulkLocked(items []BatchItem, workers int) ([]rstar.Rect, []int64, error) {
 	extracted, errs := sh.extractAll(items, workers)
+	if err := sh.checkRecordsFit(items, extracted); err != nil {
+		return nil, nil, err
+	}
 	var rects []rstar.Rect
 	var payloads []int64
 	for i, it := range items {
 		if errs[i] != nil {
 			return nil, nil, fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i])
 		}
-		if err := checkGrid(sh.opts.Region.BitmapGrid, extracted[i]); err != nil {
-			return nil, nil, fmt.Errorf("walrus: image %q: %w", it.ID, err)
+		first, err := sh.enterImageLocked(it.ID, it.Image, extracted[i])
+		if err != nil {
+			return nil, nil, err
 		}
-		if _, dup := sh.byID.get(it.ID); dup {
-			return nil, nil, fmt.Errorf("walrus: duplicate image id %q", it.ID)
-		}
-		imgIdx := len(sh.images)
-		sh.images = append(sh.images, imageRecord{ID: it.ID, W: it.Image.W, H: it.Image.H, Regions: extracted[i]})
-		sh.byID.set(it.ID, imgIdx)
 		for local, r := range extracted[i] {
-			ref := regionRef{Image: imgIdx, Local: local}
-			if sh.persist != nil {
-				rid, err := sh.storeRegion(it.ID, r)
-				if err != nil {
-					return nil, nil, err
-				}
-				ref.RID = rid
-			}
-			payloads = append(payloads, int64(len(sh.refs)))
-			sh.refs = append(sh.refs, ref)
+			payloads = append(payloads, int64(first+local))
 			rects = append(rects, signatureRect(sh.opts.UseBBox, r))
 		}
 	}
@@ -165,8 +153,8 @@ func (sh *shard) beginBulkLoad() error {
 }
 
 // endBulkLoad resumes logging and checkpoints, which flushes the built
-// database, snapshots the catalog, and resets the log — retiring the
-// rebuild marker written by beginBulkLoad.
+// database and resets the log — retiring the rebuild marker written by
+// beginBulkLoad.
 func (sh *shard) endBulkLoad() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

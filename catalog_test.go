@@ -1,13 +1,11 @@
 package walrus
 
 import (
-	"bytes"
+	"cmp"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
+	"slices"
 	"testing"
 
 	"walrus/internal/crashfs"
@@ -75,6 +73,12 @@ func TestAddRejectsNonFinitePixels(t *testing.T) {
 	if db.Len() != 200 {
 		t.Fatalf("Len = %d, want 200", db.Len())
 	}
+}
+
+// refsInImageOrder reports whether refs is non-decreasing in Image, the
+// order refRun relies on.
+func refsInImageOrder(refs []regionRef) bool {
+	return slices.IsSortedFunc(refs, func(a, b regionRef) int { return cmp.Compare(a.Image, b.Image) })
 }
 
 // checkRefOrder asserts the catalog invariant Remove and WAL replay rely
@@ -229,26 +233,29 @@ func TestOpenRejectsRefsOutOfOrder(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, catalogFileName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cat catalogData
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&cat); err != nil {
-		t.Fatal(err)
-	}
-	n := len(cat.Refs)
-	if n < 2 || cat.Refs[0].Image == cat.Refs[n-1].Image {
-		t.Fatalf("fixture: refs %+v span a single image", cat.Refs)
-	}
-	cat.Refs[0], cat.Refs[n-1] = cat.Refs[n-1], cat.Refs[0]
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&cat); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	// Swap the slots of the first and the last image records: the region
+	// directory they rebuild then runs out of image order.
+	swapped := 0
+	rewriteHeap(t, dir, func(rec []byte) []byte {
+		if rec[0] != tagImage {
+			return nil
+		}
+		e, err := decodeImageEntry(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.count == 0 || e.slot > 2 {
+			t.Fatalf("fixture: image record %+v", e)
+		}
+		if e.slot == 1 {
+			return nil
+		}
+		e.slot = 2 - e.slot
+		swapped++
+		return e.encode()
+	})
+	if swapped != 2 {
+		t.Fatalf("fixture: swapped %d image records, want 2", swapped)
 	}
 	if re, err := Open(dir); err == nil {
 		re.Close()

@@ -73,8 +73,9 @@
 #      store's (TestMemStore*: in-memory and overlay nodes are pages in
 #      the paged layout, scanned by the same kernel, so point leaves
 #      refuse boxes there too and encode/decode round-trips bit for bit);
-#      and the DB-level leaf layout tests (TestLeafLayout*: a
-#      pre-point-leaf centroid store reopens and answers identically,
+#      and the DB-level leaf layout tests (TestLeafLayout*: the
+#      pre-point-leaf centroid fixture, a catalog.gob database, is refused
+#      with every file unchanged,
 #      UseBBox keeps box leaves, a box-leaf reader refuses a point-leaf
 #      store) at 1 and 3 shards; ball-only probes against euclid on 12-d
 #      trees of every store kind, with points one ulp outside the ε-cube's
@@ -111,10 +112,14 @@
 #   1l. durability tier: the crash matrices (every kill point of a
 #      scripted workload, plus kills whole and torn inside each zero
 #      extension and in-place header rewrite of the write-ahead log), the
-#      per-shard crash matrix, recovery stats, reopen and the log's own
-#      suite (torn tail at every offset of the written log, stale
-#      generations never replayed, version 1 logs, a reused file that
-#      neither truncates nor grows) under the race detector
+#      per-shard crash matrix, recovery stats, reopen, the catalog Open
+#      rebuilds from the page file's heap (equal to the never-closed
+#      database's after a close and from a mid-run crash copy, oversized
+#      image records refused, the options written once by Create, a
+#      checkpoint that writes the page file and the log alone) and the
+#      log's own suite (torn tail at every offset of the written log,
+#      stale generations never replayed, a reused file that neither
+#      truncates nor grows) under the race detector
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -127,7 +132,8 @@
 #      the local GOPATH when missing; findings and install failures are
 #      reported but never fail the gate (WALRUS_CI_VULN=0 disables)
 #   4. fuzz smoke (opt-in): WALRUS_CI_FUZZ=1 ./ci.sh runs each fuzz
-#      target (PPM decoder, WAL replay) for a few seconds of random input
+#      target (PPM decoder, WAL replay, image record decoder) for a few
+#      seconds of random input
 #      on top of their always-on seed corpora
 set -eu
 cd "$(dirname "$0")"
@@ -232,6 +238,7 @@ fi
 if [ "${WALRUS_CI_FUZZ:-0}" = "1" ]; then
     tier "tier 4: fuzz smoke (imgio)" go test -fuzz FuzzDecodePPM -fuzztime "${WALRUS_CI_FUZZTIME:-10s}" ./internal/imgio
     tier "tier 4: fuzz smoke (wal)" go test -fuzz FuzzReplayWAL -fuzztime "${WALRUS_CI_FUZZTIME:-10s}" ./internal/wal
+    tier "tier 4: fuzz smoke (image records)" go test -run FuzzImageRecord -fuzz FuzzImageRecord -fuzztime "${WALRUS_CI_FUZZTIME:-10s}" .
 fi
 
 echo "CI OK"

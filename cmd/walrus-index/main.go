@@ -128,7 +128,7 @@ func dbRegions(dir string) int {
 			what = fmt.Sprintf("shard %d", i)
 		}
 		fmt.Fprintf(os.Stderr,
-			"  recovered %s: %d records scanned, %d pages reapplied, %d catalog deltas, %d torn tail bytes discarded\n",
+			"  recovered %s: %d records scanned, %d pages reapplied, %d rebuild markers, %d torn tail bytes discarded\n",
 			what, stats.RecordsScanned, stats.PagesApplied, stats.AppRecords, stats.TornBytes)
 	}
 	return db.NumRegions()

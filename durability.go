@@ -59,7 +59,7 @@ func ParseDurability(s string) (DurabilityPolicy, error) {
 // FileOpener opens one file of a disk-backed database; flag carries
 // os.OpenFile flags. Tests inject fault-injecting implementations
 // (internal/crashfs) to exercise crash recovery. The field is ignored by
-// the catalog encoder, so it never persists. nil means the real
+// the options encoder, so it never persists. nil means the real
 // filesystem.
 type FileOpener func(path string, flag int) (store.File, error)
 

@@ -1,10 +1,6 @@
 package walrus
 
 import (
-	"bytes"
-	"encoding/gob"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,27 +8,11 @@ import (
 	"walrus/internal/region"
 )
 
-// setCatalogGrid rewrites the bitmap grid recorded in the catalog of the
+// setCatalogGrid rewrites the bitmap grid recorded in the options of the
 // one-shard database in dir.
 func setCatalogGrid(t *testing.T, dir string, grid int) {
 	t.Helper()
-	path := filepath.Join(dir, catalogFileName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cat catalogData
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&cat); err != nil {
-		t.Fatal(err)
-	}
-	cat.Opts.Region.BitmapGrid = grid
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&cat); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteOptions(t, dir, func(o *Options) { o.Region.BitmapGrid = grid })
 }
 
 // wantGridError fails unless err is the catalog's grid refusal.
@@ -47,11 +27,11 @@ func wantGridError(t *testing.T, what string, err error) {
 // be on the options' grid, so a region whose bitmap is on another grid is
 // refused, with an error, on every path into a catalog — Add and AddBatch
 // in memory and on disk, the bulk loads' catalog pass (BuildFrom,
-// CreateFrom), and Open's region load, whether the record came with the
-// catalog or from WAL replay — and a query whose own regions are off the
+// CreateFrom), and Open's region load, whether the record was in the page
+// file or came from WAL replay — and a query whose own regions are off the
 // grid fails rather than being scored. An extractor for another grid
-// stands in for a region of another grid; on disk, a catalog rewritten to
-// another grid than its records'.
+// stands in for a region of another grid; on disk, options rewritten to
+// another grid than the region records'.
 func TestGridCheckAtCatalogEntry(t *testing.T) {
 	opts := testOptions()
 	off := opts
@@ -161,10 +141,26 @@ func TestGridCheckAtCatalogEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A region-less image whose record fills the rest of the heap's
+		// first page moves the heap's tail off the page holding the
+		// options, so the add below logs no image of that page, and WAL
+		// replay cannot undo the options rewrite.
+		sh := soleShard(t, db)
+		filler := strings.Repeat("f", sh.persist.heap.MaxRecord()-imageRecordSize("", 0))
+		sh.mu.Lock()
+		err = sh.addExtractedLocked(filler, items[1].Image, nil)
+		sh.publishLocked()
+		sh.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		if err := db.Add("a", items[0].Image); err != nil {
 			t.Fatal(err)
 		}
-		// Crash: the image is in the WAL alone, past the catalog.
+		// Crash: the image's region records are in the WAL alone.
 		in.Arm(1, -1)
 		db.Close()
 		in.Arm(0, -1)

@@ -46,48 +46,37 @@ const (
 type HeapFile struct {
 	pg       *Pager
 	pool     *BufferPool
-	rootSlot int         // pager root slot holding the first page id
+	rootSlot int         // pager root slot holding the first page id; the next one holds the last
 	first    PageID      // first page of the chain (0 = empty)
 	last     PageID      // last page of the chain, where inserts go
 	om       heapMetrics // zero value = observability off
 }
 
-// NewHeapFile creates an empty heap file whose first-page pointer lives in
-// the given pager root slot. OpenHeapFile reopens it later.
+// NewHeapFile creates an empty heap file whose first- and last-page
+// pointers live in the given pager root slot and the one after it.
+// OpenHeapFile reopens it later.
 func NewHeapFile(pg *Pager, pool *BufferPool, rootSlot int) (*HeapFile, error) {
 	h := &HeapFile{pg: pg, pool: pool, rootSlot: rootSlot}
 	pg.SetRoot(rootSlot, 0)
+	pg.SetRoot(rootSlot+1, 0)
 	return h, nil
 }
 
 // OpenHeapFile reopens a heap file previously created with NewHeapFile.
 func OpenHeapFile(pg *Pager, pool *BufferPool, rootSlot int) (*HeapFile, error) {
-	h := &HeapFile{pg: pg, pool: pool, rootSlot: rootSlot}
-	h.first = PageID(pg.Root(rootSlot))
-	// Find the tail of the chain for appends.
-	id := h.first
-	for id != 0 {
-		f, err := pool.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		next := PageID(binary.LittleEndian.Uint32(f.Data[0:]))
-		pool.Unpin(f, false)
-		h.last = id
-		id = next
-	}
-	return h, nil
+	return &HeapFile{pg: pg, pool: pool, rootSlot: rootSlot,
+		first: PageID(pg.Root(rootSlot)), last: PageID(pg.Root(rootSlot + 1))}, nil
 }
 
-// maxRecord returns the largest record this heap can store in one page.
-func (h *HeapFile) maxRecord() int {
+// MaxRecord returns the largest record this heap can store in one page.
+func (h *HeapFile) MaxRecord() int {
 	return h.pg.PageSize() - heapHeader - heapSlotSize
 }
 
 // Insert appends a record and returns its RID.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
-	if len(rec) > h.maxRecord() {
-		return RID{}, fmt.Errorf("store: record of %d bytes exceeds page capacity %d", len(rec), h.maxRecord())
+	if len(rec) > h.MaxRecord() {
+		return RID{}, fmt.Errorf("store: record of %d bytes exceeds page capacity %d", len(rec), h.MaxRecord())
 	}
 	if h.last != 0 {
 		if rid, ok, err := h.tryInsert(h.last, rec); err != nil || ok {
@@ -119,6 +108,7 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		h.pool.Unpin(prev, true)
 	}
 	h.last = newID
+	h.pg.SetRoot(h.rootSlot+1, uint64(newID))
 	rid, ok, err := h.tryInsert(newID, rec)
 	if err != nil {
 		return RID{}, err
@@ -227,28 +217,18 @@ func (h *HeapFile) compactPage(f *Frame, slots int) {
 	binary.LittleEndian.PutUint16(f.Data[6:], uint16(pos))
 }
 
-// Get returns a copy of the record at rid.
-func (h *HeapFile) Get(rid RID) ([]byte, error) {
-	f, err := h.pool.Get(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer h.pool.Unpin(f, false)
-	ps := h.pg.PageSize()
+// liveSlot returns the offset of rid's slot directory entry in its page
+// f, failing unless the slot holds a live record.
+func (h *HeapFile) liveSlot(f *Frame, rid RID) (int, error) {
 	slots := int(binary.LittleEndian.Uint16(f.Data[4:]))
 	if int(rid.Slot) >= slots {
-		return nil, fmt.Errorf("store: %v: slot out of range (%d slots)", rid, slots)
+		return 0, fmt.Errorf("store: %v: slot out of range (%d slots)", rid, slots)
 	}
-	dir := ps - heapSlotSize*(int(rid.Slot)+1)
-	off := binary.LittleEndian.Uint16(f.Data[dir:])
-	if off == heapDeadSlot {
-		return nil, fmt.Errorf("store: %v: record deleted", rid)
+	dir := h.pg.PageSize() - heapSlotSize*(int(rid.Slot)+1)
+	if binary.LittleEndian.Uint16(f.Data[dir:]) == heapDeadSlot {
+		return 0, fmt.Errorf("store: %v: record deleted", rid)
 	}
-	length := int(binary.LittleEndian.Uint16(f.Data[dir+2:]))
-	out := make([]byte, length)
-	copy(out, f.Data[off:int(off)+length])
-	h.om.gets.Inc()
-	return out, nil
+	return dir, nil
 }
 
 // Delete removes the record at rid. Its page space is reclaimed lazily by
@@ -259,18 +239,34 @@ func (h *HeapFile) Delete(rid RID) error {
 		return err
 	}
 	defer h.pool.Unpin(f, true)
-	ps := h.pg.PageSize()
-	slots := int(binary.LittleEndian.Uint16(f.Data[4:]))
-	if int(rid.Slot) >= slots {
-		return fmt.Errorf("store: %v: slot out of range (%d slots)", rid, slots)
-	}
-	dir := ps - heapSlotSize*(int(rid.Slot)+1)
-	if binary.LittleEndian.Uint16(f.Data[dir:]) == heapDeadSlot {
-		return fmt.Errorf("store: %v: already deleted", rid)
+	dir, err := h.liveSlot(f, rid)
+	if err != nil {
+		return err
 	}
 	binary.LittleEndian.PutUint16(f.Data[dir:], heapDeadSlot)
 	binary.LittleEndian.PutUint16(f.Data[dir+2:], 0)
 	h.om.deletes.Inc()
+	return nil
+}
+
+// Shrink overwrites the record at rid in place with rec, which must be no
+// longer than it, keeping the RID. The bytes it gives up are reclaimed by
+// compaction, like a deleted record's.
+func (h *HeapFile) Shrink(rid RID, rec []byte) error {
+	f, err := h.pool.Get(rid.Page)
+	if err != nil {
+		return err
+	}
+	defer h.pool.Unpin(f, true)
+	dir, err := h.liveSlot(f, rid)
+	if err != nil {
+		return err
+	}
+	if length := int(binary.LittleEndian.Uint16(f.Data[dir+2:])); len(rec) > length {
+		return fmt.Errorf("store: %v: cannot grow a %d-byte record to %d bytes in place", rid, length, len(rec))
+	}
+	copy(f.Data[binary.LittleEndian.Uint16(f.Data[dir:]):], rec)
+	binary.LittleEndian.PutUint16(f.Data[dir+2:], uint16(len(rec)))
 	return nil
 }
 

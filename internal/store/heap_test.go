@@ -27,6 +27,23 @@ func newTestHeap(t *testing.T, pageSize, poolSize int) (*HeapFile, *Pager, strin
 	return h, pg, path
 }
 
+// get returns a copy of the live record at rid, found by a scan, and
+// whether there is one.
+func get(t *testing.T, h *HeapFile, rid RID) ([]byte, bool) {
+	t.Helper()
+	var out []byte
+	found := false
+	if err := h.Scan(func(r RID, rec []byte) bool {
+		if r == rid {
+			out, found = bytes.Clone(rec), true
+		}
+		return !found
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out, found
+}
+
 func TestRIDPack(t *testing.T) {
 	r := RID{Page: 123456, Slot: 789}
 	if got := UnpackRID(r.Pack()); got != r {
@@ -54,11 +71,8 @@ func TestHeapInsertGet(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for i, rid := range rids {
-		got, err := h.Get(rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, recs[i]) {
+		got, ok := get(t, h, rid)
+		if !ok || !bytes.Equal(got, recs[i]) {
 			t.Fatalf("record %d: got %q want %q", i, got, recs[i])
 		}
 	}
@@ -88,8 +102,8 @@ func TestHeapSpillsAcrossPages(t *testing.T) {
 	pages := map[PageID]bool{}
 	for _, rid := range rids {
 		pages[rid.Page] = true
-		if _, err := h.Get(rid); err != nil {
-			t.Fatal(err)
+		if _, ok := get(t, h, rid); !ok {
+			t.Fatalf("%v lost", rid)
 		}
 	}
 	if len(pages) < 2 {
@@ -106,14 +120,11 @@ func TestHeapDeleteAndErrors(t *testing.T) {
 	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(rid); err == nil {
-		t.Fatal("Get succeeded on deleted record")
+	if _, ok := get(t, h, rid); ok {
+		t.Fatal("a scan returned a deleted record")
 	}
 	if err := h.Delete(rid); err == nil {
 		t.Fatal("double delete succeeded")
-	}
-	if _, err := h.Get(RID{Page: rid.Page, Slot: 99}); err == nil {
-		t.Fatal("Get succeeded on bogus slot")
 	}
 	if err := h.Delete(RID{Page: rid.Page, Slot: 99}); err == nil {
 		t.Fatal("Delete succeeded on bogus slot")
@@ -155,14 +166,55 @@ func TestHeapSlotReuseAndCompaction(t *testing.T) {
 	}
 	// Survivors are intact after compaction.
 	for _, i := range []int{0, 2, 4} {
-		got, err := h.Get(rids[i])
+		got, ok := get(t, h, rids[i])
+		want := bytes.Repeat([]byte{byte(i + 1)}, 40)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("record %d corrupted by compaction", i)
+		}
+	}
+}
+
+// TestHeapShrink: Shrink rewrites a record in place under its RID, refuses
+// to grow one or to touch a deleted one, and the bytes it gives up are
+// reclaimed by compaction like a deleted record's.
+func TestHeapShrink(t *testing.T) {
+	h, _, _ := newTestHeap(t, 256, 8)
+	var rids []RID
+	for i := 0; i < 5; i++ {
+		rid, err := h.Insert(bytes.Repeat([]byte{byte(i + 1)}, 40))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bytes.Repeat([]byte{byte(i + 1)}, 40)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("record %d corrupted by compaction", i)
+		rids = append(rids, rid)
+	}
+	if err := h.Shrink(rids[1], bytes.Repeat([]byte{7}, 41)); err == nil {
+		t.Fatal("Shrink grew a record")
+	}
+	if err := h.Shrink(rids[1], []byte("short")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := get(t, h, rids[1]); !ok || string(got) != "short" {
+		t.Fatalf("shrunk record reads %q, %v", got, ok)
+	}
+	// 35 of the page's bytes are now dead: a record that fits only once
+	// they are reclaimed lands on the same page, and the others survive.
+	rid, err := h.Insert(bytes.Repeat([]byte{9}, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rid.Page != rids[0].Page {
+		t.Fatalf("insert went to page %d, want the compacted page %d", rid.Page, rids[0].Page)
+	}
+	for i, want := range [][]byte{bytes.Repeat([]byte{1}, 40), []byte("short"), bytes.Repeat([]byte{3}, 40)} {
+		if got, ok := get(t, h, rids[i]); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("record %d after compaction reads %q, %v", i, got, ok)
 		}
+	}
+	if err := h.Delete(rids[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Shrink(rids[2], nil); err == nil {
+		t.Fatal("Shrink rewrote a deleted record")
 	}
 }
 
@@ -210,7 +262,8 @@ func TestHeapScan(t *testing.T) {
 }
 
 // TestHeapReopen: records survive close/reopen, and appends continue at
-// the tail.
+// the tail, which the reopened heap finds in its pager root slot: the
+// chain still holds every record after the append.
 func TestHeapReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reopen.db")
 	pg, err := Create(path, 256)
@@ -248,16 +301,21 @@ func TestHeapReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rid := range rids {
-		got, err := h2.Get(rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != fmt.Sprintf("persistent-%d", i) {
+		if got, ok := get(t, h2, rid); !ok || string(got) != fmt.Sprintf("persistent-%d", i) {
 			t.Fatalf("record %d: %q", i, got)
 		}
 	}
-	if _, err := h2.Insert([]byte("appended")); err != nil {
+	for i := 0; i < 10; i++ {
+		if _, err := h2.Insert([]byte("appended")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	if err := h2.Scan(func(RID, []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
+	}
+	if n != len(rids)+10 {
+		t.Fatalf("the chain holds %d records after the appends, want %d", n, len(rids)+10)
 	}
 }
 
@@ -284,11 +342,7 @@ func TestHeapRandomizedWorkload(t *testing.T) {
 		case rng.Intn(2) == 0:
 			idx := rng.Intn(len(live))
 			rid := live[idx]
-			got, err := h.Get(rid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, oracle[rid]) {
+			if got, ok := get(t, h, rid); !ok || !bytes.Equal(got, oracle[rid]) {
 				t.Fatalf("%v: content mismatch", rid)
 			}
 		default:

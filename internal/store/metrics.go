@@ -62,7 +62,7 @@ func (p *Pager) SetMetrics(reg *obs.Registry) {
 
 // heapMetrics are one HeapFile's obs handles.
 type heapMetrics struct {
-	inserts, gets, deletes *obs.Counter
+	inserts, deletes *obs.Counter
 }
 
 // SetMetrics publishes the heap file's counters into reg under the
@@ -74,7 +74,6 @@ func (h *HeapFile) SetMetrics(reg *obs.Registry) {
 	}
 	h.om = heapMetrics{
 		inserts: reg.Counter("walrus_heap_inserts_total", "Records inserted into the region heap."),
-		gets:    reg.Counter("walrus_heap_gets_total", "Records read from the region heap."),
 		deletes: reg.Counter("walrus_heap_deletes_total", "Records deleted from the region heap."),
 	}
 }

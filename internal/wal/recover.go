@@ -23,7 +23,7 @@ type RecoveryStats struct {
 	// PagesSkipped counts page images whose LSN did not exceed the
 	// on-disk page LSN (already reflected; the ARIES pageLSN test).
 	PagesSkipped int
-	// AppRecords counts app records delivered to the callback.
+	// AppRecords counts committed app records delivered to the callback.
 	AppRecords int
 	// Commits and Checkpoints count the respective markers.
 	Commits, Checkpoints int
@@ -39,8 +39,8 @@ type RecoveryStats struct {
 	LastCheckpointLSN LSN
 }
 
-// AppFunc receives committed app records during recovery, oldest first.
-// The database layer filters by LSN against its catalog snapshot.
+// AppFunc receives committed app records during recovery, oldest first,
+// with their LSNs, so the caller can tell those past the last checkpoint.
 type AppFunc func(lsn LSN, kind byte, payload []byte) error
 
 // scanned is one well-formed record found by scanLog.
@@ -67,18 +67,14 @@ type scanResult struct {
 }
 
 // scanLog parses the record region of a log (everything after the
-// header) with the given framing and base. It stops at the first torn,
-// truncated or corrupt record, and in a current-version log at the first
-// record whose LSN is not base + its offset, and returns the committed
-// prefix. pageSize bounds plausible payload sizes. It reads from r only as
-// far as the parse goes.
-func scanLog(r *logReader, pageSize int, version uint32, base LSN) (scanResult, error) {
-	maxPayload := pageSize
-	if maxPayload < 1<<20 {
-		maxPayload = 1 << 20 // app records (catalog deltas) can outgrow a page
-	}
+// header) with the given base. It stops at the first torn, truncated or
+// corrupt record, or at the first record whose LSN is not base + its
+// offset, and returns the committed prefix. pageSize bounds plausible
+// payload sizes. It reads from r only as far as the parse goes.
+func scanLog(r *logReader, pageSize int, base LSN) (scanResult, error) {
+	maxPayload := max(pageSize, 1<<20) // app records are not bounded by the page size
 	usable := pageSize - store.PageFooterSize
-	hdr := int64(overhead(version))
+	hdr := int64(RecordOverhead)
 	res := scanResult{lastCkpt: -1}
 	var recs []scanned
 	var off int64
@@ -101,13 +97,11 @@ func scanLog(r *logReader, pageSize int, version uint32, base LSN) (scanResult, 
 		// avail is the part of the record the file holds: what a stop
 		// here discards.
 		avail := min(end, int64(len(data))-headerSize) - off
-		if version != walVersionV1 {
-			if lsn := LSN(binary.LittleEndian.Uint64(h[16:])); lsn != base+LSN(off) {
-				if lsn >= base {
-					res.tornBytes = avail
-				}
-				break
+		if lsn := LSN(binary.LittleEndian.Uint64(h[16:])); lsn != base+LSN(off) {
+			if lsn >= base {
+				res.tornBytes = avail
 			}
+			break
 		}
 		typ := h[8]
 		if typ < recPage || typ > recApp || plen > int64(maxPayload) ||
@@ -194,18 +188,13 @@ func (r *logReader) upTo(n int64) ([]byte, error) {
 // checkpoint are reapplied if their LSN exceeds the on-disk page LSN (a
 // page whose footer fails its checksum — a torn page write — counts as
 // LSN 0 and is always repaired). Committed app records are handed to
-// onApp oldest-first, including those before the checkpoint, because the
-// catalog snapshot may predate it; the caller filters by LSN. Finally,
+// onApp oldest-first, including those before the checkpoint; the caller
+// filters by LSN. Finally,
 // if this generation left bytes past the committed region (see
 // RecoveryStats.TornBytes), the log is truncated to the committed region,
 // so no uncommitted record of this generation, whose LSN would pass the
 // scan's check, lies ahead of the next appends. A log that ends cleanly
 // in zeros or stale generations keeps its size and blocks.
-//
-// A version 1 log (records without LSNs) is read with the same rules,
-// minus the LSN check, so any bytes past its committed region count as
-// torn and are truncated; it keeps version 1 framing until its first
-// Reset.
 //
 // If the log header itself is unreadable (torn during Reset), the log is
 // reinitialized empty with fallbackPageSize and fallbackBase, which the
@@ -217,11 +206,11 @@ func Recover(logFile, dbFile store.File, fallbackPageSize int, fallbackBase LSN,
 	if err != nil {
 		return nil, stats, fmt.Errorf("wal: reading log: %w", err)
 	}
-	pageSize, base, version, ok := decodeHeader(head)
+	pageSize, base, ok := decodeHeader(head)
 	if !ok {
 		// A torn header can only result from a crash during Reset, at
 		// which point the previous generation was fully checkpointed:
-		// the page file and catalog are self-consistent and the log
+		// the page file is self-consistent and the log
 		// carries nothing to replay.
 		all, err := lr.upTo(math.MaxInt64)
 		if err != nil {
@@ -232,7 +221,7 @@ func Recover(logFile, dbFile store.File, fallbackPageSize int, fallbackBase LSN,
 		return l, stats, err
 	}
 
-	sc, err := scanLog(lr, pageSize, version, base)
+	sc, err := scanLog(lr, pageSize, base)
 	if err != nil {
 		return nil, stats, fmt.Errorf("wal: reading log: %w", err)
 	}
@@ -288,7 +277,7 @@ func Recover(logFile, dbFile store.File, fallbackPageSize int, fallbackBase LSN,
 		}
 	}
 
-	// Deliver committed app records (catalog deltas), oldest first.
+	// Deliver committed app records, oldest first.
 	for _, r := range recs {
 		if r.typ != recApp {
 			continue
@@ -310,7 +299,7 @@ func Recover(logFile, dbFile store.File, fallbackPageSize int, fallbackBase LSN,
 		}
 		alloc = logEnd
 	}
-	l := &Log{f: logFile, pageSize: pageSize, base: base, version: version,
+	l := &Log{f: logFile, pageSize: pageSize, base: base,
 		written: logEnd, durable: logEnd, alloc: alloc}
 	return l, stats, nil
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,7 +38,7 @@ func (c *countingFile) size(t *testing.T) int64 {
 func checkpointAndReset(t *testing.T, l *Log) {
 	t.Helper()
 	next := l.NextBase()
-	if _, err := l.Checkpoint(); err != nil {
+	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.EndLSN(); got != next {
@@ -207,7 +206,7 @@ func TestLogStaleGenerationsNeverReplayed(t *testing.T) {
 			pageID  uint32
 			payload []byte
 		}{{recPage, 0, 1, pageImage(0xEE)}, {recApp, 9, 0, []byte("planted")}, {recCommit, 0, 0, nil}} {
-			recs = appendRecord(recs, walVersion, r.typ, r.kind, r.pageID, lsn+LSN(len(recs)), r.payload)
+			recs = appendRecord(recs, r.typ, r.kind, r.pageID, lsn+LSN(len(recs)), r.payload)
 		}
 		copy(image[end:], recs)
 		return image
@@ -235,96 +234,5 @@ func TestLogStaleGenerationsNeverReplayed(t *testing.T) {
 	kinds, _ = recoverImage(plant(base + LSN(end-headerSize)))
 	if len(kinds) != 3 || kinds[2] != 9 {
 		t.Fatalf("current: app records %v, want generation 3's two and the planted one", kinds)
-	}
-}
-
-// buildV1 frames a version 1 log: header and records without LSNs.
-func buildV1(base LSN, recs ...[]byte) []byte {
-	out := encodeHeader(testPageSize, base, walVersionV1)
-	for _, r := range recs {
-		out = append(out, r...)
-	}
-	return out
-}
-
-func v1Record(typ, kind byte, pageID uint32, payload []byte) []byte {
-	return appendRecord(nil, walVersionV1, typ, kind, pageID, 0, payload)
-}
-
-// TestLogRecoversVersion1 recovers a hand-built version 1 log: its
-// committed records replay, its uncommitted tail is dropped, appends keep
-// its framing, and the first reset rewrites the file as the current
-// version.
-func TestLogRecoversVersion1(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	dbPath := filepath.Join(dir, "pages.db")
-	uncommitted := v1Record(recPage, 0, 2, pageImage(0x22))
-	image := buildV1(40,
-		v1Record(recPage, 0, 1, pageImage(0x11)),
-		v1Record(recApp, 5, 0, []byte("v1 delta")),
-		v1Record(recCommit, 0, 0, nil),
-		uncommitted,
-	)
-	if err := os.WriteFile(path, image, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dbPath, make([]byte, 3*testPageSize), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var lsns []LSN
-	onApp := func(lsn LSN, kind byte, payload []byte) error {
-		if kind != 5 || string(payload) != "v1 delta" {
-			t.Fatalf("app record kind %d payload %q", kind, payload)
-		}
-		lsns = append(lsns, lsn)
-		return nil
-	}
-	l, stats := recoverFrom(t, path, dbPath, onApp)
-	if stats.PagesApplied != 1 || stats.AppRecords != 1 || stats.Commits != 1 ||
-		stats.TornBytes != int64(len(uncommitted)) {
-		t.Fatalf("v1 recovery stats %+v", stats)
-	}
-	if lsns[0] != 40+LSN(recordOverheadV1+testPageSize-16) {
-		t.Fatalf("v1 app record LSN %d", lsns[0])
-	}
-	// Appends continue in version 1 framing and recover.
-	l.AppendPage(2, pageImage(0x23))
-	l.AppendCommit()
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	l, stats = recoverFrom(t, path, dbPath, nil)
-	if stats.PagesApplied != 1 || stats.PagesSkipped != 1 || stats.Commits != 2 || stats.TornBytes != 0 {
-		t.Fatalf("v1 recovery after appends: stats %+v", stats)
-	}
-
-	// The first reset rewrites the file as the current version.
-	checkpointAndReset(t, l)
-	l.AppendApp(6, []byte("v2 delta"))
-	l.AppendCommit()
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(raw[4:]); v != walVersion {
-		t.Fatalf("header version %d after the first reset, want %d", v, walVersion)
-	}
-	if len(raw) != extendChunk {
-		t.Fatalf("converted log is %d bytes, want one %d-byte chunk", len(raw), extendChunk)
-	}
-	var kinds []byte
-	l, stats = recoverFrom(t, path, dbPath, func(_ LSN, kind byte, _ []byte) error {
-		kinds = append(kinds, kind)
-		return nil
-	})
-	defer l.Close()
-	if len(kinds) != 1 || kinds[0] != 6 || stats.PagesApplied != 0 {
-		t.Fatalf("converted log replayed kinds %v, stats %+v", kinds, stats)
 	}
 }

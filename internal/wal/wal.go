@@ -3,8 +3,8 @@
 //
 // The log is a single file of length+CRC-framed records behind a fixed
 // header. Three record classes exist: full page images (redo records),
-// app records (opaque payloads the database layer uses for catalog
-// deltas), and markers (commit, checkpoint). Appends accumulate in a
+// app records (opaque payloads tagged with a kind; the database layer
+// logs its bulk-rebuild marker as one), and markers (commit, checkpoint). Appends accumulate in a
 // group-commit buffer; Flush writes them to the OS and Sync makes them
 // durable. Every record is addressed by its LSN — a monotonically
 // increasing log position that survives each reset via the base offset
@@ -51,7 +51,7 @@ const (
 	recPage       = 1 // full page image; pageID set, payload = usable page bytes
 	recCommit     = 2 // transaction boundary: records before this are atomic
 	recCheckpoint = 3 // all prior page images are reflected in the page file
-	recApp        = 4 // opaque app payload (catalog delta), tagged by kind
+	recApp        = 4 // opaque app payload, tagged by kind
 )
 
 // Framing constants.
@@ -60,16 +60,9 @@ const (
 	// RecordOverhead is the size of a record header; a marker record
 	// (commit, checkpoint) is exactly this long.
 	RecordOverhead = 24
-	// recordOverheadV1 is the record header of a version 1 log, which
-	// has no LSN field.
-	recordOverheadV1 = 16
 
 	walMagic   = 0x57414C4C // "WALL"
 	walVersion = 2
-	// walVersionV1 logs grew on every append and were truncated at every
-	// reset. Recovery still reads them; the first Reset rewrites the
-	// file as the current version.
-	walVersionV1 = 1
 
 	// extendChunk is the granularity the log file grows in: an append
 	// that passes the file's end zero-fills up to the next multiple of
@@ -87,9 +80,8 @@ var zeroChunk [extendChunk]byte
 type Log struct {
 	mu       sync.Mutex
 	f        store.File
-	pageSize int    // physical page size of the paired page file
-	base     LSN    // LSN of the first byte after the header
-	version  uint32 // record framing: walVersion, or walVersionV1 until the first reset
+	pageSize int // physical page size of the paired page file
+	base     LSN // LSN of the first byte after the header
 
 	written int64 // file offset: everything below is written to the OS
 	durable int64 // file offset: everything below is fsynced
@@ -108,9 +100,6 @@ type Log struct {
 //	offset 10: reserved (uint16)
 //	offset 12: page id (uint32; 0 unless type is recPage)
 //	offset 16: the record's LSN (uint64)
-//
-// A version 1 record header is the first 16 bytes of this layout, its
-// CRC covering bytes [8, 16+len).
 
 // Create initializes a fresh log on f (truncating it) for a page file
 // with the given physical page size, starting the LSN stream at base.
@@ -119,25 +108,17 @@ func Create(f store.File, pageSize int, base LSN) (*Log, error) {
 	if err := f.Truncate(0); err != nil {
 		return nil, fmt.Errorf("wal: truncating: %w", err)
 	}
-	l := &Log{f: f, pageSize: pageSize, version: walVersion}
+	l := &Log{f: f, pageSize: pageSize}
 	if err := l.reset(base); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// overhead is the record header size of the log's framing.
-func overhead(version uint32) int {
-	if version == walVersionV1 {
-		return recordOverheadV1
-	}
-	return RecordOverhead
-}
-
-func encodeHeader(pageSize int, base LSN, version uint32) []byte {
+func encodeHeader(pageSize int, base LSN) []byte {
 	h := make([]byte, headerSize)
 	binary.LittleEndian.PutUint32(h[0:], walMagic)
-	binary.LittleEndian.PutUint32(h[4:], version)
+	binary.LittleEndian.PutUint32(h[4:], walVersion)
 	binary.LittleEndian.PutUint32(h[8:], uint32(pageSize))
 	binary.LittleEndian.PutUint32(h[12:], 0)
 	binary.LittleEndian.PutUint64(h[16:], uint64(base))
@@ -146,23 +127,21 @@ func encodeHeader(pageSize int, base LSN, version uint32) []byte {
 	return h
 }
 
-func decodeHeader(h []byte) (pageSize int, base LSN, version uint32, ok bool) {
+func decodeHeader(h []byte) (pageSize int, base LSN, ok bool) {
 	if len(h) < headerSize {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
-	version = binary.LittleEndian.Uint32(h[4:])
-	if binary.LittleEndian.Uint32(h[0:]) != walMagic ||
-		(version != walVersion && version != walVersionV1) {
-		return 0, 0, 0, false
+	if binary.LittleEndian.Uint32(h[0:]) != walMagic || binary.LittleEndian.Uint32(h[4:]) != walVersion {
+		return 0, 0, false
 	}
 	if binary.LittleEndian.Uint32(h[24:]) != crc32.Checksum(h[:24], walCRC) {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	ps := binary.LittleEndian.Uint32(h[8:])
 	if ps < 64 || ps > 1<<24 {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
-	return int(ps), LSN(binary.LittleEndian.Uint64(h[16:])), version, true
+	return int(ps), LSN(binary.LittleEndian.Uint64(h[16:])), true
 }
 
 // lsnAt maps a file offset to an LSN. Caller holds mu.
@@ -200,7 +179,7 @@ func (l *Log) appendLocked(typ, kind byte, pageID uint32, payload []byte) LSN {
 	}
 	lsn := l.lsnAt(l.written + int64(len(l.buf)))
 	n := len(l.buf)
-	l.buf = appendRecord(l.buf, l.version, typ, kind, pageID, lsn, payload)
+	l.buf = appendRecord(l.buf, typ, kind, pageID, lsn, payload)
 	l.om.appends.Inc()
 	if l.om.reg != nil {
 		l.om.reg.RecordSpan("wal.append", 0, start, obs.Since(start),
@@ -209,21 +188,18 @@ func (l *Log) appendLocked(typ, kind byte, pageID uint32, payload []byte) LSN {
 	return lsn
 }
 
-// appendRecord frames one record in the given version's layout onto dst.
-func appendRecord(dst []byte, version uint32, typ, kind byte, pageID uint32, lsn LSN, payload []byte) []byte {
-	n := overhead(version)
+// appendRecord frames one record onto dst.
+func appendRecord(dst []byte, typ, kind byte, pageID uint32, lsn LSN, payload []byte) []byte {
 	h := [RecordOverhead]byte{}
 	binary.LittleEndian.PutUint32(h[0:], uint32(len(payload)))
 	h[8] = typ
 	h[9] = kind
 	binary.LittleEndian.PutUint32(h[12:], pageID)
-	if n == RecordOverhead {
-		binary.LittleEndian.PutUint64(h[16:], uint64(lsn))
-	}
-	sum := crc32.Checksum(h[8:n], walCRC)
+	binary.LittleEndian.PutUint64(h[16:], uint64(lsn))
+	sum := crc32.Checksum(h[8:], walCRC)
 	sum = crc32.Update(sum, walCRC, payload)
 	binary.LittleEndian.PutUint32(h[4:], sum)
-	dst = append(dst, h[:n]...)
+	dst = append(dst, h[:]...)
 	return append(dst, payload...)
 }
 
@@ -267,7 +243,7 @@ func (l *Log) flushLocked() error {
 		return fmt.Errorf("wal: writing %d bytes at %d: %w", len(l.buf), l.written, err)
 	}
 	end := l.written + int64(len(l.buf))
-	if end > l.alloc && l.version == walVersion {
+	if end > l.alloc {
 		if err := l.extendLocked(end); err != nil {
 			return err
 		}
@@ -282,9 +258,8 @@ func (l *Log) flushLocked() error {
 // end, the end of the bytes just written, by writing real zeros after
 // them: each byte of the file is zeroed at most once, and the size change
 // rides on the next Sync. A reopened log may already reach the boundary
-// (an earlier generation allocated it), which one read tells. Version 1
-// logs are not extended: with no LSN to tell zeros from a torn record,
-// their recovery counts any tail as torn. Caller holds mu.
+// (an earlier generation allocated it), which one read tells. Caller
+// holds mu.
 func (l *Log) extendLocked(end int64) error {
 	target := (end + extendChunk - 1) / extendChunk * extendChunk
 	var last [1]byte
@@ -378,14 +353,11 @@ func (l *Log) EnsureDurable(lsn LSN, sync bool) error {
 // Checkpoint appends a checkpoint record and forces the log durable. The
 // caller must have flushed and synced the page file first: the record
 // asserts that every earlier page image is reflected on disk.
-func (l *Log) Checkpoint() (LSN, error) {
+func (l *Log) Checkpoint() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lsn := l.appendLocked(recCheckpoint, 0, 0, nil)
-	if err := l.syncLocked(); err != nil {
-		return 0, err
-	}
-	return lsn, nil
+	l.appendLocked(recCheckpoint, 0, 0, nil)
+	return l.syncLocked()
 }
 
 // NextBase returns the LSN just past a checkpoint marker appended now:
@@ -393,7 +365,7 @@ func (l *Log) Checkpoint() (LSN, error) {
 func (l *Log) NextBase() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lsnAt(l.written + int64(len(l.buf)) + int64(overhead(l.version)))
+	return l.lsnAt(l.written + int64(len(l.buf)) + RecordOverhead)
 }
 
 // Reset discards the log contents and starts a fresh generation whose
@@ -413,21 +385,12 @@ func (l *Log) Reset(newBase LSN) error {
 }
 
 func (l *Log) reset(newBase LSN) error {
-	if l.version == walVersionV1 {
-		// Version 1 records carry no LSN, so their stale bytes could not
-		// be told from the next generation's: drop them, once.
-		if err := l.f.Truncate(0); err != nil {
-			return fmt.Errorf("wal: truncating version %d log: %w", walVersionV1, err)
-		}
-		l.alloc = 0
-	}
-	if _, err := l.f.WriteAt(encodeHeader(l.pageSize, newBase, walVersion), 0); err != nil {
+	if _, err := l.f.WriteAt(encodeHeader(l.pageSize, newBase), 0); err != nil {
 		return fmt.Errorf("wal: writing header: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync after reset: %w", err)
 	}
-	l.version = walVersion
 	l.base = newBase
 	l.written = headerSize
 	l.durable = headerSize

@@ -325,7 +325,7 @@ func TestLogCheckpointBoundsReplay(t *testing.T) {
 
 	l.AppendPage(1, pageImage(0x10))
 	l.AppendCommit()
-	if _, err := l.Checkpoint(); err != nil {
+	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	l.AppendPage(2, pageImage(0x20))

@@ -2,12 +2,12 @@ package walrus
 
 import (
 	"archive/tar"
-	"bytes"
 	"compress/gzip"
 	"context"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,9 +19,10 @@ import (
 
 // legacyFixture is a centroid database directory written by the code that
 // preceded point leaves, whose index leaves are boxes with Min == Max and
-// whose page file records no leaf kind. It holds two databases, each made
-// by Create(testOptions() with Shards 1 or 3), AddBatch(frontCorpus[:6])
-// and Close: "one" and "three".
+// whose page file records no leaf kind, and whose shards keep their
+// catalog in catalog.gob. It holds two databases, each made by
+// Create(testOptions() with Shards 1 or 3), AddBatch(frontCorpus[:6]) and
+// Close: "one" and "three".
 const legacyFixture = "boxleaf_centroid_db.tar.gz"
 
 // extractFixture unpacks database name from testdata/legacyFixture into a
@@ -115,65 +116,93 @@ func sameQueryByID(t *testing.T, what string, got, want *DB, items []BatchItem) 
 	}
 }
 
-// TestLeafLayoutLegacyBoxLeaves: a centroid database written before
-// point leaves — box leaves, no leaf kind recorded — reopens with box
-// leaves and answers QueryByID exactly as a fresh point-leaf database of
-// the same images does, at one and three shards. It stays writable in its
-// own layout: after more adds, and after a reopen, it still has box leaves
-// and still answers like the fresh database.
-func TestLeafLayoutLegacyBoxLeaves(t *testing.T) {
-	items := frontCorpus(t)[:9]
-	old, added := items[:6], items[6:]
+// TestLeafLayoutLegacyFixtureRefused: the legacy fixture's databases keep
+// their catalog in catalog.gob files, a format this version does not read.
+// At one and three shards, Open refuses them with ErrLegacyFormat before
+// touching any file: every file of the fixture is byte-identical
+// afterwards. Create over the refused directory removes the stale catalog,
+// so the re-created database reopens.
+func TestLeafLayoutLegacyFixtureRefused(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		shards int
 	}{{"one", 1}, {"three", 3}} {
 		t.Run(fmt.Sprintf("shards=%d", c.shards), func(t *testing.T) {
 			dir := extractFixture(t, c.name)
-			legacy, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
+			before := readTree(t, dir)
+			if n := countFiles(before, legacyCatalogName); n != c.shards {
+				t.Fatalf("fixture holds %d catalog files, want one per shard (%d)", n, c.shards)
 			}
-			defer func() { legacy.Close() }()
-			if legacy.Shards() != c.shards || legacy.Len() != len(old) {
-				t.Fatalf("fixture opens as %d shards holding %d images, want %d and %d", legacy.Shards(), legacy.Len(), c.shards, len(old))
+			db, err := Open(dir)
+			if !errors.Is(err, ErrLegacyFormat) {
+				t.Fatalf("Open on the legacy fixture: got (%v, %v), want ErrLegacyFormat", db, err)
 			}
-			if !allLeaves(legacy, rstar.BoxLeaves) {
-				t.Fatalf("legacy shards have leaf kinds %v, want box leaves", shardLeaves(legacy))
+			if db != nil {
+				t.Fatal("a refused open returned a database")
 			}
+			if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("the refused open changed the fixture's files")
+			}
+
 			opts := testOptions()
 			opts.Shards = c.shards
-			fresh, err := Create(t.TempDir(), opts)
+			db, err = Create(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer fresh.Close()
-			if err := fresh.AddBatch(old, 0); err != nil {
+			if err := db.AddBatch(frontCorpus(t)[:3], 0); err != nil {
 				t.Fatal(err)
 			}
-			if !allLeaves(fresh, rstar.PointLeaves) {
-				t.Fatalf("fresh centroid shards have leaf kinds %v, want point leaves", shardLeaves(fresh))
-			}
-			sameQueryByID(t, "legacy", legacy, fresh, old)
-
-			for _, db := range []*DB{legacy, fresh} {
-				if err := db.AddBatch(added, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sameQueryByID(t, "legacy after adds", legacy, fresh, items)
-			if err := legacy.Close(); err != nil {
+			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if legacy, err = Open(dir); err != nil {
-				t.Fatal(err)
+			if n := countFiles(readTree(t, dir), legacyCatalogName); n != 0 {
+				t.Fatalf("Create left %d stale catalog files", n)
 			}
-			if !allLeaves(legacy, rstar.BoxLeaves) {
-				t.Fatalf("reopened legacy shards have leaf kinds %v, want box leaves", shardLeaves(legacy))
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatalf("reopening the database created over the fixture: %v", err)
 			}
-			sameQueryByID(t, "legacy reopened", legacy, fresh, items)
+			defer re.Close()
+			if re.Len() != 3 {
+				t.Fatalf("re-created database holds %d images, want 3", re.Len())
+			}
 		})
 	}
+}
+
+// readTree returns the contents of every regular file under root, by
+// slash-separated path relative to root.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[filepath.ToSlash(rel)] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// countFiles counts the files of a readTree result with base name name.
+func countFiles(files map[string][]byte, name string) int {
+	n := 0
+	for path := range files {
+		if filepath.Base(path) == name {
+			n++
+		}
+	}
+	return n
 }
 
 // TestLeafLayoutBBoxKeepsBoxLeaves: a UseBBox database indexes real boxes,
@@ -231,7 +260,7 @@ func TestLeafLayoutBBoxKeepsBoxLeaves(t *testing.T) {
 // TestLeafLayoutBoxReaderRefusesPointLeaves: a point-leaf database opened
 // by a reader that expects box leaves fails to open and so returns no
 // results, at one and three shards. The reader here is this code told the
-// database is UseBBox (its catalog rewritten so); a reader from before
+// database is UseBBox (its options record rewritten so); a reader from before
 // point leaves compares the page file's dimension slot with the bare
 // dimension, which a point-leaf store's slot does not equal.
 func TestLeafLayoutBoxReaderRefusesPointLeaves(t *testing.T) {
@@ -269,23 +298,7 @@ func TestLeafLayoutBoxReaderRefusesPointLeaves(t *testing.T) {
 				}
 			}
 			for _, sd := range shardDirs {
-				path := filepath.Join(sd, catalogFileName)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var cat catalogData
-				if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cat); err != nil {
-					t.Fatal(err)
-				}
-				cat.Opts.UseBBox = true
-				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(&cat); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
+				rewriteOptions(t, sd, func(o *Options) { o.UseBBox = true })
 			}
 			boxReader, err := Open(dir)
 			if err == nil {

@@ -99,7 +99,7 @@ type shardMetrics struct {
 // are shared: every shard reports into the same series.
 //
 // The registry is attached at runtime rather than through Options because
-// Options is gob-encoded into the on-disk catalog. Call SetMetrics after
+// Options is gob-encoded into the page file by Create. Call SetMetrics after
 // New, Create or Open; it is safe to call while readers run, but metrics
 // recorded before the call are not retroactively created.
 //
@@ -196,7 +196,7 @@ func publishRecovery(reg *obs.Registry, scope string, rs RecoveryStats) {
 	reg.Gauge(n("recovery_records_scanned"), "WAL records scanned by the last recovery.").Set(int64(rs.RecordsScanned))
 	reg.Gauge(n("recovery_pages_applied"), "Page images applied by the last recovery.").Set(int64(rs.PagesApplied))
 	reg.Gauge(n("recovery_pages_skipped"), "Page images skipped by the last recovery (already on disk).").Set(int64(rs.PagesSkipped))
-	reg.Gauge(n("recovery_app_records"), "Catalog deltas delivered by the last recovery.").Set(int64(rs.AppRecords))
+	reg.Gauge(n("recovery_app_records"), "Committed WAL app records (bulk-rebuild markers) seen by the last recovery.").Set(int64(rs.AppRecords))
 }
 
 // Metrics returns a point-in-time snapshot of every metric in the

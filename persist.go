@@ -2,14 +2,16 @@ package walrus
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"walrus/internal/parallel"
 	"walrus/internal/region"
@@ -20,13 +22,28 @@ import (
 
 // File names inside a disk-backed database directory.
 const (
-	indexFileName   = "index.db"
-	walFileName     = "wal.log"
-	catalogFileName = "catalog.gob"
+	indexFileName = "index.db"
+	walFileName   = "wal.log"
+	// legacyCatalogName is the catalog file that databases written before
+	// the catalog moved into the page file keep beside it. Its presence is
+	// how Open recognises such a directory (ErrLegacyFormat).
+	legacyCatalogName = "catalog.gob"
 )
 
-// heapRootSlot is the pager root slot holding the region heap's first
-// page (slots 0-2 belong to the paged R*-tree).
+// ErrLegacyFormat is returned by Open for a directory written by earlier
+// code, which kept image metadata in a catalog.gob file beside the page
+// file. Open refuses it before touching any of its files; re-create the
+// database from its images (Create removes the stale catalog file).
+var ErrLegacyFormat = errors.New("walrus: database has a catalog.gob, a format this version does not read")
+
+// ErrRecordTooLarge is returned by Add, AddBatch and CreateFrom on a
+// disk-backed database for an image whose catalog record — its id plus
+// one heap record id per region — does not fit one page. The image is
+// refused before anything is written.
+var ErrRecordTooLarge = errors.New("image record does not fit a page")
+
+// heapRootSlot is the pager root slot holding the heap's first page; slot
+// 4 holds its last (slots 0-2 belong to the paged R*-tree).
 const heapRootSlot = 3
 
 // Durability machinery tuning.
@@ -44,54 +61,31 @@ const (
 	initialLSN = wal.LSN(1)
 )
 
-// WAL app-record kinds (the wal package treats them as opaque).
-const (
-	// kindDelta tags a gob-encoded walDelta: one committed catalog change.
-	kindDelta = 1
-	// kindRebuild marks the start of an unlogged bulk rebuild
-	// (CreateFrom). Seeing one after the last checkpoint during recovery
-	// means the rebuild was interrupted and the database is unusable.
-	kindRebuild = 2
-)
-
-// walDelta operations.
-const (
-	deltaAdd    = 1
-	deltaRemove = 2
-)
-
-// walDelta is the logical catalog change of one committed operation. Page
-// images in the log rebuild the index and heap; deltas rebuild the
-// in-memory catalog (image metadata and the payload directory) that the
-// catalog file only captures as of the last checkpoint.
-type walDelta struct {
-	Op   uint8
-	ID   string
-	W, H int
-	// RIDs holds the packed heap record ids of the image's regions, in
-	// local order (deltaAdd only).
-	RIDs []uint64
-}
+// kindRebuild is the WAL app-record kind (opaque to the wal package)
+// marking the start of an unlogged bulk rebuild (CreateFrom). Seeing one
+// after the last checkpoint during recovery means the rebuild was
+// interrupted and the database is unusable.
+const kindRebuild = 2
 
 // persistState holds the disk machinery of a disk-backed shard. The page
-// file carries both the R*-tree nodes and a slotted-page heap with every
-// region's serialized payload (signature, bounding box, bitmap) — the
-// paper stores these "in the index along with the signature of each
-// region" (Section 5.4). The catalog file holds image metadata and the
-// payload directory as of the last checkpoint; the write-ahead log makes
-// every operation since then atomic and (policy permitting) durable.
+// file carries the R*-tree nodes and a slotted-page heap holding the rest
+// of the shard: the options, written once by Create; one image record
+// per image slot (see imageEntry); and every region's serialized payload
+// (signature, bounding box, bitmap) — the paper stores these "in the
+// index along with the signature of each region" (Section 5.4). The
+// write-ahead log makes every operation since the last checkpoint atomic
+// and (policy permitting) durable.
 type persistState struct {
-	dir  string
-	fs   FileOpener // resolved: never nil
 	pg   *store.Pager
 	pool *store.BufferPool
 	ps   *rstar.PagedStore
 	heap *store.HeapFile
 	wal  *wal.Log
+	// recs holds the heap record id of each image slot's record, by slot.
+	recs []store.RID
 
 	policy   DurabilityPolicy
 	metaVer  uint64 // pager meta version captured by the last logged meta image
-	lastLSN  uint64 // LastLSN of the on-disk catalog
 	recovery RecoveryStats
 	unlogged bool // bulk rebuild in progress: suspend logging
 }
@@ -102,27 +96,100 @@ func (p *persistState) flushHook(id store.PageID, lsn uint64) error {
 	return p.wal.EnsureDurable(wal.LSN(lsn), p.policy != DurabilityNone)
 }
 
-// catalogImage is the persisted image metadata (regions live in the heap).
-type catalogImage struct {
-	ID         string
-	W, H       int
-	NumRegions int
+// Heap record tags. Region payloads start with region's marshal version
+// (1); the shard's other heap records start with one of these.
+const (
+	tagOptions   = 0xF0 // gob-encoded Options, written once by Create
+	tagImage     = 0xF1 // an image record
+	tagTombstone = 0xF2 // the record of a removed image
+)
+
+// Image record layout (little-endian):
+//
+//	tag (1) | slot (8) | first payload (8) | region count (4)
+//	W (4) | H (4) | id length (2) | id | region RIDs (8 each, packed)
+//
+// A tombstone is the first line alone, under tagTombstone: Remove shrinks
+// the record to it in place, so the slot and its payload range keep
+// their numbers across a reopen.
+const (
+	tombstoneSize   = 1 + 8 + 8 + 4
+	imageHeaderSize = tombstoneSize + 4 + 4 + 2
+)
+
+// imageEntry is an image or tombstone record in decoded form: image slot
+// slot owns payloads [first, first+count).
+type imageEntry struct {
+	slot, first uint64
+	count       int
+	live        bool // an image record, not a tombstone
+	id          string
+	w, h        int
+	rids        []uint64  // the regions' packed heap record ids, in local order
+	rid         store.RID // where the record lives (set by the heap scan)
 }
 
-// catalogData is the gob-serialized portion of a shard.
-type catalogData struct {
-	Opts   Options
-	Images []catalogImage
-	Refs   []regionRef
-	// LastLSN is the WAL position of the checkpoint this catalog
-	// snapshot belongs to; recovery replays only deltas past it.
-	LastLSN uint64
+// imageRecordSize is the size of the record of image id with n regions.
+func imageRecordSize(id string, n int) int { return imageHeaderSize + len(id) + 8*n }
+
+// encode returns e's record.
+func (e *imageEntry) encode() []byte {
+	le := binary.LittleEndian
+	tag, size := byte(tagTombstone), tombstoneSize
+	if e.live {
+		tag, size = tagImage, imageRecordSize(e.id, e.count)
+	}
+	b := append(make([]byte, 0, size), tag)
+	b = le.AppendUint64(b, e.slot)
+	b = le.AppendUint64(b, e.first)
+	b = le.AppendUint32(b, uint32(e.count))
+	if !e.live {
+		return b
+	}
+	b = le.AppendUint32(b, uint32(e.w))
+	b = le.AppendUint32(b, uint32(e.h))
+	b = le.AppendUint16(b, uint16(len(e.id)))
+	b = append(b, e.id...)
+	for _, rid := range e.rids {
+		b = le.AppendUint64(b, rid)
+	}
+	return b
+}
+
+// decodeImageEntry decodes an image or tombstone record, refusing one
+// whose length does not match what it declares.
+func decodeImageEntry(b []byte) (imageEntry, error) {
+	if len(b) < tombstoneSize || (b[0] != tagImage && b[0] != tagTombstone) {
+		return imageEntry{}, fmt.Errorf("walrus: malformed image record of %d bytes", len(b))
+	}
+	le := binary.LittleEndian
+	e := imageEntry{slot: le.Uint64(b[1:]), first: le.Uint64(b[9:]), count: int(le.Uint32(b[17:])), live: b[0] == tagImage}
+	want := int64(tombstoneSize)
+	if e.live {
+		want = imageHeaderSize
+		if len(b) >= imageHeaderSize {
+			want += int64(le.Uint16(b[29:])) + 8*int64(e.count)
+		}
+	}
+	if int64(len(b)) != want {
+		return imageEntry{}, fmt.Errorf("walrus: image record of %d bytes, want %d", len(b), want)
+	}
+	if !e.live {
+		return e, nil
+	}
+	e.w, e.h = int(le.Uint32(b[21:])), int(le.Uint32(b[25:]))
+	ridsAt := imageHeaderSize + int(le.Uint16(b[29:]))
+	e.id = string(b[imageHeaderSize:ridsAt])
+	for off := ridsAt; off < len(b); off += 8 {
+		e.rids = append(e.rids, le.Uint64(b[off:]))
+	}
+	return e, nil
 }
 
 // Create creates a disk-backed database in dir (which is created if
 // needed) with opts.Shards shards (0 means 1). One shard lives in dir
 // itself; more shards each get a self-contained shard-NNNN
-// subdirectory — its own index, WAL and catalog — and a shards.json
+// subdirectory — its own page file and WAL — and a shards.json
 // manifest recording the count, written last, so a create that fails
 // part-way leaves no manifest naming shards that do not exist.
 func Create(dir string, opts Options) (*DB, error) {
@@ -171,14 +238,25 @@ func createShard(dir string, opts Options) (*shard, error) {
 // createShardFiles is createShard without the final version-1 publish, so
 // CreateFrom can bulk-load before any version exists (pre-publish index
 // writes need no copy-on-write capture) and publish exactly once at the
-// end.
+// end. It writes the options as the heap's first record, once: they are
+// never rewritten, so Open restores what Create was given.
 func createShardFiles(dir string, opts Options) (*shard, error) {
 	sh, err := prepare(opts)
 	if err != nil {
 		return nil, err
 	}
+	var optsRec bytes.Buffer
+	optsRec.WriteByte(tagOptions)
+	if err := gob.NewEncoder(&optsRec).Encode(&opts); err != nil {
+		return nil, fmt.Errorf("walrus: encoding options: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("walrus: creating %s: %w", dir, err)
+	}
+	// A database created over one in the legacy format must not be
+	// refused as legacy by the next Open.
+	if err := os.Remove(filepath.Join(dir, legacyCatalogName)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		return nil, fmt.Errorf("walrus: removing stale catalog: %w", err)
 	}
 	fs := resolveFS(opts.FS)
 	f, err := fs(filepath.Join(dir, indexFileName), os.O_RDWR|os.O_CREATE|os.O_TRUNC)
@@ -198,7 +276,7 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 	if err != nil {
 		return nil, errors.Join(err, pg.Close(), wf.Close())
 	}
-	p := &persistState{dir: dir, fs: fs, pg: pg, wal: w, policy: opts.Durability}
+	p := &persistState{pg: pg, wal: w, policy: opts.Durability}
 	closeAll := func() error {
 		return errors.Join(w.Close(), pg.Close())
 	}
@@ -219,6 +297,9 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 	if err != nil {
 		return nil, errors.Join(err, closeAll())
 	}
+	if _, err := p.heap.Insert(optsRec.Bytes()); err != nil {
+		return nil, errors.Join(fmt.Errorf("walrus: storing options: %w", err), closeAll())
+	}
 	sh.tree = tree
 	sh.persist = p
 	if err := sh.flush(); err != nil {
@@ -229,9 +310,7 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 
 // leafKind is the leaf layout of a shard's index, in memory or on disk: a
 // centroid database indexes points, so its leaves store each signature
-// once; a UseBBox database indexes boxes. An existing disk index keeps the
-// layout it was written with (see rstar.NewPagedStore): centroid indexes
-// written before point leaves existed open with box leaves.
+// once; a UseBBox database indexes boxes.
 func leafKind(opts Options) rstar.LeafKind {
 	if opts.UseBBox {
 		return rstar.BoxLeaves
@@ -276,28 +355,15 @@ func OpenFS(dir string, fs FileOpener) (*DB, error) {
 	return newDB(shards), nil
 }
 
-// openShard opens the shard whose files are in dir.
+// openShard opens the shard whose files are in dir: WAL replay brings
+// the page file to its last committed state, and one heap scan then
+// rebuilds the catalog (see scanHeap).
 func openShard(dir string, fs FileOpener) (*shard, error) {
-	cf, err := os.Open(filepath.Join(dir, catalogFileName))
-	if err != nil {
-		return nil, fmt.Errorf("walrus: opening catalog: %w", err)
+	if _, err := os.Stat(filepath.Join(dir, legacyCatalogName)); err == nil {
+		return nil, fmt.Errorf("%w: %s", ErrLegacyFormat, dir)
+	} else if !errors.Is(err, iofs.ErrNotExist) {
+		return nil, fmt.Errorf("walrus: checking for a legacy catalog: %w", err)
 	}
-	var cat catalogData
-	err = gob.NewDecoder(cf).Decode(&cat)
-	if cerr := cf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("walrus: decoding catalog: %w", err)
-	}
-	if !refsInImageOrder(cat.Refs) {
-		return nil, fmt.Errorf("walrus: catalog region directory is not in image order")
-	}
-	sh, err := prepare(cat.Opts)
-	if err != nil {
-		return nil, err
-	}
-	sh.opts.FS = fs
 	opener := resolveFS(fs)
 	f, err := opener(filepath.Join(dir, indexFileName), os.O_RDWR)
 	if err != nil {
@@ -316,37 +382,28 @@ func openShard(dir string, fs FileOpener) (*shard, error) {
 	if !ok {
 		fallbackSize, fallbackBase = store.DefaultPageSize, uint64(initialLSN)
 	}
-	type appRec struct {
-		lsn     wal.LSN
-		kind    byte
-		payload []byte
-	}
-	var apps []appRec
+	var rebuildLSN wal.LSN
 	w, stats, err := wal.Recover(wf, f, fallbackSize, wal.LSN(fallbackBase),
-		func(lsn wal.LSN, kind byte, payload []byte) error {
-			apps = append(apps, appRec{lsn, kind, append([]byte(nil), payload...)})
+		func(lsn wal.LSN, kind byte, _ []byte) error {
+			if kind == kindRebuild {
+				rebuildLSN = lsn
+			}
 			return nil
 		})
 	if err != nil {
 		return nil, errors.Join(fmt.Errorf("walrus: recovering %s: %w", dir, err), f.Close(), wf.Close())
 	}
-	for _, a := range apps {
-		if a.kind == kindRebuild && a.lsn > stats.LastCheckpointLSN {
-			return nil, errors.Join(
-				fmt.Errorf("walrus: bulk rebuild of %s was interrupted by a crash; re-run CreateFrom", dir),
-				w.Close(), f.Close())
-		}
+	if rebuildLSN > stats.LastCheckpointLSN {
+		return nil, errors.Join(
+			fmt.Errorf("walrus: bulk rebuild of %s was interrupted by a crash; re-run CreateFrom", dir),
+			w.Close(), f.Close())
 	}
 
 	pg, err := store.OpenFile(f)
 	if err != nil {
 		return nil, errors.Join(fmt.Errorf("walrus: %s: %w", dir, err), w.Close(), f.Close())
 	}
-	p := &persistState{
-		dir: dir, fs: opener, pg: pg, wal: w,
-		policy: cat.Opts.Durability, metaVer: pg.MetaVersion(),
-		lastLSN: cat.LastLSN, recovery: stats,
-	}
+	p := &persistState{pg: pg, wal: w, metaVer: pg.MetaVersion(), recovery: stats}
 	closeAll := func() error {
 		return errors.Join(w.Close(), pg.Close())
 	}
@@ -355,119 +412,135 @@ func openShard(dir string, fs FileOpener) (*shard, error) {
 		return nil, errors.Join(err, closeAll())
 	}
 	p.pool.SetFlushHook(p.flushHook)
-	p.ps, err = rstar.NewPagedStore(pg, p.pool, cat.Opts.Region.Dim(), leafKind(cat.Opts))
-	if err != nil {
-		return nil, errors.Join(err, closeAll())
-	}
-	tree, err := rstar.Load(rstar.NewVersioned(p.ps))
-	if err != nil {
-		return nil, errors.Join(err, closeAll())
-	}
 	p.heap, err = store.OpenHeapFile(pg, p.pool, heapRootSlot)
 	if err != nil {
 		return nil, errors.Join(err, closeAll())
 	}
-
-	sh.images = make([]imageRecord, len(cat.Images))
-	for i, ci := range cat.Images {
-		sh.images[i] = imageRecord{ID: ci.ID, W: ci.W, H: ci.H}
-		if ci.NumRegions > 0 {
-			sh.images[i].Regions = make([]region.Region, ci.NumRegions)
-		}
-		if ci.ID != "" {
-			sh.byID.set(ci.ID, i)
-		}
+	sc, err := scanHeap(p.heap)
+	if err != nil {
+		return nil, errors.Join(fmt.Errorf("walrus: %s: %w", dir, err), closeAll())
 	}
-	sh.refs = cat.Refs
-
-	// Reapply committed catalog deltas past the catalog snapshot (the
-	// page images carrying the same operations' index and heap changes
-	// were already replayed above).
-	for _, a := range apps {
-		if a.kind != kindDelta || uint64(a.lsn) <= cat.LastLSN {
-			continue
-		}
-		var d walDelta
-		if err := gob.NewDecoder(bytes.NewReader(a.payload)).Decode(&d); err != nil {
-			return nil, errors.Join(fmt.Errorf("walrus: decoding WAL delta: %w", err), closeAll())
-		}
-		if err := sh.applyDeltaLocked(&d); err != nil {
-			return nil, errors.Join(err, closeAll())
-		}
+	sh, err := prepare(*sc.opts)
+	if err != nil {
+		return nil, errors.Join(err, closeAll())
 	}
-
-	for _, ref := range sh.refs {
-		if ref.Local < 0 {
-			continue
-		}
-		rec, err := p.heap.Get(store.UnpackRID(ref.RID))
-		if err != nil {
-			return nil, errors.Join(fmt.Errorf("walrus: loading region payload: %w", err), closeAll())
-		}
-		var r region.Region
-		if err := r.UnmarshalBinary(rec); err != nil {
-			return nil, errors.Join(fmt.Errorf("walrus: decoding region payload: %w", err), closeAll())
-		}
-		if err := checkBitmap(cat.Opts.Region.BitmapGrid, ref.Local, r.Bitmap); err != nil {
-			return nil, errors.Join(fmt.Errorf("walrus: image slot %d: %w", ref.Image, err), closeAll())
-		}
-		if ref.Image >= len(sh.images) || ref.Local >= len(sh.images[ref.Image].Regions) {
-			return nil, errors.Join(fmt.Errorf("walrus: catalog region directory is inconsistent"), closeAll())
-		}
-		sh.images[ref.Image].Regions[ref.Local] = r
+	sh.opts.FS = fs
+	p.policy = sh.opts.Durability
+	p.ps, err = rstar.NewPagedStore(pg, p.pool, sh.opts.Region.Dim(), leafKind(sh.opts))
+	if err != nil {
+		return nil, errors.Join(err, closeAll())
 	}
-
-	sh.liveRegions = countLiveRefs(sh.refs)
-	sh.tree = tree
+	if sh.tree, err = rstar.Load(rstar.NewVersioned(p.ps)); err != nil {
+		return nil, errors.Join(err, closeAll())
+	}
 	sh.persist = p
+	if err := sh.loadCatalogLocked(sc); err != nil {
+		return nil, errors.Join(fmt.Errorf("walrus: %s: %w", dir, err), closeAll())
+	}
 	sh.publishLocked()
 	return sh, nil
 }
 
-// countLiveRefs counts refs that are not tombstoned; constructors call
-// it once so writers can keep the count incremental afterwards.
-func countLiveRefs(refs []regionRef) int {
-	n := 0
-	for _, ref := range refs {
-		if ref.Local >= 0 {
-			n++
-		}
-	}
-	return n
+// heapScan is what one scan of a shard's heap finds.
+type heapScan struct {
+	opts    *Options
+	entries []*imageEntry
+	regions map[uint64]*region.Region // by packed RID
 }
 
-// applyDeltaLocked replays one committed catalog delta onto the in-memory
-// catalog, mirroring exactly what addExtractedLocked and remove do to it.
-// The Locked suffix here means "caller owns the catalog exclusively": it
-// runs only during openShard's recovery, before the shard is published to
-// any other goroutine.
-func (sh *shard) applyDeltaLocked(d *walDelta) error {
-	switch d.Op {
-	case deltaAdd:
-		imgIdx := len(sh.images)
-		rec := imageRecord{ID: d.ID, W: d.W, H: d.H}
-		if len(d.RIDs) > 0 {
-			rec.Regions = make([]region.Region, len(d.RIDs))
+// scanHeap reads every record of a shard's heap: exactly one options
+// record, image and tombstone records, and region records. Any record
+// that fails to decode fails the scan.
+func scanHeap(h *store.HeapFile) (*heapScan, error) {
+	sc := &heapScan{regions: make(map[uint64]*region.Region)}
+	var recErr error
+	err := h.Scan(func(rid store.RID, rec []byte) bool {
+		recErr = sc.add(rid, rec)
+		return recErr == nil
+	})
+	if err = cmp.Or(err, recErr); err == nil && sc.opts == nil {
+		err = errors.New("walrus: the heap holds no options record")
+	}
+	return sc, err
+}
+
+// add decodes the heap record rec at rid into sc.
+func (sc *heapScan) add(rid store.RID, rec []byte) error {
+	if len(rec) == 0 {
+		return fmt.Errorf("walrus: empty heap record at %v", rid)
+	}
+	switch rec[0] {
+	case tagOptions:
+		if sc.opts != nil {
+			return fmt.Errorf("walrus: a second options record at %v", rid)
 		}
-		sh.images = append(sh.images, rec)
-		sh.byID.set(d.ID, imgIdx)
-		for local, rid := range d.RIDs {
-			sh.refs = append(sh.refs, regionRef{Image: imgIdx, Local: local, RID: rid})
+		sc.opts = new(Options)
+		if err := gob.NewDecoder(bytes.NewReader(rec[1:])).Decode(sc.opts); err != nil {
+			return fmt.Errorf("walrus: decoding the options record: %w", err)
 		}
-	case deltaRemove:
-		imgIdx, ok := sh.byID.get(d.ID)
-		if !ok {
-			return fmt.Errorf("walrus: WAL removes unknown image %q", d.ID)
+	case tagImage, tagTombstone:
+		e, err := decodeImageEntry(rec)
+		if err != nil {
+			return fmt.Errorf("%w at %v", err, rid)
 		}
-		lo, hi := refRun(sh.refs, imgIdx)
-		for i := lo; i < hi; i++ {
-			sh.refs[i].Local = -1
-		}
-		sh.byID.delete(d.ID)
-		sh.images[imgIdx].Regions = nil
-		sh.images[imgIdx].ID = ""
+		e.rid = rid
+		sc.entries = append(sc.entries, &e)
 	default:
-		return fmt.Errorf("walrus: unknown WAL delta op %d", d.Op)
+		r := new(region.Region)
+		if err := r.UnmarshalBinary(rec); err != nil {
+			return fmt.Errorf("walrus: decoding region record %v: %w", rid, err)
+		}
+		sc.regions[rid.Pack()] = r
+	}
+	return nil
+}
+
+// loadCatalogLocked installs a heap scan's catalog in a disk shard that
+// has published nothing yet. The image records must tile the image slots
+// and the payload numbers [0, n) in order, and name every region record
+// exactly once; each region passes the grid check (see checkGrid).
+func (sh *shard) loadCatalogLocked(sc *heapScan) error {
+	p := sh.persist
+	slices.SortFunc(sc.entries, func(a, b *imageEntry) int { return cmp.Compare(a.slot, b.slot) })
+	sh.images = make([]imageRecord, len(sc.entries))
+	p.recs = make([]store.RID, len(sc.entries))
+	for i, e := range sc.entries {
+		if e.slot != uint64(i) || e.first != uint64(len(sh.refs)) || imageRecordSize("", e.count) > p.heap.MaxRecord() {
+			return fmt.Errorf("walrus: image record %v (slot %d, payloads %d+%d) does not follow slot %d, payload %d",
+				e.rid, e.slot, e.first, e.count, i, len(sh.refs))
+		}
+		p.recs[i] = e.rid
+		if !e.live {
+			for range e.count {
+				sh.refs = append(sh.refs, regionRef{Image: i, Local: -1})
+			}
+			continue
+		}
+		n := sh.byID.len()
+		if sh.byID.set(e.id, i); sh.byID.len() == n {
+			return fmt.Errorf("walrus: image %q has two records", e.id)
+		}
+		rec := imageRecord{ID: e.id, W: e.w, H: e.h}
+		if e.count > 0 {
+			rec.Regions = make([]region.Region, e.count)
+		}
+		for local, rid := range e.rids {
+			r, ok := sc.regions[rid]
+			if !ok {
+				return fmt.Errorf("walrus: image %q names region record %v, which is not in the heap", e.id, store.UnpackRID(rid))
+			}
+			delete(sc.regions, rid)
+			if err := checkBitmap(sh.opts.Region.BitmapGrid, local, r.Bitmap); err != nil {
+				return fmt.Errorf("walrus: image slot %d: %w", i, err)
+			}
+			rec.Regions[local] = *r
+			sh.refs = append(sh.refs, regionRef{Image: i, Local: local, RID: rid})
+		}
+		sh.images[i] = rec
+		sh.liveRegions += e.count
+	}
+	if len(sc.regions) > 0 {
+		return fmt.Errorf("walrus: the heap holds %d region records no image names", len(sc.regions))
 	}
 	return nil
 }
@@ -491,25 +564,19 @@ func (sh *shard) logPendingLocked() error {
 }
 
 // commitLocked ends one mutating operation: it logs redo images of every
-// page the operation touched, the catalog delta, and a commit marker,
-// then applies the durability policy and (occasionally) checkpoints.
-// Together with the buffer pool's no-steal policy this makes the
-// operation atomic across crashes: recovery either replays it fully or
-// discards it wholesale. Caller holds sh.mu.
-func (sh *shard) commitLocked(delta *walDelta) error {
+// page the operation touched — the index nodes, and the heap pages with
+// its region and image records — and a commit marker, then applies the
+// durability policy and (occasionally) checkpoints. Together with the
+// buffer pool's no-steal policy this makes the operation atomic across
+// crashes: recovery either replays it fully or discards it wholesale.
+// Caller holds sh.mu.
+func (sh *shard) commitLocked() error {
 	p := sh.persist
 	if p == nil || p.unlogged {
 		return nil
 	}
 	if err := sh.logPendingLocked(); err != nil {
 		return err
-	}
-	if delta != nil {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(delta); err != nil {
-			return fmt.Errorf("walrus: encoding WAL delta: %w", err)
-		}
-		p.wal.AppendApp(kindDelta, buf.Bytes())
 	}
 	p.wal.AppendCommit()
 	var err error
@@ -530,25 +597,25 @@ func (sh *shard) commitLocked(delta *walDelta) error {
 	return nil
 }
 
-// checkpointLocked flushes all dirty state to the page file, snapshots
-// the catalog, and resets the log. The ordering makes every crash
-// window recoverable:
+// checkpointLocked flushes all dirty state to the page file and resets
+// the log. The ordering makes every crash window recoverable:
 //
 //  1. log still-unlogged dirty pages (logPending; they become committed
 //     by the checkpoint record in step 5),
 //  2. force the log durable, so the write-backs of step 4 never overtake
 //     it (log-before-flush),
 //  3. persist the next log generation's base LSN in the page file's
-//     meta, so recovery can rebuild the log header if step 7 is torn,
+//     meta, so recovery can rebuild the log header if step 6 is torn,
 //  4. write back every dirty page and sync the page file,
 //  5. append + sync the checkpoint record — recovery now starts here,
-//  6. atomically replace the catalog, stamped with the checkpoint LSN,
-//  7. reset the log: rewrite its header in place with the new base,
+//  6. reset the log: rewrite its header in place with the new base,
 //     starting the next generation over the old one's blocks.
 //
-// A crash before step 5 recovers from the old log generation; between 5
-// and 6, from the checkpoint with delta replay; after 6 the catalog is
-// current and replay finds nothing to do. Caller holds sh.mu.
+// A crash before step 5 recovers by replaying the old log generation;
+// after it, the page file is current and replay finds nothing to do. The
+// catalog lives in the page file, so a checkpoint writes only the pages
+// dirtied since the last one, whatever the catalog's size. Caller holds
+// sh.mu.
 func (sh *shard) checkpointLocked(logPending bool) error {
 	p := sh.persist
 	if logPending {
@@ -564,11 +631,7 @@ func (sh *shard) checkpointLocked(logPending bool) error {
 	if err := p.pool.FlushAll(); err != nil {
 		return err
 	}
-	ckLSN, err := p.wal.Checkpoint()
-	if err != nil {
-		return err
-	}
-	if err := sh.writeCatalogLocked(uint64(ckLSN)); err != nil {
+	if err := p.wal.Checkpoint(); err != nil {
 		return err
 	}
 	if err := p.wal.Reset(newBase); err != nil {
@@ -578,55 +641,6 @@ func (sh *shard) checkpointLocked(logPending bool) error {
 	if m := sh.om.Load(); m != nil {
 		m.checkpoints.Inc()
 	}
-	return nil
-}
-
-// writeCatalogLocked atomically replaces the catalog file (see
-// replaceFile). Caller holds sh.mu.
-func (sh *shard) writeCatalogLocked(lastLSN uint64) error {
-	p := sh.persist
-	cat := catalogData{Opts: sh.opts, Refs: sh.refs, LastLSN: lastLSN}
-	cat.Images = make([]catalogImage, len(sh.images))
-	for i, rec := range sh.images {
-		cat.Images[i] = catalogImage{ID: rec.ID, W: rec.W, H: rec.H, NumRegions: len(rec.Regions)}
-	}
-	err := replaceFile(p.fs, p.dir, catalogFileName, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(&cat)
-	})
-	if err != nil {
-		return fmt.Errorf("walrus: writing catalog: %w", err)
-	}
-	p.lastLSN = lastLSN
-	return nil
-}
-
-// replaceFile atomically replaces dir/name with what write produces:
-// write to a temp file, fsync it, rename it over name, fsync the
-// directory. A crash leaves either the old file or the new one.
-func replaceFile(fs FileOpener, dir, name string, write func(io.Writer) error) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := fs(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
-	if err != nil {
-		return err
-	}
-	if err := write(&fileWriter{f: f}); err != nil {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	syncDir(dir)
 	return nil
 }
 
@@ -642,20 +656,31 @@ type shardManifest struct {
 // shardDirName is the subdirectory holding shard i's files.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
-// writeShardManifest durably records the shard count of dir (see
-// replaceFile).
+// writeShardManifest durably records the shard count of dir, atomically:
+// write a temp file, fsync it, rename it over the manifest, fsync the
+// directory. A crash leaves either the old manifest or the new one.
 func writeShardManifest(dir string, n int) error {
 	data, err := json.MarshalIndent(shardManifest{Shards: n}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("walrus: encoding shard manifest: %w", err)
 	}
-	err = replaceFile(resolveFS(nil), dir, shardManifestName, func(w io.Writer) error {
-		_, err := w.Write(append(data, '\n'))
-		return err
-	})
+	tmp := filepath.Join(dir, shardManifestName+".tmp")
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("walrus: writing shard manifest: %w", err)
 	}
+	_, err = f.Write(append(data, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if err = errors.Join(err, f.Close()); err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, shardManifestName))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("walrus: writing shard manifest: %w", err)
+	}
+	syncDir(dir)
 	return nil
 }
 
@@ -679,18 +704,6 @@ func readShardManifest(dir string) (int, error) {
 	return m.Shards, nil
 }
 
-// fileWriter adapts a store.File to io.Writer for the catalog encoder.
-type fileWriter struct {
-	f   store.File
-	off int64
-}
-
-func (w *fileWriter) Write(b []byte) (int, error) {
-	n, err := w.f.WriteAt(b, w.off)
-	w.off += int64(n)
-	return n, err
-}
-
 // syncDir fsyncs a directory so a just-renamed file's directory entry is
 // durable. Errors are ignored: some filesystems reject directory fsync,
 // and the rename itself already ordered correctly on those that matter.
@@ -706,9 +719,9 @@ func syncDir(dir string) {
 }
 
 // flush checkpoints a disk-backed shard: all dirty pages reach the page
-// file, the catalog is rewritten, and the write-ahead log is reset.
-// It is a no-op for in-memory shards. flush takes the write lock:
-// concurrent flushes would race on the catalog temp file.
+// file and the write-ahead log is reset. It is a no-op for in-memory
+// shards. flush takes the write lock, as every checkpoint step mutates
+// the shard's disk state.
 func (sh *shard) flush() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -723,10 +736,7 @@ func (sh *shard) flushLocked() error {
 	if p.unlogged {
 		// Bulk rebuild: write everything directly; endBulkLoad will
 		// checkpoint when the rebuild is complete.
-		if err := p.pool.FlushAll(); err != nil {
-			return err
-		}
-		return sh.writeCatalogLocked(p.lastLSN)
+		return p.pool.FlushAll()
 	}
 	return sh.checkpointLocked(true)
 }

@@ -1,7 +1,9 @@
 package walrus
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -12,7 +14,81 @@ import (
 	"walrus/internal/store"
 )
 
-// TestOpenRejectsCorruptCatalog: garbage in the catalog file fails cleanly.
+// rewriteHeap edits the heap of the closed shard whose files are in dir,
+// below the database layer: edit sees every record and returns its
+// replacement, or nil to keep it. A replacement no longer than the record
+// is written in place; a longer one is deleted and inserted afresh.
+func rewriteHeap(t *testing.T, dir string, edit func(rec []byte) []byte) {
+	t.Helper()
+	pg, err := store.Open(filepath.Join(dir, indexFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := store.NewBufferPool(pg, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := store.OpenHeapFile(pg, pool, heapRootSlot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type record struct {
+		rid  store.RID
+		data []byte
+	}
+	var recs []record
+	if err := h.Scan(func(rid store.RID, data []byte) bool {
+		recs = append(recs, record{rid, bytes.Clone(data)})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		out := edit(r.data)
+		switch {
+		case out == nil:
+		case len(out) <= len(r.data):
+			err = h.Shrink(r.rid, out)
+		default:
+			if err = h.Delete(r.rid); err == nil {
+				_, err = h.Insert(out)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteOptions changes the options recorded in the heap of the closed
+// shard whose files are in dir.
+func rewriteOptions(t *testing.T, dir string, change func(*Options)) {
+	t.Helper()
+	rewriteHeap(t, dir, func(rec []byte) []byte {
+		if rec[0] != tagOptions {
+			return nil
+		}
+		var o Options
+		if err := gob.NewDecoder(bytes.NewReader(rec[1:])).Decode(&o); err != nil {
+			t.Fatal(err)
+		}
+		change(&o)
+		out := bytes.NewBuffer([]byte{tagOptions})
+		if err := gob.NewEncoder(out).Encode(&o); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	})
+}
+
+// TestOpenRejectsCorruptCatalog: garbage in the heap's options record
+// fails cleanly.
 func TestOpenRejectsCorruptCatalog(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir, testOptions())
@@ -25,9 +101,12 @@ func TestOpenRejectsCorruptCatalog(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, catalogFileName), []byte("not a gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteHeap(t, dir, func(rec []byte) []byte {
+		if rec[0] != tagOptions {
+			return nil
+		}
+		return append([]byte{tagOptions}, "not a gob"...)
+	})
 	if _, err := Open(dir); err == nil {
 		t.Fatal("Open accepted corrupt catalog")
 	}

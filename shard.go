@@ -1,11 +1,9 @@
 package walrus
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,8 +65,9 @@ type shard struct {
 	images []imageRecord // guarded by mu
 	byID   idIndexWriter // guarded by mu
 	// refs is in non-decreasing Image order (appends follow image order,
-	// and Open rejects a catalog that is not), so an image's refs form
-	// one run found by binary search; see refRun. Guarded by mu.
+	// and Open rebuilds it from image records that must tile it so), so
+	// an image's refs form one run found by binary search; see refRun.
+	// Guarded by mu.
 	refs []regionRef
 	// liveRegions counts refs whose Local >= 0 (guarded by mu); kept
 	// incrementally so publishing a version is O(1) in catalog size.
@@ -157,13 +156,17 @@ func (sh *shard) add(id string, im *imgio.Image) error {
 	if sh.closed {
 		return ErrClosed
 	}
+	if err := sh.checkRecordsFit([]BatchItem{{ID: id}}, [][]region.Region{regions}); err != nil {
+		return err
+	}
 	defer sh.publishLocked()
 	return sh.addExtractedLocked(id, im, regions)
 }
 
 // remove deletes an image and its regions from the shard and reports
 // whether the id was present. The image's slot in the catalog is
-// retired, not compacted.
+// retired, not compacted: it and its refs keep their places, zeroed but
+// for the refs' Image, and on disk its record shrinks to a tombstone.
 func (sh *shard) remove(id string) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -195,19 +198,22 @@ func (sh *shard) remove(id string) (bool, error) {
 			return false, fmt.Errorf("walrus: region of %q missing from index", id)
 		}
 		if sh.persist != nil {
-			if err := sh.persist.heap.Delete(store.UnpackRID(refs[payload].RID)); err != nil {
+			if err := sh.persist.heap.Delete(store.UnpackRID(ref.RID)); err != nil {
 				return false, err
 			}
 		}
-		refs[payload].Local = -1 // tombstone
+		refs[payload] = regionRef{Image: imgIdx, Local: -1} // tombstone
 		tombstoned++
 	}
 	sh.byID.delete(id)
-	images[imgIdx].Regions = nil
-	images[imgIdx].ID = ""
+	images[imgIdx] = imageRecord{}
 	sh.liveRegions -= tombstoned
-	if sh.persist != nil {
-		if err := sh.commitLocked(&walDelta{Op: deltaRemove, ID: id}); err != nil {
+	if p := sh.persist; p != nil {
+		e := imageEntry{slot: uint64(imgIdx), first: uint64(lo), count: hi - lo}
+		if err := p.heap.Shrink(p.recs[imgIdx], e.encode()); err != nil {
+			return false, err
+		}
+		if err := sh.commitLocked(); err != nil {
 			return true, err
 		}
 	}
@@ -274,12 +280,6 @@ func refRun(refs []regionRef, imgIdx int) (lo, hi int) {
 	lo = sort.Search(len(refs), func(i int) bool { return refs[i].Image >= imgIdx })
 	hi = lo + sort.Search(len(refs)-lo, func(i int) bool { return refs[lo+i].Image > imgIdx })
 	return lo, hi
-}
-
-// refsInImageOrder reports whether refs is non-decreasing in Image, the
-// order refRun relies on.
-func refsInImageOrder(refs []regionRef) bool {
-	return slices.IsSortedFunc(refs, func(a, b regionRef) int { return cmp.Compare(a.Image, b.Image) })
 }
 
 // euclid is the euclidean distance the matching rule of §5 compares

@@ -94,12 +94,14 @@ type Options struct {
 	CacheSize int
 	// Durability selects how aggressively a disk-backed database fsyncs
 	// its write-ahead log (see DurabilityPolicy). Ignored by in-memory
-	// databases. The zero value is DurabilityGroupCommit.
+	// databases. The zero value is DurabilityGroupCommit. Create records
+	// it with the other options, once: Open restores it, whatever
+	// SetDurability chose while the database was open.
 	Durability DurabilityPolicy
 	// FS, when non-nil, opens the files of a disk-backed database in
 	// place of the real filesystem — the fault-injection seam used by
 	// crash-recovery tests. Func fields are ignored by gob, so it is
-	// never persisted in the catalog.
+	// never persisted with the options.
 	FS FileOpener
 }
 
@@ -415,8 +417,8 @@ func (db *DB) query(ctx context.Context, src querySource, p QueryParams) ([]Matc
 }
 
 // Flush checkpoints every shard of a disk-backed database: all dirty
-// pages reach the page file, the catalog is rewritten, and the
-// write-ahead log is truncated. It is a no-op for in-memory databases.
+// pages reach the page file, which holds the whole catalog, and the
+// write-ahead log is reset. It is a no-op for in-memory databases.
 func (db *DB) Flush() error {
 	return errors.Join(db.fanOut(len(db.shards), func(i int) error { return db.shards[i].flush() })...)
 }
@@ -429,8 +431,9 @@ func (db *DB) Close() error {
 }
 
 // SetDurability changes the durability policy of every shard of a
-// disk-backed database at runtime (the persisted option still reflects
-// creation time until the next flush). The shards switch one at a time:
+// disk-backed database for as long as it stays open: the policy is
+// per process, and Open restores the one given to Create (see
+// Options.Durability). The shards switch one at a time:
 // a concurrent writer may commit under the old policy on one shard and
 // the new on another, but each shard's commit path always sees one
 // coherent policy.
