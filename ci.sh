@@ -90,8 +90,13 @@
 #      (TestBallKernelMatchesReference)
 #   1i. extraction exactness tier: pins every region of a seeded image
 #      set (odd and step-misaligned sizes, several window ranges, a finer
-#      second-tier signature, HSV, serial and parallel) to SHA-256
-#      digests, and bounds the bytes one Extract allocates
+#      second-tier signature, HSV, Workers = 1) to SHA-256
+#      digests, bounds the bytes one Extract allocates, checks that one
+#      Extract sends no task through the worker pool, and holds every
+#      level the sliding-window DP stores, on one plane and fused with
+#      colour conversion, to a reference kernel bit for bit (random
+#      sizes, steps 1–16, signature sides 1–4, every MinWindow up to
+#      MaxWindow 16 and 64)
 #   1j. query tail exactness tier: the bounded top-k selection against a
 #      full sort (ties, every Limit, τ), the quick scorer (checked and
 #      trusted entries) against a map-based reference for pairs in any
@@ -222,7 +227,7 @@ tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go t
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
 tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout|TestFrameChecked|TestBallKernel' . ./internal/rstar ./internal/store
 
-tier "tier 1: extraction exactness (golden regions, allocations)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations' ./internal/region
+tier "tier 1: extraction exactness (golden regions, allocations, no pool tasks, DP against its reference)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations|TestExtractRunsOnCaller|TestSlidingMatchesReference' ./internal/region ./internal/wavelet
 tier "tier 1: query tail exactness (top-k, quick scorer, grid check, aggregate, refine, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestScoreValidation|TestGridCheck|TestTopK|TestAggregateStage|TestRefineStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match
 
 tier "tier 1: no fused multiply-add in any walrus symbol (arm64, ppc64le, riscv64 objdump)" check_no_fma

@@ -1,6 +1,5 @@
 // Package parallel provides the bounded worker pools WALRUS's hot paths
-// fan work across: sliding-window DP rows, per-image region extraction in
-// batch ingest, the per-query-region refine pass, and the per-shard
+// fan work across: per-image region extraction in batch ingest, the per-query-region refine pass, and the per-shard
 // stages of a sharded database. Every helper takes the same knob:
 // workers <= 0 means one worker per logical CPU (GOMAXPROCS), 1 forces
 // the serial path, and any other value bounds the pool at that size.

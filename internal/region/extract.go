@@ -44,11 +44,11 @@ type Options struct {
 	// reassigning every window to its nearest cluster centroid. This
 	// removes insertion-order sensitivity at the cost of extra passes.
 	RefineIterations int
-	// Workers bounds the goroutines used inside one extraction: the
-	// wavelet DP fans each level's window rows, every channel of a row
-	// together, across a pool of this size. 0 uses GOMAXPROCS, 1
-	// reproduces the fully serial computation. The extracted regions are
-	// identical for every setting.
+	// Workers is kept so existing callers compile; a negative value is
+	// still rejected. One extraction runs on its caller's goroutine, and
+	// callers that ingest many images fan the images out instead.
+	//
+	// Deprecated: ignored.
 	Workers int
 	// FineSignature, when nonzero, additionally stores a finer
 	// FineSignature×FineSignature low band per channel with every region,
@@ -234,7 +234,6 @@ func (e *Extractor) windowSignatures(im *imgio.Image) (points, fines [][]float64
 		MinWindow: e.opts.MinWindow,
 		Signature: max(s, fs),
 		Step:      e.opts.Step,
-		Workers:   e.opts.Workers,
 	}
 	pyramids, err := wavelet.ComputeSlidingWindowsRGB(im, e.opts.Space, params)
 	if err != nil {

@@ -12,6 +12,8 @@ import (
 	"walrus/internal/colorspace"
 	"walrus/internal/dataset"
 	"walrus/internal/imgio"
+	"walrus/internal/obs"
+	"walrus/internal/parallel"
 )
 
 // goldenImages renders a seeded set of dataset scenes, two per category,
@@ -133,5 +135,28 @@ func TestExtractAllocations(t *testing.T) {
 	t.Logf("%d bytes per Extract", perImage)
 	if perImage > parentBytes/4 {
 		t.Errorf("Extract allocates %d bytes per 128x85 image, want at most %d", perImage, parentBytes/4)
+	}
+}
+
+// TestExtractRunsOnCaller: one paper-size Extract sends no task through
+// the worker pool. The sliding-window DP once fanned each level's rows
+// across it, and waking a second core cost more than those rows;
+// parallelism pays across images, where batch ingest puts it.
+func TestExtractRunsOnCaller(t *testing.T) {
+	ext, err := NewExtractor(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := goldenImages()[0]
+	reg := obs.NewRegistry()
+	parallel.SetMetrics(reg)
+	defer parallel.SetMetrics(nil)
+	tasks := reg.Counter("walrus_pool_tasks_total", "")
+	before := tasks.Value()
+	if _, err := ext.Extract(im); err != nil {
+		t.Fatal(err)
+	}
+	if n := tasks.Value() - before; n != 0 {
+		t.Errorf("a %dx%d Extract ran %d pool tasks, want 0", im.W, im.H, n)
 	}
 }

@@ -37,11 +37,11 @@ type PagedStore struct {
 
 // NewPagedStore creates a paged node store for dim-dimensional rectangles.
 // A fresh page file gets leaves of the given kind; a page file that
-// already holds a store keeps the kind it records, except that a
-// point-leaf store is refused when BoxLeaves is asked for, since that
-// caller may store real boxes. The node capacities are derived from the
-// page size; an error is returned if a page cannot hold at least 4
-// entries.
+// already holds a store must record that kind, so a point-leaf store is
+// refused when BoxLeaves is asked for (that caller may store real boxes)
+// and a box-leaf store, or one that records no kind, when PointLeaves is.
+// The node capacities are derived from the page size; an error is
+// returned if a page cannot hold at least 4 entries.
 func NewPagedStore(pg *store.Pager, pool *store.BufferPool, dim int, leaves LeafKind) (*PagedStore, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("rstar: dimension %d < 1", dim)
@@ -55,7 +55,9 @@ func NewPagedStore(pg *store.Pager, pool *store.BufferPool, dim int, leaves Leaf
 		if recorded && !s.points {
 			return nil, fmt.Errorf("rstar: store has point leaves; a box-leaf store was expected")
 		}
-		s.points = recorded
+		if !recorded && s.points {
+			return nil, fmt.Errorf("rstar: store has box leaves; a point-leaf store was expected")
+		}
 	}
 	// Reserve one slot beyond MaxEntries: the tree transiently persists a
 	// node holding M+1 entries before overflow treatment runs.

@@ -146,10 +146,11 @@ func TestPagedStorePointLeaves(t *testing.T) {
 
 // TestPagedStoreLeafKind pins how a page file records its leaf kind: a
 // fresh store takes the kind asked for; a store that records none (box
-// leaves, the layout of every store written before point leaves) opens
-// as box leaves even when point leaves are asked for; and a point-leaf
-// store fails the dimension check of a reader that predates point
-// leaves, which compares the whole slot with its dimension.
+// leaves, the layout of every store written before point leaves) is
+// refused when point leaves are asked for, as a point-leaf store is when
+// box leaves are; and a point-leaf store fails the dimension check of a
+// reader that predates point leaves, which compares the whole slot with
+// its dimension.
 func TestPagedStoreLeafKind(t *testing.T) {
 	const dim = 12
 	open := func(path string, create bool, leaves LeafKind) (*store.Pager, *PagedStore, error) {
@@ -191,8 +192,14 @@ func TestPagedStoreLeafKind(t *testing.T) {
 	if err := pg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ps, err = open(boxPath, false, PointLeaves); err != nil || ps.Leaves() != BoxLeaves {
-		t.Fatalf("point-leaf open of a box-leaf store: kind %v, %v; want box leaves", ps.Leaves(), err)
+	if _, _, err := open(boxPath, false, PointLeaves); err == nil || !strings.Contains(err.Error(), "box leaves") {
+		t.Fatalf("point-leaf open of a box-leaf store: %v, want a box-leaves error", err)
+	}
+	if _, ps, err = open(boxPath, false, BoxLeaves); err != nil {
+		t.Fatalf("box-leaf reopen of a box-leaf store: %v", err)
+	}
+	if ps.Leaves() != BoxLeaves {
+		t.Fatalf("box-leaf reopen of a box-leaf store: kind %v", ps.Leaves())
 	}
 
 	pg, ps, err = open(pointPath, true, PointLeaves)

@@ -112,8 +112,9 @@ func TestHaar2DLinearity(t *testing.T) {
 	}
 }
 
-// TestSlidingWorkersBitwiseIdentical: the parallel DP must produce the
-// exact bytes the serial DP produces, for every level of the pyramid.
+// TestSlidingWorkersBitwiseIdentical: no Workers setting changes a byte of
+// any level of the pyramid. The DP runs on its caller's goroutine and
+// ignores the field, which is kept for callers that still set it.
 func TestSlidingWorkersBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const imgW, imgH = 96, 80

@@ -3,10 +3,10 @@ package wavelet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"walrus/internal/colorspace"
 	"walrus/internal/imgio"
-	"walrus/internal/parallel"
 )
 
 // SlidingParams configures sliding-window signature computation
@@ -31,10 +31,11 @@ type SlidingParams struct {
 	// window size ω is min(ω, t), which keeps subwindow positions aligned
 	// with the previous level. Must be a power of two.
 	Step int
-	// Workers bounds the goroutines the DP fans each level's window rows
-	// across: 0 uses GOMAXPROCS, 1 reproduces the serial computation.
-	// Every window's signature is assembled independently from the
-	// previous level, so the output is bitwise identical for any setting.
+	// Workers is kept so existing callers compile; a negative value is
+	// still rejected. The DP runs on the calling goroutine: a level's
+	// windows cost a few additions each, less than waking another core.
+	//
+	// Deprecated: ignored.
 	Workers int
 }
 
@@ -56,10 +57,6 @@ func (p SlidingParams) Validate() error {
 	}
 	return nil
 }
-
-// minParallelWindows is the smallest per-level window count worth fanning
-// across goroutines; below it the DP runs the level serially.
-const minParallelWindows = 256
 
 // Grid holds the signatures of all ω×ω windows of one window size, laid out
 // on the regular grid of window positions.
@@ -198,10 +195,22 @@ func ComputeSlidingWindowsRGB(im *imgio.Image, to colorspace.Space, params Slidi
 				i := (y+k)*w + x0
 				colorspace.ConvertRow(to, px[k][0][:cols], px[k][1][:cols], px[k][2][:cols], r[i:i+cols], g[i:i+cols], b[i:i+cols])
 			}
-			for j := 0; j < n; j++ {
-				x := j * g0.Step
-				for c := range base {
-					combineBase(px[0][c][x], px[0][c][x+1], px[1][c][x], px[1][c][x+1], base[c].SigAt(ix0+j, iy), base[c].Sig)
+			// Every channel's grid has g0's shape.
+			blk := g0.Sig * g0.Sig
+			off := (iy*g0.NX + ix0) * blk
+			for c := range base {
+				out := base[c].Data[off : off+n*blk]
+				p0, p1 := &px[0][c], &px[1][c]
+				if blk == 1 {
+					for j := range out {
+						x := j * g0.Step
+						out[j] = mean4(p0[x], p0[x+1], p1[x], p1[x+1])
+					}
+					continue
+				}
+				for j := 0; j < n; j++ {
+					x := j * g0.Step
+					combineBase(p0[x], p0[x+1], p1[x], p1[x+1], out[j*blk:(j+1)*blk], g0.Sig)
 				}
 			}
 		}
@@ -266,28 +275,14 @@ func slide(imgW, imgH, nc int, params SlidingParams, base func(iy int, lv []Grid
 			g.Data = buf[off : off+sz : off+sz]
 		}
 	}
-	var prev []Grid
-	for i := 0; i < n; i++ {
-		lv := grids[i*nc : (i+1)*nc]
-		row := func(iy int) { base(iy, lv) }
-		if i > 0 {
-			src := prev
-			row = func(iy int) {
-				for c := range lv {
-					assembleRow(&lv[c], &src[c], iy)
-				}
-			}
-		}
-		// Rows of one level only read the (already complete) previous level
-		// and write disjoint slices of its Data, so they fan out freely.
-		// Tiny levels stay serial: goroutine dispatch would dominate the
-		// work.
-		workers := params.Workers
-		if lv[0].NX*lv[0].NY*nc < minParallelWindows {
-			workers = 1
-		}
-		parallel.For(lv[0].NY, workers, row)
-		prev = lv
+	// Every level runs on the calling goroutine. A window costs a few
+	// additions, so even the largest level of a paper-size image is worth
+	// less than waking another core; parallelism pays across images.
+	for iy := 0; iy < grids[0].NY; iy++ {
+		base(iy, grids[:nc])
+	}
+	for i := nc; i < n*nc; i++ {
+		assembleLevel(&grids[i], &grids[i-nc])
 	}
 	// The returned levels share grids' backing array; unlink buf so a
 	// Pyramid the caller keeps does not keep it alive too.
@@ -308,17 +303,50 @@ func slide(imgW, imgH, nc int, params SlidingParams, base func(iy int, lv []Grid
 	return out, nil
 }
 
-// assembleRow fills row iy of g, one window at a time, from the four
-// subwindows of each in the level below, src.
-func assembleRow(g, src *Grid, iy int) {
-	half := g.Window / 2
-	for ix := 0; ix < g.NX; ix++ {
-		x, y := g.PosOf(ix, iy)
-		w1 := src.SigAt(x/src.Step, y/src.Step)
-		w2 := src.SigAt((x+half)/src.Step, y/src.Step)
-		w3 := src.SigAt(x/src.Step, (y+half)/src.Step)
-		w4 := src.SigAt((x+half)/src.Step, (y+half)/src.Step)
-		assemble(w1, w2, w3, w4, src.Sig, g.SigAt(ix, iy), g.Sig, g.Sig)
+// assembleLevel fills g, one window at a time, from the four subwindows
+// of each in the level below, src.
+//
+// Steps are powers of two with src.Step <= g.Step, and a child's offset
+// half = g.Window/2 = src.Window is a multiple of src.Step, so the child
+// at pixel offset (dx, dy) from window (ix, iy) sits at grid position
+// (ix*r + dx/src.Step, iy*r + dy/src.Step) with r = g.Step/src.Step: one
+// shift per level replaces four divisions per window.
+func assembleLevel(g, src *Grid) {
+	shift := bits.TrailingZeros(uint(g.Step / src.Step))
+	h := g.Window / 2 >> bits.TrailingZeros(uint(src.Step))
+	if g.Sig <= 2 {
+		// Flat path: a one- or two-coefficient parent reads only its
+		// children's means, the first coefficient of each block, and
+		// combineBase is what assemble computes for q <= 2.
+		a, cb, pb := src.Data, src.Sig*src.Sig, g.Sig*g.Sig
+		for iy := 0; iy < g.NY; iy++ {
+			top := (iy << shift) * src.NX
+			bot := top + h*src.NX
+			out := g.Data[iy*g.NX*pb : (iy+1)*g.NX*pb]
+			if pb == 1 {
+				for ix := range out {
+					c := ix << shift
+					out[ix] = mean4(a[(top+c)*cb], a[(top+c+h)*cb], a[(bot+c)*cb], a[(bot+c+h)*cb])
+				}
+				continue
+			}
+			for ix := 0; ix < g.NX; ix++ {
+				c := ix << shift
+				combineBase(a[(top+c)*cb], a[(top+c+h)*cb], a[(bot+c)*cb], a[(bot+c+h)*cb], out[ix*pb:(ix+1)*pb], g.Sig)
+			}
+		}
+		return
+	}
+	for iy := 0; iy < g.NY; iy++ {
+		top, bot := iy<<shift, iy<<shift+h
+		for ix := 0; ix < g.NX; ix++ {
+			c := ix << shift
+			w1 := src.SigAt(c, top)
+			w2 := src.SigAt(c+h, top)
+			w3 := src.SigAt(c, bot)
+			w4 := src.SigAt(c+h, bot)
+			assemble(w1, w2, w3, w4, src.Sig, g.SigAt(ix, iy), g.Sig, g.Sig)
+		}
 	}
 }
 
@@ -327,15 +355,18 @@ func assembleRow(g, src *Grid, iy int) {
 // computeSingleWindow, Figure 4). sig is 1 or 2: for sig 1 only the overall
 // average is kept.
 func combineBase(a1, a2, a3, a4 float64, dst []float64, sig int) {
+	dst[0] = mean4(a1, a2, a3, a4)
 	if sig == 1 {
-		dst[0] = (a1 + a2 + a3 + a4) / 4
 		return
 	}
-	dst[0] = (a1 + a2 + a3 + a4) / 4
 	dst[1] = (-a1 + a2 - a3 + a4) / 4 // horizontal detail
 	dst[sig] = (-a1 - a2 + a3 + a4) / 4
 	dst[sig+1] = (a1 - a2 - a3 + a4) / 4
 }
+
+// mean4 is the average of four children, the one coefficient a window
+// of side 2ω keeps from its four ω-side subwindows' averages.
+func mean4(a1, a2, a3, a4 float64) float64 { return (a1 + a2 + a3 + a4) / 4 }
 
 // assemble implements procedures computeSingleWindow and copyBlocks
 // (Figures 3 and 4): it fills the top-left q×q corner of dst (a block with
@@ -346,7 +377,7 @@ func combineBase(a1, a2, a3, a4 float64, dst []float64, sig int) {
 // bottom-right.
 func assemble(w1, w2, w3, w4 []float64, childStride int, dst []float64, dstStride, q int) {
 	if q == 1 {
-		dst[0] = (w1[0] + w2[0] + w3[0] + w4[0]) / 4
+		dst[0] = mean4(w1[0], w2[0], w3[0], w4[0])
 		return
 	}
 	if q == 2 {

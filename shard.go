@@ -122,12 +122,7 @@ func newShard(opts Options) (*shard, error) {
 }
 
 func prepare(opts Options) (*shard, error) {
-	ropts := opts.Region
-	if ropts.Workers == 0 && opts.Parallelism > 0 {
-		// Region.Workers inherits the database-wide parallelism default.
-		ropts.Workers = opts.Parallelism
-	}
-	ext, err := region.NewExtractor(ropts)
+	ext, err := region.NewExtractor(opts.Region)
 	if err != nil {
 		return nil, err
 	}

@@ -79,10 +79,10 @@ type Options struct {
 	Shards int
 	// Parallelism is the default worker count for ingest: it resolves the
 	// workers argument of AddBatch, BuildFrom and CreateFrom when that
-	// argument is 0, and (unless Region.Workers overrides it) bounds the
-	// pool region extraction fans its wavelet work across. 0 uses
-	// GOMAXPROCS; 1 forces the serial path. The indexed regions and all
-	// query results are identical for every setting.
+	// argument is 0, bounding how many images are extracted at once. One
+	// image is extracted on its caller's goroutine whatever the setting.
+	// 0 uses GOMAXPROCS; 1 forces the serial path. The indexed regions and
+	// all query results are identical for every setting.
 	Parallelism int
 	// CacheSize is the capacity, in cached queries, of the version-keyed
 	// result cache serving repeated queries without touching the index.
