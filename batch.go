@@ -115,13 +115,19 @@ func (sh *shard) addExtractedLocked(id string, im *imgio.Image, regions []region
 // enterImageLocked enters image id with its extracted regions into the
 // catalog, the one path of Add, AddBatch and the bulk loads: the image
 // takes the next slot and its regions the next payload numbers, which it
-// returns the first of; the caller indexes the regions. On a disk shard it
-// first writes each region to the heap, then the image record naming
-// them (see imageEntry). Caller owns the catalog exclusively and has
+// returns the first of, and their slots of the region columns; the caller
+// indexes the regions. On a disk shard it first writes each region to the
+// heap, marshalled from the extractor's output, then the image record
+// naming them (see imageEntry). Caller owns the catalog exclusively and has
 // checked that the record fits (checkRecordsFit).
 func (sh *shard) enterImageLocked(id string, im *imgio.Image, regions []region.Region) (int, error) {
 	if err := checkGrid(sh.opts.Region.BitmapGrid, regions); err != nil {
 		return 0, fmt.Errorf("walrus: image %q: %w", id, err)
+	}
+	for local := range regions {
+		if err := sh.cols.checkShape(local, &regions[local]); err != nil {
+			return 0, fmt.Errorf("walrus: image %q: %w", id, err)
+		}
 	}
 	if _, dup := sh.byID.get(id); dup {
 		return 0, fmt.Errorf("walrus: image %q %w", id, ErrDuplicateID)
@@ -149,11 +155,13 @@ func (sh *shard) enterImageLocked(id string, im *imgio.Image, regions []region.R
 	}
 	// Appends extend the catalog past any published length, which never
 	// moves published elements; the id index copies only the chunk it
-	// touches.
-	sh.images = append(sh.images, imageRecord{ID: id, W: im.W, H: im.H, Regions: regions})
+	// touches. The columns keep copies of the regions' fields, so the
+	// extractor's slices are garbage once the caller has indexed them.
+	sh.images = append(sh.images, imageRecord{ID: id, W: im.W, H: im.H, First: first, Count: len(regions)})
 	sh.byID.set(id, slot)
 	for local, rid := range rids {
 		sh.refs = append(sh.refs, regionRef{Image: slot, Local: local, RID: rid})
+		sh.cols.add(&regions[local])
 	}
 	return first, nil
 }

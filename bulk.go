@@ -110,8 +110,13 @@ func (sh *shard) catalogBulkLocked(items []BatchItem, workers int) ([]rstar.Rect
 	if err := sh.checkRecordsFit(items, extracted); err != nil {
 		return nil, nil, err
 	}
-	var rects []rstar.Rect
-	var payloads []int64
+	total := 0
+	for _, regions := range extracted {
+		total += len(regions)
+	}
+	sh.cols.grow(total)
+	rects := make([]rstar.Rect, 0, total)
+	payloads := make([]int64, 0, total)
 	for i, it := range items {
 		if errs[i] != nil {
 			return nil, nil, fmt.Errorf("walrus: extracting regions of %q: %w", it.ID, errs[i])

@@ -166,16 +166,16 @@ func (c *queryCache) len() int {
 // a "hit" marker), otherwise run the query and store a private copy of
 // the result. An EXPLAIN context gets the cache outcome as a first-class
 // funnel row.
-func (f queryFront) cachedQuery(ctx context.Context, c *queryCache, src querySource, rec *imageRecord, p QueryParams) ([]Match, QueryStats, error) {
+func (f queryFront) cachedQuery(ctx context.Context, c *queryCache, src querySource, sq *storedQuery, p QueryParams) ([]Match, QueryStats, error) {
 	if p.NoCache {
-		matches, stats, err := f.run(ctx, src.im, rec, p)
+		matches, stats, err := f.run(ctx, src.im, sq, p)
 		if err == nil {
 			stats.Cache = "bypass"
 		}
 		return matches, stats, err
 	}
 	var qhash uint64
-	if rec != nil {
+	if sq != nil {
 		qhash = hashQueryID(src.id)
 	} else {
 		qhash = hashQueryImage(src.im)
@@ -197,7 +197,7 @@ func (f queryFront) cachedQuery(ctx context.Context, c *queryCache, src querySou
 		return out, stats, nil
 	}
 	lookupNS := statsSince(start).Nanoseconds()
-	matches, stats, err := f.run(ctx, src.im, rec, p)
+	matches, stats, err := f.run(ctx, src.im, sq, p)
 	if err != nil {
 		return matches, stats, err
 	}

@@ -3,13 +3,20 @@ package walrus
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"walrus/internal/crashfs"
+	"walrus/internal/dataset"
 	"walrus/internal/imgio"
+	"walrus/internal/region"
 )
 
 // variedScene returns a distinct 128x128 scene for each i.
@@ -75,15 +82,30 @@ func TestAddRejectsNonFinitePixels(t *testing.T) {
 	}
 }
 
+// refRun returns the half-open range [lo, hi) of refs belonging to image
+// imgIdx, by binary search over refs' non-decreasing Image order.
+func refRun(refs []regionRef, imgIdx int) (lo, hi int) {
+	lo = sort.Search(len(refs), func(i int) bool { return refs[i].Image >= imgIdx })
+	hi = lo + sort.Search(len(refs)-lo, func(i int) bool { return refs[lo+i].Image > imgIdx })
+	return lo, hi
+}
+
+// slotRegions materialises the regions of image slot idx from the
+// shard's columns; the regions alias the columns.
+func slotRegions(sh *shard, idx int) []region.Region {
+	rec := &sh.images[idx]
+	return sh.cols.regions(rec.First, rec.First+rec.Count)
+}
+
 // refsInImageOrder reports whether refs is non-decreasing in Image, the
 // order refRun relies on.
 func refsInImageOrder(refs []regionRef) bool {
 	return slices.IsSortedFunc(refs, func(a, b regionRef) int { return cmp.Compare(a.Image, b.Image) })
 }
 
-// checkRefOrder asserts the catalog invariant Remove and WAL replay rely
-// on: refs are non-decreasing in Image, and each live image's binary-
-// searched run holds exactly its regions.
+// checkRefOrder asserts the catalog invariant Open relies on: refs are
+// non-decreasing in Image, and each live image's binary-searched run is
+// the run its record names and holds exactly its regions.
 func checkRefOrder(t *testing.T, db *DB, when string) {
 	t.Helper()
 	sh := soleShard(t, db)
@@ -97,8 +119,8 @@ func checkRefOrder(t *testing.T, db *DB, when string) {
 			continue
 		}
 		lo, hi := refRun(sh.refs, idx)
-		if hi-lo != len(rec.Regions) {
-			t.Fatalf("%s: image %q has a run of %d refs, %d regions", when, rec.ID, hi-lo, len(rec.Regions))
+		if regions := slotRegions(sh, idx); hi-lo != len(regions) || lo != rec.First {
+			t.Fatalf("%s: image %q has a run of %d refs from %d, %d regions from %d", when, rec.ID, hi-lo, lo, len(regions), rec.First)
 		}
 		for i := lo; i < hi; i++ {
 			if sh.refs[i].Image != idx || sh.refs[i].Local != i-lo {
@@ -260,5 +282,229 @@ func TestOpenRejectsRefsOutOfOrder(t *testing.T) {
 	if re, err := Open(dir); err == nil {
 		re.Close()
 		t.Fatal("Open accepted a catalog with refs out of image order")
+	}
+}
+
+// paperItems renders n paper-size images (128×85, 85×128 and 96×128, as
+// the bench corpus draws them) of the seeded dataset's categories, in
+// chunks, handing each chunk to add so that no more than one chunk of
+// pixels is live at a time.
+func paperItems(t *testing.T, seed int64, n, chunk int, add func([]BatchItem) error) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cats := dataset.Categories()
+	sizes := dataset.DefaultOptions().Sizes
+	for lo := 0; lo < n; lo += chunk {
+		items := make([]BatchItem, 0, chunk)
+		for i := lo; i < min(n, lo+chunk); i++ {
+			size := sizes[i%len(sizes)]
+			items = append(items, BatchItem{ID: fmt.Sprintf("p%05d", i), Image: dataset.Render(cats[i%len(cats)], rng, size[0], size[1])})
+		}
+		if err := add(items); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// liveHeap is the live heap after forced collections, in bytes. The
+// second collection drops what sync.Pool victim caches kept through the
+// first.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestCatalogBytesPerRegion: a shard keeps its regions in flat columns
+// with no box for a centroid database, so the live heap a database holds
+// per region — catalog, refs, id index and R*-tree together — stays well
+// below what a catalog of region.Region values with boxes held. It is
+// measured as the heap after a collection with the database live, less
+// the heap with an empty database live, over 600 paper-size images added
+// in batches, in memory at one and three shards and on disk after a close
+// and a reopen. A catalog of region.Region values read 752, 939 and 896
+// bytes per region here; the columns read about 420, 630 and 550. Three
+// shards hold three insert-grown trees and three sets of columns, each
+// with its own append slack; the disk figure counts the buffer pool's
+// frames.
+func TestCatalogBytesPerRegion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders and indexes 600 paper-size images per database")
+	}
+	const images = 600
+	opts := DefaultOptions()
+	opts.Parallelism = 1
+	for _, tc := range []struct {
+		name   string
+		shards int
+		disk   bool
+		bound  float64 // bytes per region
+	}{
+		{"memory/1", 1, false, 500},
+		{"memory/3", 3, false, 700},
+		{"disk/reopened", 1, true, 650},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := opts
+			o.Shards = tc.shards
+			var dir string
+			build := func() (*DB, error) {
+				if tc.disk {
+					dir = t.TempDir()
+					return Create(dir, o)
+				}
+				return New(o)
+			}
+			empty, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := liveHeap()
+			runtime.KeepAlive(empty)
+			if err := empty.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			paperItems(t, 48, images, 25, func(items []BatchItem) error { return db.AddBatch(items, 1) })
+			if tc.disk {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if db, err = Open(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer db.Close()
+			regions := db.NumRegions()
+			perRegion := float64(liveHeap()-base) / float64(regions)
+			runtime.KeepAlive(db)
+			t.Logf("%d images, %d regions: %.0f live heap bytes per region", db.Len(), regions, perRegion)
+			if db.Len() != images || perRegion > tc.bound {
+				t.Fatalf("%d images, %.0f bytes per region, want %d images and at most %.0f", db.Len(), perRegion, images, tc.bound)
+			}
+		})
+	}
+}
+
+// TestCatalogKeepsExtractedFields: the columns keep every field of a
+// region that the database's options read, bit for bit as the extractor
+// produced it — signature, bitmap and window count always, the fine
+// signature when FineSignature is set, the box under UseBBox — and
+// RegionsOf returns them, in memory and after a close and a reopen (whose
+// regions were decoded from the page file's region records). Min and Max
+// are nil unless UseBBox is set.
+func TestCatalogKeepsExtractedFields(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(o *Options)
+	}{
+		{"centroid", func(o *Options) {}},
+		{"bbox", func(o *Options) { o.UseBBox = true }},
+		{"fine", func(o *Options) { o.Region.FineSignature = 4 }},
+		{"bbox+fine", func(o *Options) { o.UseBBox, o.Region.FineSignature = true, 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := DefaultOptions()
+			tc.set(&o)
+			o.Shards = 2
+			ext, err := region.NewExtractor(o.Region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem, err := New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			disk, err := Create(dir, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string][]region.Region{}
+			paperItems(t, 7, 24, 8, func(items []BatchItem) error {
+				for _, it := range items {
+					if want[it.ID], err = ext.Extract(it.Image); err != nil {
+						return err
+					}
+				}
+				return errors.Join(mem.AddBatch(items, 1), disk.AddBatch(items, 1))
+			})
+			if err := disk.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			bits := func(v []float64) []uint64 {
+				if v == nil {
+					return nil
+				}
+				out := make([]uint64, len(v))
+				for i, x := range v {
+					out[i] = math.Float64bits(x)
+				}
+				return out
+			}
+			for what, db := range map[string]*DB{"memory": mem, "reopened": reopened} {
+				for id, regions := range want {
+					got, ok := db.RegionsOf(id)
+					if !ok || len(got) != len(regions) {
+						t.Fatalf("%s: RegionsOf(%q) = %d regions, %v; want %d", what, id, len(got), ok, len(regions))
+					}
+					for i, w := range regions {
+						g := got[i]
+						wantMin, wantMax := w.Min, w.Max
+						if !o.UseBBox {
+							wantMin, wantMax = nil, nil
+						}
+						if !slices.Equal(bits(g.Signature), bits(w.Signature)) || !slices.Equal(bits(g.Fine), bits(w.Fine)) ||
+							!slices.Equal(bits(g.Min), bits(wantMin)) || !slices.Equal(bits(g.Max), bits(wantMax)) ||
+							g.Bitmap.K != w.Bitmap.K || !slices.Equal(g.Bitmap.Words, w.Bitmap.Words) || g.Windows != w.Windows {
+							t.Fatalf("%s: region %d of %q is %+v, extracted %+v", what, i, id, g, w)
+						}
+						if (g.Fine == nil) != (o.Region.FineSignature == 0) {
+							t.Fatalf("%s: region %d of %q has a %d-value fine signature under FineSignature %d", what, i, id, len(g.Fine), o.Region.FineSignature)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOpenRejectsRegionDims: the columns hold every region at the
+// options' dimensionalities, so Open refuses a heap whose region records
+// have another fine signature length than the options ask for, in either
+// direction, rather than load them.
+func TestOpenRejectsRegionDims(t *testing.T) {
+	for _, tc := range []struct{ wrote, reads int }{{0, 4}, {4, 0}} {
+		o := testOptions()
+		o.Region.FineSignature = tc.wrote
+		dir := t.TempDir()
+		db, err := Create(dir, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Add("a", variedScene(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rewriteOptions(t, dir, func(o *Options) { o.Region.FineSignature = tc.reads })
+		re, err := Open(dir)
+		if re != nil {
+			re.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "signature dims") {
+			t.Fatalf("fine signature %d read as %d: Open error %v, want the dimensionality refusal", tc.wrote, tc.reads, err)
+		}
 	}
 }

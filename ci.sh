@@ -27,7 +27,11 @@
 #      lock-free readers, write bytes flat in the catalog size) and the
 #      metrics golden (a fixed add/batch/remove/query/snapshot/flush
 #      sequence reports the same series and values at one and two shards
-#      as the two database types did before they merged)
+#      as the two database types did before they merged), and the region
+#      columns: live heap bytes per region of a 600-image database in
+#      memory at one and three shards and reopened from disk, and
+#      RegionsOf returning the extractor's fields bit for bit under
+#      UseBBox and FineSignature
 #   1d. shard tier: runs the shard-count determinism matrix (every shard
 #      count must reproduce the shards=1 oracle byte-for-byte), the
 #      per-shard crash matrix, the cross-shard fan-out oracle, the
@@ -96,7 +100,10 @@
 #      level the sliding-window DP stores, on one plane and fused with
 #      colour conversion, to a reference kernel bit for bit (random
 #      sizes, steps 1–16, signature sides 1–4, every MinWindow up to
-#      MaxWindow 16 and 64)
+#      MaxWindow 16 and 64); the finiteness check (NaN and ±Inf at a
+#      read pixel, in the last row and in the last column, refused with
+#      CheckRGB's error by the DP and by Extract); and the PPM decoder against its per-sample reference
+#      (P5/P6, 8 and 16 bits, odd sizes, truncated rasters)
 #   1j. query tail exactness tier: the bounded top-k selection against a
 #      full sort (ties, every Limit, τ), the quick scorer (checked and
 #      trusted entries) against a map-based reference for pairs in any
@@ -220,14 +227,14 @@ tier "tier 0: walrus-lint" go run ./cmd/walrus-lint -v ./...
 tier "tier 1: race (short)" go test -race -short ./...
 tier "tier 1: obs scrape during stress" obs_tier
 tier "tier 1: obs exposition validators" go test -count=1 -run 'TestPrometheusOutputValidates|TestValidatePrometheusRejectsMalformed|TestHandlerEndpoints' ./internal/obs
-tier "tier 1: snapshot (acquire/release vs publish, leak check, id index, metrics golden)" go test -race -count=1 -run 'TestSnapshot|TestIDIndex|TestMetricsGolden' .
+tier "tier 1: snapshot (acquire/release vs publish, leak check, id index, metrics golden, region columns)" go test -race -count=1 -run 'TestSnapshot|TestIDIndex|TestMetricsGolden|TestCatalogBytesPerRegion|TestCatalogKeepsExtractedFields' .
 tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts, write after close, query fronts)" go test -race -count=1 -run 'TestShard|TestLayoutCompat|TestWriteAfterClose|TestQueryFrontsAgree|TestQueryFrontErrors|TestQueryEntryPoints|TestQueryCache|TestTraceCompleteness|TestExplainFunnelDeterminism' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
 tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
 tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout|TestFrameChecked|TestBallKernel' . ./internal/rstar ./internal/store
 
-tier "tier 1: extraction exactness (golden regions, allocations, no pool tasks, DP against its reference)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations|TestExtractRunsOnCaller|TestSlidingMatchesReference' ./internal/region ./internal/wavelet
+tier "tier 1: extraction exactness (golden regions, allocations, no pool tasks, DP against its reference, non-finite samples, PPM decoder)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations|TestExtractRunsOnCaller|TestSlidingMatchesReference|TestSlidingRejectsNonFinite|TestExtractRejectsNonFinite|TestDecodePPMMatchesReference' ./internal/region ./internal/wavelet ./internal/imgio
 tier "tier 1: query tail exactness (top-k, quick scorer, grid check, aggregate, refine, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestScoreValidation|TestGridCheck|TestTopK|TestAggregateStage|TestRefineStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match
 
 tier "tier 1: no fused multiply-add in any walrus symbol (arm64, ppc64le, riscv64 objdump)" check_no_fma

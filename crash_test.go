@@ -2,8 +2,10 @@ package walrus
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,6 +16,23 @@ import (
 	"walrus/internal/region"
 	"walrus/internal/rstar"
 )
+
+// columnBytes returns every column value the catalog keeps for payload p,
+// little-endian, in column order.
+func columnBytes(c *regionColumns, p int) []byte {
+	le := binary.LittleEndian
+	r := c.region(p)
+	b := le.AppendUint32(nil, c.windows[p])
+	for _, col := range [][]float64{r.Signature, r.Fine, r.Min, r.Max} {
+		for _, v := range col {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	for _, w := range r.Bitmap.Words {
+		b = le.AppendUint64(b, w)
+	}
+	return b
+}
 
 // crashOp is one step of the scripted crash-matrix workload. Region
 // extraction is hoisted out (it is deterministic and crash-irrelevant),
@@ -96,22 +115,18 @@ func crashGrowWorkload(t *testing.T, o Options) []crashOp {
 }
 
 // crashSnapshot fingerprints the full logical state of a database: the
-// image catalog, the payload directory, every region payload, and the
-// set of live index entries. Two databases with equal snapshots hold the
-// same committed operations.
+// image catalog, the payload directory, every live region's column bytes,
+// and the set of live index entries. Two databases with equal snapshots
+// hold the same committed operations.
 func crashSnapshot(t *testing.T, sh *shard) string {
 	t.Helper()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var b strings.Builder
 	for i, im := range sh.images {
-		fmt.Fprintf(&b, "img %d %q %dx%d %d\n", i, im.ID, im.W, im.H, len(im.Regions))
-		for j, r := range im.Regions {
-			enc, err := r.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, "  region %d %x\n", j, sha256.Sum256(enc))
+		fmt.Fprintf(&b, "img %d %q %dx%d %d+%d\n", i, im.ID, im.W, im.H, im.First, im.Count)
+		for j := range im.Count {
+			fmt.Fprintf(&b, "  region %d %x\n", j, sha256.Sum256(columnBytes(&sh.cols, im.First+j)))
 		}
 	}
 	for i, ref := range sh.refs {

@@ -186,7 +186,7 @@ func TestDurabilityCatalogRebuildExact(t *testing.T) {
 			}
 			gotSlot, ok := sh.byID.get(newcomer.ID)
 			lo, hi := refRun(sh.refs, gotSlot)
-			if !ok || gotSlot != slot || lo != first || hi-lo != len(sh.images[slot].Regions) {
+			if !ok || gotSlot != slot || lo != first || hi-lo != len(slotRegions(sh, slot)) {
 				t.Fatalf("the next Add on the crash copy took slot %d, payloads [%d, %d); want slot %d from payload %d",
 					gotSlot, lo, hi, slot, first)
 			}

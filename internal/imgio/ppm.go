@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // EncodePPM writes a 3-channel image as a binary PPM (P6) with 8-bit
@@ -113,28 +114,36 @@ func DecodePPM(r io.Reader) (*Image, error) {
 	total := h * rowBytes
 	const chunkSize = 1 << 16
 	raster := make([]byte, 0, min(total, chunkSize))
-	chunk := make([]byte, min(total, chunkSize))
-	for read := 0; read < total; {
-		n := min(total-read, chunkSize)
-		if _, err := io.ReadFull(br, chunk[:n]); err != nil {
-			return nil, fmt.Errorf("imgio: reading PPM raster at byte %d of %d: %w", read, total, err)
+	for len(raster) < total {
+		n := min(total-len(raster), chunkSize)
+		raster = slices.Grow(raster, n)
+		if _, err := io.ReadFull(br, raster[len(raster):len(raster)+n]); err != nil {
+			return nil, fmt.Errorf("imgio: reading PPM raster at byte %d of %d: %w", len(raster), total, err)
 		}
-		raster = append(raster, chunk[:n]...)
-		read += n
+		raster = raster[:len(raster)+n]
 	}
+	// Each row is converted straight into the planes. An 8-bit sample is
+	// looked up in a table of float64(v)*scale over every byte value, so
+	// it keeps the bits of the expression, above maxVal too; a 16-bit one
+	// is computed by the expression itself.
 	im := New(w, h, channels)
+	var table [256]float64
+	for v := range table {
+		table[v] = float64(v) * scale
+	}
 	for y := 0; y < h; y++ {
-		row := raster[y*rowBytes:]
-		for x := 0; x < w; x++ {
-			for c := 0; c < channels; c++ {
-				i := (x*channels + c) * bytesPer
-				var v int
-				if bytesPer == 1 {
-					v = int(row[i])
-				} else {
-					v = int(row[i])<<8 | int(row[i+1])
+		row := raster[y*rowBytes : (y+1)*rowBytes]
+		for c := 0; c < channels; c++ {
+			dst := im.Plane(c)[y*w : (y+1)*w]
+			if bytesPer == 1 {
+				for x := range dst {
+					dst[x] = table[row[x*channels+c]]
 				}
-				im.Set(c, x, y, float64(v)*scale)
+				continue
+			}
+			for x := range dst {
+				i := 2 * (x*channels + c)
+				dst[x] = float64(int(row[i])<<8|int(row[i+1])) * scale
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // regions do not overlap and a strong heuristic otherwise. The reported
 // coverage is computed with real bitmap unions, so overlap never inflates
 // the score.
-func scoreAssignment(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int) Result {
+func scoreAssignment(q, t bitmaps, pairs []Pair, qArea, tArea int) Result {
 	if len(pairs) == 0 {
 		return Result{}
 	}
@@ -41,8 +41,8 @@ func scoreAssignment(qRegions, tRegions []region.Region, pairs []Pair, qArea, tA
 	weight := func(r, c int) float64 { return 0 }
 	pairSet := make(map[[2]int]float64, len(pairs))
 	for _, p := range pairs {
-		w := float64(qRegions[p.Q].Bitmap.Fraction()*float64(qArea)) +
-			float64(tRegions[p.T].Bitmap.Fraction()*float64(tArea))
+		w := float64(q.fraction(p.Q)*float64(qArea)) +
+			float64(t.fraction(p.T)*float64(tArea))
 		pairSet[[2]int{qIdx[p.Q], tIdx[p.T]}] = w
 	}
 	if transposed {
@@ -62,7 +62,7 @@ func scoreAssignment(qRegions, tRegions []region.Region, pairs []Pair, qArea, tA
 	}
 	rowMatch := hungarian(cost)
 
-	k := qRegions[pairs[0].Q].Bitmap.K
+	k := q.k
 	uq := region.NewBitmap(k)
 	ut := region.NewBitmap(k)
 	var chosen []Pair
@@ -79,8 +79,8 @@ func scoreAssignment(qRegions, tRegions []region.Region, pairs []Pair, qArea, tA
 		}
 		p := Pair{Q: qIDs[qi], T: tIDs[ti]}
 		chosen = append(chosen, p)
-		uq.UnionWith(qRegions[p.Q].Bitmap)
-		ut.UnionWith(tRegions[p.T].Bitmap)
+		uq.UnionWith(q.at(p.Q))
+		ut.UnionWith(t.at(p.T))
 	}
 	return Result{
 		Pairs:    chosen,

@@ -101,7 +101,8 @@ type Result struct {
 // their regions and the list of matching region pairs. qArea and tArea are
 // the images' pixel areas. It checks its input — positive areas, every
 // pair in range, every paired region's bitmap on one grid with that
-// grid's word count — and then scores as ScoreTrusted does.
+// grid's word count — and then scores with ScoreTrusted's kernel, reading
+// each paired region's bitmap where it lies, with no copy.
 func Score(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int, opts Options) (Result, error) {
 	if qArea <= 0 || tArea <= 0 {
 		return Result{}, fmt.Errorf("match: non-positive image areas %d, %d", qArea, tArea)
@@ -134,7 +135,21 @@ func Score(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int, o
 		return Result{}, fmt.Errorf("match: bitmap grids differ across regions (grid %d; query K %d with %d words, target K %d with %d words)",
 			k, qb.K, len(qb.Words), tb.K, len(tb.Words))
 	}
-	return ScoreTrusted(qRegions, tRegions, pairs, qArea, tArea, opts)
+	k = max(k, 0) // with no pairs no bitmap is read
+	words := (k*k + 63) / 64
+	return score(bitmaps{regions: qRegions, k: k, words: words}, bitmaps{regions: tRegions, k: k, words: words}, pairs, qArea, tArea, opts)
+}
+
+// Flatten lays out the regions' k×k bitmaps one after another, each in
+// its grid's word count: the layout ScoreTrusted reads. A bitmap on
+// another grid leaves its words zero or cut short.
+func Flatten(regions []region.Region, k int) []uint64 {
+	words := (k*k + 63) / 64
+	out := make([]uint64, len(regions)*words)
+	for i := range regions {
+		copy(out[i*words:(i+1)*words], regions[i].Bitmap.Words)
+	}
+	return out
 }
 
 // OnGrid reports whether b is a bitmap of the k×k grid: its K is k and it
@@ -143,32 +158,67 @@ func OnGrid(b region.Bitmap, k int) bool {
 	return b.K == k && len(b.Words) == (k*k+63)/64
 }
 
-// ScoreTrusted is Score without its checks, for a caller whose inputs
-// already hold them: positive areas, every pair in range, and every
-// paired region's bitmap on one grid (OnGrid). A database checks its
-// regions' grid once, where they enter its catalog, and its pairs are in
-// range by construction. Inputs that break the contract may panic or
-// score wrongly.
-func ScoreTrusted(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int, opts Options) (Result, error) {
+// ScoreTrusted is Score on flat bitmaps and without its checks. qBits and
+// tBits hold each side's k×k region bitmaps one after another, each in
+// ⌈k²/64⌉ words, indexed by the pairs' region numbers. The caller's inputs
+// must already hold Score's checks: positive areas and every pair in
+// range. A database lays its catalog out this way, checks its regions'
+// grid once, where they enter the catalog, and holds its pairs in range
+// by construction. Inputs that break the contract may panic or score
+// wrongly.
+func ScoreTrusted(qBits, tBits []uint64, k int, pairs []Pair, qArea, tArea int, opts Options) (Result, error) {
+	words := (k*k + 63) / 64
+	return score(bitmaps{flat: qBits, k: k, words: words}, bitmaps{flat: tBits, k: k, words: words}, pairs, qArea, tArea, opts)
+}
+
+// score is the one scoring kernel behind Score and ScoreTrusted.
+func score(q, t bitmaps, pairs []Pair, qArea, tArea int, opts Options) (Result, error) {
 	var res Result
 	switch opts.Algorithm {
 	case Quick:
 		if len(pairs) > 0 {
-			k := qRegions[pairs[0].Q].Bitmap.K
-			cq, ct := quickCover(qRegions, tRegions, pairs, (k*k+63)/64)
-			res.CoveredQ, res.CoveredT = covered(cq, k, qArea), covered(ct, k, tArea)
+			cq, ct := quickCover(q, t, pairs)
+			res.CoveredQ, res.CoveredT = covered(cq, q.k, qArea), covered(ct, q.k, tArea)
 		}
 	case Greedy:
-		res = scoreGreedy(qRegions, tRegions, pairs, qArea, tArea)
+		res = scoreGreedy(q, t, pairs, qArea, tArea)
 	case Exact:
-		res = scoreExact(qRegions, tRegions, pairs, qArea, tArea)
+		res = scoreExact(q, t, pairs, qArea, tArea)
 	case Assignment:
-		res = scoreAssignment(qRegions, tRegions, pairs, qArea, tArea)
+		res = scoreAssignment(q, t, pairs, qArea, tArea)
 	default:
 		return Result{}, fmt.Errorf("match: unknown algorithm %v", opts.Algorithm)
 	}
 	res.Similarity = normalize(res.CoveredQ, res.CoveredT, qArea, tArea, opts.Denominator)
 	return res, nil
+}
+
+// bitmaps is one side's k×k region bitmaps, words per bitmap: laid out
+// flat (ScoreTrusted), or in the regions Score checked when regions is
+// non-nil.
+type bitmaps struct {
+	flat     []uint64
+	regions  []region.Region
+	k, words int
+}
+
+// wordsOf returns region i's bitmap words, aliasing the caller's data.
+func (f bitmaps) wordsOf(i int) []uint64 {
+	if f.regions != nil {
+		return f.regions[i].Bitmap.Words
+	}
+	return f.flat[i*f.words : (i+1)*f.words : (i+1)*f.words]
+}
+
+// at returns region i's bitmap, aliasing the caller's data.
+func (f bitmaps) at(i int) region.Bitmap {
+	return region.Bitmap{K: f.k, Words: f.wordsOf(i)}
+}
+
+// fraction is region i's Bitmap.Fraction.
+func (f bitmaps) fraction(i int) float64 {
+	b := f.at(i)
+	return b.Fraction()
 }
 
 func normalize(coveredQ, coveredT float64, qArea, tArea int, d Denominator) float64 {
@@ -203,7 +253,8 @@ const quickStackWords = 4
 // is unioned once; every other pair unions both of its regions, since a
 // union is idempotent and checking for repeats costs more than the
 // union. The result is exact for pairs in any order.
-func quickCover(qRegions, tRegions []region.Region, pairs []Pair, words int) (countQ, countT int) {
+func quickCover(q, t bitmaps, pairs []Pair) (countQ, countT int) {
+	words := q.words
 	var uqStack, utStack [quickStackWords]uint64
 	uq, ut := uqStack[:], utStack[:]
 	if words > quickStackWords {
@@ -214,9 +265,9 @@ func quickCover(qRegions, tRegions []region.Region, pairs []Pair, words int) (co
 	for _, p := range pairs {
 		if p.Q != prevQ {
 			prevQ = p.Q
-			orWords(uq, qRegions[p.Q].Bitmap.Words)
+			orWords(uq, q.wordsOf(p.Q))
 		}
-		orWords(ut, tRegions[p.T].Bitmap.Words)
+		orWords(ut, t.wordsOf(p.T))
 	}
 	for i := range uq {
 		countQ += bits.OnesCount64(uq[i])
@@ -237,11 +288,11 @@ func orWords(dst, src []uint64) {
 // covered area (measured in pixels across both images). Each iteration
 // scans all remaining pairs, so the cost is O(n²) scans of constant-size
 // bitmaps for n matching pairs.
-func scoreGreedy(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int) Result {
+func scoreGreedy(q, t bitmaps, pairs []Pair, qArea, tArea int) Result {
 	if len(pairs) == 0 {
 		return Result{}
 	}
-	k := qRegions[pairs[0].Q].Bitmap.K
+	k := q.k
 	uq := region.NewBitmap(k)
 	ut := region.NewBitmap(k)
 	usedQ := make(map[int]bool)
@@ -258,8 +309,8 @@ func scoreGreedy(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea 
 			if usedQ[p.Q] || usedT[p.T] {
 				continue
 			}
-			gain := marginalGain(&uq, qRegions[p.Q].Bitmap, qArea) +
-				marginalGain(&ut, tRegions[p.T].Bitmap, tArea)
+			gain := marginalGain(&uq, q.at(p.Q), qArea) +
+				marginalGain(&ut, t.at(p.T), tArea)
 			if gain > bestGain {
 				bestGain = gain
 				bestIdx = i
@@ -271,8 +322,8 @@ func scoreGreedy(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea 
 		p := remaining[bestIdx]
 		usedQ[p.Q] = true
 		usedT[p.T] = true
-		uq.UnionWith(qRegions[p.Q].Bitmap)
-		ut.UnionWith(tRegions[p.T].Bitmap)
+		uq.UnionWith(q.at(p.Q))
+		ut.UnionWith(t.at(p.T))
 		chosen[nChosen] = p
 		nChosen++
 		copy(remaining[bestIdx:], remaining[bestIdx+1:])
@@ -310,11 +361,11 @@ const ExactPairLimit = 18
 // depth-first branch and bound over the pair list (Theorem 5.1 shows the
 // problem is NP-hard, so this is exponential). See ExactPairLimit for how
 // large instances are handled.
-func scoreExact(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea int) Result {
+func scoreExact(q, t bitmaps, pairs []Pair, qArea, tArea int) Result {
 	if len(pairs) == 0 {
 		return Result{}
 	}
-	k := qRegions[pairs[0].Q].Bitmap.K
+	k := q.k
 
 	// Precompute per-pair standalone gains for the bound, sorted
 	// descending so prefixes give the strongest bound.
@@ -325,8 +376,8 @@ func scoreExact(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea i
 	sp := make([]scoredPair, len(pairs))
 	for i, p := range pairs {
 		sp[i] = scoredPair{p,
-			float64(qRegions[p.Q].Bitmap.Fraction()*float64(qArea)) +
-				float64(tRegions[p.T].Bitmap.Fraction()*float64(tArea))}
+			float64(q.fraction(p.Q)*float64(qArea)) +
+				float64(t.fraction(p.T)*float64(tArea))}
 	}
 	sort.Slice(sp, func(i, j int) bool { return sp[i].solo > sp[j].solo })
 	if len(sp) > ExactPairLimit {
@@ -340,7 +391,7 @@ func scoreExact(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea i
 	// Seed with the greedy solution over the full pair list: the search can
 	// only improve on it, which both strengthens the bound and guarantees
 	// Exact >= Greedy even when the pair list was truncated.
-	best := scoreGreedy(qRegions, tRegions, pairs, qArea, tArea)
+	best := scoreGreedy(q, t, pairs, qArea, tArea)
 	bestScore := best.CoveredQ + best.CoveredT
 	usedQ := make(map[int]bool)
 	usedT := make(map[int]bool)
@@ -366,11 +417,11 @@ func scoreExact(qRegions, tRegions []region.Region, pairs []Pair, qArea, tArea i
 		if !usedQ[p.Q] && !usedT[p.T] {
 			savedQ := uq.Clone()
 			savedT := ut.Clone()
-			gq := marginalGain(&uq, qRegions[p.Q].Bitmap, qArea)
-			gt := marginalGain(&ut, tRegions[p.T].Bitmap, tArea)
+			gq := marginalGain(&uq, q.at(p.Q), qArea)
+			gt := marginalGain(&ut, t.at(p.T), tArea)
 			usedQ[p.Q], usedT[p.T] = true, true
-			uq.UnionWith(qRegions[p.Q].Bitmap)
-			ut.UnionWith(tRegions[p.T].Bitmap)
+			uq.UnionWith(q.at(p.Q))
+			ut.UnionWith(t.at(p.T))
 			current = append(current, p)
 			dfs(i+1, covQ+gq, covT+gt)
 			current = current[:len(current)-1]

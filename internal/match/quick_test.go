@@ -68,6 +68,7 @@ func TestScoreQuickAnyPairOrder(t *testing.T) {
 	} {
 		qRegions := randomRegions(rng, tc.nq, tc.k)
 		tRegions := randomRegions(rng, tc.nt, tc.k)
+		qBits, tBits := Flatten(qRegions, tc.k), Flatten(tRegions, tc.k)
 		for trial := 0; trial < 25; trial++ {
 			pairs := make([]Pair, 1+rng.Intn(3*tc.nt))
 			for i := range pairs {
@@ -84,7 +85,7 @@ func TestScoreQuickAnyPairOrder(t *testing.T) {
 			want := quickReference(qRegions, tRegions, pairs, 1200, 900)
 			wantSim := normalize(want.CoveredQ, want.CoveredT, 1200, 900, SumAreas)
 			for shuffle := 0; shuffle < 3; shuffle++ {
-				trusted, err := ScoreTrusted(qRegions, tRegions, pairs, 1200, 900, Options{Algorithm: Quick})
+				trusted, err := ScoreTrusted(qBits, tBits, tc.k, pairs, 1200, 900, Options{Algorithm: Quick})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,11 +106,13 @@ func TestScoreQuickAnyPairOrder(t *testing.T) {
 }
 
 // TestScoreQuickAllocations: on the default 16×16 grid the quick scorer
-// works entirely on the stack, however many target regions it unions.
+// works entirely on the stack, however many target regions it unions,
+// whether it reads the regions (Score) or flat bitmaps (ScoreTrusted).
 func TestScoreQuickAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	qRegions := randomRegions(rng, 8, 16)
 	tRegions := randomRegions(rng, 400, 16)
+	qBits, tBits := Flatten(qRegions, 16), Flatten(tRegions, 16)
 	pairs := make([]Pair, 60)
 	for i := range pairs {
 		pairs[i] = Pair{Q: rng.Intn(8), T: rng.Intn(400)}
@@ -118,7 +121,7 @@ func TestScoreQuickAllocations(t *testing.T) {
 		if _, err := Score(qRegions, tRegions, pairs, 1000, 1000, Options{Algorithm: Quick}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ScoreTrusted(qRegions, tRegions, pairs, 1000, 1000, Options{Algorithm: Quick}); err != nil {
+		if _, err := ScoreTrusted(qBits, tBits, 16, pairs, 1000, 1000, Options{Algorithm: Quick}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -131,13 +134,14 @@ func BenchmarkQuickCover(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	qRegions := randomRegions(rng, 8, 16)
 	tRegions := randomRegions(rng, 12, 16)
+	qBits, tBits := Flatten(qRegions, 16), Flatten(tRegions, 16)
 	pairs := make([]Pair, 10)
 	for i := range pairs {
 		pairs[i] = Pair{Q: i * 8 / len(pairs), T: rng.Intn(12)}
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScoreTrusted(qRegions, tRegions, pairs, 1000, 1000, Options{Algorithm: Quick}); err != nil {
+		if _, err := ScoreTrusted(qBits, tBits, 16, pairs, 1000, 1000, Options{Algorithm: Quick}); err != nil {
 			b.Fatal(err)
 		}
 	}

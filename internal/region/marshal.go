@@ -58,45 +58,87 @@ func (r *Region) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary reverses MarshalBinary.
-func (r *Region) UnmarshalBinary(data []byte) error {
+// RecordShape is what a serialized region's header declares: its bitmap
+// grid side, signature and fine signature dimensionalities, and window
+// count.
+type RecordShape struct {
+	K, Dim, FineDim, Windows int
+}
+
+// ParseShape reads a serialized region's header and checks that the
+// record is exactly as long as the header declares.
+func ParseShape(data []byte) (RecordShape, error) {
 	if len(data) < 10 {
-		return fmt.Errorf("region: record too short (%d bytes)", len(data))
+		return RecordShape{}, fmt.Errorf("region: record too short (%d bytes)", len(data))
 	}
 	if data[0] != regionMarshalVersion {
-		return fmt.Errorf("region: unsupported record version %d", data[0])
+		return RecordShape{}, fmt.Errorf("region: unsupported record version %d", data[0])
 	}
-	k := int(data[1])
-	dim := int(binary.LittleEndian.Uint16(data[2:]))
-	fineDim := int(binary.LittleEndian.Uint16(data[4:]))
-	windows := int(binary.LittleEndian.Uint32(data[6:]))
-	words := (k*k + 63) / 64
-	want := 10 + 8*(3*dim+fineDim+words)
-	if len(data) != want {
-		return fmt.Errorf("region: record is %d bytes, want %d", len(data), want)
+	s := RecordShape{
+		K:       int(data[1]),
+		Dim:     int(binary.LittleEndian.Uint16(data[2:])),
+		FineDim: int(binary.LittleEndian.Uint16(data[4:])),
+		Windows: int(binary.LittleEndian.Uint32(data[6:])),
+	}
+	if want := 10 + 8*(3*s.Dim+s.FineDim+(s.K*s.K+63)/64); len(data) != want {
+		return RecordShape{}, fmt.Errorf("region: record is %d bytes, want %d", len(data), want)
+	}
+	return s, nil
+}
+
+// UnmarshalBinary reverses MarshalBinary.
+func (r *Region) UnmarshalBinary(data []byte) error {
+	s, err := ParseShape(data)
+	if err != nil {
+		return err
+	}
+	*r = Region{
+		Signature: make([]float64, s.Dim),
+		Min:       make([]float64, s.Dim),
+		Max:       make([]float64, s.Dim),
+		Bitmap:    NewBitmap(s.K),
+	}
+	if s.FineDim > 0 {
+		r.Fine = make([]float64, s.FineDim)
+	}
+	return r.DecodeInto(data)
+}
+
+// DecodeInto decodes a serialized region into r's slices without
+// allocating: Signature, Fine and Bitmap.Words must already have the
+// lengths the record declares and Bitmap.K its grid; Min and Max are
+// filled when they have the signature's length and skipped when empty,
+// for a reader that keeps no bounding boxes. Windows is set.
+func (r *Region) DecodeInto(data []byte) error {
+	s, err := ParseShape(data)
+	if err != nil {
+		return err
+	}
+	box := len(r.Min) > 0 || len(r.Max) > 0
+	if len(r.Signature) != s.Dim || len(r.Fine) != s.FineDim || r.Bitmap.K != s.K ||
+		len(r.Bitmap.Words) != (s.K*s.K+63)/64 || (box && (len(r.Min) != s.Dim || len(r.Max) != s.Dim)) {
+		return fmt.Errorf("region: record of grid %d, dims %d/%d does not fit grid %d, dims %d/%d",
+			s.K, s.Dim, s.FineDim, r.Bitmap.K, len(r.Signature), len(r.Fine))
 	}
 	off := 10
-	getFloats := func(n int) []float64 {
-		out := make([]float64, n)
+	getFloats := func(out []float64) {
 		for i := range out {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 			off += 8
 		}
-		return out
 	}
-	r.Signature = getFloats(dim)
-	r.Min = getFloats(dim)
-	r.Max = getFloats(dim)
-	if fineDim > 0 {
-		r.Fine = getFloats(fineDim)
+	getFloats(r.Signature)
+	if box {
+		getFloats(r.Min)
+		getFloats(r.Max)
 	} else {
-		r.Fine = nil
+		off += 16 * s.Dim
 	}
-	r.Bitmap = Bitmap{K: k, Words: make([]uint64, words)}
+	getFloats(r.Fine)
 	for i := range r.Bitmap.Words {
 		r.Bitmap.Words[i] = binary.LittleEndian.Uint64(data[off:])
 		off += 8
 	}
-	r.Windows = windows
+	r.Windows = s.Windows
 	return nil
 }

@@ -279,7 +279,10 @@ func TestExtractErrors(t *testing.T) {
 // TestExtractRejectsNonFiniteUncoveredPixel: a NaN or infinite sample is
 // an error even in a pixel no window reads. In a 129-pixel-wide image the
 // last column lies outside every window, including the 2×2 windows of the
-// DP's base level, which convert the pixels they read as they go.
+// DP's base level, which convert the pixels they read as they go, and in
+// an 85-pixel-high one the last row does. Every case — NaN, +Inf and -Inf
+// at a read pixel, in the last row and in the last column — is refused
+// with colorspace.CheckRGB's error, which names the first bad pixel.
 func TestExtractRejectsNonFiniteUncoveredPixel(t *testing.T) {
 	e, err := NewExtractor(DefaultOptions())
 	if err != nil {
@@ -292,6 +295,27 @@ func TestExtractRejectsNonFiniteUncoveredPixel(t *testing.T) {
 			im.Set(ch, 128, 40, v)
 			if _, err := e.Extract(im); err == nil {
 				t.Errorf("Extract accepted %v in channel %d of the uncovered last column", v, ch)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, size := range [][2]int{{129, 85}, {128, 85}, {85, 129}} {
+		w, h := size[0], size[1]
+		clean := imgio.New(w, h, 3)
+		for i := range clean.Pix {
+			clean.Pix[i] = rng.Float64()
+		}
+		if _, err := e.Extract(clean); err != nil {
+			t.Fatalf("%dx%d: a finite image is refused: %v", w, h, err)
+		}
+		for vi, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for pi, at := range [][2]int{{w / 3, h / 2}, {w / 2, h - 1}, {w - 1, h / 3}} {
+				im := clean.Clone()
+				im.Set((vi+pi)%3, at[0], at[1], v)
+				want := colorspace.CheckRGB(im, colorspace.YCC)
+				if _, err := e.Extract(im); err == nil || want == nil || err.Error() != want.Error() {
+					t.Fatalf("%dx%d, %v at (%d,%d): got error %v, want %v", w, h, v, at[0], at[1], err, want)
+				}
 			}
 		}
 	}

@@ -159,8 +159,16 @@ func (e *imageEntry) encode() []byte {
 // decodeImageEntry decodes an image or tombstone record, refusing one
 // whose length does not match what it declares.
 func decodeImageEntry(b []byte) (imageEntry, error) {
+	e, _, err := appendImageEntry(nil, b)
+	return e, err
+}
+
+// appendImageEntry is decodeImageEntry decoding the region RIDs onto the
+// end of rids, which the entry's rids then alias: a heap scan decodes
+// every image record into one buffer.
+func appendImageEntry(rids []uint64, b []byte) (imageEntry, []uint64, error) {
 	if len(b) < tombstoneSize || (b[0] != tagImage && b[0] != tagTombstone) {
-		return imageEntry{}, fmt.Errorf("walrus: malformed image record of %d bytes", len(b))
+		return imageEntry{}, rids, fmt.Errorf("walrus: malformed image record of %d bytes", len(b))
 	}
 	le := binary.LittleEndian
 	e := imageEntry{slot: le.Uint64(b[1:]), first: le.Uint64(b[9:]), count: int(le.Uint32(b[17:])), live: b[0] == tagImage}
@@ -172,18 +180,20 @@ func decodeImageEntry(b []byte) (imageEntry, error) {
 		}
 	}
 	if int64(len(b)) != want {
-		return imageEntry{}, fmt.Errorf("walrus: image record of %d bytes, want %d", len(b), want)
+		return imageEntry{}, rids, fmt.Errorf("walrus: image record of %d bytes, want %d", len(b), want)
 	}
 	if !e.live {
-		return e, nil
+		return e, rids, nil
 	}
 	e.w, e.h = int(le.Uint32(b[21:])), int(le.Uint32(b[25:]))
 	ridsAt := imageHeaderSize + int(le.Uint16(b[29:]))
 	e.id = string(b[imageHeaderSize:ridsAt])
+	n := len(rids)
 	for off := ridsAt; off < len(b); off += 8 {
-		e.rids = append(e.rids, le.Uint64(b[off:]))
+		rids = append(rids, le.Uint64(b[off:]))
 	}
-	return e, nil
+	e.rids = rids[n:len(rids):len(rids)]
+	return e, rids, nil
 }
 
 // Create creates a disk-backed database in dir (which is created if
@@ -441,18 +451,40 @@ func openShard(dir string, fs FileOpener) (*shard, error) {
 	return sh, nil
 }
 
-// heapScan is what one scan of a shard's heap finds.
+// heapScan is what one scan of a shard's heap finds. Region records are
+// kept as their bytes, in scan order, until the image records have said
+// which payload each one is: the load then decodes each straight into its
+// payload's slots of the region columns.
 type heapScan struct {
 	opts    *Options
-	entries []*imageEntry
-	regions map[uint64]*region.Region // by packed RID
+	entries []imageEntry
+	// rids is the buffer the entries' rids alias.
+	rids []uint64
+	// regions holds one entry per region record, sorted by RID once the
+	// scan ends. The records' bytes are copied into the chunks of stash,
+	// each stashChunk bytes, so that stashing never copies what the stash
+	// already holds.
+	regions []stashedRegion
+	stash   [][]byte
+}
+
+// stashChunk is the size of one chunk of a heap scan's region stash.
+const stashChunk = 1 << 20
+
+// stashedRegion is a region record a heap scan found: its packed RID and
+// where its bytes sit in the scan's stash.
+type stashedRegion struct {
+	rid    uint64
+	chunk  int32
+	lo, hi int32
+	named  bool // an image record has claimed it
 }
 
 // scanHeap reads every record of a shard's heap: exactly one options
 // record, image and tombstone records, and region records. Any record
 // that fails to decode fails the scan.
 func scanHeap(h *store.HeapFile) (*heapScan, error) {
-	sc := &heapScan{regions: make(map[uint64]*region.Region)}
+	sc := &heapScan{}
 	var recErr error
 	err := h.Scan(func(rid store.RID, rec []byte) bool {
 		recErr = sc.add(rid, rec)
@@ -461,6 +493,7 @@ func scanHeap(h *store.HeapFile) (*heapScan, error) {
 	if err = cmp.Or(err, recErr); err == nil && sc.opts == nil {
 		err = errors.New("walrus: the heap holds no options record")
 	}
+	slices.SortFunc(sc.regions, func(a, b stashedRegion) int { return cmp.Compare(a.rid, b.rid) })
 	return sc, err
 }
 
@@ -479,36 +512,65 @@ func (sc *heapScan) add(rid store.RID, rec []byte) error {
 			return fmt.Errorf("walrus: decoding the options record: %w", err)
 		}
 	case tagImage, tagTombstone:
-		e, err := decodeImageEntry(rec)
+		e, rids, err := appendImageEntry(sc.rids, rec)
 		if err != nil {
 			return fmt.Errorf("%w at %v", err, rid)
 		}
 		e.rid = rid
-		sc.entries = append(sc.entries, &e)
+		sc.entries, sc.rids = append(sc.entries, e), rids
 	default:
-		r := new(region.Region)
-		if err := r.UnmarshalBinary(rec); err != nil {
+		if _, err := region.ParseShape(rec); err != nil {
 			return fmt.Errorf("walrus: decoding region record %v: %w", rid, err)
 		}
-		sc.regions[rid.Pack()] = r
+		if n := len(sc.stash); n == 0 || cap(sc.stash[n-1])-len(sc.stash[n-1]) < len(rec) {
+			sc.stash = append(sc.stash, make([]byte, 0, max(stashChunk, len(rec))))
+		}
+		c := &sc.stash[len(sc.stash)-1]
+		lo := len(*c)
+		*c = append(*c, rec...)
+		sc.regions = append(sc.regions, stashedRegion{rid: rid.Pack(), chunk: int32(len(sc.stash) - 1), lo: int32(lo), hi: int32(len(*c))})
 	}
 	return nil
+}
+
+// claim returns the bytes of the region record at the packed RID rid and
+// marks it named, or false when the heap holds no such record or an image
+// record has already claimed it.
+func (sc *heapScan) claim(rid uint64) ([]byte, bool) {
+	i, ok := slices.BinarySearchFunc(sc.regions, rid, func(r stashedRegion, rid uint64) int { return cmp.Compare(r.rid, rid) })
+	if !ok || sc.regions[i].named {
+		return nil, false
+	}
+	r := &sc.regions[i]
+	r.named = true
+	return sc.stash[r.chunk][r.lo:r.hi], true
 }
 
 // loadCatalogLocked installs a heap scan's catalog in a disk shard that
 // has published nothing yet. The image records must tile the image slots
 // and the payload numbers [0, n) in order, and name every region record
-// exactly once; each region passes the grid check (see checkGrid).
+// exactly once; each region passes the grid check (see checkGrid) and has
+// the options' dimensionalities. Each region record is decoded straight
+// into its payload's column slots; a tombstoned payload's slots stay
+// zero.
 func (sh *shard) loadCatalogLocked(sc *heapScan) error {
 	p := sh.persist
-	slices.SortFunc(sc.entries, func(a, b *imageEntry) int { return cmp.Compare(a.slot, b.slot) })
+	slices.SortFunc(sc.entries, func(a, b imageEntry) int { return cmp.Compare(a.slot, b.slot) })
+	payloads := 0
+	for i := range sc.entries {
+		e := &sc.entries[i]
+		if e.slot != uint64(i) || e.first != uint64(payloads) || imageRecordSize("", e.count) > p.heap.MaxRecord() {
+			return fmt.Errorf("walrus: image record %v (slot %d, payloads %d+%d) does not follow slot %d, payload %d",
+				e.rid, e.slot, e.first, e.count, i, payloads)
+		}
+		payloads += e.count
+	}
+	cols := sh.cols.zeroed(payloads)
 	sh.images = make([]imageRecord, len(sc.entries))
 	p.recs = make([]store.RID, len(sc.entries))
-	for i, e := range sc.entries {
-		if e.slot != uint64(i) || e.first != uint64(len(sh.refs)) || imageRecordSize("", e.count) > p.heap.MaxRecord() {
-			return fmt.Errorf("walrus: image record %v (slot %d, payloads %d+%d) does not follow slot %d, payload %d",
-				e.rid, e.slot, e.first, e.count, i, len(sh.refs))
-		}
+	sh.refs = make([]regionRef, 0, payloads)
+	for i := range sc.entries {
+		e := &sc.entries[i]
 		p.recs[i] = e.rid
 		if !e.live {
 			for range e.count {
@@ -520,28 +582,24 @@ func (sh *shard) loadCatalogLocked(sc *heapScan) error {
 		if sh.byID.set(e.id, i); sh.byID.len() == n {
 			return fmt.Errorf("walrus: image %q has two records", e.id)
 		}
-		rec := imageRecord{ID: e.id, W: e.w, H: e.h}
-		if e.count > 0 {
-			rec.Regions = make([]region.Region, e.count)
-		}
+		first := len(sh.refs)
 		for local, rid := range e.rids {
-			r, ok := sc.regions[rid]
+			rec, ok := sc.claim(rid)
 			if !ok {
 				return fmt.Errorf("walrus: image %q names region record %v, which is not in the heap", e.id, store.UnpackRID(rid))
 			}
-			delete(sc.regions, rid)
-			if err := checkBitmap(sh.opts.Region.BitmapGrid, local, r.Bitmap); err != nil {
+			if err := cols.decodeAt(local, first+local, rec); err != nil {
 				return fmt.Errorf("walrus: image slot %d: %w", i, err)
 			}
-			rec.Regions[local] = *r
 			sh.refs = append(sh.refs, regionRef{Image: i, Local: local, RID: rid})
 		}
-		sh.images[i] = rec
+		sh.images[i] = imageRecord{ID: e.id, W: e.w, H: e.h, First: first, Count: e.count}
 		sh.liveRegions += e.count
 	}
-	if len(sc.regions) > 0 {
-		return fmt.Errorf("walrus: the heap holds %d region records no image names", len(sc.regions))
+	if unnamed := len(sc.regions) - sh.liveRegions; unnamed > 0 {
+		return fmt.Errorf("walrus: the heap holds %d region records no image names", unnamed)
 	}
+	sh.cols = cols
 	return nil
 }
 

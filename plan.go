@@ -22,6 +22,7 @@ import (
 type stageExec struct {
 	snap     *shardSnapshot
 	qRegions []region.Region
+	qBits    []uint64 // the query regions' bitmaps, laid out flat
 	qArea    int
 	p        QueryParams
 	workers  int
@@ -127,7 +128,7 @@ func runAggregate(ctx context.Context, ex *stageExec, sp *obs.Span) error {
 }
 
 func runScore(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	matches, err := ex.snap.scoreStage(ctx, ex.qRegions, ex.qArea, ex.cands, ex.p)
+	matches, err := ex.snap.scoreStage(ctx, ex.qBits, ex.qArea, ex.cands, ex.p)
 	candPool.Put(ex.cands)
 	ex.cands = nil
 	if err != nil {

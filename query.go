@@ -153,8 +153,8 @@ func (s *shardSnapshot) refineStage(ctx context.Context, qRegions []region.Regio
 		chunk := hits[c*len(hits)/chunks : (c+1)*len(hits)/chunks]
 		n := 0
 		for _, h := range chunk {
-			target := s.core.images[h.image].Regions[h.pair.T]
-			if target.Fine != nil && euclid(qRegions[h.pair.Q].Fine, target.Fine) > bounds[h.pair.Q] {
+			target := s.core.cols.fineOf(s.core.images[h.image].First + h.pair.T)
+			if target != nil && euclid(qRegions[h.pair.Q].Fine, target) > bounds[h.pair.Q] {
 				continue
 			}
 			chunk[n] = h
@@ -300,15 +300,12 @@ func pairLess(a, b match.Pair) bool {
 // scoreStage scores every candidate image on the calling goroutine, in
 // ascending slot order, and keeps the matches with similarity >= p.Tau
 // that rank in the top p.Limit (all of them when Limit is 0) by
-// decreasing similarity, ties by id. The returned slice is sized
+// decreasing similarity, ties by id. qBits holds the query regions'
+// bitmaps laid out flat, as the catalog's are. The returned slice is sized
 // exactly to the kept matches, so it pins no memory of the candidates it
 // dropped. The deadline is checked every few candidates.
-func (s *shardSnapshot) scoreStage(ctx context.Context, qRegions []region.Region, qArea int, cands *candidateSet, p QueryParams) ([]Match, error) {
-	// The catalog's bitmaps were checked on entry; the query's are checked
-	// here, once, so every candidate is scored unchecked.
-	if err := checkGrid(s.core.opts.Region.BitmapGrid, qRegions); err != nil {
-		return nil, fmt.Errorf("walrus: query: %w", err)
-	}
+func (s *shardSnapshot) scoreStage(ctx context.Context, qBits []uint64, qArea int, cands *candidateSet, p QueryParams) ([]Match, error) {
+	cols := &s.core.cols
 	scoreOpts := match.Options{Algorithm: p.Matcher, Denominator: p.Denominator}
 	top := newTopK(p.Limit, len(cands.images))
 	for i, imgIdx := range cands.images {
@@ -319,7 +316,7 @@ func (s *shardSnapshot) scoreStage(ctx context.Context, qRegions []region.Region
 		}
 		rec := &s.core.images[imgIdx]
 		pairs := cands.pairsOf(i)
-		res, err := match.ScoreTrusted(qRegions, rec.Regions, pairs, qArea, rec.W*rec.H, scoreOpts)
+		res, err := match.ScoreTrusted(qBits, cols.bitsRun(rec.First, rec.First+rec.Count), cols.k, pairs, qArea, rec.W*rec.H, scoreOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -385,43 +382,67 @@ func (f queryFront) query(ctx context.Context, c *queryCache, src querySource, p
 		src = querySource{im: crop}
 		p.Denominator = match.QueryOnly
 	}
-	var rec *imageRecord
+	var stored *storedQuery
 	if src.im == nil {
 		owner := f.snaps[shardOf(src.id, len(f.snaps))]
 		idx, ok := owner.core.byID.get(src.id)
 		if !ok {
 			return nil, QueryStats{}, fmt.Errorf("walrus: query image %q: %w", src.id, ErrUnknownID)
 		}
-		rec = &owner.core.images[idx]
+		stored = owner.core.queryOf(idx)
 	}
 	if c == nil {
-		return f.run(ctx, src.im, rec, p)
+		return f.run(ctx, src.im, stored, p)
 	}
-	return f.cachedQuery(ctx, c, src, rec, p)
+	return f.cachedQuery(ctx, c, src, stored, p)
+}
+
+// storedQuery is the query of a QueryByID: the stored regions of an
+// indexed image, their bitmaps laid out flat, and the image's area, all
+// read from the pinned version of its owning shard.
+type storedQuery struct {
+	regions []region.Region
+	bits    []uint64
+	area    int
+}
+
+// queryOf returns image slot idx as a query, aliasing the columns.
+func (c *snapCore) queryOf(idx int) *storedQuery {
+	rec := &c.images[idx]
+	lo, hi := rec.First, rec.First+rec.Count
+	return &storedQuery{regions: c.cols.regions(lo, hi), bits: c.cols.bitsRun(lo, hi), area: rec.W * rec.H}
 }
 
 // run executes the staged pipeline for a resolved query: the query
 // regions are extracted from im — once, on shard 0, whose extractor
-// every shard shares — or read from the stored record rec; every pinned
+// every shard shares — or read from the stored image; every pinned
 // shard then runs the probe phase and the score phase through the shared
 // runner, each with its own stageExec, and a fleet merges the per-shard
 // rankings. An EXPLAIN context gets one traceCollector per shard, folded
 // into the funnel at the end.
-func (f queryFront) run(ctx context.Context, im *imgio.Image, rec *imageRecord, p QueryParams) ([]Match, QueryStats, error) {
+func (f queryFront) run(ctx context.Context, im *imgio.Image, stored *storedQuery, p QueryParams) ([]Match, QueryStats, error) {
 	start := statsClock()
 	qspan := f.beginQuerySpan(ctx)
 	es := qspan.Child("query.extract")
 	var qRegions []region.Region
+	var qBits []uint64
 	var qArea int
-	if rec != nil {
-		qRegions, qArea = rec.Regions, rec.W*rec.H
+	if stored != nil {
+		qRegions, qBits, qArea = stored.regions, stored.bits, stored.area
 	} else {
 		var err error
 		if qRegions, err = f.snaps[0].extractStage(im); err != nil {
 			failSpans(es, qspan)
 			return nil, QueryStats{}, err
 		}
-		qArea = im.W * im.H
+		// The catalog's bitmaps were checked on entry; the query's are
+		// checked here, once, so every candidate is scored unchecked.
+		k := f.snaps[0].core.opts.Region.BitmapGrid
+		if err := checkGrid(k, qRegions); err != nil {
+			failSpans(es, qspan)
+			return nil, QueryStats{}, fmt.Errorf("walrus: query: %w", err)
+		}
+		qBits, qArea = match.Flatten(qRegions, k), im.W*im.H
 	}
 	es.End()
 	stats := QueryStats{QueryRegions: len(qRegions), ExtractTime: statsSince(start)}
@@ -432,7 +453,7 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, rec *imageRecord, 
 	execs := make([]stageExec, len(f.snaps))
 	for i := range f.snaps {
 		sn := &f.snaps[i]
-		execs[i] = stageExec{snap: sn, qRegions: qRegions, qArea: qArea, p: p, workers: workers}
+		execs[i] = stageExec{snap: sn, qRegions: qRegions, qBits: qBits, qArea: qArea, p: p, workers: workers}
 		if qt != nil {
 			execs[i].tc = newTraceCollector(sn.core.version)
 		}

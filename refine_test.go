@@ -215,12 +215,31 @@ func TestFineSignatureValidation(t *testing.T) {
 	}
 }
 
+// fineCore returns a snapshot core of images with perImage regions each
+// whose columns keep the fine signatures fine(fineDim) returns, or none
+// when fineDim is 0.
+func fineCore(images, perImage, fineDim int, fine func(dim int) []float64) *snapCore {
+	core := &snapCore{images: make([]imageRecord, images), cols: regionColumns{dim: 1, fineDim: fineDim, k: 1, words: 1}}
+	for i := range core.images {
+		core.images[i] = imageRecord{First: i * perImage, Count: perImage}
+		for range perImage {
+			r := region.Region{Signature: []float64{0}, Bitmap: region.NewBitmap(1)}
+			if fineDim > 0 {
+				r.Fine = fine(fineDim)
+			}
+			core.cols.add(&r)
+		}
+	}
+	return core
+}
+
 // TestRefineStageChunks: refine filters the flat hit list in place in
 // chunks on the worker pool, and must keep exactly the hits, in exactly
 // the order, that one serial pass with each hit's own region's bound
 // keeps — at every worker count, at list lengths around the chunk size,
 // with query regions that have no fine signature (all their hits kept),
-// targets without one (kept), and a fixed RefineEpsilon.
+// targets without one (a catalog that keeps no fine signatures: all
+// kept), and a fixed RefineEpsilon.
 func TestRefineStageChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	fine := func(dim int) []float64 {
@@ -237,50 +256,47 @@ func TestRefineStageChunks(t *testing.T) {
 			qRegions[qi].Fine = fine(16)
 		}
 	}
-	core := &snapCore{images: make([]imageRecord, 40)}
-	for i := range core.images {
-		core.images[i].Regions = make([]region.Region, 6)
-		for j := range core.images[i].Regions {
-			if (i+j)%7 != 0 {
-				core.images[i].Regions[j].Fine = fine(16)
-			}
-		}
-	}
-	snap := &shardSnapshot{core: core}
-	for _, refineEps := range []float64{0, 1.15} {
-		p := QueryParams{Epsilon: 0.5, Refine: true, RefineEpsilon: refineEps}
-		for _, n := range []int{0, 1, 255, 256, 257, 700, 3000} {
-			hits := make([]probeHit, n)
-			for i := range hits {
-				hits[i] = probeHit{image: rng.Intn(40), pair: match.Pair{Q: rng.Intn(5), T: rng.Intn(6)}}
-			}
-			var want []probeHit
-			for _, h := range hits {
-				qr, target := qRegions[h.pair.Q], core.images[h.image].Regions[h.pair.T]
-				bound := p.RefineEpsilon
-				if bound == 0 {
-					bound = p.Epsilon * 2 // sqrt(16/4)
+	for _, fineDim := range []int{16, 0} {
+		core := fineCore(40, 6, fineDim, fine)
+		snap := &shardSnapshot{core: core}
+		for _, refineEps := range []float64{0, 1.15} {
+			p := QueryParams{Epsilon: 0.5, Refine: true, RefineEpsilon: refineEps}
+			for _, n := range []int{0, 1, 255, 256, 257, 700, 3000} {
+				hits := make([]probeHit, n)
+				for i := range hits {
+					hits[i] = probeHit{image: rng.Intn(40), pair: match.Pair{Q: rng.Intn(5), T: rng.Intn(6)}}
 				}
-				if qr.Fine != nil && target.Fine != nil && euclid(qr.Fine, target.Fine) > bound {
-					continue
+				var want []probeHit
+				for _, h := range hits {
+					qr, target := qRegions[h.pair.Q], core.cols.fineOf(core.images[h.image].First+h.pair.T)
+					bound := p.RefineEpsilon
+					if bound == 0 {
+						bound = p.Epsilon * 2 // sqrt(16/4)
+					}
+					if qr.Fine != nil && target != nil && euclid(qr.Fine, target) > bound {
+						continue
+					}
+					want = append(want, h)
 				}
-				want = append(want, h)
-			}
-			if n >= 256 && (len(want) == n || len(want) == 0) {
-				t.Fatalf("fixture: %d of %d hits kept, the filter went untested", len(want), n)
-			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				what := fmt.Sprintf("RefineEpsilon=%v hits=%d workers=%d", refineEps, n, workers)
-				tc := newTraceCollector(0)
-				got, err := snap.refineStage(context.Background(), qRegions, slices.Clone(hits), p, workers, tc)
-				if err != nil {
-					t.Fatal(err)
+				if fineDim == 0 && len(want) != n {
+					t.Fatalf("fixture: a catalog with no fine signatures kept %d of %d hits", len(want), n)
 				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: refine kept %d hits, the serial filter %d, or in another order", what, len(got), len(want))
+				if fineDim > 0 && n >= 256 && (len(want) == n || len(want) == 0) {
+					t.Fatalf("fixture: %d of %d hits kept, the filter went untested", len(want), n)
 				}
-				if tc.refineOut != len(want) {
-					t.Fatalf("%s: refineOut %d, want %d", what, tc.refineOut, len(want))
+				for _, workers := range []int{1, 2, 3, 8} {
+					what := fmt.Sprintf("fineDim=%d RefineEpsilon=%v hits=%d workers=%d", fineDim, refineEps, n, workers)
+					tc := newTraceCollector(0)
+					got, err := snap.refineStage(context.Background(), qRegions, slices.Clone(hits), p, workers, tc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: refine kept %d hits, the serial filter %d, or in another order", what, len(got), len(want))
+					}
+					if tc.refineOut != len(want) {
+						t.Fatalf("%s: refineOut %d, want %d", what, tc.refineOut, len(want))
+					}
 				}
 			}
 		}
@@ -305,14 +321,7 @@ func BenchmarkRefineStage(b *testing.B) {
 		qRegions[qi].Signature = fine(12)
 		qRegions[qi].Fine = fine(192)
 	}
-	core := &snapCore{images: make([]imageRecord, 300)}
-	for i := range core.images {
-		core.images[i].Regions = make([]region.Region, 6)
-		for j := range core.images[i].Regions {
-			core.images[i].Regions[j].Fine = fine(192)
-		}
-	}
-	snap := &shardSnapshot{core: core}
+	snap := &shardSnapshot{core: fineCore(300, 6, 192, fine)}
 	p := QueryParams{Epsilon: 0.5, Refine: true, RefineEpsilon: 5.6}
 	for _, n := range []int{256, 512, 4096} {
 		hits := make([]probeHit, n)

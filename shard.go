@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,11 +14,12 @@ import (
 	"walrus/internal/store"
 )
 
-// imageRecord is the per-image catalog entry.
+// imageRecord is the per-image catalog entry. The image's regions are
+// the payloads [First, First+Count) of the shard's region columns.
 type imageRecord struct {
-	ID      string
-	W, H    int
-	Regions []region.Region
+	ID           string
+	W, H         int
+	First, Count int
 }
 
 // regionRef locates one indexed region: which image, and which region
@@ -66,9 +66,11 @@ type shard struct {
 	byID   idIndexWriter // guarded by mu
 	// refs is in non-decreasing Image order (appends follow image order,
 	// and Open rebuilds it from image records that must tile it so), so
-	// an image's refs form one run found by binary search; see refRun.
-	// Guarded by mu.
+	// an image's refs form the run its record names. Guarded by mu.
 	refs []regionRef
+	// cols holds every payload's region data (guarded by mu). It is only
+	// ever appended to, so a publish shares it with no copy and no flag.
+	cols regionColumns
 	// liveRegions counts refs whose Local >= 0 (guarded by mu); kept
 	// incrementally so publishing a version is O(1) in catalog size.
 	liveRegions int
@@ -126,7 +128,7 @@ func prepare(opts Options) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shard{opts: opts, ext: ext, defaultWorkers: opts.Parallelism}, nil
+	return &shard{opts: opts, ext: ext, defaultWorkers: opts.Parallelism, cols: newRegionColumns(opts)}, nil
 }
 
 // ingestWorkers resolves a caller-supplied worker count against the
@@ -178,14 +180,13 @@ func (sh *shard) remove(id string) (bool, error) {
 	refs := sh.mutableRefsLocked()
 	images := sh.mutableImagesLocked()
 	tombstoned := 0
-	lo, hi := refRun(refs, imgIdx)
+	lo, hi := images[imgIdx].First, images[imgIdx].First+images[imgIdx].Count
 	for payload := lo; payload < hi; payload++ {
 		ref := refs[payload]
 		if ref.Local < 0 {
 			continue
 		}
-		r := images[imgIdx].Regions[ref.Local]
-		removed, err := sh.tree.Delete(signatureRect(sh.opts.UseBBox, r), int64(payload))
+		removed, err := sh.tree.Delete(sh.cols.key(payload), int64(payload))
 		if err != nil {
 			return false, err
 		}
@@ -267,14 +268,6 @@ func closeShards(shards []*shard) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// refRun returns the half-open range [lo, hi) of refs belonging to image
-// imgIdx, by binary search over refs' non-decreasing Image order.
-func refRun(refs []regionRef, imgIdx int) (lo, hi int) {
-	lo = sort.Search(len(refs), func(i int) bool { return refs[i].Image >= imgIdx })
-	hi = lo + sort.Search(len(refs)-lo, func(i int) bool { return refs[lo+i].Image > imgIdx })
-	return lo, hi
 }
 
 // euclid is the euclidean distance the matching rule of §5 compares

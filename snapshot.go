@@ -19,7 +19,8 @@ import (
 // The slices share backing arrays with the live catalog copy-on-write:
 // appending past a published length never moves published elements, and
 // any in-place mutation (Remove's tombstones) first clones the slice it
-// touches (see the mutable*Locked helpers). byID is a chunked
+// touches (see the mutable*Locked helpers). The region columns are never
+// written in place, so they are shared with no clone at all. byID is a chunked
 // copy-on-write index: a write after a publish copies its chunk-pointer
 // header and clones only the chunks it touches (see idIndexWriter).
 type snapCore struct {
@@ -28,6 +29,7 @@ type snapCore struct {
 	ext     *region.Extractor
 	images  []imageRecord
 	refs    []regionRef
+	cols    regionColumns
 	byID    idIndex
 
 	liveRegions int
@@ -176,7 +178,7 @@ func (s *Snapshot) NumRegions() int { return s.cores().numRegions() }
 func (s *Snapshot) IDs() []string { return s.cores().ids() }
 
 // RegionsOf returns the regions extracted for an indexed image, read
-// from its owning shard's pinned version.
+// from its owning shard's pinned version; see DB.RegionsOf.
 func (s *Snapshot) RegionsOf(id string) ([]region.Region, bool) {
 	return s.snaps[shardOf(id, len(s.snaps))].core.regionsOf(id)
 }
@@ -255,13 +257,15 @@ func (cs coreSet) stats() Stats {
 	return st
 }
 
-// regionsOf returns the regions of an image in this version.
+// regionsOf returns the regions of an image in this version, aliasing
+// the region columns.
 func (c *snapCore) regionsOf(id string) ([]region.Region, bool) {
 	idx, ok := c.byID.get(id)
 	if !ok {
 		return nil, false
 	}
-	return c.images[idx].Regions, true
+	rec := &c.images[idx]
+	return c.cols.regions(rec.First, rec.First+rec.Count), true
 }
 
 // stats is the one-shard Stats row of this version.
@@ -299,6 +303,7 @@ func (sh *shard) publishLocked() {
 		ext:         sh.ext,
 		images:      sh.images,
 		refs:        sh.refs,
+		cols:        sh.cols,
 		byID:        sh.byID.publish(),
 		liveRegions: sh.liveRegions,
 		indexLen:    sh.tree.Len(),

@@ -59,7 +59,8 @@ type Options struct {
 	Region region.Options
 	// UseBBox indexes regions by the bounding box of their window
 	// signatures instead of by centroid (the alternative signature of
-	// Section 4 of the paper).
+	// Section 4 of the paper). Only such a database keeps the boxes in
+	// memory (see DB.RegionsOf); the page file stores them either way.
 	UseBBox bool
 	// NodeCapacity is the index node capacity, M, of in-memory databases:
 	// one value for leaves and inner nodes. 0 means a sensible default.
@@ -344,7 +345,12 @@ func (db *DB) NumRegions() int { return db.cores().numRegions() }
 // insertion order interleaves differently at different shard counts.
 func (db *DB) IDs() []string { return db.cores().ids() }
 
-// RegionsOf returns the regions extracted for an indexed image.
+// RegionsOf returns the regions extracted for an indexed image. Their
+// slices alias the database's region columns and must not be modified.
+// The catalog keeps each region's signature, bitmap, window count and,
+// when Options.Region.FineSignature is set, fine signature, bit for bit
+// as extracted; Min and Max are nil unless Options.UseBBox is set, the
+// one configuration that reads them.
 func (db *DB) RegionsOf(id string) ([]region.Region, bool) {
 	return db.owner(id).cur.Load().regionsOf(id)
 }
