@@ -139,7 +139,10 @@ func (sh *shard) catalogBulkLocked(items []BatchItem, workers int) ([]rstar.Rect
 // durable rebuild marker makes the trade explicit — a crash before
 // endBulkLoad leaves the marker in the log, and Open refuses the
 // directory with a "rebuild interrupted" error instead of presenting a
-// half-built database.
+// half-built database. The marker is the log's first record, synced
+// before any page but the page file's header is written, so a crash
+// before it is durable leaves no options record and Open fails too: no
+// crash leaves an empty database standing in for the items.
 func (sh *shard) beginBulkLoad() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

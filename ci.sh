@@ -3,7 +3,10 @@
 # script aborts at the first failing tier, so the cheap static tiers
 # gate the expensive race tiers):
 #   0. build — a compile error should read as a compile error, not as a
-#      lint loader failure, so the build gates everything
+#      lint loader failure, so the build gates everything. `bench/` is its
+#      own Go module, which the root build skips, so it is built and
+#      vetted here too: deleting something the benchmark calls fails at
+#      once, not minutes later in tier 2b
 #   0. formatting + static analysis (gofmt, go vet, walrus-lint — the
 #      repo's own analyzers: ctxflow, determinism, errsink, goroleak,
 #      hotalloc, lockdiscipline, obs, parallelconv, snapshotsafe; see
@@ -123,7 +126,9 @@
 #      network)
 #   1l. durability tier: the crash matrices (every kill point of a
 #      scripted workload, plus kills whole and torn inside each zero
-#      extension and in-place header rewrite of the write-ahead log), the
+#      extension and in-place header rewrite of the write-ahead log), a
+#      CreateFrom killed at every file operation at 1 and 3 shards (Open
+#      fails, refuses an interrupted rebuild, or holds every item), the
 #      per-shard crash matrix, recovery stats, reopen, the catalog Open
 #      rebuilds from the page file's heap (equal to the never-closed
 #      database's after a close and from a mid-run crash copy, oversized
@@ -193,6 +198,10 @@ check_no_fma() {
     rm -rf "$_out"
 }
 
+bench_build() {
+    (cd bench && go build -o /dev/null ./... && go vet ./...)
+}
+
 bench_tests() {
     (cd bench && go test ./...)
 }
@@ -220,6 +229,7 @@ run_vuln() {
 }
 
 tier "tier 0: build" go build ./...
+tier "tier 0: bench module build + vet" bench_build
 tier "tier 0: gofmt" check_gofmt
 tier "tier 0: go vet" go vet ./...
 tier "tier 0: walrus-lint" go run ./cmd/walrus-lint -v ./...

@@ -162,7 +162,7 @@ func main() {
 	}
 
 	if want("precision") {
-		fmt.Fprintln(out, "== Mean precision across systems (WALRUS vs WBIIS vs JFS vs histogram) ==")
+		fmt.Fprintln(out, "== Mean precision across systems (WALRUS vs WBIIS) ==")
 		rows, err := experiments.MeanPrecision(ds, cfg, 2, *topK)
 		if err != nil {
 			log.Fatal(err)

@@ -128,8 +128,8 @@ func dbRegions(dir string) int {
 			what = fmt.Sprintf("shard %d", i)
 		}
 		fmt.Fprintf(os.Stderr,
-			"  recovered %s: %d records scanned, %d pages reapplied, %d rebuild markers, %d torn tail bytes discarded\n",
-			what, stats.RecordsScanned, stats.PagesApplied, stats.AppRecords, stats.TornBytes)
+			"  recovered %s: %d records scanned, %d pages reapplied, %d torn tail bytes discarded\n",
+			what, stats.RecordsScanned, stats.PagesApplied, stats.TornBytes)
 	}
 	return db.NumRegions()
 }

@@ -47,19 +47,6 @@ type entry struct {
 	min, max []float64
 }
 
-func (e *entry) absorbPoint(p []float64, id int) {
-	e.cf.Add(p)
-	e.members = append(e.members, id)
-	for i, v := range p {
-		if v < e.min[i] {
-			e.min[i] = v
-		}
-		if v > e.max[i] {
-			e.max[i] = v
-		}
-	}
-}
-
 func (e *entry) absorbEntry(o *entry) {
 	e.cf.Merge(&o.cf)
 	e.members = append(e.members, o.members...)

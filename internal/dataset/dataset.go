@@ -119,16 +119,6 @@ func (d *Dataset) ByCategory(c Category) []Item {
 	return out
 }
 
-// Find returns the item with the given id.
-func (d *Dataset) Find(id string) (Item, bool) {
-	for _, it := range d.Items {
-		if it.ID == id {
-			return it, true
-		}
-	}
-	return Item{}, false
-}
-
 // CategoryOf maps a generated id back to its category label ("flowers-0042"
 // → flowers). It works on ids produced by Generate.
 func CategoryOf(id string) Category {

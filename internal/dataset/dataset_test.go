@@ -91,20 +91,6 @@ func TestGenerateRestrictedCategories(t *testing.T) {
 	}
 }
 
-func TestFind(t *testing.T) {
-	d, err := Generate(Options{Seed: 3, PerCategory: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, ok := d.Find("flowers-0000")
-	if !ok || it.Category != Flowers {
-		t.Fatalf("Find = %+v, %v", it, ok)
-	}
-	if _, ok := d.Find("nope"); ok {
-		t.Fatal("found nonexistent id")
-	}
-}
-
 // TestCategoryVisualSeparation: mean colors of contrasting categories
 // differ substantially, so retrieval has signal to work with.
 func TestCategoryVisualSeparation(t *testing.T) {
@@ -151,8 +137,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(back.Items) != len(d.Items) {
 		t.Fatalf("loaded %d items, want %d", len(back.Items), len(d.Items))
 	}
+	byID := make(map[string]Item, len(d.Items))
+	for _, it := range d.Items {
+		byID[it.ID] = it
+	}
 	for _, it := range back.Items {
-		orig, ok := d.Find(it.ID)
+		orig, ok := byID[it.ID]
 		if !ok || orig.Category != it.Category {
 			t.Fatalf("item %s category mismatch", it.ID)
 		}

@@ -6,8 +6,6 @@ import (
 	"io"
 
 	"walrus/internal/dataset"
-	"walrus/internal/histogram"
-	"walrus/internal/jfs"
 	"walrus/internal/wbiis"
 )
 
@@ -23,11 +21,9 @@ type PrecisionRow struct {
 
 // MeanPrecision extends the Figure 7/8 comparison from one query to a
 // systematic evaluation: for `perCategory` query images drawn from each
-// category, every system retrieves its top k (excluding the query itself)
-// and precision against the ground-truth labels is averaged. Alongside
-// WALRUS and WBIIS it also scores the two earlier baselines the paper's
-// related-work section discusses: the truncated-Haar scheme of Jacobs et
-// al. and a QBIC-style color histogram.
+// category, WALRUS and WBIIS each retrieve their top k (excluding the
+// query itself) and precision against the ground-truth labels is
+// averaged. The rows are WALRUS, then WBIIS.
 func MeanPrecision(ds *dataset.Dataset, cfg WalrusConfig, queriesPerCategory, k int) ([]PrecisionRow, error) {
 	// Select queries: the first few items of each category.
 	var queries []dataset.Item
@@ -41,7 +37,6 @@ func MeanPrecision(ds *dataset.Dataset, cfg WalrusConfig, queriesPerCategory, k 
 		return nil, fmt.Errorf("experiments: dataset has no queries")
 	}
 
-	// Build all four systems.
 	db, err := BuildWalrusDB(ds, cfg.Options)
 	if err != nil {
 		return nil, err
@@ -50,22 +45,8 @@ func MeanPrecision(ds *dataset.Dataset, cfg WalrusConfig, queriesPerCategory, k 
 	if err != nil {
 		return nil, err
 	}
-	jx, err := jfs.New(jfs.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	hx, err := histogram.New(histogram.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
 	for _, it := range ds.Items {
 		if err := wx.Add(it.ID, it.Image); err != nil {
-			return nil, err
-		}
-		if err := jx.Add(it.ID, it.Image); err != nil {
-			return nil, err
-		}
-		if err := hx.Add(it.ID, it.Image); err != nil {
 			return nil, err
 		}
 	}
@@ -136,41 +117,9 @@ func MeanPrecision(ds *dataset.Dataset, cfg WalrusConfig, queriesPerCategory, k 
 			return nil, err
 		}
 		sums["WBIIS"] += precision(ids, q)
-
-		ids, err = topIDs(q, func() ([]string, error) {
-			matches, err := jx.Query(q.Image, k+1)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]string, len(matches))
-			for i, m := range matches {
-				out[i] = m.ID
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sums["JFS"] += precision(ids, q)
-
-		ids, err = topIDs(q, func() ([]string, error) {
-			matches, err := hx.Query(q.Image, k+1)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]string, len(matches))
-			for i, m := range matches {
-				out[i] = m.ID
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sums["histogram"] += precision(ids, q)
 	}
 
-	systems := []string{"WALRUS", "WBIIS", "JFS", "histogram"}
+	systems := []string{"WALRUS", "WBIIS"}
 	rows := make([]PrecisionRow, 0, len(systems))
 	for _, s := range systems {
 		rows = append(rows, PrecisionRow{

@@ -1,9 +1,11 @@
 // Package imgio provides the image substrate WALRUS is built on: a planar
 // float-channel image type, PPM/PGM codecs, adapters for the Go standard
 // library's image types, and the geometric / photometric transforms
-// (resize, crop, translate, color shift, dithering, noise) used by the
-// dataset generator and the robustness experiments. It stands in for the
-// ImageMagick library the paper's implementation used.
+// (resize, crop, paste, translate, flip, color shift, dithering, noise)
+// used by the dataset generator and the robustness experiments. It stands
+// in for the parts of the ImageMagick library the paper's implementation
+// used that some program here runs; MeanAbsDiff is kept as the tests'
+// image comparison.
 package imgio
 
 import (

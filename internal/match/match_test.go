@@ -292,20 +292,3 @@ func TestPairsWithin(t *testing.T) {
 		t.Fatalf("wide eps found %d pairs", len(got))
 	}
 }
-
-func TestPairsWithinBBox(t *testing.T) {
-	mk := func(lo, hi float64) region.Region {
-		r := makeRegion(4, []float64{(lo + hi) / 2}, block(0, 0, 1, 1))
-		r.Min = []float64{lo}
-		r.Max = []float64{hi}
-		return r
-	}
-	q := []region.Region{mk(0.0, 0.2)}
-	tr := []region.Region{mk(0.25, 0.4), mk(0.5, 0.9)}
-	// With eps 0.1 the first target box (gap 0.05) matches; the second
-	// (gap 0.3) does not.
-	pairs := PairsWithinBBox(q, tr, 0.1)
-	if len(pairs) != 1 || pairs[0] != (Pair{0, 0}) {
-		t.Fatalf("PairsWithinBBox = %v", pairs)
-	}
-}

@@ -26,31 +26,6 @@ func PairsWithin(qRegions, tRegions []region.Region, eps float64) []Pair {
 	return out
 }
 
-// PairsWithinBBox computes matching pairs under the bounding-box signature
-// model: region signatures are boxes, and two regions match when one box
-// expanded by eps intersects the other (Definition 4.1's bounding-box
-// reading).
-func PairsWithinBBox(qRegions, tRegions []region.Region, eps float64) []Pair {
-	var out []Pair
-	for qi, q := range qRegions {
-		for ti, t := range tRegions {
-			if boxesWithin(q.Min, q.Max, t.Min, t.Max, eps) {
-				out = append(out, Pair{qi, ti})
-			}
-		}
-	}
-	return out
-}
-
-func boxesWithin(aMin, aMax, bMin, bMax []float64, eps float64) bool {
-	for i := range aMin {
-		if aMin[i]-eps > bMax[i] || bMin[i]-eps > aMax[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // euclid is the euclidean distance the matching rule of §5 compares
 // with ε. The explicit float64 conversion rounds each square on its own,
 // so no architecture fuses it into the sum (the Go spec allows fusing

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // DefBuckets are the default latency bucket upper bounds in seconds,
@@ -89,31 +88,4 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		s.Count += s.Counts[i]
 	}
 	return s
-}
-
-// Timer measures one latency observation into a histogram. Obtain one
-// with Histogram.Start; a Timer from a nil histogram never reads the
-// clock and its Stop is a no-op, preserving the nil fast path.
-type Timer struct {
-	h     *Histogram
-	start time.Time
-}
-
-// Start begins timing an observation (a no-op Timer on a nil receiver).
-func (h *Histogram) Start() Timer {
-	if h == nil {
-		return Timer{}
-	}
-	return Timer{h: h, start: Clock()}
-}
-
-// Stop records the elapsed seconds since Start and returns the duration
-// (0 for a Timer from a nil histogram).
-func (t Timer) Stop() time.Duration {
-	if t.h == nil {
-		return 0
-	}
-	d := Since(t.start)
-	t.h.Observe(d.Seconds())
-	return d
 }

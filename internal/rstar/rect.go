@@ -1,7 +1,7 @@
 // Package rstar implements a d-dimensional R*-tree (Beckmann, Kriegel,
 // Schneider, Seeger, SIGMOD 1990): insertion with forced reinsertion,
-// margin-driven node splits, overlap queries, deletion with tree
-// condensation, and nearest-neighbor search. WALRUS stores one entry per
+// margin-driven node splits, overlap and ε-ball queries, and deletion
+// with tree condensation. WALRUS stores one entry per
 // image region, keyed by the region's signature point or signature
 // bounding box (Section 5.3/5.4 of the paper), and probes the tree with
 // query rectangles extended by the matching epsilon.
@@ -176,23 +176,6 @@ func centerDist2(a, b Rect) float64 {
 	for i := range a.Min {
 		d := (a.Min[i]+a.Max[i])/2 - (b.Min[i]+b.Max[i])/2
 		d2 += d * d
-	}
-	return d2
-}
-
-// MinDist2 returns the squared minimum distance from point p to the
-// rectangle (0 if p is inside), used for nearest-neighbor pruning.
-func (r Rect) MinDist2(p []float64) float64 {
-	d2 := 0.0
-	for i, v := range p {
-		switch {
-		case v < r.Min[i]:
-			d := r.Min[i] - v
-			d2 += d * d
-		case v > r.Max[i]:
-			d := v - r.Max[i]
-			d2 += d * d
-		}
 	}
 	return d2
 }

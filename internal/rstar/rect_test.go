@@ -1,9 +1,6 @@
 package rstar
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func rect(t *testing.T, lo, hi []float64) Rect {
 	t.Helper()
@@ -109,19 +106,6 @@ func TestExpand(t *testing.T) {
 	}
 	if e.Area() != 1 {
 		t.Errorf("expanded area = %v, want 1", e.Area())
-	}
-}
-
-func TestMinDist2(t *testing.T) {
-	r := rect(t, []float64{0, 0}, []float64{1, 1})
-	if d := r.MinDist2([]float64{0.5, 0.5}); d != 0 {
-		t.Errorf("inside MinDist2 = %v", d)
-	}
-	if d := r.MinDist2([]float64{2, 1}); d != 1 {
-		t.Errorf("MinDist2 = %v, want 1", d)
-	}
-	if d := r.MinDist2([]float64{2, 2}); math.Abs(d-2) > 1e-12 {
-		t.Errorf("corner MinDist2 = %v, want 2", d)
 	}
 }
 

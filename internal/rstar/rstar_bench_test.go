@@ -170,28 +170,3 @@ func benchProbePaged(b *testing.B, prefix string, tr *Tree, ps *PagedStore, sets
 		})
 	}
 }
-
-func BenchmarkNN(b *testing.B) {
-	const dim = 12
-	rects := benchRects(5000, dim)
-	s, _ := NewMemStore(dim, 16)
-	data := make([]int64, len(rects))
-	for i := range data {
-		data[i] = int64(i)
-	}
-	tr, err := BulkLoad(s, rects, data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	p := make([]float64, dim)
-	for i := range p {
-		p[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.NN(p, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -645,66 +645,6 @@ func (t *Tree) reinsertSubtree(e Entry, reinserted *levelSet) error {
 	return collect(e.Child)
 }
 
-// NNEntry pairs a data entry with its distance for NN results.
-type NNEntry struct {
-	Entry Entry
-	Dist  float64
-}
-
-// NN returns the k data entries nearest to point p by MinDist (best-first
-// search with a node priority queue).
-func (t *Tree) NN(p []float64, k int) ([]NNEntry, error) {
-	if len(p) != t.dim {
-		return nil, fmt.Errorf("rstar: point has dim %d, tree has %d", len(p), t.dim)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	type item struct {
-		dist  float64
-		node  NodeID // InvalidNode for data entries
-		entry Entry
-	}
-	// A simple slice-based priority queue keyed by dist; sizes here are
-	// modest so O(n) pops are acceptable.
-	var pq []item
-	push := func(it item) { pq = append(pq, it) }
-	pop := func() item {
-		best := 0
-		for i := 1; i < len(pq); i++ {
-			if pq[i].dist < pq[best].dist {
-				best = i
-			}
-		}
-		it := pq[best]
-		pq[best] = pq[len(pq)-1]
-		pq = pq[:len(pq)-1]
-		return it
-	}
-	push(item{0, t.root, Entry{}})
-	var out []NNEntry
-	for len(pq) > 0 && len(out) < k {
-		it := pop()
-		if it.node == InvalidNode {
-			out = append(out, NNEntry{Entry: it.entry, Dist: math.Sqrt(it.dist)})
-			continue
-		}
-		n, err := t.store.Get(it.node)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range n.Entries {
-			d := e.Rect.MinDist2(p)
-			if n.Leaf {
-				push(item{d, InvalidNode, e})
-			} else {
-				push(item{d, e.Child, Entry{}})
-			}
-		}
-	}
-	return out, nil
-}
-
 // CheckInvariants verifies structural invariants; tests call it after
 // mutation sequences. It checks (1) entry rectangles of internal nodes
 // contain their subtrees, (2) all leaves are at the same depth, (3)

@@ -1,7 +1,6 @@
 package rstar
 
 import (
-	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -132,9 +131,6 @@ func TestInsertDimMismatch(t *testing.T) {
 	if _, err := tr.Delete(Point([]float64{1}), 0); err == nil {
 		t.Error("Delete accepted wrong dimension")
 	}
-	if _, err := tr.NN([]float64{1}, 3); err == nil {
-		t.Error("NN accepted wrong dimension")
-	}
 }
 
 func TestDeleteAndCondense(t *testing.T) {
@@ -225,54 +221,6 @@ func TestDeleteToEmptyAndReuse(t *testing.T) {
 	got, err := tr.SearchAll(Point([]float64{1, 1}))
 	if err != nil || len(got) != 1 || got[0].Data != 99 {
 		t.Fatalf("reuse after empty: %v, %v", got, err)
-	}
-}
-
-func TestNNMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	tr := newMemTree(t, 3, 8)
-	var points [][]float64
-	for i := 0; i < 200; i++ {
-		p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		points = append(points, p)
-		if err := tr.Insert(Point(p), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		const k = 7
-		got, err := tr.NN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != k {
-			t.Fatalf("NN returned %d results", len(got))
-		}
-		dists := make([]float64, len(points))
-		for i, p := range points {
-			d := 0.0
-			for j := range p {
-				d += (p[j] - q[j]) * (p[j] - q[j])
-			}
-			dists[i] = math.Sqrt(d)
-		}
-		sort.Float64s(dists)
-		for i, nn := range got {
-			if math.Abs(nn.Dist-dists[i]) > 1e-9 {
-				t.Fatalf("trial %d rank %d: NN dist %v, brute %v", trial, i, nn.Dist, dists[i])
-			}
-		}
-		// Results are sorted ascending.
-		for i := 1; i < len(got); i++ {
-			if got[i].Dist < got[i-1].Dist {
-				t.Fatal("NN results not sorted")
-			}
-		}
-	}
-	// k <= 0 returns nothing.
-	if res, err := tr.NN([]float64{0, 0, 0}, 0); err != nil || res != nil {
-		t.Fatalf("NN(k=0) = %v, %v", res, err)
 	}
 }
 
@@ -454,10 +402,6 @@ func TestEmptyTreeQueries(t *testing.T) {
 	got, err := tr.SearchAll(Point([]float64{0, 0}).Expand(1))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty search: %v, %v", got, err)
-	}
-	nn, err := tr.NN([]float64{0, 0}, 3)
-	if err != nil || len(nn) != 0 {
-		t.Fatalf("empty NN: %v, %v", nn, err)
 	}
 	ok, err := tr.Delete(Point([]float64{0, 0}), 1)
 	if err != nil || ok {

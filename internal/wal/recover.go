@@ -23,8 +23,6 @@ type RecoveryStats struct {
 	// PagesSkipped counts page images whose LSN did not exceed the
 	// on-disk page LSN (already reflected; the ARIES pageLSN test).
 	PagesSkipped int
-	// AppRecords counts committed app records delivered to the callback.
-	AppRecords int
 	// Commits and Checkpoints count the respective markers.
 	Commits, Checkpoints int
 	// TornBytes is the number of log bytes of the current generation
@@ -282,7 +280,6 @@ func Recover(logFile, dbFile store.File, fallbackPageSize int, fallbackBase LSN,
 		if r.typ != recApp {
 			continue
 		}
-		stats.AppRecords++
 		if onApp != nil {
 			if err := onApp(base+LSN(r.off), r.kind, r.payload); err != nil {
 				return nil, stats, err

@@ -3,7 +3,6 @@ package wavelet
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Transform2D computes the two-dimensional non-standard Haar decomposition
@@ -81,11 +80,11 @@ func Inverse2D(coeffs Matrix) (Matrix, error) {
 }
 
 // Normalize2D scales the detail coefficients of a Transform2D result so
-// that coefficients at all scales carry equal importance. Analogous to
-// Normalize1D, the detail bands at resolution level j (level 0 being the
-// coarsest, i.e. the three 1×1 quadrants next to the overall average) are
-// divided by 2^j, the two-dimensional normalization factor named in
-// Section 3.2. The matrix is modified in place and returned.
+// that coefficients at all scales carry equal importance: the detail bands
+// at resolution level j (level 0 being the coarsest, i.e. the three 1×1
+// quadrants next to the overall average) are divided by 2^j, the
+// two-dimensional normalization factor named in Section 3.2. The matrix
+// is modified in place and returned.
 func Normalize2D(coeffs Matrix) Matrix {
 	scaleBands(coeffs, func(level int) float64 { return 1 / math.Pow(2, float64(level)) })
 	return coeffs
@@ -118,34 +117,4 @@ func scaleBands(coeffs Matrix, factor func(level int) float64) {
 		}
 		level++
 	}
-}
-
-// TruncateTopK zeroes all but the k largest-magnitude coefficients of a
-// transform (the overall average at (0,0) is always kept), the lossy
-// compression Section 3.1 describes: small detail coefficients contribute
-// little to the reconstruction, so dropping them trades a small error for
-// a sparse representation. The matrix is modified in place and the number
-// of retained coefficients (including the average) is returned.
-func TruncateTopK(coeffs Matrix, k int) int {
-	if k < 1 {
-		k = 1
-	}
-	type mag struct {
-		idx int
-		abs float64
-	}
-	all := make([]mag, 0, len(coeffs.Data)-1)
-	for i := 1; i < len(coeffs.Data); i++ {
-		all = append(all, mag{i, math.Abs(coeffs.Data[i])})
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].abs > all[b].abs })
-	kept := 1
-	for rank, m := range all {
-		if rank < k-1 && m.abs > 0 {
-			kept++
-			continue
-		}
-		coeffs.Data[m.idx] = 0
-	}
-	return kept
 }

@@ -370,3 +370,43 @@ func TestRGBPyramidsMatchConvertedPlanes(t *testing.T) {
 		t.Error("accepted a 1-channel image")
 	}
 }
+
+func TestNaiveWindowSignaturesMatchesSliding(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	const w, h = 40, 32
+	plane := randomPlane(rng, w, h)
+	params := SlidingParams{MaxWindow: 16, Signature: 4, Step: 2}
+	pyr, err := ComputeSlidingWindows(plane, w, h, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := NaiveWindowSignatures(plane, w, h, 16, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := pyr.Level(16)
+	if single.NX != grid.NX || single.NY != grid.NY || single.Sig != grid.Sig {
+		t.Fatalf("grid shapes differ: %+v vs %+v", single, grid)
+	}
+	for i := range grid.Data {
+		if !almostEqual(grid.Data[i], single.Data[i]) {
+			t.Fatalf("value %d differs: %v vs %v", i, grid.Data[i], single.Data[i])
+		}
+	}
+}
+
+func TestNaiveWindowSignaturesErrors(t *testing.T) {
+	plane := make([]float64, 64)
+	if _, err := NaiveWindowSignatures(plane, 8, 8, 3, 2, 1); err == nil {
+		t.Error("accepted non-power-of-two window")
+	}
+	if _, err := NaiveWindowSignatures(plane, 8, 8, 16, 2, 1); err == nil {
+		t.Error("accepted window larger than image")
+	}
+	if _, err := NaiveWindowSignatures(plane, 8, 8, 4, 2, 3); err == nil {
+		t.Error("accepted non-power-of-two step")
+	}
+	if _, err := NaiveWindowSignatures(plane, 9, 8, 4, 2, 1); err == nil {
+		t.Error("accepted mismatched plane length")
+	}
+}

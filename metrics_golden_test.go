@@ -98,7 +98,9 @@ func runMetricsSequence(t *testing.T, shards int) metricsValues {
 // walrus_snapshots_active, say — fails. One value has moved since:
 // walrus_pool_tasks_total went 1614 → 6 at one shard and 1634 → 26 at
 // two when the sliding-window DP stopped sending its rows through the
-// worker pool.
+// worker pool. One series has gone: walrus_recovery_app_records and its
+// per-shard copies, whose recovery count could only read 0 once a
+// rebuild marker past the last checkpoint failed Open.
 func TestMetricsGolden(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "metrics_golden.json"))
 	if err != nil {

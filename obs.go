@@ -196,7 +196,6 @@ func publishRecovery(reg *obs.Registry, scope string, rs RecoveryStats) {
 	reg.Gauge(n("recovery_records_scanned"), "WAL records scanned by the last recovery.").Set(int64(rs.RecordsScanned))
 	reg.Gauge(n("recovery_pages_applied"), "Page images applied by the last recovery.").Set(int64(rs.PagesApplied))
 	reg.Gauge(n("recovery_pages_skipped"), "Page images skipped by the last recovery (already on disk).").Set(int64(rs.PagesSkipped))
-	reg.Gauge(n("recovery_app_records"), "Committed WAL app records (bulk-rebuild markers) seen by the last recovery.").Set(int64(rs.AppRecords))
 }
 
 // Metrics returns a point-in-time snapshot of every metric in the

@@ -235,21 +235,27 @@ func createLayout(dir string, opts Options, items []BatchItem, mk func(dir strin
 	return db, nil
 }
 
-// createShard creates one shard's files in dir and publishes version 1.
+// createShard creates one shard's files in dir, checkpoints them and
+// publishes version 1.
 func createShard(dir string, opts Options) (*shard, error) {
 	sh, err := createShardFiles(dir, opts)
 	if err != nil {
 		return nil, err
 	}
+	if err := sh.flush(); err != nil {
+		return nil, errors.Join(err, sh.persist.wal.Close(), sh.persist.pg.Close())
+	}
 	sh.publishLocked()
 	return sh, nil
 }
 
-// createShardFiles is createShard without the final version-1 publish, so
-// CreateFrom can bulk-load before any version exists (pre-publish index
-// writes need no copy-on-write capture) and publish exactly once at the
-// end. It writes the options as the heap's first record, once: they are
-// never rewritten, so Open restores what Create was given.
+// createShardFiles is createShard without the checkpoint and the final
+// version-1 publish, so CreateFrom can log its rebuild marker before any
+// page but the page file's header reaches disk, bulk-load before any
+// version exists (pre-publish index writes need no copy-on-write
+// capture) and publish exactly once at the end. It enters the options as
+// the heap's first record, once: they are never rewritten, so Open
+// restores what Create was given.
 func createShardFiles(dir string, opts Options) (*shard, error) {
 	sh, err := prepare(opts)
 	if err != nil {
@@ -312,9 +318,6 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 	}
 	sh.tree = tree
 	sh.persist = p
-	if err := sh.flush(); err != nil {
-		return nil, errors.Join(err, closeAll())
-	}
 	return sh, nil
 }
 
