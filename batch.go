@@ -19,10 +19,9 @@ type BatchItem struct {
 }
 
 // AddBatch indexes many images, running the expensive region extraction on
-// up to workers goroutines (0 = the database's Parallelism option, itself
-// defaulting to GOMAXPROCS) while keeping index insertion ordered and
-// serialized — the resulting database is identical for every worker
-// count. The batch is partitioned by owning shard, and each shard
+// up to workers goroutines (0 = GOMAXPROCS) while keeping index insertion
+// ordered and serialized — the resulting database is identical for every
+// worker count. The batch is partitioned by owning shard, and each shard
 // publishes its part as a single catalog version, so concurrent readers
 // observe either none or all of a shard's part (unless it fails partway:
 // a shard stops at its first error, and its items before the failing one
@@ -34,7 +33,7 @@ type BatchItem struct {
 // returned.
 func (db *DB) AddBatch(items []BatchItem, workers int) error {
 	parts := partitionItems(items, len(db.shards))
-	return cmp.Or(db.fanOut(db.shards[0].ingestWorkers(workers), func(i int) error {
+	return cmp.Or(db.fanOut(workers, func(i int) error {
 		if len(parts[i]) == 0 {
 			return nil
 		}
@@ -67,12 +66,13 @@ func (sh *shard) addBatch(items []BatchItem, workers int) error {
 	return nil
 }
 
-// extractAll runs region extraction for every item on the resolved worker
-// pool and returns the per-item region sets and errors in item order.
+// extractAll runs region extraction for every item on up to workers
+// goroutines (0 = GOMAXPROCS) and returns the per-item region sets and
+// errors in item order.
 func (sh *shard) extractAll(items []BatchItem, workers int) ([][]region.Region, []error) {
 	extracted := make([][]region.Region, len(items))
 	errs := make([]error, len(items))
-	parallel.For(len(items), sh.ingestWorkers(workers), func(i int) {
+	parallel.For(len(items), workers, func(i int) {
 		extracted[i], errs[i] = sh.ext.Extract(items[i].Image)
 	})
 	return extracted, errs

@@ -8,17 +8,16 @@ import (
 )
 
 // BuildFrom constructs a fresh in-memory database from a whole collection
-// at once: region extraction runs on up to workers goroutines (0 = the
-// Parallelism option, itself defaulting to GOMAXPROCS) and the R*-tree is
-// bulk-loaded instead of built by one insert per region: rstar.BulkLoad
-// packs full nodes by recursive variance splits, which is both faster
-// and yields a smaller, better-clustered index than incremental
-// insertion. Use this for the initial indexing pass the paper describes
-// ("indexing of images is done only once at the beginning"); Add/Remove
-// work normally on the result. With opts.Shards above 1 the collection is
-// partitioned by id hash and each shard is bulk-loaded from its part; the
-// result equals New followed by AddBatch up to index layout, and so do
-// rankings under every matcher.
+// at once: region extraction runs on up to workers goroutines (0 =
+// GOMAXPROCS) and the R*-tree is bulk-loaded instead of built by one
+// insert per region: rstar.BulkLoad packs full nodes by recursive
+// variance splits, which is both faster and yields a smaller,
+// better-clustered index than incremental insertion. Use this for the
+// initial indexing pass the paper describes ("indexing of images is done
+// only once at the beginning"); Add/Remove work normally on the result.
+// With opts.Shards above 1 the collection is partitioned by id hash and
+// each shard is bulk-loaded from its part; the result equals New followed
+// by AddBatch up to index layout, and so do rankings under every matcher.
 func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 	return buildShards(opts, items, func(_ int, opts Options, part []BatchItem) (*shard, error) {
 		return buildShard(opts, part, workers)
@@ -84,10 +83,9 @@ func createShardFrom(dir string, opts Options, items []BatchItem, workers int) (
 		return nil, errors.Join(err, sh.close())
 	}
 
-	// Bulk-load through the same versioned store the empty tree was
-	// created on; the database has published no version yet, so the load
-	// retains no pre-images, and the publish below produces version 1.
-	tree, err := rstar.BulkLoad(sh.tree.Versioned(), rects, payloads)
+	// The database has published no version yet, so the load retains no
+	// pre-images, and the publish below produces version 1.
+	tree, err := rstar.BulkLoad(rstar.NewVersioned(sh.persist.ps), rects, payloads)
 	if err != nil {
 		return nil, errors.Join(err, sh.close())
 	}

@@ -150,3 +150,29 @@ func TestCreateFromDiskRoundTrip(t *testing.T) {
 		t.Fatalf("Remove: %v %v", ok, err)
 	}
 }
+
+// TestCreateFromEmptyPages: an empty CreateFrom allocates exactly the
+// pages Create does, shard by shard, so a bulk load leaves no page of an
+// empty tree behind beneath the tree it packs.
+func TestCreateFromEmptyPages(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		opts := testOptions()
+		opts.Shards = shards
+		created, err := Create(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer created.Close()
+		loaded, err := CreateFrom(t.TempDir(), opts, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer loaded.Close()
+		for i := range created.shards {
+			want := created.shards[i].persist.pg.NumPages()
+			if got := loaded.shards[i].persist.pg.NumPages(); got != want {
+				t.Fatalf("shards=%d shard %d: CreateFrom allocated %d pages, Create %d", shards, i, got, want)
+			}
+		}
+	}
+}

@@ -31,11 +31,9 @@ type cacheKey struct {
 	params   QueryParams
 }
 
-// canonicalParams strips the result-neutral fields from the key:
-// Parallelism changes only wall-clock time, and NoCache never reaches
-// the cache.
+// canonicalParams strips the result-neutral field from the key: NoCache
+// never reaches the cache.
 func canonicalParams(p QueryParams) QueryParams {
-	p.Parallelism = 0
 	p.NoCache = false
 	return p
 }

@@ -335,7 +335,6 @@ func TestCatalogBytesPerRegion(t *testing.T) {
 	}
 	const images = 600
 	opts := DefaultOptions()
-	opts.Parallelism = 1
 	for _, tc := range []struct {
 		name   string
 		shards int

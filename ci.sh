@@ -50,7 +50,7 @@
 #      tests that the front runs under
 #   1e. explain tier: runs the trace/EXPLAIN suite under the race
 #      detector — the 4-shard trace-completeness storm (single root, no
-#      orphaned spans, funnel counts identical at every Parallelism),
+#      orphaned spans, funnel counts identical at every GOMAXPROCS),
 #      the funnel determinism matrix (shards 1 vs 4), the span-ring
 #      overflow counter, and the golden-file test pinning the
 #      /v1/search?explain=1 JSON schema
@@ -137,6 +137,12 @@
 #      log's own suite (torn tail at every offset of the written log,
 #      stale generations never replayed, a reused file that neither
 #      truncates nor grows) under the race detector
+#   1m. determinism tier: GOMAXPROCS sizes every worker pool (batch
+#      extraction, the refine pass, the shard fan-out), so ingest and
+#      query must give the same databases, rankings, stats and metric
+#      counts at GOMAXPROCS 1 and at 4 or more (the determinism_test.go
+#      suite, the shard x GOMAXPROCS x refine query matrix and the count
+#      metrics) under the race detector
 #   2. full test suite
 #   2b. benchmark harness tests: `bench/` is its own Go module (it
 #      replaces `walrus` with `../`), so `go test ./...` above never
@@ -249,6 +255,8 @@ tier "tier 1: query tail exactness (top-k, quick scorer, grid check, aggregate, 
 
 tier "tier 1: no fused multiply-add in any walrus symbol (arm64, ppc64le, riscv64 objdump)" check_no_fma
 tier "tier 1: durability (crash matrices, recovery, log reuse)" go test -race -count=1 -run 'TestCrash|TestShardCrash|TestDurability|TestRecover|TestLog|TestOpen|TestRemoveSurvivesReopen' . ./internal/wal
+
+tier "tier 1: determinism (ingest and query identical at GOMAXPROCS 1 and N)" go test -race -count=1 -run 'TestAddBatchParallelDeterminism|TestBuildFromParallelDeterminism|TestQueryParallelismDeterminism|TestAggregateStage|TestQueryDeterminismMatrix|TestObsCountDeterminism' .
 
 tier "tier 2: full tests" go test ./...
 tier "tier 2: benchmark harness tests" bench_tests

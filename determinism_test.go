@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -34,15 +35,27 @@ func corpus50(t *testing.T) []BatchItem {
 	return items
 }
 
-// assertSameRanking fails unless two databases rank a query identically —
-// same ids, similarities, and matching-region counts in the same order.
-func assertSameRanking(t *testing.T, label string, a, b *DB, q *imgio.Image, pa, pb QueryParams) {
+// setProcs sets GOMAXPROCS, which sizes every worker pool, to n for the
+// rest of the test and restores the old value when the test ends. No test
+// in this package calls t.Parallel, so no other test sees the change.
+func setProcs(t *testing.T, n int) {
 	t.Helper()
-	ma, sa, err := a.QueryContext(context.Background(), q, pa)
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// assertSameRanking fails unless a at GOMAXPROCS 1 and b at GOMAXPROCS
+// procs rank a query identically — same ids, similarities, and
+// matching-region counts in the same order.
+func assertSameRanking(t *testing.T, label string, a, b *DB, q *imgio.Image, procs int) {
+	t.Helper()
+	setProcs(t, 1)
+	ma, sa, err := a.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatalf("%s: serial query: %v", label, err)
 	}
-	mb, sb, err := b.QueryContext(context.Background(), q, pb)
+	setProcs(t, procs)
+	mb, sb, err := b.QueryContext(context.Background(), q, DefaultQueryParams())
 	if err != nil {
 		t.Fatalf("%s: parallel query: %v", label, err)
 	}
@@ -61,35 +74,30 @@ func assertSameRanking(t *testing.T, label string, a, b *DB, q *imgio.Image, pa,
 	}
 }
 
-// TestAddBatchParallelDeterminism: ingesting the corpus with one worker and
-// with four workers must produce databases that rank every query
-// identically — the ordered-merge guarantee of the parallel pipeline.
+// TestAddBatchParallelDeterminism: ingesting the corpus with one worker at
+// GOMAXPROCS 1 and with four workers at GOMAXPROCS 4 must produce
+// databases that rank every query identically — the ordered-merge
+// guarantee of the parallel pipeline.
 func TestAddBatchParallelDeterminism(t *testing.T) {
 	items := corpus50(t)
-	serialOpts := testOptions()
-	serialOpts.Parallelism = 1
-	serial, err := New(serialOpts)
+	setProcs(t, 1)
+	serial, err := New(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := serial.AddBatch(items, 1); err != nil {
 		t.Fatal(err)
 	}
-	parOpts := testOptions()
-	parOpts.Parallelism = 4
-	par, err := New(parOpts)
+	setProcs(t, 4)
+	par, err := New(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := par.AddBatch(items, 4); err != nil {
 		t.Fatal(err)
 	}
-	ps := DefaultQueryParams()
-	ps.Parallelism = 1
-	pp := DefaultQueryParams()
-	pp.Parallelism = 4
 	for _, q := range []*imgio.Image{items[0].Image, items[7].Image, scene(green, red, 24, 24, 40)} {
-		assertSameRanking(t, "AddBatch", serial, par, q, ps, pp)
+		assertSameRanking(t, "AddBatch", serial, par, q, 4)
 	}
 }
 
@@ -97,29 +105,23 @@ func TestAddBatchParallelDeterminism(t *testing.T) {
 // same guarantee.
 func TestBuildFromParallelDeterminism(t *testing.T) {
 	items := corpus50(t)
-	serialOpts := testOptions()
-	serialOpts.Parallelism = 1
-	serial, err := BuildFrom(serialOpts, items, 1)
+	setProcs(t, 1)
+	serial, err := BuildFrom(testOptions(), items, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parOpts := testOptions()
-	parOpts.Parallelism = 4
-	par, err := BuildFrom(parOpts, items, 4)
+	setProcs(t, 4)
+	par, err := BuildFrom(testOptions(), items, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := DefaultQueryParams()
-	ps.Parallelism = 1
-	pp := DefaultQueryParams()
-	pp.Parallelism = 4
 	for _, q := range []*imgio.Image{items[3].Image, scene(gray, blue, 40, 40, 44)} {
-		assertSameRanking(t, "BuildFrom", serial, par, q, ps, pp)
+		assertSameRanking(t, "BuildFrom", serial, par, q, 4)
 	}
 }
 
-// TestQueryParallelismDeterminism: on one database, every Parallelism
-// setting must return the same matches and stats.
+// TestQueryParallelismDeterminism: on one database, every GOMAXPROCS
+// must return the same matches and stats as GOMAXPROCS 1.
 func TestQueryParallelismDeterminism(t *testing.T) {
 	items := corpus50(t)
 	db, err := New(testOptions())
@@ -130,12 +132,8 @@ func TestQueryParallelismDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := items[11].Image
-	for _, par := range []int{0, 2, 4, 16} {
-		ps := DefaultQueryParams()
-		ps.Parallelism = 1
-		pp := DefaultQueryParams()
-		pp.Parallelism = par
-		assertSameRanking(t, fmt.Sprintf("Parallelism=%d", par), db, db, q, ps, pp)
+	for _, procs := range []int{2, 4, 16} {
+		assertSameRanking(t, fmt.Sprintf("GOMAXPROCS=%d", procs), db, db, q, procs)
 	}
 }
 

@@ -64,7 +64,7 @@ func assertSameAnswer(t *testing.T, label string, ma []Match, sa QueryStats, mb 
 }
 
 // TestQueryDeterminismMatrix pins the answer across the execution matrix
-// — shards {1,4} x Parallelism {1,8}, with and without refine — to the
+// — shards {1,4} x GOMAXPROCS {1,8}, with and without refine — to the
 // serial unsharded run: only wall-clock time may change.
 func TestQueryDeterminismMatrix(t *testing.T) {
 	items := corpus50(t)
@@ -81,13 +81,13 @@ func TestQueryDeterminismMatrix(t *testing.T) {
 	oracle := map[string]answer{}
 	for _, shards := range []int{1, 4} {
 		backend := filterBackend(t, items, shards)
-		for _, par := range []int{1, 8} {
+		for _, procs := range []int{1, 8} {
+			setProcs(t, procs)
 			for _, refine := range []bool{false, true} {
 				p := DefaultQueryParams()
-				p.Parallelism = par
 				p.Refine = refine
 				for qi, q := range queries {
-					label := fmt.Sprintf("shards=%d par=%d refine=%v q%d", shards, par, refine, qi)
+					label := fmt.Sprintf("shards=%d procs=%d refine=%v q%d", shards, procs, refine, qi)
 					m, st, err := backend.QueryContext(context.Background(), q, p)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)

@@ -1,8 +1,11 @@
 // Package parallel provides the bounded worker pools WALRUS's hot paths
-// fan work across: per-image region extraction in batch ingest, the per-query-region refine pass, and the per-shard
-// stages of a sharded database. Every helper takes the same knob:
-// workers <= 0 means one worker per logical CPU (GOMAXPROCS), 1 forces
-// the serial path, and any other value bounds the pool at that size.
+// fan work across: per-image region extraction in batch ingest, the
+// refine pass over a query's hits, and the per-shard stages of a sharded
+// database. Every helper takes the same bound: workers <= 0 means
+// GOMAXPROCS workers, 1 forces the serial path, and any other value
+// bounds the pool at that size. The walrus package sizes its pools at
+// GOMAXPROCS, except where a caller of AddBatch, BuildFrom or CreateFrom
+// passes a worker count.
 // Work items are claimed dynamically from a shared counter, so
 // uneven item costs still balance across the pool; callers that need
 // deterministic output write results into per-index slots and merge in
@@ -43,7 +46,7 @@ func SetMetrics(reg *obs.Registry) {
 	})
 }
 
-// Workers resolves a parallelism knob: values <= 0 mean GOMAXPROCS,
+// Workers resolves a worker count: values <= 0 mean GOMAXPROCS,
 // anything else is returned unchanged.
 func Workers(n int) int {
 	if n <= 0 {

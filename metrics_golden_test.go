@@ -34,14 +34,14 @@ func valuesOf(s obs.Snapshot) metricsValues {
 // shard count through a fixed sequence — single adds, a batch, a remove,
 // pixels, id and scene queries (one answered from the result cache), a
 // query on a pinned snapshot, and a flush — and returns the metrics it
-// leaves behind. Parallelism is pinned so the worker-pool counts do not
+// leaves behind. GOMAXPROCS is pinned so the worker-pool counts do not
 // depend on the host.
 func runMetricsSequence(t *testing.T, shards int) metricsValues {
 	t.Helper()
+	setProcs(t, 2)
 	opts := testOptions()
 	opts.Shards = shards
 	opts.CacheSize = 8
-	opts.Parallelism = 2
 	db, err := Create(filepath.Join(t.TempDir(), "db"), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,6 @@ func runMetricsSequence(t *testing.T, shards int) metricsValues {
 	}
 	ctx := context.Background()
 	p := DefaultQueryParams()
-	p.Parallelism = 2
 	for i := 0; i < 2; i++ {
 		if _, _, err := db.QueryContext(ctx, items[0].Image, p); err != nil {
 			t.Fatal(err)

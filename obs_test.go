@@ -29,9 +29,7 @@ func TestQueryStatsMatchRegistry(t *testing.T) {
 	if err := db.Add("b", scene(gray, blue, 16, 16, 48)); err != nil {
 		t.Fatal(err)
 	}
-	p := DefaultQueryParams()
-	p.Parallelism = 1
-	_, stats, err := db.QueryContext(context.Background(), scene(green, red, 32, 32, 48), p)
+	_, stats, err := db.QueryContext(context.Background(), scene(green, red, 32, 32, 48), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +102,12 @@ func countSnapshot(s obs.Snapshot) map[string]int64 {
 }
 
 // TestObsCountDeterminism builds two identical in-memory databases with
-// separate registries and runs the same queries at Parallelism 1 and
-// Parallelism 8: every count metric must be identical — parallelism may
-// only change timings, never how much work was done.
+// separate registries, one at GOMAXPROCS 1 and one at GOMAXPROCS 8, and
+// runs the same queries on each: every count metric must be identical —
+// parallelism may only change timings, never how much work was done.
 func TestObsCountDeterminism(t *testing.T) {
-	build := func(reg *obs.Registry, queryWorkers int) obs.Snapshot {
+	build := func(reg *obs.Registry, procs int) obs.Snapshot {
+		setProcs(t, procs)
 		db, err := New(testOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -119,10 +118,8 @@ func TestObsCountDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		p := DefaultQueryParams()
-		p.Parallelism = queryWorkers
 		for i := 0; i < 3; i++ {
-			if _, _, err := db.QueryContext(context.Background(), scene(green, red, 24, 24, 40), p); err != nil {
+			if _, _, err := db.QueryContext(context.Background(), scene(green, red, 24, 24, 40), DefaultQueryParams()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -149,9 +146,8 @@ func TestObsCountDeterminism(t *testing.T) {
 // Prometheus text and /debug/vars valid JSON for the whole run. Run with
 // -race in CI (the obs tier).
 func TestObsScrapeUnderLoad(t *testing.T) {
-	opts := testOptions()
-	opts.Parallelism = 4
-	db, err := New(opts)
+	setProcs(t, 4)
+	db, err := New(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +191,6 @@ func TestObsScrapeUnderLoad(t *testing.T) {
 	// Readers: parallel queries.
 	q := scene(green, red, 24, 24, 40)
 	p := DefaultQueryParams()
-	p.Parallelism = 4
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {

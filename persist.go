@@ -242,6 +242,9 @@ func createShard(dir string, opts Options) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
+	if sh.tree, err = rstar.New(rstar.NewVersioned(sh.persist.ps)); err != nil {
+		return nil, errors.Join(err, sh.persist.wal.Close(), sh.persist.pg.Close())
+	}
 	if err := sh.flush(); err != nil {
 		return nil, errors.Join(err, sh.persist.wal.Close(), sh.persist.pg.Close())
 	}
@@ -249,13 +252,14 @@ func createShard(dir string, opts Options) (*shard, error) {
 	return sh, nil
 }
 
-// createShardFiles is createShard without the checkpoint and the final
-// version-1 publish, so CreateFrom can log its rebuild marker before any
-// page but the page file's header reaches disk, bulk-load before any
-// version exists (pre-publish index writes need no copy-on-write
-// capture) and publish exactly once at the end. It enters the options as
-// the heap's first record, once: they are never rewritten, so Open
-// restores what Create was given.
+// createShardFiles is createShard without the empty tree, the
+// checkpoint and the final version-1 publish, so CreateFrom can log its
+// rebuild marker before any page but the page file's header reaches
+// disk, bulk-load onto a store no tree has allocated pages from and
+// before any version exists (pre-publish index writes need no
+// copy-on-write capture), and publish exactly once at the end. It enters
+// the options as the heap's first record, once: they are never rewritten,
+// so Open restores what Create was given.
 func createShardFiles(dir string, opts Options) (*shard, error) {
 	sh, err := prepare(opts)
 	if err != nil {
@@ -305,10 +309,6 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 	if err != nil {
 		return nil, errors.Join(err, closeAll())
 	}
-	tree, err := rstar.New(rstar.NewVersioned(p.ps))
-	if err != nil {
-		return nil, errors.Join(err, closeAll())
-	}
 	p.heap, err = store.NewHeapFile(pg, p.pool, heapRootSlot)
 	if err != nil {
 		return nil, errors.Join(err, closeAll())
@@ -316,7 +316,6 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 	if _, err := p.heap.Insert(optsRec.Bytes()); err != nil {
 		return nil, errors.Join(fmt.Errorf("walrus: storing options: %w", err), closeAll())
 	}
-	sh.tree = tree
 	sh.persist = p
 	return sh, nil
 }

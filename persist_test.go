@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"walrus/internal/region"
 	"walrus/internal/store"
 )
 
@@ -85,6 +86,70 @@ func rewriteOptions(t *testing.T, dir string, change func(*Options)) {
 		}
 		return out.Bytes()
 	})
+}
+
+// TestOpenRestoresOptionsWithParallelism: a database created while
+// Options had a Parallelism field holds that field in its options record.
+// Gob skips a field its receiver lacks, so Open succeeds and restores
+// every other field.
+func TestOpenRestoresOptionsWithParallelism(t *testing.T) {
+	// legacyOptions is Options' field set from before Parallelism went;
+	// gob matches fields by name, whatever the struct is called.
+	type legacyOptions struct {
+		Region       region.Options
+		UseBBox      bool
+		NodeCapacity int
+		Shards       int
+		Parallelism  int
+		CacheSize    int
+		Durability   DurabilityPolicy
+	}
+	o := testOptions()
+	o.Region.FineSignature = 4
+	o.UseBBox = true
+	o.CacheSize = 8
+	o.Durability = DurabilityAlways
+	dir := t.TempDir()
+	db, err := Create(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Add("a", variedScene(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want Options
+	rewriteHeap(t, dir, func(rec []byte) []byte {
+		if rec[0] != tagOptions {
+			return nil
+		}
+		if err := gob.NewDecoder(bytes.NewReader(rec[1:])).Decode(&want); err != nil {
+			t.Fatal(err)
+		}
+		// Parallelism is nonzero, as gob writes no zero field.
+		legacy := legacyOptions{Region: want.Region, UseBBox: want.UseBBox, NodeCapacity: want.NodeCapacity,
+			Shards: want.Shards, Parallelism: 3, CacheSize: want.CacheSize, Durability: want.Durability}
+		out := bytes.NewBuffer([]byte{tagOptions})
+		if err := gob.NewEncoder(out).Encode(&legacy); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	})
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open of an options record with Parallelism: %v", err)
+	}
+	defer re.Close()
+	got := re.shards[0].opts
+	got.FS = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Open restored options\n%+v\nwant\n%+v", got, want)
+	}
+	if re.Len() != 1 {
+		t.Fatalf("Len = %d after reopen, want 1", re.Len())
+	}
 }
 
 // TestOpenRejectsCorruptCatalog: garbage in the heap's options record

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"walrus/internal/obs"
+	"walrus/internal/parallel"
 	"walrus/internal/region"
 )
 
@@ -25,7 +26,6 @@ type stageExec struct {
 	qBits    []uint64 // the query regions' bitmaps, laid out flat
 	qArea    int
 	p        QueryParams
-	workers  int
 	// tc is the EXPLAIN funnel collector (nil when the query is not
 	// explained); the runner files each stage's wall time into it.
 	tc *traceCollector
@@ -110,7 +110,7 @@ func runProbe(ctx context.Context, ex *stageExec, sp *obs.Span) error {
 }
 
 func runRefine(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	hits, err := ex.snap.refineStage(ctx, ex.qRegions, ex.hits.hits, ex.p, ex.workers, ex.tc)
+	hits, err := ex.snap.refineStage(ctx, ex.qRegions, ex.hits.hits, ex.p, parallel.Workers(0), ex.tc)
 	ex.hits.hits = hits
 	return err
 }

@@ -121,10 +121,10 @@ const refineChunk = 256
 // pairs are re-verified against the finer signatures when both sides
 // carry one, each against its own query region's bound. It filters the
 // flat hit list in place, keeping the survivors' order, and returns the
-// survivors. The list is cut into contiguous chunks filtered on the
-// worker pool, each compacted within itself and then moved down behind
-// the previous one. Every task checks the deadline so an expired context
-// stops the refinement fan-out.
+// survivors. The list is cut into at most workers (a count, not 0)
+// contiguous chunks filtered on the worker pool, each compacted within
+// itself and then moved down behind the previous one. Every task checks
+// the deadline so an expired context stops the refinement fan-out.
 func (s *shardSnapshot) refineStage(ctx context.Context, qRegions []region.Region, hits []probeHit, p QueryParams, workers int, tc *traceCollector) ([]probeHit, error) {
 	if !p.Refine {
 		return hits, nil
@@ -448,17 +448,16 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, stored *storedQuer
 	stats := QueryStats{QueryRegions: len(qRegions), ExtractTime: statsSince(start)}
 
 	probeStart := statsClock()
-	workers := parallel.Workers(p.Parallelism)
 	qt := queryTraceFrom(ctx)
 	execs := make([]stageExec, len(f.snaps))
 	for i := range f.snaps {
 		sn := &f.snaps[i]
-		execs[i] = stageExec{snap: sn, qRegions: qRegions, qBits: qBits, qArea: qArea, p: p, workers: workers}
+		execs[i] = stageExec{snap: sn, qRegions: qRegions, qBits: qBits, qArea: qArea, p: p}
 		if qt != nil {
 			execs[i].tc = newTraceCollector(sn.core.version)
 		}
 	}
-	if err := f.runPhase(ctx, planPhaseA(p), execs, qspan, "query.probe", workers); err != nil {
+	if err := f.runPhase(ctx, planPhaseA(p), execs, qspan, "query.probe"); err != nil {
 		failSpans(qspan)
 		return nil, stats, err
 	}
@@ -474,7 +473,7 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, stored *storedQuer
 	// order, so a match in the fleet's top Limit has at most Limit-1
 	// matches ranked above it on the whole fleet, hence on its own shard,
 	// and is in that shard's top Limit too.
-	if err := f.runPhase(ctx, scorePlan, execs, qspan, "query.score", workers); err != nil {
+	if err := f.runPhase(ctx, scorePlan, execs, qspan, "query.score"); err != nil {
 		failSpans(qspan)
 		return nil, stats, err
 	}
@@ -497,12 +496,12 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, stored *storedQuer
 // it on the caller, its stage spans (query.<stage>) directly under the
 // query span; a fleet fans the shards out under one umbrella span, each
 // stage a query.shard.<stage> span tagged with its shard.
-func (f queryFront) runPhase(ctx context.Context, plan []queryStage, execs []stageExec, qspan *obs.Span, umbrella string, workers int) error {
+func (f queryFront) runPhase(ctx context.Context, plan []queryStage, execs []stageExec, qspan *obs.Span, umbrella string) error {
 	if !f.fleet() {
 		return runStages(ctx, plan, &execs[0], qspan, "query.", -1)
 	}
 	sp := qspan.Child(umbrella)
-	err := parallel.ForErr(len(execs), workers, func(i int) error {
+	err := parallel.ForErr(len(execs), 0, func(i int) error {
 		return runStages(ctx, plan, &execs[i], sp, "query.shard.", i)
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"walrus/internal/imgio"
-	"walrus/internal/parallel"
 	"walrus/internal/region"
 	"walrus/internal/rstar"
 	"walrus/internal/store"
@@ -48,8 +47,8 @@ type regionRef struct {
 // superseded index state is retained until the last snapshot pinning it
 // is released (epoch-based reclamation). addBatch keeps the expensive
 // region extraction outside the lock and publishes the whole batch as
-// one version. Results never depend on scheduling: the parallelism knobs
-// change wall-clock time only.
+// one version. Results never depend on scheduling: GOMAXPROCS, which
+// sizes the worker pools, changes wall-clock time only.
 type shard struct {
 	mu   sync.RWMutex
 	opts Options           // guarded by mu (setDurability rewrites the policy at runtime)
@@ -58,9 +57,6 @@ type shard struct {
 	// shard is published; its contents are mutated only under mu, and
 	// snapshot reads go through epoch-pinned views, not the live root.
 	tree *rstar.Tree
-	// defaultWorkers resolves addBatch-style workers arguments of 0; it
-	// is immutable after prepare.
-	defaultWorkers int
 
 	images []imageRecord // guarded by mu
 	byID   idIndexWriter // guarded by mu
@@ -100,45 +96,12 @@ type shard struct {
 	om atomic.Pointer[shardMetrics]
 }
 
-// newShard creates an in-memory shard.
-func newShard(opts Options) (*shard, error) {
-	sh, err := prepare(opts)
-	if err != nil {
-		return nil, err
-	}
-	capacity := opts.NodeCapacity
-	if capacity == 0 {
-		capacity = 16
-	}
-	ms, err := rstar.NewMemStore(opts.Region.Dim(), capacity, leafKind(opts))
-	if err != nil {
-		return nil, err
-	}
-	tree, err := rstar.New(rstar.NewVersioned(ms))
-	if err != nil {
-		return nil, err
-	}
-	sh.tree = tree
-	sh.publishLocked()
-	return sh, nil
-}
-
 func prepare(opts Options) (*shard, error) {
 	ext, err := region.NewExtractor(opts.Region)
 	if err != nil {
 		return nil, err
 	}
-	return &shard{opts: opts, ext: ext, defaultWorkers: opts.Parallelism, cols: newRegionColumns(opts)}, nil
-}
-
-// ingestWorkers resolves a caller-supplied worker count against the
-// database's Parallelism default: workers > 0 wins, otherwise
-// Options.Parallelism applies (itself defaulting to GOMAXPROCS).
-func (sh *shard) ingestWorkers(workers int) int {
-	if workers <= 0 {
-		workers = sh.defaultWorkers
-	}
-	return parallel.Workers(workers)
+	return &shard{opts: opts, ext: ext, cols: newRegionColumns(opts)}, nil
 }
 
 // add extracts regions from an RGB image and indexes them under id,

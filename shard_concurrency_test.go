@@ -18,9 +18,9 @@ import (
 // to zero (the leak check).
 func TestShardFanoutConsistency(t *testing.T) {
 	const shards = 3
+	setProcs(t, 2)
 	opts := testOptions()
 	opts.Shards = shards
-	opts.Parallelism = 2
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -69,13 +69,11 @@ func TestShardFanoutConsistency(t *testing.T) {
 		}
 	}()
 	// Readers: per-shard version monotonicity plus set consistency.
-	for g := 0; g < 3; g++ {
-		g := g
+	for range 3 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			p := DefaultQueryParams()
-			p.Parallelism = g % 3
 			last := make([]uint64, shards)
 			for i := 0; i < 8; i++ {
 				ss, err := s.Snapshot()

@@ -23,20 +23,20 @@ func shardScriptCorpus(t *testing.T) []BatchItem {
 }
 
 // runShardScript drives one sharded database through the canonical
-// AddBatch/Add/Remove/re-add script at the given shard count and
-// parallelism. Every (shards, parallelism) combination must leave the
-// database in a logically identical state.
-func runShardScript(t *testing.T, shards, par int) *DB {
+// AddBatch/Add/Remove/re-add script at the given shard count, at
+// GOMAXPROCS procs for the rest of the test. Every (shards, procs)
+// combination must leave the database in a logically identical state.
+func runShardScript(t *testing.T, shards, procs int) *DB {
 	t.Helper()
+	setProcs(t, procs)
 	opts := testOptions()
 	opts.Shards = shards
-	opts.Parallelism = par
 	s, err := New(opts)
 	if err != nil {
 		t.Fatalf("shards=%d: New: %v", shards, err)
 	}
 	items := shardScriptCorpus(t)
-	if err := s.AddBatch(items[:14], par); err != nil {
+	if err := s.AddBatch(items[:14], 0); err != nil {
 		t.Fatalf("shards=%d: AddBatch: %v", shards, err)
 	}
 	for _, it := range items[14:18] {
@@ -53,7 +53,7 @@ func runShardScript(t *testing.T, shards, par int) *DB {
 			t.Fatalf("shards=%d: Remove %s: not present", shards, id)
 		}
 	}
-	if err := s.AddBatch(items[18:], par); err != nil {
+	if err := s.AddBatch(items[18:], 0); err != nil {
 		t.Fatalf("shards=%d: AddBatch tail: %v", shards, err)
 	}
 	// Re-adding a removed id must work and land on the same shard.
@@ -70,7 +70,7 @@ func runShardScript(t *testing.T, shards, par int) *DB {
 // counts, index heights, and IDs' order, which is insertion order on one
 // shard — is deliberately excluded: it varies with the shard count by
 // design.
-func shardFingerprint(t *testing.T, s *DB, queries []*imgio.Image, par int) string {
+func shardFingerprint(t *testing.T, s *DB, queries []*imgio.Image) string {
 	t.Helper()
 	var b strings.Builder
 	ids := s.IDs()
@@ -105,9 +105,7 @@ func shardFingerprint(t *testing.T, s *DB, queries []*imgio.Image, par int) stri
 		b.WriteString(strconv.Itoa(len(regs)))
 		b.WriteString("\n")
 	}
-	p := DefaultQueryParams()
-	p.Parallelism = par
-	b.WriteString(shardRankings(t, s, queries, p))
+	b.WriteString(shardRankings(t, s, queries, DefaultQueryParams()))
 	return b.String()
 }
 
@@ -154,23 +152,23 @@ func shardTestQueries() []*imgio.Image {
 }
 
 // TestShardMatrixDeterminism is the shard-count equivalence matrix: the
-// same mutation script run at shards ∈ {1,2,4,7} and Parallelism ∈ {1,4}
+// same mutation script run at shards ∈ {1,2,4,7} and GOMAXPROCS ∈ {1,4}
 // must produce byte-identical query results, IDs() and logical Stats()
 // output, with the shards=1 serial run pinned as the oracle.
 func TestShardMatrixDeterminism(t *testing.T) {
 	queries := shardTestQueries()
 	oracle := ""
 	for _, shards := range []int{1, 2, 4, 7} {
-		for _, par := range []int{1, 4} {
-			s := runShardScript(t, shards, par)
-			got := shardFingerprint(t, s, queries, par)
+		for _, procs := range []int{1, 4} {
+			s := runShardScript(t, shards, procs)
+			got := shardFingerprint(t, s, queries)
 			if oracle == "" {
 				oracle = got
 				continue
 			}
 			if got != oracle {
-				t.Errorf("shards=%d parallelism=%d diverges from the shards=1 oracle\n--- oracle ---\n%s--- got ---\n%s",
-					shards, par, oracle, got)
+				t.Errorf("shards=%d procs=%d diverges from the shards=1 oracle\n--- oracle ---\n%s--- got ---\n%s",
+					shards, procs, oracle, got)
 			}
 		}
 	}
@@ -263,8 +261,8 @@ func TestShardBulkLoadDeterminism(t *testing.T) {
 		if err := incr.AddBatch(items, 0); err != nil {
 			t.Fatal(err)
 		}
-		fpBuilt := shardFingerprint(t, built, queries, 0)
-		fpIncr := shardFingerprint(t, incr, queries, 0)
+		fpBuilt := shardFingerprint(t, built, queries)
+		fpIncr := shardFingerprint(t, incr, queries)
 		if fpBuilt != fpIncr {
 			t.Errorf("shards=%d: BuildFrom diverges from AddBatch\n--- AddBatch ---\n%s--- BuildFrom ---\n%s",
 				shards, fpIncr, fpBuilt)
@@ -306,7 +304,7 @@ func TestShardDiskRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := shardTestQueries()
-	before := shardFingerprint(t, s, queries, 0)
+	before := shardFingerprint(t, s, queries)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +328,7 @@ func TestShardDiskRoundtrip(t *testing.T) {
 			t.Errorf("shard %d replayed its WAL after a clean close", i)
 		}
 	}
-	after := shardFingerprint(t, reopened, queries, 0)
+	after := shardFingerprint(t, reopened, queries)
 	if after != before {
 		t.Errorf("fingerprint changed across Close/Open\n--- before ---\n%s--- after ---\n%s", before, after)
 	}
@@ -345,7 +343,7 @@ func TestShardDiskRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bulk.Close()
-	if got := shardFingerprint(t, bulk, queries, 0); got != before {
+	if got := shardFingerprint(t, bulk, queries); got != before {
 		t.Errorf("CreateFrom fingerprint diverges\n--- incremental ---\n%s--- bulk ---\n%s", before, got)
 	}
 }

@@ -50,7 +50,6 @@ type ExplainParams struct {
 	Limit         int     `json:"limit"`
 	Refine        bool    `json:"refine"`
 	Matcher       string  `json:"matcher"`
-	Parallelism   int     `json:"parallelism"`
 }
 
 // ExplainStage is one pipeline stage of the candidate funnel. In and Out
@@ -98,7 +97,7 @@ type ExplainShard struct {
 // QueryTrace is the stage-by-stage candidate funnel of one query — the
 // payload behind /v1/search?explain=1 and walrus-query -explain. All
 // counts are deterministic: identical at every shard count and every
-// Parallelism setting; only trace id and *_ns timings vary.
+// GOMAXPROCS; only trace id and *_ns timings vary.
 type QueryTrace struct {
 	// TraceID links the funnel to the live span tree recorded in the obs
 	// span ring ("" when no registry/span was active for the query).
@@ -166,7 +165,6 @@ func explainParams(p QueryParams) ExplainParams {
 		Limit:         p.Limit,
 		Refine:        p.Refine,
 		Matcher:       p.Matcher.String(),
-		Parallelism:   p.Parallelism,
 	}
 }
 

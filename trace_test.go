@@ -11,15 +11,14 @@ import (
 )
 
 // normalizeTrace strips everything about a QueryTrace that is allowed to
-// vary run to run — trace id, wall times, and the echoed parallelism —
-// and returns the rest as canonical JSON. Two queries over the same data
-// must normalize identically at every Parallelism setting.
+// vary run to run — trace id and wall times — and returns the rest as
+// canonical JSON. Two queries over the same data must normalize
+// identically at every GOMAXPROCS.
 func normalizeTrace(t *testing.T, qt *QueryTrace) string {
 	t.Helper()
 	c := *qt
 	c.TraceID = ""
 	c.ElapsedNS = 0
-	c.Params.Parallelism = 0
 	c.Stages = append([]ExplainStage(nil), qt.Stages...)
 	for i := range c.Stages {
 		c.Stages[i].DurationNS = 0
@@ -36,17 +35,18 @@ func normalizeTrace(t *testing.T, qt *QueryTrace) string {
 	return string(b)
 }
 
-// explainedQuery runs one query with a fresh funnel accumulator and
-// returns the filled trace.
-func explainedQuery(t *testing.T, s *DB, par int) (*QueryTrace, QueryStats, int) {
+// explainedQuery runs one query at GOMAXPROCS procs, which it leaves set
+// for the rest of the test, with a fresh funnel accumulator and returns
+// the filled trace.
+func explainedQuery(t *testing.T, s *DB, procs int) (*QueryTrace, QueryStats, int) {
 	t.Helper()
+	setProcs(t, procs)
 	p := DefaultQueryParams()
-	p.Parallelism = par
 	p.Limit = 10
 	ctx, qt := WithQueryTrace(context.Background())
 	matches, stats, err := s.QueryContext(ctx, scene(green, red, 24, 24, 40), p)
 	if err != nil {
-		t.Fatalf("explained query (par=%d): %v", par, err)
+		t.Fatalf("explained query (procs=%d): %v", procs, err)
 	}
 	return qt, stats, len(matches)
 }
@@ -56,7 +56,6 @@ func buildTraceSharded(t *testing.T, shards int) *DB {
 	t.Helper()
 	opts := testOptions()
 	opts.Shards = shards
-	opts.Parallelism = 4
 	s, err := New(opts)
 	if err != nil {
 		t.Fatalf("New(%d): %v", shards, err)
@@ -73,8 +72,8 @@ func buildTraceSharded(t *testing.T, shards int) *DB {
 // trace (no orphans — the parent links must survive the cross-shard
 // fan-out), and the expected span family present. It also pins the
 // funnel's determinism guarantee: the counts a storm query reports at
-// Parallelism 4 are byte-identical to a serial query's. Runs under
-// -race in CI (the explain tier).
+// GOMAXPROCS 4 are byte-identical to those of a query at GOMAXPROCS 1.
+// Runs under -race in CI (the explain tier).
 func TestTraceCompleteness(t *testing.T) {
 	s := buildTraceSharded(t, 4)
 	// A big ring so the whole storm fits without wraparound; the
@@ -96,8 +95,8 @@ func TestTraceCompleteness(t *testing.T) {
 		id uint64
 	}
 	results := make(chan funnelCarrier, goroutines*perG)
+	setProcs(t, 4)
 	p := DefaultQueryParams()
-	p.Parallelism = 4
 	p.Limit = 10
 	q := scene(green, red, 24, 24, 40)
 	for g := 0; g < goroutines; g++ {
@@ -186,7 +185,7 @@ func TestTraceCompleteness(t *testing.T) {
 }
 
 // TestExplainFunnelDeterminism pins the funnel's two invariance claims:
-// counts are identical at every Parallelism (full normalized-JSON
+// counts are identical at every GOMAXPROCS (full normalized-JSON
 // equality per shard count), and logically identical across shard counts
 // — the 4-shard totals must agree with the 1-shard oracle on everything
 // layout-independent (per-stage flow, candidates, matches), while
@@ -213,7 +212,7 @@ func TestExplainFunnelDeterminism(t *testing.T) {
 		serial, stats, matches := explainedQuery(t, s, 1)
 		parallel, _, _ := explainedQuery(t, s, 8)
 		if got, want := normalizeTrace(t, parallel), normalizeTrace(t, serial); got != want {
-			t.Fatalf("shards=%d: funnel differs between Parallelism 1 and 8:\n got %s\nwant %s",
+			t.Fatalf("shards=%d: funnel differs between GOMAXPROCS 1 and 8:\n got %s\nwant %s",
 				shards, got, want)
 		}
 		// The funnel agrees with the stats the same query returned.

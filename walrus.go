@@ -15,7 +15,9 @@
 // A DB is a set of shards: the catalog is partitioned by a hash of the
 // image id into Options.Shards independent stores (one by default), and
 // a query fans out across them and merges their rankings. Results are
-// identical at every shard count.
+// identical at every shard count. The worker pools — batch extraction,
+// the refine pass and the shard fan-out — are sized by GOMAXPROCS, and
+// results are identical at every setting of it too.
 //
 // Basic usage:
 //
@@ -78,13 +80,6 @@ type Options struct {
 	// CreateFrom read it; Open takes the count from the directory's
 	// layout instead. Rankings are identical at every shard count.
 	Shards int
-	// Parallelism is the default worker count for ingest: it resolves the
-	// workers argument of AddBatch, BuildFrom and CreateFrom when that
-	// argument is 0, bounding how many images are extracted at once. One
-	// image is extracted on its caller's goroutine whatever the setting.
-	// 0 uses GOMAXPROCS; 1 forces the serial path. The indexed regions and
-	// all query results are identical for every setting.
-	Parallelism int
 	// CacheSize is the capacity, in cached queries, of the version-keyed
 	// result cache serving repeated queries without touching the index.
 	// 0 (the default) disables caching. Entries are keyed on the pinned
@@ -136,13 +131,6 @@ type QueryParams struct {
 	// 0 means Epsilon scaled by sqrt(fineDim/coarseDim), which keeps the
 	// per-dimension tolerance of the coarse check.
 	RefineEpsilon float64
-	// Parallelism bounds the worker pool the query fans its refine pass
-	// (chunks of the hit list) across and, on a multi-shard database, the
-	// per-shard fan-out: 0 uses GOMAXPROCS, 1 reproduces the serial query exactly.
-	// The index probe is one serial descent for all regions, and scoring
-	// runs on the caller's goroutine. Results and stats are identical for
-	// every setting; only wall-clock time changes.
-	Parallelism int
 	// NoCache makes this query bypass the version-keyed result cache:
 	// it neither reads nor populates it. Meaningful only on a database
 	// with a cache configured (Options.CacheSize / SetCacheSize).
@@ -247,11 +235,7 @@ type Sharded = DB
 func NewSharded(opts Options) (*DB, error) { return New(opts) }
 
 // New creates an in-memory database with opts.Shards shards (0 means 1).
-func New(opts Options) (*DB, error) {
-	return buildShards(opts, nil, func(_ int, opts Options, _ []BatchItem) (*shard, error) {
-		return newShard(opts)
-	})
-}
+func New(opts Options) (*DB, error) { return BuildFrom(opts, nil, 0) }
 
 // buildShards resolves opts.Shards, partitions items across that many
 // shards and builds shard i from its part with mk, closing the shards
