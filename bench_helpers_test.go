@@ -1,6 +1,8 @@
 package walrus_test
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -11,9 +13,13 @@ import (
 // newBenchPager builds a paged R*-tree node store in a temp directory.
 func newBenchPager(b *testing.B) (rstar.NodeStore, error) {
 	b.Helper()
-	pg, err := store.Create(filepath.Join(b.TempDir(), "bench.db"), store.DefaultPageSize)
+	f, err := os.Create(filepath.Join(b.TempDir(), "bench.db"))
 	if err != nil {
 		return nil, err
+	}
+	pg, err := store.CreateFile(f, store.DefaultPageSize)
+	if err != nil {
+		return nil, errors.Join(err, f.Close())
 	}
 	b.Cleanup(func() { pg.Close() })
 	pool, err := store.NewBufferPool(pg, 128)

@@ -1,7 +1,6 @@
 package walrus
 
 import (
-	"errors"
 	"fmt"
 
 	"walrus/internal/rstar"
@@ -51,49 +50,6 @@ func buildShard(opts Options, items []BatchItem, workers int) (*shard, error) {
 	}
 	sh.tree = tree
 	sh.liveRegions = len(sh.refs)
-	sh.publishLocked()
-	return sh, nil
-}
-
-// CreateFrom builds a disk-backed database over a whole collection in one
-// pass: region extraction runs on up to workers goroutines, region
-// payloads stream into the heap file, and the paged R*-tree is bulk-loaded
-// by variance-split packing (see BuildFrom), one full page per node but
-// the last two of each level. This is the fastest way to run the paper's
-// one-time indexing phase against a directory-resident database. The
-// layout is Create's: with opts.Shards above 1, one unlogged bulk load per
-// shard directory.
-func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, error) {
-	return createLayout(dir, opts, items, func(dir string, opts Options, part []BatchItem) (*shard, error) {
-		return createShardFrom(dir, opts, part, workers)
-	})
-}
-
-// createShardFrom bulk-loads one disk-backed shard in dir.
-func createShardFrom(dir string, opts Options, items []BatchItem, workers int) (*shard, error) {
-	sh, err := createShardFiles(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := sh.beginBulkLoad(); err != nil {
-		return nil, errors.Join(err, sh.close())
-	}
-	rects, payloads, err := sh.catalogBulkLocked(items, workers)
-	if err != nil {
-		return nil, errors.Join(err, sh.close())
-	}
-
-	// The database has published no version yet, so the load retains no
-	// pre-images, and the publish below produces version 1.
-	tree, err := rstar.BulkLoad(rstar.NewVersioned(sh.persist.ps), rects, payloads)
-	if err != nil {
-		return nil, errors.Join(err, sh.close())
-	}
-	sh.tree = tree
-	sh.liveRegions = len(sh.refs)
-	if err := sh.endBulkLoad(); err != nil {
-		return nil, errors.Join(err, sh.close())
-	}
 	sh.publishLocked()
 	return sh, nil
 }

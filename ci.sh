@@ -10,8 +10,7 @@
 #   0. formatting + static analysis (gofmt, go vet, walrus-lint — the
 #      repo's own analyzers: ctxflow, determinism, errsink, goroleak,
 #      hotalloc, lockdiscipline, obs, parallelconv, snapshotsafe; see
-#      DESIGN.md "Static analysis"). walrus-lint runs with its
-#      per-package result cache
+#      DESIGN.md "Static analysis")
 #   1. race tier: go test -race -short — runs the concurrency stress
 #      tests (mixed Add/Query/Remove) under the race detector on every PR
 #   1b. obs tier: scrapes the live /metrics endpoint while the

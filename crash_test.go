@@ -488,8 +488,8 @@ func TestDurabilityAlwaysSurvivesImmediateCrash(t *testing.T) {
 }
 
 // createFromState opens dir with the real filesystem and renders what it
-// holds: its ids in order, then the rankings of queries. It returns
-// Open's error when Open fails.
+// holds: its options, its ids in order, then the rankings of queries. It
+// returns Open's error when Open fails.
 func createFromState(t *testing.T, dir string, queries []*imgio.Image) (state string, err error) {
 	t.Helper()
 	db, err := Open(dir)
@@ -499,7 +499,14 @@ func createFromState(t *testing.T, dir string, queries []*imgio.Image) (state st
 	defer db.Close()
 	ids := db.IDs()
 	sort.Strings(ids)
-	return fmt.Sprintf("ids %v\n%s", ids, shardRankings(t, db, queries, DefaultQueryParams())), nil
+	return fmt.Sprintf("%s\nids %v\n%s", optionsState(db.Options()), ids, shardRankings(t, db, queries, DefaultQueryParams())), nil
+}
+
+// optionsState renders the options a database was created with, FS
+// apart: Open is given none.
+func optionsState(o Options) string {
+	o.FS = nil
+	return fmt.Sprintf("options %+v", o)
 }
 
 // rebuildWindow returns the kill points, 1-based and inclusive, at which
@@ -539,86 +546,105 @@ func rebuildWindow(t *testing.T, trace []crashfs.Op, dir string) (from, to int64
 }
 
 // TestCrashCreateFromNeverPartial kills a seeded CreateFrom at every
-// mutating file operation, at one and three shards. After each kill, Open
-// of the database and of each shard directory it created must fail, or
-// succeed with exactly that directory's full item set and the rankings
-// of a run with no crash; a half-built or empty database must never
-// open. Between the sync of a shard's rebuild marker and its checkpoint
-// record, Open of that shard must fail with the interrupted-rebuild
-// error. A multi-shard database never opens after a kill: its manifest is
-// written only once every shard is complete.
+// mutating file operation, at one and three shards, and so does the same
+// with no items, which is Create. After each kill, Open of the database
+// and of each shard directory it created must fail, or succeed with
+// exactly that directory's full item set, the options it was given and
+// the rankings of a run with no crash; a half-built database, or an empty
+// one standing in for items, must never open. Between the sync of a
+// shard's rebuild marker and its checkpoint record, Open of that shard
+// must fail with the interrupted-rebuild error. A multi-shard database
+// never opens after a kill: its manifest is written only once every shard
+// is complete.
 func TestCrashCreateFromNeverPartial(t *testing.T) {
-	items := corpus50(t)[:8]
-	queries := []*imgio.Image{items[0].Image, items[3].Image, items[7].Image}
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			o := testOptions()
-			o.Shards = shards
-			dirs := []string{""}
-			if shards > 1 {
-				dirs = dirs[:0]
-				for i := range shards {
-					dirs = append(dirs, shardDirName(i))
-				}
-			}
-
-			// The run with no crash, through the injector to trace it.
-			probe := crashfs.New()
-			clean := t.TempDir()
-			o.FS = probe.Open
-			db, err := CreateFrom(clean, o, items, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trace := probe.Trace()
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			want := make([]string, len(dirs))
-			windows := make([][2]int64, len(dirs))
-			for i, d := range dirs {
-				if want[i], err = createFromState(t, filepath.Join(clean, d), queries); err != nil {
-					t.Fatalf("open %q after the clean run: %v", d, err)
-				}
-				windows[i][0], windows[i][1] = rebuildWindow(t, trace, filepath.Join(clean, d))
-			}
-
-			refused := 0
-			for kill := int64(1); kill <= int64(len(trace)); kill++ {
-				in := crashfs.New()
-				in.Arm(kill, -1)
-				o.FS = in.Open
-				dir := t.TempDir()
-				db, err := CreateFrom(dir, o, items, 1)
-				if err == nil {
-					db.Close()
-					t.Fatalf("kill=%d: CreateFrom succeeded", kill)
-				}
-				if !errors.Is(err, crashfs.ErrKilled) {
-					t.Fatalf("kill=%d: CreateFrom failed with a non-injected error: %v", kill, err)
-				}
-				if shards > 1 {
-					if _, err := createFromState(t, dir, queries); err == nil {
-						t.Fatalf("kill=%d: a %d-shard database opened after a crashed CreateFrom", kill, shards)
-					}
-				}
-				for i, d := range dirs {
-					got, err := createFromState(t, filepath.Join(dir, d), queries)
-					inWindow := kill >= windows[i][0] && kill <= windows[i][1]
-					switch {
-					case inWindow && (err == nil || !strings.Contains(err.Error(), "bulk rebuild") || !strings.Contains(err.Error(), "was interrupted")):
-						t.Fatalf("kill=%d, shard dir %q: Open = %v, want the interrupted-rebuild error", kill, d, err)
-					case inWindow:
-						refused++
-					case err == nil && got != want[i]:
-						t.Fatalf("kill=%d, shard dir %q: Open succeeded with a state the clean run never had:\n%s\nwant:\n%s", kill, d, got, want[i])
-					}
-				}
-			}
-			if refused == 0 {
-				t.Fatal("no kill point reached the interrupted-rebuild refusal")
-			}
-			t.Logf("%d kill points, %d interrupted-rebuild refusals", len(trace), refused)
-		})
+	corpus := corpus50(t)[:8]
+	queries := []*imgio.Image{corpus[0].Image, corpus[3].Image, corpus[7].Image}
+	for _, run := range []struct {
+		name  string
+		items []BatchItem
+	}{{"", corpus}, {"empty/", nil}} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%sshards=%d", run.name, shards), func(t *testing.T) {
+				crashCreateFrom(t, run.items, shards, queries)
+			})
+		}
 	}
+}
+
+// crashCreateFrom is one TestCrashCreateFromNeverPartial run: items at
+// shards shards.
+func crashCreateFrom(t *testing.T, items []BatchItem, shards int, queries []*imgio.Image) {
+	o := testOptions()
+	o.Shards = shards
+	dirs := []string{""}
+	if shards > 1 {
+		dirs = dirs[:0]
+		for i := range shards {
+			dirs = append(dirs, shardDirName(i))
+		}
+	}
+
+	// The run with no crash, through the injector to trace it.
+	probe := crashfs.New()
+	clean := t.TempDir()
+	o.FS = probe.Open
+	db, err := CreateFrom(clean, o, items, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := probe.Trace()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Each directory in dirs opens as one shard.
+	given := o
+	given.Shards = 1
+	want := make([]string, len(dirs))
+	windows := make([][2]int64, len(dirs))
+	for i, d := range dirs {
+		if want[i], err = createFromState(t, filepath.Join(clean, d), queries); err != nil {
+			t.Fatalf("open %q after the clean run: %v", d, err)
+		}
+		if !strings.HasPrefix(want[i], optionsState(given)+"\n") {
+			t.Fatalf("open %q after the clean run restored other options:\n%s\nwant:\n%s", d, want[i], optionsState(given))
+		}
+		windows[i][0], windows[i][1] = rebuildWindow(t, trace, filepath.Join(clean, d))
+	}
+
+	refused := 0
+	for kill := int64(1); kill <= int64(len(trace)); kill++ {
+		in := crashfs.New()
+		in.Arm(kill, -1)
+		o.FS = in.Open
+		dir := t.TempDir()
+		db, err := CreateFrom(dir, o, items, 1)
+		if err == nil {
+			db.Close()
+			t.Fatalf("kill=%d: CreateFrom succeeded", kill)
+		}
+		if !errors.Is(err, crashfs.ErrKilled) {
+			t.Fatalf("kill=%d: CreateFrom failed with a non-injected error: %v", kill, err)
+		}
+		if shards > 1 {
+			if _, err := createFromState(t, dir, queries); err == nil {
+				t.Fatalf("kill=%d: a %d-shard database opened after a crashed CreateFrom", kill, shards)
+			}
+		}
+		for i, d := range dirs {
+			got, err := createFromState(t, filepath.Join(dir, d), queries)
+			inWindow := kill >= windows[i][0] && kill <= windows[i][1]
+			switch {
+			case inWindow && (err == nil || !strings.Contains(err.Error(), "bulk rebuild") || !strings.Contains(err.Error(), "was interrupted")):
+				t.Fatalf("kill=%d, shard dir %q: Open = %v, want the interrupted-rebuild error", kill, d, err)
+			case inWindow:
+				refused++
+			case err == nil && got != want[i]:
+				t.Fatalf("kill=%d, shard dir %q: Open succeeded with a state the clean run never had:\n%s\nwant:\n%s", kill, d, got, want[i])
+			}
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no kill point reached the interrupted-rebuild refusal")
+	}
+	t.Logf("%d kill points, %d interrupted-rebuild refusals", len(trace), refused)
 }

@@ -77,7 +77,9 @@ func TestGridCheckAtCatalogEntry(t *testing.T) {
 		wantGridError(t, "BuildFrom", err)
 	})
 	t.Run("CreateFrom", func(t *testing.T) {
-		sh, err := createShardFiles(t.TempDir(), opts)
+		// An empty disk shard; the grid refusal comes before its catalog
+		// pass writes anything.
+		sh, err := createShardFrom(t.TempDir(), opts, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

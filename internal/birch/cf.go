@@ -11,10 +11,7 @@
 // centroids, the alternative Section 4 describes).
 package birch
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // CF is a clustering feature: the sufficient statistics (N, LS, SS) of a
 // set of points, where LS is the elementwise linear sum and SS the scalar
@@ -28,9 +25,6 @@ type CF struct {
 
 // NewCF returns an empty CF of the given dimensionality.
 func NewCF(dim int) CF { return CF{LS: make([]float64, dim)} }
-
-// Dim returns the dimensionality.
-func (cf *CF) Dim() int { return len(cf.LS) }
 
 // Add incorporates a single point.
 func (cf *CF) Add(p []float64) {
@@ -69,25 +63,6 @@ func (cf *CF) Centroid() []float64 {
 	return c
 }
 
-// Radius returns the BIRCH radius: the root-mean-square distance of the
-// member points from the centroid, sqrt(SS/N - |LS/N|²).
-func (cf *CF) Radius() float64 {
-	if cf.N == 0 {
-		return 0
-	}
-	n := float64(cf.N)
-	var c2 float64
-	for _, v := range cf.LS {
-		m := v / n
-		c2 += float64(m * m)
-	}
-	r2 := cf.SS/n - c2
-	if r2 < 0 { // numeric noise
-		return 0
-	}
-	return math.Sqrt(r2)
-}
-
 // mergedRadius returns the radius the union of a and b would have, without
 // materializing the merge.
 func mergedRadius(a, b *CF) float64 {
@@ -120,8 +95,4 @@ func centroidDist2(a, b *CF) float64 {
 		d2 += float64(d * d)
 	}
 	return d2
-}
-
-func (cf *CF) String() string {
-	return fmt.Sprintf("CF(n=%d, r=%.4f)", cf.N, cf.Radius())
 }

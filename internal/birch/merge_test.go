@@ -40,8 +40,8 @@ func TestMergeClustersRepairsSplitBlob(t *testing.T) {
 	var all []int
 	for _, c := range merged {
 		all = append(all, c.Members...)
-		if c.CF.Radius() > 0.1+1e-9 {
-			t.Fatalf("merged cluster radius %v exceeds threshold", c.CF.Radius())
+		if radius(&c.CF) > 0.1+1e-9 {
+			t.Fatalf("merged cluster radius %v exceeds threshold", radius(&c.CF))
 		}
 		if len(c.Members) != c.CF.N {
 			t.Fatalf("member count %d != CF.N %d", len(c.Members), c.CF.N)

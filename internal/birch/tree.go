@@ -69,7 +69,6 @@ type node struct {
 type Tree struct {
 	params Params
 	root   *node
-	points int
 }
 
 // NewTree creates an empty CF-tree.
@@ -80,12 +79,6 @@ func NewTree(params Params) (*Tree, error) {
 	return &Tree{params: params, root: &node{leaf: true}}, nil
 }
 
-// Params returns the tree's configuration.
-func (t *Tree) Params() Params { return t.params }
-
-// NumPoints returns the number of points inserted so far.
-func (t *Tree) NumPoints() int { return t.points }
-
 // Insert adds one point with an opaque member id.
 func (t *Tree) Insert(p []float64, id int) error {
 	if len(p) != t.params.Dim {
@@ -93,7 +86,6 @@ func (t *Tree) Insert(p []float64, id int) error {
 	}
 	e := t.newLeafEntry(p, id)
 	t.insertEntry(e)
-	t.points++
 	return nil
 }
 
@@ -275,7 +267,6 @@ func (t *Tree) Rebuild(newThreshold float64) (*Tree, error) {
 			max:     append([]float64(nil), e.max...),
 		}
 		nt.insertEntry(ne)
-		nt.points += ne.cf.N
 	})
 	return nt, nil
 }

@@ -47,9 +47,6 @@ func (im *Image) Clone() *Image {
 	return out
 }
 
-// Area returns the number of pixels.
-func (im *Image) Area() int { return im.W * im.H }
-
 // Validate checks structural consistency.
 func (im *Image) Validate() error {
 	if im.W <= 0 || im.H <= 0 || im.C <= 0 {

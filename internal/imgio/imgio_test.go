@@ -28,9 +28,6 @@ func TestImageAccessors(t *testing.T) {
 	if got := im.Plane(2)[2*4+1]; got != 0.75 {
 		t.Fatalf("Plane value = %v, want 0.75", got)
 	}
-	if im.Area() != 12 {
-		t.Fatalf("Area = %d, want 12", im.Area())
-	}
 	if err := im.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func TestDeterminismScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
+	if diags, _ := Run([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
 		t.Errorf("determinism fired outside its scope:\n%s", fmtDiags(diags))
 	}
 }
@@ -37,7 +37,7 @@ func TestCtxFlowScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{CtxFlow}); len(diags) != 0 {
+	if diags, _ := Run([]*Package{pkg}, []*Analyzer{CtxFlow}); len(diags) != 0 {
 		t.Errorf("ctxflow fired outside its scope:\n%s", fmtDiags(diags))
 	}
 }
@@ -59,7 +59,7 @@ func TestHotAllocScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{HotAlloc}); len(diags) != 0 {
+	if diags, _ := Run([]*Package{pkg}, []*Analyzer{HotAlloc}); len(diags) != 0 {
 		t.Errorf("hotalloc fired without a lint-hot directive:\n%s", fmtDiags(diags))
 	}
 }
@@ -89,7 +89,7 @@ func TestSnapshotSafeScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{SnapshotSafe}); len(diags) != 0 {
+	if diags, _ := Run([]*Package{pkg}, []*Analyzer{SnapshotSafe}); len(diags) != 0 {
 		t.Errorf("snapshotsafe fired outside its scope:\n%s", fmtDiags(diags))
 	}
 }
@@ -103,7 +103,7 @@ func TestObsScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{Obs}); len(diags) != 0 {
+	if diags, _ := Run([]*Package{pkg}, []*Analyzer{Obs}); len(diags) != 0 {
 		t.Errorf("obs fired outside its scope:\n%s", fmtDiags(diags))
 	}
 }

@@ -3,14 +3,11 @@ package lint
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
 // writeTempModule lays down a two-package throwaway module: package a
-// carries a goroleak finding, package b is clean. Editing a's source in
-// place is how the invalidation test works, which is why these tests
-// never run against the real module.
+// carries a goroleak finding, package b is clean.
 func writeTempModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -43,109 +40,29 @@ func Add(x, y int) int { return x + y }
 	return dir
 }
 
-// runTemp lints the temp module with a fresh loader (a shared loader's
-// package memo would mask what the cache does and does not skip).
-func runTemp(t *testing.T, dir string, opts RunOptions) ([]Diagnostic, *RunStats) {
-	t.Helper()
-	l, err := NewLoader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, stats, err := RunModule(l, nil, All(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags, stats
-}
-
-// TestRunModuleCache drives the result cache through its three states:
-// a cold run misses everything, a warm run hits everything with
-// identical diagnostics, and editing one file invalidates exactly that
-// package.
-func TestRunModuleCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list; skipped in -short")
-	}
-	dir := writeTempModule(t)
-	opts := RunOptions{CachePath: filepath.Join(dir, ".walrus-lint-cache")}
-
-	cold, coldStats := runTemp(t, dir, opts)
-	if coldStats.CacheHits != 0 || coldStats.CacheMisses != 2 {
-		t.Fatalf("cold run: %d hits / %d misses, want 0/2", coldStats.CacheHits, coldStats.CacheMisses)
-	}
-	if len(cold) != 1 || cold[0].Analyzer != "goroleak" {
-		t.Fatalf("cold run diagnostics: %+v, want one goroleak finding", cold)
-	}
-
-	warm, warmStats := runTemp(t, dir, opts)
-	if warmStats.CacheHits != 2 || warmStats.CacheMisses != 0 {
-		t.Fatalf("warm run: %d hits / %d misses, want 2/0", warmStats.CacheHits, warmStats.CacheMisses)
-	}
-	if !reflect.DeepEqual(warm, cold) {
-		t.Errorf("warm diagnostics differ from cold:\n warm %+v\n cold %+v", warm, cold)
-	}
-
-	// Fixing the leak must invalidate package a only, and the stale
-	// finding must not replay from the cache.
-	fixed := `package a
-
-// Leak no longer leaks: the handoff joins the goroutine.
-func Leak() {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-	}()
-	<-done
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "a", "a.go"), []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	after, afterStats := runTemp(t, dir, opts)
-	if afterStats.CacheHits != 1 || afterStats.CacheMisses != 1 {
-		t.Fatalf("post-edit run: %d hits / %d misses, want 1/1", afterStats.CacheHits, afterStats.CacheMisses)
-	}
-	if len(after) != 0 {
-		t.Errorf("post-edit run still reports: %+v", after)
-	}
-}
-
-// TestRunModuleCacheDisabled pins the no-cache path: empty CachePath
-// means every run analyzes everything and writes nothing to disk.
-func TestRunModuleCacheDisabled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list; skipped in -short")
-	}
-	dir := writeTempModule(t)
-	for i := 0; i < 2; i++ {
-		_, stats := runTemp(t, dir, RunOptions{})
-		if stats.CacheHits != 0 || stats.CacheMisses != 2 {
-			t.Fatalf("run %d: %d hits / %d misses, want 0/2", i, stats.CacheHits, stats.CacheMisses)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, ".walrus-lint-cache")); !os.IsNotExist(err) {
-		t.Errorf("cache file written despite empty CachePath (stat err %v)", err)
-	}
-}
-
-// TestRunModuleTimings checks that -v accounting attributes wall time to
-// analyzers on misses and to nothing on pure cache hits.
+// TestRunModuleTimings lints a throwaway module the way walrus-lint does
+// (Load, then Run) and checks that -v accounting attributes wall time to
+// every analyzer that ran.
 func TestRunModuleTimings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go list; skipped in -short")
 	}
-	dir := writeTempModule(t)
-	opts := RunOptions{CachePath: filepath.Join(dir, ".walrus-lint-cache"), Timings: true}
-
-	_, cold := runTemp(t, dir, opts)
-	if len(cold.Analyzers) != len(All()) {
-		t.Errorf("cold run timed %d analyzers, want %d", len(cold.Analyzers), len(All()))
+	l, err := NewLoader(writeTempModule(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, warm := runTemp(t, dir, opts)
-	if len(warm.Analyzers) != 0 {
-		t.Errorf("warm run timed %d analyzers, want 0 (all packages cached): %v", len(warm.Analyzers), warm.Analyzers)
+	pkgs, err := l.Load()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if warm.Elapsed <= 0 || cold.Elapsed <= 0 {
-		t.Errorf("elapsed times not recorded: cold %v, warm %v", cold.Elapsed, warm.Elapsed)
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages, want 2", len(pkgs))
+	}
+	diags, spent := Run(pkgs, All())
+	if len(diags) != 1 || diags[0].Analyzer != "goroleak" {
+		t.Fatalf("diagnostics: %+v, want one goroleak finding", diags)
+	}
+	if len(spent) != len(All()) {
+		t.Errorf("timed %d analyzers, want %d: %v", len(spent), len(All()), spent)
 	}
 }

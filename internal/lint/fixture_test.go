@@ -106,7 +106,7 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
-	diags := Run([]*Package{pkg}, analyzers)
+	diags, _ := Run([]*Package{pkg}, analyzers)
 	wants := parseWants(t, pkg.Dir)
 
 	claimed := make([]bool, len(diags))

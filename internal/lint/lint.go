@@ -49,6 +49,8 @@ import (
 	"go/types"
 	"sort"
 	"time"
+
+	"walrus/internal/parallel"
 )
 
 // Package is one type-checked package under analysis.
@@ -97,11 +99,11 @@ func (p *Package) HotFiles() map[string]bool {
 
 // Diagnostic is one analyzer finding at a file position.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // Analyzer is one named check over a single package.
@@ -141,25 +143,34 @@ func All() []*Analyzer {
 // Its findings cannot be suppressed.
 const lintIgnoreName = "lintignore"
 
-// Run applies the analyzers to every package, enforces directive hygiene,
-// applies //walrus:lint-ignore suppression, and returns the surviving
-// diagnostics sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// Run applies the analyzers to every package on the parallel pool,
+// enforces directive hygiene, applies //walrus:lint-ignore suppression,
+// and returns the surviving diagnostics sorted by position, with each
+// analyzer's wall time summed over the packages.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, map[string]time.Duration) {
+	perPkg := make([][]Diagnostic, len(pkgs))
+	spent := make([][]time.Duration, len(pkgs))
+	parallel.For(len(pkgs), 0, func(i int) {
+		perPkg[i], spent[i] = analyzePackage(pkgs[i], analyzers)
+	})
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		diags = append(diags, analyzePackage(pkg, analyzers, nil)...)
+	times := make(map[string]time.Duration, len(analyzers))
+	for i := range pkgs {
+		diags = append(diags, perPkg[i]...)
+		for j, a := range analyzers {
+			times[a.Name] += spent[i][j]
+		}
 	}
 	sortDiagnostics(diags)
-	return diags
+	return diags, times
 }
 
 // analyzePackage runs the analyzers over one package, enforces directive
 // hygiene, and applies //walrus:lint-ignore suppression. Directives are
 // file-scoped, so each package's suppression is independent of every
-// other's — which is what lets the parallel driver analyze (and cache)
-// packages independently. When timings is non-nil, each analyzer's wall
-// time on this package is accumulated into it.
-func analyzePackage(pkg *Package, analyzers []*Analyzer, timings *timingSink) []Diagnostic {
+// other's — which is what lets Run analyze packages in parallel. It also
+// returns each analyzer's wall time on this package, in analyzers' order.
+func analyzePackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []time.Duration) {
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
@@ -171,10 +182,11 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, timings *timingSink) []
 	}
 	var diags []Diagnostic
 	suppressed := make(map[key]bool)
-	for _, a := range analyzers {
+	spent := make([]time.Duration, len(analyzers))
+	for i, a := range analyzers {
 		start := time.Now()
 		a.Run(&Pass{Pkg: pkg, analyzer: a, diags: &diags})
-		timings.add(a.Name, time.Since(start))
+		spent[i] = time.Since(start)
 	}
 	for _, d := range pkg.Directives {
 		hygiene := func(format string, args ...any) {
@@ -207,11 +219,11 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, timings *timingSink) []
 		}
 		out = append(out, d)
 	}
-	return out
+	return out, spent
 }
 
 // sortDiagnostics orders diagnostics by position, then analyzer, then
-// message — the stable order every output format emits.
+// message — the order WriteText emits.
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

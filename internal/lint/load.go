@@ -16,6 +16,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"walrus/internal/parallel"
 )
 
 // listedPackage is the subset of `go list -json` output the loader reads.
@@ -24,7 +26,6 @@ type listedPackage struct {
 	ImportPath string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	DepOnly    bool
 	Standard   bool
 	Module     *struct{ Path string }
@@ -36,8 +37,8 @@ type listedPackage struct {
 // through gc export data produced by `go list -export`, which is fast,
 // build-cached, and always consistent with what the compiler sees.
 //
-// A Loader is safe for concurrent use: the parallel driver loads
-// distinct packages from separate goroutines. The FileSet is
+// A Loader is safe for concurrent use: Load type-checks distinct
+// packages from separate goroutines. The FileSet is
 // concurrency-safe by contract; the memo maps are guarded by mu and the
 // gc importer (which caches internally) is serialized behind impMu.
 type Loader struct {
@@ -97,20 +98,15 @@ func findModule(dir string) (root, modPath string, err error) {
 	}
 }
 
-// goList runs `go list -deps -json` over the patterns and returns every
-// listed package. With export set it adds -export — compiling as needed
-// and recording each package's export data file — which is what the
-// type-checking path requires; the cache-key path lists without it,
-// because skipping the export step is most of a warm run's speedup.
-func (l *Loader) goList(patterns []string, export bool) ([]*listedPackage, error) {
-	args := []string{"list", "-deps"}
-	if export {
-		args = append(args, "-export")
-	}
-	args = append(args,
-		"-json=Dir,ImportPath,Export,GoFiles,Imports,DepOnly,Standard,Module",
+// goList runs `go list -deps -export -json` over the patterns — compiling
+// as needed and recording each package's export data file, which is what
+// the type-checker resolves imports through — and returns every listed
+// package.
+func (l *Loader) goList(patterns []string) ([]*listedPackage, error) {
+	args := []string{"list", "-deps", "-export",
+		"-json=Dir,ImportPath,Export,GoFiles,DepOnly,Standard,Module",
 		"--",
-	)
+	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.ModRoot
@@ -147,23 +143,12 @@ func (l *Loader) exportFile(path string) (string, bool) {
 	return file, ok
 }
 
-// ensureExports records export data files for the given packages (and
-// their dependencies) in one `go list -export` invocation, so loading a
-// batch of packages does not degenerate into one subprocess per import.
-func (l *Loader) ensureExports(patterns []string) error {
-	if len(patterns) == 0 {
-		return nil
-	}
-	_, err := l.goList(patterns, true)
-	return err
-}
-
 // lookupExport feeds the gc importer: it returns a reader over the export
 // data of one import path, shelling out to `go list` lazily for paths not
 // seen yet (e.g. stdlib packages only fixtures import).
 func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 	if _, ok := l.exportFile(path); !ok {
-		if _, err := l.goList([]string{path}, true); err != nil {
+		if _, err := l.goList([]string{path}); err != nil {
 			return nil, err
 		}
 	}
@@ -192,62 +177,36 @@ func (li lockedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*t
 	return li.l.imp.Import(path)
 }
 
-// List resolves the go package patterns (default "./...") to the
-// module's own packages — sorted by import path, without type-checking
-// or compiling anything. It also returns an index of every
-// module-internal package the listing reached (including
-// dependency-only ones), which is what the cache keyer walks to hash a
-// package's transitive in-module sources. The cache-aware driver lists
-// first and only loads the misses.
-func (l *Loader) List(patterns ...string) ([]*listedPackage, map[string]*listedPackage, error) {
+// Load type-checks every module package matching the go package patterns
+// (default "./...") and returns them sorted by import path. One `go list`
+// lists the packages and the export data of their imports; the packages
+// are then type-checked from source on the parallel pool. Test files and
+// testdata directories are excluded, mirroring what ships in the build.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := l.goList(patterns, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []*listedPackage
-	index := make(map[string]*listedPackage)
-	for _, lp := range listed {
-		if lp.Standard || lp.Module == nil || lp.Module.Path != l.ModPath {
-			continue
-		}
-		index[lp.ImportPath] = lp
-		if lp.DepOnly {
-			continue
-		}
-		out = append(out, lp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
-	return out, index, nil
-}
-
-// Load type-checks every module package matching the go package patterns
-// (default "./...") and returns them sorted by import path. Test files
-// and testdata directories are excluded, mirroring what ships in the
-// build.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	listed, _, err := l.List(patterns...)
+	all, err := l.goList(patterns)
 	if err != nil {
 		return nil, err
 	}
-	paths := make([]string, len(listed))
-	for i, lp := range listed {
-		paths[i] = lp.ImportPath
+	var listed []*listedPackage
+	for _, lp := range all {
+		if !lp.DepOnly && !lp.Standard && lp.Module != nil && lp.Module.Path == l.ModPath {
+			listed = append(listed, lp)
+		}
 	}
-	if err := l.ensureExports(paths); err != nil {
+	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
+	pkgs := make([]*Package, len(listed))
+	err = parallel.ForErr(len(listed), 0, func(i int) error {
+		var err error
+		pkgs[i], err = l.loadFiles(listed[i].Dir, listed[i].ImportPath, listed[i].GoFiles)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	out := make([]*Package, 0, len(listed))
-	for _, lp := range listed {
-		pkg, err := l.loadFiles(lp.Dir, lp.ImportPath, lp.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
+	return pkgs, nil
 }
 
 // LoadDir type-checks the single package in dir (which may live under a

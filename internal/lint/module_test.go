@@ -20,7 +20,7 @@ func TestModuleIsLintClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("loaded zero packages")
 	}
-	if diags := Run(pkgs, All()); len(diags) != 0 {
+	if diags, _ := Run(pkgs, All()); len(diags) != 0 {
 		t.Errorf("module is not lint-clean (%d diagnostics):\n%s", len(diags), fmtDiags(diags))
 	}
 }

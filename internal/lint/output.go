@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -20,120 +19,4 @@ func WriteText(w io.Writer, root string, diags []Diagnostic) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON prints diagnostics as a JSON array (always an array, never
-// null, so `jq length` works on a clean run).
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
-}
-
-// SARIF 2.1.0 skeleton — the minimal subset code-scanning UIs consume:
-// one run, one tool with a rule per analyzer, one result per diagnostic
-// with a physical location.
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// WriteSARIF prints diagnostics as a SARIF 2.1.0 log. Paths are emitted
-// relative to root (slash-separated URIs) when possible; the rule table
-// lists the analyzers that ran, plus the directive-hygiene
-// pseudo-analyzer when it fired.
-func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, diags []Diagnostic) error {
-	rules := make([]sarifRule, 0, len(analyzers)+1)
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
-		known[a.Name] = true
-	}
-	results := make([]sarifResult, 0, len(diags))
-	for _, d := range diags {
-		if !known[d.Analyzer] {
-			rules = append(rules, sarifRule{ID: d.Analyzer, ShortDescription: sarifMessage{Text: "directive hygiene"}})
-			known[d.Analyzer] = true
-		}
-		uri := d.File
-		if rel, err := filepath.Rel(root, uri); err == nil && !filepath.IsAbs(rel) && rel != "" && rel[0] != '.' {
-			uri = rel
-		}
-		results = append(results, sarifResult{
-			RuleID:  d.Analyzer,
-			Level:   "warning",
-			Message: sarifMessage{Text: d.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysicalLocation{
-					ArtifactLocation: sarifArtifactLocation{URI: filepath.ToSlash(uri)},
-					Region:           sarifRegion{StartLine: d.Line, StartColumn: d.Col},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "walrus-lint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }

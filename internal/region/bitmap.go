@@ -32,12 +32,6 @@ func (b *Bitmap) Set(bx, by int) {
 	b.Words[i/64] |= 1 << (i % 64)
 }
 
-// Get reports the bit at grid cell (bx, by).
-func (b *Bitmap) Get(bx, by int) bool {
-	i := by*b.K + bx
-	return b.Words[i/64]&(1<<(i%64)) != 0
-}
-
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int {
 	n := 0

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"walrus/internal/obs"
 	"walrus/internal/store"
 )
 
@@ -189,7 +190,7 @@ func boxWalk(t *testing.T, s NodeStore, epoch uint64, id NodeID, boxes []Rect) i
 	for _, e := range n.Entries {
 		var reach []Rect
 		for _, b := range boxes {
-			if e.Rect.Intersects(b) {
+			if intersects(e.Rect, b) {
 				reach = append(reach, b)
 			}
 		}
@@ -336,8 +337,10 @@ func TestProbeBallPruningExact(t *testing.T) {
 		paged := kind.paged
 		t.Run("paged="+kind.name, func(t *testing.T) {
 			var base NodeStore
+			var evictions *obs.Counter
 			if paged {
-				base = newPagedStore(t, dim, 1024, 8, kind.leaves)
+				ps := newPagedStore(t, dim, 1024, 8, kind.leaves)
+				base, evictions = ps, poolCounter(ps, "evictions")
 			} else {
 				ms, err := NewMemStore(dim, 4, kind.leaves)
 				if err != nil {
@@ -396,7 +399,7 @@ func TestProbeBallPruningExact(t *testing.T) {
 			pruned = checkBallPruning(t, "live after writes", tr, after, probes) || pruned
 			pruned = checkBallPruning(t, "view after writes", cur, after, probes) || pruned
 			if paged {
-				if st := base.(*PagedStore).pool.Stats(); st.Evictions == 0 {
+				if evictions.Value() == 0 {
 					t.Fatal("pool never evicted: the tree fits the pool")
 				}
 			}
@@ -458,6 +461,7 @@ func TestProbeBallPruningExact(t *testing.T) {
 	// per inner page, 38 per leaf.
 	t.Run("packed/cap=19+38/paged=points", func(t *testing.T) {
 		base := newPagedStore(t, packedDim, store.DefaultPageSize, 8, PointLeaves)
+		evictions := poolCounter(base, "evictions")
 		if base.MaxEntries(false) != 19 || base.MaxEntries(true) != 38 {
 			t.Fatalf("store capacities %d (leaf), %d (inner), want 38 and 19", base.MaxEntries(true), base.MaxEntries(false))
 		}
@@ -473,7 +477,7 @@ func TestProbeBallPruningExact(t *testing.T) {
 		defer view.Release()
 		pruned = checkBallPruning(t, "packed point-leaf live", tr, packed, probes) || pruned
 		pruned = checkBallPruning(t, "packed point-leaf view", view, packed, probes) || pruned
-		if st := base.pool.Stats(); st.Evictions == 0 {
+		if evictions.Value() == 0 {
 			t.Fatal("pool never evicted: the tree fits the pool")
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"walrus/internal/obs"
 	"walrus/internal/store"
 )
 
@@ -67,7 +68,7 @@ func TestProbeBallMatchesEuclid(t *testing.T) {
 		if !ballKeeps(edgeC, p, edgeEps) {
 			t.Fatalf("euclid drops %v: the cube-edge point no longer tests the boundary", p)
 		}
-		if Point(p).Intersects(Point(edgeC).Expand(edgeEps)) {
+		if intersects(Point(p), Point(edgeC).Expand(edgeEps)) {
 			t.Fatalf("the ε-cube holds %v: the cube-edge point no longer tests the boundary", p)
 		}
 	}
@@ -95,8 +96,10 @@ func TestProbeBallMatchesEuclid(t *testing.T) {
 	for _, kind := range storeKinds {
 		t.Run("paged="+kind.name, func(t *testing.T) {
 			var base NodeStore
+			var evictions *obs.Counter
 			if kind.paged {
-				base = newPagedStore(t, dim, store.DefaultPageSize, 8, kind.leaves)
+				ps := newPagedStore(t, dim, store.DefaultPageSize, 8, kind.leaves)
+				base, evictions = ps, poolCounter(ps, "evictions")
 			} else {
 				ms, err := NewMemStore(dim, 16, kind.leaves)
 				if err != nil {
@@ -148,7 +151,7 @@ func TestProbeBallMatchesEuclid(t *testing.T) {
 			checkBallOnly(t, "pinned old view", old, before, probes)
 			checkBallOnly(t, "live after writes", tr, after, probes)
 			if kind.paged {
-				if st := base.(*PagedStore).pool.Stats(); st.Evictions == 0 {
+				if evictions.Value() == 0 {
 					t.Fatal("pool never evicted: the tree fits the pool")
 				}
 			}
@@ -181,6 +184,7 @@ func TestProbeBallMatchesEuclid(t *testing.T) {
 // mismatch. The entry-count bound is checked on every scan regardless.
 func TestPagedStoreChecksOncePerResidence(t *testing.T) {
 	tr, ps, _ := pagedBulkTree(t, 1024, 3, 600, 512, PointLeaves)
+	evictions := poolCounter(ps, "evictions")
 	if _, err := tr.SearchAll(everything(3)); err != nil {
 		t.Fatal(err) // admits and checks every page
 	}
@@ -224,7 +228,7 @@ func TestPagedStoreChecksOncePerResidence(t *testing.T) {
 	if err := search(); err == nil || !strings.Contains(err.Error(), "claims") {
 		t.Fatalf("a checked frame's entry count must be bounded on every scan, got %v", err)
 	}
-	if st := ps.pool.Stats(); st.Evictions != 0 {
-		t.Fatalf("pool evicted %d frames: the test needs every page resident", st.Evictions)
+	if n := evictions.Value(); n != 0 {
+		t.Fatalf("pool evicted %d frames: the test needs every page resident", n)
 	}
 }

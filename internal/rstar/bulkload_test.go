@@ -151,7 +151,7 @@ func TestBulkLoadQuick(t *testing.T) {
 func TestBulkLoadPaged(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bulk.db")
-	pg, err := store.Create(path, 2048)
+	pg, err := createPager(path, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestBulkLoadPaged(t *testing.T) {
 	}
 	pg.Close()
 
-	pg2, err := store.Open(path)
+	pg2, err := openPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +230,8 @@ func TestBulkLoadPackingDensity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bulkStore.NumNodes() > insStore.NumNodes() {
-		t.Fatalf("bulk load used %d nodes, insertion used %d", bulkStore.NumNodes(), insStore.NumNodes())
+	if liveNodes(bulkStore) > liveNodes(insStore) {
+		t.Fatalf("bulk load used %d nodes, insertion used %d", liveNodes(bulkStore), liveNodes(insStore))
 	}
 }
 

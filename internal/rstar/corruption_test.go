@@ -16,7 +16,7 @@ import (
 func TestPagedStoreDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "corrupt.db")
-	pg, err := store.Create(path, 1024)
+	pg, err := createPager(path, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPagedStoreDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pg2, err := store.Open(path)
+	pg2, err := openPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPagedStoreDetectsCorruption(t *testing.T) {
 func TestPagedStoreSurvivesUncorruptedReload(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "clean.db")
-	pg, err := store.Create(path, 1024)
+	pg, err := createPager(path, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPagedStoreSurvivesUncorruptedReload(t *testing.T) {
 	}
 	pg.Close()
 
-	pg2, err := store.Open(path)
+	pg2, err := openPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,6 @@ type MemStore struct {
 	layout
 	max     int
 	pages   [][]byte // pages[id]; nil once freed (and for InvalidNode)
-	live    int
 	meta    Meta
 	scratch []byte // Put's encoding, before it is known to differ
 	// recent holds the nodes Get decoded, direct-mapped by id: every insert
@@ -126,7 +125,6 @@ func (s *MemStore) New(leaf bool) (*Node, error) {
 	page := make([]byte, pagedHeader)
 	s.encode(n, page)
 	s.pages = append(s.pages, page)
-	s.live++
 	return n, nil
 }
 
@@ -189,7 +187,6 @@ func (s *MemStore) Free(id NodeID) error {
 		return err
 	}
 	s.pages[id] = nil
-	s.live--
 	return nil
 }
 
@@ -201,6 +198,3 @@ func (s *MemStore) SetMeta(m Meta) error {
 	s.meta = m
 	return nil
 }
-
-// NumNodes reports how many nodes are live (handy in tests).
-func (s *MemStore) NumNodes() int { return s.live }

@@ -39,7 +39,7 @@ func countLeaves(t *testing.T, tr *Tree) (leaves int) {
 func TestPagedStorePointLeaves(t *testing.T) {
 	const dim, n = 12, 3000
 	path := filepath.Join(t.TempDir(), "points.db")
-	pg, err := store.Create(path, store.DefaultPageSize)
+	pg, err := createPager(path, store.DefaultPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +158,9 @@ func TestPagedStoreLeafKind(t *testing.T) {
 		var pg *store.Pager
 		var err error
 		if create {
-			pg, err = store.Create(path, store.DefaultPageSize)
+			pg, err = createPager(path, store.DefaultPageSize)
 		} else {
-			pg, err = store.Open(path)
+			pg, err = openPager(path)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -165,9 +165,9 @@ func minDiff(c float64, lo, hi []byte) float64 {
 	return diff
 }
 
-// intersectsRaw is Rect.Intersects for an entry rectangle in page form
-// whose maxs start at float hi: hi = dim for a box, 0 for a point, whose
-// maxs are its mins.
+// intersectsRaw reports whether an entry rectangle in page form, whose
+// maxs start at float hi (hi = dim for a box, 0 for a point, whose maxs
+// are its mins), shares any point with q; touching counts.
 func intersectsRaw(box []byte, hi int, q Rect) bool {
 	lo, up := box, box[8*hi:]
 	for j, qlo := range q.Min {
@@ -279,7 +279,7 @@ func (l layout) scanPage(d *descent, page []byte, lo, hi int) {
 		d.counts.EntryTests += count * len(active)
 		// A point leaf's entry is its coordinates alone: the ball test
 		// reads them as a point, and the box test reads them as both
-		// corners, which is Intersects on a point.
+		// corners.
 		hi := l.hiOffset(true)
 		for ; len(entries) > 0; entries = entries[stride:] {
 			box := entries[pagedRefBytes:stride]

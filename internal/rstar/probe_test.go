@@ -1,13 +1,16 @@
 package rstar
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
+	"walrus/internal/obs"
 	"walrus/internal/store"
 )
 
@@ -24,7 +27,7 @@ type refEntry struct {
 func bruteProbe(entries []refEntry, p Probe) []int64 {
 	var out []int64
 	for _, e := range entries {
-		if !e.rect.Intersects(p.Box) || (p.Center != nil && !ballKeeps(p.Center, e.rect.Min, p.Eps)) {
+		if !intersects(e.rect, p.Box) || (p.Center != nil && !ballKeeps(p.Center, e.rect.Min, p.Eps)) {
 			continue
 		}
 		out = append(out, e.data)
@@ -172,8 +175,10 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 						return refEntry{r, data}
 					}
 					var base NodeStore
+					var evictions *obs.Counter
 					if paged {
-						base = newPagedStore(t, dim, 1024, 8, kind.leaves)
+						ps := newPagedStore(t, dim, 1024, 8, kind.leaves)
+						base, evictions = ps, poolCounter(ps, "evictions")
 					} else {
 						ms, err := NewMemStore(dim, 8, kind.leaves)
 						if err != nil {
@@ -249,7 +254,7 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 					checkProbes(t, "live after writes", tr, after, rng, dim)
 					checkProbes(t, "view after writes", cur, after, rng, dim)
 					if paged {
-						if st := base.(*PagedStore).pool.Stats(); st.Evictions == 0 {
+						if evictions.Value() == 0 {
 							t.Fatal("pool never evicted: the tree fits the pool and page recycling went untested")
 						}
 					}
@@ -279,9 +284,44 @@ func TestProbeValidatesDimensions(t *testing.T) {
 // newPagedStore is a PagedStore with the given leaf kind for
 // dim-dimensional entries on a fresh page file of pageSize pages, behind a
 // pool of frames frames.
+// createPager creates a page file at path, truncating any existing file.
+func createPager(path string, pageSize int) (*store.Pager, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	pg, err := store.CreateFile(f, pageSize)
+	if err != nil {
+		return nil, errors.Join(err, f.Close())
+	}
+	return pg, nil
+}
+
+// openPager opens the page file at path.
+func openPager(path string) (*store.Pager, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	pg, err := store.OpenFile(f)
+	if err != nil {
+		return nil, errors.Join(err, f.Close())
+	}
+	return pg, nil
+}
+
+// poolCounter attaches a fresh registry to ps's buffer pool and returns
+// its walrus_bufpool_<name>_total counter, which counts what the pool
+// does from then on.
+func poolCounter(ps *PagedStore, name string) *obs.Counter {
+	reg := obs.NewRegistry()
+	ps.pool.SetMetrics(reg)
+	return reg.Counter("walrus_bufpool_"+name+"_total", "")
+}
+
 func newPagedStore(tb testing.TB, dim, pageSize, frames int, leaves LeafKind) *PagedStore {
 	tb.Helper()
-	pg, err := store.Create(filepath.Join(tb.TempDir(), "tree.db"), pageSize)
+	pg, err := createPager(filepath.Join(tb.TempDir(), "tree.db"), pageSize)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -332,7 +372,7 @@ func pagedBulkTree(tb testing.TB, pageSize, dim, n, poolPages int, leaves LeafKi
 func pagedPointTree(tb testing.TB, pageSize, dim, poolPages int, pts [][]float64, leaves LeafKind) (*Tree, *PagedStore, string) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "tree.db")
-	pg, err := store.Create(path, pageSize)
+	pg, err := createPager(path, pageSize)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -397,7 +437,7 @@ func TestProbePagedAllocations(t *testing.T) {
 			n = 7000
 		}
 		tr, ps, _ := pagedBulkTree(t, 1024, 3, n, 512, leaves)
-		checkProbeAllocations(t, fmt.Sprintf("paged/points=%v", ps.points), tr, ps.pg.NumPages()-1)
+		checkProbeAllocations(t, fmt.Sprintf("paged/points=%v", ps.points), tr, nodeCount(t, tr))
 	}
 	rng := rand.New(rand.NewSource(5))
 	rects, data := make([]Rect, 3000), make([]int64, 3000)
@@ -413,7 +453,7 @@ func TestProbePagedAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkProbeAllocations(t, fmt.Sprintf("mem/points=%v", ms.points), tr, ms.NumNodes())
+		checkProbeAllocations(t, fmt.Sprintf("mem/points=%v", ms.points), tr, liveNodes(ms))
 	}
 
 	ms, err := NewMemStore(3, 8, PointLeaves)
@@ -443,7 +483,27 @@ func TestProbePagedAllocations(t *testing.T) {
 	if vs.Retained() < 100 {
 		t.Fatalf("%d pre-images retained: the pinned view would barely read the overlay", vs.Retained())
 	}
-	checkProbeAllocations(t, "pinned view", view, ms.NumNodes())
+	checkProbeAllocations(t, "pinned view", view, liveNodes(ms))
+}
+
+// nodeCount counts the nodes of tr.
+func nodeCount(t *testing.T, tr *Tree) int {
+	n := 0
+	for _, level := range levelSizes(t, tr) {
+		n += len(level)
+	}
+	return n
+}
+
+// liveNodes counts the nodes s holds: every page not freed.
+func liveNodes(s *MemStore) int {
+	n := 0
+	for _, page := range s.pages {
+		if page != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func checkProbeAllocations(t *testing.T, what string, src prober, nodes int) {

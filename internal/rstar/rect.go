@@ -76,16 +76,6 @@ func (r Rect) Margin() float64 {
 	return m
 }
 
-// Intersects reports whether r and o share any point (touching counts).
-func (r Rect) Intersects(o Rect) bool {
-	for i := range r.Min {
-		if r.Min[i] > o.Max[i] || o.Min[i] > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains reports whether o lies entirely within r.
 func (r Rect) Contains(o Rect) bool {
 	for i := range r.Min {

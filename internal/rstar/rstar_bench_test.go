@@ -150,7 +150,7 @@ func benchProbePaged(b *testing.B, prefix string, tr *Tree, ps *PagedStore, sets
 		b.Run(prefix+bc.name, func(b *testing.B) {
 			hits, visits, tests := 0, 0, 0
 			emit := func(int, int64) { hits++ }
-			misses := ps.pool.Stats().Misses
+			misses := poolCounter(ps, "misses")
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -163,7 +163,7 @@ func benchProbePaged(b *testing.B, prefix string, tr *Tree, ps *PagedStore, sets
 			}
 			b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
 			b.ReportMetric(float64(tests)/float64(b.N), "entry_tests/op")
-			b.ReportMetric(float64(ps.pool.Stats().Misses-misses)/float64(b.N), "pager_reads/op")
+			b.ReportMetric(float64(misses.Value())/float64(b.N), "pager_reads/op")
 			if hits == 0 {
 				b.Fatal("probes matched nothing")
 			}

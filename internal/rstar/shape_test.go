@@ -207,7 +207,7 @@ func TestInsertShapeGolden(t *testing.T) {
 			}},
 		{name: "paged8frames", n: 1500, boxes: true, want: "dae0364601530d22b6774a67a65a34243d07dfd4ebb2cacc26651686c32937a2",
 			store: func(t *testing.T) NodeStore {
-				pg, err := store.Create(filepath.Join(t.TempDir(), "shape.db"), 4096)
+				pg, err := createPager(filepath.Join(t.TempDir(), "shape.db"), 4096)
 				if err != nil {
 					t.Fatal(err)
 				}

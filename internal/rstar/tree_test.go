@@ -26,7 +26,7 @@ func randomRect(rng *rand.Rand, dim int) Rect {
 func bruteSearch(rects []Rect, q Rect) []int64 {
 	var out []int64
 	for i, r := range rects {
-		if r.Intersects(q) {
+		if intersects(r, q) {
 			out = append(out, int64(i))
 		}
 	}
@@ -295,7 +295,7 @@ func TestDuplicateRectsAllowed(t *testing.T) {
 func TestPagedStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tree.db")
-	pg, err := store.Create(path, 2048)
+	pg, err := createPager(path, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestPagedStoreRoundTrip(t *testing.T) {
 	}
 
 	// Reopen from disk and verify queries match brute force.
-	pg2, err := store.Open(path)
+	pg2, err := openPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestPagedStoreRoundTrip(t *testing.T) {
 
 func TestPagedStoreDimensionGuard(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dim.db")
-	pg, err := store.Create(path, 1024)
+	pg, err := createPager(path, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func newVersionedMemTree(t *testing.T, dim int) *Tree {
 // a temp file.
 func newVersionedPagedTree(t *testing.T, dim int) *Tree {
 	t.Helper()
-	pg, err := store.Create(filepath.Join(t.TempDir(), "tree.db"), 2048)
+	pg, err := createPager(filepath.Join(t.TempDir(), "tree.db"), 2048)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,15 +46,6 @@ func (f *Frame) Checked() bool { return f.checked.Load() }
 // modified.
 func (f *Frame) MarkChecked() { f.checked.Store(true) }
 
-// PoolStats counts buffer pool activity.
-type PoolStats struct {
-	Hits, Misses, Evictions, Flushes uint64
-	// FailedWriteBacks counts dirty write-backs that errored during
-	// eviction; the pool keeps the frame resident and records a sticky
-	// I/O error (see Err).
-	FailedWriteBacks uint64
-}
-
 // FlushHook is consulted immediately before a dirty page is written back
 // to the pager. A WAL-backed database installs a hook that forces the log
 // durable up to the frame's LSN, enforcing the log-before-flush (WAL)
@@ -71,8 +62,7 @@ type BufferPool struct {
 
 	mu     sync.Mutex
 	frames map[PageID]*Frame
-	lru    *list.List // front = most recently used; holds unpinned and pinned frames alike
-	stats  PoolStats
+	lru    *list.List  // front = most recently used; holds unpinned and pinned frames alike
 	om     poolMetrics // guarded by mu; zero value = observability off
 	hook   FlushHook
 	ioErr  error // sticky: first failed write-back, surfaced on later calls
@@ -98,13 +88,6 @@ func NewBufferPool(p *Pager, capacity int) (*BufferPool, error) {
 		frames: make(map[PageID]*Frame),
 		lru:    list.New(),
 	}, nil
-}
-
-// Stats returns a snapshot of pool counters.
-func (bp *BufferPool) Stats() PoolStats {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.stats
 }
 
 // SetFlushHook installs (or, with nil, removes) the log-before-flush
@@ -133,13 +116,11 @@ func (bp *BufferPool) Get(id PageID) (*Frame, error) {
 		return nil, bp.ioErr
 	}
 	if f, ok := bp.frames[id]; ok {
-		bp.stats.Hits++
 		bp.om.hits.Inc()
 		f.pins++
 		bp.lru.MoveToFront(f.elem)
 		return f, nil
 	}
-	bp.stats.Misses++
 	bp.om.misses.Inc()
 	f, err := bp.admit(id)
 	if err != nil {
@@ -229,14 +210,12 @@ func (bp *BufferPool) evictOneLocked() bool {
 				start = obs.Clock()
 			}
 			if err := bp.pager.WritePage(f.ID, f.Data, f.LSN); err != nil {
-				bp.stats.FailedWriteBacks++
 				bp.om.failedWriteBacks.Inc()
 				if bp.ioErr == nil {
 					bp.ioErr = fmt.Errorf("store: evicting page %d: %w", f.ID, err)
 				}
 				continue
 			}
-			bp.stats.Flushes++
 			bp.om.flushes.Inc()
 			if bp.om.reg != nil {
 				bp.om.reg.RecordSpan("bufpool.evict", 0, start, obs.Since(start),
@@ -244,7 +223,6 @@ func (bp *BufferPool) evictOneLocked() bool {
 			}
 		}
 		bp.drop(f)
-		bp.stats.Evictions++
 		bp.om.evictions.Inc()
 		return true
 	}
@@ -356,7 +334,6 @@ func (bp *BufferPool) FlushAll() error {
 			return err
 		}
 		bp.setDirty(f, false)
-		bp.stats.Flushes++
 		// mu is still held here; the linear lock scan mistakes the
 		// error-branch Unlocks above for a release.
 		bp.om.flushes.Inc() //walrus:lint-ignore lockdiscipline mu held; linear scan false positive after error-branch Unlock

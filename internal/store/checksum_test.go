@@ -33,7 +33,7 @@ func TestPageFooterRoundTrip(t *testing.T) {
 // returning garbage.
 func TestHeapPageChecksumDetectsFlippedByte(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "heap.db")
-	p, err := Create(path, 256)
+	p, err := createAt(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestHeapPageChecksumDetectsFlippedByte(t *testing.T) {
 	}
 	f.Close()
 
-	q, err := Open(path)
+	q, err := openAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func newTestHeap(t *testing.T, pageSize, poolSize int) (*HeapFile, *Pager, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "heap.db")
-	pg, err := Create(path, pageSize)
+	pg, err := createAt(path, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestHeapSpillsAcrossPages(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	if pg.NumPages() < 5 {
-		t.Fatalf("expected multiple pages, have %d", pg.NumPages())
+	if n := statsOf(pg).TotalPages; n < 5 {
+		t.Fatalf("expected multiple pages, have %d", n)
 	}
 	pages := map[PageID]bool{}
 	for _, rid := range rids {
@@ -266,7 +266,7 @@ func TestHeapScan(t *testing.T) {
 // chain still holds every record after the append.
 func TestHeapReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reopen.db")
-	pg, err := Create(path, 256)
+	pg, err := createAt(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestHeapReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pg2, err := Open(path)
+	pg2, err := openAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -62,7 +61,6 @@ type Pager struct {
 	nPages   uint32 // includes the meta page
 	free     []PageID
 	freeCap  int
-	leaked   uint64 // frees dropped because the meta free list was full
 	roots    [numRoots]uint64
 	walBase  uint64
 
@@ -71,19 +69,6 @@ type Pager struct {
 	metaLSN   uint64       // stamped into the meta page footer on write-back
 	om        pagerMetrics // guarded by mu; zero value = observability off
 	scratch   []byte       // one physical page, reused under mu
-}
-
-// Create creates a new page file at path, truncating any existing file.
-func Create(path string, pageSize int) (*Pager, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: creating %s: %w", path, err)
-	}
-	p, err := CreateFile(f, pageSize)
-	if err != nil {
-		return nil, errors.Join(err, f.Close())
-	}
-	return p, nil
 }
 
 // CreateFile initializes a new page file on an already-open File.
@@ -98,19 +83,6 @@ func CreateFile(f File, pageSize int) (*Pager, error) {
 	p.initDerived()
 	if err := p.writeMeta(); err != nil {
 		return nil, err
-	}
-	return p, nil
-}
-
-// Open opens an existing page file.
-func Open(path string) (*Pager, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening %s: %w", path, err)
-	}
-	p, err := OpenFile(f)
-	if err != nil {
-		return nil, errors.Join(fmt.Errorf("store: %s: %w", path, err), f.Close())
 	}
 	return p, nil
 }
@@ -171,14 +143,6 @@ func (p *Pager) PageSize() int { return p.usable }
 // PhysicalPageSize returns the on-disk page size including the footer.
 func (p *Pager) PhysicalPageSize() int { return p.pageSize }
 
-// NumPages returns the number of pages in the file, including the meta
-// page and freed pages.
-func (p *Pager) NumPages() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int(p.nPages)
-}
-
 // Root returns user root slot i (0..7); the pager persists these opaque
 // values so clients can find their data structures after reopening.
 func (p *Pager) Root(i int) uint64 {
@@ -195,13 +159,6 @@ func (p *Pager) SetRoot(i int, v uint64) {
 		p.roots[i] = v
 		p.touchMeta()
 	}
-}
-
-// WALBase returns the fallback WAL base LSN stored in the meta page.
-func (p *Pager) WALBase() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.walBase
 }
 
 // SetWALBase records the WAL base LSN that a fresh log generation will
@@ -332,8 +289,8 @@ func (p *Pager) Alloc() (PageID, error) {
 
 // Free returns a page to the free list. The free list lives entirely in
 // the meta page; if it is full the page is leaked until the file is
-// rebuilt (tracked in Stats), which keeps every allocation state change
-// recoverable from a single logged meta page image.
+// rebuilt, which keeps every allocation state change recoverable from a
+// single logged meta page image.
 func (p *Pager) Free(id PageID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -341,7 +298,6 @@ func (p *Pager) Free(id PageID) error {
 		return err
 	}
 	if len(p.free) >= p.freeCap {
-		p.leaked++
 		return nil
 	}
 	p.free = append(p.free, id)
@@ -426,29 +382,4 @@ func (p *Pager) Close() error {
 		return errors.Join(err, p.f.Close())
 	}
 	return p.f.Close()
-}
-
-// PagerStats summarizes a pager's space accounting.
-type PagerStats struct {
-	// PageSize is the usable page size in bytes.
-	PageSize int
-	// TotalPages counts all pages in the file, including the meta page.
-	TotalPages int
-	// FreePages counts pages currently on the free list.
-	FreePages int
-	// LeakedPages counts frees dropped because the meta free list was
-	// full; the space is reclaimed only by rebuilding the file.
-	LeakedPages int
-}
-
-// Stats reports space accounting.
-func (p *Pager) Stats() (PagerStats, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PagerStats{
-		PageSize:    p.usable,
-		TotalPages:  int(p.nPages),
-		FreePages:   len(p.free),
-		LeakedPages: int(p.leaked),
-	}, nil
 }

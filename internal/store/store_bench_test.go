@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkBufferPoolGetHit(b *testing.B) {
-	p, err := Create(filepath.Join(b.TempDir(), "bench.db"), 4096)
+	p, err := createAt(filepath.Join(b.TempDir(), "bench.db"), 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func BenchmarkBufferPoolGetHit(b *testing.B) {
 }
 
 func BenchmarkBufferPoolEvictionChurn(b *testing.B) {
-	p, err := Create(filepath.Join(b.TempDir(), "churn.db"), 4096)
+	p, err := createAt(filepath.Join(b.TempDir(), "churn.db"), 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkBufferPoolEvictionChurn(b *testing.B) {
 }
 
 func BenchmarkHeapInsert(b *testing.B) {
-	p, err := Create(filepath.Join(b.TempDir(), "heap.db"), 4096)
+	p, err := createAt(filepath.Join(b.TempDir(), "heap.db"), 4096)
 	if err != nil {
 		b.Fatal(err)
 	}

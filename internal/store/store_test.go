@@ -4,14 +4,52 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"walrus/internal/obs"
 )
+
+// createAt creates a new page file at path, truncating any existing file.
+func createAt(path string, pageSize int) (*Pager, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	p, err := CreateFile(f, pageSize)
+	if err != nil {
+		return nil, errors.Join(err, f.Close())
+	}
+	return p, nil
+}
+
+// openAt opens an existing page file.
+func openAt(path string) (*Pager, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	p, err := OpenFile(f)
+	if err != nil {
+		return nil, errors.Join(err, f.Close())
+	}
+	return p, nil
+}
+
+// countPool attaches a fresh registry to bp and returns a reader of its
+// walrus_bufpool_<name>_total counters, which count what bp does from
+// then on.
+func countPool(bp *BufferPool) func(name string) uint64 {
+	reg := obs.NewRegistry()
+	bp.SetMetrics(reg)
+	return func(name string) uint64 { return reg.Counter("walrus_bufpool_"+name+"_total", "").Value() }
+}
 
 func newTestPager(t *testing.T, pageSize int) (*Pager, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "pages.db")
-	p, err := Create(path, pageSize)
+	p, err := createAt(path, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +58,7 @@ func newTestPager(t *testing.T, pageSize int) (*Pager, string) {
 }
 
 func TestPagerCreateRejectsTinyPages(t *testing.T) {
-	if _, err := Create(filepath.Join(t.TempDir(), "x.db"), 16); err == nil {
+	if _, err := createAt(filepath.Join(t.TempDir(), "x.db"), 16); err == nil {
 		t.Fatal("Create accepted 16-byte pages")
 	}
 }
@@ -99,7 +137,7 @@ func TestPagerFreeListReuse(t *testing.T) {
 
 func TestPagerPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "persist.db")
-	p, err := Create(path, 512)
+	p, err := createAt(path, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +155,7 @@ func TestPagerPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := Open(path)
+	q, err := openAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +191,7 @@ func TestPagerPersistence(t *testing.T) {
 
 func TestPagerWALBasePersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "base.db")
-	p, err := Create(path, 256)
+	p, err := createAt(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +199,12 @@ func TestPagerWALBasePersists(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Open(path)
+	q, err := openAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	if got := q.WALBase(); got != 123456 {
+	if got := q.walBase; got != 123456 {
 		t.Fatalf("WALBase = %d, want 123456", got)
 	}
 }
@@ -189,17 +227,17 @@ func TestPagerMetaVersionTracksMutations(t *testing.T) {
 
 func TestPagerOpenRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "garbage.db")
-	p, err := Create(path, 256)
+	p, err := createAt(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
-	f, err := Open(path)
+	f, err := openAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := Open(filepath.Join(t.TempDir(), "missing.db")); err == nil {
+	if _, err := openAt(filepath.Join(t.TempDir(), "missing.db")); err == nil {
 		t.Error("Open accepted missing file")
 	}
 }
@@ -210,6 +248,7 @@ func TestBufferPoolBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countPool(bp)
 	f, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -226,9 +265,8 @@ func TestBufferPoolBasic(t *testing.T) {
 		t.Fatalf("cached data = %q", g.Data[:6])
 	}
 	bp.Unpin(g, false)
-	st := bp.Stats()
-	if st.Hits != 1 {
-		t.Fatalf("Hits = %d, want 1", st.Hits)
+	if hits := count("hits"); hits != 1 {
+		t.Fatalf("hits = %d, want 1", hits)
 	}
 }
 
@@ -238,6 +276,7 @@ func TestBufferPoolEvictionWritesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countPool(bp)
 	var ids []PageID
 	for i := 0; i < 5; i++ {
 		f, err := bp.NewPage()
@@ -260,8 +299,8 @@ func TestBufferPoolEvictionWritesBack(t *testing.T) {
 		}
 		bp.Unpin(f, false)
 	}
-	if st := bp.Stats(); st.Evictions == 0 || st.Flushes == 0 {
-		t.Fatalf("expected evictions and flushes, got %+v", st)
+	if count("evictions") == 0 || count("flushes") == 0 {
+		t.Fatalf("expected evictions and flushes, got %d and %d", count("evictions"), count("flushes"))
 	}
 }
 
@@ -298,7 +337,7 @@ func TestBufferPoolUnpinPanicsWhenUnpinned(t *testing.T) {
 
 func TestBufferPoolFlushAllPersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flush.db")
-	p, err := Create(path, 256)
+	p, err := createAt(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +351,7 @@ func TestBufferPoolFlushAllPersists(t *testing.T) {
 	}
 	p.Close()
 
-	q, err := Open(path)
+	q, err := openAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,6 +413,7 @@ func TestBufferPoolRecycledBufferNeverAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countPool(bp)
 	a := filledPage(t, bp, 0xA1)
 	filledPage(t, bp, 0xB2)
 	c := filledPage(t, bp, 0xC3) // evicts A: its buffer is recycled for C
@@ -402,8 +442,8 @@ func TestBufferPoolRecycledBufferNeverAliases(t *testing.T) {
 	want(fc, 0xC3)
 	bp.Unpin(fa, false)
 	bp.Unpin(fc, false)
-	if st := bp.Stats(); st.Evictions < 2 {
-		t.Fatalf("expected at least 2 evictions, got %+v", st)
+	if n := count("evictions"); n < 2 {
+		t.Fatalf("expected at least 2 evictions, got %d", n)
 	}
 }
 
@@ -415,14 +455,15 @@ func TestBufferPoolNewPageZeroesRecycledBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := countPool(bp)
 	filledPage(t, bp, 0xFF)
 	f, err := bp.NewPage() // evicts the 0xFF page and takes its buffer
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bp.Unpin(f, false)
-	if bp.Stats().Evictions != 1 {
-		t.Fatalf("expected the first page to be evicted, got %+v", bp.Stats())
+	if n := count("evictions"); n != 1 {
+		t.Fatalf("expected the first page to be evicted, got %d evictions", n)
 	}
 	for i, b := range f.Data {
 		if b != 0 {
@@ -566,7 +607,7 @@ func (f *failAfterFile) WriteAt(p []byte, off int64) (int, error) {
 // returned from subsequent pool calls.
 func TestBufferPoolEvictionErrorIsSticky(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sticky.db")
-	inner, err := Create(path, 256)
+	inner, err := createAt(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,6 +617,7 @@ func TestBufferPoolEvictionErrorIsSticky(t *testing.T) {
 	p.f = ff
 
 	bp, _ := NewBufferPool(p, 2)
+	count := countPool(bp)
 	a, _ := bp.NewPage()
 	b, _ := bp.NewPage()
 	bp.Unpin(a, true)
@@ -592,8 +634,8 @@ func TestBufferPoolEvictionErrorIsSticky(t *testing.T) {
 	if err := bp.Err(); err == nil {
 		t.Fatal("Err() returned nil after failed write-back")
 	}
-	if st := bp.Stats(); st.FailedWriteBacks == 0 {
-		t.Fatalf("FailedWriteBacks = 0, want > 0: %+v", st)
+	if count("failed_writebacks") == 0 {
+		t.Fatal("failed write-backs = 0, want > 0")
 	}
 	// The sticky error surfaces from every later call, even after the
 	// underlying device "recovers".
@@ -649,12 +691,25 @@ func TestPagerManyPagesStress(t *testing.T) {
 	}
 }
 
+// pagerStats is a pager's space accounting.
+type pagerStats struct {
+	// PageSize is the usable page size in bytes.
+	PageSize int
+	// TotalPages counts all pages in the file, including the meta page.
+	TotalPages int
+	// FreePages counts pages currently on the free list.
+	FreePages int
+}
+
+func statsOf(p *Pager) pagerStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return pagerStats{PageSize: p.usable, TotalPages: int(p.nPages), FreePages: len(p.free)}
+}
+
 func TestPagerStats(t *testing.T) {
 	p, _ := newTestPager(t, 256)
-	s, err := p.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := statsOf(p)
 	if s.TotalPages != 1 || s.FreePages != 0 || s.PageSize != 256-PageFooterSize {
 		t.Fatalf("fresh stats: %+v", s)
 	}
@@ -666,19 +721,14 @@ func TestPagerStats(t *testing.T) {
 	if err := p.Free(b); err != nil {
 		t.Fatal(err)
 	}
-	s, err = p.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TotalPages != 3 || s.FreePages != 2 {
+	if s = statsOf(p); s.TotalPages != 3 || s.FreePages != 2 {
 		t.Fatalf("stats after free: %+v", s)
 	}
 	// Reuse shrinks the free list.
 	if _, err := p.Alloc(); err != nil {
 		t.Fatal(err)
 	}
-	s, _ = p.Stats()
-	if s.FreePages != 1 {
+	if s = statsOf(p); s.FreePages != 1 {
 		t.Fatalf("stats after realloc: %+v", s)
 	}
 }
@@ -695,6 +745,7 @@ func TestBufferPoolDirtyCountMatchesRecount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		count := countPool(bp)
 		if noSteal {
 			bp.SetFlushHook(func(PageID, uint64) error { return nil })
 		}
@@ -745,7 +796,7 @@ func TestBufferPoolDirtyCountMatchesRecount(t *testing.T) {
 				t.Fatalf("noSteal=%v step %d: DirtyCount %d, recount %d", noSteal, step, got, want)
 			}
 		}
-		if bp.Stats().Evictions == 0 {
+		if count("evictions") == 0 {
 			t.Fatalf("noSteal=%v: the run never evicted", noSteal)
 		}
 	}

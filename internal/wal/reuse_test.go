@@ -41,7 +41,7 @@ func checkpointAndReset(t *testing.T, l *Log) {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.EndLSN(); got != next {
+	if got := endLSN(l); got != next {
 		t.Fatalf("NextBase predicted %d, checkpoint ended at %d", next, got)
 	}
 	if err := l.Reset(next); err != nil {

@@ -147,21 +147,6 @@ func decodeHeader(h []byte) (pageSize int, base LSN, ok bool) {
 // lsnAt maps a file offset to an LSN. Caller holds mu.
 func (l *Log) lsnAt(off int64) LSN { return l.base + LSN(off-headerSize) }
 
-// EndLSN returns the LSN one past the last appended record (including
-// buffered, not-yet-written appends).
-func (l *Log) EndLSN() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lsnAt(l.written + int64(len(l.buf)))
-}
-
-// DurableLSN returns the LSN up to which the log is known fsynced.
-func (l *Log) DurableLSN() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lsnAt(l.durable)
-}
-
 // Size returns the log's logical size in bytes, including buffered
 // appends — the quantity checkpoint scheduling throttles on.
 func (l *Log) Size() int64 {

@@ -11,6 +11,21 @@ import (
 
 const testPageSize = 256
 
+// endLSN returns the LSN one past the last record appended to l
+// (including buffered, not-yet-written appends).
+func endLSN(l *Log) LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lsnAt(l.written + int64(len(l.buf)))
+}
+
+// durableLSN returns the LSN up to which l is known fsynced.
+func durableLSN(l *Log) LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lsnAt(l.durable)
+}
+
 func openFile(t *testing.T, path string) *os.File {
 	t.Helper()
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -66,8 +81,8 @@ func TestLogAppendAndRecoverPages(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if l.DurableLSN() < lsn2 {
-		t.Fatalf("DurableLSN %d below last record %d", l.DurableLSN(), lsn2)
+	if durableLSN(l) < lsn2 {
+		t.Fatalf("durable LSN %d below last record %d", durableLSN(l), lsn2)
 	}
 	l.Close()
 
@@ -285,8 +300,8 @@ func TestLogTornTailEveryOffset(t *testing.T) {
 			}
 			// Appending after recovery must work: the log is positioned
 			// at the committed end.
-			if cut >= headerSize && l2.EndLSN() != 1+LSN(committed-headerSize) {
-				t.Fatalf("cut %d padded=%v: EndLSN %d, want %d", cut, padded, l2.EndLSN(), 1+committed-headerSize)
+			if cut >= headerSize && endLSN(l2) != 1+LSN(committed-headerSize) {
+				t.Fatalf("cut %d padded=%v: end LSN %d, want %d", cut, padded, endLSN(l2), 1+committed-headerSize)
 			}
 			l2.AppendCommit()
 			if err := l2.Sync(); err != nil {
@@ -302,7 +317,7 @@ func TestLogResetPreservesLSNMonotonicity(t *testing.T) {
 	defer os.Remove(path)
 	l.AppendPage(1, pageImage(0x55))
 	l.AppendCommit()
-	end := l.EndLSN()
+	end := endLSN(l)
 	if err := l.Reset(end + RecordOverhead); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +325,7 @@ func TestLogResetPreservesLSNMonotonicity(t *testing.T) {
 	if lsn < end {
 		t.Fatalf("post-reset LSN %d below pre-reset end %d", lsn, end)
 	}
-	if err := l.Reset(l.EndLSN() - 1); err == nil {
+	if err := l.Reset(endLSN(l) - 1); err == nil {
 		t.Fatal("Reset accepted a base below the current end LSN")
 	}
 	l.Close()
@@ -401,7 +416,7 @@ func TestLogTornHeaderReinitializesWithFallback(t *testing.T) {
 	if stats.TornBytes != int64(len("garbage header")) {
 		t.Fatalf("TornBytes = %d", stats.TornBytes)
 	}
-	if got := l.EndLSN(); got != 777 {
+	if got := endLSN(l); got != 777 {
 		t.Fatalf("reinitialized base = %d, want fallback 777", got)
 	}
 }
@@ -411,14 +426,14 @@ func TestEnsureDurable(t *testing.T) {
 	defer l.Close()
 	lsn := l.AppendPage(1, pageImage(0x01))
 	l.AppendCommit()
-	if l.DurableLSN() > lsn {
+	if durableLSN(l) > lsn {
 		t.Fatal("record durable before any sync")
 	}
 	if err := l.EnsureDurable(lsn, true); err != nil {
 		t.Fatal(err)
 	}
-	if l.DurableLSN() <= lsn {
-		t.Fatalf("EnsureDurable did not advance DurableLSN past %d", lsn)
+	if durableLSN(l) <= lsn {
+		t.Fatalf("EnsureDurable did not advance the durable LSN past %d", lsn)
 	}
 	// LSN 0 ("never logged") is always a no-op.
 	if err := l.EnsureDurable(0, true); err != nil {

@@ -1,10 +1,8 @@
 // Package wavelet implements the wavelet machinery that WALRUS is built on:
 //
 //   - the two-dimensional non-standard Haar decomposition (Figure 2 of the
-//     paper) with the averaging convention of Section 3.1, the
-//     normalization that equalizes the importance of coefficients across
-//     resolution levels, and the inverses of both, which the tests use as
-//     oracles;
+//     paper) with the averaging convention of Section 3.1, and its
+//     inverse, which the tests use as an oracle;
 //   - naive per-window signature computation, which applies the full
 //     two-dimensional transform to every sliding window independently
 //     (O(N·ω²) for an N-pixel image and ω×ω windows);

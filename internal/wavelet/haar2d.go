@@ -1,9 +1,6 @@
 package wavelet
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Transform2D computes the two-dimensional non-standard Haar decomposition
 // of a square power-of-two matrix, following procedure computeWavelet in
@@ -77,44 +74,4 @@ func Inverse2D(coeffs Matrix) (Matrix, error) {
 		avg = next
 	}
 	return avg, nil
-}
-
-// Normalize2D scales the detail coefficients of a Transform2D result so
-// that coefficients at all scales carry equal importance: the detail bands
-// at resolution level j (level 0 being the coarsest, i.e. the three 1×1
-// quadrants next to the overall average) are divided by 2^j, the
-// two-dimensional normalization factor named in Section 3.2. The matrix
-// is modified in place and returned.
-func Normalize2D(coeffs Matrix) Matrix {
-	scaleBands(coeffs, func(level int) float64 { return 1 / math.Pow(2, float64(level)) })
-	return coeffs
-}
-
-// Denormalize2D undoes Normalize2D.
-func Denormalize2D(coeffs Matrix) Matrix {
-	scaleBands(coeffs, func(level int) float64 { return math.Pow(2, float64(level)) })
-	return coeffs
-}
-
-// scaleBands multiplies every detail coefficient by factor(level), where
-// level 0 is the coarsest detail band. Band level j occupies the three
-// quadrants whose rows/cols span [2^j, 2^(j+1)).
-func scaleBands(coeffs Matrix, factor func(level int) float64) {
-	w := coeffs.Rows
-	level := 0
-	for half := 1; half < w; half *= 2 {
-		f := factor(level)
-		for r := 0; r < half; r++ {
-			for c := half; c < 2*half; c++ {
-				coeffs.Set(r, c, coeffs.At(r, c)*f)
-				coeffs.Set(c, r, coeffs.At(c, r)*f)
-			}
-		}
-		for r := half; r < 2*half; r++ {
-			for c := half; c < 2*half; c++ {
-				coeffs.Set(r, c, coeffs.At(r, c)*f)
-			}
-		}
-		level++
-	}
 }

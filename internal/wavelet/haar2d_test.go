@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b)) }
@@ -123,43 +122,6 @@ func TestTransform2DConstantImage(t *testing.T) {
 		if !almostEqual(v, want) {
 			t.Fatalf("coefficient %d = %v, want %v", i, v, want)
 		}
-	}
-}
-
-// TestNormalize2DRoundTrip: Denormalize2D(Normalize2D(m)) == m.
-func TestNormalize2DRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		size := 1 << (1 + rng.Intn(5))
-		m := randomMatrix(rng, size)
-		orig := m.Clone()
-		Denormalize2D(Normalize2D(m))
-		return slicesAlmostEqual(m.Data, orig.Data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestNormalize2DPreservesCoarseBand: the overall average and the three
-// level-0 details are unchanged by normalization.
-func TestNormalize2DPreservesCoarseBand(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := randomMatrix(rng, 8)
-	coeffs, err := Transform2D(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := coeffs.Clone()
-	Normalize2D(coeffs)
-	for _, rc := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
-		if !almostEqual(coeffs.At(rc[0], rc[1]), orig.At(rc[0], rc[1])) {
-			t.Errorf("coefficient (%d,%d) changed by normalization", rc[0], rc[1])
-		}
-	}
-	// The finest band (level log2(8)-1 = 2) must be divided by 2^2 = 4.
-	if want := orig.At(0, 4) / 4; !almostEqual(coeffs.At(0, 4), want) {
-		t.Errorf("finest-band coefficient = %v, want %v", coeffs.At(0, 4), want)
 	}
 }
 

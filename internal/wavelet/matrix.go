@@ -40,13 +40,3 @@ func (m Matrix) String() string {
 
 // isPow2 reports whether v is a positive power of two.
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
-
-// log2 returns the base-2 logarithm of a power of two.
-func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}

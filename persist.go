@@ -196,31 +196,33 @@ func appendImageEntry(rids []uint64, b []byte) (imageEntry, []uint64, error) {
 	return e, rids, nil
 }
 
-// Create creates a disk-backed database in dir (which is created if
-// needed) with opts.Shards shards (0 means 1). One shard lives in dir
-// itself; more shards each get a self-contained shard-NNNN
-// subdirectory — its own page file and WAL — and a shards.json
-// manifest recording the count, written last, so a create that fails
-// part-way leaves no manifest naming shards that do not exist.
-func Create(dir string, opts Options) (*DB, error) {
-	return createLayout(dir, opts, nil, func(dir string, opts Options, _ []BatchItem) (*shard, error) {
-		return createShard(dir, opts)
-	})
-}
+// Create creates an empty disk-backed database in dir: CreateFrom with no
+// items.
+func Create(dir string, opts Options) (*DB, error) { return CreateFrom(dir, opts, nil, 0) }
 
-// createLayout lays out a disk-backed database in dir, building each
-// shard's directory from its part of items with mk. Any manifest already
-// in dir is removed first and the new one, when there is more than one
-// shard, is written only once every shard exists.
-func createLayout(dir string, opts Options, items []BatchItem, mk func(dir string, opts Options, items []BatchItem) (*shard, error)) (*DB, error) {
+// CreateFrom builds a disk-backed database over a whole collection in one
+// pass: region extraction runs on up to workers goroutines, region
+// payloads stream into the heap file, and the paged R*-tree is bulk-loaded
+// by variance-split packing (see BuildFrom), one full page per node but
+// the last two of each level. This is the fastest way to run the paper's
+// one-time indexing phase against a directory-resident database.
+//
+// The database gets opts.Shards shards (0 means 1) and dir is created if
+// needed. One shard lives in dir itself; more shards each get a
+// self-contained shard-NNNN subdirectory — its own page file and WAL,
+// each one unlogged bulk load — and a shards.json manifest recording the
+// count. Any manifest already in dir is removed first and the new one is
+// written last, so a create that fails part-way leaves no manifest naming
+// shards that do not exist.
+func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, error) {
 	if err := os.Remove(filepath.Join(dir, shardManifestName)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
 		return nil, fmt.Errorf("walrus: removing stale shard manifest: %w", err)
 	}
 	db, err := buildShards(opts, items, func(i int, opts Options, part []BatchItem) (*shard, error) {
 		if opts.Shards == 1 {
-			return mk(dir, opts, part)
+			return createShardFrom(dir, opts, part, workers)
 		}
-		sh, err := mk(filepath.Join(dir, shardDirName(i)), opts, part)
+		sh, err := createShardFrom(filepath.Join(dir, shardDirName(i)), opts, part, workers)
 		if err != nil {
 			return nil, fmt.Errorf("walrus: creating shard %d: %w", i, err)
 		}
@@ -235,32 +237,15 @@ func createLayout(dir string, opts Options, items []BatchItem, mk func(dir strin
 	return db, nil
 }
 
-// createShard creates one shard's files in dir, checkpoints them and
-// publishes version 1.
-func createShard(dir string, opts Options) (*shard, error) {
-	sh, err := createShardFiles(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	if sh.tree, err = rstar.New(rstar.NewVersioned(sh.persist.ps)); err != nil {
-		return nil, errors.Join(err, sh.persist.wal.Close(), sh.persist.pg.Close())
-	}
-	if err := sh.flush(); err != nil {
-		return nil, errors.Join(err, sh.persist.wal.Close(), sh.persist.pg.Close())
-	}
-	sh.publishLocked()
-	return sh, nil
-}
-
-// createShardFiles is createShard without the empty tree, the
-// checkpoint and the final version-1 publish, so CreateFrom can log its
-// rebuild marker before any page but the page file's header reaches
-// disk, bulk-load onto a store no tree has allocated pages from and
+// createShardFrom creates one shard's files in dir and bulk-loads items
+// into it. It enters the options as the heap's first record, once: they
+// are never rewritten, so Open restores what Create was given. It logs
+// its rebuild marker before any page but the page file's header reaches
+// disk, bulk-loads onto a store no tree has allocated pages from and
 // before any version exists (pre-publish index writes need no
-// copy-on-write capture), and publish exactly once at the end. It enters
-// the options as the heap's first record, once: they are never rewritten,
-// so Open restores what Create was given.
-func createShardFiles(dir string, opts Options) (*shard, error) {
+// copy-on-write capture), and publishes exactly once, version 1, at the
+// end.
+func createShardFrom(dir string, opts Options, items []BatchItem, workers int) (*shard, error) {
 	sh, err := prepare(opts)
 	if err != nil {
 		return nil, err
@@ -317,6 +302,26 @@ func createShardFiles(dir string, opts Options) (*shard, error) {
 		return nil, errors.Join(fmt.Errorf("walrus: storing options: %w", err), closeAll())
 	}
 	sh.persist = p
+
+	if err := sh.beginBulkLoad(); err != nil {
+		return nil, errors.Join(err, sh.close())
+	}
+	rects, payloads, err := sh.catalogBulkLocked(items, workers)
+	if err != nil {
+		return nil, errors.Join(err, sh.close())
+	}
+	// The database has published no version yet, so the load retains no
+	// pre-images, and the publish below produces version 1.
+	tree, err := rstar.BulkLoad(rstar.NewVersioned(p.ps), rects, payloads)
+	if err != nil {
+		return nil, errors.Join(err, sh.close())
+	}
+	sh.tree = tree
+	sh.liveRegions = len(sh.refs)
+	if err := sh.endBulkLoad(); err != nil {
+		return nil, errors.Join(err, sh.close())
+	}
+	sh.publishLocked()
 	return sh, nil
 }
 

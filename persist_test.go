@@ -21,9 +21,13 @@ import (
 // is written in place; a longer one is deleted and inserted afresh.
 func rewriteHeap(t *testing.T, dir string, edit func(rec []byte) []byte) {
 	t.Helper()
-	pg, err := store.Open(filepath.Join(dir, indexFileName))
+	f, err := os.OpenFile(filepath.Join(dir, indexFileName), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	pg, err := store.OpenFile(f)
+	if err != nil {
+		t.Fatal(errors.Join(err, f.Close()))
 	}
 	pool, err := store.NewBufferPool(pg, 16)
 	if err != nil {
