@@ -62,8 +62,14 @@
 #      mounted handler, where post-drain writes must be 503), plus the
 #      Drain-before-Serve and Drain-racing-Serve regressions. The load harness itself is `bash bench/run.sh
 #      --workload serve_mixed`; it is not part of the CI gate.
-#   1g. cache tier: runs the result-cache protocol suite (hit/miss/
-#      bypass, write invalidation, churn) under the race detector
+#   1g. cache tier: runs the result-cache protocol suite under the race
+#      detector at one and four procs — hit/miss/bypass, the version
+#      stamp (an answer is served only at the version it was computed
+#      at; a front pinned at an old version and the live database never
+#      get each other's answer), region reuse (a miss after a write
+#      probes from the kept regions, runs no extraction, and answers what
+#      NoCache answers), exactness against NoCache over a seeded mix of
+#      queries and writes, churn, and the pixel fingerprint
 #   1h. probe exactness tier: the R*-tree probe, bulk-load and insert
 #      tests under the race detector — the insert heuristics
 #      (ChooseSubtree, the split) against their O(M²) reference on
@@ -246,7 +252,7 @@ tier "tier 1: snapshot (acquire/release vs publish, leak check, id index, metric
 tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts, write after close, query fronts)" go test -race -count=1 -run 'TestShard|TestLayoutCompat|TestWriteAfterClose|TestQueryFrontsAgree|TestQueryFrontErrors|TestQueryEntryPoints|TestQueryCache|TestTraceCompleteness|TestExplainFunnelDeterminism' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
-tier "tier 1: cache (result-cache protocol)" go test -race -count=1 -run 'TestQueryCache' ./...
+tier "tier 1: cache (result-cache protocol: version stamp, region reuse, exactness, fingerprint)" go test -race -count=1 -cpu 1,4 -run 'TestQueryCache|TestQueryFingerprint' ./...
 tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout|TestFrameChecked|TestBallKernel' . ./internal/rstar ./internal/store
 
 tier "tier 1: extraction exactness (golden regions, allocations, no pool tasks, DP against its reference, non-finite samples, PPM decoder)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations|TestExtractRunsOnCaller|TestSlidingMatchesReference|TestSlidingRejectsNonFinite|TestExtractRejectsNonFinite|TestDecodePPMMatchesReference' ./internal/region ./internal/wavelet ./internal/imgio

@@ -42,7 +42,7 @@ func main() {
 		sceneXY = flag.String("scene", "", "query with a sub-rectangle only: x,y,w,h (user-specified scene)")
 		durable = flag.String("durability", "", "override the index's WAL durability policy for this run: always, group or none (the next open restores the policy the index was created with)")
 		explain = flag.Bool("explain", false, "print the stage-by-stage candidate funnel after the results")
-		cacheSz = flag.Int("cache-size", 0, "version-keyed result cache capacity in queries (0 disables)")
+		cacheSz = flag.Int("cache-size", 0, "result cache capacity in queries (0 disables)")
 		repeat  = flag.Int("repeat", 1, "run the query N times (with -cache-size, later runs hit the cache)")
 	)
 	obsFlags := obscli.Register()

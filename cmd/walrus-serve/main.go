@@ -40,7 +40,7 @@ func main() {
 		queue        = flag.Int("queue", 0, "admission wait-queue bound before 429 (0 = 4x concurrency)")
 		timeout      = flag.Duration("timeout", 0, "per-request deadline (0 = 30s, negative = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests during graceful drain")
-		cacheSz      = flag.Int("cache-size", 0, "version-keyed result cache capacity in queries (0 disables)")
+		cacheSz      = flag.Int("cache-size", 0, "result cache capacity in queries (0 disables)")
 		obsFlags     = obscli.Register()
 		logFlags     = obscli.RegisterLog()
 	)

@@ -246,8 +246,8 @@ func TestQueryCache(t *testing.T) {
 }
 
 // TestQueryCacheSharded runs the same protocol over a sharded database,
-// where the key is the pinned version vector: a write to any one shard
-// invalidates the fleet-level entries.
+// where an answer is stamped with the pinned version vector: a write to
+// any one shard makes the next lookup of every entry miss.
 func TestQueryCacheSharded(t *testing.T) {
 	opts := testOptions()
 	opts.Shards = 4
@@ -294,8 +294,8 @@ func TestQueryCacheSharded(t *testing.T) {
 }
 
 // TestQueryCacheChurn races a writer committing new images against
-// readers whose query never matches the churn: with version-keyed
-// entries every read — hit or miss — must observe a consistent
+// readers whose query never matches the churn: with version-stamped
+// answers every read — hit or miss — must observe a consistent
 // published version, so the expected match is present in every answer
 // and no stale result outlives the write that invalidated it.
 func TestQueryCacheChurn(t *testing.T) {

@@ -414,3 +414,9 @@ func FuzzImageRecord(f *testing.F) {
 		}
 	})
 }
+
+// decodeImageEntry decodes one image or tombstone record on its own.
+func decodeImageEntry(b []byte) (imageEntry, error) {
+	e, _, err := appendImageEntry(nil, b)
+	return e, err
+}

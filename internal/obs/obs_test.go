@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -394,4 +395,32 @@ func TestServe(t *testing.T) {
 	if !strings.Contains(resp, "walrus_ops_total 1") {
 		t.Errorf("served metrics missing counter:\n%s", resp)
 	}
+}
+
+// Count returns the number of observations (0 on a nil receiver).
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// Sum returns the sum of all observed values (0 on a nil receiver).
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return math.Float64frombits(h.sum.Load())
+}
+
+// ID returns the span id (0 for a nil span).
+func (s *Span) ID() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.rec.ID
 }

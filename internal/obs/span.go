@@ -93,14 +93,6 @@ func (s *Span) Child(name string) *Span {
 	return s.tracer.start(name, s.rec.ID, s.rec.Trace)
 }
 
-// ID returns the span id (0 for a nil span).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.rec.ID
-}
-
 // TraceID returns the span's trace id (0 for a nil span).
 func (s *Span) TraceID() uint64 {
 	if s == nil {

@@ -147,9 +147,6 @@ func NewExtractor(opts Options) (*Extractor, error) {
 	return &Extractor{opts: opts}, nil
 }
 
-// Options returns the extractor's configuration.
-func (e *Extractor) Options() Options { return e.opts }
-
 // Extract decomposes an RGB image into regions. Images smaller than
 // MinWindow in either dimension yield an error.
 func (e *Extractor) Extract(im *imgio.Image) ([]Region, error) {

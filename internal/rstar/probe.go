@@ -366,26 +366,13 @@ func descend(s NodeStore, epoch uint64, m *treeMetrics, root NodeID, dim, height
 	return d.counts, err
 }
 
-// Probe answers every probe in one depth-first descent: emit is called
-// with the probe's index and the payload of each data entry matching it.
-// Per probe, entries arrive in the order that probe would find them
-// searching alone; entries of different probes interleave. It returns the
-// descent's counts: nodes visited and leaf entry tests.
-//
-// emit runs while the node being scanned is pinned (and, on a versioned
-// store, under the store's read lock): it must not call back into the tree
-// or its store.
-func (t *Tree) Probe(probes []Probe, emit func(probe int, data int64)) (ProbeCounts, error) {
-	return t.descend(probes, emit, nil)
-}
-
 func (t *Tree) descend(probes []Probe, emit func(int, int64), each func(Entry) bool) (ProbeCounts, error) {
 	return descend(t.store, math.MaxUint64, t.om.Load(), t.root, t.dim, t.height, probes, emit, each)
 }
 
 // Search invokes fn for every data entry whose rectangle intersects q,
 // stopping early if fn returns false. fn runs under the same restrictions
-// as Probe's emit.
+// as TreeView.Probe's emit.
 func (t *Tree) Search(q Rect, fn func(Entry) bool) error {
 	_, err := t.descend([]Probe{{Box: q}}, nil, fn)
 	return err
@@ -412,8 +399,15 @@ func collectInto(out *[]Entry) func(Entry) bool {
 	}
 }
 
-// Probe is Tree.Probe at the pinned epoch; the same contract for emit
-// applies.
+// Probe answers every probe in one depth-first descent of the tree at the
+// pinned epoch: emit is called with the probe's index and the payload of
+// each data entry matching it. Per probe, entries arrive in the order that
+// probe would find them searching alone; entries of different probes
+// interleave. It returns the descent's counts: nodes visited and leaf
+// entry tests.
+//
+// emit runs while the node being scanned is pinned and under the store's
+// read lock: it must not call back into the tree or its store.
 func (tv *TreeView) Probe(probes []Probe, emit func(probe int, data int64)) (ProbeCounts, error) {
 	return tv.descend(probes, emit, nil)
 }

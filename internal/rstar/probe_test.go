@@ -544,3 +544,9 @@ func checkProbeAllocations(t *testing.T, what string, src prober, nodes int) {
 		t.Fatalf("%s: probes matched nothing", what)
 	}
 }
+
+// Probe is TreeView.Probe on the tree's current state, for tests that
+// probe a tree without pinning a view.
+func (t *Tree) Probe(probes []Probe, emit func(probe int, data int64)) (ProbeCounts, error) {
+	return t.descend(probes, emit, nil)
+}

@@ -324,13 +324,6 @@ func (v *VersionedStore) Retained() int {
 	return v.retained
 }
 
-// Published returns the current published epoch (0 before first Publish).
-func (v *VersionedStore) Published() uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.published
-}
-
 // setMetrics wires the store's reclamation gauges into reg; nil detaches.
 func (v *VersionedStore) setMetrics(reg *obs.Registry) {
 	v.mu.Lock()
@@ -396,12 +389,6 @@ func (t *Tree) Versioned() *VersionedStore {
 
 // Epoch returns the view's pinned epoch.
 func (tv *TreeView) Epoch() uint64 { return tv.epoch }
-
-// Len returns the number of data entries at the pinned epoch.
-func (tv *TreeView) Len() int { return tv.size }
-
-// Height returns the tree height at the pinned epoch.
-func (tv *TreeView) Height() int { return tv.height }
 
 // Release unpins the view's epoch, allowing its retained pre-images to be
 // reclaimed. Calling Release more than once is harmless.

@@ -340,3 +340,6 @@ func ExampleTree_SnapshotView() {
 	fmt.Println("view:", view.Len(), "tree:", tr.Len())
 	// Output: view: 1 tree: 2
 }
+
+// Len returns the number of data entries at the pinned epoch.
+func (tv *TreeView) Len() int { return tv.size }

@@ -57,7 +57,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// RetryAfter is the hint returned with 429 responses. 0 uses 1s.
 	RetryAfter time.Duration
-	// MaxBodyBytes caps request body size. 0 uses 16 MiB.
+	// MaxBodyBytes caps request body size; a longer body is refused with
+	// 413. 0 uses 16 MiB.
 	MaxBodyBytes int64
 
 	// DefaultParams are the query parameters requests start from before
@@ -363,7 +364,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var payload ingestPayload
 		if err := json.NewDecoder(r.Body).Decode(&payload); err != nil {
-			s.failStatus(w, http.StatusBadRequest, "decoding JSON body: "+err.Error())
+			s.failBody(w, "decoding JSON body: ", err)
 			return
 		}
 		if len(payload.Images) == 0 {
@@ -390,7 +391,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		im, err := imgio.DecodePPM(r.Body)
 		if err != nil {
-			s.failStatus(w, http.StatusBadRequest, "decoding PPM body: "+err.Error())
+			s.failBody(w, "decoding PPM body: ", err)
 			return
 		}
 		items = []walrus.BatchItem{{ID: id, Image: im}}
@@ -552,7 +553,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		var im *imgio.Image
 		im, err = imgio.DecodePPM(r.Body)
 		if err != nil {
-			s.failStatus(w, http.StatusBadRequest, "decoding PPM body: "+err.Error())
+			s.failBody(w, "decoding PPM body: ", err)
 			return
 		}
 		if hasRegion {
@@ -672,6 +673,18 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 	}
 	s.failStatus(w, status, err.Error())
+}
+
+// failBody answers a request whose body did not decode: 413 when the
+// body ran past MaxBodyBytes, else 400. The message is prefix followed by
+// the error.
+func (s *Server) failBody(w http.ResponseWriter, prefix string, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.failStatus(w, status, prefix+err.Error())
 }
 
 func (s *Server) failStatus(w http.ResponseWriter, status int, msg string) {

@@ -856,3 +856,46 @@ func TestServeDeadlinePropagation(t *testing.T) {
 		t.Fatalf("active gauge = %d after deadline drop, want 0", g)
 	}
 }
+
+// TestServeOversizedBody: a body past MaxBodyBytes is refused with 413 on
+// every route that reads one — search by pixels, and ingest as PPM or as
+// a JSON batch — while a body inside the cap is served.
+func TestServeOversizedBody(t *testing.T) {
+	s := newTestServer(t, Config{MaxBodyBytes: 8 << 10})
+	var big bytes.Buffer
+	if err := imgio.EncodePPM(&big, imgio.New(64, 64, 3)); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(n int) []byte {
+		var p ingestPayload
+		for i := 0; i < n; i++ {
+			p.Images = append(p.Images, struct {
+				ID  string `json:"id"`
+				PPM []byte `json:"ppm"`
+			}{fmt.Sprintf("j%d", i), testPPM(t, i)})
+		}
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cases := []struct {
+		name, target, contentType string
+		small, large              []byte
+		okStatus                  int
+	}{
+		{"ingest PPM", "/v1/images?id=a", "", testPPM(t, 0), big.Bytes(), http.StatusCreated},
+		{"ingest JSON", "/v1/images", "application/json", batch(1), batch(3), http.StatusCreated},
+		{"search", "/v1/search", "", testPPM(t, 1), big.Bytes(), http.StatusOK},
+	}
+	for _, c := range cases {
+		if w := do(s, http.MethodPost, c.target, c.contentType, c.small); w.Code != c.okStatus {
+			t.Fatalf("%s: a body inside the cap got %d %s, want %d", c.name, w.Code, w.Body, c.okStatus)
+		}
+		w := do(s, http.MethodPost, c.target, c.contentType, c.large)
+		if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "request body too large") {
+			t.Fatalf("%s: an oversized body got %d %s, want 413", c.name, w.Code, w.Body)
+		}
+	}
+}

@@ -1,7 +1,5 @@
 package wavelet
 
-import "fmt"
-
 // Matrix is a dense row-major matrix of float64 values. It is the common
 // currency of the transforms in this package. The zero value is an empty
 // matrix.
@@ -32,10 +30,6 @@ func (m Matrix) Clone() Matrix {
 // least 2.
 func (m Matrix) IsSquarePow2() bool {
 	return m.Rows == m.Cols && m.Rows >= 2 && isPow2(m.Rows)
-}
-
-func (m Matrix) String() string {
-	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 }
 
 // isPow2 reports whether v is a positive power of two.

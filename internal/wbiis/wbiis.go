@@ -86,13 +86,6 @@ func New(opts Options) (*Index, error) {
 	return &Index{opts: opts}, nil
 }
 
-// Len returns the number of indexed images.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.sigs)
-}
-
 // Add indexes an RGB image under id.
 func (ix *Index) Add(id string, im *imgio.Image) error {
 	sig, err := ix.signatureOf(id, im)

@@ -159,3 +159,10 @@ func TestSmallImagesAreRescaled(t *testing.T) {
 		t.Fatalf("tiny image round trip: %v, %v", matches, err)
 	}
 }
+
+// Len returns the number of indexed images.
+func (ix *Index) Len() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.sigs)
+}

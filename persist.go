@@ -156,16 +156,10 @@ func (e *imageEntry) encode() []byte {
 	return b
 }
 
-// decodeImageEntry decodes an image or tombstone record, refusing one
-// whose length does not match what it declares.
-func decodeImageEntry(b []byte) (imageEntry, error) {
-	e, _, err := appendImageEntry(nil, b)
-	return e, err
-}
-
-// appendImageEntry is decodeImageEntry decoding the region RIDs onto the
-// end of rids, which the entry's rids then alias: a heap scan decodes
-// every image record into one buffer.
+// appendImageEntry decodes an image or tombstone record, refusing one
+// whose length does not match what it declares. It decodes the region
+// RIDs onto the end of rids, which the entry's rids then alias: a heap
+// scan decodes every image record into one buffer.
 func appendImageEntry(rids []uint64, b []byte) (imageEntry, []uint64, error) {
 	if len(b) < tombstoneSize || (b[0] != tagImage && b[0] != tagTombstone) {
 		return imageEntry{}, rids, fmt.Errorf("walrus: malformed image record of %d bytes", len(b))

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"time"
 
 	"walrus/internal/imgio"
 	"walrus/internal/match"
@@ -46,17 +47,6 @@ func signatureRect(useBBox bool, r region.Region) rstar.Rect {
 type probeHit struct {
 	image int
 	pair  match.Pair
-}
-
-// extractStage decomposes the query image into regions using the
-// snapshot's extractor, so extraction and index probes are bound to the
-// same version of the configuration.
-func (s *shardSnapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
-	qRegions, err := s.core.ext.Extract(im)
-	if err != nil {
-		return nil, fmt.Errorf("walrus: extracting query regions: %w", err)
-	}
-	return qRegions, nil
 }
 
 // probeStage answers every query region's probe in one index descent:
@@ -356,9 +346,12 @@ type queryFront struct {
 func (f queryFront) fleet() bool { return len(f.snaps) > 1 }
 
 // query validates the request, resolves its source — a scene to a pixels
-// query on its crop, an id to the stored record on its owning shard — and
-// answers it from the result cache c, or from the pipeline when c is nil
-// (caching off, and always on an explicit snapshot).
+// query on its crop, an id to the stored record on its owning shard, and
+// pixels to a storedQuery by extraction — and answers it from the result
+// cache c, or from the pipeline when c is nil (caching off, and always on
+// an explicit snapshot). With a cache, the lookup comes before
+// extraction: a hit runs no pipeline, and a miss on a query the cache
+// already holds takes its stored regions instead of extracting them.
 func (f queryFront) query(ctx context.Context, c *queryCache, src querySource, p QueryParams) ([]Match, QueryStats, error) {
 	if !(p.Epsilon >= 0) {
 		// A NaN radius would keep every region: its ball bound and its box
@@ -382,24 +375,60 @@ func (f queryFront) query(ctx context.Context, c *queryCache, src querySource, p
 		src = querySource{im: crop}
 		p.Denominator = match.QueryOnly
 	}
-	var stored *storedQuery
+	var sq *storedQuery
 	if src.im == nil {
 		owner := f.snaps[shardOf(src.id, len(f.snaps))]
 		idx, ok := owner.core.byID.get(src.id)
 		if !ok {
 			return nil, QueryStats{}, fmt.Errorf("walrus: query image %q: %w", src.id, ErrUnknownID)
 		}
-		stored = owner.core.queryOf(idx)
+		sq = owner.core.queryOf(idx)
 	}
-	if c == nil {
-		return f.run(ctx, src.im, stored, p)
+	var lk cacheLookup
+	if c != nil && !p.NoCache {
+		var hit bool
+		if lk, hit = f.lookup(c, src, p); hit {
+			return f.serveHit(ctx, lk, p)
+		}
+		if sq == nil {
+			sq = lk.entry.query
+		}
 	}
-	return f.cachedQuery(ctx, c, src, stored, p)
+
+	start := statsClock()
+	qspan := f.beginQuerySpan(ctx)
+	var extractTime time.Duration
+	if sq == nil {
+		es := qspan.Child("query.extract")
+		var err error
+		if sq, err = f.extract(src.im); err != nil {
+			failSpans(es, qspan)
+			return nil, QueryStats{}, err
+		}
+		es.End()
+		extractTime = statsSince(start)
+	}
+	matches, stats, err := f.run(ctx, qspan, start, extractTime, sq, p)
+	if err != nil || c == nil {
+		return matches, stats, err
+	}
+	if p.NoCache {
+		stats.Cache = "bypass"
+		return matches, stats, nil
+	}
+	stats.Cache = "miss"
+	if src.im == nil {
+		sq = nil // an id query keeps no stored query; see cacheEntry
+	}
+	f.remember(ctx, c, lk, sq, matches, stats)
+	return matches, stats, nil
 }
 
-// storedQuery is the query of a QueryByID: the stored regions of an
-// indexed image, their bitmaps laid out flat, and the image's area, all
-// read from the pinned version of its owning shard.
+// storedQuery is a query as the pipeline consumes it: its regions, their
+// bitmaps laid out flat, and the query image's area. A QueryByID reads
+// one from the pinned version of the image's owning shard; a pixels
+// query builds one by extraction, and the result cache keeps it. The
+// pipeline only reads it.
 type storedQuery struct {
 	regions []region.Region
 	bits    []uint64
@@ -413,46 +442,40 @@ func (c *snapCore) queryOf(idx int) *storedQuery {
 	return &storedQuery{regions: c.cols.regions(lo, hi), bits: c.cols.bitsRun(lo, hi), area: rec.W * rec.H}
 }
 
-// run executes the staged pipeline for a resolved query: the query
-// regions are extracted from im — once, on shard 0, whose extractor
-// every shard shares — or read from the stored image; every pinned
-// shard then runs the probe phase and the score phase through the shared
-// runner, each with its own stageExec, and a fleet merges the per-shard
+// extract decomposes a query image into a storedQuery with shard 0's
+// extractor, which every shard shares, so extraction and the index
+// probes are bound to the same configuration. The catalog's bitmaps were
+// checked on entry; the query's are checked here, once, so every
+// candidate is scored unchecked.
+func (f queryFront) extract(im *imgio.Image) (*storedQuery, error) {
+	core := f.snaps[0].core
+	regions, err := core.ext.Extract(im)
+	if err != nil {
+		return nil, fmt.Errorf("walrus: extracting query regions: %w", err)
+	}
+	k := core.opts.Region.BitmapGrid
+	if err := checkGrid(k, regions); err != nil {
+		return nil, fmt.Errorf("walrus: query: %w", err)
+	}
+	return &storedQuery{regions: regions, bits: match.Flatten(regions, k), area: im.W * im.H}, nil
+}
+
+// run executes the staged pipeline for a resolved query under qspan, the
+// query span opened at start; extractTime is the part of the time since
+// start spent extracting sq, 0 when sq came resolved. Every pinned shard
+// runs the probe phase and the score phase through the shared runner,
+// each with its own stageExec, and a fleet merges the per-shard
 // rankings. An EXPLAIN context gets one traceCollector per shard, folded
 // into the funnel at the end.
-func (f queryFront) run(ctx context.Context, im *imgio.Image, stored *storedQuery, p QueryParams) ([]Match, QueryStats, error) {
-	start := statsClock()
-	qspan := f.beginQuerySpan(ctx)
-	es := qspan.Child("query.extract")
-	var qRegions []region.Region
-	var qBits []uint64
-	var qArea int
-	if stored != nil {
-		qRegions, qBits, qArea = stored.regions, stored.bits, stored.area
-	} else {
-		var err error
-		if qRegions, err = f.snaps[0].extractStage(im); err != nil {
-			failSpans(es, qspan)
-			return nil, QueryStats{}, err
-		}
-		// The catalog's bitmaps were checked on entry; the query's are
-		// checked here, once, so every candidate is scored unchecked.
-		k := f.snaps[0].core.opts.Region.BitmapGrid
-		if err := checkGrid(k, qRegions); err != nil {
-			failSpans(es, qspan)
-			return nil, QueryStats{}, fmt.Errorf("walrus: query: %w", err)
-		}
-		qBits, qArea = match.Flatten(qRegions, k), im.W*im.H
-	}
-	es.End()
-	stats := QueryStats{QueryRegions: len(qRegions), ExtractTime: statsSince(start)}
+func (f queryFront) run(ctx context.Context, qspan *obs.Span, start time.Time, extractTime time.Duration, sq *storedQuery, p QueryParams) ([]Match, QueryStats, error) {
+	stats := QueryStats{QueryRegions: len(sq.regions), ExtractTime: extractTime}
 
 	probeStart := statsClock()
 	qt := queryTraceFrom(ctx)
 	execs := make([]stageExec, len(f.snaps))
 	for i := range f.snaps {
 		sn := &f.snaps[i]
-		execs[i] = stageExec{snap: sn, qRegions: qRegions, qBits: qBits, qArea: qArea, p: p}
+		execs[i] = stageExec{snap: sn, qRegions: sq.regions, qBits: sq.bits, qArea: sq.area, p: p}
 		if qt != nil {
 			execs[i].tc = newTraceCollector(sn.core.version)
 		}
@@ -486,7 +509,7 @@ func (f queryFront) run(ctx context.Context, im *imgio.Image, stored *storedQuer
 	stats.ScoreTime = statsSince(scoreStart)
 	stats.Elapsed = statsSince(start)
 	if qt != nil {
-		qt.fill(qspan, f.fleet(), p, len(qRegions), execs, stats, mergedIn, len(matches), mergeNS)
+		qt.fill(qspan, f.fleet(), p, len(sq.regions), execs, stats, mergedIn, len(matches), mergeNS)
 	}
 	f.observeQuery(qspan, stats)
 	return matches, stats, nil

@@ -80,13 +80,15 @@ type Options struct {
 	// CreateFrom read it; Open takes the count from the directory's
 	// layout instead. Rankings are identical at every shard count.
 	Shards int
-	// CacheSize is the capacity, in cached queries, of the version-keyed
-	// result cache serving repeated queries without touching the index.
-	// 0 (the default) disables caching. Entries are keyed on the pinned
-	// version vector, a fingerprint of the query, and the resolved
-	// parameters, so any committed write invalidates by construction;
-	// stale entries age out by LRU.
-	// SetCacheSize resizes at runtime.
+	// CacheSize is the capacity, in cached queries, of the result cache.
+	// 0 (the default) disables caching. An entry is keyed on a
+	// fingerprint of the query and the resolved parameters; it keeps the
+	// query's extracted regions and its last answer, stamped with the
+	// version vector it was computed at. A repeated query at the stamped
+	// version is served without touching the index; after a committed
+	// write it misses, probes and scores the new version from the kept
+	// regions, and replaces the answer and the stamp. Entries age out by
+	// LRU. SetCacheSize resizes at runtime.
 	CacheSize int
 	// Durability selects how aggressively a disk-backed database fsyncs
 	// its write-ahead log (see DurabilityPolicy). Ignored by in-memory
@@ -131,7 +133,7 @@ type QueryParams struct {
 	// 0 means Epsilon scaled by sqrt(fineDim/coarseDim), which keeps the
 	// per-dimension tolerance of the coarse check.
 	RefineEpsilon float64
-	// NoCache makes this query bypass the version-keyed result cache:
+	// NoCache makes this query bypass the result cache:
 	// it neither reads nor populates it. Meaningful only on a database
 	// with a cache configured (Options.CacheSize / SetCacheSize).
 	NoCache bool
@@ -172,12 +174,16 @@ type QueryStats struct {
 	Elapsed time.Duration
 	// ExtractTime, ProbeTime and ScoreTime break Elapsed into its phases:
 	// query region extraction, index probes (plus distance filtering), and
-	// image matching/scoring.
+	// image matching/scoring. ExtractTime is 0 when nothing was extracted:
+	// a QueryByID, or a miss whose regions the result cache kept.
 	ExtractTime, ProbeTime, ScoreTime time.Duration
 	// Cache reports how the result cache handled the query: "" (no cache
-	// configured, or a query on an explicit snapshot), "hit", "miss", or
-	// "bypass" (NoCache was set). On a hit every other field echoes the
-	// cached execution except Elapsed, which is the lookup time.
+	// configured, or a query on an explicit snapshot), "hit" (an answer
+	// computed at the pinned version, served without running the
+	// pipeline), "miss" (the pipeline ran, from the cached regions when
+	// the cache held the query at an older version), or "bypass" (NoCache
+	// was set). On a hit every other field echoes the cached execution
+	// except Elapsed, which is the lookup time.
 	Cache string `json:",omitempty"`
 }
 
@@ -214,9 +220,9 @@ type DB struct {
 	// elements.
 	shards []*shard
 
-	// cache is the version-keyed query result cache; nil (the default
-	// unless Options.CacheSize is set) means caching is off and a query
-	// pays one atomic load. Swapped whole by SetCacheSize.
+	// cache is the query result cache; nil (the default unless
+	// Options.CacheSize is set) means caching is off and a query pays one
+	// atomic load. Swapped whole by SetCacheSize.
 	cache atomic.Pointer[queryCache]
 
 	// om points at the pre-resolved observability handles installed by
@@ -293,7 +299,7 @@ func (db *DB) cores() coreSet {
 	return cs
 }
 
-// SetCacheSize resizes the version-keyed query result cache at runtime:
+// SetCacheSize resizes the query result cache at runtime:
 // n > 0 installs a fresh, empty cache with that capacity; n <= 0
 // disables caching. Safe to call while queries run — in-flight queries
 // finish against the cache they loaded.
@@ -366,8 +372,9 @@ func (db *DB) Remove(id string) (bool, error) { return db.owner(id).remove(id) }
 // between pipeline stages, inside the parallel refine and shard tasks
 // and along the score loop, so an expired request stops consuming
 // worker slots and returns the context's error. With a result cache
-// configured, the lookup keys on the pinned version vector and a
-// fingerprint of the query pixels — see Options.CacheSize.
+// configured, the lookup keys on a fingerprint of the query pixels and
+// serves an answer stamped with the pinned version vector — see
+// Options.CacheSize.
 func (db *DB) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
 	return db.query(ctx, querySource{im: im}, p)
 }
