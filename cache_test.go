@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"walrus/internal/dataset"
 	"walrus/internal/imgio"
 	"walrus/internal/match"
+	"walrus/internal/region"
 )
 
 // randomQuery returns a w×h RGB image of seeded random samples.
@@ -347,6 +350,71 @@ func TestQueryCacheExactness(t *testing.T) {
 		}
 		if outcomes["hit"] == 0 || outcomes["miss"] == 0 || outcomes["reuse"] == 0 {
 			t.Fatalf("shards=%d: outcomes %v, want hits, extracting misses and misses reusing regions", shards, outcomes)
+		}
+	}
+}
+
+// storedQueryBytes sums the capacities of a stored query's slices, in
+// bytes: the heap a result-cache entry keeps for its query, beside the
+// struct itself.
+func storedQueryBytes(sq *storedQuery) int {
+	n := cap(sq.regions)*int(reflect.TypeOf(region.Region{}).Size()) + 8*cap(sq.bits)
+	for _, r := range sq.regions {
+		n += 8 * (cap(r.Signature) + cap(r.Min) + cap(r.Max) + cap(r.Fine) + cap(r.Bitmap.Words))
+	}
+	return n
+}
+
+// TestStoredQueryBytes: a cached stored query keeps only what a stage
+// reads — signatures and the flat bitmaps, no per-region bitmap words and
+// no boxes unless the database probes with them. Measured over the
+// cache entries of 48 seeded 128×85 renders at the default options.
+func TestStoredQueryBytes(t *testing.T) {
+	dopts := dataset.DefaultOptions()
+	dopts.Seed, dopts.PerCategory, dopts.Sizes = 53, 4, [][2]int{{128, 85}}
+	ds, err := dataset.Generate(dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bbox := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.UseBBox = bbox
+		opts.CacheSize = len(ds.Items)
+		db, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range ds.Items {
+			if _, _, err := db.QueryContext(context.Background(), it.Image, DefaultQueryParams()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := db.cache.Load()
+		total, regions := 0, 0
+		for el := c.ll.Front(); el != nil; el = el.Next() {
+			sq := el.Value.(*cacheEntry).query
+			total += storedQueryBytes(sq)
+			regions += len(sq.regions)
+			for _, r := range sq.regions {
+				if r.Bitmap.Words != nil || (r.Min != nil) != bbox || (r.Max != nil) != bbox {
+					t.Fatalf("UseBBox=%v: stored region keeps %d bitmap words and a box of %d/%d values",
+						bbox, len(r.Bitmap.Words), len(r.Min), len(r.Max))
+				}
+			}
+		}
+		if c.ll.Len() != len(ds.Items) {
+			t.Fatalf("UseBBox=%v: %d cache entries for %d queries", bbox, c.ll.Len(), len(ds.Items))
+		}
+		perRegion := float64(total) / float64(regions)
+		t.Logf("UseBBox=%v: %.0f B per stored query, %.0f B per region (%d regions)", bbox, float64(total)/float64(len(ds.Items)), perRegion, regions)
+		// A region's struct, its 12-value signature and 4 bitmap words, and
+		// its two 12-value bounds under UseBBox.
+		want := float64(reflect.TypeOf(region.Region{}).Size()) + 8*(12+4)
+		if bbox {
+			want += 8 * 24
+		}
+		if perRegion > want {
+			t.Errorf("UseBBox=%v: %.0f B per stored region, want at most %.0f", bbox, perRegion, want)
 		}
 	}
 }

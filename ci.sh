@@ -69,7 +69,9 @@
 #      get each other's answer), region reuse (a miss after a write
 #      probes from the kept regions, runs no extraction, and answers what
 #      NoCache answers), exactness against NoCache over a seeded mix of
-#      queries and writes, churn, and the pixel fingerprint
+#      queries and writes, churn, the pixel fingerprint, and the bytes a
+#      cached stored query keeps (no per-region bitmap words, boxes only
+#      under UseBBox)
 #   1h. probe exactness tier: the R*-tree probe, bulk-load and insert
 #      tests under the race detector — the insert heuristics
 #      (ChooseSubtree, the split) against their O(M²) reference on
@@ -117,8 +119,13 @@
 #      trusted entries) against a map-based reference for pairs in any
 #      order, the scorer's input checks, the bitmap grid check on every
 #      path into a catalog and on the query, the aggregate stage's pair
-#      runs against the flat hit list shuffled across regions, the
-#      chunked in-place refine filter against a serial one, sharded
+#      runs and score-bound inputs against the flat hit list, and its
+#      rankings with the list shuffled across regions, the coverage
+#      bound against every matcher and denominator (TestScoreBound*),
+#      bounded scoring against an index-free linear scan at shards 1 and
+#      3, refine off and on, τ 0 and 0.4, Limit 0, 1 and 10, with its
+#      scored count equal at GOMAXPROCS 1 and 8 (TestBoundedScoringExact),
+#      the chunked in-place refine filter against a serial one, sharded
 #      rankings at low Limits against the unsharded ones, the shard-count
 #      matrix, and the allocations per query after extraction
 #   1k. no fused multiply-add anywhere in walrus: Go may fuse x*y + z on
@@ -160,7 +167,8 @@
 #      the local GOPATH when missing; findings and install failures are
 #      reported but never fail the gate (WALRUS_CI_VULN=0 disables)
 #   4. fuzz smoke (opt-in): WALRUS_CI_FUZZ=1 ./ci.sh runs each fuzz
-#      target (PPM decoder, WAL replay, image record decoder) for a few
+#      target (PPM decoder, WAL replay, image record decoder, score
+#      bound) for a few
 #      seconds of random input
 #      on top of their always-on seed corpora
 set -eu
@@ -252,11 +260,11 @@ tier "tier 1: snapshot (acquire/release vs publish, leak check, id index, metric
 tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts, write after close, query fronts)" go test -race -count=1 -run 'TestShard|TestLayoutCompat|TestWriteAfterClose|TestQueryFrontsAgree|TestQueryFrontErrors|TestQueryEntryPoints|TestQueryCache|TestTraceCompleteness|TestExplainFunnelDeterminism' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
-tier "tier 1: cache (result-cache protocol: version stamp, region reuse, exactness, fingerprint)" go test -race -count=1 -cpu 1,4 -run 'TestQueryCache|TestQueryFingerprint' ./...
+tier "tier 1: cache (result-cache protocol: version stamp, region reuse, exactness, fingerprint, stored query bytes)" go test -race -count=1 -cpu 1,4 -run 'TestQueryCache|TestQueryFingerprint|TestStoredQueryBytes' ./...
 tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout|TestFrameChecked|TestBallKernel' . ./internal/rstar ./internal/store
 
 tier "tier 1: extraction exactness (golden regions, allocations, no pool tasks, DP against its reference, non-finite samples, PPM decoder)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations|TestExtractRunsOnCaller|TestSlidingMatchesReference|TestSlidingRejectsNonFinite|TestExtractRejectsNonFinite|TestDecodePPMMatchesReference' ./internal/region ./internal/wavelet ./internal/imgio
-tier "tier 1: query tail exactness (top-k, quick scorer, grid check, aggregate, refine, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestScoreValidation|TestGridCheck|TestTopK|TestAggregateStage|TestRefineStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match
+tier "tier 1: query tail exactness (top-k, quick scorer, grid check, aggregate, score bound, bounded scoring, refine, allocations, shard limit)" go test -race -count=1 -run 'TestQueryAllocations|TestScoreQuick|TestScoreValidation|TestGridCheck|TestTopK|TestAggregateStage|TestScoreBound|TestBoundedScoringExact|TestRefineStage|TestShardMatchesUnsharded|TestShardMatrixDeterminism' . ./internal/match
 
 tier "tier 1: no fused multiply-add in any walrus symbol (arm64, ppc64le, riscv64 objdump)" check_no_fma
 tier "tier 1: durability (crash matrices, recovery, log reuse)" go test -race -count=1 -run 'TestCrash|TestShardCrash|TestDurability|TestRecover|TestLog|TestOpen|TestRemoveSurvivesReopen' . ./internal/wal
@@ -274,6 +282,7 @@ if [ "${WALRUS_CI_FUZZ:-0}" = "1" ]; then
     tier "tier 4: fuzz smoke (imgio)" go test -fuzz FuzzDecodePPM -fuzztime "${WALRUS_CI_FUZZTIME:-10s}" ./internal/imgio
     tier "tier 4: fuzz smoke (wal)" go test -fuzz FuzzReplayWAL -fuzztime "${WALRUS_CI_FUZZTIME:-10s}" ./internal/wal
     tier "tier 4: fuzz smoke (image records)" go test -run FuzzImageRecord -fuzz FuzzImageRecord -fuzztime "${WALRUS_CI_FUZZTIME:-10s}" .
+    tier "tier 4: fuzz smoke (score bound)" go test -run FuzzScoreBound -fuzz FuzzScoreBound -fuzztime "${WALRUS_CI_FUZZTIME:-10s}" ./internal/match
 fi
 
 echo "CI OK"

@@ -158,24 +158,27 @@ func printExplain(qt *walrus.QueryTrace) {
 	if qt.TraceID != "" {
 		fmt.Printf(", trace %s", qt.TraceID)
 	}
-	fmt.Printf("\n%-10s %8s %8s %11s %7s %11s %12s\n", "stage", "in", "out", "index_hits", "nodes", "entry_tests", "time")
+	fmt.Printf("\n%-10s %8s %8s %11s %7s %11s %7s %12s\n", "stage", "in", "out", "index_hits", "nodes", "entry_tests", "scored", "time")
 	for _, st := range qt.Stages {
-		hits, nodes, tests := "-", "-", "-"
-		if st.Stage == "probe" {
+		hits, nodes, tests, scored := "-", "-", "-", "-"
+		switch st.Stage {
+		case "probe":
 			hits = fmt.Sprintf("%d", st.IndexHits)
 			nodes = fmt.Sprintf("%d", st.NodesVisited)
 			tests = fmt.Sprintf("%d", st.EntryTests)
+		case "score":
+			scored = fmt.Sprintf("%d", st.Scored)
 		}
-		fmt.Printf("%-10s %8d %8d %11s %7s %11s %12s\n",
-			st.Stage, st.In, st.Out, hits, nodes, tests, time.Duration(st.DurationNS))
+		fmt.Printf("%-10s %8d %8d %11s %7s %11s %7s %12s\n",
+			st.Stage, st.In, st.Out, hits, nodes, tests, scored, time.Duration(st.DurationNS))
 	}
 	if qt.Sharded {
-		fmt.Printf("\n%-6s %8s %11s %7s %10s %11s %8s %12s %12s\n",
-			"shard", "version", "index_hits", "nodes", "retrieved", "candidates", "matches", "probe", "score")
+		fmt.Printf("\n%-6s %8s %11s %7s %10s %11s %7s %8s %12s %12s\n",
+			"shard", "version", "index_hits", "nodes", "retrieved", "candidates", "scored", "matches", "probe", "score")
 		for _, sh := range qt.Shards {
-			fmt.Printf("%-6d %8d %11d %7d %10d %11d %8d %12s %12s\n",
+			fmt.Printf("%-6d %8d %11d %7d %10d %11d %7d %8d %12s %12s\n",
 				sh.Shard, sh.Version, sh.IndexHits, sh.NodesVisited, sh.RegionsRetrieved,
-				sh.CandidateImages, sh.Matches, time.Duration(sh.ProbeNS), time.Duration(sh.ScoreNS))
+				sh.CandidateImages, sh.Scored, sh.Matches, time.Duration(sh.ProbeNS), time.Duration(sh.ScoreNS))
 		}
 	}
 }

@@ -2,6 +2,8 @@ package walrus
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"walrus/internal/region"
@@ -13,7 +15,10 @@ import (
 // region p's signature is sig[p*dim:(p+1)*dim], its bitmap
 // bits[p*words:(p+1)*words], and so on. The fine column is kept only
 // when the options store fine signatures, and the box columns only under
-// UseBBox, the one configuration that reads them.
+// UseBBox, the one configuration that reads them. pop[p] is the number of
+// bits set in region p's bitmap words (see popCells), computed from the
+// bitmap wherever a region enters, so the page format does not hold it:
+// the score stage's coverage bound sums it.
 //
 // The columns are append-only: a removed image keeps its slots, as its
 // refs do, so no published element is ever written again, and a
@@ -26,6 +31,7 @@ type regionColumns struct {
 
 	sig      []float64
 	bits     []uint64
+	pop      []uint16
 	windows  []uint32
 	fine     []float64
 	min, max []float64
@@ -46,6 +52,7 @@ func newRegionColumns(opts Options) regionColumns {
 func (c *regionColumns) grow(n int) {
 	c.sig = slices.Grow(c.sig, n*c.dim)
 	c.bits = slices.Grow(c.bits, n*c.words)
+	c.pop = slices.Grow(c.pop, n)
 	c.windows = slices.Grow(c.windows, n)
 	c.fine = slices.Grow(c.fine, n*c.fineDim)
 	if c.bbox {
@@ -69,6 +76,7 @@ func (c *regionColumns) checkShape(local int, r *region.Region) error {
 func (c *regionColumns) add(r *region.Region) {
 	c.sig = append(c.sig, r.Signature...)
 	c.bits = append(c.bits, r.Bitmap.Words...)
+	c.pop = append(c.pop, popOf(r.Bitmap.Words))
 	c.windows = append(c.windows, uint32(r.Windows))
 	c.fine = append(c.fine, r.Fine...)
 	if c.bbox {
@@ -82,6 +90,7 @@ func (c *regionColumns) add(r *region.Region) {
 func (c regionColumns) zeroed(n int) regionColumns {
 	c.sig = make([]float64, n*c.dim)
 	c.bits = make([]uint64, n*c.words)
+	c.pop = make([]uint16, n)
 	c.windows = make([]uint32, n)
 	c.fine = make([]float64, n*c.fineDim)
 	c.min, c.max = nil, nil
@@ -156,7 +165,29 @@ func (c *regionColumns) decodeAt(local, p int, rec []byte) error {
 		return err
 	}
 	c.windows[p] = uint32(r.Windows)
+	c.pop[p] = popOf(r.Bitmap.Words)
 	return nil
+}
+
+// popOf is the pop column's entry for a bitmap's words: the bits they
+// set, saturated at math.MaxUint16. Only a 256×256 grid holds more
+// cells than that; popCells reads a saturated entry back as that grid's
+// 1<<16 cells.
+func popOf(words []uint64) uint16 {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	return uint16(min(n, math.MaxUint16))
+}
+
+// popCells is an upper bound on the bits set in the bitmap whose pop
+// column entry is v: v itself, or 1<<16 for a saturated entry.
+func popCells(v uint16) int {
+	if v == math.MaxUint16 {
+		return 1 << 16
+	}
+	return int(v)
 }
 
 // key returns payload p's index key (see signatureRect).

@@ -11,6 +11,7 @@ import (
 
 	"walrus/internal/imgio"
 	"walrus/internal/match"
+	"walrus/internal/region"
 )
 
 // corpus50 builds a seeded 50-image corpus of synthetic scenes with varied
@@ -137,13 +138,6 @@ func TestQueryParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestAggregateStageOrderIndependent: the per-image pair runs are a
-// function of the set of hits the probe returned, not of the order the
-// index emitted them in. Another tree shape emits the same hits in another
-// order, with the hits of different query regions interleaved, and the
-// one-to-one matchers break ties by pair order, so the pairs must reach
-// the scorer in (Q, T) order whatever the emission order. Catalogs of 12
-// and 150 images put the hit slots in one and in several bitset words.
 // TestAggregateStageSpan checks that aggregation reads and clears only
 // the bitset words its hit slots span: hits in one band of a large
 // catalog, then none, then another band must each yield exactly their
@@ -173,18 +167,48 @@ func TestAggregateStageSpan(t *testing.T) {
 		for _, h := range tc.hits {
 			want = append(want, h.image)
 		}
-		if got := aggregateStage(tc.hits, tc.numImages).images; !slices.Equal(got, want) {
+		if got := aggregateStage(tc.hits, make([]imageRecord, tc.numImages), make([]uint16, 2)).images; !slices.Equal(got, want) {
 			t.Fatalf("%d hits over %d images: candidates %v, want %v", len(tc.hits), tc.numImages, got, want)
 		}
 	}
 }
 
+// TestAggregateStageOrderIndependent: a ranking is a function of the
+// set of hits the probe returned, not of the order the index emitted
+// them in. Another tree shape emits the same hits in another order, with
+// the hits of different query regions interleaved. Aggregation appends
+// each hit to its image's run in emission order and sums the score
+// bound's inputs beside it (the mask of the run's query regions and the
+// pop sum of its distinct target regions), which must match a reference
+// built from the set; the one-to-one matchers break ties by pair order,
+// so the score stage must rank alike, pair sets included, whatever the
+// emission order. Catalogs of 12 and 150 images put the hit slots in one
+// and in several bitset words.
 func TestAggregateStageOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	randomBitmap := func() region.Bitmap {
+		b := region.NewBitmap(4)
+		b.Words[0] = rng.Uint64() & rng.Uint64() & 0xffff
+		return b
+	}
+	query := make([]region.Region, 4)
+	for qi := range query {
+		query[qi].Bitmap = randomBitmap()
+	}
+	qBits := match.Flatten(query, 4)
 	for _, images := range []int{12, 150} {
+		// Every image has 6 regions with random 4×4 bitmaps; payloads run
+		// in image order.
+		core := &snapCore{images: make([]imageRecord, images), cols: regionColumns{dim: 1, k: 4, words: 1}}
+		for img := range core.images {
+			core.images[img] = imageRecord{ID: fmt.Sprintf("img-%03d", img), W: 40 + rng.Intn(80), H: 40 + rng.Intn(80), First: 6 * img, Count: 6}
+			for range 6 {
+				core.cols.add(&region.Region{Signature: []float64{0}, Bitmap: randomBitmap()})
+			}
+		}
+		snap := &shardSnapshot{core: core}
 		// Most images are hit by few query regions, so an image's run
-		// often starts at the query region where its neighbour's run ends:
-		// the fill must not order pairs across that boundary.
+		// often starts at the query region where its neighbour's run ends.
 		var hits []probeHit
 		for qi := 0; qi < 4; qi++ {
 			for img := 0; img < images; img++ {
@@ -196,12 +220,12 @@ func TestAggregateStageOrderIndependent(t *testing.T) {
 				}
 			}
 		}
-		want := aggregateStage(hits, images)
+		want := aggregateStage(hits, core.images, core.cols.pop)
 		if !slices.IsSorted(want.images) || len(want.start) != len(want.images)+1 || want.start[len(want.images)] != len(want.pairs) || len(want.pairs) != len(hits) {
 			t.Fatalf("images=%d: malformed candidate set: images %v, start %v, %d pairs for %d hits",
 				images, want.images, want.start, len(want.pairs), len(hits))
 		}
-		// Reference: every image's hits, sorted by (Q, T).
+		// Reference: every image's hits in emission order.
 		ref := make(map[int][]match.Pair)
 		for _, h := range hits {
 			ref[h.image] = append(ref[h.image], h.pair)
@@ -210,22 +234,29 @@ func TestAggregateStageOrderIndependent(t *testing.T) {
 			t.Fatalf("images=%d: %d candidates, want %d", images, len(want.images), len(ref))
 		}
 		for i, img := range want.images {
-			pairs := want.pairsOf(i)
-			wantPairs := ref[img]
-			slices.SortFunc(wantPairs, func(a, b match.Pair) int {
-				if a.Q != b.Q {
-					return a.Q - b.Q
-				}
-				return a.T - b.T
-			})
-			if !slices.Equal(pairs, wantPairs) {
-				t.Fatalf("images=%d image %d: pairs %v, want %v", images, img, pairs, wantPairs)
+			if pairs := want.pairsOf(i); !slices.Equal(pairs, ref[img]) {
+				t.Fatalf("images=%d image %d: pairs %v, want %v", images, img, pairs, ref[img])
 			}
-			for j := 1; j < len(pairs); j++ {
-				if a, b := pairs[j-1], pairs[j]; a.Q > b.Q || (a.Q == b.Q && a.T >= b.T) {
-					t.Fatalf("images=%d image %d: pairs %v not in (Q, T) order", images, img, pairs)
+			var qmask uint64
+			seenT := map[int]bool{}
+			tcells := 0
+			for _, p := range ref[img] {
+				qmask |= 1 << p.Q
+				if !seenT[p.T] {
+					seenT[p.T] = true
+					tcells += int(core.cols.pop[core.images[img].First+p.T])
 				}
 			}
+			if want.qmask[i] != qmask || want.tcells[i] != tcells {
+				t.Fatalf("images=%d image %d: bound inputs qmask %b tcells %d, want %b and %d", images, img, want.qmask[i], want.tcells[i], qmask, tcells)
+			}
+		}
+		rank := func(c *candidateSet, p QueryParams) []Match {
+			m, _, err := snap.scoreStage(context.Background(), qBits, 100*100, c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
 		}
 		for trial := 0; trial < 20; trial++ {
 			// Shuffle the whole list: every region's hits interleave with
@@ -233,9 +264,26 @@ func TestAggregateStageOrderIndependent(t *testing.T) {
 			// the pool of the previous trial.
 			permuted := append([]probeHit(nil), hits...)
 			rng.Shuffle(len(permuted), func(i, j int) { permuted[i], permuted[j] = permuted[j], permuted[i] })
-			if got := aggregateStage(permuted, images); !reflect.DeepEqual(got, want) {
-				t.Fatalf("images=%d trial %d: permuting the hits changed the pair sets:\n got  %v\n want %v", images, trial, got, want)
+			got := aggregateStage(permuted, core.images, core.cols.pop)
+			if !slices.Equal(got.images, want.images) || !slices.Equal(got.start, want.start) ||
+				!slices.Equal(got.qmask, want.qmask) || !slices.Equal(got.tcells, want.tcells) {
+				t.Fatalf("images=%d trial %d: permuting the hits changed the candidates or their bound inputs", images, trial)
+			}
+			p := DefaultQueryParams()
+			p.Matcher = []match.Algorithm{match.Quick, match.Greedy, match.Assignment}[trial%3]
+			p.Limit = []int{0, 1, 5}[trial%3]
+			// Each ranking starts from a fresh copy of want: scoring puts
+			// the runs of the candidates it scores in (Q, T) order.
+			wantRank := rank(cloneCandidates(want), p)
+			if gotRank := rank(got, p); !reflect.DeepEqual(gotRank, wantRank) {
+				t.Fatalf("images=%d trial %d %v: permuting the hits changed the ranking:\n got  %v\n want %v", images, trial, p.Matcher, gotRank, wantRank)
 			}
 		}
 	}
+}
+
+// cloneCandidates copies a candidate set out of the pool's reach.
+func cloneCandidates(c *candidateSet) *candidateSet {
+	return &candidateSet{images: slices.Clone(c.images), start: slices.Clone(c.start), pairs: slices.Clone(c.pairs),
+		qmask: slices.Clone(c.qmask), tcells: slices.Clone(c.tcells)}
 }

@@ -233,6 +233,40 @@ func normalize(coveredQ, coveredT float64, qArea, tArea int, d Denominator) floa
 	}
 }
 
+// exactSlack widens the exact matcher's bound; see Bound.
+const exactSlack = 1 + 0x1p-46
+
+// Bound is an upper bound on the similarity Score and ScoreTrusted give
+// any pair set whose query regions' bitmaps cover cellsQ cells of their
+// union, and whose target regions' bitmaps have at most cellsT set bits
+// in all (each distinct region's count summed serves), on a k×k grid.
+// Every matcher covers the union of a subset of the pairs' regions on
+// each side: quick all of them, greedy, assignment and exact a
+// one-to-one subset. Its covered area is therefore covered(n) of a union
+// of n cells, n ≤ cellsQ on the query side and n ≤ min(cellsT, the bits
+// a bitmap's words hold) on the target side. covered is monotone in n
+// and normalize in each covered area: every step is a correctly rounded
+// division, product, sum or min of non-negative floats, and rounding is
+// monotone. So the bound, those two arguments run through the same
+// arithmetic, is at least the score bit for bit. The exact matcher's
+// search is the exception: it adds one covered() per chosen pair, and
+// that sum of up to ExactPairLimit roundings can exceed covered() of the
+// union by a few ulps; exactSlack, 2⁷ ulps of relative width, covers it
+// (DESIGN.md, "Query tail"). An unknown algorithm, which Score refuses,
+// is bounded by +Inf.
+func Bound(cellsQ, cellsT, k, qArea, tArea int, opts Options) float64 {
+	words := (k*k + 63) / 64
+	cq, ct := covered(cellsQ, k, qArea), covered(min(cellsT, 64*words), k, tArea)
+	switch opts.Algorithm {
+	case Quick, Greedy, Assignment:
+	case Exact:
+		cq, ct = float64(cq*exactSlack), float64(ct*exactSlack)
+	default:
+		return math.Inf(1)
+	}
+	return normalize(cq, ct, qArea, tArea, opts.Denominator)
+}
+
 // covered is the pixel area of an image of the given area that count
 // cells of its k×k grid cover: Bitmap.Fraction times the area, rounded
 // before any sum it enters (Go may otherwise fuse x*y + z).

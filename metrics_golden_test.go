@@ -99,7 +99,11 @@ func runMetricsSequence(t *testing.T, shards int) metricsValues {
 // two when the sliding-window DP stopped sending its rows through the
 // worker pool. One series has gone: walrus_recovery_app_records and its
 // per-shard copies, whose recovery count could only read 0 once a
-// rebuild marker past the last checkpoint failed Open.
+// rebuild marker past the last checkpoint failed Open. One series has
+// been added: walrus_query_scored_total, the candidates scored once the
+// coverage bound skips those that cannot be kept. It reads 20, equal to
+// walrus_query_candidates_total, at both shard counts: the sequence's
+// queries have τ 0 and no Limit, so the bound skips none.
 func TestMetricsGolden(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "metrics_golden.json"))
 	if err != nil {

@@ -19,6 +19,7 @@ type queryMetrics struct {
 	queryRegions     *obs.Counter
 	regionsRetrieved *obs.Counter
 	candidates       *obs.Counter
+	scored           *obs.Counter
 
 	querySeconds   *obs.Histogram
 	extractSeconds *obs.Histogram
@@ -37,7 +38,8 @@ func newQueryMetrics(reg *obs.Registry) *queryMetrics {
 		queries:          reg.Counter("walrus_query_total", "Queries served."),
 		queryRegions:     reg.Counter("walrus_query_regions_total", "Regions extracted from query images."),
 		regionsRetrieved: reg.Counter("walrus_query_regions_retrieved_total", "Matching database regions retrieved by index probes."),
-		candidates:       reg.Counter("walrus_query_candidates_total", "Candidate images scored by queries."),
+		candidates:       reg.Counter("walrus_query_candidates_total", "Candidate images the index probes of queries retrieved."),
+		scored:           reg.Counter("walrus_query_scored_total", "Candidate images scored by queries; the rest were skipped by the coverage bound."),
 		querySeconds:     reg.Histogram("walrus_query_seconds", "End-to-end query latency.", nil),
 		extractSeconds:   reg.Histogram("walrus_query_extract_seconds", "Query region-extraction phase latency.", nil),
 		probeSeconds:     reg.Histogram("walrus_query_probe_seconds", "Query index-probe phase latency.", nil),

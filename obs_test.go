@@ -29,7 +29,8 @@ func TestQueryStatsMatchRegistry(t *testing.T) {
 	if err := db.Add("b", scene(gray, blue, 16, 16, 48)); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := db.QueryContext(context.Background(), scene(green, red, 32, 32, 48), DefaultQueryParams())
+	ctx, qt := WithQueryTrace(context.Background())
+	_, stats, err := db.QueryContext(ctx, scene(green, red, 32, 32, 48), DefaultQueryParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +40,7 @@ func TestQueryStatsMatchRegistry(t *testing.T) {
 		"walrus_query_regions_total":           uint64(stats.QueryRegions),
 		"walrus_query_regions_retrieved_total": uint64(stats.RegionsRetrieved),
 		"walrus_query_candidates_total":        uint64(stats.CandidateImages),
+		"walrus_query_scored_total":            uint64(scoredOf(t, qt)),
 		"walrus_ingest_total":                  2,
 	}
 	for name, want := range wantCounters {

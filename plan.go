@@ -37,6 +37,7 @@ type stageExec struct {
 	hits      *hitBuf
 	cands     *candidateSet
 	retrieved int
+	scored    int
 	matches   []Match
 }
 
@@ -116,7 +117,8 @@ func runRefine(ctx context.Context, ex *stageExec, sp *obs.Span) error {
 }
 
 func runAggregate(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	ex.cands, ex.retrieved = aggregateStage(ex.hits.hits, len(ex.snap.core.images)), len(ex.hits.hits)
+	core := ex.snap.core
+	ex.cands, ex.retrieved = aggregateStage(ex.hits.hits, core.images, core.cols.pop), len(ex.hits.hits)
 	hitPool.Put(ex.hits)
 	ex.hits = nil
 	if ex.tc != nil {
@@ -128,16 +130,17 @@ func runAggregate(ctx context.Context, ex *stageExec, sp *obs.Span) error {
 }
 
 func runScore(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	matches, err := ex.snap.scoreStage(ctx, ex.qBits, ex.qArea, ex.cands, ex.p)
+	matches, scored, err := ex.snap.scoreStage(ctx, ex.qBits, ex.qArea, ex.cands, ex.p)
 	candPool.Put(ex.cands)
 	ex.cands = nil
 	if err != nil {
 		return err
 	}
-	ex.matches = matches
+	ex.matches, ex.scored = matches, scored
 	if ex.tc != nil {
-		ex.tc.matches = len(matches)
+		ex.tc.matches, ex.tc.scored = len(matches), scored
 	}
+	sp.SetAttr("scored", int64(scored))
 	sp.SetAttr("matches", int64(len(matches)))
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,8 +59,9 @@ type probeHit struct {
 // ball"). A bounding-box signature probes with its ε-envelope, since
 // bounding boxes match by box overlap. The hits of every region come back
 // in one flat list, in the index's depth-first emission order, which
-// follows the tree's shape; aggregateStage orders them, so scores, stats
-// and rankings depend only on the set each region retrieves. The list is
+// follows the tree's shape; the score stage orders the pairs of each
+// candidate it scores, so scores, stats and rankings depend only on the
+// set each region retrieves. The list is
 // a pooled buffer that aggregateStage's caller returns. A nil tc (the
 // common case) adds nothing to the probe path.
 func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) (*hitBuf, error) {
@@ -169,15 +171,22 @@ func (s *shardSnapshot) refineStage(ctx context.Context, qRegions []region.Regio
 
 // candidateSet is the aggregate stage's output: the candidate images in
 // ascending slot order and their probe pairs in one flat buffer, each
-// candidate's run contiguous and in (Q, T) order — images[i]'s pairs are
-// pairs[start[i]:start[i+1]]. Sets are pooled across queries: the score
-// stage hands its set back to candPool once the ranking is built,
-// which keeps no pair of it (the quick matcher returns none and the
-// one-to-one matchers copy theirs).
+// candidate's run contiguous and in the order the probe emitted its
+// hits — images[i]'s pairs are pairs[start[i]:start[i+1]]; the score
+// stage puts a run in (Q, T) order only if it scores the candidate.
+// Beside each candidate it keeps what the score stage bounds it by:
+// qmask[i], bit q set for each query region q < 64 its pairs name, and
+// tcells[i], the pop sum of the distinct target regions they name
+// (regions past the 64th counted once per pair). Sets are pooled across
+// queries: the score stage hands its set back to candPool once the
+// ranking is built, which keeps no pair of it (the quick matcher returns
+// none and the one-to-one matchers copy theirs).
 type candidateSet struct {
 	images []int
 	start  []int
 	pairs  []match.Pair
+	qmask  []uint64
+	tcells []int
 }
 
 var candPool = sync.Pool{New: func() any { return new(candidateSet) }}
@@ -189,6 +198,8 @@ func getCandidates(n, m int) *candidateSet {
 	c.images = resize(c.images, n)
 	c.start = resize(c.start, n+1)
 	c.pairs = resize(c.pairs, m)
+	c.qmask = resize(c.qmask, n)
+	c.tcells = resize(c.tcells, n)
 	return c
 }
 
@@ -215,28 +226,29 @@ type aggScratch struct {
 	// hit is a bitset of the slots hit, read out in slot order; it too is
 	// zero in the pool.
 	hit []uint64
-	// fill holds the per-candidate fill cursors.
-	fill []int
+	// fill holds the per-candidate fill cursors, first each candidate's
+	// first payload and tseen the target regions below 64 it has summed.
+	fill, first []int
+	tseen       []uint64
 }
 
 var aggPool = sync.Pool{New: func() any { return new(aggScratch) }}
 
 // aggregateStage groups the flat hit list into the per-image pair runs
-// the scorer consumes. numImages bounds the image slots the hits name.
-// Hits are counted per image in a dense slot-indexed array, which also
+// the scorer consumes. images is the catalog the hits' image slots
+// index, and pop its pop column. Hits are counted per image in a dense
+// slot-indexed array, which also
 // marks each image hit in a bitset; the bitset's words from the lowest
 // to the highest slot hit, read in order, yield the candidates in
-// ascending slot order with no sort. A second pass lays every hit into
+// ascending slot order with no sort. A second pass appends every hit to
 // its image's run of one flat buffer, so the cost is linear in the hits
-// plus the words the hit slots span. Each run comes out in
-// (Q, T) order whatever order the index emitted the hits in, by an
-// insertion step per hit: the one-to-one matchers break ties by pair
-// order, and a ranking must not depend on the tree's shape.
-func aggregateStage(hits []probeHit, numImages int) *candidateSet {
+// plus the words the hit slots span, and sums each candidate's bound
+// inputs, qmask and tcells, which depend only on the set of its pairs.
+func aggregateStage(hits []probeHit, images []imageRecord, pop []uint16) *candidateSet {
 	sc := aggPool.Get().(*aggScratch)
-	if len(sc.slot) < numImages {
-		sc.slot = make([]int32, numImages)
-		sc.hit = make([]uint64, (numImages+63)/64)
+	if len(sc.slot) < len(images) {
+		sc.slot = make([]int32, len(images))
+		sc.hit = make([]uint64, (len(images)+63)/64)
 	}
 	slot, hit := sc.slot, sc.hit
 	// first and last bound the bitset words the hits set.
@@ -252,14 +264,15 @@ func aggregateStage(hits []probeHit, numImages int) *candidateSet {
 	}
 	c := getCandidates(n, len(hits))
 	c.start[0] = 0
-	sc.fill = resize(sc.fill, n)
-	fill := sc.fill
+	sc.fill, sc.first, sc.tseen = resize(sc.fill, n), resize(sc.first, n), resize(sc.tseen, n)
+	fill, base, tseen := sc.fill, sc.first, sc.tseen
 	i := 0
 	for w := first; w <= last; w++ {
 		for word := hit[w]; word != 0; word &= word - 1 {
 			img := 64*w + bits.TrailingZeros64(word)
-			c.images[i], fill[i] = img, c.start[i]
+			c.images[i], fill[i], base[i] = img, c.start[i], images[img].First
 			c.start[i+1] = c.start[i] + int(slot[img])
+			c.qmask[i], c.tcells[i], tseen[i] = 0, 0, 0
 			slot[img] = int32(i)
 			i++
 		}
@@ -267,13 +280,16 @@ func aggregateStage(hits []probeHit, numImages int) *candidateSet {
 	}
 	for _, h := range hits {
 		ci := slot[h.image]
-		lo, at := c.start[ci], fill[ci]
-		for at > lo && pairLess(h.pair, c.pairs[at-1]) {
-			c.pairs[at] = c.pairs[at-1]
-			at--
-		}
-		c.pairs[at] = h.pair
+		c.pairs[fill[ci]] = h.pair
 		fill[ci]++
+		// A shift by 64 or more is 0 in Go: a query region past the 64th
+		// sets no bit, and a target region past the 64th is summed
+		// again for every pair naming it, which still bounds the union.
+		c.qmask[ci] |= 1 << uint(h.pair.Q)
+		if bit := uint64(1) << uint(h.pair.T); tseen[ci]&bit == 0 {
+			tseen[ci] |= bit
+			c.tcells[ci] += popCells(pop[base[ci]+h.pair.T])
+		}
 	}
 	for _, img := range c.images {
 		slot[img] = 0
@@ -282,40 +298,120 @@ func aggregateStage(hits []probeHit, numImages int) *candidateSet {
 	return c
 }
 
-// pairLess orders pairs by query region, then target region.
-func pairLess(a, b match.Pair) bool {
-	return a.Q < b.Q || (a.Q == b.Q && a.T < b.T)
+// comparePairs orders pairs by query region, then target region.
+func comparePairs(a, b match.Pair) int {
+	if a.Q != b.Q {
+		return a.Q - b.Q
+	}
+	return a.T - b.T
 }
 
-// scoreStage scores every candidate image on the calling goroutine, in
+// scoreStage scores the candidate images on the calling goroutine, in
 // ascending slot order, and keeps the matches with similarity >= p.Tau
 // that rank in the top p.Limit (all of them when Limit is 0) by
-// decreasing similarity, ties by id. qBits holds the query regions'
-// bitmaps laid out flat, as the catalog's are. The returned slice is sized
-// exactly to the kept matches, so it pins no memory of the candidates it
-// dropped. The deadline is checked every few candidates.
-func (s *shardSnapshot) scoreStage(ctx context.Context, qBits []uint64, qArea int, cands *candidateSet, p QueryParams) ([]Match, error) {
+// decreasing similarity, ties by id. It returns them and the number of
+// candidates it scored. A candidate is scored only if its coverage
+// bound (match.Bound, from its qmask and tcells) could still keep it:
+// a bound below τ, or one that ranks at or below the worst match of a
+// full top-k at its own id, bounds a score that would be dropped, so
+// the ranking is the one scoring every candidate gives. A scored
+// candidate's pairs are first put in (Q, T) order: the one-to-one
+// matchers break ties by pair order, and a ranking must not depend on
+// the order the tree's shape emitted the hits in. qBits holds the
+// query regions' bitmaps laid out flat, as the catalog's are. The
+// returned slice is sized exactly to the kept matches, so it pins no
+// memory of the candidates it dropped. The deadline is checked every
+// few candidates.
+func (s *shardSnapshot) scoreStage(ctx context.Context, qBits []uint64, qArea int, cands *candidateSet, p QueryParams) ([]Match, int, error) {
 	cols := &s.core.cols
 	scoreOpts := match.Options{Algorithm: p.Matcher, Denominator: p.Denominator}
 	top := newTopK(p.Limit, len(cands.images))
+	qc := queryCells{bits: qBits, words: cols.words, all: -1}
+	if len(qBits) > 64*cols.words {
+		qc.all = unionCells(qBits, cols.words)
+	}
+	scored := 0
 	for i, imgIdx := range cands.images {
 		if i%16 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		rec := &s.core.images[imgIdx]
+		tArea := rec.W * rec.H
+		bound := match.Bound(qc.of(cands.qmask[i]), cands.tcells[i], cols.k, qArea, tArea, scoreOpts)
+		if bound < p.Tau || top.misses(bound, rec.ID) {
+			continue
+		}
+		scored++
 		pairs := cands.pairsOf(i)
-		res, err := match.ScoreTrusted(qBits, cols.bitsRun(rec.First, rec.First+rec.Count), cols.k, pairs, qArea, rec.W*rec.H, scoreOpts)
+		slices.SortFunc(pairs, comparePairs)
+		res, err := match.ScoreTrusted(qBits, cols.bitsRun(rec.First, rec.First+rec.Count), cols.k, pairs, qArea, tArea, scoreOpts)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if res.Similarity < p.Tau {
 			continue
 		}
 		top.offer(Match{ID: rec.ID, Similarity: res.Similarity, Pairs: res.Pairs, MatchingRegions: len(pairs)})
 	}
-	return top.sorted(), nil
+	return top.sorted(), scored, nil
+}
+
+// queryCells answers the query side of the coverage bound: the cells
+// covered by the union of the query regions a candidate's pairs name,
+// given as their qmask. A query of more than 64 regions answers with
+// the union of all of them, which holds every candidate's. Unions are
+// memoised in a small direct-mapped table keyed by mask; its zero entry
+// holds mask 0, whose union is empty.
+type queryCells struct {
+	bits  []uint64
+	words int
+	all   int // the union of every region's cells; -1 for 64 regions or fewer
+	memo  [64]struct {
+		mask  uint64
+		cells int
+	}
+}
+
+// unionCells counts the cells of the union of every bitmap in flat, of
+// words words each.
+func unionCells(flat []uint64, words int) int {
+	n := 0
+	for w := 0; w < words; w++ {
+		var u uint64
+		for i := w; i < len(flat); i += words {
+			u |= flat[i]
+		}
+		n += bits.OnesCount64(u)
+	}
+	return n
+}
+
+// of returns the cells covered by the union of the query regions in
+// mask.
+func (q *queryCells) of(mask uint64) int {
+	if q.all >= 0 {
+		return q.all
+	}
+	e := &q.memo[mask*0x9E3779B97F4A7C15>>58]
+	if e.mask != mask {
+		e.mask, e.cells = mask, q.union(mask)
+	}
+	return e.cells
+}
+
+// union counts the cells of the union of the regions in mask.
+func (q *queryCells) union(mask uint64) int {
+	n := 0
+	for w := 0; w < q.words; w++ {
+		var u uint64
+		for m := mask; m != 0; m &= m - 1 {
+			u |= q.bits[bits.TrailingZeros64(m)*q.words+w]
+		}
+		n += bits.OnesCount64(u)
+	}
+	return n
 }
 
 // querySource is what a query runs on: the pixels of a query image, the
@@ -446,7 +542,10 @@ func (c *snapCore) queryOf(idx int) *storedQuery {
 // extractor, which every shard shares, so extraction and the index
 // probes are bound to the same configuration. The catalog's bitmaps were
 // checked on entry; the query's are checked here, once, so every
-// candidate is scored unchecked.
+// candidate is scored unchecked. The stored regions keep only what a
+// stage reads — the signature, the fine signature (refine) and, under
+// UseBBox alone, the box (probe) — as the result cache holds them: the
+// bitmaps are read from the flat copy, so each region's own words go.
 func (f queryFront) extract(im *imgio.Image) (*storedQuery, error) {
 	core := f.snaps[0].core
 	regions, err := core.ext.Extract(im)
@@ -457,7 +556,14 @@ func (f queryFront) extract(im *imgio.Image) (*storedQuery, error) {
 	if err := checkGrid(k, regions); err != nil {
 		return nil, fmt.Errorf("walrus: query: %w", err)
 	}
-	return &storedQuery{regions: regions, bits: match.Flatten(regions, k), area: im.W * im.H}, nil
+	sq := &storedQuery{regions: regions, bits: match.Flatten(regions, k), area: im.W * im.H}
+	for i := range regions {
+		regions[i].Bitmap = region.Bitmap{}
+		if !core.opts.UseBBox {
+			regions[i].Min, regions[i].Max = nil, nil
+		}
+	}
+	return sq, nil
 }
 
 // run executes the staged pipeline for a resolved query under qspan, the
@@ -511,7 +617,11 @@ func (f queryFront) run(ctx context.Context, qspan *obs.Span, start time.Time, e
 	if qt != nil {
 		qt.fill(qspan, f.fleet(), p, len(sq.regions), execs, stats, mergedIn, len(matches), mergeNS)
 	}
-	f.observeQuery(qspan, stats)
+	scored := 0
+	for i := range execs {
+		scored += execs[i].scored
+	}
+	f.observeQuery(qspan, stats, scored)
 	return matches, stats, nil
 }
 
@@ -596,10 +706,11 @@ func failSpans(spans ...*obs.Span) {
 // observeQuery finishes one successful query's observability: the live
 // query span gains its funnel attributes and ends (recording into the
 // span ring), and the same quantities the query returns in QueryStats are
-// re-emitted as counters and phase histograms. The span may outlive the
+// re-emitted as counters and phase histograms, beside scored, the
+// candidates its shards scored. The span may outlive the
 // registry handle — a request-scoped span keeps recording into the
 // serving layer's registry even if SetMetrics detaches the database's.
-func (f queryFront) observeQuery(qspan *obs.Span, stats QueryStats) {
+func (f queryFront) observeQuery(qspan *obs.Span, stats QueryStats, scored int) {
 	qspan.SetAttr("query_regions", int64(stats.QueryRegions))
 	qspan.SetAttr("regions_retrieved", int64(stats.RegionsRetrieved))
 	qspan.SetAttr("candidates", int64(stats.CandidateImages))
@@ -615,6 +726,7 @@ func (f queryFront) observeQuery(qspan *obs.Span, stats QueryStats) {
 	m.queryRegions.Add(uint64(stats.QueryRegions))
 	m.regionsRetrieved.Add(uint64(stats.RegionsRetrieved))
 	m.candidates.Add(uint64(stats.CandidateImages))
+	m.scored.Add(uint64(scored))
 	m.querySeconds.Observe(stats.Elapsed.Seconds())
 	m.extractSeconds.Observe(stats.ExtractTime.Seconds())
 	m.probeSeconds.Observe(stats.ProbeTime.Seconds())

@@ -47,11 +47,23 @@ func (t *topK) offer(m Match) {
 		t.siftUp(len(t.heap) - 1)
 		return
 	}
-	if compareMatches(m, t.heap[0]) >= 0 {
+	if t.misses(m.Similarity, m.ID) {
 		return
 	}
 	t.heap[0] = m
 	t.siftDown(0)
+}
+
+// misses reports whether offering a match of similarity sim and id id
+// would leave the selection as it is: it is full and the match ranks at
+// or below its worst kept one (compareMatches >= 0, without building the
+// Match).
+func (t *topK) misses(sim float64, id string) bool {
+	if t.limit <= 0 || len(t.heap) < t.limit {
+		return false
+	}
+	w := &t.heap[0]
+	return !(sim > w.Similarity) && (sim != w.Similarity || id >= w.ID)
 }
 
 // siftUp moves entry i toward the root while it ranks below its parent.

@@ -71,6 +71,11 @@ type ExplainStage struct {
 	IndexHits    int `json:"index_hits"`
 	NodesVisited int `json:"nodes_visited"`
 	EntryTests   int `json:"entry_tests"`
+	// Scored is nonzero only for the score stage: the candidates scored,
+	// of the In it received. The rest were skipped unscored, their
+	// coverage bound showing they could not pass τ or enter the top
+	// Limit.
+	Scored int `json:"scored"`
 	// DurationNS is the stage's wall time; on a sharded query it is the
 	// slowest shard's time for that stage (the critical path), since
 	// shards run the stage concurrently.
@@ -87,6 +92,7 @@ type ExplainShard struct {
 	EntryTests       int    `json:"entry_tests"`
 	RegionsRetrieved int    `json:"regions_retrieved"`
 	CandidateImages  int    `json:"candidate_images"`
+	Scored           int    `json:"scored"`
 	Matches          int    `json:"matches"`
 	// ProbeNS covers the shard's probe+refine+aggregate work, ScoreNS
 	// its candidate scoring, as measured inside the shard's fan-out task.
@@ -124,7 +130,7 @@ type traceCollector struct {
 	refineOut  int // hits surviving refine
 
 	probeNS, refineNS, aggregateNS, scoreNS int64
-	candidates, matches                     int
+	candidates, scored, matches             int
 }
 
 func newTraceCollector(version uint64) *traceCollector {
@@ -184,7 +190,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 	qt.Matches = matches
 	qt.ElapsedNS = stats.Elapsed.Nanoseconds()
 
-	probeHits, refineKept := 0, 0
+	probeHits, refineKept, scored := 0, 0, 0
 	probeIndexHits, probeVisits, probeTests := 0, 0, 0
 	qt.Shards = make([]ExplainShard, len(execs))
 	for i := range execs {
@@ -198,6 +204,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 		probeIndexHits += tc.indexHits
 		probeVisits += tc.nodeVisits
 		probeTests += tc.entryTests
+		scored += tc.scored
 		qt.Shards[i] = ExplainShard{
 			Shard:            i,
 			Version:          tc.version,
@@ -206,6 +213,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 			EntryTests:       tc.entryTests,
 			RegionsRetrieved: shardKept,
 			CandidateImages:  tc.candidates,
+			Scored:           tc.scored,
 			Matches:          tc.matches,
 			ProbeNS:          tc.probeNS + tc.refineNS + tc.aggregateNS,
 			ScoreNS:          tc.scoreNS,
@@ -235,7 +243,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 		DurationNS: maxNS(execs, func(tc *traceCollector) int64 { return tc.aggregateNS }),
 	})
 	qt.Stages = append(qt.Stages, ExplainStage{
-		Stage: "score", In: stats.CandidateImages, Out: mergedIn,
+		Stage: "score", In: stats.CandidateImages, Out: mergedIn, Scored: scored,
 		DurationNS: maxNS(execs, func(tc *traceCollector) int64 { return tc.scoreNS }),
 	})
 	if sharded {
