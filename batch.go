@@ -92,6 +92,8 @@ func (sh *shard) addExtractedLocked(id string, im *imgio.Image, regions []region
 	}
 	for local, r := range regions {
 		if err := sh.tree.Insert(signatureRect(sh.opts.UseBBox, r), int64(first+local)); err != nil {
+			// The catalog holds the image, the index only part of it.
+			sh.removed++
 			return fmt.Errorf("walrus: indexing region of %q: %w", id, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"walrus/internal/imgio"
+	"walrus/internal/match"
 )
 
 // The query result cache. It keeps two things per query: the query as
@@ -30,6 +31,18 @@ import (
 // re-resolved against its own pinned version on every lookup, so its
 // entry keeps the answer alone: the stored regions of an id can change
 // with a write, and they alias the catalog of the version they came from.
+//
+// A miss on a pixels or scene entry of a centroid database can often
+// bring the stale answer forward instead (a "delta"). A target's score
+// depends only on the query's regions and its own, so a write that only
+// adds images leaves every old score as it was, and the top k of the
+// grown catalog is the top k of the old answer merged with the top k of
+// the images added. The entry marks, per shard, the version, payload
+// count and removed count its answer saw; a lookup at a front past every
+// mark with nothing removed since scans only the payloads added since
+// (deltaStage) and merges. A removal, a front older than a mark, or more
+// new payloads than the last full probe's entry tests run the full
+// pipeline instead.
 
 // cacheKey identifies one cacheable query result. QueryParams is
 // comparable, so the key works directly as a map key; canonicalParams
@@ -129,9 +142,10 @@ func (f queryFront) versionKey() uint64 {
 
 // cacheEntry is one cached query. Its fields are written only under the
 // cache's lock, and each is replaced whole, never changed in place: the
-// matches slice is private to the cache — stored and served as copies —
-// and the stored query is read-only once built, so a lookup may hand
-// both out and use them after the lock is released.
+// matches, their pairs included, are private to the cache — stored and
+// served as copies — and the stored query and the marks are read-only
+// once built, so a lookup may hand them out and use them after the lock
+// is released.
 type cacheEntry struct {
 	key cacheKey
 	// query is the stored query of a pixels or scene query; nil for an
@@ -141,6 +155,41 @@ type cacheEntry struct {
 	stamp   uint64
 	matches []Match
 	stats   QueryStats
+	// marks holds, per shard, what the answer saw of that shard; nil for
+	// an id query, which is never brought forward.
+	marks []shardMark
+}
+
+// shardMark is what a cached answer saw of one shard: its version, its
+// payload count (len(refs)) and removed count at that version, and the
+// leaf entry tests of the last full probe behind the answer, which
+// bound the work a delta may do instead of probing again.
+type shardMark struct {
+	version    uint64
+	payloads   int
+	removed    uint64
+	entryTests int
+}
+
+// copyMatches returns a copy of ms whose pairs live in one new flat
+// buffer, so that the copy shares no array with ms: the cache stores
+// and serves answers this way, and a caller that writes to a match's
+// pairs changes only its own answer.
+func copyMatches(ms []Match) []Match {
+	n := 0
+	for i := range ms {
+		n += len(ms[i].Pairs)
+	}
+	out := make([]Match, len(ms))
+	copy(out, ms)
+	flat := make([]match.Pair, 0, n)
+	for i := range out {
+		if p := out[i].Pairs; p != nil {
+			flat = append(flat, p...)
+			out[i].Pairs = flat[len(flat)-len(p) : len(flat) : len(flat)]
+		}
+	}
+	return out
 }
 
 // queryCache is a mutex-guarded LRU over cacheKey. Lookups are a map
@@ -230,8 +279,7 @@ func (f queryFront) lookup(c *queryCache, src querySource, p QueryParams) (cache
 // and the cached stats, re-stamped with the lookup time and a "hit"
 // marker. An EXPLAIN context gets the cache row alone.
 func (f queryFront) serveHit(ctx context.Context, lk cacheLookup, p QueryParams) ([]Match, QueryStats, error) {
-	out := make([]Match, len(lk.entry.matches))
-	copy(out, lk.entry.matches)
+	out := copyMatches(lk.entry.matches)
 	stats := lk.entry.stats
 	stats.Elapsed = statsSince(lk.start)
 	stats.Cache = "hit"
@@ -244,16 +292,50 @@ func (f queryFront) serveHit(ctx context.Context, lk cacheLookup, p QueryParams)
 	return out, stats, nil
 }
 
-// remember stores the answer a missed lookup went on to compute: a
-// private copy of the matches, the stats, the stamp looked for and sq,
-// the stored query to keep (nil for an id query). An EXPLAIN context gets
-// the cache row in front of the pipeline's.
-func (f queryFront) remember(ctx context.Context, c *queryCache, lk cacheLookup, sq *storedQuery, matches []Match, stats QueryStats) {
-	stored := make([]Match, len(matches))
-	copy(stored, matches)
-	evicted := c.put(cacheEntry{key: lk.key, query: sq, stamp: lk.stamp, matches: stored, stats: stats})
+// deltaFrom decides whether a missed lookup can bring its entry's
+// answer forward to the front's pinned versions, and returns, per shard,
+// the first payload the answer did not see; nil means the full pipeline
+// must run. It needs an entry with a stored query and marks (a pixels or
+// scene query), a centroid database (a bounding-box probe matches by box
+// overlap, which the delta scan does not test), every pinned shard at or
+// past its mark with no removal since, and at most as many distance
+// tests, new payloads times query regions, as the entry tests of the
+// last full probe.
+func (f queryFront) deltaFrom(e *cacheEntry) []int {
+	if e.query == nil || len(e.marks) != len(f.snaps) || f.snaps[0].core.opts.UseBBox {
+		return nil
+	}
+	qRegions := len(e.query.regions)
+	from := make([]int, len(f.snaps))
+	tests, budget := 0, 0
+	for i, m := range e.marks {
+		core := f.snaps[i].core
+		if core.version < m.version || core.removed != m.removed {
+			return nil
+		}
+		from[i] = m.payloads
+		tests += (len(core.refs) - m.payloads) * qRegions
+		budget += m.entryTests
+	}
+	if tests > budget {
+		return nil
+	}
+	return from
+}
+
+// remember stores the answer a missed lookup went on to compute, by a
+// full run or a delta: a private copy of the matches, the stats, the
+// stamp looked for, sq, the stored query to keep, and marks, what the
+// answer saw of each shard (both nil for an id query). An EXPLAIN context
+// gets the cache row in front of the pipeline's.
+func (f queryFront) remember(ctx context.Context, c *queryCache, lk cacheLookup, sq *storedQuery, marks []shardMark, matches []Match, stats QueryStats) {
+	evicted := c.put(cacheEntry{key: lk.key, query: sq, stamp: lk.stamp, matches: copyMatches(matches), stats: stats, marks: marks})
 	if m := f.qm; m != nil {
-		m.cacheMisses.Inc()
+		if stats.Cache == "delta" {
+			m.cacheDeltas.Inc()
+		} else {
+			m.cacheMisses.Inc()
+		}
 		if evicted > 0 {
 			m.cacheEvictions.Add(uint64(evicted))
 		}

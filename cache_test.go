@@ -120,10 +120,11 @@ func cacheTestDB(t *testing.T, shards, n, size int) *DB {
 	return db
 }
 
-// TestQueryCacheRegionReuse: after a write, a repeated pixels or scene
-// query misses, answers exactly what a NoCache query answers, and runs no
-// extraction — it probes the new version from the regions the cache
-// kept. One shard and three.
+// TestQueryCacheRegionReuse: after a write that adds an image, a
+// repeated pixels or scene query brings its cached answer forward by a
+// delta; after one that removes an image, it misses. Either way it
+// answers exactly what a NoCache query answers and runs no extraction:
+// it works from the regions the cache kept. One shard and three.
 func TestQueryCacheRegionReuse(t *testing.T) {
 	q := scene(green, red, 24, 24, 40)
 	for _, shards := range []int{1, 3} {
@@ -142,6 +143,8 @@ func TestQueryCacheRegionReuse(t *testing.T) {
 		for ki, k := range kinds {
 			label := fmt.Sprintf("shards=%d %s", shards, k.name)
 			p := DefaultQueryParams()
+			pn := p
+			pn.NoCache = true
 			m1, s1, err := k.run(context.Background(), p)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -149,42 +152,74 @@ func TestQueryCacheRegionReuse(t *testing.T) {
 			if s1.Cache != "miss" || s1.ExtractTime <= 0 {
 				t.Fatalf("%s: first query Cache=%q ExtractTime=%v, want an extracting miss", label, s1.Cache, s1.ExtractTime)
 			}
-			if err := db.Add(fmt.Sprintf("write-%d", ki), scene(green, red, 30, 30, 40)); err != nil {
+
+			// An added image: a delta over its regions alone. A 48×48 one
+			// has few enough regions to stay within the delta's budget.
+			id := fmt.Sprintf("write-%d", ki)
+			small, err := imgio.Crop(scene(green, red, 30, 30, 40), 16, 16, 48, 48)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if err := db.Add(id, small); err != nil {
+				t.Fatal(err)
+			}
+			added, _ := db.RegionsOf(id)
 			ctx, qt := WithQueryTrace(context.Background())
 			m2, s2, err := k.run(ctx, p)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if s2.Cache != "miss" {
-				t.Fatalf("%s: query after write Cache=%q, want miss", label, s2.Cache)
+			if s2.Cache != "delta" || s2.ExtractTime != 0 {
+				t.Fatalf("%s: query after an add Cache=%q ExtractTime=%v, want a delta extracting nothing", label, s2.Cache, s2.ExtractTime)
 			}
-			if s2.ExtractTime != 0 {
-				t.Fatalf("%s: query after write ExtractTime=%v, want 0 (regions reused)", label, s2.ExtractTime)
-			}
-			if len(qt.Stages) < 2 || qt.Stages[0].Stage != "cache" || qt.Stages[1].Stage != "extract" ||
-				qt.Stages[1].DurationNS != 0 || qt.Stages[1].Out != s1.QueryRegions {
-				t.Fatalf("%s: EXPLAIN after write %+v, want a cache row, then an extract row of %d regions taking 0 ns",
-					label, qt.Stages, s1.QueryRegions)
+			if n := len(qt.Stages); n < 4 || qt.Stages[0].Stage != "cache" || qt.Stages[1].Stage != "delta" ||
+				qt.Stages[1].In != len(added) || qt.Stages[1].EntryTests != len(added)*s1.QueryRegions || qt.Stages[n-1].Stage != "merge" {
+				t.Fatalf("%s: EXPLAIN after an add %+v, want a cache row, a delta row scanning the %d added regions, and a merge row",
+					label, qt.Stages, len(added))
 			}
 			if len(m2) != len(m1)+1 {
-				t.Fatalf("%s: %d matches after the write, want %d", label, len(m2), len(m1)+1)
+				t.Fatalf("%s: %d matches after the add, want %d", label, len(m2), len(m1)+1)
 			}
-			pn := p
-			pn.NoCache = true
 			mn, sn, err := k.run(context.Background(), pn)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if got, want := answerBytes(t, m2, s2), answerBytes(t, mn, sn); got != want {
-				t.Fatalf("%s: reused-region answer\n%s\nNoCache answer\n%s", label, got, want)
+			if got, want := answerBytes(t, m2, QueryStats{}), answerBytes(t, mn, QueryStats{}); got != want {
+				t.Fatalf("%s: delta answer\n%s\nNoCache answer\n%s", label, got, want)
 			}
-			m3, s3, err := k.run(context.Background(), p)
-			if err != nil || s3.Cache != "hit" {
-				t.Fatalf("%s: repeat after the miss: Cache=%q err=%v, want hit", label, s3.Cache, err)
+
+			// A removed image: a miss that probes from the kept regions.
+			if _, err := db.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			ctx, qt = WithQueryTrace(context.Background())
+			m3, s3, err := k.run(ctx, p)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if s3.Cache != "miss" || s3.ExtractTime != 0 {
+				t.Fatalf("%s: query after a remove Cache=%q ExtractTime=%v, want a miss extracting nothing", label, s3.Cache, s3.ExtractTime)
+			}
+			if len(qt.Stages) < 2 || qt.Stages[0].Stage != "cache" || qt.Stages[1].Stage != "extract" ||
+				qt.Stages[1].DurationNS != 0 || qt.Stages[1].Out != s1.QueryRegions {
+				t.Fatalf("%s: EXPLAIN after a remove %+v, want a cache row, then an extract row of %d regions taking 0 ns",
+					label, qt.Stages, s1.QueryRegions)
+			}
+			mn, sn, err = k.run(context.Background(), pn)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
 			if got, want := answerBytes(t, m3, s3), answerBytes(t, mn, sn); got != want {
+				t.Fatalf("%s: reused-region answer\n%s\nNoCache answer\n%s", label, got, want)
+			}
+			if got, want := answerBytes(t, m3, QueryStats{}), answerBytes(t, m1, QueryStats{}); got != want {
+				t.Fatalf("%s: answer after the add and the remove\n%s\nfirst answer\n%s", label, got, want)
+			}
+			m4, s4, err := k.run(context.Background(), p)
+			if err != nil || s4.Cache != "hit" {
+				t.Fatalf("%s: repeat after the miss: Cache=%q err=%v, want hit", label, s4.Cache, err)
+			}
+			if got, want := answerBytes(t, m4, s4), answerBytes(t, mn, sn); got != want {
 				t.Fatalf("%s: hit\n%s\nNoCache answer\n%s", label, got, want)
 			}
 		}
@@ -194,8 +229,11 @@ func TestQueryCacheRegionReuse(t *testing.T) {
 // TestQueryCacheStampPinsVersion: a front pinned at an old version and
 // the live database query the same image, by pixels and by id, in turn
 // through one cache. Each lookup finds the entry the other just stamped,
-// so every one misses, and each side always gets the answer of its own
-// version: an answer is served only at the stamp it was computed at.
+// so none hits. The old front misses every time: it is older than the
+// entry's marks. The live database brings the old front's pixels answer
+// forward by a delta, and misses by id. Each side always gets the
+// answer of its own version: an answer is served only at the stamp it
+// was computed at, and brought forward only to a newer one.
 func TestQueryCacheStampPinsVersion(t *testing.T) {
 	q := scene(green, red, 24, 24, 40)
 	ctx := context.Background()
@@ -228,7 +266,11 @@ func TestQueryCacheStampPinsVersion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			liveWant := answerBytes(t, ml, sl)
+			liveWant, liveMatches := answerBytes(t, ml, sl), answerBytes(t, ml, QueryStats{})
+			liveOutcome := "miss"
+			if src.im != nil {
+				liveOutcome = "delta"
+			}
 			if oldWant == liveWant {
 				t.Fatalf("%s: the write did not change the answer; the test shows nothing", label)
 			}
@@ -250,7 +292,12 @@ func TestQueryCacheStampPinsVersion(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s.Cache != "miss" || answerBytes(t, m, s) != liveWant {
+				got, want := answerBytes(t, m, s), liveWant
+				if s.Cache == "delta" {
+					// A delta's stats count the delta's own work.
+					got, want = answerBytes(t, m, QueryStats{}), liveMatches
+				}
+				if s.Cache != liveOutcome || got != want {
 					t.Fatalf("%s round %d: live version got Cache=%q and another version's answer: %s",
 						label, i, s.Cache, answerBytes(t, m, s))
 				}
@@ -262,10 +309,11 @@ func TestQueryCacheStampPinsVersion(t *testing.T) {
 
 // TestQueryCacheExactness runs a seeded sequence of pixels, scene and id
 // queries under a few parameter sets, with adds and removes in between,
-// and checks every cached answer — hit, miss on a stored query, or miss
-// that extracts — against the same query with NoCache: equal matches and
-// stats but for times and the cache outcome, and, on a miss, the same
-// EXPLAIN funnel behind the cache row. One shard and three.
+// and checks every cached answer — hit, delta, miss on a stored query,
+// or miss that extracts — against the same query with NoCache: equal
+// matches, equal stats but for times and the cache outcome (a delta's
+// count its own work), and, on a miss, the same EXPLAIN funnel behind the
+// cache row. One shard and three.
 func TestQueryCacheExactness(t *testing.T) {
 	items := corpus50(t)
 	pixels := []*imgio.Image{items[3].Image, items[7].Image, scene(green, red, 24, 24, 40), scene(gray, blue, 40, 40, 44)}
@@ -330,7 +378,11 @@ func TestQueryCacheExactness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			if got, want := answerBytes(t, m, s), answerBytes(t, mn, sn); got != want {
+			got, want := answerBytes(t, m, s), answerBytes(t, mn, sn)
+			if s.Cache == "delta" {
+				got, want = answerBytes(t, m, QueryStats{}), answerBytes(t, mn, QueryStats{})
+			}
+			if got != want {
 				t.Fatalf("shards=%d step %d: cache %s answered\n%s\nNoCache answered\n%s", shards, step, s.Cache, got, want)
 			}
 			kind := s.Cache
@@ -348,8 +400,8 @@ func TestQueryCacheExactness(t *testing.T) {
 			}
 			outcomes[kind]++
 		}
-		if outcomes["hit"] == 0 || outcomes["miss"] == 0 || outcomes["reuse"] == 0 {
-			t.Fatalf("shards=%d: outcomes %v, want hits, extracting misses and misses reusing regions", shards, outcomes)
+		if outcomes["hit"] == 0 || outcomes["delta"] == 0 || outcomes["miss"] == 0 || outcomes["reuse"] == 0 {
+			t.Fatalf("shards=%d: outcomes %v, want hits, deltas, extracting misses and misses reusing regions", shards, outcomes)
 		}
 	}
 }

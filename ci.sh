@@ -69,7 +69,13 @@
 #      get each other's answer), region reuse (a miss after a write
 #      probes from the kept regions, runs no extraction, and answers what
 #      NoCache answers), exactness against NoCache over a seeded mix of
-#      queries and writes, churn, the pixel fingerprint, and the bytes a
+#      queries and writes, the delta (TestQueryCacheDelta: an answer
+#      brought forward across adds equals NoCache under every matcher,
+#      τ, Limit and refine at one shard and three, every fallback occurs,
+#      and the delta scan keeps exactly the probe's hits past a mark),
+#      private pairs (TestQueryCachePrivatePairs: a caller writing to an
+#      answer's pairs changes no later hit or delta), churn, the pixel
+#      fingerprint, and the bytes a
 #      cached stored query keeps (no per-region bitmap words, boxes only
 #      under UseBBox)
 #   1h. probe exactness tier: the R*-tree probe, bulk-load and insert
@@ -260,7 +266,7 @@ tier "tier 1: snapshot (acquire/release vs publish, leak check, id index, metric
 tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle, layouts, write after close, query fronts)" go test -race -count=1 -run 'TestShard|TestLayoutCompat|TestWriteAfterClose|TestQueryFrontsAgree|TestQueryFrontErrors|TestQueryEntryPoints|TestQueryCache|TestTraceCompleteness|TestExplainFunnelDeterminism' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, write atomicity, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
-tier "tier 1: cache (result-cache protocol: version stamp, region reuse, exactness, fingerprint, stored query bytes)" go test -race -count=1 -cpu 1,4 -run 'TestQueryCache|TestQueryFingerprint|TestStoredQueryBytes' ./...
+tier "tier 1: cache (result-cache protocol: version stamp, region reuse, exactness, delta, private pairs, fingerprint, stored query bytes)" go test -race -count=1 -cpu 1,4 -run 'TestQueryCache|TestQueryCacheDelta|TestQueryCachePrivatePairs|TestQueryFingerprint|TestStoredQueryBytes' ./...
 tier "tier 1: probe exactness (ball pruning vs brute force, packing and insert shape, ChooseSubtree and split vs reference, paged leaf layouts)" go test -race -count=1 -run 'TestProbe|TestBulkLoad|TestInsertShape|TestInsertAllocations|TestChooseSubtree|TestSplit|TestPagedStore|TestMemStore|TestLeafLayout|TestFrameChecked|TestBallKernel' . ./internal/rstar ./internal/store
 
 tier "tier 1: extraction exactness (golden regions, allocations, no pool tasks, DP against its reference, non-finite samples, PPM decoder)" go test -race -count=1 -run 'TestExtractGolden|TestExtractAllocations|TestExtractRunsOnCaller|TestSlidingMatchesReference|TestSlidingRejectsNonFinite|TestExtractRejectsNonFinite|TestDecodePPMMatchesReference' ./internal/region ./internal/wavelet ./internal/imgio

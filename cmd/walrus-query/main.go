@@ -166,6 +166,8 @@ func printExplain(qt *walrus.QueryTrace) {
 			hits = fmt.Sprintf("%d", st.IndexHits)
 			nodes = fmt.Sprintf("%d", st.NodesVisited)
 			tests = fmt.Sprintf("%d", st.EntryTests)
+		case "delta":
+			tests = fmt.Sprintf("%d", st.EntryTests)
 		case "score":
 			scored = fmt.Sprintf("%d", st.Scored)
 		}

@@ -106,7 +106,9 @@ func TestQueryDeterminismMatrix(t *testing.T) {
 
 // TestQueryCache covers the result cache protocol on a single DB: a
 // repeat query hits, the served result is a private copy, a committed
-// write invalidates by construction, NoCache bypasses without
+// write makes the next lookup miss — on this two-image database each
+// write adds more regions than a probe tests, past the budget of a delta
+// (TestQueryCacheDelta covers those) — NoCache bypasses without
 // populating, LRU eviction shows up in the metrics, and a scene query
 // goes through the same protocol under its crop's key.
 func TestQueryCache(t *testing.T) {
@@ -167,7 +169,7 @@ func TestQueryCache(t *testing.T) {
 	}
 
 	// A committed write publishes a new version; the old entries can
-	// never be served again.
+	// never be served again as they are.
 	if err := db.Add("target2", scene(green, red, 32, 32, 48)); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +249,8 @@ func TestQueryCache(t *testing.T) {
 
 // TestQueryCacheSharded runs the same protocol over a sharded database,
 // where an answer is stamped with the pinned version vector: a write to
-// any one shard makes the next lookup of every entry miss.
+// any one shard makes the next lookup of every entry miss (here past the
+// delta budget, as in TestQueryCache).
 func TestQueryCacheSharded(t *testing.T) {
 	opts := testOptions()
 	opts.Shards = 4
@@ -295,7 +298,7 @@ func TestQueryCacheSharded(t *testing.T) {
 
 // TestQueryCacheChurn races a writer committing new images against
 // readers whose query never matches the churn: with version-stamped
-// answers every read — hit or miss — must observe a consistent
+// answers every read — hit, delta or miss — must observe a consistent
 // published version, so the expected match is present in every answer
 // and no stale result outlives the write that invalidated it.
 func TestQueryCacheChurn(t *testing.T) {
@@ -339,7 +342,7 @@ func TestQueryCacheChurn(t *testing.T) {
 					t.Errorf("reader saw %+v, want exactly [target]", matches)
 					return
 				}
-				if stats.Cache != "hit" && stats.Cache != "miss" {
+				if stats.Cache != "hit" && stats.Cache != "delta" && stats.Cache != "miss" {
 					t.Errorf("reader Cache = %q", stats.Cache)
 					return
 				}

@@ -43,10 +43,11 @@ func explainSchema(v any) []string {
 
 // TestExplainSchemaGolden pins the JSON schema of /v1/search?explain=1
 // against testdata/explain_schema.golden: the flattened key paths of the
-// explain object plus the stage sequence. A field rename or reorder is an
-// API break for every client parsing EXPLAIN output — regenerate the
-// golden deliberately with WALRUS_UPDATE_GOLDEN=1 when the schema is
-// meant to change.
+// explain object plus the stage sequences of a full run and of a cached
+// answer brought forward by a delta after an ingest. A field rename or
+// reorder is an API break for every client parsing EXPLAIN output —
+// regenerate the golden deliberately with WALRUS_UPDATE_GOLDEN=1 when
+// the schema is meant to change.
 func TestExplainSchemaGolden(t *testing.T) {
 	reg := obs.NewRegistry()
 	db, err := walrus.New(testOptions())
@@ -88,14 +89,41 @@ func TestExplainSchemaGolden(t *testing.T) {
 		b.WriteString(p)
 		b.WriteString("\n")
 	}
-	b.WriteString("stages:")
-	stages, _ := explain["stages"].([]any)
-	for _, st := range stages {
-		m, _ := st.(map[string]any)
-		b.WriteString(" ")
-		b.WriteString(fmt.Sprint(m["stage"]))
+	writeStages(&b, "stages:", explain)
+
+	// The identical query repeats against an unchanged database: served
+	// from the result cache, reported in the response header.
+	w2 := do(s, "POST", "/v1/search?explain=1&refine=1&k=5", "image/x-portable-pixmap", testPPM(t, 0))
+	if w2.Code != http.StatusOK {
+		t.Fatalf("repeat search: got %d: %s", w2.Code, w2.Body.String())
 	}
-	b.WriteString("\n")
+	if got := w2.Header().Get("X-Walrus-Cache"); got != "hit" {
+		t.Fatalf("repeat search X-Walrus-Cache = %q, want \"hit\"", got)
+	}
+	if w.Body.String() == "" || w2.Body.String() == "" {
+		t.Fatal("empty search response body")
+	}
+
+	// After an ingest the cached answer is brought forward: the delta
+	// row replaces extract and probe, and the cached matches enter a
+	// merge.
+	if w := do(s, "POST", "/v1/images?id=img-3", "image/x-portable-pixmap", testPPM(t, 3)); w.Code != http.StatusCreated {
+		t.Fatalf("ingest img-3: got %d: %s", w.Code, w.Body.String())
+	}
+	w3 := do(s, "POST", "/v1/search?explain=1&refine=1&k=5", "image/x-portable-pixmap", testPPM(t, 0))
+	if w3.Code != http.StatusOK {
+		t.Fatalf("search after ingest: got %d: %s", w3.Code, w3.Body.String())
+	}
+	if got := w3.Header().Get("X-Walrus-Cache"); got != "delta" {
+		t.Fatalf("search after ingest X-Walrus-Cache = %q, want \"delta\"", got)
+	}
+	var resp3 map[string]any
+	decodeBody(t, w3, &resp3)
+	explain3, ok := resp3["explain"].(map[string]any)
+	if !ok {
+		t.Fatalf("delta response has no explain object: %v", resp3)
+	}
+	writeStages(&b, "delta stages:", explain3)
 	got := b.String()
 
 	golden := filepath.Join("testdata", "explain_schema.golden")
@@ -127,17 +155,17 @@ func TestExplainSchemaGolden(t *testing.T) {
 	if len(trace.Spans) == 0 {
 		t.Fatal("trace endpoint returned no spans for the explained query")
 	}
+}
 
-	// The identical query repeats against an unchanged database: served
-	// from the result cache, reported in the response header.
-	w2 := do(s, "POST", "/v1/search?explain=1&refine=1&k=5", "image/x-portable-pixmap", testPPM(t, 0))
-	if w2.Code != http.StatusOK {
-		t.Fatalf("repeat search: got %d: %s", w2.Code, w2.Body.String())
+// writeStages writes one golden line: label, then the stage names of an
+// explain object in order.
+func writeStages(b *strings.Builder, label string, explain map[string]any) {
+	b.WriteString(label)
+	stages, _ := explain["stages"].([]any)
+	for _, st := range stages {
+		m, _ := st.(map[string]any)
+		b.WriteString(" ")
+		b.WriteString(fmt.Sprint(m["stage"]))
 	}
-	if got := w2.Header().Get("X-Walrus-Cache"); got != "hit" {
-		t.Fatalf("repeat search X-Walrus-Cache = %q, want \"hit\"", got)
-	}
-	if w.Body.String() == "" || w2.Body.String() == "" {
-		t.Fatal("empty search response body")
-	}
+	b.WriteString("\n")
 }

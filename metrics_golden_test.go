@@ -103,7 +103,11 @@ func runMetricsSequence(t *testing.T, shards int) metricsValues {
 // been added: walrus_query_scored_total, the candidates scored once the
 // coverage bound skips those that cannot be kept. It reads 20, equal to
 // walrus_query_candidates_total, at both shard counts: the sequence's
-// queries have τ 0 and no Limit, so the bound skips none.
+// queries have τ 0 and no Limit, so the bound skips none. Another has
+// been added since: walrus_cache_deltas_total, the cached answers
+// brought forward across a write. It reads 0 at both shard counts: the
+// sequence writes nothing between its cached queries; TestQueryCache
+// counts one.
 func TestMetricsGolden(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "metrics_golden.json"))
 	if err != nil {

@@ -28,6 +28,7 @@ type queryMetrics struct {
 
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
+	cacheDeltas    *obs.Counter
 	cacheEvictions *obs.Counter
 	cacheEntries   *obs.Gauge
 }
@@ -45,7 +46,8 @@ func newQueryMetrics(reg *obs.Registry) *queryMetrics {
 		probeSeconds:     reg.Histogram("walrus_query_probe_seconds", "Query index-probe phase latency.", nil),
 		scoreSeconds:     reg.Histogram("walrus_query_score_seconds", "Query candidate-scoring phase latency.", nil),
 		cacheHits:        reg.Counter("walrus_cache_hits_total", "Queries served from the result cache."),
-		cacheMisses:      reg.Counter("walrus_cache_misses_total", "Cacheable queries that executed and populated the cache."),
+		cacheMisses:      reg.Counter("walrus_cache_misses_total", "Cacheable queries that ran the full pipeline and populated the cache."),
+		cacheDeltas:      reg.Counter("walrus_cache_deltas_total", "Cacheable queries that brought a cached answer forward by scoring only the images added since it."),
 		cacheEvictions:   reg.Counter("walrus_cache_evictions_total", "Result-cache entries evicted by LRU."),
 		cacheEntries:     reg.Gauge("walrus_cache_entries", "Result-cache entries currently held."),
 	}

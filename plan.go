@@ -26,6 +26,9 @@ type stageExec struct {
 	qBits    []uint64 // the query regions' bitmaps, laid out flat
 	qArea    int
 	p        QueryParams
+	// from is the first payload a delta plan scans; a full plan probes
+	// the index and ignores it.
+	from int
 	// tc is the EXPLAIN funnel collector (nil when the query is not
 	// explained); the runner files each stage's wall time into it.
 	tc *traceCollector
@@ -34,11 +37,12 @@ type stageExec struct {
 	// hit list, which refine filters in place and aggregate consumes and
 	// returns to its pool; cands is aggregate's pooled candidate set,
 	// which score consumes and returns to its pool.
-	hits      *hitBuf
-	cands     *candidateSet
-	retrieved int
-	scored    int
-	matches   []Match
+	hits       *hitBuf
+	cands      *candidateSet
+	entryTests int // the probe's leaf entry tests
+	retrieved  int
+	scored     int
+	matches    []Match
 }
 
 // queryStage is one composable pipeline stage: a plan name (also the
@@ -55,16 +59,25 @@ type queryStage struct {
 var (
 	phaseAPlain  = []queryStage{{name: "probe", run: runProbe}, {name: "aggregate", run: runAggregate}}
 	phaseARefine = []queryStage{{name: "probe", run: runProbe}, {name: "refine", run: runRefine}, {name: "aggregate", run: runAggregate}}
+	// The delta plans replace the probe with the scan of the payloads
+	// added since a cached answer (query.go, deltaStage).
+	deltaPlain  = []queryStage{{name: "delta", run: runDelta}, {name: "aggregate", run: runAggregate}}
+	deltaRefine = []queryStage{{name: "delta", run: runDelta}, {name: "refine", run: runRefine}, {name: "aggregate", run: runAggregate}}
 	// scorePlan is the scoring side of the pipeline, run per shard after
 	// phase A so a fleet can fan the two phases out independently.
 	scorePlan = []queryStage{{name: "score", run: runScore}}
 )
 
 // planPhaseA selects the probe side of the pipeline — everything up to
-// the per-image pair sets the scorer consumes: probe, then the optional
-// refine tier, then aggregate.
-func planPhaseA(p QueryParams) []queryStage {
-	if p.Refine {
+// the per-image pair sets the scorer consumes: probe (the delta scan of
+// a delta run), then the optional refine tier, then aggregate.
+func planPhaseA(p QueryParams, delta bool) []queryStage {
+	switch {
+	case delta && p.Refine:
+		return deltaRefine
+	case delta:
+		return deltaPlain
+	case p.Refine:
 		return phaseARefine
 	}
 	return phaseAPlain
@@ -102,11 +115,17 @@ func runStages(ctx context.Context, stages []queryStage, ex *stageExec, parent *
 }
 
 func runProbe(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	hb, err := ex.snap.probeStage(ex.qRegions, ex.p, ex.tc)
+	hb, tests, err := ex.snap.probeStage(ex.qRegions, ex.p, ex.tc)
 	if err != nil {
 		return err
 	}
-	ex.hits = hb
+	ex.hits, ex.entryTests = hb, tests
+	return nil
+}
+
+func runDelta(ctx context.Context, ex *stageExec, sp *obs.Span) error {
+	ex.hits = ex.snap.deltaStage(ex.qRegions, ex.from, ex.p, ex.tc)
+	sp.SetAttr("payloads", int64(len(ex.snap.core.refs)-ex.from))
 	return nil
 }
 

@@ -62,9 +62,10 @@ type probeHit struct {
 // follows the tree's shape; the score stage orders the pairs of each
 // candidate it scores, so scores, stats and rankings depend only on the
 // set each region retrieves. The list is
-// a pooled buffer that aggregateStage's caller returns. A nil tc (the
-// common case) adds nothing to the probe path.
-func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) (*hitBuf, error) {
+// a pooled buffer that aggregateStage's caller returns, returned with
+// the descent's leaf entry tests. A nil tc (the common case) adds
+// nothing to the probe path.
+func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *traceCollector) (*hitBuf, int, error) {
 	probes := make([]rstar.Probe, len(qRegions))
 	for qi, qr := range qRegions {
 		if s.core.opts.UseBBox {
@@ -94,7 +95,43 @@ func (s *shardSnapshot) probeStage(qRegions []region.Region, p QueryParams, tc *
 	if tc != nil {
 		tc.indexHits, tc.nodeVisits, tc.entryTests, tc.probeOut = indexHits, counts.Visits, counts.EntryTests, len(hits)
 	}
-	return hb, err
+	return hb, counts.EntryTests, err
+}
+
+// deltaStage is the probe of a delta run (cache.go): it scans the
+// payloads [from, len(refs)) of the shard's region columns, the regions
+// added since a cached answer, skips tombstoned refs, and keeps each
+// (query region, payload) pair that passes the index's exact ball test,
+// !(euclid(q, sig) > ε). A centroid probe of the R*-tree keeps exactly
+// the indexed payloads that pass this test (rstar.Probe), and with no
+// removal since the mark the live refs past it are exactly the index
+// entries added since, so the hits are the new payloads' share of a full
+// probe's. The hit list is sized before the scan to the most it can
+// hold, payloads times query regions, which the delta's budget bounds,
+// so the scan appends nothing.
+func (s *shardSnapshot) deltaStage(qRegions []region.Region, from int, p QueryParams, tc *traceCollector) *hitBuf {
+	refs, cols := s.core.refs[from:], &s.core.cols
+	hb := hitPool.Get().(*hitBuf)
+	hits := resize(hb.hits, len(refs)*len(qRegions))
+	n, tests := 0, 0
+	for i, ref := range refs {
+		if ref.Local < 0 {
+			continue
+		}
+		tests += len(qRegions)
+		sig := span(cols.sig, from+i, cols.dim)
+		for qi := range qRegions {
+			if !(euclid(qRegions[qi].Signature, sig) > p.Epsilon) {
+				hits[n] = probeHit{image: ref.Image, pair: match.Pair{Q: qi, T: ref.Local}}
+				n++
+			}
+		}
+	}
+	hb.hits = hits[:n]
+	if tc != nil {
+		tc.deltaIn, tc.entryTests, tc.probeOut = len(refs), tests, n
+	}
+	return hb
 }
 
 // hitBuf is the flat hit list of one query's probe, pooled across
@@ -481,6 +518,7 @@ func (f queryFront) query(ctx context.Context, c *queryCache, src querySource, p
 		sq = owner.core.queryOf(idx)
 	}
 	var lk cacheLookup
+	var cr *cacheRun
 	if c != nil && !p.NoCache {
 		var hit bool
 		if lk, hit = f.lookup(c, src, p); hit {
@@ -488,6 +526,9 @@ func (f queryFront) query(ctx context.Context, c *queryCache, src querySource, p
 		}
 		if sq == nil {
 			sq = lk.entry.query
+		}
+		if src.im != nil {
+			cr = &cacheRun{base: &lk.entry, from: f.deltaFrom(&lk.entry)}
 		}
 	}
 
@@ -504,7 +545,7 @@ func (f queryFront) query(ctx context.Context, c *queryCache, src querySource, p
 		es.End()
 		extractTime = statsSince(start)
 	}
-	matches, stats, err := f.run(ctx, qspan, start, extractTime, sq, p)
+	matches, stats, err := f.run(ctx, qspan, start, extractTime, sq, p, cr)
 	if err != nil || c == nil {
 		return matches, stats, err
 	}
@@ -513,11 +554,30 @@ func (f queryFront) query(ctx context.Context, c *queryCache, src querySource, p
 		return matches, stats, nil
 	}
 	stats.Cache = "miss"
-	if src.im == nil {
+	var marks []shardMark
+	if cr == nil {
 		sq = nil // an id query keeps no stored query; see cacheEntry
+	} else {
+		marks = cr.marks
+		if cr.from != nil {
+			stats.Cache = "delta"
+			// The merge kept the cached matches' pairs, which other
+			// lookups of the old entry may still be copying.
+			matches = copyMatches(matches)
+		}
 	}
-	f.remember(ctx, c, lk, sq, matches, stats)
+	f.remember(ctx, c, lk, sq, marks, matches, stats)
 	return matches, stats, nil
+}
+
+// cacheRun is the result cache's side of a run of a pixels or scene
+// query. With from set it is a delta run: shard i scans its payloads from
+// from[i] on instead of probing the index, and base's answer joins the
+// merge. The run fills marks with what the new answer saw of each shard.
+type cacheRun struct {
+	base  *cacheEntry
+	from  []int
+	marks []shardMark
 }
 
 // storedQuery is a query as the pipeline consumes it: its regions, their
@@ -571,10 +631,14 @@ func (f queryFront) extract(im *imgio.Image) (*storedQuery, error) {
 // start spent extracting sq, 0 when sq came resolved. Every pinned shard
 // runs the probe phase and the score phase through the shared runner,
 // each with its own stageExec, and a fleet merges the per-shard
-// rankings. An EXPLAIN context gets one traceCollector per shard, folded
-// into the funnel at the end.
-func (f queryFront) run(ctx context.Context, qspan *obs.Span, start time.Time, extractTime time.Duration, sq *storedQuery, p QueryParams) ([]Match, QueryStats, error) {
+// rankings. cr, nil when the cache keeps no stored query for sq, may
+// make the run a delta, whose probe phase scans only the payloads the
+// cached answer did not see and whose merge takes that answer in too;
+// run fills its marks. An EXPLAIN context gets one traceCollector per
+// shard, folded into the funnel at the end.
+func (f queryFront) run(ctx context.Context, qspan *obs.Span, start time.Time, extractTime time.Duration, sq *storedQuery, p QueryParams, cr *cacheRun) ([]Match, QueryStats, error) {
 	stats := QueryStats{QueryRegions: len(sq.regions), ExtractTime: extractTime}
+	delta := cr != nil && cr.from != nil
 
 	probeStart := statsClock()
 	qt := queryTraceFrom(ctx)
@@ -582,11 +646,14 @@ func (f queryFront) run(ctx context.Context, qspan *obs.Span, start time.Time, e
 	for i := range f.snaps {
 		sn := &f.snaps[i]
 		execs[i] = stageExec{snap: sn, qRegions: sq.regions, qBits: sq.bits, qArea: sq.area, p: p}
+		if delta {
+			execs[i].from = cr.from[i]
+		}
 		if qt != nil {
 			execs[i].tc = newTraceCollector(sn.core.version)
 		}
 	}
-	if err := f.runPhase(ctx, planPhaseA(p), execs, qspan, "query.probe"); err != nil {
+	if err := f.runPhase(ctx, planPhaseA(p, delta), execs, qspan, "query.probe"); err != nil {
 		failSpans(qspan)
 		return nil, stats, err
 	}
@@ -607,19 +674,35 @@ func (f queryFront) run(ctx context.Context, qspan *obs.Span, start time.Time, e
 		return nil, stats, err
 	}
 	matches, mergedIn, mergeNS := execs[0].matches, len(execs[0].matches), int64(0)
-	if f.fleet() {
+	if f.fleet() || delta {
+		var cached []Match
+		if delta {
+			cached = cr.base.matches
+		}
 		mergeStart := statsClock()
-		matches, mergedIn = mergeMatches(execs, p.Limit)
+		matches, mergedIn = mergeMatches(execs, cached, p.Limit)
 		mergeNS = statsSince(mergeStart).Nanoseconds()
 	}
 	stats.ScoreTime = statsSince(scoreStart)
 	stats.Elapsed = statsSince(start)
 	if qt != nil {
-		qt.fill(qspan, f.fleet(), p, len(sq.regions), execs, stats, mergedIn, len(matches), mergeNS)
+		qt.fill(qspan, f.fleet(), delta, p, len(sq.regions), execs, stats, mergedIn, len(matches), mergeNS)
 	}
 	scored := 0
 	for i := range execs {
 		scored += execs[i].scored
+	}
+	if cr != nil {
+		// A delta keeps the entry tests of the full probe behind its base.
+		cr.marks = make([]shardMark, len(execs))
+		for i := range execs {
+			core := execs[i].snap.core
+			tests := execs[i].entryTests
+			if delta {
+				tests = cr.base.marks[i].entryTests
+			}
+			cr.marks[i] = shardMark{version: core.version, payloads: len(core.refs), removed: core.removed, entryTests: tests}
+		}
 	}
 	f.observeQuery(qspan, stats, scored)
 	return matches, stats, nil
@@ -645,35 +728,40 @@ func (f queryFront) runPhase(ctx context.Context, plan []queryStage, execs []sta
 	return nil
 }
 
-// mergeMatches merges the per-shard rankings, each already ordered by
-// the shared (similarity desc, id asc) key, into the fleet ranking cut at
-// limit (0 = unlimited), in a slice sized exactly to it, and reports how
-// many per-shard matches entered the merge. Ids are disjoint across
-// shards, so the merge reproduces exactly the ranking a single shard
-// would have produced over the union.
-func mergeMatches(execs []stageExec, limit int) ([]Match, int) {
-	in := 0
+// mergeMatches merges the per-shard rankings, and a delta run's cached
+// ranking (nil otherwise), each already ordered by the shared
+// (similarity desc, id asc) key, into the fleet ranking cut at limit
+// (0 = unlimited), in a slice sized exactly to it, and reports how many
+// matches entered the merge. Ids are disjoint across shards, and the
+// images a delta scores were added after its cached answer, so the merge
+// reproduces exactly the ranking a single shard would have produced over
+// the union: the top limit of a union is the top limit of the union of
+// each part's top limit.
+func mergeMatches(execs []stageExec, cached []Match, limit int) ([]Match, int) {
+	lists := make([][]Match, len(execs)+1)
+	in := len(cached)
 	for i := range execs {
+		lists[i] = execs[i].matches
 		in += len(execs[i].matches)
 	}
+	lists[len(execs)] = cached
 	total := in
 	if limit > 0 && limit < total {
 		total = limit
 	}
 	merged := make([]Match, total)
-	next := make([]int, len(execs))
+	next := make([]int, len(lists))
 	for out := range merged {
 		best := -1
-		for i := range execs {
-			m := execs[i].matches
+		for i, m := range lists {
 			if next[i] == len(m) {
 				continue
 			}
-			if best < 0 || compareMatches(m[next[i]], execs[best].matches[next[best]]) < 0 {
+			if best < 0 || compareMatches(m[next[i]], lists[best][next[best]]) < 0 {
 				best = i
 			}
 		}
-		merged[out] = execs[best].matches[next[best]]
+		merged[out] = lists[best][next[best]]
 		next[best]++
 	}
 	return merged, in

@@ -73,6 +73,12 @@ type shard struct {
 	// version is the last published catalog version (guarded by mu); it
 	// tracks the tree's publish epoch exactly.
 	version uint64
+	// removed counts the removes that reached the catalog, and the adds
+	// that failed after entering an image into it (guarded by mu): the
+	// writes after which the live refs appended since a version need not
+	// be exactly the index entries added since it. The result cache
+	// brings an answer forward only across versions that agree on it.
+	removed uint64
 	// The shared flags mark catalog slices whose backing storage is
 	// reachable from a published snapshot (guarded by mu): set on every
 	// publish, cleared when a writer clones before an in-place mutation.
@@ -138,6 +144,7 @@ func (sh *shard) remove(id string) (bool, error) {
 		return false, nil
 	}
 	defer sh.publishLocked()
+	sh.removed++
 	// Tombstoning mutates published catalog entries in place, so work on
 	// private copies of the containers a snapshot may share.
 	refs := sh.mutableRefsLocked()

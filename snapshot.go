@@ -25,6 +25,7 @@ import (
 // header and clones only the chunks it touches (see idIndexWriter).
 type snapCore struct {
 	version uint64
+	removed uint64 // shard.removed at publication
 	opts    Options
 	ext     *region.Extractor
 	images  []imageRecord
@@ -299,6 +300,7 @@ func (sh *shard) publishLocked() {
 	sh.version = sh.tree.PublishEpoch()
 	core := &snapCore{
 		version:     sh.version,
+		removed:     sh.removed,
 		opts:        sh.opts,
 		ext:         sh.ext,
 		images:      sh.images,

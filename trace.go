@@ -54,8 +54,10 @@ type ExplainParams struct {
 
 // ExplainStage is one pipeline stage of the candidate funnel. In and Out
 // count the items entering and surviving the stage; what an "item" is
-// depends on the stage (probes for probe, region hits for refine and
-// aggregate, candidate images for score, per-shard matches for merge).
+// depends on the stage (probes for probe, payloads scanned in and region
+// hits out for delta, region hits for refine and aggregate, candidate
+// images for score, matches for merge: per-shard ones, and a delta's
+// cached ones).
 type ExplainStage struct {
 	Stage string `json:"stage"`
 	In    int    `json:"in"`
@@ -67,7 +69,9 @@ type ExplainStage struct {
 	// visited by the one descent that answered all of the query's
 	// regions, and that descent's leaf entry tests: over the leaves it
 	// scanned, each leaf's entries times the query regions whose probes
-	// reached it.
+	// reached it. The delta stage of a cached answer brought forward
+	// reports its distance tests as EntryTests: the live payloads it
+	// scanned times the query regions.
 	IndexHits    int `json:"index_hits"`
 	NodesVisited int `json:"nodes_visited"`
 	EntryTests   int `json:"entry_tests"`
@@ -94,7 +98,7 @@ type ExplainShard struct {
 	CandidateImages  int    `json:"candidate_images"`
 	Scored           int    `json:"scored"`
 	Matches          int    `json:"matches"`
-	// ProbeNS covers the shard's probe+refine+aggregate work, ScoreNS
+	// ProbeNS covers the shard's probe (or delta)+refine+aggregate work, ScoreNS
 	// its candidate scoring, as measured inside the shard's fan-out task.
 	ProbeNS int64 `json:"probe_ns"`
 	ScoreNS int64 `json:"score_ns"`
@@ -128,6 +132,9 @@ type traceCollector struct {
 	entryTests int // leaf entry tests of that descent: entries × active probes per leaf
 	probeOut   int // hits surviving catalog validation
 	refineOut  int // hits surviving refine
+	// deltaIn is the payloads a delta run's scan covered; it then files
+	// its distance tests under entryTests and its hits under probeOut.
+	deltaIn int
 
 	probeNS, refineNS, aggregateNS, scoreNS int64
 	candidates, scored, matches             int
@@ -141,7 +148,7 @@ func newTraceCollector(version uint64) *traceCollector {
 // its plan name; the stage runner calls it after each stage completes.
 func (tc *traceCollector) recordNS(stage string, ns int64) {
 	switch stage {
-	case "probe":
+	case "probe", "delta":
 		tc.probeNS = ns
 	case "refine":
 		tc.refineNS = ns
@@ -175,10 +182,12 @@ func explainParams(p QueryParams) ExplainParams {
 }
 
 // fill assembles the funnel from the per-shard collectors of execs once
-// the pipeline has finished. mergedIn is the total per-shard match count
-// entering the merge (equal to matches for a one-shard query);
-// mergeNS is the merge's wall time (0 unsharded).
-func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions int,
+// the pipeline has finished. mergedIn is the total match count entering
+// the merge (equal to matches for a one-shard full run); mergeNS is the
+// merge's wall time (0 when nothing was merged). A delta run has a delta
+// row where a full run has its extract and probe rows, and always a
+// merge row: its cached matches enter the merge.
+func (qt *QueryTrace) fill(span *obs.Span, sharded, delta bool, p QueryParams, qRegions int,
 	execs []stageExec, stats QueryStats, mergedIn, matches int, mergeNS int64) {
 	qt.TraceID = ""
 	if span != nil {
@@ -191,7 +200,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 	qt.ElapsedNS = stats.Elapsed.Nanoseconds()
 
 	probeHits, refineKept, scored := 0, 0, 0
-	probeIndexHits, probeVisits, probeTests := 0, 0, 0
+	probeIndexHits, probeVisits, probeTests, deltaIn := 0, 0, 0, 0
 	qt.Shards = make([]ExplainShard, len(execs))
 	for i := range execs {
 		tc := execs[i].tc
@@ -204,6 +213,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 		probeIndexHits += tc.indexHits
 		probeVisits += tc.nodeVisits
 		probeTests += tc.entryTests
+		deltaIn += tc.deltaIn
 		scored += tc.scored
 		qt.Shards[i] = ExplainShard{
 			Shard:            i,
@@ -221,15 +231,22 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 	}
 
 	qt.Stages = qt.Stages[:0]
-	qt.Stages = append(qt.Stages, ExplainStage{
-		Stage: "extract", In: 1, Out: qRegions,
-		DurationNS: stats.ExtractTime.Nanoseconds(),
-	})
-	qt.Stages = append(qt.Stages, ExplainStage{
-		Stage: "probe", In: qRegions * len(execs), Out: probeHits,
-		IndexHits: probeIndexHits, NodesVisited: probeVisits, EntryTests: probeTests,
-		DurationNS: maxNS(execs, func(tc *traceCollector) int64 { return tc.probeNS }),
-	})
+	probeNS := maxNS(execs, func(tc *traceCollector) int64 { return tc.probeNS })
+	if delta {
+		qt.Stages = append(qt.Stages, ExplainStage{
+			Stage: "delta", In: deltaIn, Out: probeHits, EntryTests: probeTests, DurationNS: probeNS,
+		})
+	} else {
+		qt.Stages = append(qt.Stages, ExplainStage{
+			Stage: "extract", In: 1, Out: qRegions,
+			DurationNS: stats.ExtractTime.Nanoseconds(),
+		})
+		qt.Stages = append(qt.Stages, ExplainStage{
+			Stage: "probe", In: qRegions * len(execs), Out: probeHits,
+			IndexHits: probeIndexHits, NodesVisited: probeVisits, EntryTests: probeTests,
+			DurationNS: probeNS,
+		})
+	}
 	flow := probeHits
 	if p.Refine {
 		qt.Stages = append(qt.Stages, ExplainStage{
@@ -246,7 +263,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 		Stage: "score", In: stats.CandidateImages, Out: mergedIn, Scored: scored,
 		DurationNS: maxNS(execs, func(tc *traceCollector) int64 { return tc.scoreNS }),
 	})
-	if sharded {
+	if sharded || delta {
 		qt.Stages = append(qt.Stages, ExplainStage{
 			Stage: "merge", In: mergedIn, Out: matches, DurationNS: mergeNS,
 		})
@@ -254,9 +271,10 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 }
 
 // noteCacheMiss prepends the "cache" funnel row of a query that went
-// through an enabled result cache and missed: one lookup entered the
-// cache and one query proceeded into the pipeline. Called by the caching
-// wrapper after the underlying query filled the trace.
+// through an enabled result cache and missed, or brought its answer
+// forward by a delta: one lookup entered the cache and one query
+// proceeded into the pipeline. Called by the caching wrapper after the
+// underlying query filled the trace.
 func (qt *QueryTrace) noteCacheMiss(ns int64) {
 	qt.Stages = append([]ExplainStage{{Stage: "cache", In: 1, Out: 1, DurationNS: ns}}, qt.Stages...)
 }

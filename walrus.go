@@ -180,10 +180,13 @@ type QueryStats struct {
 	// Cache reports how the result cache handled the query: "" (no cache
 	// configured, or a query on an explicit snapshot), "hit" (an answer
 	// computed at the pinned version, served without running the
-	// pipeline), "miss" (the pipeline ran, from the cached regions when
-	// the cache held the query at an older version), or "bypass" (NoCache
-	// was set). On a hit every other field echoes the cached execution
-	// except Elapsed, which is the lookup time.
+	// pipeline), "delta" (the answer cached at an older version brought
+	// forward: only the images added since were probed and scored, from
+	// the cached regions, and merged with it), "miss" (the pipeline ran,
+	// from the cached regions when the cache held the query at an older
+	// version), or "bypass" (NoCache was set). A delta's other fields
+	// count the delta's own work. On a hit every other field echoes the
+	// cached execution except Elapsed, which is the lookup time.
 	Cache string `json:",omitempty"`
 }
 
